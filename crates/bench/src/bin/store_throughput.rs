@@ -22,14 +22,8 @@
 //!   shards scale at `T / t_store` — the standard serialization bound, with
 //!   both `t_store` values measured, not assumed.
 //!
-//! A second experiment sweeps the *bulk* store path: repeated
-//! `write_slice` passes over one array where only every 64th element
-//! changes per pass (the mostly-silent regime silent-store suppression is
-//! built for), with the vectorized 64-byte-line change detector on vs the
-//! scalar word walk (`Config::simd_store`). The budget line
-//! `store-path budget check: PASS` asserts the vectorized path is at
-//! least 15% cheaper per store (full run; the smoke run only asserts it
-//! is not slower, since CI timings are unreliable).
+//! The bulk (`write_slice`) store path is measured by the repo benchmark's
+//! `store_bulk` workload and `mem.bulk_*` layer metrics (`perf/`).
 //!
 //! Usage: `store_throughput [--smoke]` — `--smoke` runs a fast CI-sized
 //! configuration (same code paths, unreliable timings).
@@ -89,49 +83,6 @@ fn run(threads: usize, shards: usize, iters: usize) -> f64 {
     );
     assert_eq!(c.counters().silent_stores, 0);
     (threads * iters) as f64 / secs / 1e6
-}
-
-/// Elements in the bulk-sweep array: 8192 u64s = 64 KiB = 1024 cache
-/// lines, far past any per-call constant costs.
-const SWEEP_ELEMS: usize = 8192;
-
-/// One element in `SWEEP_PERIOD` changes per sweep pass; the rest are
-/// silent. One change per 8 lines keeps 7 of 8 lines on the all-silent
-/// fast path, the regime the vectorized detector targets.
-const SWEEP_PERIOD: usize = 64;
-
-/// Runs `rounds` mostly-silent `write_slice` passes with the vectorized
-/// detector on or off and returns the best-of-`reps` ns per element
-/// store. Asserts both configurations detect the identical change set,
-/// so the speed comparison is at equal trigger precision.
-fn sweep(simd: bool, rounds: usize, reps: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let cfg = Config::default().with_simd_store(simd);
-        let mut rt = Runtime::new(cfg, ());
-        let xs = rt.alloc_array::<u64>(SWEEP_ELEMS).unwrap();
-        let mut values = vec![0u64; SWEEP_ELEMS];
-        let t0 = Instant::now();
-        for r in 1..=rounds {
-            for v in values.iter_mut().step_by(SWEEP_PERIOD) {
-                *v = r as u64;
-            }
-            rt.with(|ctx| ctx.write_slice(xs, 0, &values));
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        let total = (rounds * SWEEP_ELEMS) as u64;
-        let changed = (rounds * SWEEP_ELEMS.div_ceil(SWEEP_PERIOD)) as u64;
-        let c = rt.stats();
-        assert_eq!(c.counters().tracked_stores, total);
-        assert_eq!(
-            c.counters().changing_stores,
-            changed,
-            "simd={simd} missed or invented changes"
-        );
-        assert_eq!(c.counters().silent_stores, total - changed);
-        best = best.min(secs * 1e9 / total as f64);
-    }
-    best
 }
 
 fn main() {
@@ -195,42 +146,10 @@ fn main() {
         println!("the modeled line is the serialization bound from measured costs.");
     }
 
-    // Bulk mostly-silent sweep: vectorized vs scalar change detection.
-    let (rounds, reps) = if smoke { (40, 3) } else { (2_000, 2) };
-    let ns_scalar = sweep(false, rounds, reps);
-    let ns_simd = sweep(true, rounds, reps);
-    let gain = ns_scalar / ns_simd;
-    let mut sweep_table = Table::new(vec!["detector".into(), "ns/store".into(), "speedup".into()]);
-    sweep_table.row(vec![
-        "scalar".into(),
-        format!("{ns_scalar:.2}"),
-        "1.00x".into(),
-    ]);
-    sweep_table.row(vec![
-        "simd".into(),
-        format!("{ns_simd:.2}"),
-        fmt_speedup(gain),
-    ]);
-    sweep_table.print(&format!(
-        "bulk write_slice, 1 change per {SWEEP_PERIOD} u64s, \
-         {SWEEP_ELEMS} elems x {rounds} rounds{mode}"
-    ));
-    // Full runs must show the >= 15% per-store saving; the smoke run only
-    // guards against the vectorized path regressing below the scalar one
-    // (CI boxes are too noisy for a tight bound).
-    let budget = if smoke { 1.00 } else { 1.15 };
-    let verdict = if gain >= budget { "PASS" } else { "FAIL" };
-    println!(
-        "store-path budget check: {verdict} (simd {gain:.2}x over scalar, budget {budget:.2}x)"
-    );
-
     let record = BenchRecord {
         benchmark: "store_throughput".into(),
-        config: format!(
-            "threads=[1,2,4] shards={SHARDS}-vs-1 iters={iters} \
-             sweep-ns-scalar={ns_scalar:.2} sweep-ns-simd={ns_simd:.2}{mode}"
-        ),
-        ns_per_op: ns_simd,
+        config: format!("threads=[1,2,4] shards={SHARDS}-vs-1 iters={iters}{mode}"),
+        ns_per_op: 1e3 / measured_1t_sharded,
         modeled_speedup: modeled,
         host_cores: cores,
     };

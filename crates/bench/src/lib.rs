@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn bench_record_json_is_stable_and_escaped() {
         let r = BenchRecord {
-            benchmark: "dispatch_throughput".into(),
+            benchmark: "store_throughput".into(),
             config: "say \"hi\"".into(),
             ns_per_op: 1.0 / 0.0, // non-finite must not leak into the JSON
             modeled_speedup: 2.5,
@@ -263,7 +263,7 @@ mod tests {
         };
         assert_eq!(
             r.to_json(),
-            "{\"benchmark\":\"dispatch_throughput\",\"config\":\"say \\\"hi\\\"\",\
+            "{\"benchmark\":\"store_throughput\",\"config\":\"say \\\"hi\\\"\",\
              \"ns_per_op\":0.000,\"modeled_speedup\":2.500,\"host_cores\":1}"
         );
     }

@@ -66,12 +66,6 @@ pub struct ChaosConfig {
     pub ops: usize,
     /// Queue-overflow policy under test.
     pub overflow: OverflowPolicy,
-    /// Whether the lock-free dispatch path is on (the default) or the
-    /// locked ablation baseline is exercised instead.
-    pub lockfree_dispatch: bool,
-    /// Whether idle workers steal from foreign pending-queue shards (the
-    /// default) or the park-on-empty affinity ablation runs instead.
-    pub work_stealing: bool,
     /// Commit→retrigger retry cap.
     pub commit_retry_cap: u32,
     /// Optional per-body deadline.
@@ -113,13 +107,12 @@ impl ChaosConfig {
             tthreads: rng.gen_range(2..=5usize),
             ops: rng.gen_range(200..=600usize),
             overflow,
-            // Mostly the lock-free dispatch path, with the locked ablation
-            // baseline mixed in so both keep surviving the same schedules.
-            lockfree_dispatch: rng.gen_range(0..4u32) != 0,
-            // Same idea for the stealing ablation: mostly on, sometimes
-            // the affinity-only scheduler.
-            work_stealing: rng.gen_range(0..4u32) != 0,
-            commit_retry_cap: rng.gen_range(1..=8u32),
+            commit_retry_cap: {
+                // Two discarded draws (they once picked removed dispatch
+                // variants) keep every existing seed's derived case intact.
+                let _ = (rng.gen_range(0..4u32), rng.gen_range(0..4u32));
+                rng.gen_range(1..=8u32)
+            },
             body_deadline: None,
             plan,
             watchdog: Duration::from_secs(30),
@@ -135,8 +128,6 @@ impl ChaosConfig {
             tthreads: 3,
             ops: 400,
             overflow: OverflowPolicy::ExecuteInline,
-            lockfree_dispatch: true,
-            work_stealing: true,
             commit_retry_cap: 8,
             body_deadline: None,
             plan: FaultPlan::new(seed),
@@ -159,18 +150,12 @@ impl ChaosConfig {
             })
             .collect();
         format!(
-            "workers={} queue={} tthreads={} ops={} overflow={:?} dispatch={} stealing={} retry_cap={} armed=[{}]",
+            "workers={} queue={} tthreads={} ops={} overflow={:?} retry_cap={} armed=[{}]",
             self.workers,
             self.queue_capacity,
             self.tthreads,
             self.ops,
             self.overflow,
-            if self.lockfree_dispatch {
-                "lockfree"
-            } else {
-                "locked"
-            },
-            if self.work_stealing { "on" } else { "off" },
             self.commit_retry_cap,
             armed.join(", ")
         )
@@ -347,8 +332,6 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
         .with_workers(cfg.workers)
         .with_queue_capacity(cfg.queue_capacity)
         .with_overflow(cfg.overflow)
-        .with_lockfree_dispatch(cfg.lockfree_dispatch)
-        .with_work_stealing(cfg.work_stealing)
         .with_commit_retry_cap(cfg.commit_retry_cap)
         .with_observability(true)
         .with_fault_plan(cfg.plan.clone());
@@ -497,11 +480,8 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
             c.steal_batches, c.steals
         ));
     }
-    if (!cfg.lockfree_dispatch || !cfg.work_stealing || cfg.workers == 0) && c.steals != 0 {
-        return Err(format!(
-            "steals is {} with stealing unavailable (lockfree={}, stealing={}, workers={})",
-            c.steals, cfg.lockfree_dispatch, cfg.work_stealing, cfg.workers
-        ));
+    if cfg.workers == 0 && c.steals != 0 {
+        return Err(format!("steals is {} with no workers configured", c.steals));
     }
     if cfg.workers == 0 && c.park_timeouts != 0 {
         return Err(format!(

@@ -118,22 +118,19 @@ fn shutdown_drains_despite_injected_scheduling_delay() {
 /// The injected dequeue-reject regression: the worker used to discard the
 /// requeue's outcome — with the queue full the entry was silently dropped,
 /// stranding its tthread in Queued with no pending execution anywhere
-/// (a wedge unless a join happened to steal it). Both dispatch modes must
-/// handle the rejected pop explicitly (run the entry themselves when the
-/// requeue fails) and keep draining.
+/// (a wedge unless a join happened to steal it). The worker must handle
+/// the rejected pop explicitly (run the entry itself when the requeue
+/// fails) and keep draining.
 #[test]
 fn pinned_dequeue_rejects_cannot_strand_queued_tthreads() {
-    for (seed, lockfree) in [(110, true), (111, false)] {
-        let mut cfg = pinned_point_case(FaultPoint::Dequeue, seed);
-        cfg.lockfree_dispatch = lockfree;
-        cfg.queue_capacity = 2; // keep the requeue's Full outcome reachable
-        cfg.plan = cfg.plan.with_budget(FaultPoint::Dequeue, 64);
-        let summary = run_config(&cfg).unwrap_or_else(|failure| panic!("{failure}"));
-        assert!(
-            summary.injections[FaultPoint::Dequeue as usize] >= 1,
-            "pinned dequeue-reject case (seed {seed}) never fired"
-        );
-    }
+    let mut cfg = pinned_point_case(FaultPoint::Dequeue, 110);
+    cfg.queue_capacity = 2; // keep the requeue's Full outcome reachable
+    cfg.plan = cfg.plan.with_budget(FaultPoint::Dequeue, 64);
+    let summary = run_config(&cfg).unwrap_or_else(|failure| panic!("{failure}"));
+    assert!(
+        summary.injections[FaultPoint::Dequeue as usize] >= 1,
+        "pinned dequeue-reject case never fired"
+    );
 }
 
 /// A dropped worker wakeup — the eventcount epoch bump and the
@@ -187,22 +184,6 @@ fn pinned_cascade_drops_hold_invariants() {
     );
 }
 
-/// Both dispatch modes survive an always-on cascade-drop schedule: the
-/// locked ablation baseline routes raises through a different status
-/// machine but must handle swallowed waves identically.
-#[test]
-fn pinned_cascade_drops_hold_invariants_locked_dispatch() {
-    let mut cfg = pinned_point_case(FaultPoint::CascadeDrop, 117);
-    cfg.lockfree_dispatch = false;
-    cfg.plan = cfg.plan.with_budget(FaultPoint::CascadeDrop, 64);
-    let summary = run_config(&cfg).unwrap_or_else(|failure| panic!("{failure}"));
-    assert!(
-        summary.injections[FaultPoint::CascadeDrop as usize] >= 1,
-        "pinned cascade-drop case (locked dispatch) never fired; injections: {:?}",
-        summary.injections
-    );
-}
-
 /// The rescue-latency budget, measured directly: with *every* worker wake
 /// dropped (epoch bump included — a true lost wakeup), a triggered
 /// tthread must still execute within two park periods, carried entirely
@@ -222,7 +203,6 @@ fn dropped_wake_is_rescued_within_two_park_periods() {
         .with_budget(FaultPoint::WakeDrop, UNLIMITED);
     let cfg = Config::default()
         .with_workers(1)
-        .with_lockfree_dispatch(true)
         .with_park_timeout(park)
         .with_fault_plan(plan);
     let mut rt = Runtime::new(cfg, 0u64);

@@ -4,16 +4,17 @@
 //! it performs tracked loads and stores against the sharded arena directly,
 //! so accessors on different threads — and different address shards —
 //! proceed in parallel, the way the paper's hardware runs the store-side
-//! value compare on every core without serializing the pipeline. Only a
-//! store that actually *fires a trigger* takes the state lock, to advance
-//! the serial status machine.
+//! value compare on every core without serializing the pipeline. Trigger
+//! raises go through the atomic status words; only a raise that *overflows*
+//! the pending queue takes the state lock, to apply the overflow policy.
 //!
 //! # Locking protocol (per store)
 //!
 //! 1. stripe lock(s) for the store's range → write + value compare → unlock;
 //! 2. silent store → done, no further locks;
 //! 3. trigger-table **read** lock → lookup into reusable scratch → unlock;
-//! 4. no hits → done; otherwise state lock → raise the hits → unlock.
+//! 4. no hits → done; otherwise raise the hits on their status words;
+//! 5. queue overflow only: state lock → overflow policy → unlock.
 //!
 //! No two of these are ever held across a step boundary, and the state lock
 //! is always the *last* acquired, so accessors cannot deadlock with
@@ -145,23 +146,16 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             .triggers
             .read()
             .lookup_with(cell.range(), &mut self.scratch);
-        if self.scratch.hits().is_empty() {
-            return;
+        if !self.scratch.hits().is_empty() {
+            self.raise_hits(cell.addr().raw());
         }
-        if self.inner.cfg.lockfree_dispatch {
-            self.raise_hits_lockfree(cell.addr().raw());
-            return;
-        }
-        let mut state = self.inner.state.lock();
-        let mut ctx = Ctx::new(&mut state, self.inner, 0);
-        ctx.raise_hits(self.scratch.hits(), cell.addr().raw());
     }
 
-    /// The tentpole fast path: raise this store's trigger hits entirely
-    /// through the lock-free status machine and sharded counters. Only an
-    /// overflow ticket (pending queue full, or an injected enqueue fault)
-    /// drops to the state lock, where the configured overflow policy runs.
-    fn raise_hits_lockfree(&mut self, store_addr: u64) {
+    /// Raise this store's trigger hits entirely through the lock-free
+    /// status machine and sharded counters. Only an overflow ticket
+    /// (pending queue full, or an injected enqueue fault) drops to the
+    /// state lock, where the configured overflow policy runs.
+    fn raise_hits(&mut self, store_addr: u64) {
         let inner = self.inner;
         let key = store_addr as usize;
         inner.dispatch.counters.triggering_store(key);
@@ -180,18 +174,16 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
                     store_addr,
                 );
             }
-            match inner.raise_lockfree(hit.tthread) {
-                crate::runtime::LockfreeRaise::Done { .. } => {}
-                crate::runtime::LockfreeRaise::Overflow(token) => {
-                    overflows.push((hit.tthread, token))
-                }
+            match inner.raise(hit.tthread) {
+                crate::runtime::Raise::Done { .. } => {}
+                crate::runtime::Raise::Overflow(token) => overflows.push((hit.tthread, token)),
             }
         }
         if !overflows.is_empty() {
             let mut state = inner.state.lock();
             let mut ctx = Ctx::new(&mut state, inner, 0);
             for (id, token) in overflows {
-                ctx.overflow_lockfree(id, token);
+                ctx.overflow(id, token);
             }
         }
     }

@@ -63,14 +63,6 @@ pub struct Config {
     pub workers: usize,
     /// Behaviour on queue overflow (parallel executor only).
     pub overflow: OverflowPolicy,
-    /// Run worker tthread bodies *detached*: snapshot tracked memory under
-    /// the state lock, execute the body lock-free against the snapshot, and
-    /// commit its stores (firing triggers) under the lock afterwards. This
-    /// is what makes worker executions overlap the main thread. Disabling
-    /// it restores the legacy attached executor, which holds the state lock
-    /// across the whole body — fully serialized, useful as an ablation
-    /// baseline. Ignored by the deferred executor (`workers == 0`).
-    pub detached_execution: bool,
     /// Maximum depth of tthreads triggering tthreads before
     /// [`crate::error::Error::CascadeDepthExceeded`] aborts the cascade.
     pub max_cascade_depth: u32,
@@ -78,13 +70,11 @@ pub struct Config {
     pub arena_capacity: u64,
     /// Number of lock stripes sharding the tracked-memory hot path (value
     /// compare + access counters). Always a power of two; `1` serializes
-    /// every tracked access on one lock, reproducing the pre-sharding
-    /// behaviour as an ablation baseline.
+    /// every tracked access on one lock.
     ///
     /// The default derives from [`std::thread::available_parallelism`]
     /// (oversubscribed 4× so disjoint working sets rarely collide, clamped
-    /// to `[1, 256]`) and can be overridden with the `DTT_MEM_SHARDS`
-    /// environment variable.
+    /// to `[1, 256]`).
     pub mem_shards: usize,
     /// Record lifecycle events (stores, triggers, bodies, commits, joins)
     /// into the per-shard observability rings (see [`crate::obs`]). Off by
@@ -100,8 +90,8 @@ pub struct Config {
     /// default) leaves every injection probe as a single relaxed atomic
     /// load that never fires.
     pub fault_plan: Option<FaultPlan>,
-    /// Deadline for a single tthread body execution (detached worker
-    /// executor only), measured on the **monotonic** clock
+    /// Deadline for a single tthread body execution (worker executor
+    /// only), measured on the **monotonic** clock
     /// (`std::time::Instant`) so a wall-clock jump can neither spuriously
     /// time a body out nor immortalize it — see `dtt_core::deadline` for
     /// the (injectable) overrun math. A body that overruns has its write
@@ -116,7 +106,7 @@ pub struct Config {
     /// `commit_retries` / `commit_retry_exhausted`.
     pub commit_retry_cap: u32,
     /// Base delay for bounded exponential backoff between commit retries
-    /// (detached worker executor only). `None` (the default) re-runs the
+    /// (worker executor only). `None` (the default) re-runs the
     /// body immediately, the historical behaviour; `Some(base)` sleeps
     /// `base << min(retry-1, 6)` plus SplitMix64 jitter (up to half the
     /// step, drawn from the fault layer's stream so seeded runs stay
@@ -128,33 +118,6 @@ pub struct Config {
     /// How many pending tthreads the triggering thread will drain inline
     /// per overflow under [`OverflowPolicy::Backpressure`] before shedding.
     pub backpressure_assist_budget: u32,
-    /// Run trigger dispatch lock-free: status transitions go through the
-    /// per-tthread atomic status word, enqueues land in the sharded pending
-    /// queue, and workers park on an eventcount — the state lock is only
-    /// taken for slow paths (overflow fallback, commit, join bookkeeping,
-    /// report/shutdown). Disabling this restores the fully locked dispatch
-    /// baseline (single mutex-guarded queue, `Condvar` broadcast wakes) as
-    /// an ablation, like `detached_execution=false` and `mem_shards=1`.
-    ///
-    /// The default is `true` and can be overridden with the
-    /// `DTT_LOCKFREE_DISPATCH` environment variable (`0`/`false` disable).
-    pub lockfree_dispatch: bool,
-    /// Work stealing (lock-free dispatch only): an idle worker whose own
-    /// pending-queue shards are empty migrates a batch from the fullest
-    /// foreign shard before parking, keeping every worker busy whenever
-    /// any pending trigger exists. Disabling it restores park-on-empty
-    /// affinity scheduling as an ablation — an imbalanced trigger
-    /// distribution then serializes on the shard's owning worker.
-    pub work_stealing: bool,
-    /// Detect changes in bulk stores with the vectorized 64-byte-line lane
-    /// loop (eight xor'd words per step, branch-free over silent lines)
-    /// instead of word-at-a-time comparison. Semantics are identical (the
-    /// equivalence proptest pins changed counts and run vectors); disabling
-    /// it restores the scalar path as an ablation.
-    ///
-    /// The default is `true` and can be overridden with the `DTT_SIMD`
-    /// environment variable (`0`/`false` disable).
-    pub simd_store: bool,
     /// Early cutoff for trigger waves: when a cascade-driven recomputation
     /// commits fully silently (zero non-silent watched lines), the wave
     /// stops there instead of invalidating downstream tthreads — the
@@ -162,111 +125,21 @@ pub struct Config {
     /// stages. Disabling it propagates invalidation on every committed
     /// *write* regardless of silence (the classic invalidate-on-write
     /// dataflow baseline), so the whole downstream chain recomputes on
-    /// every upstream edit.
-    ///
-    /// The default is `true` and can be overridden with the
-    /// `DTT_EARLY_CUTOFF` environment variable (`0`/`false` disable).
+    /// every upstream edit. On by default.
     pub early_cutoff: bool,
-    /// How long an idle worker (or a lock-free joiner) sleeps on its
-    /// eventcount before re-checking for work — the missed-wake rescue
-    /// backstop. Shorter timeouts bound the worst-case latency of a
-    /// dropped wake at the cost of more idle wakeups.
-    ///
-    /// The default is 50 ms and can be overridden with the
-    /// `DTT_PARK_TIMEOUT` environment variable (milliseconds, positive
-    /// integer).
+    /// How long an idle worker (or a joiner) sleeps on its eventcount
+    /// before re-checking for work — the missed-wake rescue backstop.
+    /// Shorter timeouts bound the worst-case latency of a dropped wake at
+    /// the cost of more idle wakeups. Defaults to 50 ms.
     pub park_timeout: Duration,
 }
 
-/// Parses a boolean-ish env override: `1`/`true`/`on`/`yes` and
-/// `0`/`false`/`off`/`no` (trimmed, ASCII case-insensitive). Anything else
-/// is `None` — the caller warns and falls back to its default.
-fn parse_env_bool(value: &str) -> Option<bool> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// Parses a positive-integer env override; `None` for anything else.
-fn parse_env_shards(value: &str) -> Option<usize> {
-    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Reads a boolean env override through `parse_env_bool`, warning once per
-/// process (per variable) when the value is set but malformed instead of
-/// silently falling back.
-fn env_bool(var: &str, warn_once: &'static std::sync::Once, default: bool) -> bool {
-    match std::env::var(var) {
-        Ok(v) => parse_env_bool(&v).unwrap_or_else(|| {
-            warn_once.call_once(|| {
-                eprintln!(
-                    "dtt: ignoring malformed {var}={v:?} (expected 1/true/on/yes \
-                     or 0/false/off/no); using default {default}"
-                );
-            });
-            default
-        }),
-        Err(_) => default,
-    }
-}
-
-fn default_lockfree_dispatch() -> bool {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    env_bool("DTT_LOCKFREE_DISPATCH", &WARN, true)
-}
-
-fn default_simd_store() -> bool {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    env_bool("DTT_SIMD", &WARN, true)
-}
-
-fn default_early_cutoff() -> bool {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    env_bool("DTT_EARLY_CUTOFF", &WARN, true)
-}
-
-fn default_park_timeout() -> Duration {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    let default = crate::dispatch::PARK_TIMEOUT;
-    match std::env::var("DTT_PARK_TIMEOUT") {
-        Ok(v) => match parse_env_shards(&v) {
-            Some(ms) => Duration::from_millis(ms as u64),
-            None => {
-                WARN.call_once(|| {
-                    eprintln!(
-                        "dtt: ignoring malformed DTT_PARK_TIMEOUT={v:?} (expected a \
-                         positive integer of milliseconds); using default {default:?}"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 fn default_mem_shards() -> usize {
-    static WARN: std::sync::Once = std::sync::Once::new();
-    let fallback = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get() * 4)
-            .unwrap_or(16)
-    };
-    let requested = match std::env::var("DTT_MEM_SHARDS") {
-        Ok(v) => parse_env_shards(&v).unwrap_or_else(|| {
-            WARN.call_once(|| {
-                eprintln!(
-                    "dtt: ignoring malformed DTT_MEM_SHARDS={v:?} (expected a \
-                     positive integer); deriving the shard count from the host"
-                );
-            });
-            fallback()
-        }),
-        Err(_) => fallback(),
-    };
-    requested.clamp(1, 256).next_power_of_two()
+    std::thread::available_parallelism()
+        .map(|n| n.get() * 4)
+        .unwrap_or(16)
+        .clamp(1, 256)
+        .next_power_of_two()
 }
 
 impl Default for Config {
@@ -278,7 +151,6 @@ impl Default for Config {
             queue_capacity: 64,
             workers: 0,
             overflow: OverflowPolicy::default(),
-            detached_execution: true,
             max_cascade_depth: 64,
             arena_capacity: 1 << 32,
             mem_shards: default_mem_shards(),
@@ -289,11 +161,8 @@ impl Default for Config {
             commit_retry_cap: 8,
             commit_backoff: None,
             backpressure_assist_budget: 4,
-            lockfree_dispatch: default_lockfree_dispatch(),
-            work_stealing: true,
-            simd_store: default_simd_store(),
-            early_cutoff: default_early_cutoff(),
-            park_timeout: default_park_timeout(),
+            early_cutoff: true,
+            park_timeout: crate::dispatch::PARK_TIMEOUT,
         }
     }
 }
@@ -340,12 +209,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables detached (snapshot/commit) worker execution.
-    pub fn with_detached_execution(mut self, on: bool) -> Self {
-        self.detached_execution = on;
-        self
-    }
-
     /// Sets the maximum trigger-cascade depth.
     pub fn with_max_cascade_depth(mut self, depth: u32) -> Self {
         self.max_cascade_depth = depth;
@@ -359,8 +222,7 @@ impl Config {
     }
 
     /// Sets the tracked-memory shard count (rounded up to a power of two;
-    /// `0` is treated as `1`). `1` reproduces the fully serialized
-    /// single-lock hot path for ablations.
+    /// `0` is treated as `1`).
     pub fn with_mem_shards(mut self, shards: usize) -> Self {
         self.mem_shards = shards.max(1).next_power_of_two();
         self
@@ -385,7 +247,7 @@ impl Config {
         self
     }
 
-    /// Sets the per-body monotonic deadline (detached executor only).
+    /// Sets the per-body monotonic deadline (worker executor only).
     pub fn with_body_deadline(mut self, deadline: Duration) -> Self {
         self.body_deadline = Some(deadline);
         self
@@ -399,7 +261,7 @@ impl Config {
     }
 
     /// Sets the base delay for bounded exponential backoff between commit
-    /// retries (detached executor only; `None` by default — immediate
+    /// retries (worker executor only; `None` by default — immediate
     /// re-execution).
     pub fn with_commit_backoff(mut self, base: Duration) -> Self {
         self.commit_backoff = Some(base);
@@ -412,27 +274,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables lock-free trigger dispatch (`false` restores the
-    /// fully locked dispatch baseline for ablations).
-    pub fn with_lockfree_dispatch(mut self, on: bool) -> Self {
-        self.lockfree_dispatch = on;
-        self
-    }
-
-    /// Enables or disables work stealing between pending-queue shards
-    /// (`false` restores park-on-empty affinity scheduling for ablations).
-    pub fn with_work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
-        self
-    }
-
-    /// Enables or disables the vectorized bulk-store change detection
-    /// (`false` restores the word-at-a-time scalar path for ablations).
-    pub fn with_simd_store(mut self, on: bool) -> Self {
-        self.simd_store = on;
-        self
-    }
-
     /// Enables or disables early cutoff of trigger waves (`false` restores
     /// invalidate-on-write propagation for ablations).
     pub fn with_early_cutoff(mut self, on: bool) -> Self {
@@ -440,7 +281,7 @@ impl Config {
         self
     }
 
-    /// Sets the idle park timeout for workers and lock-free joiners.
+    /// Sets the idle park timeout for workers and joiners.
     ///
     /// # Panics
     ///
@@ -480,11 +321,8 @@ mod tests {
         assert_eq!(cfg.commit_retry_cap, 8);
         assert_eq!(cfg.commit_backoff, None);
         assert_eq!(cfg.backpressure_assist_budget, 4);
-        assert!(cfg.work_stealing);
-        assert!(!cfg.park_timeout.is_zero());
-        // Honors DTT_LOCKFREE_DISPATCH and DTT_EARLY_CUTOFF, defaulting on;
-        // the test environment may set either, so just check the builder
-        // wiring below.
+        assert!(cfg.early_cutoff);
+        assert_eq!(cfg.park_timeout, crate::dispatch::PARK_TIMEOUT);
     }
 
     #[test]
@@ -506,9 +344,6 @@ mod tests {
             .with_commit_retry_cap(3)
             .with_commit_backoff(Duration::from_micros(50))
             .with_backpressure_assist_budget(2)
-            .with_lockfree_dispatch(false)
-            .with_work_stealing(false)
-            .with_simd_store(false)
             .with_early_cutoff(false)
             .with_park_timeout(Duration::from_millis(20));
         assert_eq!(cfg.granularity, Granularity::Line);
@@ -538,44 +373,9 @@ mod tests {
         assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
         assert_eq!(cfg.backpressure_assist_budget, 2);
-        assert!(!cfg.lockfree_dispatch);
-        assert!(
-            Config::default()
-                .with_lockfree_dispatch(true)
-                .lockfree_dispatch
-        );
-        assert!(!cfg.work_stealing);
-        assert!(Config::default().with_work_stealing(true).work_stealing);
-        assert!(!cfg.simd_store);
-        assert!(Config::default().with_simd_store(true).simd_store);
         assert!(!cfg.early_cutoff);
         assert!(Config::default().with_early_cutoff(true).early_cutoff);
         assert_eq!(cfg.park_timeout, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn env_bool_parsing_accepts_documented_forms_only() {
-        for yes in ["1", "true", "on", "yes", " TRUE ", "On", "YES"] {
-            assert_eq!(parse_env_bool(yes), Some(true), "{yes:?}");
-        }
-        for no in ["0", "false", "off", "no", " False ", "OFF", "nO"] {
-            assert_eq!(parse_env_bool(no), Some(false), "{no:?}");
-        }
-        // The seed silently treated any unrecognized value as "enabled";
-        // malformed values are now rejected (the env readers warn once and
-        // fall back to the default).
-        for bad in ["maybe", "", "2", "yes!", "tru", "-1", "on off"] {
-            assert_eq!(parse_env_bool(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn env_shards_parsing_rejects_non_positive_integers() {
-        assert_eq!(parse_env_shards("8"), Some(8));
-        assert_eq!(parse_env_shards(" 64 "), Some(64));
-        for bad in ["abc", "", "0", "-4", "3.5", "8 shards", "0x10"] {
-            assert_eq!(parse_env_shards(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!   state lock. Main-thread regions, joins, the deferred executor and
 //!   inline overflow executions all run locked; stores dispatch triggers
 //!   immediately.
-//! * **Detached** — used by worker threads when
-//!   [`crate::config::Config::detached_execution`] is on. The body runs
-//!   against a *privatized* snapshot of tracked memory taken under the lock
-//!   (the privatization pattern of Balaji et al.): loads read the snapshot,
+//! * **Detached** — used by worker threads. The body runs against a
+//!   *privatized* snapshot of tracked memory taken atomically (the
+//!   privatization pattern of Balaji et al.): loads read the snapshot,
 //!   stores apply to the snapshot and append to a write log. No triggers
-//!   fire during the body; the worker reacquires the lock afterwards and
+//!   fire during the body; the worker takes the state lock afterwards and
 //!   *commits* the log — replaying the stores against live memory and
 //!   dispatching triggers for the ones that still change it. Accessing the
 //!   untracked user state from a detached body acquires the state lock (it
@@ -72,7 +71,7 @@ pub(crate) enum RaiseKind {
 
 /// The privatized view backing a detached execution.
 pub(crate) struct DetachedView<'a, U> {
-    /// Snapshot of tracked memory taken under the lock at execution start.
+    /// Snapshot of tracked memory taken at execution start.
     snap: TrackedHeap,
     /// Stores performed by the body, in program order.
     log: Vec<LoggedStore>,
@@ -102,7 +101,7 @@ pub struct Ctx<'a, U> {
     pub(crate) inner: &'a Inner<U>,
     pub(crate) depth: u32,
     /// The tthread whose body or commit this context serves (`None` for
-    /// main-thread regions and accessor-funneled raises). A raise from a
+    /// main-thread regions and accessor overflow handling). A raise from a
     /// `cur`-carrying context onto a *different* tthread is one wave unit
     /// of the incremental computation graph (see [`crate::graph`]).
     pub(crate) cur: Option<TthreadId>,
@@ -124,9 +123,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         Self::new_for(state, inner, depth, None)
     }
 
-    /// A locked context attributed to a tthread: used for bodies (inline
-    /// and attached) and for commit replays, where raises onto other
-    /// tthreads are cascade wave units.
+    /// A locked context attributed to a tthread: used for inline bodies and
+    /// for commit replays, where raises onto other tthreads are cascade
+    /// wave units.
     pub(crate) fn new_for(
         state: &'a mut State<U>,
         inner: &'a Inner<U>,
@@ -492,38 +491,21 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
         // Locked mode: encode once, let the sharded arena run the
         // per-element compare under a single stripe-lock acquisition, then
-        // dispatch each changed run. The vectorized store path encodes in
-        // one pass over a pre-sized buffer; the ablation keeps the legacy
-        // element-at-a-time append (a grow-check per element), so
-        // `simd_store` off reproduces the pre-vectorization bulk path
-        // end to end.
-        let data = if self.inner.cfg.simd_store {
-            // The scratch buffer persists across calls, so past the first
-            // call the encode is one pass with no allocation or zero-fill
-            // (every byte below `n * T::SIZE` is overwritten).
-            let mut data = std::mem::take(&mut self.locked().bulk_scratch);
-            data.resize(n * T::SIZE, 0);
-            for (enc, v) in data.chunks_exact_mut(T::SIZE).zip(values) {
-                v.write_le(enc);
-            }
-            data
-        } else {
-            let mut data = Vec::with_capacity(n * T::SIZE);
-            let mut buf = [0u8; 16];
-            for v in values {
-                let enc = &mut buf[..T::SIZE];
-                v.write_le(enc);
-                data.extend_from_slice(enc);
-            }
-            data
-        };
+        // dispatch each changed run. The scratch buffer persists across
+        // calls, so past the first call the encode is one pass with no
+        // allocation or zero-fill (every byte below `n * T::SIZE` is
+        // overwritten).
+        let mut data = std::mem::take(&mut self.locked().bulk_scratch);
+        data.resize(n * T::SIZE, 0);
+        for (enc, v) in data.chunks_exact_mut(T::SIZE).zip(values) {
+            v.write_le(enc);
+        }
         let mut runs: Vec<(usize, usize)> = Vec::new();
         let changed_elems = self
             .inner
             .mem
             .store_elems(range, &data, T::SIZE, detect, &mut runs);
         {
-            let recycle = self.inner.cfg.simd_store;
             let state = self.locked();
             let stats = &mut state.stats;
             stats.tracked_stores += n as u64;
@@ -532,9 +514,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 stats.silent_stores += (n - changed_elems) as u64;
             }
             stats.changing_stores += changed_elems as u64;
-            if recycle {
-                state.bulk_scratch = data;
-            }
+            state.bulk_scratch = data;
         }
         if self.depth > 0 && self.cur.is_some() {
             // Early-cutoff accounting: each element counts as one dispatched
@@ -598,9 +578,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
 
     /// Raise the matched tthreads of one triggering store (whose start
     /// address is `store_addr`, recorded with each fired trigger). Runs
-    /// locked; the concurrent accessor path
-    /// ([`crate::accessor::Accessor`]) also funnels here after taking the
-    /// state lock.
+    /// locked.
     pub(crate) fn raise_hits(&mut self, hits: &[TriggerHit], store_addr: u64) {
         if hits.is_empty() {
             return;
@@ -667,178 +645,28 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Advance the status machine of `id` for one trigger.
-    ///
-    /// Lock-free dispatch mode delegates to
-    /// [`crate::runtime::Inner::raise_lockfree`] (the status-word CAS
-    /// machine) and only comes back here — already under the state lock —
-    /// for the overflow policy. Locked mode drives the same status words
-    /// through the identical transitions, just serialized by the lock the
-    /// caller already holds, and keeps the legacy [`CoalescingQueue`] as
-    /// the pending structure: that is the ablation baseline
-    /// ([`crate::config::Config::lockfree_dispatch`]` = false`).
+    /// Advance the status machine of `id` for one trigger: the status-word
+    /// CAS machine in [`crate::runtime::Inner::raise`], plus — already
+    /// under the state lock — the overflow policy when no queue entry
+    /// landed.
     pub(crate) fn raise(&mut self, id: TthreadId) -> RaiseKind {
-        if self.inner.cfg.lockfree_dispatch {
-            return match self.inner.raise_lockfree(id) {
-                crate::runtime::LockfreeRaise::Done { coalesced } => {
-                    if coalesced {
-                        RaiseKind::Coalesced
-                    } else {
-                        RaiseKind::Activated
-                    }
-                }
-                crate::runtime::LockfreeRaise::Overflow(token) => {
-                    self.overflow_lockfree(id, token);
-                    RaiseKind::Activated
-                }
-            };
-        }
-        let deferred = self.inner.cfg.is_deferred();
-        let coalesce = self.inner.cfg.coalesce;
-        let slot = self.inner.dispatch.slots.slot(id.index());
-        slot.triggers
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        match slot.status() {
-            TthreadStatus::Running => {
-                slot.set_rf_if_running();
-                let state = self.locked();
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            TthreadStatus::Triggered => {
-                let state = self.locked();
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            TthreadStatus::Queued => {
-                if coalesce {
-                    let state = self.locked();
-                    state.stats.coalesced_triggers += 1;
-                    self.obs_status(EventKind::Coalesced, id, 0);
-                    RaiseKind::Coalesced
-                } else {
-                    self.enqueue(id)
-                }
-            }
-            TthreadStatus::Clean => {
-                if deferred {
-                    let _ = slot.raise(true, false);
-                    RaiseKind::Activated
-                } else {
-                    self.enqueue(id)
-                }
-            }
-        }
-    }
-
-    /// Push `id` onto the worker queue (locked baseline), applying the
-    /// overflow policy.
-    fn enqueue(&mut self, id: TthreadId) -> RaiseKind {
-        use crate::queue::PushOutcome;
-        let overflow = self.inner.cfg.overflow;
-        let slot = self.inner.dispatch.slots.slot(id.index());
-        // Injected saturation: report the queue full without consuming a
-        // slot, driving the overflow policy on an otherwise-healthy queue.
-        let forced_full = self.inner.fault.fire(crate::fault::FaultPoint::Enqueue);
-        let state = self.locked();
-        let outcome = if forced_full {
-            PushOutcome::Full
-        } else {
-            state.queue.push(id)
-        };
-        match outcome {
-            PushOutcome::Enqueued => {
-                // Clean→Queued for the first entry; a duplicate entry
-                // (coalescing off) finds the word already Queued and the
-                // raise absorbs without bumping the token.
-                let _ = slot.raise(false, false);
-                state.stats.enqueues += 1;
-                let occupancy = state.queue.len() as u64;
-                self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                self.inner.work_cv.notify_one();
-                RaiseKind::Activated
-            }
-            PushOutcome::Coalesced => {
-                state.stats.coalesced_triggers += 1;
-                self.obs_status(EventKind::Coalesced, id, 0);
-                RaiseKind::Coalesced
-            }
-            PushOutcome::Full => {
-                state.stats.queue_overflows += 1;
-                let capacity = state.queue.capacity() as u64;
-                // Without coalescing, `id` may already occupy a queue slot
-                // from an earlier trigger. Drop it so the overflow handling
-                // below is the *only* pending execution; leaving it would
-                // let a worker run the tthread a second time.
-                state.queue.remove(id);
-                self.obs_status(EventKind::QueueOverflow, id, capacity);
-                match overflow {
-                    OverflowPolicy::ExecuteInline => {
-                        slot.claim();
-                        self.run_inline(id);
-                    }
-                    OverflowPolicy::DeferToJoin => slot.force_triggered(),
-                    OverflowPolicy::Backpressure => self.backpressure(id),
-                }
-                // Whatever the policy did, the trigger was serviced by a
-                // fresh activation (inline run, deferred mark, or shed),
-                // not absorbed into a previously pending one.
+        match self.inner.raise(id) {
+            crate::runtime::Raise::Done { coalesced: true } => RaiseKind::Coalesced,
+            crate::runtime::Raise::Done { coalesced: false } => RaiseKind::Activated,
+            crate::runtime::Raise::Overflow(token) => {
+                self.overflow(id, token);
                 RaiseKind::Activated
             }
         }
     }
 
-    /// Queue-overflow backpressure (locked baseline): the triggering thread
-    /// assists by draining the oldest pending tthreads inline (FIFO-fair —
-    /// the victim was enqueued first) to free a slot for `id`. If the
-    /// assist budget runs out with the queue still full, the trigger is
-    /// *shed*: `id` is left `Triggered` for its next join and the shed is
-    /// counted.
-    fn backpressure(&mut self, id: TthreadId) {
-        use crate::queue::PushOutcome;
-        let inner = self.inner;
-        let budget = inner.cfg.backpressure_assist_budget;
-        for _ in 0..budget {
-            let Some(victim) = self.locked().queue.pop() else {
-                break;
-            };
-            self.locked().stats.backpressure_waits += 1;
-            inner.dispatch.slots.slot(victim.index()).claim();
-            self.run_inline(victim);
-            match self.locked().queue.push(id) {
-                PushOutcome::Enqueued => {
-                    let _ = inner.dispatch.slots.slot(id.index()).raise(false, false);
-                    let state = self.locked();
-                    state.stats.enqueues += 1;
-                    let occupancy = state.queue.len() as u64;
-                    self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                    inner.work_cv.notify_one();
-                    return;
-                }
-                PushOutcome::Coalesced => {
-                    self.locked().stats.coalesced_triggers += 1;
-                    self.obs_status(EventKind::Coalesced, id, 0);
-                    return;
-                }
-                PushOutcome::Full => {}
-            }
-        }
-        let state = self.locked();
-        state.stats.overflow_sheds += 1;
-        let capacity = state.queue.capacity() as u64;
-        inner.dispatch.slots.slot(id.index()).force_triggered();
-        self.obs_status(EventKind::OverflowShed, id, capacity);
-    }
-
-    /// Lock-free raise overflow: the status word already advanced
-    /// Clean→Queued, but no pending-queue entry landed. Applies the
-    /// overflow policy under the state lock (the caller holds it),
-    /// validating every transition with `token` so a concurrent join or
-    /// force steal wins cleanly — in that case their inline run covers
-    /// this trigger and the policy has nothing left to do.
-    pub(crate) fn overflow_lockfree(&mut self, id: TthreadId, token: u64) {
+    /// Raise overflow: the status word already advanced Clean→Queued, but
+    /// no pending-queue entry landed. Applies the overflow policy under the
+    /// state lock (the caller holds it), validating every transition with
+    /// `token` so a concurrent join or force steal wins cleanly — in that
+    /// case their inline run covers this trigger and the policy has
+    /// nothing left to do.
+    pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
         let slot = inner.dispatch.slots.slot(id.index());
         self.locked().stats.queue_overflows += 1;
@@ -853,15 +681,14 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             OverflowPolicy::DeferToJoin => {
                 let _ = slot.try_defer_queued(token);
             }
-            OverflowPolicy::Backpressure => self.backpressure_lockfree(id, token),
+            OverflowPolicy::Backpressure => self.backpressure(id, token),
         }
     }
 
-    /// Queue-overflow backpressure, lock-free dispatch flavour: drain
-    /// claimed victims inline, retry the push with the original token, and
-    /// shed to Triggered when the assist budget runs out. A victim whose
-    /// entry went stale (stolen by a join) costs an assist round but no
-    /// execution.
+    /// Queue-overflow backpressure: drain claimed victims inline, retry
+    /// the push with the original token, and shed to Triggered when the
+    /// assist budget runs out. A victim whose entry went stale (stolen by a
+    /// join) costs an assist round but no execution.
     ///
     /// Pending-length audit: each loop iteration pairs exactly one `pop`
     /// (global `len` −1) with at most one successful `push` (`len` +1,
@@ -872,7 +699,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// `Runtime::pending_queue_consistency`. The `pop(0)` here is the
     /// deliberately ownership-blind scan: the assisting thread may drain
     /// any shard, not just one worker's.
-    fn backpressure_lockfree(&mut self, id: TthreadId, token: u64) {
+    fn backpressure(&mut self, id: TthreadId, token: u64) {
         use crate::dispatch::PendingPush;
         let inner = self.inner;
         let dispatch = &inner.dispatch;
@@ -907,7 +734,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
 
     /// Execute tthread `id` on the current thread, re-running while
     /// retriggered. The caller must already have moved `id` to Running
-    /// (a claim CAS, or [`crate::dispatch::Slot::claim`] under the lock).
+    /// (a claim CAS).
     ///
     /// Completes with the CJ flag *preserved* (`try_complete(None)`): an
     /// overflow-inline run between a worker's commit and the next join
@@ -962,10 +789,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 state.tst.entry_mut(id).poisoned = true;
                 state.graph.clear_depth(id);
                 slot.force_clean();
-                inner.done_cv.notify_all();
-                if inner.cfg.lockfree_dispatch {
-                    inner.wake_joiners();
-                }
+                inner.wake_joiners();
                 std::panic::resume_unwind(payload);
             }
             state.stats.executions += 1;
@@ -991,13 +815,10 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             // A trigger landed mid-body (RF): absorb it into another run.
             slot.absorb_rf();
         }
-        self.inner.done_cv.notify_all();
         // An overflow-inline run on a *worker* thread (backpressure assist
         // or ExecuteInline during a commit cascade) can complete a tthread
         // the main thread is parked on: broadcast the completion
         // eventcount just like the worker loop does after its own runs.
-        if self.inner.cfg.lockfree_dispatch {
-            self.inner.wake_joiners();
-        }
+        self.inner.wake_joiners();
     }
 }

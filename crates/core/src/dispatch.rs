@@ -251,12 +251,6 @@ impl Slot {
         }
     }
 
-    /// Unconditional claim (locked dispatch mode, where the state lock
-    /// already serializes every mutator): → Running, RF absorbed.
-    pub(crate) fn claim(&self) {
-        self.rmw(|w| advance(w, TthreadStatus::Running, true, false));
-    }
-
     /// Overflow `DeferToJoin`: Queued→Triggered iff the token still
     /// matches (the tthread was not stolen since the failed push).
     pub(crate) fn try_defer_queued(&self, token: u64) -> bool {
@@ -314,14 +308,6 @@ impl Slot {
         self.rmw(|w| advance(w, TthreadStatus::Triggered, true, true));
     }
 
-    /// Unconditional move to Triggered with flags preserved. Locked-mode
-    /// overflow paths (DeferToJoin, backpressure shed) use this after
-    /// removing `id`'s queue entries: the word may be Clean (first
-    /// trigger) or Queued (duplicate entries just dropped).
-    pub(crate) fn force_triggered(&self) {
-        self.rmw(|w| advance(w, TthreadStatus::Triggered, false, false));
-    }
-
     /// Unconditional reset to Clean with both flags cleared (poison,
     /// timeout: the execution published nothing).
     pub(crate) fn force_clean(&self) {
@@ -354,7 +340,7 @@ impl Slot {
     }
 
     /// Clears the completed-since-join flag regardless of state (join and
-    /// force clear it after an inline run, matching the locked baseline).
+    /// force clear it after an inline run).
     pub(crate) fn clear_completed(&self) {
         self.rmw(|w| w & !CJ);
     }
@@ -414,7 +400,7 @@ pub(crate) enum PendingPush {
 
 /// One pending-queue shard: `(tthread index, token)` entries in FIFO
 /// order, plus a mirror of the deque length maintained under the shard
-/// lock so the steal scan and the park predicates can read occupancy
+/// lock so the steal scan and the pop fast path can read occupancy
 /// without taking any lock.
 #[derive(Debug, Default)]
 struct PendingShard {
@@ -424,8 +410,8 @@ struct PendingShard {
 
 /// The sharded MPMC pending queue: entries are `(tthread index, token)`
 /// pairs, sharded by tthread index. Capacity is enforced globally with
-/// an atomic length, so the overflow policy sees the same bound as the
-/// locked baseline's single queue.
+/// an atomic length, so the overflow policy sees one bound however the
+/// entries spread over the shards.
 ///
 /// # Shard ownership and stealing
 ///
@@ -533,20 +519,6 @@ impl ShardedQueue {
             s += workers;
         }
         None
-    }
-
-    /// Occupancy of worker `worker`'s own shards — the park predicate for
-    /// the no-stealing ablation, where a worker must only wake for work it
-    /// is allowed to pop.
-    pub(crate) fn local_occupancy(&self, worker: usize, workers: usize) -> usize {
-        let workers = workers.max(1);
-        let mut total = 0;
-        let mut s = worker % workers;
-        while s < self.shards.len() {
-            total += self.shards[s].occupancy.load(Ordering::Acquire);
-            s += workers;
-        }
-        total
     }
 
     /// Steals a batch from the fullest *foreign* shard into worker
@@ -671,9 +643,19 @@ impl Waiters {
         true
     }
 
-    /// Wakes every parked worker.
+    /// Wakes every parked waiter; like [`Waiters::wake_one`], no sleeper
+    /// means no lock and no syscall. Skipping is safe by the same
+    /// announce-then-validate argument: the epoch bump (SeqCst) precedes
+    /// the sleeper read here, and a parker increments the sleeper count
+    /// before re-reading the epoch. A parker this call does not count
+    /// therefore either re-reads a moved epoch and abandons its sleep, or
+    /// took its first epoch read after the bump — and then its predicate
+    /// already sees whatever the caller changed before waking.
     pub(crate) fn wake_all(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let _g = self.lock.lock();
         self.cv.notify_all();
     }
@@ -693,8 +675,8 @@ impl Waiters {
     }
 
     /// How many callers are currently committed to sleep. A point-in-time
-    /// read, used for wake accounting and by tests that need to observe a
-    /// parked joiner from outside.
+    /// read, for tests that need to observe a parked waiter from outside.
+    #[cfg(test)]
     pub(crate) fn sleeping(&self) -> usize {
         self.sleepers.load(Ordering::SeqCst)
     }
@@ -871,7 +853,7 @@ pub(crate) struct Dispatch {
     pub(crate) slots: SlotTable,
     pub(crate) pending: ShardedQueue,
     pub(crate) waiters: Waiters,
-    /// The completion eventcount lock-free joins park on: workers (and
+    /// The completion eventcount joins park on: workers (and
     /// inline completions) broadcast here after any transition out of
     /// Running, and a joiner validates "the status word moved" before
     /// committing to sleep — the join-side analogue of the worker
@@ -1151,8 +1133,7 @@ mod tests {
             w0.push(id);
         }
         assert_eq!(w0, vec![0, 2]);
-        assert_eq!(q.local_occupancy(0, 2), 0);
-        assert_eq!(q.local_occupancy(1, 2), 2);
+        assert_eq!(q.len(), 2);
         let mut w1 = Vec::new();
         while let Some((id, _)) = q.pop_local(1, 2) {
             w1.push(id);
@@ -1312,6 +1293,29 @@ mod tests {
             parked
         });
         assert_eq!(parked, ParkOutcome::Woken);
+    }
+
+    #[test]
+    fn wake_all_without_sleeper_still_bumps_the_epoch() {
+        // `wake_all` skips the mutex and the notify when nobody sleeps, so
+        // the epoch bump alone must turn away a parker that read the epoch
+        // before it. The predicate runs between `park`'s epoch read and
+        // its sleeper announcement — issuing the wake from there is that
+        // exact interleaving, forced rather than raced.
+        let w = Waiters::default();
+        let epoch_before = w.epoch.load(Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        let outcome = w.park(
+            || {
+                w.wake_all();
+                false
+            },
+            Duration::from_secs(5),
+        );
+        assert_eq!(outcome, ParkOutcome::Skipped);
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(w.epoch.load(Ordering::SeqCst), epoch_before + 1);
+        assert_eq!(w.sleepers.load(Ordering::SeqCst), 0);
     }
 
     #[test]

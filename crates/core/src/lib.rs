@@ -75,11 +75,10 @@
 //!   coalescing queue drained by OS worker threads, modelling the spare
 //!   hardware contexts of the HPCA'11 design; the queue-overflow fallback
 //!   executes on the triggering thread, as in the paper. Worker bodies run
-//!   *detached* by default — input snapshot taken under the runtime lock,
-//!   body executed lock-free, stores committed (with change re-detection)
-//!   under the lock afterwards — so they genuinely overlap the main thread;
-//!   see the [`Runtime`] memory-consistency notes and
-//!   [`Config::detached_execution`].
+//!   *detached* — input snapshot taken atomically, body executed off the
+//!   runtime lock, stores committed (with change re-detection) under the
+//!   lock afterwards — so they genuinely overlap the main thread; see the
+//!   [`Runtime`] memory-consistency notes.
 //!
 //! ## Crate map
 //!
@@ -94,7 +93,6 @@
 //! | [`trigger`] | the store-address → tthread trigger table |
 //! | [`tthread`] | tthread ids and the thread status table |
 //! | `dispatch` | the lock-free status word, sharded pending queue, eventcount |
-//! | [`queue`] | the bounded coalescing pending queue (locked baseline) |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
@@ -122,7 +120,6 @@ pub mod heap;
 pub(crate) mod mem;
 pub mod obs;
 pub mod pod;
-pub mod queue;
 pub mod report;
 pub mod runtime;
 pub mod stats;

@@ -27,8 +27,7 @@
 //!   dedicated mutex), so the access path reaches any allocated word with a
 //!   lock-free chunk lookup: growth never moves existing words and the hot
 //!   path never touches an arena-wide lock. `shards = 1` degenerates to a
-//!   single stripe lock covering all of memory, reproducing the serialized
-//!   pre-sharding behaviour (the ablation baseline).
+//!   single stripe lock covering all of memory.
 //!
 //! Lock ordering: the runtime's state lock, when held, is always acquired
 //! *before* stripe locks, and stripe locks are never held while acquiring
@@ -68,10 +67,6 @@ pub(crate) struct ShardedMem {
     locks: Box<[Mutex<()>]>,
     /// `locks.len() - 1`, for mask-based stripe hashing.
     mask: u64,
-    /// Use the vectorized 64-byte-line change-detection loop in
-    /// [`ShardedMem::store_elems`] ([`crate::config::Config::simd_store`]);
-    /// off restores the word-at-a-time scalar path as an ablation.
-    simd: bool,
 }
 
 impl std::fmt::Debug for ShardedMem {
@@ -95,9 +90,8 @@ enum StripeGuards<'a> {
 
 impl ShardedMem {
     /// Creates an empty arena bounded at `capacity` bytes with `shards`
-    /// stripe locks (rounded up to a power of two, minimum 1). `simd_store`
-    /// selects the vectorized bulk change-detection loop.
-    pub(crate) fn new(capacity: u64, shards: usize, simd_store: bool) -> Self {
+    /// stripe locks (rounded up to a power of two, minimum 1).
+    pub(crate) fn new(capacity: u64, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let nchunks = capacity.div_ceil(8).div_ceil(CHUNK_WORDS) as usize;
         ShardedMem {
@@ -107,7 +101,6 @@ impl ShardedMem {
             alloc_lock: Mutex::new(()),
             locks: (0..shards).map(|_| Mutex::new(())).collect(),
             mask: (shards - 1) as u64,
-            simd: simd_store,
         }
     }
 
@@ -474,65 +467,62 @@ impl ShardedMem {
                             }
                         } else {
                             let mut i = 0usize;
-                            if self.simd {
-                                // Vectorized line loop: eight words (one
-                                // 64-byte line) per step, branch-free over
-                                // the lane bodies — the xor lanes OR-reduce
-                                // to one per-line change word, so a silent
-                                // line costs eight loads and one compare,
-                                // with no per-word branching for the
-                                // autovectorizer to trip on. Per-element
-                                // work happens only on changed lines.
-                                let ebits = elem_size * 8;
-                                let emask = if elem_size == 8 {
-                                    u64::MAX
-                                } else {
-                                    (1u64 << ebits) - 1
-                                };
-                                while i + 8 <= span {
-                                    // Fixed-size views: the `[u8; 64]` line
-                                    // and `&words[i..i + 8]` window make
-                                    // every lane index in-bounds by
-                                    // construction, so the reduce below is
-                                    // eight load/xor pairs and one test.
-                                    let s: &[u8; 64] =
-                                        src[i * 8..i * 8 + 64].try_into().expect("64-byte line");
-                                    let w = &words[i..i + 8];
-                                    let mut diff = 0u64;
-                                    for (l, word) in w.iter().enumerate() {
-                                        diff |= le64(s, l * 8) ^ word.load(Ordering::Relaxed);
-                                    }
-                                    if diff == 0 {
-                                        // Silent line: every element it
-                                        // covers is unchanged.
-                                        if let Some(start) = st.run_start.take() {
-                                            runs.push((start, base + i * per));
-                                        }
-                                        i += 8;
-                                        continue;
-                                    }
-                                    // Changed line (the rare case): redo the
-                                    // per-lane xor to place the change bits.
-                                    for (l, word) in w.iter().enumerate() {
-                                        let new = le64(s, l * 8);
-                                        let xor = new ^ word.load(Ordering::Relaxed);
-                                        if xor != 0 {
-                                            word.store(new, Ordering::Relaxed);
-                                        }
-                                        for e in 0..per {
-                                            let changed = (xor >> (e * ebits)) & emask != 0;
-                                            st.mark(base + (i + l) * per + e, changed, runs);
-                                        }
+                            // Vectorized line loop: eight words (one
+                            // 64-byte line) per step, branch-free over
+                            // the lane bodies — the xor lanes OR-reduce
+                            // to one per-line change word, so a silent
+                            // line costs eight loads and one compare,
+                            // with no per-word branching for the
+                            // autovectorizer to trip on. Per-element
+                            // work happens only on changed lines.
+                            let ebits = elem_size * 8;
+                            let emask = if elem_size == 8 {
+                                u64::MAX
+                            } else {
+                                (1u64 << ebits) - 1
+                            };
+                            while i + 8 <= span {
+                                // Fixed-size views: the `[u8; 64]` line
+                                // and `&words[i..i + 8]` window make
+                                // every lane index in-bounds by
+                                // construction, so the reduce below is
+                                // eight load/xor pairs and one test.
+                                let s: &[u8; 64] =
+                                    src[i * 8..i * 8 + 64].try_into().expect("64-byte line");
+                                let w = &words[i..i + 8];
+                                let mut diff = 0u64;
+                                for (l, word) in w.iter().enumerate() {
+                                    diff |= le64(s, l * 8) ^ word.load(Ordering::Relaxed);
+                                }
+                                if diff == 0 {
+                                    // Silent line: every element it
+                                    // covers is unchanged.
+                                    if let Some(start) = st.run_start.take() {
+                                        runs.push((start, base + i * per));
                                     }
                                     i += 8;
+                                    continue;
                                 }
+                                // Changed line (the rare case): redo the
+                                // per-lane xor to place the change bits.
+                                for (l, word) in w.iter().enumerate() {
+                                    let new = le64(s, l * 8);
+                                    let xor = new ^ word.load(Ordering::Relaxed);
+                                    if xor != 0 {
+                                        word.store(new, Ordering::Relaxed);
+                                    }
+                                    for e in 0..per {
+                                        let changed = (xor >> (e * ebits)) & emask != 0;
+                                        st.mark(base + (i + l) * per + e, changed, runs);
+                                    }
+                                }
+                                i += 8;
                             }
                             while i < span {
-                                // Word-at-a-time walk: the scalar ablation
-                                // baseline (`simd_store` off) and the
-                                // sub-line tail of the vectorized path.
-                                // One silent word, or a run of changing
-                                // words consumed without re-probing.
+                                // Word-at-a-time walk over the sub-line
+                                // tail: one silent word, or a run of
+                                // changing words consumed without
+                                // re-probing.
                                 loop {
                                     let word = &words[i];
                                     let ed = &src[i * 8..(i + 1) * 8];
@@ -553,12 +543,6 @@ impl ShardedMem {
                                     // byte-slice compare would be a memcmp
                                     // call per word.
                                     let xor = new ^ old;
-                                    let ebits = elem_size * 8;
-                                    let emask = if elem_size == 8 {
-                                        u64::MAX
-                                    } else {
-                                        (1u64 << ebits) - 1
-                                    };
                                     for e in 0..per {
                                         let changed = (xor >> (e * ebits)) & emask != 0;
                                         st.mark(base + i * per + e, changed, runs);
@@ -786,15 +770,15 @@ mod tests {
     use super::*;
 
     fn mem(shards: usize) -> ShardedMem {
-        ShardedMem::new(4096, shards, true)
+        ShardedMem::new(4096, shards)
     }
 
     #[test]
     fn shard_count_is_normalized() {
-        assert_eq!(ShardedMem::new(64, 0, true).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 1, true).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 3, true).shards(), 4);
-        assert_eq!(ShardedMem::new(64, 8, true).shards(), 8);
+        assert_eq!(ShardedMem::new(64, 0).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 1).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 3).shards(), 4);
+        assert_eq!(ShardedMem::new(64, 8).shards(), 8);
     }
 
     #[test]
@@ -807,7 +791,7 @@ mod tests {
             assert_eq!(b.raw() % 8, 0);
             assert!(b.raw() >= 3);
             // Mirror of TrackedHeap::alloc's padding-aware error report.
-            let m2 = ShardedMem::new(16, shards, true);
+            let m2 = ShardedMem::new(16, shards);
             m2.alloc(3, 1).unwrap();
             match m2.alloc(16, 8).unwrap_err() {
                 Error::ArenaExhausted {
@@ -930,7 +914,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_stores_are_exact() {
         use std::sync::Arc;
-        let m = Arc::new(ShardedMem::new(1 << 20, 8, true));
+        let m = Arc::new(ShardedMem::new(1 << 20, 8));
         let a = m.alloc(8 * 1024, 8).unwrap();
         let threads = 4;
         let per = 1024 / threads;
@@ -960,7 +944,7 @@ mod tests {
         use std::sync::Arc;
         // Every thread writes its own byte inside ONE word; the stripe lock
         // must make the read-modify-writes exclusive.
-        let m = Arc::new(ShardedMem::new(64, 4, true));
+        let m = Arc::new(ShardedMem::new(64, 4));
         let a = m.alloc(8, 8).unwrap();
         std::thread::scope(|s| {
             for t in 0..8usize {
@@ -981,14 +965,13 @@ mod tests {
     /// Runs one `store_elems` against a prepared arena and returns
     /// `(changed_elems, runs, final bytes)`.
     fn run_store_elems(
-        simd: bool,
         initial: &[u8],
         start: u64,
         data: &[u8],
         elem_size: usize,
         detect: bool,
     ) -> (usize, Vec<(usize, usize)>, Vec<u8>) {
-        let m = ShardedMem::new(1 << 16, 4, simd);
+        let m = ShardedMem::new(1 << 16, 4);
         let base = m.alloc(initial.len() as u64, 1).unwrap();
         m.store_bytes(AddrRange::new(base, initial.len() as u64), initial, false);
         let range = AddrRange::new(base.offset(start), data.len() as u64);
@@ -1009,32 +992,30 @@ mod tests {
         let mut data = vec![0u8; 7 * 3];
         data[3 * 2 + 1] = 0xaa; // element 2
         data[3 * 5] = 0xbb; // element 5
-        for simd in [false, true] {
-            let (changed, runs, out) = run_store_elems(simd, &initial, 1, &data, 3, true);
-            assert_eq!(changed, 2);
-            assert_eq!(runs, vec![(2, 3), (5, 6)]);
-            assert_eq!(&out[1..1 + data.len()], &data[..]);
-            // A second identical store is fully silent.
-            let m = ShardedMem::new(1 << 16, 4, simd);
-            let b = m.alloc(256, 1).unwrap();
-            let r = AddrRange::new(b.offset(1), data.len() as u64);
-            let mut runs = Vec::new();
-            m.store_elems(r, &data, 3, true, &mut runs);
-            assert_eq!(m.store_elems(r, &data, 3, true, &mut runs), 0);
-            assert!(runs.is_empty());
-        }
+        let (changed, runs, out) = run_store_elems(&initial, 1, &data, 3, true);
+        assert_eq!(changed, 2);
+        assert_eq!(runs, vec![(2, 3), (5, 6)]);
+        assert_eq!(&out[1..1 + data.len()], &data[..]);
+        // A second identical store is fully silent.
+        let m = ShardedMem::new(1 << 16, 4);
+        let b = m.alloc(256, 1).unwrap();
+        let r = AddrRange::new(b.offset(1), data.len() as u64);
+        let mut runs = Vec::new();
+        m.store_elems(r, &data, 3, true, &mut runs);
+        assert_eq!(m.store_elems(r, &data, 3, true, &mut runs), 0);
+        assert!(runs.is_empty());
         // 12- and 16-byte elements (multi-word elements).
         for (esize, nelem) in [(12usize, 5usize), (16, 4)] {
             let mut data = vec![0u8; esize * nelem];
             data[esize + 7] = 1; // element 1, second word
             data[esize * (nelem - 1)] = 2; // last element
-            let (changed, runs, out) = run_store_elems(false, &[0u8; 256], 4, &data, esize, true);
+            let (changed, runs, out) = run_store_elems(&[0u8; 256], 4, &data, esize, true);
             assert_eq!(changed, 2, "esize {esize}");
             assert_eq!(runs, vec![(1, 2), (nelem - 1, nelem)]);
             assert_eq!(&out[4..4 + data.len()], &data[..]);
         }
         // detect=false marks everything changed but still writes exactly.
-        let (changed, runs, _) = run_store_elems(true, &[1u8; 64], 1, &[1u8; 9], 3, false);
+        let (changed, runs, _) = run_store_elems(&[1u8; 64], 1, &[1u8; 9], 3, false);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
     }
@@ -1043,25 +1024,54 @@ mod tests {
     fn fallback_ignores_partial_tail_element() {
         // 11 bytes of 3-byte elements: the trailing 2 bytes belong to no
         // whole element and must not be written (seed behaviour).
-        let (changed, runs, out) = run_store_elems(true, &[0u8; 64], 0, &[9u8; 11], 3, true);
+        let (changed, runs, out) = run_store_elems(&[0u8; 64], 0, &[9u8; 11], 3, true);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
         assert_eq!(&out[..9], &[9u8; 9]);
         assert_eq!(&out[9..11], &[0, 0], "partial tail element was written");
     }
 
-    mod simd_scalar_equivalence {
+    mod naive_reference_equivalence {
         use super::*;
         use proptest::prelude::*;
 
+        /// The specification `store_elems` implements, one element at a
+        /// time: an element is changed iff its bytes differ from memory (or
+        /// detection is off), changed elements are written, and maximal
+        /// runs of consecutive changed elements are reported.
+        fn naive_store_elems(
+            initial: &[u8],
+            start: usize,
+            data: &[u8],
+            elem_size: usize,
+            detect: bool,
+        ) -> (usize, Vec<(usize, usize)>, Vec<u8>) {
+            let mut mem = initial.to_vec();
+            let mut changed = 0;
+            let mut runs: Vec<(usize, usize)> = Vec::new();
+            for (k, elem) in data.chunks_exact(elem_size).enumerate() {
+                let dst = &mut mem[start + k * elem_size..start + (k + 1) * elem_size];
+                if detect && dst == elem {
+                    continue;
+                }
+                dst.copy_from_slice(elem);
+                changed += 1;
+                match runs.last_mut() {
+                    Some(run) if run.1 == k => run.1 = k + 1,
+                    _ => runs.push((k, k + 1)),
+                }
+            }
+            (changed, runs, mem)
+        }
+
         proptest! {
-            /// The vectorized line loop and the scalar word loop are
-            /// observationally identical: same changed-element count, same
-            /// `runs` vector, same final memory, across elem sizes (word
-            /// fast path and odd-size fallback), alignments, and silent
+            /// The lane loop, its word-walk tail and the odd-size fallback
+            /// are observationally identical to the per-element byte
+            /// compare: same changed-element count, same `runs` vector,
+            /// same final memory, across elem sizes, alignments and silent
             /// fractions.
             #[test]
-            fn simd_and_scalar_agree(
+            fn store_elems_matches_naive_reference(
                 elem_size in (0usize..8).prop_map(|i| [1usize, 2, 3, 4, 5, 8, 12, 16][i]),
                 nelem in 1usize..400,
                 start in 0u64..24,
@@ -1093,14 +1103,11 @@ mod tests {
                         };
                     }
                 }
-                let scalar = run_store_elems(false, &initial, start, &data, elem_size, detect);
-                let simd = run_store_elems(true, &initial, start, &data, elem_size, detect);
-                prop_assert_eq!(scalar.0, simd.0, "changed-element counts diverge");
-                prop_assert_eq!(&scalar.1, &simd.1, "run vectors diverge");
-                prop_assert_eq!(&scalar.2, &simd.2, "final bytes diverge");
-                // And both leave memory holding exactly the stored data.
-                let s = start as usize;
-                prop_assert_eq!(&scalar.2[s..s + len], &data[..]);
+                let naive = naive_store_elems(&initial, start as usize, &data, elem_size, detect);
+                let real = run_store_elems(&initial, start, &data, elem_size, detect);
+                prop_assert_eq!(naive.0, real.0, "changed-element counts diverge");
+                prop_assert_eq!(&naive.1, &real.1, "run vectors diverge");
+                prop_assert_eq!(&naive.2, &real.2, "final bytes diverge");
             }
         }
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::accessor::Accessor;
 use crate::addr::AddrRange;
@@ -27,16 +27,14 @@ use crate::heap::TrackedHeap;
 use crate::mem::ShardedMem;
 use crate::obs::{EventKind, ObsRecorder, ObsRecording};
 use crate::pod::Pod;
-use crate::queue::{CoalescingQueue, PushOutcome};
 use crate::stats::{AccessCounters, Counters, StatsSnapshot};
 use crate::trigger::{LookupScratch, TriggerTable};
 use crate::tthread::{StatusTable, TthreadId, TthreadStatus};
 
 /// How a [`Runtime::join`] call was satisfied.
 ///
-/// With the parallel executor in its default detached mode
-/// ([`Config::detached_execution`]), worker executions run off the state
-/// lock against a snapshot and *commit* their effects atomically under the
+/// With the parallel executor, worker executions run off the state lock
+/// against a snapshot and *commit* their effects atomically under the
 /// lock; `join` observes a tthread's effects if and only if its commit
 /// happened before the join's status check. See the [`Runtime`] docs for
 /// the full memory-consistency contract.
@@ -68,17 +66,16 @@ pub(crate) struct TthreadEntry<U> {
 }
 
 /// The genuinely serial part of the runtime, behind the state lock: the
-/// tthread status machine, the pending queue, user state, and the
-/// state-machine counters.
+/// tthread status table, user state, and the state-machine counters.
 ///
 /// Tracked memory ([`ShardedMem`]), the trigger table, and the access-side
 /// counters live *outside* this lock (in [`Inner`]) so tracked loads and
-/// stores scale across threads; only trigger *raising* — advancing the
-/// status machine — comes back here.
+/// stores scale across threads, and the status machine and pending queue
+/// are lock-free (`dispatch::Dispatch`); only commits, inline runs and
+/// overflow handling come back here.
 pub struct State<U> {
     pub(crate) user: U,
     pub(crate) tst: StatusTable,
-    pub(crate) queue: CoalescingQueue,
     pub(crate) stats: Counters,
     /// Pool of reusable trigger-lookup scratch buffers for lock-holding
     /// dispatch paths (main-thread stores, commits, cascades).
@@ -121,20 +118,15 @@ pub(crate) struct Inner<U> {
     /// installed. Shared with the obs recorder for the ring-publish probe.
     pub(crate) fault: Arc<FaultLayer>,
     /// The lock-free dispatch half of the TST: per-tthread atomic status
-    /// words, the sharded pending queue, the worker eventcount, and the
-    /// sharded dispatch counters. The status words are authoritative in
-    /// *both* dispatch modes (the locked baseline mutates them under the
-    /// state lock); the pending queue and eventcount are used only when
-    /// [`Config::lockfree_dispatch`] is on.
+    /// words, the sharded pending queue, the worker and completion
+    /// eventcounts, and the sharded dispatch counters.
     pub(crate) dispatch: Dispatch,
     tthreads: RwLock<Vec<TthreadEntry<U>>>,
-    pub(crate) work_cv: Condvar,
-    pub(crate) done_cv: Condvar,
     shutdown: AtomicBool,
 }
 
-/// Outcome of [`Inner::raise_lockfree`].
-pub(crate) enum LockfreeRaise {
+/// Outcome of [`Inner::raise`].
+pub(crate) enum Raise {
     /// The trigger was fully handled on the lock-free path. `coalesced`
     /// reports whether it was absorbed by an already-pending instance
     /// (cascade accounting classifies the raise with it).
@@ -151,9 +143,9 @@ impl<U> Inner<U> {
     }
 
     /// Advances `id`'s status machine for one trigger without the state
-    /// lock: the tentpole fast path. Counts the per-tthread trigger and
-    /// the dispatch-side machinery counters in the sharded atomic slots.
-    pub(crate) fn raise_lockfree(&self, id: TthreadId) -> LockfreeRaise {
+    /// lock. Counts the per-tthread trigger and the dispatch-side
+    /// machinery counters in the sharded atomic slots.
+    pub(crate) fn raise(&self, id: TthreadId) -> Raise {
         let slot = self.dispatch.slots.slot(id.index());
         slot.triggers.fetch_add(1, Ordering::Relaxed);
         match slot.raise(self.cfg.is_deferred(), !self.cfg.coalesce) {
@@ -163,15 +155,15 @@ impl<U> Inner<U> {
                     self.obs
                         .record(self.obs.status_ring(), EventKind::Coalesced, Some(id), 0);
                 }
-                LockfreeRaise::Done { coalesced: true }
+                Raise::Done { coalesced: true }
             }
-            RaiseStep::Deferred => LockfreeRaise::Done { coalesced: false },
+            RaiseStep::Deferred => Raise::Done { coalesced: false },
             RaiseStep::Enqueue(token) => {
                 // Injected saturation: report the queue full without
                 // consuming a slot, driving the overflow policy on an
                 // otherwise-healthy queue.
                 if self.fault.fire(FaultPoint::Enqueue) {
-                    return LockfreeRaise::Overflow(token);
+                    return Raise::Overflow(token);
                 }
                 match self.dispatch.pending.push(id.index() as u32, token) {
                     PendingPush::Pushed => {
@@ -186,9 +178,9 @@ impl<U> Inner<U> {
                             );
                         }
                         self.wake_worker(id.index());
-                        LockfreeRaise::Done { coalesced: false }
+                        Raise::Done { coalesced: false }
                     }
-                    PendingPush::Full => LockfreeRaise::Overflow(token),
+                    PendingPush::Full => Raise::Overflow(token),
                 }
             }
         }
@@ -203,27 +195,15 @@ impl<U> Inner<U> {
         if self.fault.fire(FaultPoint::WakeDrop) {
             return;
         }
-        if !self.cfg.work_stealing && self.cfg.workers > 1 {
-            // No-stealing ablation: work is poppable only by the shard's
-            // owner, but the eventcount cannot target a specific sleeper.
-            // Broadcast so the owner is among the woken; the others fail
-            // their local-occupancy predicate and go straight back to
-            // sleep. (With stealing on, any single woken worker can run —
-            // or steal — the new entry, so one wake suffices.)
-            let had_sleepers = self.dispatch.waiters.sleeping() > 0;
-            self.dispatch.waiters.wake_all();
-            if had_sleepers {
-                self.dispatch.counters.worker_wake(key);
-            }
-            return;
-        }
+        // Any single woken worker can run — or steal — the new entry, so
+        // one wake suffices.
         if self.dispatch.waiters.wake_one() {
             self.dispatch.counters.worker_wake(key);
         }
     }
 
     /// Broadcasts the completion eventcount after a transition out of
-    /// Running, waking lock-free joiners parked in [`Runtime::join`] /
+    /// Running, waking joiners parked in [`Runtime::join`] /
     /// [`Runtime::force`]. A broadcast (not a single wake) because the
     /// eventcount is shared by joins on every tthread; the joiner's
     /// predicate ("did *my* slot's word move?") filters spurious wakes.
@@ -235,6 +215,18 @@ impl<U> Inner<U> {
             return;
         }
         self.dispatch.completions.wake_all();
+    }
+
+    /// Signals shutdown to the worker pool: sets the sticky flag, then
+    /// *closes* both dispatch eventcounts rather than merely waking them —
+    /// a closed eventcount refuses every future park, so a worker that
+    /// checks the flag just before it is set still cannot oversleep and
+    /// quiesce never costs a park timeout. Safe to call more than once:
+    /// `Waiters::close` is idempotent.
+    fn signal_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.dispatch.waiters.close();
+        self.dispatch.completions.close();
     }
 }
 
@@ -272,8 +264,7 @@ impl<U> Inner<U> {
 ///
 /// # Memory-consistency contract (parallel executor)
 ///
-/// With `cfg.workers > 0` and the default detached execution mode
-/// ([`Config::detached_execution`]), a tthread body running on a worker:
+/// With `cfg.workers > 0`, a tthread body running on a worker:
 ///
 /// * observes a **snapshot** of tracked memory taken atomically when its
 ///   execution starts, plus its own writes — never a concurrent
@@ -296,10 +287,7 @@ impl<U> Inner<U> {
 /// Main-thread regions ([`Runtime::with`]) always run under the state
 /// lock and see every commit that happened before the region started;
 /// [`Runtime::join`] returning guarantees the joined tthread's effects
-/// (for its triggers so far) are visible. The legacy attached mode
-/// (`detached_execution = false`) instead holds the state lock across the
-/// whole body — serializing workers against the main thread — and is kept
-/// as an ablation baseline.
+/// (for its triggers so far) are visible.
 pub struct Runtime<U> {
     inner: Arc<Inner<U>>,
     pool: WorkerPool<U>,
@@ -316,20 +304,7 @@ impl<U> Drop for WorkerPool<U> {
         if self.handles.is_empty() {
             return;
         }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            // Take the lock so no worker misses the flag between its check
-            // and its wait.
-            let _state = self.inner.state.lock();
-            self.inner.work_cv.notify_all();
-        }
-        // Lock-free workers park on the eventcount instead of `work_cv`.
-        // *Close* it rather than merely waking: a closed eventcount
-        // refuses every future park, so a worker that checks the shutdown
-        // flag just before it is set still cannot oversleep — quiesce is
-        // prompt instead of costing up to one park timeout.
-        self.inner.dispatch.waiters.close();
-        self.inner.dispatch.completions.close();
+        self.inner.signal_shutdown();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -347,13 +322,12 @@ impl<U: Send + 'static> Runtime<U> {
         let state = State {
             user,
             tst: StatusTable::new(),
-            queue: CoalescingQueue::new(cfg.queue_capacity, cfg.coalesce),
             stats: Counters::new(),
             scratch: Vec::new(),
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
         };
-        let mem = ShardedMem::new(cfg.arena_capacity, cfg.mem_shards, cfg.simd_store);
+        let mem = ShardedMem::new(cfg.arena_capacity, cfg.mem_shards);
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
         let watch_filter = WatchFilter::new(cfg.arena_capacity);
         let access = AccessCounters::new(cfg.mem_shards);
@@ -383,8 +357,6 @@ impl<U: Send + 'static> Runtime<U> {
             fault,
             dispatch,
             tthreads: RwLock::new(Vec::new()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
         let handles = (0..workers)
@@ -392,7 +364,7 @@ impl<U: Send + 'static> Runtime<U> {
                 let inner = Arc::clone(&inner);
                 thread::Builder::new()
                     .name(format!("dtt-worker-{i}"))
-                    .spawn(move || worker_loop(inner, i))
+                    .spawn(move || worker_loop(&inner, i))
                     .expect("failed to spawn dtt worker")
             })
             .collect();
@@ -640,7 +612,6 @@ impl<U: Send + 'static> Runtime<U> {
         if !state.tst.contains(tthread) {
             return Err(Error::UnknownTthread(tthread));
         }
-        let lockfree = self.inner.cfg.lockfree_dispatch;
         let slot = self.inner.dispatch.slots.slot(tthread.index());
         let mut waited = false;
         loop {
@@ -694,43 +665,21 @@ impl<U: Send + 'static> Runtime<U> {
                     // queued execution: wait for the worker (which is
                     // guaranteed to exist — zero-worker deferred mode
                     // raises Clean→Triggered and never reaches Queued) to
-                    // run it under the deadline. The wait reuses the
-                    // Running machinery below: lock-free parks validate
-                    // the slot word, which the worker's claim bumps, and
-                    // locked mode wakes on the completion broadcast.
+                    // run it under the deadline. The park validates the
+                    // slot word, which the worker's claim bumps.
                     if self.inner.cfg.body_deadline.is_some() {
                         waited = true;
-                        if lockfree {
-                            let observed = slot.word();
-                            drop(state);
-                            let outcome = self
-                                .inner
-                                .dispatch
-                                .completions
-                                .park(|| slot.word() != observed, self.inner.cfg.park_timeout);
-                            if outcome == ParkOutcome::TimedOut {
-                                self.inner.dispatch.counters.park_timeout(tthread.index());
-                            }
-                            state = self.inner.state.lock();
-                        } else {
-                            self.inner.done_cv.wait(&mut state);
-                        }
+                        state = self.park_until_moved(tthread, state);
                         continue;
                     }
-                    // Steal the pending execution. Lock-free mode: the
-                    // claim's token bump invalidates the queue entry in
-                    // place, so no queue scan is needed — the worker that
-                    // eventually pops it skips it as stale. Locked mode:
-                    // remove the entry (and its duplicates) directly.
-                    // Either way the steal coalesces duplicate triggers
-                    // into this one inline run, so the rerun flag clears.
-                    if lockfree {
-                        if !slot.try_claim_from(TthreadStatus::Queued, true) {
-                            continue;
-                        }
-                    } else {
-                        state.queue.remove(tthread);
-                        slot.claim();
+                    // Steal the pending execution. The claim's token bump
+                    // invalidates the queue entry in place, so no queue
+                    // scan is needed — the worker that eventually pops it
+                    // skips it as stale. The steal coalesces duplicate
+                    // triggers into this one inline run, so the rerun flag
+                    // clears.
+                    if !slot.try_claim_from(TthreadStatus::Queued, true) {
+                        continue;
                     }
                     {
                         let mut ctx = Ctx::new(&mut state, &self.inner, 0);
@@ -743,37 +692,39 @@ impl<U: Send + 'static> Runtime<U> {
                 }
                 TthreadStatus::Running => {
                     waited = true;
-                    if lockfree {
-                        // Lock-free wait: release the state lock entirely
-                        // and park on the completion eventcount, keyed to
-                        // the slot's status *word*. The token bumps on
-                        // every state-changing transition, so the word is
-                        // a generation counter: if the execution finishes
-                        // (or even finishes and retriggers) between our
-                        // read and the sleep commit, the word has moved
-                        // and the park is skipped. Workers broadcast the
-                        // eventcount after every transition out of
-                        // Running, and the timed park rescues a dropped
-                        // broadcast ([`FaultPoint::JoinWake`]) within one
-                        // park period. The joiner thus never blocks while
-                        // holding the state lock.
-                        let observed = slot.word();
-                        drop(state);
-                        let outcome = self
-                            .inner
-                            .dispatch
-                            .completions
-                            .park(|| slot.word() != observed, self.inner.cfg.park_timeout);
-                        if outcome == ParkOutcome::TimedOut {
-                            self.inner.dispatch.counters.park_timeout(tthread.index());
-                        }
-                        state = self.inner.state.lock();
-                    } else {
-                        self.inner.done_cv.wait(&mut state);
-                    }
+                    state = self.park_until_moved(tthread, state);
                 }
             }
         }
+    }
+
+    /// Waits for `tthread`'s status word to move: releases the state lock
+    /// entirely and parks on the completion eventcount, keyed to the word.
+    /// The token bumps on every state-changing transition, so the word is
+    /// a generation counter: if the execution finishes (or even finishes
+    /// and retriggers) between the read here and the sleep commit, the
+    /// word has moved and the park is skipped. Workers broadcast the
+    /// eventcount after every transition out of Running, and the timed
+    /// park rescues a dropped broadcast ([`FaultPoint::JoinWake`]) within
+    /// one park period. The caller thus never blocks while holding the
+    /// state lock; it gets the lock back on return.
+    fn park_until_moved<'a>(
+        &'a self,
+        tthread: TthreadId,
+        state: MutexGuard<'a, State<U>>,
+    ) -> MutexGuard<'a, State<U>> {
+        let slot = self.inner.dispatch.slots.slot(tthread.index());
+        let observed = slot.word();
+        drop(state);
+        let outcome = self
+            .inner
+            .dispatch
+            .completions
+            .park(|| slot.word() != observed, self.inner.cfg.park_timeout);
+        if outcome == ParkOutcome::TimedOut {
+            self.inner.dispatch.counters.park_timeout(tthread.index());
+        }
+        self.inner.state.lock()
     }
 
     /// Records a join outcome into the status-machine ring.
@@ -902,42 +853,14 @@ impl<U: Send + 'static> Runtime<U> {
         if state.tst.entry(tthread).timed_out {
             return Err(Error::TthreadTimedOut(tthread));
         }
-        let lockfree = self.inner.cfg.lockfree_dispatch;
         let slot = self.inner.dispatch.slots.slot(tthread.index());
         loop {
             match slot.status() {
-                TthreadStatus::Running => {
-                    if lockfree {
-                        // Same lock-free wait as `join`: park on the
-                        // completion eventcount against the status word,
-                        // never holding the state lock while blocked.
-                        let observed = slot.word();
-                        drop(state);
-                        let outcome = self
-                            .inner
-                            .dispatch
-                            .completions
-                            .park(|| slot.word() != observed, self.inner.cfg.park_timeout);
-                        if outcome == ParkOutcome::TimedOut {
-                            self.inner.dispatch.counters.park_timeout(tthread.index());
-                        }
-                        state = self.inner.state.lock();
-                    } else {
-                        self.inner.done_cv.wait(&mut state);
-                    }
-                }
+                TthreadStatus::Running => state = self.park_until_moved(tthread, state),
+                // Claim whatever state the tthread is in; a stale queue
+                // entry (if any) dies with the token bump.
                 status => {
-                    if lockfree {
-                        // Claim whatever state the tthread is in; a stale
-                        // queue entry (if any) dies with the token bump.
-                        if slot.try_claim_from(status, true) {
-                            break;
-                        }
-                    } else {
-                        if status == TthreadStatus::Queued {
-                            state.queue.remove(tthread);
-                        }
-                        slot.claim();
+                    if slot.try_claim_from(status, true) {
                         break;
                     }
                 }
@@ -1054,23 +977,12 @@ impl<U: Send + 'static> Runtime<U> {
         let mut stats = state.stats.clone();
         self.inner.access.fold_into(&mut stats);
         self.inner.dispatch.counters.fold_into(&mut stats);
-        // The pending structure in use depends on the dispatch mode.
-        let (queue_len, queue_capacity, queue_high_watermark) = if self.inner.cfg.lockfree_dispatch
-        {
-            let pending = &self.inner.dispatch.pending;
-            (pending.len(), pending.capacity(), pending.high_watermark())
-        } else {
-            (
-                state.queue.len(),
-                state.queue.capacity(),
-                state.queue.high_watermark(),
-            )
-        };
+        let pending = &self.inner.dispatch.pending;
         crate::report::RuntimeReport {
             tthreads,
-            queue_len,
-            queue_capacity,
-            queue_high_watermark,
+            queue_len: pending.len(),
+            queue_capacity: pending.capacity(),
+            queue_high_watermark: pending.high_watermark(),
             arena_used: self.inner.mem.len(),
             arena_capacity: self.inner.mem.capacity(),
             workers: self.inner.cfg.workers,
@@ -1161,26 +1073,11 @@ impl<U: Send + 'static> Runtime<U> {
             // Already drained (or a deferred executor): nothing to signal.
             return Ok(());
         }
-        Self::signal_shutdown(&self.inner);
+        self.inner.signal_shutdown();
         // `self.inner` and `pool.inner` both survive a drain, so two
         // residual references are a clean exit (the consuming teardown
         // requires exactly one).
         Self::join_worker_handles(&self.inner, handles, Some(timeout), 2)
-    }
-
-    /// Signals shutdown to the worker pool: sets the sticky flag under the
-    /// state lock (so no worker misses it between its check and its wait),
-    /// wakes the condvar parkers, and closes both dispatch eventcounts so
-    /// no late parker can oversleep — see `WorkerPool::drop`. Safe to call
-    /// more than once: `Waiters::close` is idempotent.
-    fn signal_shutdown(inner: &Inner<U>) {
-        inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _state = inner.state.lock();
-            inner.work_cv.notify_all();
-        }
-        inner.dispatch.waiters.close();
-        inner.dispatch.completions.close();
     }
 
     /// Joins (or deadline-polls) the drained worker handles.
@@ -1228,7 +1125,7 @@ impl<U: Send + 'static> Runtime<U> {
         let handles: Vec<_> = pool.handles.drain(..).collect();
         drop(pool); // handles drained: only releases the pool's Arc clone
         if !handles.is_empty() {
-            Self::signal_shutdown(&inner);
+            inner.signal_shutdown();
             Self::join_worker_handles(&inner, handles, timeout, 1)?;
         }
         let inner = Arc::try_unwrap(inner).map_err(|arc| Error::WorkersStillActive {
@@ -1251,80 +1148,19 @@ impl<U> std::fmt::Debug for Runtime<U> {
     }
 }
 
-fn worker_loop<U: Send + 'static>(inner: Arc<Inner<U>>, worker_idx: usize) {
-    if inner.cfg.lockfree_dispatch {
-        worker_loop_lockfree(&inner, worker_idx);
-    } else {
-        worker_loop_locked(&inner);
-    }
-}
-
-/// The locked-baseline worker: holds the state lock across pop, claim and
-/// (in attached mode) the whole body. Kept bit-for-bit behaviourally
-/// compatible as the ablation baseline for `Config::lockfree_dispatch`.
-fn worker_loop_locked<U: Send + 'static>(inner: &Arc<Inner<U>>) {
-    let mut state = inner.state.lock();
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Some(id) = state.queue.pop() else {
-            state.stats.worker_parks += 1;
-            inner.work_cv.wait(&mut state);
-            continue;
-        };
-        if inner.fault.fire(FaultPoint::Dequeue) {
-            // Injected dequeue rejection: push the tthread straight back
-            // (the slot we just freed is still ours — the state lock is
-            // held) and retry, exercising the requeue path. The outcome is
-            // handled explicitly: a `Full` requeue means the entry would
-            // be lost and the tthread stranded in Queued forever, so the
-            // worker must fall through and run it itself.
-            match state.queue.push(id) {
-                PushOutcome::Enqueued | PushOutcome::Coalesced => continue,
-                PushOutcome::Full => {}
-            }
-        }
-        let slot = inner.dispatch.slots.slot(id.index());
-        if slot.status() == TthreadStatus::Running {
-            // Coalescing off with several workers: a duplicate entry of a
-            // tthread another worker is mid-executing. Fold it into that
-            // execution's rerun instead of running the body concurrently.
-            // Counted as a stale entry (its trigger was already counted at
-            // enqueue) so trigger conservation stays exact.
-            slot.set_rf_if_running();
-            state.stats.queue_stale_skips += 1;
-            continue;
-        }
-        slot.claim();
-        let func = inner.tthread_fn(id);
-        if inner.cfg.detached_execution {
-            state = run_detached(inner, Some(state), id, &func)
-                .expect("locked-mode run_detached keeps the guard");
-        } else {
-            run_attached(inner, &mut state, id, &func);
-        }
-        inner.done_cv.notify_all();
-    }
-}
-
-/// The lock-free worker: pops (id, token) pairs from its *own* shards of
-/// the sharded pending queue, falls back to stealing a batch from the
-/// fullest foreign shard ([`Config::work_stealing`]), claims via the
-/// status-word CAS, and only touches the state lock to commit. Idles on
-/// the dispatch eventcount with a timed park.
-fn worker_loop_lockfree<U: Send + 'static>(inner: &Arc<Inner<U>>, worker_idx: usize) {
+/// The worker: pops (id, token) pairs from its *own* shards of the
+/// sharded pending queue, falls back to stealing a batch from the fullest
+/// foreign shard, claims via the status-word CAS, and only touches the
+/// state lock to commit. Idles on the dispatch eventcount with a timed
+/// park.
+fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
     let dispatch = &inner.dispatch;
     let workers = inner.cfg.workers.max(1);
-    let stealing = inner.cfg.work_stealing;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let popped = dispatch.pending.pop_local(worker_idx, workers).or_else(|| {
-            if !stealing {
-                return None;
-            }
             // Injected steal suppression: skip this steal attempt so the
             // imbalance persists; the timed park below keeps the stolen-
             // from work live regardless.
@@ -1346,24 +1182,11 @@ fn worker_loop_lockfree<U: Send + 'static>(inner: &Arc<Inner<U>>, worker_idx: us
         let Some((raw, token)) = popped else {
             // The timed park doubles as the rescue path for a dropped
             // wake (see `FaultPoint::WakeDrop`) or a suppressed steal:
-            // even a lost notification only costs one park period. With
-            // stealing off, park only until *owned* work arrives —
-            // foreign work is not poppable here, and waking for it would
-            // busy-spin this worker.
-            let outcome = if stealing {
-                dispatch.waiters.park(
-                    || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
-                    inner.cfg.park_timeout,
-                )
-            } else {
-                dispatch.waiters.park(
-                    || {
-                        dispatch.pending.local_occupancy(worker_idx, workers) > 0
-                            || inner.shutdown.load(Ordering::SeqCst)
-                    },
-                    inner.cfg.park_timeout,
-                )
-            };
+            // even a lost notification only costs one park period.
+            let outcome = dispatch.waiters.park(
+                || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
+                inner.cfg.park_timeout,
+            );
             match outcome {
                 ParkOutcome::Skipped => {}
                 ParkOutcome::Woken => dispatch.counters.worker_park(worker_idx),
@@ -1391,43 +1214,26 @@ fn worker_loop_lockfree<U: Send + 'static>(inner: &Arc<Inner<U>>, worker_idx: us
             dispatch.counters.stale_skip(id.index());
             continue;
         }
-        let func = inner.tthread_fn(id);
-        if inner.cfg.detached_execution {
-            let guard = run_detached(inner, None, id, &func);
-            debug_assert!(guard.is_none());
-        } else {
-            let mut state = inner.state.lock();
-            run_attached(inner, &mut state, id, &func);
-        }
+        run_detached(inner, id, &inner.tthread_fn(id));
         inner.wake_joiners();
     }
 }
 
 /// Executes one claimed tthread *detached*: snapshot, body off the lock,
 /// commit under the lock. The caller must already have moved `id` to
-/// Running (claim CAS or `Slot::claim` under the lock).
-///
-/// `held` carries the state guard in locked dispatch mode, where the
-/// caller's pop/claim happened under the lock; `None` means the lock-free
-/// path, where the first snapshot is taken without the lock. In both
-/// modes reruns re-enter the loop holding the commit's guard. Returns the
-/// guard iff one was passed in, so the locked worker keeps its lock-held
-/// loop shape.
-fn run_detached<'a, U: Send + 'static>(
-    inner: &'a Inner<U>,
-    mut held: Option<MutexGuard<'a, State<U>>>,
-    id: TthreadId,
-    func: &TthreadFn<U>,
-) -> Option<MutexGuard<'a, State<U>>> {
-    let keep_guard = held.is_some();
+/// Running (claim CAS). The first snapshot is taken without the state
+/// lock; a rerun snapshots while still holding the previous commit's
+/// guard.
+fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &TthreadFn<U>) {
     let slot = inner.dispatch.slots.slot(id.index());
     let mut retries: u32 = 0;
+    let mut held = None;
     loop {
         debug_assert_eq!(slot.status(), TthreadStatus::Running);
         // With the guard held the snapshot is serialized with raising.
-        // Without it (lock-free first iteration) it is still no older than
-        // the trigger that queued `id`: the claim CAS synchronized with
-        // the raise RMW, which itself followed the triggering store's
+        // Without it (first iteration) it is still no older than the
+        // trigger that queued `id`: the claim CAS synchronized with the
+        // raise RMW, which itself followed the triggering store's
         // stripe-locked publication — and `snapshot()` holds every stripe
         // lock, making the copy atomic against concurrent accessors.
         let snap = inner.mem.snapshot();
@@ -1480,12 +1286,10 @@ fn run_detached<'a, U: Send + 'static>(
         let (guard, log, delta) = ctx.into_detached_parts();
         // If the body touched user state it already holds the lock; reuse
         // that guard so user-state updates and the commit are one critical
-        // section. Every transition *out of* Running below happens under
-        // this lock; locked-mode `done_cv` waiters therefore cannot miss
-        // the wakeup, and lock-free joiners cannot either — their parks
-        // validate the slot *word*, which every such transition bumps,
-        // before committing to sleep (the wake itself is broadcast by the
-        // worker loop after this function returns).
+        // section. Every transition *out of* Running below bumps the slot
+        // *word*, which joiners' parks validate before committing to
+        // sleep, so they cannot miss the wakeup (the wake itself is
+        // broadcast by the worker loop after this function returns).
         let mut state = guard.unwrap_or_else(|| inner.state.lock());
 
         if outcome.is_err() {
@@ -1493,7 +1297,7 @@ fn run_detached<'a, U: Send + 'static>(
             // tthreads; the next join reports the failure. Nothing the body
             // stored is published — a detached execution is atomic.
             poison(&mut state, inner, id);
-            return keep_guard.then_some(state);
+            return;
         }
 
         if let Some(elapsed) = overran {
@@ -1514,7 +1318,7 @@ fn run_detached<'a, U: Send + 'static>(
                     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
                 );
             }
-            return keep_guard.then_some(state);
+            return;
         }
 
         inner.access.merge_delta(&delta);
@@ -1530,7 +1334,7 @@ fn run_detached<'a, U: Send + 'static>(
         // Replay the write log against live memory. A panic can only come
         // out of a cascaded inline execution (which poisons its own
         // tthread); treat it like a body panic of `id` so the worker
-        // survives, exactly as the attached executor did.
+        // survives.
         let committed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             commit_log(&mut state, inner, id, &log)
         }));
@@ -1541,7 +1345,7 @@ fn run_detached<'a, U: Send + 'static>(
         }
         if committed.is_err() {
             poison(&mut state, inner, id);
-            return keep_guard.then_some(state);
+            return;
         }
 
         state.stats.executions += 1;
@@ -1555,7 +1359,7 @@ fn run_detached<'a, U: Send + 'static>(
         }
         if slot.try_complete(Some(true)) {
             state.tst.entry_mut(id).epoch += 1;
-            return keep_guard.then_some(state);
+            return;
         }
         // The rerun flag was set: a trigger landed while the body ran (or
         // its own commit retriggered it). The snapshot may be stale, so go
@@ -1572,7 +1376,7 @@ fn run_detached<'a, U: Send + 'static>(
                     u64::from(inner.cfg.commit_retry_cap),
                 );
             }
-            return keep_guard.then_some(state);
+            return;
         }
         retries += 1;
         state.stats.commit_retries += 1;
@@ -1582,8 +1386,7 @@ fn run_detached<'a, U: Send + 'static>(
             // immediate rerun mostly re-loses the commit race. The sleep
             // happens off the state lock; jitter comes from the fault
             // layer's SplitMix64 stream so chaos replays stay
-            // seed-deterministic. Detached executor only — the attached
-            // baseline holds the caller's guard and cannot release it.
+            // seed-deterministic.
             state.stats.commit_backoff_waits += 1;
             drop(state);
             thread::sleep(backoff_delay(base, retries, inner.fault.draw()));
@@ -1629,7 +1432,7 @@ fn commit_log<U: Send + 'static>(
             }
             // Depth 1 with `cur = id`: triggers raised here onto other
             // tthreads are cascade wave units, same as stores made directly
-            // by an attached body.
+            // by an inline body.
             let mut ctx = Ctx::new_for(state, inner, 1, Some(id));
             ctx.dispatch(entry.range);
         } else {
@@ -1670,98 +1473,6 @@ fn commit_log<U: Send + 'static>(
             }
         }
         state.graph.clear_depth(id);
-    }
-}
-
-/// The legacy attached executor: runs the body under the state lock
-/// (`Config::detached_execution = false`), kept as an ablation baseline.
-/// The caller must already have moved `id` to Running.
-fn run_attached<U: Send + 'static>(
-    inner: &Inner<U>,
-    state: &mut State<U>,
-    id: TthreadId,
-    func: &TthreadFn<U>,
-) {
-    let slot = inner.dispatch.slots.slot(id.index());
-    let mut retries: u32 = 0;
-    loop {
-        debug_assert_eq!(slot.status(), TthreadStatus::Running);
-        let obs_on = inner.obs.on();
-        let body_t0 = if obs_on {
-            let ring = inner.obs.status_ring();
-            inner.obs.record(ring, EventKind::BodyStart, Some(id), 0);
-            inner.obs.now_ns()
-        } else {
-            0
-        };
-        let (outcome, dispatched, changed) = if inner.fault.fire(FaultPoint::BodyStart) {
-            (
-                Err(Box::new("injected body-start fault") as Box<dyn std::any::Any + Send>),
-                0,
-                0,
-            )
-        } else {
-            // One body execution = one wave epoch (see `commit_log`).
-            state.graph.begin_wave();
-            let mut ctx = Ctx::new_for(state, inner, 1, Some(id));
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| func(&mut ctx)));
-            (outcome, ctx.body_dispatched, ctx.body_changed)
-        };
-        if obs_on {
-            let ring = inner.obs.status_ring();
-            let dur = inner.obs.now_ns().saturating_sub(body_t0);
-            inner.obs.record(ring, EventKind::BodyEnd, Some(id), dur);
-        }
-        if outcome.is_err() {
-            poison(state, inner, id);
-            break;
-        }
-        state.stats.executions += 1;
-        state.stats.worker_executions += 1;
-        state.tst.entry_mut(id).executions += 1;
-        // Early cutoff: a cascade-raised body whose tracked stores were all
-        // silent stops the wave here (see `commit_log` for the detached
-        // equivalent).
-        let wave = state.graph.wave_depth(id);
-        if wave > 0 {
-            if inner.cfg.early_cutoff && dispatched > 0 && changed == 0 {
-                state.stats.cascades += 1;
-                state.stats.cascade_cutoffs += 1;
-                if inner.obs.on() {
-                    inner.obs.record(
-                        inner.obs.status_ring(),
-                        EventKind::CascadeCutoff,
-                        Some(id),
-                        u64::from(wave),
-                    );
-                }
-            }
-            state.graph.clear_depth(id);
-        }
-        if inner.fault.fire(FaultPoint::Retrigger) {
-            slot.set_rf_if_running();
-        }
-        if slot.try_complete(Some(true)) {
-            state.tst.entry_mut(id).epoch += 1;
-            break;
-        }
-        // Same bounded go-around as the detached executor.
-        if retries >= inner.cfg.commit_retry_cap {
-            state.stats.commit_retry_exhausted += 1;
-            slot.complete_to_triggered();
-            if inner.obs.on() {
-                inner.obs.record(
-                    inner.obs.status_ring(),
-                    EventKind::RetryExhausted,
-                    Some(id),
-                    u64::from(inner.cfg.commit_retry_cap),
-                );
-            }
-            break;
-        }
-        retries += 1;
-        state.stats.commit_retries += 1;
-        slot.absorb_rf();
     }
 }
 
@@ -2413,12 +2124,11 @@ mod tests {
 
     /// The lock-free join proof: while the joiner waits for a Running
     /// body, it is asleep on the *completion eventcount* and the state
-    /// lock is free — `try_lock` from another thread succeeds. The locked
-    /// baseline instead sleeps inside `done_cv.wait` on the state mutex.
+    /// lock is free — `try_lock` from another thread succeeds.
     #[test]
     fn join_parks_on_completions_without_the_state_lock() {
         use std::sync::atomic::AtomicBool;
-        let cfg = deferred().with_workers(1).with_lockfree_dispatch(true);
+        let cfg = deferred().with_workers(1);
         let mut rt = Runtime::new(cfg, ());
         let release = Arc::new(AtomicBool::new(false));
         let gate = Arc::clone(&release);
@@ -2471,7 +2181,7 @@ mod tests {
     #[test]
     fn idle_runtime_shutdown_beats_the_park_timeout() {
         use crate::dispatch::PARK_TIMEOUT;
-        let cfg = deferred().with_workers(4).with_lockfree_dispatch(true);
+        let cfg = deferred().with_workers(4);
         let rt = Runtime::new(cfg, ());
         // Let every worker reach its parked steady state.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -2495,9 +2205,8 @@ mod tests {
     /// steal is observed (scheduling-dependent, but each round gives
     /// three idle workers a full batch to take).
     #[test]
-    fn work_stealing_drains_an_imbalanced_shard() {
-        let cfg = deferred().with_workers(4).with_lockfree_dispatch(true);
-        assert!(cfg.work_stealing);
+    fn idle_workers_steal_from_an_imbalanced_shard() {
+        let cfg = deferred().with_workers(4);
         let mut rt = Runtime::new(cfg, ());
         let xs = rt.alloc_array::<u32>(32).unwrap();
         for i in 0..32 {
@@ -2525,52 +2234,6 @@ mod tests {
         // Every stolen entry was executed or skipped, never lost: once
         // the workers drain the stale leftovers of the join assists, the
         // reservation counter matches the shard contents at zero.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let (len, physical) = rt.pending_queue_consistency();
-            if (len, physical) == (0, 0) {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "pending queue never quiesced: len {len}, physical {physical}"
-            );
-            thread::yield_now();
-        }
-    }
-
-    /// The no-stealing ablation: the same imbalanced load must still
-    /// complete (affinity scheduling serializes it on the owning worker;
-    /// join assists cover the rest) and must never count a steal.
-    #[test]
-    fn disabled_stealing_still_drains_but_never_steals() {
-        let cfg = deferred()
-            .with_workers(4)
-            .with_lockfree_dispatch(true)
-            .with_work_stealing(false);
-        let mut rt = Runtime::new(cfg, ());
-        let xs = rt.alloc_array::<u32>(32).unwrap();
-        for i in 0..32 {
-            let tt = rt.register(&format!("t{i}"), |_| {});
-            rt.watch(tt, xs.range_of(i, i + 1)).unwrap();
-        }
-        for round in 1..=5u32 {
-            for i in (0..32).step_by(4) {
-                rt.with(|ctx| ctx.write(xs, i, round));
-            }
-            rt.join_all().unwrap();
-        }
-        let c = rt.stats().counters().clone();
-        assert_eq!(c.steals, 0);
-        assert_eq!(c.steal_batches, 0);
-        // Conservation still holds with affinity-only dispatch.
-        assert_eq!(
-            c.triggers_fired,
-            c.enqueues + c.coalesced_triggers + c.queue_overflows
-        );
-        // join_all assists leave stale entries behind for the owning
-        // worker to pop-and-skip; wait for that drain, then the atomic
-        // and physical lengths must agree at zero.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let (len, physical) = rt.pending_queue_consistency();

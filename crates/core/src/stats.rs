@@ -42,7 +42,8 @@ pub struct Counters {
     /// Executions performed by worker threads.
     pub worker_executions: u64,
     /// Worker executions that ran detached (off the state lock, against a
-    /// snapshot; see [`crate::config::Config::detached_execution`]).
+    /// snapshot). Every worker execution does, so this always equals
+    /// [`Counters::worker_executions`].
     pub detached_executions: u64,
     /// Stores replayed from detached write logs at commit time.
     pub commit_stores: u64,

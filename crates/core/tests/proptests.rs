@@ -2,8 +2,6 @@
 //! invariants.
 
 use dtt_core::addr::{Addr, AddrRange, Granularity};
-use dtt_core::queue::{CoalescingQueue, PushOutcome};
-use dtt_core::tthread::TthreadId;
 use dtt_core::{Config, JoinOutcome, Runtime};
 use proptest::prelude::*;
 
@@ -46,30 +44,6 @@ proptest! {
         let brute = (s1..s1 + l1).any(|x| x >= s2 && x < s2 + l2);
         prop_assert_eq!(a.intersects(&b), brute);
         prop_assert_eq!(a.intersects(&b), b.intersects(&a));
-    }
-
-    /// The coalescing queue never exceeds capacity, never holds duplicates,
-    /// and pops in FIFO order of first-enqueue.
-    #[test]
-    fn queue_invariants(ops in prop::collection::vec((0u32..16, prop::bool::ANY), 1..200)) {
-        let mut q = CoalescingQueue::new(4, true);
-        let mut model: Vec<u32> = Vec::new();
-        for (id, do_pop) in ops {
-            if do_pop {
-                let got = q.pop().map(|t| t.index() as u32);
-                let want = if model.is_empty() { None } else { Some(model.remove(0)) };
-                prop_assert_eq!(got, want);
-            } else {
-                let outcome = q.push(TthreadId::new(id));
-                match outcome {
-                    PushOutcome::Enqueued => model.push(id),
-                    PushOutcome::Coalesced => prop_assert!(model.contains(&id)),
-                    PushOutcome::Full => prop_assert_eq!(model.len(), 4),
-                }
-            }
-            prop_assert!(q.len() <= 4);
-            prop_assert_eq!(q.len(), model.len());
-        }
     }
 
     /// DTT execution is *transparent*: for any sequence of stores, the
@@ -178,8 +152,6 @@ proptest! {
         workers in 0usize..3,
         cap in 1usize..4,
         coalesce in prop::bool::ANY,
-        detached in prop::bool::ANY,
-        lockfree in prop::bool::ANY,
         cutoff in prop::bool::ANY,
         ops in prop::collection::vec((0u8..4, 0usize..4, 0u64..3), 1..60),
     ) {
@@ -187,8 +159,6 @@ proptest! {
             .with_workers(workers)
             .with_queue_capacity(cap)
             .with_coalescing(coalesce)
-            .with_detached_execution(detached)
-            .with_lockfree_dispatch(lockfree)
             .with_early_cutoff(cutoff);
         let mut rt = Runtime::new(cfg, 0u64);
         let xs = rt.alloc_array::<u64>(4).unwrap();
@@ -233,10 +203,7 @@ proptest! {
         let c = snap.counters();
         prop_assert_eq!(c.executions, c.inline_executions + c.worker_executions);
         prop_assert_eq!(c.tracked_stores, c.silent_stores + c.changing_stores);
-        prop_assert!(c.detached_executions <= c.worker_executions);
-        if workers == 0 || !detached {
-            prop_assert_eq!(c.detached_executions, 0);
-        }
+        prop_assert_eq!(c.detached_executions, c.worker_executions);
         let per_tthread: u64 = rt
             .tthread_counters()
             .iter()
@@ -284,11 +251,8 @@ proptest! {
         prop_assert!(c.queue_stale_skips <= c.enqueues);
         // Steal discipline: every successful steal attempt migrates at
         // least its returned head entry, so batches never outnumber moved
-        // entries; and the locked baseline never steals at all.
+        // entries.
         prop_assert!(c.steal_batches <= c.steals);
-        if !lockfree {
-            prop_assert_eq!(c.steals, 0);
-        }
         // Pending-length audit: at quiescence the reservation counter and
         // the entries physically in the shards must agree — a double
         // decrement on the stale-skip, steal or overflow paths would

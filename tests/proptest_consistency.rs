@@ -4,7 +4,7 @@
 //! semantics.
 
 use dtt::core::stats::Counters;
-use dtt::core::{Config, JoinOutcome, Runtime, TthreadStatus};
+use dtt::core::{Config, JoinOutcome, Runtime, TrackedArray, TthreadId, TthreadStatus};
 use dtt::sim::{simulate, MachineConfig, SimMode};
 use dtt::trace::TraceBuilder;
 use proptest::prelude::*;
@@ -113,8 +113,8 @@ fn run_simulator(schedule: &[Op]) -> Vec<u64> {
         .collect()
 }
 
-/// A dispatch schedule for the lockfree-vs-locked equivalence property:
-/// stores, targeted joins/forces (the steal paths), and full checkpoints.
+/// A dispatch schedule for the runtime-vs-model properties: stores,
+/// targeted joins/forces (the steal paths), and full checkpoints.
 #[derive(Debug, Clone)]
 enum DispatchOp {
     Store { index: usize, value: u64 },
@@ -136,23 +136,160 @@ fn dispatch_ops() -> impl Strategy<Value = Vec<DispatchOp>> {
 }
 
 /// Everything externally observable about one dispatch run: per-tthread
-/// execution counts, the join-outcome sequence, the pre-checkpoint status
-/// of every tthread, and the counter block.
+/// execution counts, the join-outcome sequence, the status of every
+/// tthread when the schedule ends, and the counters the model defines
+/// (every other field left at zero).
 type DispatchObservation = (Vec<u64>, Vec<JoinOutcome>, Vec<TthreadStatus>, Counters);
+
+/// Projects a runtime counter block onto the fields [`ModelTst`] predicts.
+fn modelled(c: &Counters) -> Counters {
+    Counters {
+        triggers_fired: c.triggers_fired,
+        coalesced_triggers: c.coalesced_triggers,
+        enqueues: c.enqueues,
+        executions: c.executions,
+        inline_executions: c.inline_executions,
+        joins: c.joins,
+        skips: c.skips,
+        ..Counters::default()
+    }
+}
+
+/// The oracle: a sequential thread status table, one Clean / Triggered /
+/// Queued entry per tthread, driven from the main thread alone. `queued`
+/// selects what a trigger does to a Clean entry — mark it Triggered (the
+/// deferred executor) or enqueue it (a worker exists but is pinned, so a
+/// Queued entry stays queued until the main thread steals it). Bodies are
+/// empty, so nothing is ever observed Running, and coalescing on/off is
+/// unobservable: a repeat trigger is absorbed either way, and the steal
+/// that consumes a Queued entry folds any rerun mark into its one run.
+struct ModelTst {
+    queued: bool,
+    cells: [u64; CELLS],
+    status: Vec<TthreadStatus>,
+    execs: Vec<u64>,
+    outcomes: Vec<JoinOutcome>,
+    counters: Counters,
+}
+
+impl ModelTst {
+    fn new(queued: bool) -> Self {
+        ModelTst {
+            queued,
+            cells: [0; CELLS],
+            status: vec![TthreadStatus::Clean; TTHREADS],
+            execs: vec![0; TTHREADS],
+            outcomes: Vec::new(),
+            counters: Counters::default(),
+        }
+    }
+
+    fn raise(&mut self, t: usize) {
+        if self.status[t] != TthreadStatus::Clean {
+            self.counters.coalesced_triggers += 1;
+        } else if self.queued {
+            self.status[t] = TthreadStatus::Queued;
+            self.counters.enqueues += 1;
+        } else {
+            self.status[t] = TthreadStatus::Triggered;
+        }
+    }
+
+    fn run_inline(&mut self, t: usize) {
+        self.status[t] = TthreadStatus::Clean;
+        self.execs[t] += 1;
+        self.counters.executions += 1;
+        self.counters.inline_executions += 1;
+    }
+
+    fn join(&mut self, t: usize) {
+        self.counters.joins += 1;
+        let outcome = match self.status[t] {
+            TthreadStatus::Clean => JoinOutcome::Skipped,
+            TthreadStatus::Triggered => JoinOutcome::RanInline,
+            _ => JoinOutcome::Stolen,
+        };
+        if outcome == JoinOutcome::Skipped {
+            self.counters.skips += 1;
+        } else {
+            self.run_inline(t);
+        }
+        self.outcomes.push(outcome);
+    }
+
+    fn apply(&mut self, op: &DispatchOp) {
+        match *op {
+            // A silent store fires nothing.
+            DispatchOp::Store { index, value } if self.cells[index] == value => {}
+            DispatchOp::Store { index, value } => {
+                self.cells[index] = value;
+                self.counters.triggers_fired += 1;
+                self.raise(index / 4);
+            }
+            DispatchOp::Join { t } => self.join(t),
+            DispatchOp::Force { t } => self.run_inline(t),
+            DispatchOp::Checkpoint => (0..TTHREADS).for_each(|t| self.join(t)),
+        }
+    }
+}
+
+/// Predicts [`run_deferred`]: every tthread starts dirty (`mark_dirty`
+/// raises without firing a store trigger) and the statuses are read as
+/// the schedule ends.
+fn model_deferred(schedule: &[DispatchOp]) -> DispatchObservation {
+    let mut m = ModelTst::new(false);
+    (0..TTHREADS).for_each(|t| m.raise(t));
+    schedule.iter().for_each(|op| m.apply(op));
+    (m.execs, m.outcomes, m.status, m.counters)
+}
+
+/// Predicts [`run_pinned_worker`]: the blocker's own enqueue is counted,
+/// the statuses are read as the schedule ends, and a final round of joins
+/// drains what is still queued.
+fn model_pinned_worker(schedule: &[DispatchOp]) -> DispatchObservation {
+    let mut m = ModelTst::new(true);
+    m.counters.enqueues += 1;
+    schedule.iter().for_each(|op| m.apply(op));
+    let statuses = m.status.clone();
+    (0..TTHREADS).for_each(|t| m.join(t));
+    (m.execs, m.outcomes, statuses, m.counters)
+}
+
+/// Applies one schedule step to a real runtime.
+fn drive(
+    rt: &mut Runtime<()>,
+    cells: TrackedArray<u64>,
+    tts: &[TthreadId],
+    op: &DispatchOp,
+    outcomes: &mut Vec<JoinOutcome>,
+) {
+    match *op {
+        DispatchOp::Store { index, value } => rt.with(|ctx| ctx.write(cells, index, value)),
+        DispatchOp::Join { t } => outcomes.push(rt.join(tts[t]).unwrap()),
+        DispatchOp::Force { t } => rt.force(tts[t]).unwrap(),
+        DispatchOp::Checkpoint => {
+            for &tt in tts {
+                outcomes.push(rt.join(tt).unwrap());
+            }
+        }
+    }
+}
+
+/// Execution counts of `tts`, in order.
+fn execs_of(rt: &Runtime<()>, tts: &[TthreadId]) -> Vec<u64> {
+    rt.tthread_counters()
+        .into_iter()
+        .filter(|(id, ..)| tts.contains(id))
+        .map(|(_, e, _, _)| e)
+        .collect()
+}
 
 /// Drives one runtime through `schedule` and records what a program could
 /// see. With `workers = 0` the deferred executor handles every trigger at
-/// the join point, so both dispatch modes are fully deterministic and the
-/// Clean/Triggered/Running arcs of the status machine are compared.
-fn run_deferred_mode(
-    schedule: &[DispatchOp],
-    lockfree: bool,
-    coalesce: bool,
-) -> DispatchObservation {
-    let cfg = Config::default()
-        .with_workers(0)
-        .with_lockfree_dispatch(lockfree)
-        .with_coalescing(coalesce);
+/// the join point, so the run is fully deterministic and exercises the
+/// Clean/Triggered/Running arcs of the status machine.
+fn run_deferred(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation {
+    let cfg = Config::default().with_workers(0).with_coalescing(coalesce);
     let mut rt = Runtime::new(cfg, ());
     let cells = rt.alloc_array::<u64>(CELLS).unwrap();
     let tts: Vec<_> = (0..TTHREADS)
@@ -166,44 +303,23 @@ fn run_deferred_mode(
         .collect();
     let mut outcomes = Vec::new();
     for op in schedule {
-        match *op {
-            DispatchOp::Store { index, value } => rt.with(|ctx| ctx.write(cells, index, value)),
-            DispatchOp::Join { t } => outcomes.push(rt.join(tts[t]).unwrap()),
-            DispatchOp::Force { t } => rt.force(tts[t]).unwrap(),
-            DispatchOp::Checkpoint => {
-                for &tt in &tts {
-                    outcomes.push(rt.join(tt).unwrap());
-                }
-            }
-        }
+        drive(&mut rt, cells, &tts, op, &mut outcomes);
     }
     let statuses = tts.iter().map(|&tt| rt.status(tt).unwrap()).collect();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .map(|(_, e, _, _)| e)
-        .collect();
-    let counters = rt.stats().counters().clone();
-    (execs, outcomes, statuses, counters)
+    let counters = modelled(rt.stats().counters());
+    (execs_of(&rt, &tts), outcomes, statuses, counters)
 }
 
 /// Same idea with a real worker — but the worker spends the whole schedule
 /// pinned inside a barrier-parked tthread, so the Queued arcs (enqueue,
 /// coalesce/rerun-flag absorb, join steal, stale queue entries) are
 /// exercised deterministically from the main thread alone. The queue is
-/// big enough that lazy (token-based) vs eager entry removal can't change
-/// when it fills. Parks/wakes are timing-dependent and zeroed out before
-/// the comparison; everything else must match.
-fn run_pinned_worker_mode(
-    schedule: &[DispatchOp],
-    lockfree: bool,
-    coalesce: bool,
-) -> DispatchObservation {
+/// big enough that the stale entries steals leave behind never fill it.
+fn run_pinned_worker(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation {
     let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
     let cfg = Config::default()
         .with_workers(1)
         .with_queue_capacity(4096)
-        .with_lockfree_dispatch(lockfree)
         .with_coalescing(coalesce);
     let mut rt = Runtime::new(cfg, ());
     let g = std::sync::Arc::clone(&gate);
@@ -228,16 +344,7 @@ fn run_pinned_worker_mode(
 
     let mut outcomes = Vec::new();
     for op in schedule {
-        match *op {
-            DispatchOp::Store { index, value } => rt.with(|ctx| ctx.write(cells, index, value)),
-            DispatchOp::Join { t } => outcomes.push(rt.join(tts[t]).unwrap()),
-            DispatchOp::Force { t } => rt.force(tts[t]).unwrap(),
-            DispatchOp::Checkpoint => {
-                for &tt in &tts {
-                    outcomes.push(rt.join(tt).unwrap());
-                }
-            }
-        }
+        drive(&mut rt, cells, &tts, op, &mut outcomes);
     }
     let statuses: Vec<_> = tts.iter().map(|&tt| rt.status(tt).unwrap()).collect();
     // Drain every pending trigger deterministically (steals) while the
@@ -246,18 +353,8 @@ fn run_pinned_worker_mode(
     for &tt in &tts {
         outcomes.push(rt.join(tt).unwrap());
     }
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .map(|(_, e, _, _)| e)
-        .collect();
-    let mut counters = rt.stats().counters().clone();
-    counters.worker_wakes = 0;
-    counters.worker_parks = 0;
-    // Timing-dependent like parks: the worker may time out of a park in
-    // the window before it gets pinned. Steals stay *unzeroed* — with a
-    // single worker every shard is local, so both modes must report zero.
-    counters.park_timeouts = 0;
+    let execs = execs_of(&rt, &tts);
+    let counters = modelled(rt.stats().counters());
     gate.wait();
     rt.join_all().unwrap();
     (execs, outcomes, statuses, counters)
@@ -289,36 +386,25 @@ proptest! {
         }
     }
 
-    /// The lock-free status machine is an exact drop-in for the locked
-    /// baseline on the deferred (workers = 0) executor: for any
-    /// store/join/force/checkpoint schedule the two dispatch modes produce
-    /// identical execution counts, join outcomes, statuses, *and counters*.
+    /// The deferred (workers = 0) executor against the sequential model:
+    /// for any store/join/force/checkpoint schedule, with coalescing on and
+    /// off, the runtime produces exactly the execution counts, join
+    /// outcomes, statuses and counters the model predicts.
     #[test]
-    fn lockfree_dispatch_matches_locked_deferred_baseline(
-        schedule in dispatch_ops(),
-        coalesce in prop::bool::ANY,
-    ) {
-        let lockfree = run_deferred_mode(&schedule, true, coalesce);
-        let locked = run_deferred_mode(&schedule, false, coalesce);
-        prop_assert_eq!(lockfree, locked);
+    fn deferred_dispatch_matches_sequential_model(schedule in dispatch_ops()) {
+        let model = model_deferred(&schedule);
+        for coalesce in [true, false] {
+            prop_assert_eq!(&run_deferred(&schedule, coalesce), &model, "coalesce={}", coalesce);
+        }
     }
 
     /// The Queued arcs (enqueue, absorb, steal, stale entries) with a real
-    /// — but pinned — worker. With coalescing on, even the counters must
-    /// match exactly; with coalescing off the two modes represent repeat
-    /// triggers differently (rerun flag vs duplicate queue entries), so
-    /// the enqueue/coalesce counter split legitimately diverges while
-    /// everything a program can observe must still match.
+    /// — but pinned — worker, against the same model.
     #[test]
-    fn lockfree_dispatch_matches_locked_queued_baseline(
-        schedule in dispatch_ops(),
-        coalesce in prop::bool::ANY,
-    ) {
-        let (le, lo, ls, lc) = run_pinned_worker_mode(&schedule, true, coalesce);
-        let (be, bo, bs, bc) = run_pinned_worker_mode(&schedule, false, coalesce);
-        prop_assert_eq!((le, lo, ls), (be, bo, bs));
-        if coalesce {
-            prop_assert_eq!(lc, bc);
+    fn pinned_worker_dispatch_matches_sequential_model(schedule in dispatch_ops()) {
+        let model = model_pinned_worker(&schedule);
+        for coalesce in [true, false] {
+            prop_assert_eq!(&run_pinned_worker(&schedule, coalesce), &model, "coalesce={}", coalesce);
         }
     }
 }

@@ -5,7 +5,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dtt_core::tthread::{TthreadId, TthreadStatus};
-use dtt_core::{Config, JoinOutcome, OverflowPolicy, Runtime};
+use dtt_core::{Config, JoinOutcome, OverflowPolicy, Runtime, Tracked};
 
 /// Spins until `tthread` is observed `Running` on a worker; panics after a
 /// generous timeout so a regression fails rather than hangs.
@@ -23,9 +23,9 @@ fn wait_until_running<U: Send + 'static>(rt: &Runtime<U>, tthread: TthreadId) {
 /// Regression test for the fake-overlap bug: the worker must release the
 /// state lock while a tthread body runs. The body parks on a barrier
 /// mid-execution; the main thread then performs tracked stores and joins an
-/// unrelated tthread while the body is provably still running. Under the
-/// old attached executor (body under the state lock) every one of those
-/// main-thread operations would deadlock.
+/// unrelated tthread while the body is provably still running. With the
+/// body under the state lock every one of those main-thread operations
+/// would deadlock.
 #[test]
 fn worker_body_runs_off_the_state_lock() {
     let gate = Arc::new(Barrier::new(2));
@@ -69,31 +69,29 @@ fn worker_body_runs_off_the_state_lock() {
     assert_eq!(c.counters().inline_executions, 1);
 }
 
-/// Regression test for the overflow double-execution bug: with coalescing
-/// off, a trigger for an already-Queued tthread that overflows the queue
-/// used to run the tthread inline *and* leave the stale queue entry behind
-/// for a worker to run again. The inline run must be the only run.
-///
-/// Pinned to the locked baseline: only the locked queue represents repeat
-/// triggers as duplicate entries, so only there can the overflow + stale
-/// entry interleaving exist. The lock-free path folds repeats into the
-/// rerun flag instead — see `lockfree_rerun_flag_replaces_queue_duplicates`.
-#[test]
-fn queue_overflow_inline_executes_exactly_once() {
+/// Builds the deterministic overflow scenario: capacity-1 queue, the only
+/// worker pinned inside `blocker` (its entry already popped), and `filler`
+/// queued behind it so the queue is full. The next first-trigger of
+/// `victim` therefore overflows. Returns `(rt, x, victim, gate)`; storing
+/// to `x` triggers `victim`, which adds `x` into the user state.
+fn runtime_with_full_queue(
+    policy: OverflowPolicy,
+) -> (Runtime<u64>, Tracked<u64>, TthreadId, Arc<Barrier>) {
     let gate = Arc::new(Barrier::new(2));
     let cfg = Config::default()
         .with_workers(1)
         .with_queue_capacity(1)
-        .with_coalescing(false)
-        .with_lockfree_dispatch(false)
-        .with_overflow(OverflowPolicy::ExecuteInline);
+        .with_overflow(policy);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
+    let f = rt.alloc(0u64).unwrap();
 
     let g = Arc::clone(&gate);
     let blocker = rt.register("blocker", move |_| {
         g.wait();
     });
+    let filler = rt.register("filler", |_| {});
+    rt.watch(filler, f.range()).unwrap();
     let victim = rt.register("victim", move |ctx| {
         let v = ctx.get(x);
         *ctx.user_mut() += v;
@@ -103,77 +101,61 @@ fn queue_overflow_inline_executes_exactly_once() {
     // Pin the only worker inside `blocker` so nothing drains the queue.
     rt.mark_dirty(blocker).unwrap();
     wait_until_running(&rt, blocker);
+    rt.write(f, 1); // filler enqueued; queue (capacity 1) now full
+    assert_eq!(rt.status(filler).unwrap(), TthreadStatus::Queued);
+    (rt, x, victim, gate)
+}
 
-    rt.write(x, 1); // victim enqueued; queue now full
-    rt.write(x, 2); // no coalescing: queue overflows -> victim runs inline
+fn executions_of(rt: &Runtime<u64>, tthread: TthreadId) -> u64 {
+    rt.tthread_counters()
+        .into_iter()
+        .find(|(id, ..)| *id == tthread)
+        .map(|(_, e, ..)| e)
+        .unwrap()
+}
+
+/// `ExecuteInline` overflow: a trigger that finds the queue full runs its
+/// tthread on the triggering thread — and that inline run is the *only*
+/// run: no queue entry was left behind for the worker to execute again.
+#[test]
+fn queue_overflow_inline_executes_exactly_once() {
+    let (mut rt, x, victim, gate) = runtime_with_full_queue(OverflowPolicy::ExecuteInline);
+    rt.write(x, 2); // queue full -> victim runs inline
     assert_eq!(rt.stats().counters().queue_overflows, 1);
-    // The inline run saw the latest value and the stale queue entry is
-    // gone, so the worker has nothing left to re-execute.
+    assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Clean);
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 
     gate.wait();
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1, "overflowed tthread must execute exactly once");
+    assert_eq!(
+        executions_of(&rt, victim),
+        1,
+        "overflowed tthread must execute exactly once"
+    );
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
-/// Same stale-entry scenario under `DeferToJoin`: the overflowed trigger
-/// reverts the tthread to Triggered (out of the queue), so the next join
-/// runs it inline exactly once. Locked baseline only, as above.
+/// `DeferToJoin` overflow: the overflowed trigger reverts the tthread to
+/// Triggered (out of the queue), so the next join runs it inline exactly
+/// once.
 #[test]
 fn queue_overflow_defer_to_join_runs_once_at_join() {
-    let gate = Arc::new(Barrier::new(2));
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_queue_capacity(1)
-        .with_coalescing(false)
-        .with_lockfree_dispatch(false)
-        .with_overflow(OverflowPolicy::DeferToJoin);
-    let mut rt = Runtime::new(cfg, 0u64);
-    let x = rt.alloc(0u64).unwrap();
-
-    let g = Arc::clone(&gate);
-    let blocker = rt.register("blocker", move |_| {
-        g.wait();
-    });
-    let victim = rt.register("victim", move |ctx| {
-        let v = ctx.get(x);
-        *ctx.user_mut() += v;
-    });
-    rt.watch(victim, x.range()).unwrap();
-
-    rt.mark_dirty(blocker).unwrap();
-    wait_until_running(&rt, blocker);
-
-    rt.write(x, 1);
+    let (mut rt, x, victim, gate) = runtime_with_full_queue(OverflowPolicy::DeferToJoin);
     rt.write(x, 2);
+    assert_eq!(rt.stats().counters().queue_overflows, 1);
     assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Triggered);
     assert_eq!(rt.join(victim).unwrap(), JoinOutcome::RanInline);
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 
     gate.wait();
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1);
+    assert_eq!(executions_of(&rt, victim), 1);
 }
 
-/// The lock-free counterpart of the overflow regressions above: with
-/// coalescing off, a repeat trigger for a Queued tthread folds into the
-/// status word's rerun flag instead of a duplicate queue entry, so the
+/// With coalescing off, a repeat trigger for a Queued tthread folds into
+/// the status word's rerun flag instead of a duplicate queue entry, so the
 /// queue cannot overflow from repeats at all — and a join that steals the
-/// queued tthread coalesces the pending rerun into its single inline run,
-/// exactly like the locked path's remove-all-duplicates steal.
+/// queued tthread coalesces the pending rerun into its single inline run.
 #[test]
 fn lockfree_rerun_flag_replaces_queue_duplicates() {
     let gate = Arc::new(Barrier::new(2));
@@ -181,7 +163,6 @@ fn lockfree_rerun_flag_replaces_queue_duplicates() {
         .with_workers(1)
         .with_queue_capacity(1)
         .with_coalescing(false)
-        .with_lockfree_dispatch(true)
         .with_overflow(OverflowPolicy::ExecuteInline);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
@@ -212,27 +193,23 @@ fn lockfree_rerun_flag_replaces_queue_duplicates() {
 
     gate.wait();
     rt.join_all().unwrap();
-    let execs = rt
-        .tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == victim)
-        .map(|(_, e, ..)| e)
-        .unwrap();
-    assert_eq!(execs, 1, "the stolen run must cover the folded rerun");
+    assert_eq!(
+        executions_of(&rt, victim),
+        1,
+        "the stolen run must cover the folded rerun"
+    );
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
 /// Wake discipline (counter-based, no timing): silent stores and coalesced
-/// triggers must not wake workers — only a `PushOutcome::Enqueued` unit of
-/// work pays for a notification. The invariant is checked on the runtime's
+/// triggers must not wake workers — only an enqueued unit of work pays
+/// for a notification. The invariant is checked on the runtime's
 /// own counters, so a regression shows up as a count mismatch rather than
 /// a flaky timing window.
 #[test]
 fn silent_and_coalesced_stores_do_not_wake_workers() {
     let gate = Arc::new(Barrier::new(2));
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_lockfree_dispatch(true);
+    let cfg = Config::default().with_workers(1);
     let mut rt = Runtime::new(cfg, 0u64);
     let y = rt.alloc(0u64).unwrap();
 
@@ -288,39 +265,32 @@ fn silent_and_coalesced_stores_do_not_wake_workers() {
     );
 }
 
-/// The legacy attached executor (ablation baseline) still converges to the
-/// same published values as the detached one.
+/// Repeated trigger/join rounds on the worker executor converge to the
+/// same published values as a sequential recompute, and every worker
+/// execution ran detached.
 #[test]
-fn attached_ablation_converges() {
-    for detached in [false, true] {
-        let cfg = Config::default()
-            .with_workers(2)
-            .with_detached_execution(detached);
-        let mut rt = Runtime::new(cfg, 0u64);
-        let xs = rt.alloc_array::<u64>(8).unwrap();
-        let tt = rt.register("sum", move |ctx| {
-            let s: u64 = (0..8).map(|i| ctx.read(xs, i)).sum();
-            *ctx.user_mut() = s;
-        });
-        rt.watch(tt, xs.range()).unwrap();
-        for round in 1..=20u64 {
-            for i in 0..8 {
-                rt.with(|ctx| ctx.write(xs, i, round + i as u64));
-            }
-            rt.join(tt).unwrap();
-            let expect: u64 = (0..8).map(|i| round + i).sum();
-            assert_eq!(rt.with(|ctx| *ctx.user()), expect);
+fn worker_executor_converges_and_runs_detached() {
+    let cfg = Config::default().with_workers(2);
+    let mut rt = Runtime::new(cfg, 0u64);
+    let xs = rt.alloc_array::<u64>(8).unwrap();
+    let tt = rt.register("sum", move |ctx| {
+        let s: u64 = (0..8).map(|i| ctx.read(xs, i)).sum();
+        *ctx.user_mut() = s;
+    });
+    rt.watch(tt, xs.range()).unwrap();
+    for round in 1..=20u64 {
+        for i in 0..8 {
+            rt.with(|ctx| ctx.write(xs, i, round + i as u64));
         }
-        let c = rt.stats();
-        if detached {
-            assert_eq!(
-                c.counters().detached_executions,
-                c.counters().worker_executions
-            );
-        } else {
-            assert_eq!(c.counters().detached_executions, 0);
-        }
+        rt.join(tt).unwrap();
+        let expect: u64 = (0..8).map(|i| round + i).sum();
+        assert_eq!(rt.with(|ctx| *ctx.user()), expect);
     }
+    let c = rt.stats();
+    assert_eq!(
+        c.counters().detached_executions,
+        c.counters().worker_executions
+    );
 }
 
 /// Sustained pressure: 32 tthreads over disjoint slices, thousands of
@@ -491,8 +461,8 @@ fn concurrent_accessors_disjoint_stores_are_exact() {
     assert_eq!(c.counters().changing_stores, (THREADS * PER + 1) as u64);
 }
 
-/// `mem_shards = 1` is the serialized ablation: a deterministic
-/// single-threaded workload must produce bit-identical results and counters
+/// `mem_shards = 1` serializes every access on one stripe lock: a
+/// deterministic single-threaded workload must produce bit-identical results and counters
 /// under 1 shard and under the default sharding.
 #[test]
 fn shard_count_does_not_change_semantics() {
