@@ -1,7 +1,8 @@
 //! R-Fig.12 — measured wall-clock speedup of the *software* DTT runtime:
 //! baseline vs DTT with the deferred executor and with a 2-worker parallel
-//! executor, at reference scale. (Criterion benches in `benches/` give the
-//! statistically rigorous version; this binary prints a quick table.)
+//! executor, at reference scale. (The repo benchmark's `kernels` workload
+//! in `perf/` is the repeated, baselined version; this binary prints a
+//! quick table.)
 //!
 //! Usage: `fig12_wallclock [--smoke]` — `--smoke` runs the train-scale
 //! suite (same code paths, CI-sized, unreliable timings).

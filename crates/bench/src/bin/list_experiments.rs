@@ -67,5 +67,7 @@ fn main() {
     for (name, what) in rows {
         println!("  {name:<28} {what}");
     }
-    println!("\ncargo bench -p dtt-bench   Criterion micro (runtime ops) + macro (workloads)");
+    println!(
+        "\nperf/run.sh   the repo benchmark: per-layer micro metrics + seven end-to-end workloads"
+    );
 }

@@ -31,8 +31,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 /// The scale every simulator-driven experiment runs at.
 ///
 /// Train keeps traces in the hundred-thousand-to-few-million event range;
-/// wall-clock experiments (R-Fig.12 and the Criterion benches) use
-/// [`Scale::Reference`].
+/// the wall-clock experiment (R-Fig.12) uses [`Scale::Reference`].
 pub const EXPERIMENT_SCALE: Scale = Scale::Train;
 
 /// Builds the full suite and the annotated trace of every workload.

@@ -83,16 +83,23 @@ impl ChaosConfig {
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut plan = FaultPlan::new(seed).with_delay_us(rng.gen_range(1..=50u32));
+        // Arm roughly half the points, at a 10–30% fire rate.
+        let mut arming = || {
+            (rng.gen_range(0..2u32) == 0)
+                .then(|| (rng.gen_range(6_553..=19_660u16), rng.gen_range(4..=32u32)))
+        };
         // Randomize over the runtime-core points only: the serve-layer
         // points (`FaultPoint::SERVE`) are never probed by this harness's
         // workload, and keeping them out preserves the draw sequence (and
         // thus the derived case) for every existing seed.
         for point in FaultPoint::CORE {
-            // Arm roughly half the points, at a 10–30% fire rate.
-            if rng.gen_range(0..2u32) == 0 {
-                plan = plan
-                    .with_rate(point, rng.gen_range(6_553..=19_660u16))
-                    .with_budget(point, rng.gen_range(4..=32u32));
+            if point == FaultPoint::JoinWake {
+                // A removed point (steal suppression) drew here; discarding
+                // its draws keeps every existing seed's derived case intact.
+                let _ = arming();
+            }
+            if let Some((rate, budget)) = arming() {
+                plan = plan.with_rate(point, rate).with_budget(point, budget);
             }
         }
         let overflow = match rng.gen_range(0..3u32) {
@@ -473,15 +480,6 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
             "counter conservation violated: overflow_sheds {} > queue_overflows {}",
             c.overflow_sheds, c.queue_overflows
         ));
-    }
-    if c.steal_batches > c.steals {
-        return Err(format!(
-            "counter conservation violated: steal_batches {} > steals {}",
-            c.steal_batches, c.steals
-        ));
-    }
-    if cfg.workers == 0 && c.steals != 0 {
-        return Err(format!("steals is {} with no workers configured", c.steals));
     }
     if cfg.workers == 0 && c.park_timeouts != 0 {
         return Err(format!(

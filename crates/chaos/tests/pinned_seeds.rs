@@ -149,16 +149,6 @@ fn pinned_wake_drops_cannot_wedge_dispatch() {
     );
 }
 
-/// A suppressed steal attempt must never affect correctness, only
-/// latency: the victim shard's owner still drains its own work, and the
-/// thief's next timed park retries the steal. The harness's conservation
-/// invariants (including `steal_batches <= steals` and the pending-queue
-/// length audit) run on every case.
-#[test]
-fn pinned_steal_batch_faults_hold_invariants() {
-    check_point(FaultPoint::StealBatch, 113);
-}
-
 /// A dropped join-completion broadcast — the lock-free joiner's wake
 /// suppressed after a worker finishes its target — must cost at most one
 /// joiner park period, never a wedge: the joiner's timed park re-reads the
@@ -188,23 +178,16 @@ fn pinned_cascade_drops_hold_invariants() {
 /// dropped (epoch bump included — a true lost wakeup), a triggered
 /// tthread must still execute within two park periods, carried entirely
 /// by the worker's timed-park rescue. The `park_timeouts` counter proves
-/// the rescue path (and not a real wake) did the carrying. The park
-/// period is set through `Config::park_timeout` (shorter than the 50 ms
-/// default, so the rescue budget is tested at a configured value, not
-/// the constant).
+/// the rescue path (and not a real wake) did the carrying.
 #[test]
 fn dropped_wake_is_rescued_within_two_park_periods() {
-    use dtt_core::{Config, Runtime};
+    use dtt_core::{Config, Runtime, PARK_TIMEOUT};
     use std::time::Instant;
 
-    let park = Duration::from_millis(20);
     let plan = FaultPlan::new(115)
         .with_rate(FaultPoint::WakeDrop, ALWAYS)
         .with_budget(FaultPoint::WakeDrop, UNLIMITED);
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_park_timeout(park)
-        .with_fault_plan(plan);
+    let cfg = Config::default().with_workers(1).with_fault_plan(plan);
     let mut rt = Runtime::new(cfg, 0u64);
     let cells = rt.alloc_array::<u64>(1).unwrap();
     let id = rt.register("sum", move |ctx| {
@@ -232,7 +215,7 @@ fn dropped_wake_is_rescued_within_two_park_periods() {
     rt.with(|ctx| ctx.write(cells, 0, 7));
     while rt.stats().counters().worker_executions == 0 {
         assert!(
-            t0.elapsed() < park * 2,
+            t0.elapsed() < PARK_TIMEOUT * 2,
             "dropped wake was not rescued within two park periods"
         );
         std::thread::yield_now();

@@ -38,6 +38,7 @@ use crate::handle::{Tracked, TrackedArray};
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::Inner;
+use crate::stats::{CounterBank, Tally};
 use crate::trigger::LookupScratch;
 use crate::Ctx;
 
@@ -89,7 +90,8 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
 
     /// Loads a tracked scalar without taking the state lock.
     pub fn get<T: Pod>(&mut self, cell: Tracked<T>) -> T {
-        self.inner.access.on_loads(cell.addr().raw(), 1);
+        let key = CounterBank::addr_key(cell.addr().raw());
+        self.inner.counters.add(key, Tally::TrackedLoads, 1);
         self.inner.mem.load(cell.addr())
     }
 
@@ -101,7 +103,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         let detect = self.inner.cfg.suppress_silent_stores;
         let effect = self.inner.mem.store(cell.addr(), value, detect);
         self.inner
-            .access
+            .counters
             .on_store(cell.addr().raw(), effect, detect);
         if detect && !effect.changed {
             if self.inner.obs.on() {
@@ -127,7 +129,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         // still exits at line granularity. Either miss skips the
         // trigger-table read lock.
         let probe = self.inner.watch_filter.probe(cell.range());
-        self.inner.access.on_filter(cell.addr().raw(), probe);
+        self.inner.counters.on_filter(cell.addr().raw(), probe);
         if probe.is_miss() {
             if self.inner.obs.on() {
                 self.inner.obs.record(
@@ -157,15 +159,16 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
     /// state lock, where the configured overflow policy runs.
     fn raise_hits(&mut self, store_addr: u64) {
         let inner = self.inner;
-        let key = store_addr as usize;
-        inner.dispatch.counters.triggering_store(key);
+        let key = CounterBank::addr_key(store_addr);
+        inner.counters.add(key, Tally::TriggeringStores, 1);
         let obs_on = inner.obs.on();
         let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
         for hit in self.scratch.hits() {
-            inner
-                .dispatch
-                .counters
-                .trigger_fired(hit.tthread.index(), hit.precise);
+            let key = hit.tthread.index();
+            inner.counters.add(key, Tally::TriggersFired, 1);
+            if !hit.precise {
+                inner.counters.add(key, Tally::FalseTriggers, 1);
+            }
             if obs_on {
                 inner.obs.record(
                     inner.obs.status_ring(),

@@ -18,8 +18,8 @@ pub enum OverflowPolicy {
     /// Leave the tthread marked triggered; it runs at the next `join`.
     DeferToJoin,
     /// Apply backpressure: the triggering thread drains the oldest pending
-    /// tthreads inline (up to [`Config::backpressure_assist_budget`] per
-    /// overflow) to free a slot. If the queue is still full afterwards the
+    /// tthreads inline (up to a fixed assist budget of 4 per overflow) to
+    /// free a slot. If the queue is still full afterwards the
     /// trigger is *shed* — left marked triggered for the next `join` — and
     /// counted in `overflow_sheds`.
     Backpressure,
@@ -63,11 +63,6 @@ pub struct Config {
     pub workers: usize,
     /// Behaviour on queue overflow (parallel executor only).
     pub overflow: OverflowPolicy,
-    /// Maximum depth of tthreads triggering tthreads before
-    /// [`crate::error::Error::CascadeDepthExceeded`] aborts the cascade.
-    pub max_cascade_depth: u32,
-    /// Maximum bytes the tracked arena may grow to.
-    pub arena_capacity: u64,
     /// Number of lock stripes sharding the tracked-memory hot path (value
     /// compare + access counters). Always a power of two; `1` serializes
     /// every tracked access on one lock.
@@ -82,10 +77,6 @@ pub struct Config {
     /// atomic load and the rings are never allocated. Can also be flipped
     /// at runtime with [`crate::runtime::Runtime::set_observing`].
     pub observability: bool,
-    /// Capacity (events) of each observability ring. Rounded up to a power
-    /// of two; the oldest events are overwritten (and counted as dropped)
-    /// when a ring overflows between drains.
-    pub obs_ring_capacity: usize,
     /// Deterministic fault schedule (see [`crate::fault`]). `None` (the
     /// default) leaves every injection probe as a single relaxed atomic
     /// load that never fires.
@@ -115,9 +106,6 @@ pub struct Config {
     /// budget in microseconds and gives the storm time to subside.
     /// Counted in `commit_backoff_waits`.
     pub commit_backoff: Option<Duration>,
-    /// How many pending tthreads the triggering thread will drain inline
-    /// per overflow under [`OverflowPolicy::Backpressure`] before shedding.
-    pub backpressure_assist_budget: u32,
     /// Early cutoff for trigger waves: when a cascade-driven recomputation
     /// commits fully silently (zero non-silent watched lines), the wave
     /// stops there instead of invalidating downstream tthreads — the
@@ -127,11 +115,6 @@ pub struct Config {
     /// dataflow baseline), so the whole downstream chain recomputes on
     /// every upstream edit. On by default.
     pub early_cutoff: bool,
-    /// How long an idle worker (or a joiner) sleeps on its eventcount
-    /// before re-checking for work — the missed-wake rescue backstop.
-    /// Shorter timeouts bound the worst-case latency of a dropped wake at
-    /// the cost of more idle wakeups. Defaults to 50 ms.
-    pub park_timeout: Duration,
 }
 
 fn default_mem_shards() -> usize {
@@ -151,18 +134,13 @@ impl Default for Config {
             queue_capacity: 64,
             workers: 0,
             overflow: OverflowPolicy::default(),
-            max_cascade_depth: 64,
-            arena_capacity: 1 << 32,
             mem_shards: default_mem_shards(),
             observability: false,
-            obs_ring_capacity: 1024,
             fault_plan: None,
             body_deadline: None,
             commit_retry_cap: 8,
             commit_backoff: None,
-            backpressure_assist_budget: 4,
             early_cutoff: true,
-            park_timeout: crate::dispatch::PARK_TIMEOUT,
         }
     }
 }
@@ -209,18 +187,6 @@ impl Config {
         self
     }
 
-    /// Sets the maximum trigger-cascade depth.
-    pub fn with_max_cascade_depth(mut self, depth: u32) -> Self {
-        self.max_cascade_depth = depth;
-        self
-    }
-
-    /// Sets the tracked-arena capacity in bytes.
-    pub fn with_arena_capacity(mut self, bytes: u64) -> Self {
-        self.arena_capacity = bytes;
-        self
-    }
-
     /// Sets the tracked-memory shard count (rounded up to a power of two;
     /// `0` is treated as `1`).
     pub fn with_mem_shards(mut self, shards: usize) -> Self {
@@ -231,13 +197,6 @@ impl Config {
     /// Enables or disables lifecycle event recording from the start.
     pub fn with_observability(mut self, on: bool) -> Self {
         self.observability = on;
-        self
-    }
-
-    /// Sets the per-ring observability event capacity (rounded up to a
-    /// power of two; `0` is treated as `2`).
-    pub fn with_obs_ring_capacity(mut self, capacity: usize) -> Self {
-        self.obs_ring_capacity = capacity.max(2).next_power_of_two();
         self
     }
 
@@ -268,28 +227,10 @@ impl Config {
         self
     }
 
-    /// Sets the inline-drain budget for [`OverflowPolicy::Backpressure`].
-    pub fn with_backpressure_assist_budget(mut self, budget: u32) -> Self {
-        self.backpressure_assist_budget = budget;
-        self
-    }
-
     /// Enables or disables early cutoff of trigger waves (`false` restores
     /// invalidate-on-write propagation for ablations).
     pub fn with_early_cutoff(mut self, on: bool) -> Self {
         self.early_cutoff = on;
-        self
-    }
-
-    /// Sets the idle park timeout for workers and joiners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timeout` is zero (a zero timeout turns parking into a
-    /// spin loop).
-    pub fn with_park_timeout(mut self, timeout: Duration) -> Self {
-        assert!(!timeout.is_zero(), "park timeout must be nonzero");
-        self.park_timeout = timeout;
         self
     }
 
@@ -315,14 +256,11 @@ mod tests {
         assert!(cfg.mem_shards.is_power_of_two());
         assert!(cfg.mem_shards <= 256);
         assert!(!cfg.observability);
-        assert_eq!(cfg.obs_ring_capacity, 1024);
         assert_eq!(cfg.fault_plan, None);
         assert_eq!(cfg.body_deadline, None);
         assert_eq!(cfg.commit_retry_cap, 8);
         assert_eq!(cfg.commit_backoff, None);
-        assert_eq!(cfg.backpressure_assist_budget, 4);
         assert!(cfg.early_cutoff);
-        assert_eq!(cfg.park_timeout, crate::dispatch::PARK_TIMEOUT);
     }
 
     #[test]
@@ -334,18 +272,13 @@ mod tests {
             .with_queue_capacity(3)
             .with_workers(4)
             .with_overflow(OverflowPolicy::DeferToJoin)
-            .with_max_cascade_depth(7)
-            .with_arena_capacity(1024)
             .with_mem_shards(5)
             .with_observability(true)
-            .with_obs_ring_capacity(100)
             .with_fault_plan(crate::fault::FaultPlan::new(11))
             .with_body_deadline(Duration::from_millis(250))
             .with_commit_retry_cap(3)
             .with_commit_backoff(Duration::from_micros(50))
-            .with_backpressure_assist_budget(2)
-            .with_early_cutoff(false)
-            .with_park_timeout(Duration::from_millis(20));
+            .with_early_cutoff(false);
         assert_eq!(cfg.granularity, Granularity::Line);
         assert!(!cfg.suppress_silent_stores);
         assert!(!cfg.coalesce);
@@ -353,40 +286,22 @@ mod tests {
         assert_eq!(cfg.workers, 4);
         assert!(!cfg.is_deferred());
         assert_eq!(cfg.overflow, OverflowPolicy::DeferToJoin);
-        assert_eq!(cfg.max_cascade_depth, 7);
-        assert_eq!(cfg.arena_capacity, 1024);
         // Shard counts normalize to the next power of two.
         assert_eq!(cfg.mem_shards, 8);
         assert_eq!(Config::default().with_mem_shards(0).mem_shards, 1);
         assert_eq!(Config::default().with_mem_shards(1).mem_shards, 1);
         assert!(cfg.observability);
-        // Ring capacities normalize to the next power of two too.
-        assert_eq!(cfg.obs_ring_capacity, 128);
-        assert_eq!(
-            Config::default()
-                .with_obs_ring_capacity(0)
-                .obs_ring_capacity,
-            2
-        );
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.seed), Some(11));
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));
         assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
-        assert_eq!(cfg.backpressure_assist_budget, 2);
         assert!(!cfg.early_cutoff);
         assert!(Config::default().with_early_cutoff(true).early_cutoff);
-        assert_eq!(cfg.park_timeout, Duration::from_millis(20));
     }
 
     #[test]
     #[should_panic(expected = "queue capacity must be nonzero")]
     fn zero_queue_capacity_panics() {
         let _ = Config::default().with_queue_capacity(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "park timeout must be nonzero")]
-    fn zero_park_timeout_panics() {
-        let _ = Config::default().with_park_timeout(Duration::ZERO);
     }
 }

@@ -41,9 +41,17 @@ use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::{Inner, State};
-use crate::stats::Counters;
+use crate::stats::{Counters, Tally};
 use crate::trigger::TriggerHit;
 use crate::tthread::{TthreadId, TthreadStatus};
+
+/// Maximum depth of tthreads triggering tthreads before
+/// [`Error::CascadeDepthExceeded`] aborts the cascade.
+const MAX_CASCADE_DEPTH: u32 = 64;
+
+/// How many pending tthreads the triggering thread drains inline per
+/// overflow under [`OverflowPolicy::Backpressure`] before shedding.
+const BACKPRESSURE_ASSIST_BUDGET: u32 = 4;
 
 /// One store recorded by a detached execution, replayed at commit.
 pub(crate) struct LoggedStore {
@@ -247,7 +255,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
         // Locked mode holds the state lock, so the counter is a plain add on
         // the global stats; only the lock-free Accessor path needs the
-        // atomic per-shard slots.
+        // atomic counter bank.
         self.locked().stats.tracked_loads += 1;
         self.inner.mem.load(cell.addr())
     }
@@ -689,23 +697,11 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// the push with the original token, and shed to Triggered when the
     /// assist budget runs out. A victim whose entry went stale (stolen by a
     /// join) costs an assist round but no execution.
-    ///
-    /// Pending-length audit: each loop iteration pairs exactly one `pop`
-    /// (global `len` −1) with at most one successful `push` (`len` +1,
-    /// reserved before the shard insert); a stale victim decrements
-    /// nothing further — its entry left the queue with the pop — so the
-    /// reservation counter and the physical shard contents stay equal at
-    /// quiescence. The proptest suite pins this via
-    /// `Runtime::pending_queue_consistency`. The `pop(0)` here is the
-    /// deliberately ownership-blind scan: the assisting thread may drain
-    /// any shard, not just one worker's.
     fn backpressure(&mut self, id: TthreadId, token: u64) {
-        use crate::dispatch::PendingPush;
         let inner = self.inner;
         let dispatch = &inner.dispatch;
-        let budget = inner.cfg.backpressure_assist_budget;
-        for _ in 0..budget {
-            let Some((vraw, vtoken)) = dispatch.pending.pop(0) else {
+        for _ in 0..BACKPRESSURE_ASSIST_BUDGET {
+            let Some((vraw, vtoken)) = dispatch.pending.pop() else {
                 break;
             };
             let victim = TthreadId::new(vraw);
@@ -713,17 +709,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 self.locked().stats.backpressure_waits += 1;
                 self.run_inline(victim);
             } else {
-                dispatch.counters.stale_skip(victim.index());
+                inner
+                    .counters
+                    .add(victim.index(), Tally::QueueStaleSkips, 1);
             }
-            match dispatch.pending.push(id.index() as u32, token) {
-                PendingPush::Pushed => {
-                    dispatch.counters.enqueued(id.index());
-                    let occupancy = dispatch.pending.len() as u64;
-                    self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                    inner.wake_worker(id.index());
-                    return;
-                }
-                PendingPush::Full => {}
+            if dispatch.pending.push(id.index() as u32, token) {
+                inner.counters.add(id.index(), Tally::Enqueues, 1);
+                let occupancy = dispatch.pending.len() as u64;
+                self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
+                inner.wake_worker(id.index());
+                return;
             }
         }
         self.locked().stats.overflow_sheds += 1;
@@ -743,16 +738,15 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     ///
     /// # Panics
     ///
-    /// Panics if the trigger cascade exceeds
-    /// [`crate::config::Config::max_cascade_depth`]. A panic from the
-    /// tthread body itself is re-raised after the tthread is marked
-    /// poisoned, so the runtime stays usable.
+    /// Panics if the trigger cascade exceeds [`MAX_CASCADE_DEPTH`]. A panic
+    /// from the tthread body itself is re-raised after the tthread is
+    /// marked poisoned, so the runtime stays usable.
     pub(crate) fn run_inline(&mut self, id: TthreadId) {
         let next_depth = self.depth + 1;
         assert!(
-            next_depth <= self.inner.cfg.max_cascade_depth,
+            next_depth <= MAX_CASCADE_DEPTH,
             "{}",
-            Error::CascadeDepthExceeded(self.inner.cfg.max_cascade_depth)
+            Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
         );
         let func = self.inner.tthread_fn(id);
         let inner = self.inner;

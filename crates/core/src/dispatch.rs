@@ -1,5 +1,5 @@
 //! Lock-free trigger dispatch: the atomic tthread status machine, the
-//! sharded pending queue, and the worker eventcount.
+//! bounded pending queue, and the worker eventcount.
 //!
 //! The HPCA'11 hardware updates its thread status table with single-cycle
 //! state transitions; the software runtime originally serialized every one
@@ -47,7 +47,7 @@
 //!
 //! # Lock order
 //!
-//! The pending-queue shard mutexes and the eventcount mutex are leaf
+//! state lock → pending-queue mutex / eventcount mutex. The two are leaf
 //! locks: they may be acquired while holding the state lock (commit-path
 //! cascades enqueue under it) but never the other way around, and nothing
 //! else is ever acquired under them.
@@ -389,198 +389,80 @@ impl SlotTable {
     }
 }
 
-/// Whether a [`ShardedQueue::push`] landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PendingPush {
-    /// The entry was enqueued.
-    Pushed,
-    /// The queue was at capacity; the caller applies its overflow policy.
-    Full,
-}
-
-/// One pending-queue shard: `(tthread index, token)` entries in FIFO
-/// order, plus a mirror of the deque length maintained under the shard
-/// lock so the steal scan and the pop fast path can read occupancy
-/// without taking any lock.
-#[derive(Debug, Default)]
-struct PendingShard {
-    entries: Mutex<VecDeque<(u32, u64)>>,
-    occupancy: AtomicUsize,
-}
-
-/// The sharded MPMC pending queue: entries are `(tthread index, token)`
-/// pairs, sharded by tthread index. Capacity is enforced globally with
-/// an atomic length, so the overflow policy sees one bound however the
-/// entries spread over the shards.
+/// The bounded pending queue: `(tthread index, token)` entries in one
+/// FIFO, the software analogue of the paper's thread queue in front of the
+/// status table. The deque length under the lock *is* the capacity check,
+/// so capacity is exact under any number of concurrent pushers. `len`
+/// mirrors the deque length and `high` its maximum, both written only
+/// under the lock — the watermark never counts an entry that was not in
+/// the deque — so the park predicate and the occupancy reads need no lock.
 ///
-/// # Shard ownership and stealing
-///
-/// With `W` workers over `S` shards, worker `w` *owns* shards
-/// `{s : s mod W == w}` — every shard has exactly one owner, so no entry
-/// can be stranded on a shard nobody drains. [`ShardedQueue::pop_local`]
-/// pops only owned shards; an idle worker then calls
-/// [`ShardedQueue::steal_into`] to migrate a batch from the fullest
-/// foreign shard before parking. Cross-shard migration cannot reorder one
-/// tthread's executions: the status machine admits at most one live queue
-/// entry per tthread (duplicate triggers absorb into RF), and any stale
-/// duplicate fails its token validation at claim time — FIFO-per-tthread
-/// rests on the ABA tokens, not on queue position.
+/// Queue position carries no ordering obligation: the status machine
+/// admits at most one live entry per tthread (duplicate triggers absorb
+/// into RF) and a stale duplicate fails its token validation at claim
+/// time — FIFO-per-tthread rests on the ABA tokens.
 #[derive(Debug)]
-pub(crate) struct ShardedQueue {
-    shards: Box<[PendingShard]>,
-    mask: usize,
+pub(crate) struct PendingQueue {
+    entries: Mutex<VecDeque<(u32, u64)>>,
     len: AtomicUsize,
-    capacity: usize,
     high: AtomicUsize,
+    capacity: usize,
 }
 
-impl ShardedQueue {
-    /// Creates a queue of `capacity` entries over `shards` shards
-    /// (rounded up to a power of two).
+impl PendingQueue {
+    /// Creates a queue of `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub(crate) fn new(capacity: usize, shards: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be nonzero");
-        let n = shards.max(1).next_power_of_two();
-        ShardedQueue {
-            shards: (0..n).map(|_| PendingShard::default()).collect(),
-            mask: n - 1,
+        PendingQueue {
+            entries: Mutex::new(VecDeque::new()),
             len: AtomicUsize::new(0),
-            capacity,
             high: AtomicUsize::new(0),
+            capacity,
         }
     }
 
-    /// Attempts to enqueue `(id, token)`. Coalescing happens in the status
-    /// word before this is called, so every push is a distinct pending
-    /// execution.
-    pub(crate) fn push(&self, id: u32, token: u64) -> PendingPush {
-        // Reserve a slot first so capacity is exact under concurrency.
-        if self
-            .len
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < self.capacity).then(|| n + 1)
-            })
-            .is_err()
-        {
-            return PendingPush::Full;
+    /// Attempts to enqueue `(id, token)`; `false` means the queue was at
+    /// capacity and the caller applies its overflow policy. Coalescing
+    /// happens in the status word before this is called, so every push is
+    /// a distinct pending execution.
+    pub(crate) fn push(&self, id: u32, token: u64) -> bool {
+        let mut entries = self.entries.lock();
+        if entries.len() == self.capacity {
+            return false;
         }
-        let occupied = {
-            let shard = &self.shards[id as usize & self.mask];
-            let mut entries = shard.entries.lock();
-            entries.push_back((id, token));
-            shard.occupancy.store(entries.len(), Ordering::Release);
-            self.len.load(Ordering::SeqCst)
-        };
-        self.high.fetch_max(occupied, Ordering::Relaxed);
-        PendingPush::Pushed
+        entries.push_back((id, token));
+        // `len` is an occupancy hint — the deque itself is only read under
+        // the lock — so it needs no ordering of its own: a parker learns of
+        // this push through the eventcount's SeqCst epoch bump that follows
+        // it (`Waiters::wake_one`), or through the eventcount mutex if it
+        // was already asleep, and either edge carries this store with it.
+        // Release/Acquire (not SeqCst) keeps a full fence out of the
+        // critical section. `high` is only written here, under the lock.
+        self.len.store(entries.len(), Ordering::Release);
+        if entries.len() > self.high.load(Ordering::Relaxed) {
+            self.high.store(entries.len(), Ordering::Relaxed);
+        }
+        true
     }
 
-    /// Pops one entry from shard `s` if it has one.
-    fn pop_shard(&self, s: usize) -> Option<(u32, u64)> {
-        if self.shards[s].occupancy.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let shard = &self.shards[s];
-        let mut entries = shard.entries.lock();
-        let entry = entries.pop_front()?;
-        shard.occupancy.store(entries.len(), Ordering::Release);
-        self.len.fetch_sub(1, Ordering::SeqCst);
-        Some(entry)
-    }
-
-    /// Pops one entry, scanning every shard round-robin from `start` so
-    /// callers with different indices drain different shards first. This
-    /// is the ownership-blind scan used by the backpressure assist and the
-    /// single-consumer paths; workers use [`ShardedQueue::pop_local`].
-    pub(crate) fn pop(&self, start: usize) -> Option<(u32, u64)> {
+    /// Pops the oldest entry.
+    pub(crate) fn pop(&self) -> Option<(u32, u64)> {
         if self.is_empty() {
             return None;
         }
-        for k in 0..self.shards.len() {
-            if let Some(entry) = self.pop_shard((start + k) & self.mask) {
-                return Some(entry);
-            }
-        }
-        None
-    }
-
-    /// Pops one entry from worker `worker`'s own shards (`s mod workers ==
-    /// worker`), scanning them round-robin.
-    pub(crate) fn pop_local(&self, worker: usize, workers: usize) -> Option<(u32, u64)> {
-        let workers = workers.max(1);
-        let mut s = worker % workers;
-        while s < self.shards.len() {
-            if let Some(entry) = self.pop_shard(s) {
-                return Some(entry);
-            }
-            s += workers;
-        }
-        None
-    }
-
-    /// Steals a batch from the fullest *foreign* shard into worker
-    /// `worker`'s first own shard: drains half the victim (rounded up),
-    /// returns the first stolen entry for immediate execution and the
-    /// total number migrated. The two shard locks are never held
-    /// simultaneously (drain to a local buffer, release the victim, then
-    /// lock the destination), so concurrent stealers cannot deadlock.
-    /// Global `len` is untouched except for the returned entry, which is
-    /// popped.
-    pub(crate) fn steal_into(&self, worker: usize, workers: usize) -> Option<((u32, u64), usize)> {
-        let workers = workers.max(1);
-        // Pick the fullest shard owned by someone else (relaxed scan; a
-        // stale read only costs a wasted lock or a missed victim, and the
-        // timed park bounds the miss).
-        let mut victim = None;
-        let mut best = 0;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if s % workers == worker % workers {
-                continue;
-            }
-            let occ = shard.occupancy.load(Ordering::Acquire);
-            if occ > best {
-                best = occ;
-                victim = Some(s);
-            }
-        }
-        let victim = victim?;
-        let mut batch = {
-            let shard = &self.shards[victim];
-            let mut entries = shard.entries.lock();
-            let take = entries.len().div_ceil(2);
-            let batch: Vec<(u32, u64)> = entries.drain(..take).collect();
-            shard.occupancy.store(entries.len(), Ordering::Release);
-            batch
-        };
-        if batch.is_empty() {
-            return None;
-        }
-        let first = batch.remove(0);
-        self.len.fetch_sub(1, Ordering::SeqCst);
-        let moved = 1 + batch.len();
-        if !batch.is_empty() {
-            let dest = &self.shards[worker % workers];
-            let mut entries = dest.entries.lock();
-            entries.extend(batch);
-            dest.occupancy.store(entries.len(), Ordering::Release);
-        }
-        Some((first, moved))
+        let mut entries = self.entries.lock();
+        let entry = entries.pop_front()?;
+        self.len.store(entries.len(), Ordering::Release);
+        Some(entry)
     }
 
     /// Entries currently queued (including not-yet-skipped stale ones).
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
-    }
-
-    /// Counts the entries physically present in the shards, under their
-    /// locks. At any quiescent point this must equal [`ShardedQueue::len`]
-    /// — the consistency check the proptest suite asserts to rule out
-    /// double-decrements on the stale-skip and overflow paths.
-    pub(crate) fn physical_len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether the queue is empty.
@@ -711,147 +593,12 @@ impl Waiters {
     }
 }
 
-/// Sharded dispatch-side counters, mirroring
-/// [`crate::stats::AccessCounters`]: bumped lock-free on the raise path,
-/// folded into [`crate::stats::Counters`] on demand.
-#[derive(Debug)]
-pub(crate) struct DispatchCounters {
-    slots: Box<[DispatchCounterSlot]>,
-    mask: usize,
-}
-
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct DispatchCounterSlot {
-    triggering_stores: AtomicU64,
-    triggers_fired: AtomicU64,
-    false_triggers: AtomicU64,
-    coalesced_triggers: AtomicU64,
-    enqueues: AtomicU64,
-    worker_wakes: AtomicU64,
-    worker_parks: AtomicU64,
-    queue_stale_skips: AtomicU64,
-    steals: AtomicU64,
-    steal_batches: AtomicU64,
-    park_timeouts: AtomicU64,
-}
-
-const COUNTER_SLOTS: usize = 8;
-
-impl DispatchCounters {
-    pub(crate) fn new() -> Self {
-        DispatchCounters {
-            slots: (0..COUNTER_SLOTS)
-                .map(|_| DispatchCounterSlot::default())
-                .collect(),
-            mask: COUNTER_SLOTS - 1,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, key: usize) -> &DispatchCounterSlot {
-        &self.slots[key & self.mask]
-    }
-
-    #[inline]
-    pub(crate) fn triggering_store(&self, key: usize) {
-        self.slot(key)
-            .triggering_stores
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn trigger_fired(&self, key: usize, precise: bool) {
-        let s = self.slot(key);
-        s.triggers_fired.fetch_add(1, Ordering::Relaxed);
-        if !precise {
-            s.false_triggers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn coalesced(&self, key: usize) {
-        self.slot(key)
-            .coalesced_triggers
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn enqueued(&self, key: usize) {
-        self.slot(key).enqueues.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn worker_wake(&self, key: usize) {
-        self.slot(key).worker_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn worker_park(&self, key: usize) {
-        self.slot(key).worker_parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn stale_skip(&self, key: usize) {
-        self.slot(key)
-            .queue_stale_skips
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts one steal batch that migrated `moved` entries.
-    #[inline]
-    pub(crate) fn stole(&self, key: usize, moved: u64) {
-        let s = self.slot(key);
-        s.steals.fetch_add(moved, Ordering::Relaxed);
-        s.steal_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn park_timeout(&self, key: usize) {
-        self.slot(key).park_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds the sharded tallies into `stats`.
-    pub(crate) fn fold_into(&self, stats: &mut crate::stats::Counters) {
-        for s in self.slots.iter() {
-            stats.triggering_stores += s.triggering_stores.load(Ordering::Relaxed);
-            stats.triggers_fired += s.triggers_fired.load(Ordering::Relaxed);
-            stats.false_triggers += s.false_triggers.load(Ordering::Relaxed);
-            stats.coalesced_triggers += s.coalesced_triggers.load(Ordering::Relaxed);
-            stats.enqueues += s.enqueues.load(Ordering::Relaxed);
-            stats.worker_wakes += s.worker_wakes.load(Ordering::Relaxed);
-            stats.worker_parks += s.worker_parks.load(Ordering::Relaxed);
-            stats.queue_stale_skips += s.queue_stale_skips.load(Ordering::Relaxed);
-            stats.steals += s.steals.load(Ordering::Relaxed);
-            stats.steal_batches += s.steal_batches.load(Ordering::Relaxed);
-            stats.park_timeouts += s.park_timeouts.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Zeroes every tally.
-    pub(crate) fn reset(&self) {
-        for s in self.slots.iter() {
-            s.triggering_stores.store(0, Ordering::Relaxed);
-            s.triggers_fired.store(0, Ordering::Relaxed);
-            s.false_triggers.store(0, Ordering::Relaxed);
-            s.coalesced_triggers.store(0, Ordering::Relaxed);
-            s.enqueues.store(0, Ordering::Relaxed);
-            s.worker_wakes.store(0, Ordering::Relaxed);
-            s.worker_parks.store(0, Ordering::Relaxed);
-            s.queue_stale_skips.store(0, Ordering::Relaxed);
-            s.steals.store(0, Ordering::Relaxed);
-            s.steal_batches.store(0, Ordering::Relaxed);
-            s.park_timeouts.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Everything the lock-free dispatch path owns, grouped in
 /// [`crate::runtime::Inner`].
 #[derive(Debug)]
 pub(crate) struct Dispatch {
     pub(crate) slots: SlotTable,
-    pub(crate) pending: ShardedQueue,
+    pub(crate) pending: PendingQueue,
     pub(crate) waiters: Waiters,
     /// The completion eventcount joins park on: workers (and
     /// inline completions) broadcast here after any transition out of
@@ -859,17 +606,15 @@ pub(crate) struct Dispatch {
     /// committing to sleep — the join-side analogue of the worker
     /// eventcount, with the slot token as the generation counter.
     pub(crate) completions: Waiters,
-    pub(crate) counters: DispatchCounters,
 }
 
 impl Dispatch {
-    pub(crate) fn new(queue_capacity: usize, queue_shards: usize) -> Self {
+    pub(crate) fn new(queue_capacity: usize) -> Self {
         Dispatch {
             slots: SlotTable::new(),
-            pending: ShardedQueue::new(queue_capacity, queue_shards),
+            pending: PendingQueue::new(queue_capacity),
             waiters: Waiters::default(),
             completions: Waiters::default(),
-            counters: DispatchCounters::new(),
         }
     }
 }
@@ -1086,130 +831,70 @@ mod tests {
     }
 
     #[test]
-    fn sharded_queue_capacity_and_watermark() {
-        let q = ShardedQueue::new(2, 4);
-        assert_eq!(q.push(0, 1), PendingPush::Pushed);
-        assert_eq!(q.push(1, 1), PendingPush::Pushed);
-        assert_eq!(q.push(2, 1), PendingPush::Full);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.high_watermark(), 2);
-        assert!(q.pop(0).is_some());
-        assert_eq!(q.push(2, 1), PendingPush::Pushed);
-        let mut drained = Vec::new();
-        while let Some(e) = q.pop(0) {
-            drained.push(e);
+    fn pending_queue_is_fifo_with_a_watermark() {
+        let q = PendingQueue::new(4);
+        for t in 1..=3u64 {
+            assert!(q.push(5, t));
         }
-        assert_eq!(drained.len(), 2);
+        assert_eq!(q.high_watermark(), 3);
+        assert_eq!(q.pop(), Some((5, 1)));
+        assert!(q.push(7, 4));
+        assert_eq!(q.high_watermark(), 3, "3 → 2 → 3: never more than 3");
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained, vec![(5, 2), (5, 3), (7, 4)]);
         assert!(q.is_empty());
-        assert_eq!(q.high_watermark(), 2);
+        assert_eq!(q.high_watermark(), 3);
     }
 
-    #[test]
-    fn sharded_queue_keeps_per_tthread_fifo() {
-        let q = ShardedQueue::new(16, 4);
-        // Same id → same shard → FIFO per tthread.
-        q.push(5, 1);
-        q.push(5, 2);
-        q.push(5, 3);
-        let mut tokens = Vec::new();
-        while let Some((id, tok)) = q.pop(3) {
-            assert_eq!(id, 5);
-            tokens.push(tok);
-        }
-        assert_eq!(tokens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn pop_local_respects_shard_ownership() {
-        // 4 shards, 2 workers: worker 0 owns shards {0, 2}, worker 1 owns
-        // {1, 3}. Ids map to shards by id & 3.
-        let q = ShardedQueue::new(16, 4);
-        q.push(0, 1); // shard 0
-        q.push(1, 1); // shard 1
-        q.push(2, 1); // shard 2
-        q.push(3, 1); // shard 3
-        let mut w0 = Vec::new();
-        while let Some((id, _)) = q.pop_local(0, 2) {
-            w0.push(id);
-        }
-        assert_eq!(w0, vec![0, 2]);
-        assert_eq!(q.len(), 2);
-        let mut w1 = Vec::new();
-        while let Some((id, _)) = q.pop_local(1, 2) {
-            w1.push(id);
-        }
-        assert_eq!(w1, vec![1, 3]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn every_shard_has_an_owner_when_workers_do_not_divide_shards() {
-        // 8 shards, 3 workers: ownership is s mod 3, so shards 6 and 7
-        // fall to workers 0 and 1 — nothing is stranded.
-        let q = ShardedQueue::new(64, 8);
-        for id in 0..8u32 {
-            q.push(id, 1);
-        }
-        let mut drained = 0;
-        for w in 0..3 {
-            while q.pop_local(w, 3).is_some() {
-                drained += 1;
+    /// Runs two pushers, 64 attempts each, against `q`; `drain` runs on
+    /// the test thread until both are done. Returns how many pushes landed.
+    fn race_two_pushers(q: &PendingQueue, mut drain: impl FnMut()) -> usize {
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let pushers: Vec<_> = (0..2u32)
+                .map(|p| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        (0..64u64).filter(|&t| q.push(p, t)).count()
+                    })
+                })
+                .collect();
+            start.wait();
+            while pushers.iter().any(|h| !h.is_finished()) {
+                drain();
             }
-        }
-        assert_eq!(drained, 8);
+            pushers.into_iter().map(|h| h.join().unwrap()).sum()
+        })
     }
 
     #[test]
-    fn steal_takes_half_of_the_fullest_foreign_shard() {
-        // 4 shards, 4 workers: worker 3 owns shard 3, which is empty;
-        // shard 1 (worker 1's) is the fullest victim with 5 entries.
-        let q = ShardedQueue::new(64, 4);
-        for t in 1..=5u64 {
-            q.push(1, t);
-        }
-        q.push(0, 9);
-        assert!(q.pop_local(3, 4).is_none());
-        let ((id, tok), moved) = q.steal_into(3, 4).expect("victim available");
-        assert_eq!((id, tok), (1, 1), "steal preserves the victim's FIFO");
-        assert_eq!(moved, 3, "half of 5, rounded up");
-        // The rest of the batch landed on worker 3's own shard, in order.
-        assert_eq!(q.pop_local(3, 4), Some((1, 2)));
-        assert_eq!(q.pop_local(3, 4), Some((1, 3)));
-        assert!(q.pop_local(3, 4).is_none());
-        // The victim kept its tail, still in order.
-        assert_eq!(q.pop_local(1, 4), Some((1, 4)));
-        assert_eq!(q.pop_local(1, 4), Some((1, 5)));
-        // Global accounting held throughout.
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.physical_len(), 1);
-        assert_eq!(q.pop_local(0, 4), Some((0, 9)));
+    fn pending_queue_capacity_and_watermark_are_exact_under_concurrent_pushers() {
+        // 128 racing pushes at 5 slots: exactly 5 land.
+        let q = PendingQueue::new(5);
+        assert_eq!(race_two_pushers(&q, || assert!(q.len() <= 5)), 5);
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.high_watermark(), 5);
+        // With room to spare every push lands, and the watermark — taken
+        // under the queue lock, not from a reservation counter that also
+        // counts pushers yet to insert — is the deque's own maximum: with
+        // no popper, the number of entries that landed.
+        let q = PendingQueue::new(256);
+        assert_eq!(race_two_pushers(&q, || {}), 128);
+        assert_eq!(q.high_watermark(), 128);
+    }
+
+    #[test]
+    fn pending_queue_len_mirror_matches_the_deque_after_mixed_traffic() {
+        let q = PendingQueue::new(8);
+        let mut popped = 0;
+        let pushed = race_two_pushers(&q, || popped += usize::from(q.pop().is_some()));
+        assert_eq!(q.len(), pushed - popped);
+        assert_eq!(q.entries.lock().len(), q.len());
+        assert!((q.len()..=8).contains(&q.high_watermark()));
+        while q.pop().is_some() {}
+        assert_eq!(q.entries.lock().len(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn steal_finds_nothing_when_only_own_shards_hold_work() {
-        let q = ShardedQueue::new(16, 4);
-        q.push(2, 1); // shard 2, owned by worker 2 of 4
-        assert!(q.steal_into(2, 4).is_none());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.physical_len(), 1);
-    }
-
-    #[test]
-    fn physical_len_matches_atomic_len_through_mixed_traffic() {
-        let q = ShardedQueue::new(8, 4);
-        for id in 0..8u32 {
-            assert_eq!(q.push(id, u64::from(id)), PendingPush::Pushed);
-        }
-        assert_eq!(q.push(8, 8), PendingPush::Full);
-        assert_eq!(q.physical_len(), q.len());
-        q.pop(0);
-        q.pop_local(1, 2);
-        q.steal_into(0, 4);
-        assert_eq!(q.physical_len(), q.len());
-        while q.pop(0).is_some() {}
-        assert_eq!(q.physical_len(), 0);
-        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -1316,38 +1001,5 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(1));
         assert_eq!(w.epoch.load(Ordering::SeqCst), epoch_before + 1);
         assert_eq!(w.sleepers.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn dispatch_counters_fold_and_reset() {
-        let c = DispatchCounters::new();
-        for i in 0..20 {
-            c.triggering_store(i);
-            c.trigger_fired(i, i % 2 == 0);
-            c.coalesced(i);
-            c.enqueued(i);
-            c.worker_wake(i);
-            c.worker_park(i);
-            c.stale_skip(i);
-            c.stole(i, 3);
-            c.park_timeout(i);
-        }
-        let mut stats = crate::stats::Counters::new();
-        c.fold_into(&mut stats);
-        assert_eq!(stats.triggering_stores, 20);
-        assert_eq!(stats.triggers_fired, 20);
-        assert_eq!(stats.false_triggers, 10);
-        assert_eq!(stats.coalesced_triggers, 20);
-        assert_eq!(stats.enqueues, 20);
-        assert_eq!(stats.worker_wakes, 20);
-        assert_eq!(stats.worker_parks, 20);
-        assert_eq!(stats.queue_stale_skips, 20);
-        assert_eq!(stats.steals, 60);
-        assert_eq!(stats.steal_batches, 20);
-        assert_eq!(stats.park_timeouts, 20);
-        c.reset();
-        let mut stats = crate::stats::Counters::new();
-        c.fold_into(&mut stats);
-        assert_eq!(stats.triggers_fired, 0);
     }
 }

@@ -29,7 +29,7 @@ pub enum Error {
     },
     /// `unwatch` named a region that was never watched by that tthread.
     NoSuchWatch(TthreadId),
-    /// A cascade of tthreads triggering tthreads exceeded the configured depth.
+    /// A cascade of tthreads triggering tthreads exceeded the maximum depth.
     CascadeDepthExceeded(u32),
     /// The tthread's body panicked during a previous execution; its outputs
     /// are suspect until the poison is cleared.

@@ -51,40 +51,36 @@ pub enum FaultPoint {
     /// bump and the notification are both suppressed, simulating a true
     /// lost wakeup. The timed park must still make progress.
     WakeDrop = 7,
-    /// A worker's steal attempt is suppressed: the idle worker parks as if
-    /// every foreign shard were empty. The timed park (and the next real
-    /// wake) must keep foreign work flowing.
-    StealBatch = 8,
     /// A completion wake on the join eventcount is dropped — a joiner
     /// parked on the tthread's status word is not notified and must be
     /// rescued by its timed park.
-    JoinWake = 9,
+    JoinWake = 8,
     /// A cascade raise is swallowed: a committed non-silent store that
     /// would have raised a downstream tthread's slot is dropped before
     /// the raise. The downstream tthread must still converge via a later
     /// wave or an explicit join/mark-dirty — the wave identity excludes
     /// dropped raises.
-    CascadeDrop = 10,
+    CascadeDrop = 9,
     /// A client connection is dropped mid-batch by the serve front-end:
     /// an admitted request's connection is severed before its response is
     /// written. The request must be counted in `dropped_conns` so the
     /// request-lifecycle conservation identity still balances (serve-layer
     /// point; never probed by the runtime core).
-    ConnDrop = 11,
+    ConnDrop = 10,
     /// A slow-client stall: the serve front-end's frame read is stretched
     /// by the plan's delay, simulating a client that trickles bytes. The
     /// connection's read deadline — not a wedge — must bound the handler
     /// (serve-layer point; never probed by the runtime core).
-    ClientStall = 12,
+    ClientStall = 11,
     /// The serve front-end's admission queue reports overflow regardless
     /// of actual occupancy, forcing the explicit `Shed` response path
     /// (serve-layer point; never probed by the runtime core).
-    AcceptOverflow = 13,
+    AcceptOverflow = 12,
 }
 
 impl FaultPoint {
     /// Every injection point, in discriminant order.
-    pub const ALL: [FaultPoint; 14] = [
+    pub const ALL: [FaultPoint; 13] = [
         FaultPoint::Enqueue,
         FaultPoint::Dequeue,
         FaultPoint::BodyStart,
@@ -93,7 +89,6 @@ impl FaultPoint {
         FaultPoint::ObsPublish,
         FaultPoint::WorkerSchedule,
         FaultPoint::WakeDrop,
-        FaultPoint::StealBatch,
         FaultPoint::JoinWake,
         FaultPoint::CascadeDrop,
         FaultPoint::ConnDrop,
@@ -101,11 +96,11 @@ impl FaultPoint {
         FaultPoint::AcceptOverflow,
     ];
 
-    /// The points probed by the runtime core itself (the first eleven).
+    /// The points probed by the runtime core itself (the first ten).
     /// The chaos harness derives its randomized schedules over this
     /// subset, keeping existing seeds' derivations stable; the serve
     /// front-end's points are armed by its own scenarios.
-    pub const CORE: [FaultPoint; 11] = [
+    pub const CORE: [FaultPoint; 10] = [
         FaultPoint::Enqueue,
         FaultPoint::Dequeue,
         FaultPoint::BodyStart,
@@ -114,7 +109,6 @@ impl FaultPoint {
         FaultPoint::ObsPublish,
         FaultPoint::WorkerSchedule,
         FaultPoint::WakeDrop,
-        FaultPoint::StealBatch,
         FaultPoint::JoinWake,
         FaultPoint::CascadeDrop,
     ];
@@ -145,7 +139,6 @@ impl FaultPoint {
             FaultPoint::ObsPublish => "obs-publish",
             FaultPoint::WorkerSchedule => "worker-schedule",
             FaultPoint::WakeDrop => "wake-drop",
-            FaultPoint::StealBatch => "steal-batch",
             FaultPoint::JoinWake => "join-wake",
             FaultPoint::CascadeDrop => "cascade-drop",
             FaultPoint::ConnDrop => "conn-drop",

@@ -92,7 +92,7 @@
 //! | [`handle`] | typed [`Tracked`]/[`TrackedArray`] handles |
 //! | [`trigger`] | the store-address → tthread trigger table |
 //! | [`tthread`] | tthread ids and the thread status table |
-//! | `dispatch` | the lock-free status word, sharded pending queue, eventcount |
+//! | `dispatch` | the lock-free status word, the bounded pending FIFO, the two eventcounts |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
@@ -100,7 +100,7 @@
 //! | [`deadline`] | monotonic body-deadline and commit-backoff arithmetic |
 //! | [`accessor`] | concurrent tracked access off the state lock |
 //! | [`runtime`] | the [`Runtime`] façade and executors |
-//! | [`config`], [`stats`], [`error`] | knobs, counters, errors |
+//! | [`config`], [`stats`], [`error`] | knobs, counters (under-lock [`stats::Counters`] + the lock-free bank folded into it), errors |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -320,6 +320,11 @@ impl ObsRecording {
     }
 }
 
+/// Capacity (events) of each ring a [`crate::runtime::Runtime`] allocates;
+/// the oldest events are overwritten (and counted as dropped) when a ring
+/// overflows between drains.
+pub(crate) const OBS_RING_CAPACITY: usize = 1024;
+
 /// The per-runtime event recorder: an enable flag, lazily allocated rings,
 /// the global sequence counter and the time base.
 #[derive(Debug)]

@@ -17,7 +17,7 @@ use crate::addr::AddrRange;
 use crate::config::Config;
 use crate::ctx::{Ctx, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
-use crate::dispatch::{Dispatch, ParkOutcome, PendingPush, RaiseStep};
+use crate::dispatch::{Dispatch, ParkOutcome, RaiseStep, PARK_TIMEOUT};
 use crate::error::{Error, Result};
 use crate::fault::{FaultLayer, FaultPoint};
 use crate::filter::WatchFilter;
@@ -25,9 +25,9 @@ use crate::graph::{DepGraph, GraphEdge};
 use crate::handle::{Tracked, TrackedArray, TrackedMatrix};
 use crate::heap::TrackedHeap;
 use crate::mem::ShardedMem;
-use crate::obs::{EventKind, ObsRecorder, ObsRecording};
+use crate::obs::{EventKind, ObsRecorder, ObsRecording, OBS_RING_CAPACITY};
 use crate::pod::Pod;
-use crate::stats::{AccessCounters, Counters, StatsSnapshot};
+use crate::stats::{CounterBank, Counters, StatsSnapshot, Tally};
 use crate::trigger::{LookupScratch, TriggerTable};
 use crate::tthread::{StatusTable, TthreadId, TthreadStatus};
 
@@ -58,6 +58,9 @@ pub enum JoinOutcome {
     Waited,
 }
 
+/// Maximum bytes the tracked arena may grow to.
+const ARENA_CAPACITY: u64 = 1 << 32;
+
 type TthreadFn<U> = Arc<dyn Fn(&mut Ctx<'_, U>) + Send + Sync>;
 
 pub(crate) struct TthreadEntry<U> {
@@ -68,11 +71,11 @@ pub(crate) struct TthreadEntry<U> {
 /// The genuinely serial part of the runtime, behind the state lock: the
 /// tthread status table, user state, and the state-machine counters.
 ///
-/// Tracked memory ([`ShardedMem`]), the trigger table, and the access-side
-/// counters live *outside* this lock (in [`Inner`]) so tracked loads and
-/// stores scale across threads, and the status machine and pending queue
-/// are lock-free (`dispatch::Dispatch`); only commits, inline runs and
-/// overflow handling come back here.
+/// Tracked memory ([`ShardedMem`]), the trigger table, and the lock-free
+/// counter bank live *outside* this lock (in [`Inner`]) so tracked loads and
+/// stores scale across threads, and the status machine is lock-free with
+/// the pending queue behind its own leaf mutex (`dispatch::Dispatch`);
+/// only commits, inline runs and overflow handling come back here.
 pub struct State<U> {
     pub(crate) user: U,
     pub(crate) tst: StatusTable,
@@ -108,8 +111,9 @@ pub(crate) struct Inner<U> {
     /// rebuild); may over-approximate, never under-approximates an active
     /// watch.
     pub(crate) watch_filter: WatchFilter,
-    /// Sharded access-side counters, folded into `State::stats` on demand.
-    pub(crate) access: AccessCounters,
+    /// Every counter bumped without the state lock (accessor stores, raises,
+    /// the worker loop), folded with `State::stats` on demand.
+    pub(crate) counters: CounterBank,
     /// Lifecycle event recorder (see [`crate::obs`]). Every hook checks
     /// `obs.on()` — one relaxed load — before doing any observability work.
     pub(crate) obs: ObsRecorder,
@@ -118,8 +122,8 @@ pub(crate) struct Inner<U> {
     /// installed. Shared with the obs recorder for the ring-publish probe.
     pub(crate) fault: Arc<FaultLayer>,
     /// The lock-free dispatch half of the TST: per-tthread atomic status
-    /// words, the sharded pending queue, the worker and completion
-    /// eventcounts, and the sharded dispatch counters.
+    /// words, the bounded pending queue, and the worker and completion
+    /// eventcounts.
     pub(crate) dispatch: Dispatch,
     tthreads: RwLock<Vec<TthreadEntry<U>>>,
     shutdown: AtomicBool,
@@ -143,14 +147,14 @@ impl<U> Inner<U> {
     }
 
     /// Advances `id`'s status machine for one trigger without the state
-    /// lock. Counts the per-tthread trigger and the dispatch-side
-    /// machinery counters in the sharded atomic slots.
+    /// lock. Counts the per-tthread trigger in its slot and the
+    /// dispatch-side machinery in the counter bank.
     pub(crate) fn raise(&self, id: TthreadId) -> Raise {
         let slot = self.dispatch.slots.slot(id.index());
         slot.triggers.fetch_add(1, Ordering::Relaxed);
         match slot.raise(self.cfg.is_deferred(), !self.cfg.coalesce) {
             RaiseStep::Absorbed => {
-                self.dispatch.counters.coalesced(id.index());
+                self.counters.add(id.index(), Tally::CoalescedTriggers, 1);
                 if self.obs.on() {
                     self.obs
                         .record(self.obs.status_ring(), EventKind::Coalesced, Some(id), 0);
@@ -165,23 +169,21 @@ impl<U> Inner<U> {
                 if self.fault.fire(FaultPoint::Enqueue) {
                     return Raise::Overflow(token);
                 }
-                match self.dispatch.pending.push(id.index() as u32, token) {
-                    PendingPush::Pushed => {
-                        self.dispatch.counters.enqueued(id.index());
-                        if self.obs.on() {
-                            let occupancy = self.dispatch.pending.len() as u64;
-                            self.obs.record(
-                                self.obs.status_ring(),
-                                EventKind::TriggerEnqueued,
-                                Some(id),
-                                occupancy,
-                            );
-                        }
-                        self.wake_worker(id.index());
-                        Raise::Done { coalesced: false }
-                    }
-                    PendingPush::Full => Raise::Overflow(token),
+                if !self.dispatch.pending.push(id.index() as u32, token) {
+                    return Raise::Overflow(token);
                 }
+                self.counters.add(id.index(), Tally::Enqueues, 1);
+                if self.obs.on() {
+                    let occupancy = self.dispatch.pending.len() as u64;
+                    self.obs.record(
+                        self.obs.status_ring(),
+                        EventKind::TriggerEnqueued,
+                        Some(id),
+                        occupancy,
+                    );
+                }
+                self.wake_worker(id.index());
+                Raise::Done { coalesced: false }
             }
         }
     }
@@ -195,10 +197,10 @@ impl<U> Inner<U> {
         if self.fault.fire(FaultPoint::WakeDrop) {
             return;
         }
-        // Any single woken worker can run — or steal — the new entry, so
-        // one wake suffices.
+        // Any single woken worker can pop the new entry, so one wake
+        // suffices.
         if self.dispatch.waiters.wake_one() {
-            self.dispatch.counters.worker_wake(key);
+            self.counters.add(key, Tally::WorkerWakes, 1);
         }
     }
 
@@ -215,6 +217,14 @@ impl<U> Inner<U> {
             return;
         }
         self.dispatch.completions.wake_all();
+    }
+
+    /// `state.stats` (the under-lock counters) plus the lock-free bank:
+    /// the exact totals [`Runtime::stats`] and [`Runtime::report`] publish.
+    fn folded_stats(&self, state: &State<U>) -> StatsSnapshot {
+        let mut stats = state.stats.clone();
+        self.counters.fold_into(&mut stats);
+        stats.snapshot()
     }
 
     /// Signals shutdown to the worker pool: sets the sticky flag, then
@@ -327,13 +337,13 @@ impl<U: Send + 'static> Runtime<U> {
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
         };
-        let mem = ShardedMem::new(cfg.arena_capacity, cfg.mem_shards);
+        let mem = ShardedMem::new(ARENA_CAPACITY, cfg.mem_shards);
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
-        let watch_filter = WatchFilter::new(cfg.arena_capacity);
-        let access = AccessCounters::new(cfg.mem_shards);
+        let watch_filter = WatchFilter::new(ARENA_CAPACITY);
+        let counters = CounterBank::new(cfg.mem_shards);
         // One ring per memory shard (store events hash by address) plus one
         // for the trigger/status machine.
-        let obs = ObsRecorder::new(mem.shards(), cfg.obs_ring_capacity);
+        let obs = ObsRecorder::new(mem.shards(), OBS_RING_CAPACITY);
         if cfg.observability {
             obs.set_enabled(true);
         }
@@ -343,16 +353,14 @@ impl<U: Send + 'static> Runtime<U> {
         });
         obs.attach_fault(Arc::clone(&fault));
         let workers = cfg.workers;
-        // One pending-queue shard per worker (rounded up to a power of two
-        // by the queue), capped so a huge pool doesn't fragment the scan.
-        let dispatch = Dispatch::new(cfg.queue_capacity, workers.clamp(1, 16));
+        let dispatch = Dispatch::new(cfg.queue_capacity);
         let inner = Arc::new(Inner {
             cfg,
             state: Mutex::new(state),
             mem,
             triggers,
             watch_filter,
-            access,
+            counters,
             obs,
             fault,
             dispatch,
@@ -720,9 +728,11 @@ impl<U: Send + 'static> Runtime<U> {
             .inner
             .dispatch
             .completions
-            .park(|| slot.word() != observed, self.inner.cfg.park_timeout);
+            .park(|| slot.word() != observed, PARK_TIMEOUT);
         if outcome == ParkOutcome::TimedOut {
-            self.inner.dispatch.counters.park_timeout(tthread.index());
+            self.inner
+                .counters
+                .add(tthread.index(), Tally::ParkTimeouts, 1);
         }
         self.inner.state.lock()
     }
@@ -974,9 +984,7 @@ impl<U: Send + 'static> Runtime<U> {
                 }
             })
             .collect();
-        let mut stats = state.stats.clone();
-        self.inner.access.fold_into(&mut stats);
-        self.inner.dispatch.counters.fold_into(&mut stats);
+        let stats = self.inner.folded_stats(&state);
         let pending = &self.inner.dispatch.pending;
         crate::report::RuntimeReport {
             tthreads,
@@ -986,42 +994,21 @@ impl<U: Send + 'static> Runtime<U> {
             arena_used: self.inner.mem.len(),
             arena_capacity: self.inner.mem.capacity(),
             workers: self.inner.cfg.workers,
-            stats: stats.snapshot(),
+            stats,
         }
     }
 
-    /// Snapshot of the global runtime statistics (the sharded access-side
-    /// counters are folded in, so the snapshot is exact).
+    /// Snapshot of the global runtime statistics (the lock-free counter
+    /// bank is folded in, so the snapshot is exact).
     pub fn stats(&self) -> StatsSnapshot {
-        let state = self.inner.state.lock();
-        let mut stats = state.stats.clone();
-        self.inner.access.fold_into(&mut stats);
-        self.inner.dispatch.counters.fold_into(&mut stats);
-        stats.snapshot()
-    }
-
-    /// Returns `(atomic_len, physical_len)` of the lock-free pending
-    /// queue: the reservation counter and the number of entries actually
-    /// present in the shards. At any quiescent point (no in-flight push,
-    /// pop or steal) the two must be equal — the consistency identity the
-    /// proptest suite asserts to rule out double-decrements on the
-    /// stale-skip, steal and overflow paths. (An audit of those paths
-    /// found the accounting balanced: pops and steals decrement exactly
-    /// once for the entry they remove, overflow sheds decrement the
-    /// reservation they made, stale skips decrement nothing — the entry
-    /// was already popped. This accessor pins that invariant.)
-    #[doc(hidden)]
-    pub fn pending_queue_consistency(&self) -> (usize, usize) {
-        let pending = &self.inner.dispatch.pending;
-        (pending.len(), pending.physical_len())
+        self.inner.folded_stats(&self.inner.state.lock())
     }
 
     /// Zeroes the global statistics (per-tthread counters are kept).
     pub fn reset_stats(&mut self) {
         let mut state = self.inner.state.lock();
         state.stats = Counters::new();
-        self.inner.access.reset();
-        self.inner.dispatch.counters.reset();
+        self.inner.counters.reset();
     }
 
     /// Shuts the workers down and returns the tracked heap and user state.
@@ -1148,52 +1135,28 @@ impl<U> std::fmt::Debug for Runtime<U> {
     }
 }
 
-/// The worker: pops (id, token) pairs from its *own* shards of the
-/// sharded pending queue, falls back to stealing a batch from the fullest
-/// foreign shard, claims via the status-word CAS, and only touches the
-/// state lock to commit. Idles on the dispatch eventcount with a timed
-/// park.
+/// The worker: pops (id, token) pairs from the pending queue, claims via
+/// the status-word CAS, and only touches the state lock to commit. Idles
+/// on the dispatch eventcount with a timed park.
 fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
     let dispatch = &inner.dispatch;
-    let workers = inner.cfg.workers.max(1);
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let popped = dispatch.pending.pop_local(worker_idx, workers).or_else(|| {
-            // Injected steal suppression: skip this steal attempt so the
-            // imbalance persists; the timed park below keeps the stolen-
-            // from work live regardless.
-            if inner.fault.fire(FaultPoint::StealBatch) {
-                return None;
-            }
-            // Own shards dry: migrate half the fullest foreign shard here
-            // and run its head entry right away. Cross-shard moves cannot
-            // reorder a tthread's executions — FIFO-per-tthread rests on
-            // the ABA tokens, not on queue position.
-            dispatch
-                .pending
-                .steal_into(worker_idx, workers)
-                .map(|(entry, moved)| {
-                    dispatch.counters.stole(worker_idx, moved as u64);
-                    entry
-                })
-        });
-        let Some((raw, token)) = popped else {
+        let Some((raw, token)) = dispatch.pending.pop() else {
             // The timed park doubles as the rescue path for a dropped
-            // wake (see `FaultPoint::WakeDrop`) or a suppressed steal:
-            // even a lost notification only costs one park period.
+            // wake (see `FaultPoint::WakeDrop`): even a lost notification
+            // only costs one park period.
             let outcome = dispatch.waiters.park(
                 || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
-                inner.cfg.park_timeout,
+                PARK_TIMEOUT,
             );
-            match outcome {
-                ParkOutcome::Skipped => {}
-                ParkOutcome::Woken => dispatch.counters.worker_park(worker_idx),
-                ParkOutcome::TimedOut => {
-                    dispatch.counters.worker_park(worker_idx);
-                    dispatch.counters.park_timeout(worker_idx);
-                }
+            if outcome != ParkOutcome::Skipped {
+                inner.counters.add(worker_idx, Tally::WorkerParks, 1);
+            }
+            if outcome == ParkOutcome::TimedOut {
+                inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
             }
             continue;
         };
@@ -1203,7 +1166,7 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
             // retry if the queue takes it back, otherwise fall through and
             // run the entry ourselves — dropping it would strand the
             // tthread in Queued with no entry anywhere.
-            if dispatch.pending.push(raw, token) == PendingPush::Pushed {
+            if dispatch.pending.push(raw, token) {
                 continue;
             }
         }
@@ -1211,7 +1174,7 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
         if !slot.try_claim_queued(token) {
             // The entry went stale: a join or force claimed the tthread
             // (bumping the token) after this entry was queued.
-            dispatch.counters.stale_skip(id.index());
+            inner.counters.add(id.index(), Tally::QueueStaleSkips, 1);
             continue;
         }
         run_detached(inner, id, &inner.tthread_fn(id));
@@ -1305,7 +1268,7 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
             // never commits — and flag the tthread; the next join reports
             // `TthreadTimedOut`. The access-side counters still merge (the
             // loads/stores really happened, against the snapshot).
-            inner.access.merge_delta(&delta);
+            inner.counters.merge_delta(&delta);
             state.stats.body_timeouts += 1;
             state.tst.entry_mut(id).timed_out = true;
             state.graph.clear_depth(id);
@@ -1321,7 +1284,7 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
             return;
         }
 
-        inner.access.merge_delta(&delta);
+        inner.counters.merge_delta(&delta);
         let commit_t0 = if obs_on {
             let ring = inner.obs.status_ring();
             inner
@@ -2198,54 +2161,54 @@ mod tests {
         );
     }
 
-    /// Work stealing end to end: tthread ids congruent mod the shard
-    /// count share one pending-queue shard, so triggering only ids ≡ 0
-    /// (mod 4) under 4 workers loads a single worker's shard — the other
-    /// three can make progress only by stealing. Repeats rounds until a
-    /// steal is observed (scheduling-dependent, but each round gives
-    /// three idle workers a full batch to take).
+    /// One FIFO feeds every worker, whatever the ids: four entries whose
+    /// ids are all ≡ 0 mod 4 (the worst case for any id-keyed affinity)
+    /// are held by four distinct workers at once. Each body waits inside
+    /// the rendezvous until all four have arrived, so it completes only if
+    /// four threads are in bodies simultaneously. The main thread waits on
+    /// the rendezvous itself, not on a join — a join would steal a
+    /// still-queued entry and make the main thread one of the parties.
     #[test]
-    fn idle_workers_steal_from_an_imbalanced_shard() {
+    fn four_workers_hold_four_queue_entries_at_once() {
+        use std::sync::atomic::AtomicUsize;
         let cfg = deferred().with_workers(4);
         let mut rt = Runtime::new(cfg, ());
-        let xs = rt.alloc_array::<u32>(32).unwrap();
-        for i in 0..32 {
-            let tt = rt.register(&format!("t{i}"), |_| {
-                thread::sleep(Duration::from_millis(1));
+        let xs = rt.alloc_array::<u32>(16).unwrap();
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let parties = Arc::new(Mutex::new(Vec::new()));
+        // Bodies give up at the deadline too, so a failure is an assert
+        // below rather than four workers wedged in the rendezvous.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for i in 0..16 {
+            let (arrived, parties) = (Arc::clone(&arrived), Arc::clone(&parties));
+            let tt = rt.register(&format!("t{i}"), move |_| {
+                parties
+                    .lock()
+                    .push(thread::current().name().map(str::to_owned));
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
+                    thread::yield_now();
+                }
             });
             rt.watch(tt, xs.range_of(i, i + 1)).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut round = 0u32;
-        while rt.stats().counters().steals == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "no steal observed after {round} imbalanced rounds"
-            );
-            round += 1;
-            for i in (0..32).step_by(4) {
-                rt.with(|ctx| ctx.write(xs, i, round));
-            }
-            rt.join_all().unwrap();
+        for i in (0..16).step_by(4) {
+            rt.with(|ctx| ctx.write(xs, i, 1));
         }
-        let c = rt.stats().counters().clone();
-        assert!(c.steal_batches <= c.steals);
-        assert!(c.steal_batches >= 1);
-        // Every stolen entry was executed or skipped, never lost: once
-        // the workers drain the stale leftovers of the join assists, the
-        // reservation counter matches the shard contents at zero.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let (len, physical) = rt.pending_queue_consistency();
-            if (len, physical) == (0, 0) {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "pending queue never quiesced: len {len}, physical {physical}"
-            );
+        while arrived.load(Ordering::SeqCst) < 4 {
+            assert!(Instant::now() < deadline, "four bodies never met");
             thread::yield_now();
         }
+        rt.join_all().unwrap();
+        let mut parties = parties.lock().clone();
+        parties.sort();
+        parties.dedup();
+        assert_eq!(parties.len(), 4, "four distinct threads: {parties:?}");
+        assert!(parties.iter().all(|name| name
+            .as_deref()
+            .is_some_and(|n| n.starts_with("dtt-worker-"))));
+        let c = rt.stats().counters().clone();
+        assert_eq!((c.worker_executions, c.inline_executions), (4, 0));
     }
 
     /// Regression for the wrapped mod-64 page filter: page 64 shared a

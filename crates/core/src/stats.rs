@@ -90,13 +90,6 @@ pub struct Counters {
     /// Pending-queue entries discarded at claim time because their token
     /// was stale (the tthread was stolen by a join/force after enqueue).
     pub queue_stale_skips: u64,
-    /// Pending-queue entries moved between shards by work stealing (one per
-    /// migrated entry; an idle worker drains them from the fullest foreign
-    /// shard instead of parking).
-    pub steals: u64,
-    /// Work-stealing batches (one per successful steal attempt; `steals /
-    /// steal_batches` is the average batch size).
-    pub steal_batches: u64,
     /// Parks that ended by exhausting the park timeout rather than by a
     /// wake notification — the rescue path for dropped wakes. Idle workers
     /// and joiners accrue these at the park-timeout rate while quiescent.
@@ -181,8 +174,6 @@ macro_rules! for_each_counter {
             worker_wakes,
             worker_parks,
             queue_stale_skips,
-            steals,
-            steal_batches,
             park_timeouts,
             filter_checks,
             filter_page_hits,
@@ -240,133 +231,144 @@ impl Counters {
     }
 }
 
-/// One cache line of access-side counters. Padding each slot to 64 bytes
-/// keeps concurrent accessors on different shards from false-sharing the
-/// counter words.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct AccessSlot {
-    tracked_stores: AtomicU64,
-    silent_stores: AtomicU64,
-    changing_stores: AtomicU64,
-    tracked_loads: AtomicU64,
-    bytes_compared: AtomicU64,
-    filter_checks: AtomicU64,
-    filter_page_hits: AtomicU64,
-    filter_line_hits: AtomicU64,
+/// Generates [`Tally`] — the names of the counters bumped *outside* the
+/// state lock — and [`CounterBank::fold_into`] from one list, the way
+/// [`for_each_counter!`] generates the serializers. The access-side names
+/// come first so the eight words a tracked load/store touches share one
+/// cache line of a [`BankLine`]; the dispatch-side names follow on the
+/// next two.
+macro_rules! counter_bank {
+    ($($tally:ident => $field:ident),+ $(,)?) => {
+        /// One counter of the [`CounterBank`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Tally {
+            $($tally),+
+        }
+
+        const TALLIES: usize = [$(Tally::$tally),+].len();
+
+        impl CounterBank {
+            /// Adds every line's tallies into `c` (adds, never overwrites).
+            pub(crate) fn fold_into(&self, c: &mut Counters) {
+                for line in self.lines.iter() {
+                    $(c.$field += line.0[Tally::$tally as usize].load(Ordering::Relaxed);)+
+                }
+            }
+        }
+    };
 }
 
-/// Sharded access-side counters, bumped outside the state lock.
-///
-/// The five counters the hot path touches on every tracked load/store
-/// (`tracked_stores`, `silent_stores`, `changing_stores`, `tracked_loads`,
-/// `bytes_compared`) live here as address-hashed atomic slots instead of
-/// inside `Counters` under the global lock. [`AccessCounters::fold_into`]
-/// sums them back into a `Counters` at snapshot time, so `StatsSnapshot`
-/// stays exact. All updates are `Relaxed`: the counters are monotone sums
-/// with no ordering relationship to the data they describe, and folding
-/// happens at a quiescent point (no tthread bodies in flight that the
-/// caller cares about).
+counter_bank! {
+    TrackedStores => tracked_stores,
+    SilentStores => silent_stores,
+    ChangingStores => changing_stores,
+    TrackedLoads => tracked_loads,
+    BytesCompared => bytes_compared,
+    FilterChecks => filter_checks,
+    FilterPageHits => filter_page_hits,
+    FilterLineHits => filter_line_hits,
+    TriggeringStores => triggering_stores,
+    TriggersFired => triggers_fired,
+    FalseTriggers => false_triggers,
+    CoalescedTriggers => coalesced_triggers,
+    Enqueues => enqueues,
+    WorkerWakes => worker_wakes,
+    WorkerParks => worker_parks,
+    QueueStaleSkips => queue_stale_skips,
+    ParkTimeouts => park_timeouts,
+}
+
+/// One line of the bank. Aligning each to 64 bytes keeps concurrent
+/// threads on different lines from false-sharing the counter words.
 #[derive(Debug)]
-pub(crate) struct AccessCounters {
-    slots: Box<[AccessSlot]>,
-    mask: u64,
+#[repr(align(64))]
+struct BankLine([AtomicU64; TALLIES]);
+
+/// The lock-free counter bank: every counter the [`crate::accessor`] store
+/// path, the status-machine raise and the worker loop bump without the
+/// state lock, as key-hashed lines of atomic words. (The same events on
+/// the lock-holding `Ctx` path bump `State::stats` as plain integers.)
+/// [`CounterBank::fold_into`] sums the lines back into a [`Counters`] at
+/// snapshot time, so `StatsSnapshot` stays exact. All updates are
+/// `Relaxed`: the counters are monotone sums with no ordering relationship
+/// to the data they describe, and folding happens at a quiescent point (no
+/// tthread bodies in flight that the caller cares about).
+#[derive(Debug)]
+pub(crate) struct CounterBank {
+    lines: Box<[BankLine]>,
+    mask: usize,
 }
 
-impl AccessCounters {
-    /// Creates counters with one slot per memory shard (`shards` is rounded
+impl CounterBank {
+    /// Creates a bank with one line per memory shard (`shards` is rounded
     /// up to a power of two, minimum 1, to match the address hash).
     pub(crate) fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
-        let slots = (0..n).map(|_| AccessSlot::default()).collect();
-        AccessCounters {
-            slots,
-            mask: (n - 1) as u64,
+        CounterBank {
+            lines: (0..n)
+                .map(|_| BankLine(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+            mask: n - 1,
         }
     }
 
-    fn slot(&self, addr_raw: u64) -> &AccessSlot {
-        // Same 64-byte stripe hash as the memory shards, so a thread working
-        // a disjoint address partition also gets (mostly) private counters.
-        &self.slots[((addr_raw >> 6) & self.mask) as usize]
+    /// The line key for a tracked address: the same 64-byte stripe hash as
+    /// the memory shards, so a thread working a disjoint address partition
+    /// also gets (mostly) private counters.
+    #[inline]
+    pub(crate) fn addr_key(addr_raw: u64) -> usize {
+        (addr_raw >> 6) as usize
+    }
+
+    /// Adds `n` to counter `which` on the line `key` hashes to. Callers
+    /// key by address stripe, tthread index or worker index — anything
+    /// that spreads concurrent threads over different lines.
+    #[inline]
+    pub(crate) fn add(&self, key: usize, which: Tally, n: u64) {
+        self.lines[key & self.mask].0[which as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Accounts one tracked store with the given [`StoreEffect`].
     pub(crate) fn on_store(&self, addr_raw: u64, effect: StoreEffect, detect: bool) {
-        let s = self.slot(addr_raw);
-        s.tracked_stores.fetch_add(1, Ordering::Relaxed);
-        s.bytes_compared
-            .fetch_add(effect.bytes_compared, Ordering::Relaxed);
+        let key = Self::addr_key(addr_raw);
+        self.add(key, Tally::TrackedStores, 1);
+        self.add(key, Tally::BytesCompared, effect.bytes_compared);
         if detect && !effect.changed {
-            s.silent_stores.fetch_add(1, Ordering::Relaxed);
+            self.add(key, Tally::SilentStores, 1);
         } else {
-            s.changing_stores.fetch_add(1, Ordering::Relaxed);
+            self.add(key, Tally::ChangingStores, 1);
         }
-    }
-
-    /// Accounts `n` tracked loads at `addr_raw`.
-    pub(crate) fn on_loads(&self, addr_raw: u64, n: u64) {
-        self.slot(addr_raw)
-            .tracked_loads
-            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Accounts one watched-address filter probe and how deep it went.
     pub(crate) fn on_filter(&self, addr_raw: u64, probe: crate::filter::FilterProbe) {
         use crate::filter::FilterProbe;
-        let s = self.slot(addr_raw);
-        s.filter_checks.fetch_add(1, Ordering::Relaxed);
+        let key = Self::addr_key(addr_raw);
+        self.add(key, Tally::FilterChecks, 1);
         if !matches!(probe, FilterProbe::MissPage) {
-            s.filter_page_hits.fetch_add(1, Ordering::Relaxed);
+            self.add(key, Tally::FilterPageHits, 1);
         }
         if matches!(probe, FilterProbe::Hit) {
-            s.filter_line_hits.fetch_add(1, Ordering::Relaxed);
+            self.add(key, Tally::FilterLineHits, 1);
         }
     }
 
     /// Folds the access-side counters a detached execution accumulated
-    /// against its snapshot into slot 0. Only the access-side counters are
+    /// against its snapshot into line 0. Only the access-side counters are
     /// merged: trigger/queue/execution accounting for detached bodies
     /// happens at commit, under the lock.
     pub(crate) fn merge_delta(&self, delta: &Counters) {
-        let s = &self.slots[0];
-        s.tracked_loads
-            .fetch_add(delta.tracked_loads, Ordering::Relaxed);
-        s.tracked_stores
-            .fetch_add(delta.tracked_stores, Ordering::Relaxed);
-        s.silent_stores
-            .fetch_add(delta.silent_stores, Ordering::Relaxed);
-        s.changing_stores
-            .fetch_add(delta.changing_stores, Ordering::Relaxed);
-        s.bytes_compared
-            .fetch_add(delta.bytes_compared, Ordering::Relaxed);
+        self.add(0, Tally::TrackedLoads, delta.tracked_loads);
+        self.add(0, Tally::TrackedStores, delta.tracked_stores);
+        self.add(0, Tally::SilentStores, delta.silent_stores);
+        self.add(0, Tally::ChangingStores, delta.changing_stores);
+        self.add(0, Tally::BytesCompared, delta.bytes_compared);
     }
 
-    /// Sums every slot into `c`'s access-side counters.
-    pub(crate) fn fold_into(&self, c: &mut Counters) {
-        for s in self.slots.iter() {
-            c.tracked_stores += s.tracked_stores.load(Ordering::Relaxed);
-            c.silent_stores += s.silent_stores.load(Ordering::Relaxed);
-            c.changing_stores += s.changing_stores.load(Ordering::Relaxed);
-            c.tracked_loads += s.tracked_loads.load(Ordering::Relaxed);
-            c.bytes_compared += s.bytes_compared.load(Ordering::Relaxed);
-            c.filter_checks += s.filter_checks.load(Ordering::Relaxed);
-            c.filter_page_hits += s.filter_page_hits.load(Ordering::Relaxed);
-            c.filter_line_hits += s.filter_line_hits.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Zeroes every slot.
+    /// Zeroes every counter.
     pub(crate) fn reset(&self) {
-        for s in self.slots.iter() {
-            s.tracked_stores.store(0, Ordering::Relaxed);
-            s.silent_stores.store(0, Ordering::Relaxed);
-            s.changing_stores.store(0, Ordering::Relaxed);
-            s.tracked_loads.store(0, Ordering::Relaxed);
-            s.bytes_compared.store(0, Ordering::Relaxed);
-            s.filter_checks.store(0, Ordering::Relaxed);
-            s.filter_page_hits.store(0, Ordering::Relaxed);
-            s.filter_line_hits.store(0, Ordering::Relaxed);
+        for word in self.lines.iter().flat_map(|line| &line.0) {
+            word.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -575,11 +577,6 @@ impl fmt::Display for StatsSnapshot {
             c.worker_wakes, c.worker_parks
         )?;
         writeln!(f, "stale queue skips     {:>12}", c.queue_stale_skips)?;
-        writeln!(
-            f,
-            "steals / batches      {:>12} / {}",
-            c.steals, c.steal_batches
-        )?;
         writeln!(f, "park timeouts         {:>12}", c.park_timeouts)?;
         writeln!(
             f,
@@ -633,12 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn access_counters_fold_exactly() {
-        let ac = AccessCounters::new(8);
-        // Spread updates across distinct stripes (and thus slots).
+    fn counter_bank_folds_exactly_and_resets() {
+        let bank = CounterBank::new(8);
+        // Spread updates across distinct stripes (and thus lines).
         for stripe in 0..32u64 {
             let addr = stripe * 64;
-            ac.on_store(
+            bank.on_store(
                 addr,
                 StoreEffect {
                     changed: stripe % 2 == 0,
@@ -646,8 +643,8 @@ mod tests {
                 },
                 true,
             );
-            ac.on_loads(addr, 3);
-            ac.on_filter(
+            bank.add(CounterBank::addr_key(addr), Tally::TrackedLoads, 3);
+            bank.on_filter(
                 addr,
                 match stripe % 3 {
                     0 => crate::filter::FilterProbe::MissPage,
@@ -662,31 +659,61 @@ mod tests {
         delta.silent_stores = 1;
         delta.changing_stores = 1;
         delta.bytes_compared = 16;
-        ac.merge_delta(&delta);
+        bank.merge_delta(&delta);
+        // Dispatch-side tallies, keyed by tthread / worker index.
+        for key in 0..20 {
+            bank.add(key, Tally::TriggeringStores, 1);
+            bank.add(key, Tally::TriggersFired, 2);
+            bank.add(key, Tally::FalseTriggers, 1);
+            bank.add(key, Tally::CoalescedTriggers, 1);
+            bank.add(key, Tally::Enqueues, 1);
+            bank.add(key, Tally::WorkerWakes, 1);
+            bank.add(key, Tally::WorkerParks, 1);
+            bank.add(key, Tally::QueueStaleSkips, 1);
+            bank.add(key, Tally::ParkTimeouts, 1);
+        }
 
         let mut c = Counters::new();
         c.tracked_stores = 1000; // folding adds, never overwrites
-        ac.fold_into(&mut c);
-        assert_eq!(c.tracked_stores, 1000 + 32 + 2);
-        assert_eq!(c.silent_stores, 16 + 1);
-        assert_eq!(c.changing_stores, 16 + 1);
-        assert_eq!(c.tracked_loads, 32 * 3 + 5);
-        assert_eq!(c.bytes_compared, 32 * 4 + 16);
+        bank.fold_into(&mut c);
+        let mut want = Counters::new();
+        want.tracked_stores = 1000 + 32 + 2;
+        want.silent_stores = 16 + 1;
+        want.changing_stores = 16 + 1;
+        want.tracked_loads = 32 * 3 + 5;
+        want.bytes_compared = 32 * 4 + 16;
         // Stripes 0..32 cycle MissPage/MissLine/Hit: 11 + 11 + 10.
-        assert_eq!(c.filter_checks, 32);
-        assert_eq!(c.filter_page_hits, 11 + 10);
-        assert_eq!(c.filter_line_hits, 10);
+        want.filter_checks = 32;
+        want.filter_page_hits = 11 + 10;
+        want.filter_line_hits = 10;
+        want.triggering_stores = 20;
+        want.triggers_fired = 40;
+        want.false_triggers = 20;
+        want.coalesced_triggers = 20;
+        want.enqueues = 20;
+        want.worker_wakes = 20;
+        want.worker_parks = 20;
+        want.queue_stale_skips = 20;
+        want.park_timeouts = 20;
+        // Whole-struct equality: no tally folds into a neighbour's field.
+        assert_eq!(c, want);
 
-        ac.reset();
+        bank.reset();
         let mut z = Counters::new();
-        ac.fold_into(&mut z);
+        bank.fold_into(&mut z);
         assert_eq!(z, Counters::new());
     }
 
     #[test]
-    fn access_counters_store_without_detection_counts_changing() {
-        let ac = AccessCounters::new(1);
-        ac.on_store(
+    fn access_side_tallies_share_the_first_cache_line() {
+        assert_eq!(Tally::FilterLineHits as usize, 7);
+        assert_eq!(std::mem::align_of::<BankLine>(), 64);
+    }
+
+    #[test]
+    fn counter_bank_store_without_detection_counts_changing() {
+        let bank = CounterBank::new(1);
+        bank.on_store(
             0,
             StoreEffect {
                 changed: true,
@@ -695,7 +722,7 @@ mod tests {
             false,
         );
         let mut c = Counters::new();
-        ac.fold_into(&mut c);
+        bank.fold_into(&mut c);
         assert_eq!(c.changing_stores, 1);
         assert_eq!(c.silent_stores, 0);
         assert_eq!(c.bytes_compared, 0);
@@ -730,24 +757,22 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 42);
+        assert_eq!(fields.len(), 40);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[20], ("bytes_compared", 21));
         assert_eq!(fields[25], ("overflow_sheds", 26));
         assert_eq!(fields[28], ("queue_stale_skips", 29));
-        assert_eq!(fields[29], ("steals", 30));
-        assert_eq!(fields[30], ("steal_batches", 31));
-        assert_eq!(fields[31], ("park_timeouts", 32));
-        assert_eq!(fields[32], ("filter_checks", 33));
-        assert_eq!(fields[33], ("filter_page_hits", 34));
-        assert_eq!(fields[34], ("filter_line_hits", 35));
-        assert_eq!(fields[35], ("cascades", 36));
-        assert_eq!(fields[36], ("cascade_enqueues", 37));
-        assert_eq!(fields[37], ("cascade_coalesced", 38));
-        assert_eq!(fields[38], ("cascade_cutoffs", 39));
-        assert_eq!(fields[39], ("wave_dedups", 40));
-        assert_eq!(fields[40], ("trigger_cycles_rejected", 41));
-        assert_eq!(fields[41], ("commit_backoff_waits", 42));
+        assert_eq!(fields[29], ("park_timeouts", 30));
+        assert_eq!(fields[30], ("filter_checks", 31));
+        assert_eq!(fields[31], ("filter_page_hits", 32));
+        assert_eq!(fields[32], ("filter_line_hits", 33));
+        assert_eq!(fields[33], ("cascades", 34));
+        assert_eq!(fields[34], ("cascade_enqueues", 35));
+        assert_eq!(fields[35], ("cascade_coalesced", 36));
+        assert_eq!(fields[36], ("cascade_cutoffs", 37));
+        assert_eq!(fields[37], ("wave_dedups", 38));
+        assert_eq!(fields[38], ("trigger_cycles_rejected", 39));
+        assert_eq!(fields[39], ("commit_backoff_waits", 40));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }
