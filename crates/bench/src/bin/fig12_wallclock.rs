@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dtt_bench::{fmt_speedup, geomean, BenchRecord, Table};
+use dtt_bench::{fmt_speedup, geomean, Table};
 use dtt_core::Config;
 use dtt_workloads::{suite, Scale};
 
@@ -29,8 +29,6 @@ fn main() {
         "parallel speedup".into(),
     ]);
     let mut speedups = Vec::new();
-    let mut dtt_total_ns = 0.0;
-    let mut workloads = 0usize;
     for w in suite(scale) {
         let t0 = Instant::now();
         let base_digest = w.run_baseline();
@@ -55,8 +53,6 @@ fn main() {
         let s = base.as_secs_f64() / dtt.as_secs_f64();
         let sp = base.as_secs_f64() / par.as_secs_f64();
         speedups.push(s);
-        dtt_total_ns += dtt.as_secs_f64() * 1e9;
-        workloads += 1;
         table.row(vec![
             w.name().into(),
             format!("{:.1}", base.as_secs_f64() * 1000.0),
@@ -80,17 +76,4 @@ fn main() {
     ));
     println!("note: software tracked stores add overhead the proposed hardware would hide;");
     println!("the deferred-executor column is the honest software-DTT comparison.");
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let record = BenchRecord {
-        benchmark: "fig12_wallclock".into(),
-        config: format!("scale={scale:?} suite of {workloads} workloads"),
-        ns_per_op: dtt_total_ns / workloads.max(1) as f64,
-        modeled_speedup: geomean(&speedups),
-        host_cores: cores,
-    };
-    match record.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write bench record: {e}"),
-    }
 }

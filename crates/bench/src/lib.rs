@@ -131,86 +131,6 @@ impl Table {
     }
 }
 
-/// One machine-readable benchmark result, written next to the text table
-/// so CI can collect throughput numbers as artifacts and diff them across
-/// commits without parsing the human-oriented output.
-///
-/// # Examples
-///
-/// ```
-/// let r = dtt_bench::BenchRecord {
-///     benchmark: "store_throughput".into(),
-///     config: "threads=4 shards=256".into(),
-///     ns_per_op: 12.5,
-///     modeled_speedup: 3.8,
-///     host_cores: 4,
-/// };
-/// assert!(r.to_json().starts_with("{\"benchmark\":\"store_throughput\""));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Benchmark name; also names the output file (`BENCH_<name>.json`).
-    pub benchmark: String,
-    /// Human-readable one-line description of the measured configuration.
-    pub config: String,
-    /// Single-thread cost of the benchmark's unit operation.
-    pub ns_per_op: f64,
-    /// Modeled multi-core speedup derived from measured single-thread
-    /// costs (the serialization-bound methodology), so the number is
-    /// meaningful even on a one-core CI runner.
-    pub modeled_speedup: f64,
-    /// Cores on the measuring host — readers must know how much to trust
-    /// any *measured* scaling that informed the record.
-    pub host_cores: usize,
-}
-
-/// Maps non-finite values (a zero-duration smoke run divides by zero) to
-/// `0.0` so the emitted JSON stays parseable.
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
-}
-
-impl BenchRecord {
-    /// Serializes the record as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"benchmark\":\"{}\",\"config\":\"{}\",\"ns_per_op\":{:.3},\
-             \"modeled_speedup\":{:.3},\"host_cores\":{}}}",
-            json_escape(&self.benchmark),
-            json_escape(&self.config),
-            finite(self.ns_per_op),
-            finite(self.modeled_speedup),
-            self.host_cores
-        )
-    }
-
-    /// Writes `BENCH_<benchmark>.json` into the current directory (the
-    /// repo root under `cargo run`) and returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self) -> std::io::Result<std::path::PathBuf> {
-        let path = std::path::PathBuf::from(format!("BENCH_{}.json", self.benchmark));
-        std::fs::write(&path, self.to_json() + "\n")?;
-        Ok(path)
-    }
-}
-
 /// Formats a ratio as `N.NNx`.
 pub fn fmt_speedup(x: f64) -> String {
     format!("{x:.2}x")
@@ -249,22 +169,6 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new(vec!["a".into()]);
         t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn bench_record_json_is_stable_and_escaped() {
-        let r = BenchRecord {
-            benchmark: "store_throughput".into(),
-            config: "say \"hi\"".into(),
-            ns_per_op: 1.0 / 0.0, // non-finite must not leak into the JSON
-            modeled_speedup: 2.5,
-            host_cores: 1,
-        };
-        assert_eq!(
-            r.to_json(),
-            "{\"benchmark\":\"store_throughput\",\"config\":\"say \\\"hi\\\"\",\
-             \"ns_per_op\":0.000,\"modeled_speedup\":2.500,\"host_cores\":1}"
-        );
     }
 
     #[test]

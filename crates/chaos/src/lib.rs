@@ -555,16 +555,18 @@ fn repair_join(
             Err(Error::TthreadPoisoned(_)) => {
                 *poison_repairs += 1;
                 rt.clear_poison(id).map_err(|e| e.to_string())?;
-                rt.force(id)
-                    .map_err(|e| format!("force after poison: {e}"))?;
             }
             Err(Error::TthreadTimedOut(_)) => {
                 *timeout_repairs += 1;
                 rt.clear_timeout(id).map_err(|e| e.to_string())?;
-                rt.force(id)
-                    .map_err(|e| format!("force after timeout: {e}"))?;
             }
             Err(e) => return Err(format!("join({id}) failed: {e}")),
+        }
+        match rt.force(id) {
+            // A worker execution `force` waited on was itself hit by a
+            // fresh fault: the next join reports it and repairs again.
+            Ok(()) | Err(Error::TthreadPoisoned(_) | Error::TthreadTimedOut(_)) => {}
+            Err(e) => return Err(format!("force after repair: {e}")),
         }
     }
     Err(format!(

@@ -366,7 +366,7 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `dtt-cli graph <workload> [--scale S] [--workers N] [--no-cutoff]`
+/// `dtt-cli graph <workload> [--scale S] [--workers N]`
 ///
 /// Runs the workload and summarizes its dependency graph: the declared
 /// writer→reader edge map and the trigger-wave counters (cascades, how
@@ -374,13 +374,11 @@ pub fn chaos(args: &Args) -> Result<String, CliError> {
 /// multi-stage kernels declare edges; single-stage kernels print an empty
 /// edge map and zero cascades.
 pub fn graph(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["scale", "workers", "no-cutoff"])
+    args.expect_only(&["scale", "workers"])
         .map_err(CliError::Args)?;
     let scale = parse_scale(args)?;
     let w = find_workload(args, scale)?;
-    let cfg = Config::default()
-        .with_workers(args.get_parsed("workers", 0usize)?)
-        .with_early_cutoff(!args.flag("no-cutoff"));
+    let cfg = Config::default().with_workers(args.get_parsed("workers", 0usize)?);
     let baseline = w.run_baseline();
     let run = w.run_dtt(cfg);
     let check = if baseline == run.digest {
@@ -421,9 +419,9 @@ pub fn graph(args: &Args) -> Result<String, CliError> {
 }
 
 /// Builds a [`dtt_serve::ServeConfig`] from the `serve`/`load --self`
-/// option set: env knobs first (`DTT_SERVE_*`), explicit options win.
+/// option set, starting from the defaults.
 fn serve_config_from_args(args: &Args) -> Result<dtt_serve::ServeConfig, CliError> {
-    let mut cfg = dtt_serve::ServeConfig::from_env();
+    let mut cfg = dtt_serve::ServeConfig::default();
     cfg.addr = format!("127.0.0.1:{}", args.get_parsed("port", 0u16)?);
     cfg.max_inflight = args.get_parsed("max-inflight", cfg.max_inflight)?;
     cfg.queue_cap = args.get_parsed("queue", cfg.queue_cap)?.max(1);
@@ -476,8 +474,7 @@ fn serve_stats_block(stats: &dtt_serve::ServeStatsSnapshot) -> String {
 ///
 /// Runs the overload-safe front-end for `--duration-ms` (0 serves until
 /// the process is killed), then drains and prints the request-lifecycle
-/// counters with their conservation verdicts. The `DTT_SERVE_*` env
-/// knobs set the defaults; explicit options win.
+/// counters with their conservation verdicts.
 pub fn serve(args: &Args) -> Result<String, CliError> {
     args.expect_only(&[
         "port",

@@ -10,7 +10,7 @@
 //! dtt-cli replay --input FILE [simulate options]
 //! dtt-cli obs <metrics|timeline|top> <workload> [--scale S] [--workers N]
 //!                                               [--out FILE] [--top N]
-//! dtt-cli graph <workload> [--scale S] [--workers N] [--no-cutoff]
+//! dtt-cli graph <workload> [--scale S] [--workers N]
 //! dtt-cli chaos [--seed N] [--runs K]        # seeded fault-injection runs
 //! dtt-cli serve [--port N] [--duration-ms N] # overload-safe front-end
 //! dtt-cli load [--addr A | --self] [--rate N] [--conns N] [--duration-ms N]
@@ -100,7 +100,7 @@ USAGE:
   dtt-cli obs metrics  <workload>  [--scale S] [--workers N]
   dtt-cli obs timeline <workload>  [--scale S] [--workers N] [--out FILE]
   dtt-cli obs top      <workload>  [--scale S] [--workers N] [--top N]
-  dtt-cli graph <workload>    [--scale S] [--workers N] [--no-cutoff]
+  dtt-cli graph <workload>    [--scale S] [--workers N]
   dtt-cli chaos               [--seed N] [--runs K] [--no-shrink]
   dtt-cli serve               [--port N] [--duration-ms N] [--max-inflight N]
                               [--queue N] [--deadline-ms N] [--view sheet|pipeline]

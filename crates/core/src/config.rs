@@ -63,14 +63,6 @@ pub struct Config {
     pub workers: usize,
     /// Behaviour on queue overflow (parallel executor only).
     pub overflow: OverflowPolicy,
-    /// Number of lock stripes sharding the tracked-memory hot path (value
-    /// compare + access counters). Always a power of two; `1` serializes
-    /// every tracked access on one lock.
-    ///
-    /// The default derives from [`std::thread::available_parallelism`]
-    /// (oversubscribed 4× so disjoint working sets rarely collide, clamped
-    /// to `[1, 256]`).
-    pub mem_shards: usize,
     /// Record lifecycle events (stores, triggers, bodies, commits, joins)
     /// into the per-shard observability rings (see [`crate::obs`]). Off by
     /// default; when off every instrumentation hook costs one relaxed
@@ -106,23 +98,6 @@ pub struct Config {
     /// budget in microseconds and gives the storm time to subside.
     /// Counted in `commit_backoff_waits`.
     pub commit_backoff: Option<Duration>,
-    /// Early cutoff for trigger waves: when a cascade-driven recomputation
-    /// commits fully silently (zero non-silent watched lines), the wave
-    /// stops there instead of invalidating downstream tthreads — the
-    /// paper's redundancy elimination applied transitively across graph
-    /// stages. Disabling it propagates invalidation on every committed
-    /// *write* regardless of silence (the classic invalidate-on-write
-    /// dataflow baseline), so the whole downstream chain recomputes on
-    /// every upstream edit. On by default.
-    pub early_cutoff: bool,
-}
-
-fn default_mem_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get() * 4)
-        .unwrap_or(16)
-        .clamp(1, 256)
-        .next_power_of_two()
 }
 
 impl Default for Config {
@@ -134,13 +109,11 @@ impl Default for Config {
             queue_capacity: 64,
             workers: 0,
             overflow: OverflowPolicy::default(),
-            mem_shards: default_mem_shards(),
             observability: false,
             fault_plan: None,
             body_deadline: None,
             commit_retry_cap: 8,
             commit_backoff: None,
-            early_cutoff: true,
         }
     }
 }
@@ -187,13 +160,6 @@ impl Config {
         self
     }
 
-    /// Sets the tracked-memory shard count (rounded up to a power of two;
-    /// `0` is treated as `1`).
-    pub fn with_mem_shards(mut self, shards: usize) -> Self {
-        self.mem_shards = shards.max(1).next_power_of_two();
-        self
-    }
-
     /// Enables or disables lifecycle event recording from the start.
     pub fn with_observability(mut self, on: bool) -> Self {
         self.observability = on;
@@ -227,13 +193,6 @@ impl Config {
         self
     }
 
-    /// Enables or disables early cutoff of trigger waves (`false` restores
-    /// invalidate-on-write propagation for ablations).
-    pub fn with_early_cutoff(mut self, on: bool) -> Self {
-        self.early_cutoff = on;
-        self
-    }
-
     /// Whether this configuration selects the deferred (single-threaded)
     /// executor.
     pub fn is_deferred(&self) -> bool {
@@ -252,15 +211,11 @@ mod tests {
         assert_eq!(cfg.granularity, Granularity::Exact);
         assert!(cfg.suppress_silent_stores);
         assert!(cfg.coalesce);
-        assert!(cfg.mem_shards >= 1);
-        assert!(cfg.mem_shards.is_power_of_two());
-        assert!(cfg.mem_shards <= 256);
         assert!(!cfg.observability);
         assert_eq!(cfg.fault_plan, None);
         assert_eq!(cfg.body_deadline, None);
         assert_eq!(cfg.commit_retry_cap, 8);
         assert_eq!(cfg.commit_backoff, None);
-        assert!(cfg.early_cutoff);
     }
 
     #[test]
@@ -272,13 +227,11 @@ mod tests {
             .with_queue_capacity(3)
             .with_workers(4)
             .with_overflow(OverflowPolicy::DeferToJoin)
-            .with_mem_shards(5)
             .with_observability(true)
             .with_fault_plan(crate::fault::FaultPlan::new(11))
             .with_body_deadline(Duration::from_millis(250))
             .with_commit_retry_cap(3)
-            .with_commit_backoff(Duration::from_micros(50))
-            .with_early_cutoff(false);
+            .with_commit_backoff(Duration::from_micros(50));
         assert_eq!(cfg.granularity, Granularity::Line);
         assert!(!cfg.suppress_silent_stores);
         assert!(!cfg.coalesce);
@@ -286,17 +239,11 @@ mod tests {
         assert_eq!(cfg.workers, 4);
         assert!(!cfg.is_deferred());
         assert_eq!(cfg.overflow, OverflowPolicy::DeferToJoin);
-        // Shard counts normalize to the next power of two.
-        assert_eq!(cfg.mem_shards, 8);
-        assert_eq!(Config::default().with_mem_shards(0).mem_shards, 1);
-        assert_eq!(Config::default().with_mem_shards(1).mem_shards, 1);
         assert!(cfg.observability);
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.seed), Some(11));
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));
         assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
-        assert!(!cfg.early_cutoff);
-        assert!(Config::default().with_early_cutoff(true).early_cutoff);
     }
 
     #[test]

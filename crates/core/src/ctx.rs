@@ -113,11 +113,6 @@ pub struct Ctx<'a, U> {
     /// `cur`-carrying context onto a *different* tthread is one wave unit
     /// of the incremental computation graph (see [`crate::graph`]).
     pub(crate) cur: Option<TthreadId>,
-    /// When set, [`Ctx::raise_hits`] skips hits on `cur` itself: the
-    /// invalidate-on-write ablation ([`crate::config::Config::early_cutoff`]
-    /// off) propagates silent lines downstream without re-arming the
-    /// silence-gated self-retrigger loop.
-    pub(crate) skip_self_raise: bool,
     /// Tracked store operations this (locked body) context dispatched,
     /// silent or not — the early-cutoff denominator.
     pub(crate) body_dispatched: u64,
@@ -145,7 +140,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             inner,
             depth,
             cur,
-            skip_self_raise: false,
             body_dispatched: 0,
             body_changed: 0,
         }
@@ -163,7 +157,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             inner,
             depth,
             cur: None,
-            skip_self_raise: false,
             body_dispatched: 0,
             body_changed: 0,
         }
@@ -273,21 +266,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             view.delta.bytes_compared += effect.bytes_compared;
             if detect && !effect.changed {
                 view.delta.silent_stores += 1;
-                if self.inner.cfg.early_cutoff {
-                    return;
-                }
-                // Invalidate-on-write ablation: keep the silent store in the
-                // log so the commit replay still walks its line and can
-                // propagate the wave downstream. It is not a changing store;
-                // the replay's own change re-detection classifies it again.
-                let mut buf = [0u8; 16];
-                let enc = &mut buf[..T::SIZE];
-                value.write_le(enc);
-                view.log.push(LoggedStore {
-                    range: cell.range(),
-                    data: enc.to_vec(),
-                    dispatch: true,
-                });
                 return;
             }
             view.delta.changing_stores += 1;
@@ -313,16 +291,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             }
             if self.inner.obs.on() {
                 self.obs_store(EventKind::Store, cell.addr());
-            }
-            if in_body && !self.inner.cfg.early_cutoff {
-                // Invalidate-on-write ablation: silent lines still
-                // propagate the wave to *other* tthreads; the raise on the
-                // writer itself stays silence-gated (else every silent
-                // rewrite would re-arm its own retrigger loop).
-                let prev = self.skip_self_raise;
-                self.skip_self_raise = true;
-                self.dispatch(cell.range());
-                self.skip_self_raise = prev;
             }
             return;
         }
@@ -526,9 +494,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
         if self.depth > 0 && self.cur.is_some() {
             // Early-cutoff accounting: each element counts as one dispatched
-            // store op, exactly as element-wise writes would. (The
-            // invalidate-on-write ablation does not propagate silent *bulk*
-            // elements — use scalar writes in workloads that exercise it.)
+            // store op, exactly as element-wise writes would.
             self.body_dispatched += n as u64;
             self.body_changed += changed_elems as u64;
         }
@@ -595,9 +561,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let cur = self.cur;
         self.locked().stats.triggering_stores += 1;
         for hit in hits {
-            if self.skip_self_raise && Some(hit.tthread) == cur {
-                continue;
-            }
             // One wave unit of the incremental graph: a store made *by* a
             // tthread (inline body or commit replay) raising a *different*
             // tthread. Self-retriggers stay plain triggers.
@@ -794,7 +757,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             // unit so `cascades == enqueues + coalesced + cutoffs` holds.
             let wave = state.graph.wave_depth(id);
             if wave > 0 {
-                if inner.cfg.early_cutoff && dispatched > 0 && changed == 0 {
+                if dispatched > 0 && changed == 0 {
                     state.stats.cascades += 1;
                     state.stats.cascade_cutoffs += 1;
                     self.obs_status(EventKind::CascadeCutoff, id, u64::from(wave));

@@ -32,10 +32,8 @@
 //! The fourth piece — **early cutoff** — lives in the commit path: a
 //! cascade-driven recomputation whose commit is fully silent (zero
 //! non-silent lines) stops the wave and is counted as a transitive skip
-//! (`cascade_cutoffs`). Disabling [`crate::config::Config::early_cutoff`]
-//! turns the runtime into an invalidate-on-write baseline where silent
-//! recomputations still propagate downstream — the ablation the
-//! `graph_throughput` bench measures against.
+//! (`cascade_cutoffs`): silent stores raise nothing, so a fully silent
+//! commit has nothing to propagate.
 
 use crate::addr::{AddrRange, Granularity};
 use crate::tthread::TthreadId;

@@ -51,6 +51,17 @@ const STRIPE_SHIFT: u32 = 6;
 const CHUNK_WORDS_SHIFT: u32 = 16;
 const CHUNK_WORDS: u64 = 1 << CHUNK_WORDS_SHIFT;
 
+/// How many stripe locks a runtime's arena gets: the host's parallelism,
+/// oversubscribed 4× so disjoint working sets rarely collide, clamped to
+/// `[1, 256]` and rounded up to a power of two.
+pub(crate) fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get() * 4)
+        .unwrap_or(16)
+        .clamp(1, 256)
+        .next_power_of_two()
+}
+
 /// The sharded arena. See the module docs for the locking protocol.
 pub(crate) struct ShardedMem {
     /// Word storage in fixed-size chunks, initialized by `alloc` as the

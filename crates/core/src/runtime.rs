@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::accessor::Accessor;
-use crate::addr::AddrRange;
+use crate::addr::{Addr, AddrRange};
 use crate::config::Config;
 use crate::ctx::{Ctx, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
@@ -337,10 +337,10 @@ impl<U: Send + 'static> Runtime<U> {
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
         };
-        let mem = ShardedMem::new(ARENA_CAPACITY, cfg.mem_shards);
+        let mem = ShardedMem::new(ARENA_CAPACITY, crate::mem::default_shards());
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
         let watch_filter = WatchFilter::new(ARENA_CAPACITY);
-        let counters = CounterBank::new(cfg.mem_shards);
+        let counters = CounterBank::new(mem.shards());
         // One ring per memory shard (store events hash by address) plus one
         // for the trigger/status machine.
         let obs = ObsRecorder::new(mem.shards(), OBS_RING_CAPACITY);
@@ -388,12 +388,6 @@ impl<U: Send + 'static> Runtime<U> {
         &self.inner.cfg
     }
 
-    /// The effective tracked-memory shard count (normalized power of two;
-    /// see [`Config::mem_shards`]).
-    pub fn mem_shards(&self) -> usize {
-        self.inner.mem.shards()
-    }
-
     /// Allocates a tracked scalar initialized to `init` (without firing
     /// triggers — nothing can be watching it yet).
     ///
@@ -401,8 +395,7 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::ArenaExhausted`] when the arena capacity is reached.
     pub fn alloc<T: Pod>(&mut self, init: T) -> Result<Tracked<T>> {
-        let align = (T::SIZE as u64).next_power_of_two().min(8);
-        let addr = self.inner.mem.alloc(T::SIZE as u64, align)?;
+        let addr = self.alloc_elems::<T>(Some(1))?;
         self.inner.mem.store(addr, init, false);
         Ok(Tracked::new(addr))
     }
@@ -413,9 +406,23 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::ArenaExhausted`] when the arena capacity is reached.
     pub fn alloc_array<T: Pod>(&mut self, len: usize) -> Result<TrackedArray<T>> {
-        let align = (T::SIZE as u64).next_power_of_two().min(8);
-        let addr = self.inner.mem.alloc((len * T::SIZE) as u64, align)?;
+        let addr = self.alloc_elems::<T>(Some(len))?;
         Ok(TrackedArray::new(addr, len))
+    }
+
+    /// Allocates room for `elems` values of `T`. `None`, or a byte size
+    /// that overflows `usize`, is a request no arena can satisfy — refused
+    /// here so the product never wraps to a small allocation.
+    fn alloc_elems<T: Pod>(&self, elems: Option<usize>) -> Result<Addr> {
+        let mem = &self.inner.mem;
+        let bytes = elems
+            .and_then(|n| n.checked_mul(T::SIZE))
+            .ok_or(Error::ArenaExhausted {
+                requested: u64::MAX,
+                available: mem.capacity().saturating_sub(mem.len()),
+            })?;
+        let align = (T::SIZE as u64).next_power_of_two().min(8);
+        mem.alloc(bytes as u64, align)
     }
 
     /// Allocates a zeroed row-major tracked matrix of `rows × cols`
@@ -426,11 +433,7 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::ArenaExhausted`] when the arena capacity is reached.
     pub fn alloc_matrix<T: Pod>(&mut self, rows: usize, cols: usize) -> Result<TrackedMatrix<T>> {
-        let align = (T::SIZE as u64).next_power_of_two().min(8);
-        let addr = self
-            .inner
-            .mem
-            .alloc((rows * cols * T::SIZE) as u64, align)?;
+        let addr = self.alloc_elems::<T>(rows.checked_mul(cols))?;
         Ok(TrackedMatrix::new(addr, rows, cols))
     }
 
@@ -857,14 +860,16 @@ impl<U: Send + 'static> Runtime<U> {
         if !state.tst.contains(tthread) {
             return Err(Error::UnknownTthread(tthread));
         }
-        if state.tst.entry(tthread).poisoned {
-            return Err(Error::TthreadPoisoned(tthread));
-        }
-        if state.tst.entry(tthread).timed_out {
-            return Err(Error::TthreadTimedOut(tthread));
-        }
         let slot = self.inner.dispatch.slots.slot(tthread.index());
         loop {
+            // Re-checked after every park, as in `join`: the execution
+            // waited on may itself have panicked or overrun its deadline.
+            if state.tst.entry(tthread).poisoned {
+                return Err(Error::TthreadPoisoned(tthread));
+            }
+            if state.tst.entry(tthread).timed_out {
+                return Err(Error::TthreadTimedOut(tthread));
+            }
             match slot.status() {
                 TthreadStatus::Running => state = self.park_until_moved(tthread, state),
                 // Claim whatever state the tthread is in; a stale queue
@@ -1408,14 +1413,6 @@ fn commit_log<U: Send + 'static>(
                     entry.range.start().raw(),
                 );
             }
-            if !inner.cfg.early_cutoff {
-                // Invalidate-on-write ablation: silent replayed lines still
-                // propagate the wave downstream; the raise on the committing
-                // tthread itself stays silence-gated.
-                let mut ctx = Ctx::new_for(state, inner, 1, Some(id));
-                ctx.skip_self_raise = true;
-                ctx.dispatch(entry.range);
-            }
         }
     }
     // Early cutoff: a cascade-raised recomputation whose entire commit was
@@ -1423,7 +1420,7 @@ fn commit_log<U: Send + 'static>(
     // terminal wave unit so `cascades == enqueues + coalesced + cutoffs`.
     let wave = state.graph.wave_depth(id);
     if wave > 0 {
-        if inner.cfg.early_cutoff && dispatched > 0 && changed == 0 {
+        if dispatched > 0 && changed == 0 {
             state.stats.cascades += 1;
             state.stats.cascade_cutoffs += 1;
             if inner.obs.on() {
@@ -1747,6 +1744,27 @@ mod tests {
         assert!(rt.stats().counters().tracked_stores > 0);
         rt.reset_stats();
         assert_eq!(rt.stats().counters().tracked_stores, 0);
+    }
+
+    /// An element count whose byte size overflows `usize` is refused, not
+    /// wrapped into a small allocation behind a huge handle.
+    #[test]
+    fn oversized_allocations_are_refused_not_wrapped() {
+        let mut rt = Runtime::new(deferred(), ());
+        assert!(matches!(
+            rt.alloc_array::<u64>(1 << 61),
+            Err(Error::ArenaExhausted { .. })
+        ));
+        assert!(matches!(
+            rt.alloc_matrix::<u64>(1 << 31, 1 << 30),
+            Err(Error::ArenaExhausted { .. })
+        ));
+        assert!(matches!(
+            rt.alloc_matrix::<u8>(1 << 32, 1 << 32),
+            Err(Error::ArenaExhausted { .. })
+        ));
+        // Nothing was consumed by the refusals.
+        assert_eq!(rt.alloc_array::<u64>(4).unwrap().len(), 4);
     }
 
     #[test]
@@ -2137,6 +2155,49 @@ mod tests {
         });
     }
 
+    /// `force` parked on a Running execution that then panics must report
+    /// the poison, exactly as `join` does — not claim the force-cleaned
+    /// slot and run the body again inline with the flag still set.
+    #[test]
+    fn force_reports_a_tthread_poisoned_while_it_waited() {
+        use std::sync::atomic::AtomicBool;
+        let cfg = deferred().with_workers(1);
+        let mut rt = Runtime::new(cfg, ());
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&release);
+        let x = rt.alloc(0u32).unwrap();
+        let tt = rt.register("gated-bug", move |_| {
+            while !gate.load(Ordering::SeqCst) {
+                thread::sleep(Duration::from_micros(50));
+            }
+            panic!("tthread bug");
+        });
+        rt.watch(tt, x.range()).unwrap();
+        rt.write(x, 1);
+        // Wait until the worker is provably inside the body.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rt.status(tt).unwrap() != TthreadStatus::Running {
+            assert!(Instant::now() < deadline, "worker never claimed the unit");
+            thread::sleep(Duration::from_micros(50));
+        }
+        let executions = rt.stats().counters().executions;
+        let inner = Arc::clone(&rt.inner);
+        thread::scope(|s| {
+            s.spawn(move || {
+                // Let the body panic only once `force` is asleep on the
+                // completion eventcount, past its entry checks.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while inner.dispatch.completions.sleeping() == 0 {
+                    assert!(Instant::now() < deadline, "force never parked");
+                    thread::sleep(Duration::from_micros(100));
+                }
+                release.store(true, Ordering::SeqCst);
+            });
+            assert!(matches!(rt.force(tt), Err(Error::TthreadPoisoned(_))));
+        });
+        assert_eq!(rt.stats().counters().executions, executions);
+    }
+
     /// The shutdown-latency regression test: an idle runtime (all workers
     /// parked in their timed wait) must tear down via the eventcount
     /// `close()` broadcast in a small fraction of the configured park
@@ -2396,42 +2457,6 @@ mod tests {
         assert_eq!(
             s.cascades,
             s.cascade_enqueues + s.cascade_coalesced + s.cascade_cutoffs
-        );
-    }
-
-    /// The invalidate-on-write ablation (`early_cutoff = false`):
-    /// silent stores by a tthread body still propagate the wave to
-    /// *other* tthreads, while the writer's own retrigger loop stays
-    /// silence-gated (no self-livelock).
-    #[test]
-    fn cutoff_off_propagates_silent_lines_downstream() {
-        let run = |early_cutoff: bool| {
-            let cfg = Config::default().with_early_cutoff(early_cutoff);
-            let mut rt = Runtime::new(cfg, ());
-            let a = rt.alloc(1u32).unwrap();
-            let b = rt.alloc(1u32).unwrap();
-            let t1 = rt.register("clamp", move |ctx| {
-                let v = ctx.get(a);
-                ctx.set(b, v.min(1));
-            });
-            let t2 = rt.register("sink", move |ctx| {
-                let _ = ctx.get(b);
-            });
-            rt.watch(t1, a.range()).unwrap();
-            rt.watch(t2, b.range()).unwrap();
-            rt.write(a, 5); // b: 1 -> 1, silent
-            rt.join(t1).unwrap();
-            rt.join(t2).unwrap();
-            rt.stats().counters().clone()
-        };
-        let on = run(true);
-        assert_eq!(on.cascades, 0, "silent store fires nothing with cutoff on");
-        let off = run(false);
-        assert_eq!(off.cascades, 1, "ablation invalidates on write");
-        assert_eq!(off.cascade_enqueues, 1);
-        assert_eq!(
-            off.cascades,
-            off.cascade_enqueues + off.cascade_coalesced + off.cascade_cutoffs
         );
     }
 

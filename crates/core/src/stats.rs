@@ -118,8 +118,7 @@ pub struct Counters {
     pub cascade_coalesced: u64,
     /// Early cutoffs: cascade-driven recomputations whose commit was fully
     /// silent (zero non-silent watched lines), stopping the wave there —
-    /// the paper's redundancy elimination applied transitively. Only
-    /// counted when [`crate::config::Config::early_cutoff`] is on.
+    /// the paper's redundancy elimination applied transitively.
     pub cascade_cutoffs: u64,
     /// Duplicate downstream raises suppressed within one commit epoch (the
     /// invalidation wave is deduplicated per commit, not per store).

@@ -47,21 +47,8 @@
 //!
 //! The open-loop [`load`] generator measures latency from *scheduled*
 //! send instants (no coordinated omission) into
-//! [`dtt_obs::LogHistogram`]s, feeding the `serve_throughput` bench and
+//! [`dtt_obs::LogHistogram`]s, feeding the overload contract test and
 //! `dtt-cli load`.
-//!
-//! ## Environment knobs
-//!
-//! | variable | effect |
-//! |---|---|
-//! | `DTT_SERVE_MAX_INFLIGHT` | admission-gate permits |
-//! | `DTT_SERVE_QUEUE` | bounded engine-mailbox capacity |
-//! | `DTT_SERVE_DEADLINE_MS` | per-request deadline, milliseconds |
-//! | `DTT_SERVE_WORKERS` | event workers sweeping connections |
-//! | `DTT_SERVE_KEYSPACE` | logical key space of the keyed view |
-//!
-//! A malformed value falls back to its default and warns on stderr once
-//! per process per variable (same contract as the core `DTT_*` knobs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

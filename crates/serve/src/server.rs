@@ -37,7 +37,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,9 +57,8 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// Server construction knobs. `Default` gives a loopback server on an
-/// ephemeral port with the spreadsheet view; the `DTT_SERVE_*` env knobs
-/// (see [`ServeConfig::from_env`]) override the admission limits and the
-/// pool/keyed-store sizing.
+/// ephemeral port with the spreadsheet view; `dtt-cli serve` maps its
+/// options onto the admission limits and the pool/keyed-store sizing.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
@@ -126,37 +125,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults with the `DTT_SERVE_MAX_INFLIGHT`, `DTT_SERVE_QUEUE`,
-    /// `DTT_SERVE_DEADLINE_MS`, `DTT_SERVE_WORKERS` and
-    /// `DTT_SERVE_KEYSPACE` environment knobs applied. A malformed value
-    /// falls back to the default — and warns on stderr once per process
-    /// per variable, because a typo'd knob that silently vanishes is how
-    /// a "tuned" deployment runs untuned for a month.
-    pub fn from_env() -> Self {
-        static WARN_INFLIGHT: Once = Once::new();
-        static WARN_QUEUE: Once = Once::new();
-        static WARN_DEADLINE: Once = Once::new();
-        static WARN_WORKERS: Once = Once::new();
-        static WARN_KEYSPACE: Once = Once::new();
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = parse_env_usize("DTT_SERVE_MAX_INFLIGHT", &WARN_INFLIGHT) {
-            cfg.max_inflight = v;
-        }
-        if let Some(v) = parse_env_usize("DTT_SERVE_QUEUE", &WARN_QUEUE) {
-            cfg.queue_cap = v.max(1);
-        }
-        if let Some(v) = parse_env_usize("DTT_SERVE_DEADLINE_MS", &WARN_DEADLINE) {
-            cfg.deadline = Duration::from_millis(v as u64);
-        }
-        if let Some(v) = parse_env_usize("DTT_SERVE_WORKERS", &WARN_WORKERS) {
-            cfg.event_workers = v.max(1);
-        }
-        if let Some(v) = parse_env_usize("DTT_SERVE_KEYSPACE", &WARN_KEYSPACE) {
-            cfg.key_space = (v as u64).max(1);
-        }
-        cfg
-    }
-
     fn runtime_config(&self) -> Config {
         let mut cfg = Config::default().with_workers(self.workers);
         if let Some(base) = self.commit_backoff {
@@ -169,25 +137,6 @@ impl ServeConfig {
             cfg = cfg.with_fault_plan(plan.clone());
         }
         cfg
-    }
-}
-
-/// Parses an env knob, warning **once per process per variable** when the
-/// value is set but malformed (the same contract as the core
-/// `DTT_*` knobs): unset → `None` silently, malformed → `None` with a
-/// stderr warning, valid → `Some`.
-fn parse_env_usize(var: &str, warn: &'static Once) -> Option<usize> {
-    let raw = std::env::var(var).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            warn.call_once(|| {
-                eprintln!(
-                    "dtt-serve: ignoring malformed {var}={raw:?} (expected a non-negative integer); using default"
-                );
-            });
-            None
-        }
     }
 }
 

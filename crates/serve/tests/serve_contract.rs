@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use dtt_core::fault::{FaultPlan, ALWAYS};
 use dtt_core::FaultPoint;
-use dtt_serve::{Client, Request, Response, ServeConfig, Server, ViewKind};
+use dtt_serve::{load, Client, LoadConfig, Request, Response, ServeConfig, Server, ViewKind};
 
 fn quick_config() -> ServeConfig {
     ServeConfig {
@@ -259,6 +259,51 @@ fn overload_sheds_instead_of_collapsing() {
     assert_eq!(snap.serve_accepts, 400);
     assert_conserved(&server);
     server.shutdown(Duration::from_secs(10)).unwrap();
+
+    // Open loop (latency from *scheduled* send instants, so queueing
+    // behind a slow server counts against it): measure what a generous
+    // gate sustains, then drive a tight gate at twice that from more
+    // connections than it has permits.
+    let drive = |max_inflight, queue_cap, conns, rate| {
+        let mut server = Server::start(ServeConfig {
+            max_inflight,
+            queue_cap,
+            deadline: Duration::from_millis(50),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let report = load::run(&LoadConfig {
+            addr: server.local_addr().to_string(),
+            conns,
+            rate,
+            duration: Duration::from_millis(400),
+            ..LoadConfig::default()
+        })
+        .unwrap();
+        server.shutdown(Duration::from_secs(30)).unwrap();
+        assert_conserved(&server);
+        (report, server.stats())
+    };
+    let base_rate = 1_500u64;
+    let (baseline, _) = drive(64, 128, 4, base_rate);
+    let sustained = baseline.response_throughput();
+    let overload_rate = (2.0 * sustained).ceil().max(2.0 * base_rate as f64) as u64;
+    let (overload, stats) = drive(4, 4, 16, overload_rate);
+    assert!(
+        stats.serve_sheds > 0,
+        "a tight gate at 2x must shed: {stats:?}"
+    );
+    let p99_ms = overload.latency_ns(0.99) / 1_000_000;
+    assert!(
+        p99_ms <= 400,
+        "overload p99 {p99_ms} ms: the server queued instead of shedding"
+    );
+    let answered = overload.ok + overload.shed + overload.degraded;
+    assert!(
+        answered * 2 >= overload.sent,
+        "collapsed under overload: {answered} of {} answered",
+        overload.sent
+    );
 }
 
 #[test]
@@ -369,15 +414,4 @@ fn getkey_on_unkeyed_view_answers_primary_aggregate() {
     );
     assert_conserved(&server);
     server.shutdown(Duration::from_secs(10)).unwrap();
-}
-
-#[test]
-fn env_knobs_shape_the_config() {
-    // Setting env vars here would race other tests in this binary, so
-    // only the unset/default path is pinned; the CLI tests exercise the
-    // override path in-process.
-    let cfg = ServeConfig::from_env();
-    assert!(cfg.max_inflight > 0);
-    assert!(cfg.queue_cap > 0);
-    assert!(!cfg.deadline.is_zero());
 }

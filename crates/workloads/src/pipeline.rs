@@ -11,8 +11,7 @@
 //! samples change the input but not the clamp (the wave dies at depth 0),
 //! in-range samples ripple into the bucket sums but usually leave the
 //! maximum alone (a depth-2 cutoff at PEAK), and repeated samples are
-//! silent at the source. Disabling [`Config::early_cutoff`] turns every
-//! saturated store into a full three-stage recomputation.
+//! silent at the source.
 
 use dtt_core::{Config, Runtime};
 use dtt_trace::{NoProbe, Probe, Trace, TraceBuilder};
@@ -277,16 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn dtt_matches_baseline_without_early_cutoff() {
-        let w = Pipeline::new(Scale::Test);
-        let base = w.run_baseline();
-        assert_eq!(
-            base,
-            w.run_dtt(Config::default().with_early_cutoff(false)).digest
-        );
-    }
-
-    #[test]
     fn waves_cascade_and_cut_off() {
         let w = Pipeline::new(Scale::Test);
         let run = w.run_dtt(Config::default());
@@ -300,20 +289,6 @@ mod tests {
             c.cascades,
             c.cascade_enqueues + c.cascade_coalesced + c.cascade_cutoffs,
             "wave conservation"
-        );
-    }
-
-    #[test]
-    fn cutoff_off_recomputes_more() {
-        let w = Pipeline::new(Scale::Test);
-        let on = w.run_dtt(Config::default());
-        let off = w.run_dtt(Config::default().with_early_cutoff(false));
-        assert_eq!(on.digest, off.digest);
-        assert!(
-            off.stats.counters().executions > on.stats.counters().executions,
-            "off={} on={}",
-            off.stats.counters().executions,
-            on.stats.counters().executions
         );
     }
 

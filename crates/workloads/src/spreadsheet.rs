@@ -13,11 +13,7 @@
 //! all three stages (AVG often recomputes silently — a depth-2 cutoff),
 //! sum-preserving swaps change the grid but leave the row SUM silent (the
 //! wave dies at depth 0 with no cascade at all), and plain rewrites are
-//! silent at the grid and never trigger anything. With
-//! [`Config::early_cutoff`] disabled, silent commits propagate anyway
-//! (invalidate-on-write), so the cutoff-off ablation recomputes TOTAL and
-//! AVG after every swap — that executions gap is what `graph_throughput`
-//! measures.
+//! silent at the grid and never trigger anything.
 
 use dtt_core::{Config, Runtime, TthreadId};
 use dtt_trace::{NoProbe, Probe, Trace, TraceBuilder};
@@ -341,14 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn dtt_matches_baseline_without_early_cutoff() {
-        let w = Spreadsheet::new(Scale::Test);
-        let base = w.run_baseline();
-        let off = w.run_dtt(Config::default().with_early_cutoff(false));
-        assert_eq!(base, off.digest);
-    }
-
-    #[test]
     fn cascades_flow_through_the_chain() {
         let w = Spreadsheet::new(Scale::Test);
         let run = w.run_dtt(Config::default());
@@ -362,22 +350,6 @@ mod tests {
             c.cascades,
             c.cascade_enqueues + c.cascade_coalesced + c.cascade_cutoffs,
             "wave conservation"
-        );
-    }
-
-    #[test]
-    fn cutoff_off_recomputes_more() {
-        let w = Spreadsheet::new(Scale::Test);
-        let on = w.run_dtt(Config::default());
-        let off = w.run_dtt(Config::default().with_early_cutoff(false));
-        assert_eq!(on.digest, off.digest);
-        // Swaps leave the row sum silent; with the cutoff disabled that
-        // silence still invalidates TOTAL and AVG downstream.
-        assert!(
-            off.stats.counters().executions > on.stats.counters().executions,
-            "off={} on={}",
-            off.stats.counters().executions,
-            on.stats.counters().executions
         );
     }
 

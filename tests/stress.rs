@@ -417,8 +417,7 @@ fn runtime_is_sync() {
 fn concurrent_accessors_disjoint_stores_are_exact() {
     const THREADS: usize = 4;
     const PER: usize = 64;
-    let cfg = Config::default().with_mem_shards(8);
-    let mut rt = Runtime::new(cfg, 0u64);
+    let mut rt = Runtime::new(Config::default(), 0u64);
     let xs = rt.alloc_array::<u64>(THREADS * PER).unwrap();
     let flag = rt.alloc(0u64).unwrap();
     let tt = rt.register("flag", move |ctx| {
@@ -459,42 +458,6 @@ fn concurrent_accessors_disjoint_stores_are_exact() {
     assert_eq!(c.counters().tracked_stores, total);
     assert_eq!(c.counters().silent_stores, (THREADS * PER) as u64);
     assert_eq!(c.counters().changing_stores, (THREADS * PER + 1) as u64);
-}
-
-/// `mem_shards = 1` serializes every access on one stripe lock: a
-/// deterministic single-threaded workload must produce bit-identical results and counters
-/// under 1 shard and under the default sharding.
-#[test]
-fn shard_count_does_not_change_semantics() {
-    let run = |shards: usize| {
-        let cfg = Config::default().with_mem_shards(shards);
-        assert_eq!(Runtime::<u64>::new(cfg.clone(), 0).mem_shards(), shards);
-        let mut rt = Runtime::new(cfg, 0u64);
-        let xs = rt.alloc_array::<u64>(32).unwrap();
-        let tt = rt.register("sum", move |ctx| {
-            let s: u64 = (0..32).map(|i| ctx.read(xs, i)).sum();
-            *ctx.user_mut() = s;
-        });
-        rt.watch(tt, xs.range()).unwrap();
-        let mut state = 0x1234_5678u64;
-        for _ in 0..500 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let i = (state % 32) as usize;
-            rt.with(|ctx| ctx.write(xs, i, state % 8));
-            if state.is_multiple_of(11) {
-                rt.join(tt).unwrap();
-            }
-        }
-        rt.join(tt).unwrap();
-        let user = rt.with(|ctx| *ctx.user());
-        (user, rt.stats().counters().clone())
-    };
-    let (u1, c1) = run(1);
-    let (u8_, c8) = run(8);
-    assert_eq!(u1, u8_);
-    assert_eq!(c1, c8);
 }
 
 /// Pins the `skip_fraction` denominator to *join points*, not executions:
