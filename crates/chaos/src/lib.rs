@@ -90,14 +90,8 @@ impl ChaosConfig {
         };
         // Randomize over the runtime-core points only: the serve-layer
         // points (`FaultPoint::SERVE`) are never probed by this harness's
-        // workload, and keeping them out preserves the draw sequence (and
-        // thus the derived case) for every existing seed.
+        // workload.
         for point in FaultPoint::CORE {
-            if point == FaultPoint::JoinWake {
-                // A removed point (steal suppression) drew here; discarding
-                // its draws keeps every existing seed's derived case intact.
-                let _ = arming();
-            }
             if let Some((rate, budget)) = arming() {
                 plan = plan.with_rate(point, rate).with_budget(point, budget);
             }
@@ -114,12 +108,7 @@ impl ChaosConfig {
             tthreads: rng.gen_range(2..=5usize),
             ops: rng.gen_range(200..=600usize),
             overflow,
-            commit_retry_cap: {
-                // Two discarded draws (they once picked removed dispatch
-                // variants) keep every existing seed's derived case intact.
-                let _ = (rng.gen_range(0..4u32), rng.gen_range(0..4u32));
-                rng.gen_range(1..=8u32)
-            },
+            commit_retry_cap: rng.gen_range(1..=8u32),
             body_deadline: None,
             plan,
             watchdog: Duration::from_secs(30),

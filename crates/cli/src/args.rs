@@ -25,6 +25,8 @@ pub enum ArgError {
     UnknownOption(String),
     /// A required positional argument is missing.
     MissingPositional(&'static str),
+    /// A positional argument the command has no use for.
+    UnexpectedArgument(String),
 }
 
 impl fmt::Display for ArgError {
@@ -36,45 +38,25 @@ impl fmt::Display for ArgError {
             }
             ArgError::UnknownOption(o) => write!(f, "unknown option --{o}"),
             ArgError::MissingPositional(name) => write!(f, "missing <{name}> argument"),
+            ArgError::UnexpectedArgument(a) => write!(f, "unexpected argument {a:?}"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-/// Option names that take a value (everything else is a boolean flag).
-const VALUED: &[&str] = &[
-    "scale",
-    "workers",
-    "queue",
-    "contexts",
-    "spawn",
-    "granularity",
-    "granularity-bytes",
-    "top",
-    "out",
-    "input",
-    "tst",
-    "seed",
-    "runs",
-    "port",
-    "addr",
-    "duration-ms",
-    "rate",
-    "conns",
-    "max-inflight",
-    "deadline-ms",
-    "view",
-    "write-tenths",
-];
+/// The boolean flags. Every other option takes a value, so an option
+/// missing from this list fails loudly (it consumes the next argument or
+/// reports [`ArgError::MissingValue`]) instead of silently dropping its value.
+const FLAGS: &[&str] = &["no-suppress", "private-l1", "no-shrink", "self", "keyed"];
 
 impl Args {
     /// Parses raw arguments (without the program name).
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::MissingValue`] when a valued option ends the
-    /// argument list.
+    /// Returns [`ArgError::MissingValue`] when an option that is not a
+    /// boolean flag ends the argument list.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter();
@@ -82,13 +64,13 @@ impl Args {
             if let Some(name) = arg.strip_prefix("--") {
                 if let Some((k, v)) = name.split_once('=') {
                     args.options.push((k.to_owned(), Some(v.to_owned())));
-                } else if VALUED.contains(&name) {
+                } else if FLAGS.contains(&name) {
+                    args.options.push((name.to_owned(), None));
+                } else {
                     let value = iter
                         .next()
                         .ok_or_else(|| ArgError::MissingValue(name.to_owned()))?;
                     args.options.push((name.to_owned(), Some(value)));
-                } else {
-                    args.options.push((name.to_owned(), None));
                 }
             } else {
                 args.positionals.push(arg);
@@ -105,9 +87,17 @@ impl Args {
             .ok_or(ArgError::MissingPositional(name))
     }
 
-    /// Number of positional arguments.
-    pub fn positional_count(&self) -> usize {
-        self.positionals.len()
+    /// Rejects positional arguments beyond the first `max` (the command
+    /// name counts as one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnexpectedArgument`] naming the first surplus one.
+    pub fn expect_positionals(&self, max: usize) -> Result<(), ArgError> {
+        match self.positionals.get(max) {
+            None => Ok(()),
+            Some(surplus) => Err(ArgError::UnexpectedArgument(surplus.clone())),
+        }
     }
 
     /// Whether a boolean flag is present.
@@ -139,7 +129,7 @@ impl Args {
         }
     }
 
-    /// Rejects any option not in `allowed` (plus flags in `allowed_flags`).
+    /// Rejects any option not in `allowed`.
     ///
     /// # Errors
     ///
@@ -169,7 +159,7 @@ mod tests {
         assert_eq!(a.positional(1, "workload").unwrap(), "mcf");
         assert!(a.flag("no-suppress"));
         assert!(!a.flag("verbose"));
-        assert_eq!(a.positional_count(), 2);
+        assert!(a.expect_positionals(2).is_ok());
     }
 
     #[test]
@@ -193,6 +183,32 @@ mod tests {
     }
 
     #[test]
+    fn only_listed_flags_go_without_a_value() {
+        for flag in FLAGS {
+            let a = parse(&[&format!("--{flag}"), "next"]);
+            assert!(a.flag(flag));
+            assert_eq!(a.positional(0, "next").unwrap(), "next");
+        }
+        // Anything else takes the next argument, or says that it needs one.
+        let a = parse(&["--event-workers", "4", "--key-space", "64"]);
+        assert_eq!(a.get("event-workers"), Some("4"));
+        assert_eq!(a.get("key-space"), Some("64"));
+        assert!(a.expect_positionals(0).is_ok());
+        let err = Args::parse(vec!["--unlisted".to_string()]).unwrap_err();
+        assert_eq!(err, ArgError::MissingValue("unlisted".into()));
+    }
+
+    #[test]
+    fn surplus_positionals_detected() {
+        let a = parse(&["serve", "4"]);
+        assert!(a.expect_positionals(2).is_ok());
+        assert_eq!(
+            a.expect_positionals(1).unwrap_err(),
+            ArgError::UnexpectedArgument("4".into())
+        );
+    }
+
+    #[test]
     fn bad_value_detected() {
         let a = parse(&["--workers", "many"]);
         assert!(matches!(
@@ -203,7 +219,7 @@ mod tests {
 
     #[test]
     fn unknown_option_detected() {
-        let a = parse(&["--bogus"]);
+        let a = parse(&["--bogus", "1"]);
         assert_eq!(
             a.expect_only(&["scale"]).unwrap_err(),
             ArgError::UnknownOption("bogus".into())
@@ -227,6 +243,7 @@ mod tests {
             },
             ArgError::UnknownOption("z".into()),
             ArgError::MissingPositional("workload"),
+            ArgError::UnexpectedArgument("w".into()),
         ] {
             assert!(!e.to_string().is_empty());
         }

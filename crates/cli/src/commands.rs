@@ -14,18 +14,23 @@ use dtt_workloads::{suite, Scale, Workload};
 use crate::args::{ArgError, Args};
 use crate::CliError;
 
-fn parse_scale(args: &Args) -> Result<Scale, CliError> {
+/// The `--scale` option, if given.
+pub(crate) fn scale_option(args: &Args) -> Result<Option<Scale>, CliError> {
     match args.get("scale") {
-        None => Ok(Scale::Train),
-        Some("test") => Ok(Scale::Test),
-        Some("train") => Ok(Scale::Train),
-        Some("ref") | Some("reference") => Ok(Scale::Reference),
+        None => Ok(None),
+        Some("test") => Ok(Some(Scale::Test)),
+        Some("train") => Ok(Some(Scale::Train)),
+        Some("ref") | Some("reference") => Ok(Some(Scale::Reference)),
         Some(other) => Err(ArgError::BadValue {
             option: "scale".into(),
             value: other.into(),
         }
         .into()),
     }
+}
+
+fn parse_scale(args: &Args) -> Result<Scale, CliError> {
+    Ok(scale_option(args)?.unwrap_or(Scale::Train))
 }
 
 fn parse_granularity(args: &Args) -> Result<Granularity, CliError> {
@@ -51,6 +56,17 @@ fn find_workload(args: &Args, scale: Scale) -> Result<Box<dyn Workload>, CliErro
         .find(|w| w.name() == name)
         .ok_or_else(|| CliError::UnknownWorkload(name.to_owned()))
 }
+
+/// The options [`machine_from_args`] reads (`simulate`, `replay`, `machine`).
+pub(crate) const MACHINE_OPTIONS: [&str; 7] = [
+    "contexts",
+    "spawn",
+    "queue",
+    "granularity-bytes",
+    "no-suppress",
+    "private-l1",
+    "tst",
+];
 
 fn machine_from_args(args: &Args) -> Result<MachineConfig, CliError> {
     let cfg = MachineConfig::default()
@@ -180,17 +196,7 @@ fn profile_trace(trace: &Trace, label: &str, top: usize) -> Result<String, CliEr
 
 /// `dtt-cli simulate <workload>`
 pub fn simulate_cmd(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "scale",
-        "contexts",
-        "spawn",
-        "queue",
-        "granularity-bytes",
-        "no-suppress",
-        "private-l1",
-        "tst",
-    ])
-    .map_err(CliError::Args)?;
+    args.expect_only(&[&["scale"][..], &MACHINE_OPTIONS].concat())?;
     let scale = parse_scale(args)?;
     let w = find_workload(args, scale)?;
     let trace = w.trace();
@@ -283,18 +289,7 @@ pub fn trace_cmd(args: &Args) -> Result<String, CliError> {
 
 /// `dtt-cli replay --input FILE`
 pub fn replay(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "input",
-        "contexts",
-        "spawn",
-        "queue",
-        "granularity-bytes",
-        "no-suppress",
-        "private-l1",
-        "tst",
-        "top",
-    ])
-    .map_err(CliError::Args)?;
+    args.expect_only(&[&["input", "top"][..], &MACHINE_OPTIONS].concat())?;
     let path = args
         .get("input")
         .ok_or(CliError::Args(ArgError::MissingValue("input".into())))?;
@@ -308,16 +303,7 @@ pub fn replay(args: &Args) -> Result<String, CliError> {
 
 /// `dtt-cli machine`
 pub fn machine(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "contexts",
-        "spawn",
-        "queue",
-        "granularity-bytes",
-        "no-suppress",
-        "private-l1",
-        "tst",
-    ])
-    .map_err(CliError::Args)?;
+    args.expect_only(&MACHINE_OPTIONS)?;
     Ok(format!("{}\n", machine_from_args(args)?))
 }
 
@@ -418,9 +404,22 @@ pub fn graph(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The options of `serve`, which `load --self` accepts as well: what
+/// [`serve_config_from_args`] reads, plus the run length.
+pub(crate) const SERVE_OPTIONS: [&str; 8] = [
+    "port",
+    "duration-ms",
+    "max-inflight",
+    "queue",
+    "deadline-ms",
+    "view",
+    "event-workers",
+    "key-space",
+];
+
 /// Builds a [`dtt_serve::ServeConfig`] from the `serve`/`load --self`
 /// option set, starting from the defaults.
-fn serve_config_from_args(args: &Args) -> Result<dtt_serve::ServeConfig, CliError> {
+pub(crate) fn serve_config_from_args(args: &Args) -> Result<dtt_serve::ServeConfig, CliError> {
     let mut cfg = dtt_serve::ServeConfig::default();
     cfg.addr = format!("127.0.0.1:{}", args.get_parsed("port", 0u16)?);
     cfg.max_inflight = args.get_parsed("max-inflight", cfg.max_inflight)?;
@@ -476,17 +475,8 @@ fn serve_stats_block(stats: &dtt_serve::ServeStatsSnapshot) -> String {
 /// the process is killed), then drains and prints the request-lifecycle
 /// counters with their conservation verdicts.
 pub fn serve(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "port",
-        "duration-ms",
-        "max-inflight",
-        "queue",
-        "deadline-ms",
-        "view",
-        "event-workers",
-        "key-space",
-    ])
-    .map_err(CliError::Args)?;
+    args.expect_only(&SERVE_OPTIONS)?;
+    args.expect_positionals(1)?;
     let duration_ms = args.get_parsed("duration-ms", 1_000u64)?;
     let cfg = serve_config_from_args(args)?;
     let inflight = cfg.max_inflight;
@@ -527,23 +517,9 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
 /// switches reads to `GetKey` shard-row lookups (implied by
 /// `--view keyed`).
 pub fn load(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "addr",
-        "rate",
-        "conns",
-        "duration-ms",
-        "write-tenths",
-        "keyed",
-        "key-space",
-        "self",
-        "port",
-        "max-inflight",
-        "queue",
-        "deadline-ms",
-        "view",
-        "event-workers",
-    ])
-    .map_err(CliError::Args)?;
+    let own = ["addr", "self", "rate", "conns", "write-tenths", "keyed"];
+    args.expect_only(&[&own[..], &SERVE_OPTIONS].concat())?;
+    args.expect_positionals(1)?;
     let self_serve = args.flag("self");
     let mut server = if self_serve {
         Some(dtt_serve::Server::start(serve_config_from_args(args)?)?)

@@ -11,10 +11,15 @@
 //! dtt-cli obs <metrics|timeline|top> <workload> [--scale S] [--workers N]
 //!                                               [--out FILE] [--top N]
 //! dtt-cli graph <workload> [--scale S] [--workers N]
-//! dtt-cli chaos [--seed N] [--runs K]        # seeded fault-injection runs
-//! dtt-cli serve [--port N] [--duration-ms N] # overload-safe front-end
-//! dtt-cli load [--addr A | --self] [--rate N] [--conns N] [--duration-ms N]
-//! dtt-cli machine                            # default simulated machine
+//! dtt-cli chaos [--seed N] [--runs K] [--no-shrink]  # seeded fault injection
+//! dtt-cli serve [--port N] [--duration-ms N] [--max-inflight N] [--queue N]
+//!               [--deadline-ms N] [--view sheet|pipeline|keyed]
+//!               [--event-workers N] [--key-space N]  # overload-safe front-end
+//! dtt-cli load [--addr A | --self [serve options]] [--rate N] [--conns N]
+//!              [--duration-ms N] [--write-tenths N] [--keyed] [--key-space N]
+//! dtt-cli machine [simulate options]         # the simulated machine
+//! dtt-cli experiment list                    # the reproduction's catalogue
+//! dtt-cli experiment <id> [--scale S]        # one table, figure or ablation
 //! ```
 //!
 //! All commands are exposed as library functions returning their output as
@@ -25,6 +30,7 @@
 
 pub mod args;
 pub mod commands;
+mod experiments;
 
 use std::fmt;
 
@@ -40,6 +46,8 @@ pub enum CliError {
     UnknownWorkload(String),
     /// The named command does not exist.
     UnknownCommand(String),
+    /// The named experiment does not exist.
+    UnknownExperiment(String),
     /// A file operation failed.
     Io(std::io::Error),
     /// A trace file failed to decode.
@@ -61,6 +69,13 @@ impl fmt::Display for CliError {
             }
             CliError::UnknownCommand(c) => {
                 write!(f, "unknown command {c:?}; run `dtt-cli help`")
+            }
+            CliError::UnknownExperiment(id) => {
+                write!(
+                    f,
+                    "unknown experiment {id:?}; known: {}",
+                    experiments::ids().join(", ")
+                )
             }
             CliError::Io(e) => write!(f, "{e}"),
             CliError::Trace(e) => write!(f, "{e}"),
@@ -103,11 +118,15 @@ USAGE:
   dtt-cli graph <workload>    [--scale S] [--workers N]
   dtt-cli chaos               [--seed N] [--runs K] [--no-shrink]
   dtt-cli serve               [--port N] [--duration-ms N] [--max-inflight N]
-                              [--queue N] [--deadline-ms N] [--view sheet|pipeline]
+                              [--queue N] [--deadline-ms N]
+                              [--view sheet|pipeline|keyed]
+                              [--event-workers N] [--key-space N]
   dtt-cli load                --addr HOST:PORT | --self [serve options]
                               [--rate N] [--conns N] [--duration-ms N]
-                              [--write-tenths N]
-  dtt-cli machine
+                              [--write-tenths N] [--keyed] [--key-space N]
+  dtt-cli machine             [simulate options]
+  dtt-cli experiment list
+  dtt-cli experiment <id>     [--scale S]
   dtt-cli help
 ";
 
@@ -137,6 +156,7 @@ pub fn dispatch<I: IntoIterator<Item = String>>(raw: I) -> Result<String, CliErr
         "serve" => commands::serve(&args),
         "load" => commands::load(&args),
         "machine" => commands::machine(&args),
+        "experiment" => experiments::command(&args),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(CliError::UnknownCommand(other.to_owned())),
     }
@@ -345,8 +365,77 @@ mod tests {
     #[test]
     fn bad_option_is_reported() {
         assert!(matches!(
-            run(&["run", "mcf", "--bogus"]),
+            run(&["run", "mcf", "--bogus", "1"]),
             Err(CliError::Args(ArgError::UnknownOption(_)))
         ));
+        assert!(matches!(
+            run(&["run", "mcf", "--bogus"]),
+            Err(CliError::Args(ArgError::MissingValue(_)))
+        ));
+    }
+
+    #[test]
+    fn serve_options_reach_the_config_in_both_forms() {
+        let parse = |raw: &[&str]| Args::parse(raw.iter().map(|s| s.to_string())).unwrap();
+        for raw in [
+            &["serve", "--event-workers", "4", "--key-space", "64"][..],
+            &["serve", "--event-workers=4", "--key-space=64"],
+        ] {
+            let cfg = commands::serve_config_from_args(&parse(raw)).unwrap();
+            assert_eq!((cfg.event_workers, cfg.key_space), (4, 64), "{raw:?}");
+        }
+        for raw in [
+            &["load", "--self", "--key-space", "notanumber"][..],
+            &["load", "--self", "--key-space=notanumber"],
+            &["load", "--self", "--event-workers", "nope"],
+            &["serve", "--event-workers=nope"],
+        ] {
+            assert!(
+                matches!(run(raw), Err(CliError::Args(ArgError::BadValue { .. }))),
+                "{raw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_and_load_reject_stray_positionals() {
+        for raw in [&["serve", "4"][..], &["load", "--self", "64"]] {
+            assert!(
+                matches!(
+                    run(raw),
+                    Err(CliError::Args(ArgError::UnexpectedArgument(_)))
+                ),
+                "{raw:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn usage_mentions_every_option_a_command_accepts() {
+        let others = [
+            "scale",
+            "workers",
+            "granularity",
+            "top",
+            "out",
+            "input",
+            "seed",
+            "runs",
+            "no-shrink",
+            "addr",
+            "self",
+            "rate",
+            "conns",
+            "write-tenths",
+            "keyed",
+        ];
+        let shared = commands::MACHINE_OPTIONS
+            .iter()
+            .chain(&commands::SERVE_OPTIONS);
+        for option in shared.chain(&others) {
+            assert!(USAGE.contains(&format!("--{option}")), "--{option}");
+        }
+        assert!(USAGE.contains("sheet|pipeline|keyed"));
+        assert!(USAGE.contains("experiment <id>"));
     }
 }

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use crate::addr::AddrRange;
+use crate::graph::GraphEdge;
 use crate::stats::StatsSnapshot;
 use crate::tthread::TthreadStatus;
 
@@ -38,8 +39,12 @@ pub struct TthreadReportRow {
 /// A point-in-time snapshot of the runtime's observable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeReport {
-    /// Per-tthread rows, in registration order.
+    /// Per-tthread rows, in registration order (row `i` is the tthread
+    /// whose id has index `i`).
     pub tthreads: Vec<TthreadReportRow>,
+    /// The declared dependency edges of the incremental computation graph,
+    /// writer-major (see [`crate::runtime::Runtime::declare_output`]).
+    pub edges: Vec<GraphEdge>,
     /// Entries currently in the pending queue.
     pub queue_len: usize,
     /// Queue capacity.

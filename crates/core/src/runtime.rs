@@ -21,7 +21,7 @@ use crate::dispatch::{Dispatch, ParkOutcome, RaiseStep, PARK_TIMEOUT};
 use crate::error::{Error, Result};
 use crate::fault::{FaultLayer, FaultPoint};
 use crate::filter::WatchFilter;
-use crate::graph::{DepGraph, GraphEdge};
+use crate::graph::DepGraph;
 use crate::handle::{Tracked, TrackedArray, TrackedMatrix};
 use crate::heap::TrackedHeap;
 use crate::mem::ShardedMem;
@@ -383,11 +383,6 @@ impl<U: Send + 'static> Runtime<U> {
         Runtime { inner, pool }
     }
 
-    /// The runtime's configuration.
-    pub fn config(&self) -> &Config {
-        &self.inner.cfg
-    }
-
     /// Allocates a tracked scalar initialized to `init` (without firing
     /// triggers — nothing can be watching it yet).
     ///
@@ -536,12 +531,6 @@ impl<U: Send + 'static> Runtime<U> {
             return Err(Error::TriggerCycle { path });
         }
         Ok(())
-    }
-
-    /// The declared dependency edges of the incremental computation graph,
-    /// writer-major (see [`Runtime::declare_output`]).
-    pub fn graph_edges(&self) -> Vec<GraphEdge> {
-        self.inner.state.lock().graph.edges()
     }
 
     /// Detaches a previously attached trigger region.
@@ -918,47 +907,10 @@ impl<U: Send + 'static> Runtime<U> {
         Ok(self.inner.dispatch.slots.slot(tthread.index()).status())
     }
 
-    /// Name the tthread was registered with.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTthread`] for a foreign id.
-    pub fn tthread_name(&self, tthread: TthreadId) -> Result<String> {
-        let names = self.inner.tthreads.read();
-        names
-            .get(tthread.index())
-            .map(|e| e.name.clone())
-            .ok_or(Error::UnknownTthread(tthread))
-    }
-
-    /// Number of registered tthreads.
-    pub fn tthread_count(&self) -> usize {
-        self.inner.tthreads.read().len()
-    }
-
-    /// Per-tthread execution/skip/trigger counts, in id order.
-    pub fn tthread_counters(&self) -> Vec<(TthreadId, u64, u64, u64)> {
-        let state = self.inner.state.lock();
-        state
-            .tst
-            .iter()
-            .map(|(id, e)| {
-                let triggers = self
-                    .inner
-                    .dispatch
-                    .slots
-                    .slot(id.index())
-                    .triggers
-                    .load(Ordering::Relaxed);
-                (id, e.executions, e.skips, triggers)
-            })
-            .collect()
-    }
-
     /// Produces a diagnostic snapshot of the whole runtime: tthread
-    /// statuses, watched regions, queue occupancy, arena usage and
-    /// counters. Intended for debugging and logging; see
-    /// [`crate::report::RuntimeReport`].
+    /// names, statuses, counters and watched regions, the declared
+    /// dependency edges, queue occupancy, arena usage and the global
+    /// counters. See [`crate::report::RuntimeReport`].
     pub fn report(&self) -> crate::report::RuntimeReport {
         let state = self.inner.state.lock();
         let names = self.inner.tthreads.read();
@@ -993,6 +945,7 @@ impl<U: Send + 'static> Runtime<U> {
         let pending = &self.inner.dispatch.pending;
         crate::report::RuntimeReport {
             tthreads,
+            edges: state.graph.edges(),
             queue_len: pending.len(),
             queue_capacity: pending.capacity(),
             queue_high_watermark: pending.high_watermark(),
@@ -1589,7 +1542,6 @@ mod tests {
         let m = rt.alloc_matrix::<u64>(2, 3).unwrap();
         rt.with(|ctx| ctx.set(m.at(1, 2), 5));
         assert_eq!(rt.read(m.at(1, 2)), 5);
-        assert_eq!(rt.config().granularity, crate::addr::Granularity::Exact);
     }
 
     #[test]
@@ -1630,10 +1582,6 @@ mod tests {
             rt.mark_dirty(bogus),
             Err(Error::UnknownTthread(_))
         ));
-        assert!(matches!(
-            rt.tthread_name(bogus),
-            Err(Error::UnknownTthread(_))
-        ));
     }
 
     #[test]
@@ -1660,8 +1608,9 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes.iter().all(|(_, o)| *o == JoinOutcome::RanInline));
         assert_eq!(rt.with(|ctx| *ctx.user()), 11);
-        assert_eq!(rt.tthread_count(), 2);
-        assert_eq!(rt.tthread_name(t1).unwrap(), "a");
+        let report = rt.report();
+        assert_eq!(report.tthreads.len(), 2);
+        assert_eq!(report.tthreads[t1.index()].name, "a");
     }
 
     #[test]
@@ -2086,7 +2035,7 @@ mod tests {
     }
 
     #[test]
-    fn tthread_counters_report_per_thread() {
+    fn report_rows_count_per_thread() {
         let mut rt = Runtime::new(deferred(), ());
         let x = rt.alloc(0u32).unwrap();
         let tt = rt.register("t", |_| {});
@@ -2094,13 +2043,10 @@ mod tests {
         rt.write(x, 1);
         rt.join(tt).unwrap();
         rt.join(tt).unwrap();
-        let counters = rt.tthread_counters();
-        assert_eq!(counters.len(), 1);
-        let (id, execs, skips, triggers) = counters[0];
-        assert_eq!(id, tt);
-        assert_eq!(execs, 1);
-        assert_eq!(skips, 1);
-        assert_eq!(triggers, 1);
+        let rows = rt.report().tthreads;
+        assert_eq!(rows.len(), 1);
+        let row = &rows[tt.index()];
+        assert_eq!((row.executions, row.skips, row.triggers), (1, 1, 1));
     }
 
     /// The lock-free join proof: while the joiner waits for a Running
@@ -2477,7 +2423,7 @@ mod tests {
         rt.declare_output(t2, a.range()).unwrap();
         rt.watch(t0, a.range()).unwrap();
         rt.watch(t1, b.range()).unwrap();
-        assert_eq!(rt.graph_edges().len(), 2);
+        assert_eq!(rt.report().edges.len(), 2);
         // t2 watching c closes t0 -> t1 -> t2 -> t0.
         let err = rt.watch(t2, c.range()).unwrap_err();
         match err {
@@ -2489,7 +2435,7 @@ mod tests {
         }
         // The rejected watch was rolled back: the edge map is unchanged
         // and the tthread still fires nothing on stores to c.
-        assert_eq!(rt.graph_edges().len(), 2);
+        assert_eq!(rt.report().edges.len(), 2);
         assert_eq!(rt.stats().counters().trigger_cycles_rejected, 1);
         rt.write(c, 7);
         assert_eq!(rt.status(t2).unwrap(), TthreadStatus::Clean);
@@ -2504,6 +2450,6 @@ mod tests {
         let t = rt.register("t", |_| {});
         rt.declare_output(t, x.range()).unwrap();
         rt.watch(t, x.range()).unwrap();
-        assert!(rt.graph_edges().is_empty());
+        assert!(rt.report().edges.is_empty());
     }
 }

@@ -31,11 +31,7 @@ fn foreign_region_store_triggers_downstream_exactly_once() {
         rt.join(publish).unwrap();
 
         assert_eq!(rt.with(|ctx| *ctx.user()), 42, "workers={workers}");
-        let counters: Vec<u64> = rt
-            .tthread_counters()
-            .iter()
-            .map(|(_, execs, _, _)| *execs)
-            .collect();
+        let counters: Vec<u64> = rt.report().tthreads.iter().map(|t| t.executions).collect();
         assert_eq!(counters, vec![1, 1], "workers={workers}");
         let c = rt.stats();
         let c = c.counters();
@@ -161,7 +157,7 @@ fn three_node_declared_cycle_is_rejected_at_watch_time() {
     }
     // The rejected watch must not have been installed: the same store
     // leaves t1 clean, and the edge map still has exactly two edges.
-    assert_eq!(rt.graph_edges().len(), 2);
+    assert_eq!(rt.report().edges.len(), 2);
     let snap = rt.stats();
     assert_eq!(snap.counters().trigger_cycles_rejected, 1);
 }

@@ -202,11 +202,7 @@ proptest! {
         prop_assert_eq!(c.executions, c.inline_executions + c.worker_executions);
         prop_assert_eq!(c.tracked_stores, c.silent_stores + c.changing_stores);
         prop_assert_eq!(c.detached_executions, c.worker_executions);
-        let per_tthread: u64 = rt
-            .tthread_counters()
-            .iter()
-            .map(|(_, execs, _, _)| *execs)
-            .sum();
+        let per_tthread: u64 = rt.report().tthreads.iter().map(|t| t.executions).sum();
         prop_assert_eq!(per_tthread, c.executions);
         // Dispatch-path conservation: with workers, every fired trigger is
         // accounted for exactly once — enqueued, coalesced/absorbed, or

@@ -110,29 +110,26 @@ pub fn store_u8<P: Probe>(p: &mut P, site: SiteId, base: u64, idx: usize, v: u8)
 
 /// Collects the standard [`DttRun`] report from a finished runtime.
 pub fn dtt_run_report<U: Send + 'static>(rt: &Runtime<U>, digest: u64) -> DttRun {
-    let tthreads = rt
-        .tthread_counters()
-        .into_iter()
-        .map(|(id, executions, skips, triggers)| TthreadReport {
-            name: rt.tthread_name(id).unwrap_or_default(),
-            executions,
-            skips,
-            triggers,
-        })
+    let report = rt.report();
+    let name = |id: TthreadId| report.tthreads[id.index()].name.clone();
+    let edges = report
+        .edges
+        .iter()
+        .map(|e| (name(e.writer), name(e.reader)))
         .collect();
-    let edges = rt
-        .graph_edges()
-        .into_iter()
-        .map(|e| {
-            (
-                rt.tthread_name(e.writer).unwrap_or_default(),
-                rt.tthread_name(e.reader).unwrap_or_default(),
-            )
+    let tthreads = report
+        .tthreads
+        .iter()
+        .map(|t| TthreadReport {
+            name: t.name.clone(),
+            executions: t.executions,
+            skips: t.skips,
+            triggers: t.triggers,
         })
         .collect();
     DttRun {
         digest,
-        stats: rt.stats(),
+        stats: report.stats,
         tthreads,
         edges,
         obs: rt.is_observing().then(|| rt.obs_drain()),

@@ -62,10 +62,7 @@ fn run_runtime(schedule: &[Op]) -> Vec<u64> {
     for &tt in &tts {
         rt.join(tt).unwrap();
     }
-    rt.tthread_counters()
-        .into_iter()
-        .map(|(_, e, _, _)| e)
-        .collect()
+    rt.report().tthreads.iter().map(|t| t.executions).collect()
 }
 
 /// Builds the equivalent annotated trace and simulates it; returns
@@ -277,11 +274,8 @@ fn drive(
 
 /// Execution counts of `tts`, in order.
 fn execs_of(rt: &Runtime<()>, tts: &[TthreadId]) -> Vec<u64> {
-    rt.tthread_counters()
-        .into_iter()
-        .filter(|(id, ..)| tts.contains(id))
-        .map(|(_, e, _, _)| e)
-        .collect()
+    let rows = rt.report().tthreads;
+    tts.iter().map(|tt| rows[tt.index()].executions).collect()
 }
 
 /// Drives one runtime through `schedule` and records what a program could

@@ -2,7 +2,9 @@
 //! refactoring breaks the reproduction (mcf no longer wins, suppression no
 //! longer load-bearing, granularity no longer costs twolf), these fail.
 
-/// Tiny local harness so this test does not depend on dtt-bench.
+/// Tiny local harness over the facade crate (the experiment tables
+/// themselves are `dtt-cli experiment <id>`, which the root package does not
+/// depend on).
 mod bench_support {
     use dtt::sim::{simulate, MachineConfig, SimMode};
     use dtt::workloads::{suite, Scale};

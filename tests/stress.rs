@@ -107,11 +107,7 @@ fn runtime_with_full_queue(
 }
 
 fn executions_of(rt: &Runtime<u64>, tthread: TthreadId) -> u64 {
-    rt.tthread_counters()
-        .into_iter()
-        .find(|(id, ..)| *id == tthread)
-        .map(|(_, e, ..)| e)
-        .unwrap()
+    rt.report().tthreads[tthread.index()].executions
 }
 
 /// `ExecuteInline` overflow: a trigger that finds the queue full runs its
