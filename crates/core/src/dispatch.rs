@@ -1,5 +1,5 @@
-//! Lock-free trigger dispatch: the atomic tthread status machine, the
-//! bounded pending queue, and the worker eventcount.
+//! Lock-free trigger dispatch: the atomic tthread status machine and the
+//! bounded pending queue, parked on two [`crate::eventcount::Waiters`].
 //!
 //! The HPCA'11 hardware updates its thread status table with single-cycle
 //! state transitions; the software runtime originally serialized every one
@@ -53,12 +53,13 @@
 //! else is ever acquired under them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::eventcount::Waiters;
 use crate::tthread::TthreadStatus;
 
 const STATE_MASK: u64 = 0b11;
@@ -481,118 +482,6 @@ impl PendingQueue {
     }
 }
 
-/// How one [`Waiters::park`] call ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ParkOutcome {
-    /// The caller never slept: work was already available, a wake raced
-    /// in between the epoch read and the sleep commit, or the eventcount
-    /// is closed.
-    Skipped,
-    /// Slept and was woken by a notification before the timeout.
-    Woken,
-    /// Slept until the timeout elapsed — the dropped-wake rescue path.
-    TimedOut,
-}
-
-/// The worker eventcount: producers bump an epoch and wake at most one
-/// parked worker per enqueued unit; consumers validate the epoch under the
-/// mutex before sleeping, so a wake between "queue looked empty" and
-/// "committed to sleep" is never lost. Parks are *timed*
-/// ([`PARK_TIMEOUT`]) as a belt-and-braces bound: an injected lost wakeup
-/// ([`crate::fault::FaultPoint::WakeDrop`]) delays a dispatch by at most
-/// one park period. [`Waiters::close`] latches the eventcount shut for
-/// shutdown: every parked waiter is broadcast awake and later park
-/// attempts return immediately, so quiesce never rides out a park period.
-#[derive(Debug, Default)]
-pub(crate) struct Waiters {
-    epoch: AtomicU64,
-    sleepers: AtomicUsize,
-    closed: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Waiters {
-    /// Wakes at most one parked worker. Returns whether a notification was
-    /// actually sent (no sleeper → no syscall, no wake).
-    pub(crate) fn wake_one(&self) -> bool {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return false;
-        }
-        let _g = self.lock.lock();
-        self.cv.notify_one();
-        true
-    }
-
-    /// Wakes every parked waiter; like [`Waiters::wake_one`], no sleeper
-    /// means no lock and no syscall. Skipping is safe by the same
-    /// announce-then-validate argument: the epoch bump (SeqCst) precedes
-    /// the sleeper read here, and a parker increments the sleeper count
-    /// before re-reading the epoch. A parker this call does not count
-    /// therefore either re-reads a moved epoch and abandons its sleep, or
-    /// took its first epoch read after the bump — and then its predicate
-    /// already sees whatever the caller changed before waking.
-    pub(crate) fn wake_all(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let _g = self.lock.lock();
-        self.cv.notify_all();
-    }
-
-    /// Latches the eventcount shut (idempotent) and broadcasts to every
-    /// parked waiter: the dedicated shutdown wake. A closed eventcount
-    /// refuses all future parks, so a worker that re-checks the shutdown
-    /// flag after a failed park can never sleep through quiesce.
-    pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.wake_all();
-    }
-
-    /// Whether [`Waiters::close`] has been called.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
-    }
-
-    /// How many callers are currently committed to sleep. A point-in-time
-    /// read, for tests that need to observe a parked waiter from outside.
-    #[cfg(test)]
-    pub(crate) fn sleeping(&self) -> usize {
-        self.sleepers.load(Ordering::SeqCst)
-    }
-
-    /// Parks the caller until woken, the timeout elapses, or
-    /// `work_available` turns true. The outcome distinguishes a real wake
-    /// from a timeout expiry so callers can count rescue wakes
-    /// separately.
-    pub(crate) fn park(&self, work_available: impl Fn() -> bool, timeout: Duration) -> ParkOutcome {
-        let epoch = self.epoch.load(Ordering::SeqCst);
-        if work_available() || self.is_closed() {
-            return ParkOutcome::Skipped;
-        }
-        let mut guard = self.lock.lock();
-        // Announce, then validate: a producer either sees the sleeper
-        // count and notifies, or its epoch bump is visible here and the
-        // sleep is abandoned (SeqCst makes one of the two certain). A
-        // concurrent close() bumps the epoch too, so a closing race is
-        // caught by the same validation.
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.epoch.load(Ordering::SeqCst) != epoch {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return ParkOutcome::Skipped;
-        }
-        let timed_out = self.cv.wait_for(&mut guard, timeout);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if timed_out {
-            ParkOutcome::TimedOut
-        } else {
-            ParkOutcome::Woken
-        }
-    }
-}
-
 /// Everything the lock-free dispatch path owns, grouped in
 /// [`crate::runtime::Inner`].
 #[derive(Debug)]
@@ -895,111 +784,5 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.entries.lock().len(), 0);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn waiters_wake_without_sleeper_is_cheap() {
-        let w = Waiters::default();
-        assert!(!w.wake_one(), "no sleeper: no notification");
-    }
-
-    #[test]
-    fn park_bails_when_work_arrives_first() {
-        let w = Waiters::default();
-        assert_eq!(
-            w.park(|| true, Duration::from_millis(1)),
-            ParkOutcome::Skipped
-        );
-    }
-
-    #[test]
-    fn park_times_out_without_a_wake() {
-        let w = Waiters::default();
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            w.park(|| false, Duration::from_millis(5)),
-            ParkOutcome::TimedOut
-        );
-        assert!(t0.elapsed() >= Duration::from_millis(4));
-    }
-
-    #[test]
-    fn closed_waiters_refuse_to_park() {
-        let w = Waiters::default();
-        assert!(!w.is_closed());
-        w.close();
-        assert!(w.is_closed());
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            w.park(|| false, Duration::from_millis(200)),
-            ParkOutcome::Skipped
-        );
-        assert!(t0.elapsed() < Duration::from_millis(100));
-        // Idempotent.
-        w.close();
-        assert!(w.is_closed());
-    }
-
-    #[test]
-    fn close_wakes_a_parked_waiter_promptly() {
-        let w = Waiters::default();
-        std::thread::scope(|s| {
-            let h = s.spawn(|| w.park(|| false, Duration::from_secs(5)));
-            while w.sleepers.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            let t0 = std::time::Instant::now();
-            w.close();
-            assert_eq!(h.join().unwrap(), ParkOutcome::Woken);
-            assert!(t0.elapsed() < Duration::from_millis(500));
-        });
-    }
-
-    #[test]
-    fn park_abandons_sleep_after_missed_epoch() {
-        let w = Waiters::default();
-        // A wake between the epoch read and the commit is detected; the
-        // test drives it by pre-bumping through wake_one.
-        let epoch_before = w.epoch.load(Ordering::SeqCst);
-        w.wake_one();
-        assert_ne!(w.epoch.load(Ordering::SeqCst), epoch_before);
-        // park() reads the *current* epoch, so it still sleeps; exercise
-        // the cross-thread variant instead.
-        let parked = std::thread::scope(|s| {
-            let h = s.spawn(|| w.park(|| false, Duration::from_millis(200)));
-            // Give the parker a moment, then wake it.
-            while w.sleepers.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            let t0 = std::time::Instant::now();
-            assert!(w.wake_one());
-            let parked = h.join().unwrap();
-            assert!(t0.elapsed() < Duration::from_millis(150));
-            parked
-        });
-        assert_eq!(parked, ParkOutcome::Woken);
-    }
-
-    #[test]
-    fn wake_all_without_sleeper_still_bumps_the_epoch() {
-        // `wake_all` skips the mutex and the notify when nobody sleeps, so
-        // the epoch bump alone must turn away a parker that read the epoch
-        // before it. The predicate runs between `park`'s epoch read and
-        // its sleeper announcement — issuing the wake from there is that
-        // exact interleaving, forced rather than raced.
-        let w = Waiters::default();
-        let epoch_before = w.epoch.load(Ordering::SeqCst);
-        let t0 = std::time::Instant::now();
-        let outcome = w.park(
-            || {
-                w.wake_all();
-                false
-            },
-            Duration::from_secs(5),
-        );
-        assert_eq!(outcome, ParkOutcome::Skipped);
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        assert_eq!(w.epoch.load(Ordering::SeqCst), epoch_before + 1);
-        assert_eq!(w.sleepers.load(Ordering::SeqCst), 0);
     }
 }

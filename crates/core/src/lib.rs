@@ -92,7 +92,8 @@
 //! | [`handle`] | typed [`Tracked`]/[`TrackedArray`] handles |
 //! | [`trigger`] | the store-address → tthread trigger table |
 //! | [`tthread`] | tthread ids and the thread status table |
-//! | `dispatch` | the lock-free status word, the bounded pending FIFO, the two eventcounts |
+//! | `dispatch` | the lock-free status word and the bounded pending FIFO |
+//! | [`eventcount`] | the one park/wake primitive: workers, joiners, the shutdown join and `dtt-serve`'s event workers wait on it |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
@@ -112,6 +113,7 @@ pub mod ctx;
 pub mod deadline;
 pub(crate) mod dispatch;
 pub mod error;
+pub mod eventcount;
 pub mod fault;
 pub(crate) mod filter;
 pub mod graph;

@@ -5,7 +5,7 @@
 //! the crate-level documentation for the programming model and a complete
 //! example.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -17,8 +17,9 @@ use crate::addr::{Addr, AddrRange};
 use crate::config::Config;
 use crate::ctx::{Ctx, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
-use crate::dispatch::{Dispatch, ParkOutcome, RaiseStep, PARK_TIMEOUT};
+use crate::dispatch::{Dispatch, RaiseStep, PARK_TIMEOUT};
 use crate::error::{Error, Result};
+use crate::eventcount::{ParkOutcome, Waiters};
 use crate::fault::{FaultLayer, FaultPoint};
 use crate::filter::WatchFilter;
 use crate::graph::DepGraph;
@@ -307,6 +308,27 @@ pub struct Runtime<U> {
 struct WorkerPool<U> {
     inner: Arc<Inner<U>>,
     handles: Vec<thread::JoinHandle<()>>,
+    exits: Arc<Exits>,
+}
+
+/// How a deadline-bounded join learns that workers are gone. It lives
+/// outside [`Inner`] because a worker signals *after* releasing its
+/// `Arc<Inner>` clone: once `count` reaches the pool size no worker holds a
+/// reference the consuming teardown's `try_unwrap` could trip over.
+#[derive(Default)]
+struct Exits {
+    count: AtomicUsize,
+    waiters: Waiters,
+}
+
+/// Signals one worker's exit on drop, so an unwinding worker counts too.
+struct ExitSignal(Arc<Exits>);
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        self.0.count.fetch_add(1, Ordering::SeqCst);
+        self.0.waiters.wake_all();
+    }
 }
 
 impl<U> Drop for WorkerPool<U> {
@@ -367,18 +389,27 @@ impl<U: Send + 'static> Runtime<U> {
             tthreads: RwLock::new(Vec::new()),
             shutdown: AtomicBool::new(false),
         });
+        let exits = Arc::new(Exits::default());
         let handles = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
+                let exits = Arc::clone(&exits);
                 thread::Builder::new()
                     .name(format!("dtt-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .spawn(move || {
+                        // Locals drop in reverse order: `inner` is released
+                        // before the signal fires.
+                        let _signal = ExitSignal(exits);
+                        let inner = inner;
+                        worker_loop(&inner, i);
+                    })
                     .expect("failed to spawn dtt worker")
             })
             .collect();
         let pool = WorkerPool {
             inner: Arc::clone(&inner),
             handles,
+            exits,
         };
         Runtime { inner, pool }
     }
@@ -1019,59 +1050,54 @@ impl<U: Send + 'static> Runtime<U> {
             return Ok(());
         }
         self.inner.signal_shutdown();
-        // `self.inner` and `pool.inner` both survive a drain, so two
-        // residual references are a clean exit (the consuming teardown
-        // requires exactly one).
-        Self::join_worker_handles(&self.inner, handles, Some(timeout), 2)
+        Self::join_worker_handles(&self.pool.exits, handles, Some(timeout))
     }
 
-    /// Joins (or deadline-polls) the drained worker handles.
+    /// Joins the drained worker handles, with a timeout only once every
+    /// worker has signalled its exit.
     ///
-    /// With a timeout, also waits for the inner `Arc` to shed the workers'
-    /// clones down to `max_residual_refs`: a finished worker may not have
-    /// released its clone yet, and the consuming teardown's `try_unwrap`
-    /// must not race a clean drain.
+    /// A worker signals after releasing its `Arc<Inner>` clone (see
+    /// [`Exits`]), so a clean return also means the consuming teardown's
+    /// `try_unwrap` cannot race a worker that finished its loop but still
+    /// holds a reference. The wait parks on the exit eventcount — the last
+    /// worker out wakes it — with the caller's deadline as the only timer.
     fn join_worker_handles(
-        inner: &Arc<Inner<U>>,
+        exits: &Exits,
         handles: Vec<thread::JoinHandle<()>>,
         timeout: Option<Duration>,
-        max_residual_refs: usize,
     ) -> Result<()> {
-        match timeout {
-            None => {
-                for handle in handles {
-                    let _ = handle.join();
+        if let Some(timeout) = timeout {
+            let deadline = Instant::now() + timeout;
+            let exited = || exits.count.load(Ordering::SeqCst);
+            while exited() < handles.len() {
+                let now = Instant::now();
+                if now >= deadline {
+                    // Dropping the handles detaches the stragglers.
+                    return Err(Error::WorkersStillActive {
+                        active: handles.len().saturating_sub(exited()).max(1),
+                    });
                 }
-                Ok(())
-            }
-            Some(timeout) => {
-                let deadline = Instant::now() + timeout;
-                let mut remaining = handles;
-                loop {
-                    remaining.retain(|h| !h.is_finished());
-                    if remaining.is_empty() && Arc::strong_count(inner) <= max_residual_refs {
-                        return Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        let active = remaining
-                            .len()
-                            .max(Arc::strong_count(inner).saturating_sub(max_residual_refs));
-                        drop(remaining); // detach the stragglers
-                        return Err(Error::WorkersStillActive { active });
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
+                exits
+                    .waiters
+                    .park(|| exited() >= handles.len(), deadline - now);
             }
         }
+        // Every worker is past its loop (or the caller asked for an
+        // unbounded wait): the joins only ride out thread epilogues.
+        for handle in handles {
+            let _ = handle.join();
+        }
+        Ok(())
     }
 
     fn teardown(self, timeout: Option<Duration>) -> Result<(TrackedHeap, U)> {
         let Runtime { inner, mut pool } = self;
         let handles: Vec<_> = pool.handles.drain(..).collect();
+        let exits = Arc::clone(&pool.exits);
         drop(pool); // handles drained: only releases the pool's Arc clone
         if !handles.is_empty() {
             inner.signal_shutdown();
-            Self::join_worker_handles(&inner, handles, timeout, 1)?;
+            Self::join_worker_handles(&exits, handles, timeout)?;
         }
         let inner = Arc::try_unwrap(inner).map_err(|arc| Error::WorkersStillActive {
             // One count is the `arc` binding itself; the rest are workers

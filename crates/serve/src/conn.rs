@@ -10,8 +10,17 @@
 //! deferral. A small pool of event workers sweeps thousands of these
 //! machines; no OS thread ever belongs to a connection.
 //!
+//! The engine round trip allocates nothing: a connection owns one
+//! [`ReplySlot`] for its whole life and numbers its requests; the command
+//! carries the slot, the number and the owning worker's [`Doorbell`], and
+//! the engine's fill-then-ring is what brings the worker back to
+//! [`Conn::poll`] — not a timer. A reply to an earlier, timed-out request
+//! carries an older number and is never mistaken for the current one.
+//!
 //! Each [`Conn::poll`] makes whatever progress the socket allows and
-//! returns. The lifecycle counters are recorded at the same decision
+//! returns, telling the worker what this connection still waits on
+//! ([`Polled::busy`], [`Polled::timer`]) so the worker can size its nap.
+//! The lifecycle counters are recorded at the same decision
 //! points as the threaded path, so both conservation identities —
 //! `accepts == admits + sheds` and
 //! `accepts == responses + sheds + dropped_conns` — hold verbatim, and
@@ -20,14 +29,16 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dtt_core::FaultPoint;
 
 use crate::admission::{Gate, Permit};
-use crate::engine::{read_cache, EngineCmd, Reply};
-use crate::proto::{write_frame, FrameDecoder, Request, Response};
+use crate::engine::{read_cache, Doorbell, EngineCmd, Reply, ReplySlot, ReplyTo};
+use crate::proto::{FrameDecoder, Request, Response};
 use crate::server::Shared;
 
 /// Frames decided per poll before yielding to other connections.
@@ -43,15 +54,34 @@ pub(crate) struct Polled {
     /// the worker drops the `Conn`.
     pub keep: bool,
     /// Whether any bytes moved or any request advanced — workers use
-    /// this to decide between another sweep and a short sleep.
+    /// this to decide between another sweep and a nap.
     pub progressed: bool,
+    /// A request in flight, a stall deferral or unflushed output: the
+    /// connection is mid-exchange, so the worker keeps its naps short.
+    pub busy: bool,
+    /// When this connection must be polled again even if nothing rings:
+    /// its request deadline or the end of its stall deferral.
+    pub timer: Option<Instant>,
 }
 
-/// An engine round trip in flight: the command is enqueued, the reply
-/// channel and the fallback answer are parked here, and the admission
-/// permit is held — returned by `Drop` on every exit path.
+impl Polled {
+    /// The verdict for a finished connection.
+    pub(crate) fn closed(progressed: bool) -> Polled {
+        Polled {
+            keep: false,
+            progressed,
+            busy: false,
+            timer: None,
+        }
+    }
+}
+
+/// An engine round trip in flight: the command is enqueued, the sequence
+/// number its reply will carry and the fallback answer are parked here,
+/// and the admission permit is held — returned by `Drop` on every exit
+/// path.
 struct Pending {
-    reply_rx: Receiver<Reply>,
+    seq: u64,
     deadline: Instant,
     fallback: Fallback,
     _permit: Permit,
@@ -74,6 +104,13 @@ pub(crate) struct Conn {
     /// Encoded-but-unwritten response bytes.
     out: Vec<u8>,
     out_pos: usize,
+    /// Where the engine answers this connection, request after request.
+    reply: Arc<ReplySlot>,
+    /// The owning event worker's doorbell, handed to the engine with
+    /// every command.
+    worker: Arc<Doorbell>,
+    /// Sequence number of the last request sent to the engine.
+    seq: u64,
     pending: Option<Pending>,
     /// A decoded request deferred by an injected client stall.
     deferred: Option<Request>,
@@ -90,8 +127,9 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// Wraps an accepted stream; switches it to non-blocking mode.
-    pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
+    /// Wraps an accepted stream for the event worker behind `worker`;
+    /// switches it to non-blocking mode.
+    pub(crate) fn new(stream: TcpStream, worker: Arc<Doorbell>) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         Ok(Conn {
@@ -99,6 +137,9 @@ impl Conn {
             decoder: FrameDecoder::new(),
             out: Vec::new(),
             out_pos: 0,
+            reply: Arc::new(ReplySlot::default()),
+            worker,
+            seq: 0,
             pending: None,
             deferred: None,
             stall_until: None,
@@ -128,10 +169,7 @@ impl Conn {
                     Ok(p) => progressed |= p,
                     Err(_) => return self.sever(shared, true),
                 }
-                return Polled {
-                    keep: true,
-                    progressed,
-                };
+                return self.polled(progressed);
             }
             self.stall_until = None;
             progressed = true;
@@ -168,8 +206,8 @@ impl Conn {
                 && self.pending.is_none()
                 && self.deferred.is_none()
             {
-                let payload = match self.decoder.next_frame() {
-                    Ok(Some(payload)) => payload,
+                let decoded = match self.decoder.next_payload() {
+                    Ok(Some(payload)) => Request::decode(payload),
                     Ok(None) => break,
                     Err(_) => {
                         // Hostile length prefix: answer once, then close.
@@ -181,7 +219,7 @@ impl Conn {
                 };
                 progressed = true;
                 decided += 1;
-                let Some(request) = Request::decode(&payload) else {
+                let Some(request) = decoded else {
                     // Malformed payload: answer once, then desync-close.
                     self.queue(Response::Err { code: 1 });
                     self.closing = true;
@@ -211,14 +249,22 @@ impl Conn {
         let idle =
             self.pending.is_none() && self.deferred.is_none() && self.out_pos == self.out.len();
         if idle && (self.closing || draining || self.peer_eof) {
-            return Polled {
-                keep: false,
-                progressed: true,
-            };
+            return Polled::closed(true);
         }
+        self.polled(progressed)
+    }
+
+    /// The verdict for a connection that stays: what it still waits on.
+    fn polled(&self, progressed: bool) -> Polled {
         Polled {
             keep: true,
             progressed,
+            busy: self.pending.is_some()
+                || self.deferred.is_some()
+                || self.out_pos < self.out.len(),
+            timer: self
+                .stall_until
+                .or(self.pending.as_ref().map(|p| p.deadline)),
         }
     }
 
@@ -243,10 +289,7 @@ impl Conn {
 
     fn sever(&mut self, shared: &Shared, progressed: bool) -> Polled {
         self.abort(shared);
-        Polled {
-            keep: false,
-            progressed,
-        }
+        Polled::closed(progressed)
     }
 
     /// Decides one accepted request: shed, sever, answer inline, or
@@ -278,14 +321,10 @@ impl Conn {
         match request {
             Request::Ping => self.respond(shared, Response::Pong),
             Request::Put { key, value } => {
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let cmd = EngineCmd::Put {
-                    key,
-                    value,
-                    reply: reply_tx,
-                };
+                let reply = self.next_reply();
+                let cmd = EngineCmd::Put { key, value, reply };
                 match shared.cmd_tx.try_send(cmd) {
-                    Ok(()) => self.park(shared, reply_rx, Fallback::PutOk, permit),
+                    Ok(()) => self.park(shared, Fallback::PutOk, permit),
                     // A full mailbox is a shed — the bounded accept queue
                     // is part of admission. A stopped engine sheds writes
                     // too: the put cannot land.
@@ -293,13 +332,10 @@ impl Conn {
                 }
             }
             Request::Get { query } => {
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let cmd = EngineCmd::Get {
-                    query,
-                    reply: reply_tx,
-                };
+                let reply = self.next_reply();
+                let cmd = EngineCmd::Get { query, reply };
                 match shared.cmd_tx.try_send(cmd) {
-                    Ok(()) => self.park(shared, reply_rx, Fallback::Get { query }, permit),
+                    Ok(()) => self.park(shared, Fallback::Get { query }, permit),
                     Err(mpsc::TrySendError::Full(_)) => self.record_shed(shared),
                     Err(mpsc::TrySendError::Disconnected(_)) => {
                         // Engine stopped (drain race): reads degrade to
@@ -310,13 +346,10 @@ impl Conn {
                 }
             }
             Request::GetKey { key } => {
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let cmd = EngineCmd::GetKey {
-                    key,
-                    reply: reply_tx,
-                };
+                let reply = self.next_reply();
+                let cmd = EngineCmd::GetKey { key, reply };
                 match shared.cmd_tx.try_send(cmd) {
-                    Ok(()) => self.park(shared, reply_rx, Fallback::GetKey { key }, permit),
+                    Ok(()) => self.park(shared, Fallback::GetKey { key }, permit),
                     Err(mpsc::TrySendError::Full(_)) => self.record_shed(shared),
                     Err(mpsc::TrySendError::Disconnected(_)) => {
                         let resp = self.fallback_response(shared, &Fallback::GetKey { key });
@@ -327,15 +360,21 @@ impl Conn {
         }
     }
 
-    fn park(
-        &mut self,
-        shared: &Shared,
-        reply_rx: Receiver<Reply>,
-        fallback: Fallback,
-        permit: Permit,
-    ) {
+    /// The reply address for the next engine command: this connection's
+    /// slot under a fresh sequence number. A command the mailbox refuses
+    /// simply wastes its number.
+    fn next_reply(&mut self) -> ReplyTo {
+        self.seq += 1;
+        ReplyTo {
+            slot: Arc::clone(&self.reply),
+            seq: self.seq,
+            worker: Arc::clone(&self.worker),
+        }
+    }
+
+    fn park(&mut self, shared: &Shared, fallback: Fallback, permit: Permit) {
         self.pending = Some(Pending {
-            reply_rx,
+            seq: self.seq,
             deadline: Instant::now() + shared.deadline,
             fallback,
             _permit: permit,
@@ -348,30 +387,33 @@ impl Conn {
         let Some(pending) = &self.pending else {
             return false;
         };
-        let response = match pending.reply_rx.try_recv() {
-            Ok(Reply::Ok { degraded }) => match pending.fallback {
+        // Read the flag before the slot: an engine that stopped has made
+        // its last fill, so "stopped, then empty" cannot miss a reply.
+        let stopped = shared.engine_stopped.load(Ordering::SeqCst);
+        let response = match self.reply.take(pending.seq) {
+            Some(Reply::Ok { degraded }) => match pending.fallback {
                 Fallback::PutOk => Response::Ok { degraded },
                 // A read answered with a write ack is a protocol mixup;
                 // fall back to last-committed state.
                 _ => self.fallback_response(shared, &pending.fallback),
             },
-            Ok(Reply::Value { degraded, value }) => match pending.fallback {
+            Some(Reply::Value { degraded, value }) => match pending.fallback {
                 Fallback::Get { .. } | Fallback::GetKey { .. } => {
                     Response::Value { degraded, value }
                 }
                 // A write answered with a value: applied but unconfirmed.
                 Fallback::PutOk => Response::Ok { degraded: true },
             },
-            Err(TryRecvError::Empty) => {
-                if Instant::now() < pending.deadline {
+            None => {
+                if !stopped && Instant::now() < pending.deadline {
                     return false;
                 }
-                // Deadline passed: the command is enqueued (the engine
-                // will still process it) but the client gets the
-                // degraded answer now.
+                // Deadline passed — the command is enqueued (the engine
+                // will still process it, and its late reply will carry a
+                // stale sequence number) — or the engine is gone: the
+                // client gets the degraded answer now.
                 self.fallback_response(shared, &pending.fallback)
             }
-            Err(TryRecvError::Disconnected) => self.fallback_response(shared, &pending.fallback),
         };
         let pending = self.pending.take().expect("pending just observed");
         self.respond(shared, response);
@@ -432,10 +474,15 @@ impl Conn {
         self.queue(response);
     }
 
-    /// Encodes a response frame into the write buffer (never fails —
-    /// delivery happens in [`Conn::flush`]).
+    /// Encodes a response frame straight into the write buffer — length
+    /// prefix patched in after the payload, no intermediate `Vec` (never
+    /// fails — delivery happens in [`Conn::flush`]).
     fn queue(&mut self, response: Response) {
-        write_frame(&mut self.out, &response.encode()).expect("Vec write is infallible");
+        let header = self.out.len();
+        self.out.extend_from_slice(&[0; 4]);
+        response.encode_into(&mut self.out);
+        let len = u32::try_from(self.out.len() - header - 4).expect("responses are a few bytes");
+        self.out[header..header + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Writes as much of the output buffer as the socket accepts.
@@ -483,5 +530,187 @@ impl Conn {
             }
         }
         Ok(progressed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc::Receiver;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    use dtt_core::eventcount::{ParkOutcome, Waiters};
+    use dtt_core::FaultProbe;
+
+    use crate::admission::ServeStats;
+    use crate::engine::{CacheState, StopSignal};
+    use crate::proto::write_frame;
+
+    /// One real loopback connection polled by the test thread itself, with
+    /// the test holding the engine's end of the mailbox: every interleaving
+    /// of request, reply, deadline and engine stop is the test's to choose.
+    struct Rig {
+        shared: Shared,
+        mailbox: Receiver<EngineCmd>,
+        worker: Arc<Doorbell>,
+        conn: Conn,
+        client: TcpStream,
+        replies: FrameDecoder,
+    }
+
+    impl Rig {
+        fn new(deadline: Duration, cells: [i64; 2]) -> Rig {
+            let (cmd_tx, mailbox) = mpsc::sync_channel(8);
+            let shared = Shared {
+                stats: ServeStats::new(),
+                gate: Arc::new(Gate::new(4)),
+                probe: FaultProbe::disarmed(),
+                cache: Arc::new(Mutex::new(CacheState {
+                    cells,
+                    rows: Vec::new(),
+                })),
+                key_map: None,
+                cmd_tx,
+                engine_stopped: Arc::new(AtomicBool::new(false)),
+                draining: AtomicBool::new(false),
+                active_conns: AtomicUsize::new(0),
+                drained: Waiters::default(),
+                deadline,
+            };
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            client.set_nonblocking(true).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let worker = Arc::new(Doorbell::default());
+            Rig {
+                conn: Conn::new(stream, Arc::clone(&worker)).unwrap(),
+                shared,
+                mailbox,
+                worker,
+                client,
+                replies: FrameDecoder::new(),
+            }
+        }
+
+        /// Sends `request` and polls until the connection has parked it on
+        /// the engine; returns the reply address the engine would answer.
+        fn park(&mut self, request: Request) -> ReplyTo {
+            write_frame(&mut self.client, &request.encode()).unwrap();
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while self.conn.pending.is_none() {
+                assert!(Instant::now() < give_up, "request never parked");
+                self.conn.poll(&self.shared, false);
+            }
+            match self
+                .mailbox
+                .try_recv()
+                .expect("a parked request is in the mailbox")
+            {
+                EngineCmd::Put { reply, .. }
+                | EngineCmd::Get { reply, .. }
+                | EngineCmd::GetKey { reply, .. } => reply,
+                EngineCmd::Shutdown => unreachable!("connections never send Shutdown"),
+            }
+        }
+
+        /// Polls until the client can read one whole response.
+        fn response(&mut self) -> Response {
+            let give_up = Instant::now() + Duration::from_secs(5);
+            let mut buf = [0u8; 64];
+            loop {
+                assert!(Instant::now() < give_up, "no response");
+                self.conn.poll(&self.shared, false);
+                match self.client.read(&mut buf) {
+                    Ok(n) => self.replies.extend(&buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("client read: {e}"),
+                }
+                if let Some(payload) = self.replies.next_payload().unwrap() {
+                    return Response::decode(payload).expect("decodable response");
+                }
+            }
+        }
+
+        fn assert_conserved(&self, responses: u64, degraded: u64) {
+            let snap = self.shared.stats.snapshot();
+            assert!(
+                snap.admission_conserved() && snap.lifecycle_conserved(),
+                "{snap:?}"
+            );
+            assert_eq!(snap.serve_responses, responses, "{snap:?}");
+            assert_eq!(snap.serve_degraded_reads, degraded, "{snap:?}");
+            assert_eq!(self.shared.gate.available(), 4, "every permit returned");
+        }
+    }
+
+    /// Request N misses its deadline and is answered from fallback; the
+    /// engine fills the slot for N only afterwards. Request N+1 on the
+    /// same connection must wait for its own reply, not consume N's.
+    #[test]
+    fn late_reply_to_a_timed_out_request_is_not_taken_by_the_next() {
+        let mut rig = Rig::new(Duration::from_millis(20), [7, 7]);
+        let first = rig.park(Request::Get { query: 0 });
+        let fallback = Response::Value {
+            degraded: true,
+            value: 7,
+        };
+        assert_eq!(rig.response(), fallback, "deadline passed, nobody answered");
+
+        let late = Reply::Value {
+            degraded: false,
+            value: 111,
+        };
+        let first_seq = first.seq;
+        first.answer(late, &mut Vec::new());
+        let second = rig.park(Request::Get { query: 0 });
+        assert_eq!(second.seq, first_seq + 1);
+        for _ in 0..3 {
+            rig.conn.poll(&rig.shared, false);
+        }
+        assert!(rig.conn.pending.is_some(), "the stale reply resolved it");
+
+        let fresh = Reply::Value {
+            degraded: false,
+            value: 222,
+        };
+        second.answer(fresh, &mut Vec::new());
+        let answered = Response::Value {
+            degraded: false,
+            value: 222,
+        };
+        assert_eq!(rig.response(), answered);
+        rig.assert_conserved(2, 1);
+    }
+
+    /// What `TryRecvError::Disconnected` used to do: the engine goes away
+    /// with a request parked on it — here with the command still unread in
+    /// the mailbox — and the request resolves to its degraded fallback at
+    /// once, not at its deadline.
+    #[test]
+    fn engine_stop_resolves_a_parked_request_to_its_fallback() {
+        let mut rig = Rig::new(Duration::from_secs(60), [9, 3]);
+        let unanswered = rig.park(Request::Get { query: 1 });
+        rig.worker.clear();
+        let t0 = Instant::now();
+        drop(unanswered);
+        drop(StopSignal {
+            stopped: Arc::clone(&rig.shared.engine_stopped),
+            workers: vec![Arc::clone(&rig.worker)],
+        });
+        let nap = rig.worker.nap(Duration::from_secs(60));
+        assert_eq!(nap, ParkOutcome::Skipped, "the stop rings the worker");
+        let fallback = Response::Value {
+            degraded: true,
+            value: 3,
+        };
+        assert_eq!(rig.response(), fallback);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "waited out the deadline"
+        );
+        rig.assert_conserved(1, 1);
     }
 }

@@ -3,10 +3,21 @@
 //!
 //! Handler workers never touch the runtime. They enqueue commands on a
 //! *bounded* mailbox and park the request in their connection's state
-//! machine until the per-request reply channel answers (or the deadline
-//! passes); the engine drains the mailbox in batches — consecutive
-//! keyed writes are commutative, so they coalesce into one tracked
-//! region and one refresh — and answers every staged command.
+//! machine until the engine answers (or the deadline passes); the engine
+//! drains the mailbox in batches — consecutive keyed writes are
+//! commutative, so they coalesce into one tracked region and one refresh —
+//! and answers every staged command.
+//!
+//! An answer is a *fill and a ring*, not a channel send: every command
+//! carries a [`ReplyTo`] — the connection's one reusable [`ReplySlot`], the
+//! request's sequence number on that connection, and the owning event
+//! worker's [`Doorbell`]. The engine fills the slots of a batch and then
+//! rings each distinct worker once, so a reply reaches its socket one
+//! futex wake after it was produced and a request costs the server no
+//! allocation. When the engine thread ends — `Shutdown`, a dropped mailbox
+//! or a panic — its [`StopSignal`] sets the stopped flag and rings every
+//! worker, which is how a request still parked on a slot nobody will fill
+//! learns to answer from last-committed state.
 //!
 //! Degradation is the engine's second job. A refresh can fail: a tthread
 //! poisoned by a fault, or timed out against the body deadline. The
@@ -19,12 +30,14 @@
 //! ([`read_cache`]): a panic that poisons the mutex must degrade reads,
 //! not take the fallback path down with it.
 
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use dtt_core::deadline::backoff_delay;
+use dtt_core::eventcount::{ParkOutcome, Waiters};
 use dtt_core::{Config, Error, TthreadId};
 use dtt_workloads::{KeyMap, ServedKeyed, ServedPipeline, ServedSheet};
 
@@ -84,24 +97,129 @@ pub(crate) enum EngineCmd {
     Put {
         key: u64,
         value: i64,
-        reply: SyncSender<Reply>,
+        reply: ReplyTo,
     },
     Get {
         query: u8,
-        reply: SyncSender<Reply>,
+        reply: ReplyTo,
     },
     GetKey {
         key: u64,
-        reply: SyncSender<Reply>,
+        reply: ReplyTo,
     },
     Shutdown,
 }
 
 /// The engine's answer; the handler encodes it into a wire response.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reply {
     Ok { degraded: bool },
     Value { degraded: bool, value: i64 },
+}
+
+/// An event worker's doorbell: an eventcount plus the flag that is its
+/// park predicate. Whoever hands the worker something to do — the engine
+/// a reply, the accept thread a connection, shutdown a flag — publishes it
+/// and then [`Doorbell::ring`]s. The worker [`Doorbell::clear`]s *before*
+/// each sweep and [`Doorbell::nap`]s after an empty one, so a ring that
+/// lands anywhere after the clear — mid-sweep, or between the sweep and
+/// the sleep commit — cuts the nap instead of being slept through.
+#[derive(Debug, Default)]
+pub(crate) struct Doorbell {
+    rung: AtomicBool,
+    waiters: Waiters,
+}
+
+impl Doorbell {
+    /// Publishes "look again" and wakes the worker if it sleeps.
+    pub(crate) fn ring(&self) {
+        self.rung.store(true, Ordering::SeqCst);
+        self.waiters.wake_one();
+    }
+
+    /// Re-arms the bell. A swap, not a store: reading the ringer's `true`
+    /// is what orders the sweep that follows after everything the ringer
+    /// published before ringing.
+    pub(crate) fn clear(&self) {
+        self.rung.swap(false, Ordering::SeqCst);
+    }
+
+    /// Sleeps until rung or `timeout`, whichever is first; returns at once
+    /// if the bell was rung since the last [`Doorbell::clear`].
+    pub(crate) fn nap(&self, timeout: Duration) -> ParkOutcome {
+        self.waiters
+            .park(|| self.rung.load(Ordering::SeqCst), timeout)
+    }
+}
+
+/// One connection's reusable reply cell. A connection has at most one
+/// request in flight, so one cell serves every request it ever makes; the
+/// sequence number tells the request it was filled for from a later one.
+#[derive(Debug, Default)]
+pub(crate) struct ReplySlot {
+    cell: Mutex<Option<(u64, Reply)>>,
+}
+
+impl ReplySlot {
+    /// Stores the answer to request `seq` unless a later request's answer
+    /// is already there: a batch answers its writes before its reads, so
+    /// the reply to a request that already timed out can be produced after
+    /// its successor's.
+    fn fill(&self, seq: u64, reply: Reply) {
+        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if !matches!(*cell, Some((newer, _)) if newer > seq) {
+            *cell = Some((seq, reply));
+        }
+    }
+
+    /// Takes the answer to request `seq` if it has arrived. An answer to
+    /// an earlier request — one that timed out and was served from
+    /// fallback — is left for the next fill to overwrite, never consumed.
+    pub(crate) fn take(&self, seq: u64) -> Option<Reply> {
+        let mut cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
+        match *cell {
+            Some((filled, reply)) if filled == seq => {
+                *cell = None;
+                Some(reply)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Where an answer goes: the connection's slot, the request's sequence
+/// number on that connection, and the doorbell of the worker that owns it.
+pub(crate) struct ReplyTo {
+    pub slot: Arc<ReplySlot>,
+    pub seq: u64,
+    pub worker: Arc<Doorbell>,
+}
+
+impl ReplyTo {
+    /// Fills the slot and notes the worker in `to_ring` (once per worker).
+    pub(crate) fn answer(self, reply: Reply, to_ring: &mut Vec<Arc<Doorbell>>) {
+        self.slot.fill(self.seq, reply);
+        if !to_ring.iter().any(|bell| Arc::ptr_eq(bell, &self.worker)) {
+            to_ring.push(self.worker);
+        }
+    }
+}
+
+/// Fires when the engine thread ends, by return or by unwinding: sets the
+/// stopped flag, then rings every event worker. A reply slot, unlike the
+/// channel it replaced, has no "sender dropped" state — this is it.
+pub(crate) struct StopSignal {
+    pub stopped: Arc<AtomicBool>,
+    pub workers: Vec<Arc<Doorbell>>,
+}
+
+impl Drop for StopSignal {
+    fn drop(&mut self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        for bell in &self.workers {
+            bell.ring();
+        }
+    }
 }
 
 /// What a staged read wants, normalized across views.
@@ -263,12 +381,13 @@ impl Engine {
     /// view's key map (handlers need it to pick a cached row for
     /// degraded keyed reads) and the join handle. Commands arrive on
     /// `rx`; the thread exits on [`EngineCmd::Shutdown`] or when every
-    /// sender is gone, tearing the runtime down within
+    /// sender is gone, fires `stop`, and tears the runtime down within
     /// `teardown_timeout`.
     pub(crate) fn spawn(
         cfg: EngineConfig,
         rx: Receiver<EngineCmd>,
         teardown_timeout: Duration,
+        stop: StopSignal,
     ) -> (Cache, Option<KeyMap>, thread::JoinHandle<()>) {
         let mut engine = Engine {
             view: View::build(cfg.kind, cfg.runtime, cfg.dims, cfg.key_space),
@@ -289,27 +408,26 @@ impl Engine {
         let cache = Arc::clone(&engine.cache);
         let handle = thread::Builder::new()
             .name("dtt-serve-engine".into())
-            .spawn(move || engine.run(rx, teardown_timeout))
+            .spawn(move || engine.run(rx, teardown_timeout, stop))
             .expect("spawn engine thread");
         (cache, key_map, handle)
     }
 
-    fn run(mut self, rx: Receiver<EngineCmd>, teardown_timeout: Duration) {
+    fn run(mut self, rx: Receiver<EngineCmd>, teardown_timeout: Duration, stop: StopSignal) {
         let key_map = self.view.key_map();
-        'outer: loop {
-            let first = match rx.recv() {
-                Ok(cmd) => cmd,
-                Err(_) => break,
-            };
-            let mut puts: Vec<(u64, i64)> = Vec::new();
-            let mut put_replies: Vec<SyncSender<Reply>> = Vec::new();
-            let mut gets: Vec<(GetWhat, SyncSender<Reply>)> = Vec::new();
+        // The staging buffers outlive the iteration: a batch allocates
+        // nothing once they have grown to the batch cap.
+        let mut puts: Vec<(u64, i64)> = Vec::new();
+        let mut put_replies: Vec<ReplyTo> = Vec::new();
+        let mut gets: Vec<(GetWhat, ReplyTo)> = Vec::new();
+        let mut to_ring: Vec<Arc<Doorbell>> = Vec::new();
+        while let Ok(first) = rx.recv() {
             let mut shutdown = false;
             fn stage(
                 cmd: EngineCmd,
                 puts: &mut Vec<(u64, i64)>,
-                put_replies: &mut Vec<SyncSender<Reply>>,
-                gets: &mut Vec<(GetWhat, SyncSender<Reply>)>,
+                put_replies: &mut Vec<ReplyTo>,
+                gets: &mut Vec<(GetWhat, ReplyTo)>,
                 shutdown: &mut bool,
             ) {
                 match cmd {
@@ -341,13 +459,13 @@ impl Engine {
                 // wedged view before serving stale reads.
                 self.refresh_with_repair();
             }
-            for reply in put_replies {
-                let _ = reply.try_send(Reply::Ok {
-                    degraded: self.degraded,
-                });
+            puts.clear();
+            let degraded = self.degraded;
+            for reply in put_replies.drain(..) {
+                reply.answer(Reply::Ok { degraded }, &mut to_ring);
             }
-            for (what, reply) in gets {
-                let value = if self.degraded {
+            for (what, reply) in gets.drain(..) {
+                let value = if degraded {
                     let cached = read_cache(&self.cache);
                     match what {
                         GetWhat::Cell(query) => cached.cells[usize::from(query.min(1))],
@@ -366,15 +484,21 @@ impl Engine {
                         GetWhat::Row(key) => self.view.key_row(key),
                     }
                 };
-                let _ = reply.try_send(Reply::Value {
-                    degraded: self.degraded,
-                    value,
-                });
+                reply.answer(Reply::Value { degraded, value }, &mut to_ring);
+            }
+            // Every slot of the batch is filled before the first ring: one
+            // wake per worker, and the woken sweep finds all its replies.
+            for bell in to_ring.drain(..) {
+                bell.ring();
             }
             if shutdown {
-                break 'outer;
+                break;
             }
         }
+        // Close the mailbox and tell the workers before the teardown, not
+        // after: a request parked behind the stop resolves now.
+        drop(rx);
+        drop(stop);
         self.view.teardown(teardown_timeout);
     }
 
@@ -427,6 +551,129 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    /// A batch answers writes before reads, so the reply to a timed-out
+    /// read can be produced after its successor's: the slot keeps the
+    /// newer one, and an older one is never handed to a later request.
+    #[test]
+    fn reply_slot_keeps_the_newest_reply_and_matches_on_sequence() {
+        let slot = ReplySlot::default();
+        slot.fill(1, Reply::Ok { degraded: false });
+        assert_eq!(slot.take(2), None, "request 2 must not consume reply 1");
+        slot.fill(2, Reply::Ok { degraded: true });
+        slot.fill(1, Reply::Ok { degraded: false });
+        assert_eq!(slot.take(2), Some(Reply::Ok { degraded: true }));
+        assert_eq!(slot.take(2), None, "a reply is consumed once");
+    }
+
+    /// No lost wake on the worker's park step. The worker clears its
+    /// doorbell, polls the slot (empty) and only then lets the engine go.
+    /// On even rounds it also waits for the ring to finish — the reply
+    /// that landed mid-sweep, which only the flag can report — and on odd
+    /// rounds the fill-and-ring races the park itself: before the
+    /// predicate, between predicate and sleep commit, or after the sleep
+    /// began. Every one of those must cut the nap; a single `TimedOut` is
+    /// a slept-through reply.
+    #[test]
+    fn reply_landing_between_sweep_and_park_cuts_the_nap() {
+        const ROUNDS: u64 = 1000;
+        let bell = Arc::new(Doorbell::default());
+        let slot = Arc::new(ReplySlot::default());
+        let (swept, rang) = (Barrier::new(2), Barrier::new(2));
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut to_ring = Vec::new();
+                for seq in 1..=ROUNDS {
+                    let reply = ReplyTo {
+                        slot: Arc::clone(&slot),
+                        seq,
+                        worker: Arc::clone(&bell),
+                    };
+                    swept.wait();
+                    reply.answer(Reply::Ok { degraded: false }, &mut to_ring);
+                    to_ring.drain(..).for_each(|bell| bell.ring());
+                    if seq % 2 == 0 {
+                        rang.wait();
+                    }
+                }
+            });
+            // A failed round is recorded, not asserted on the spot: the
+            // engine thread must still be walked through its barriers.
+            let mut lost = None;
+            for seq in 1..=ROUNDS {
+                bell.clear();
+                // The sweep's poll of this connection: necessarily empty,
+                // the engine is still behind the barrier.
+                let polled = slot.take(seq);
+                swept.wait();
+                if seq % 2 == 0 {
+                    rang.wait();
+                }
+                if lost.is_some() || polled.is_some() {
+                    lost = lost.or(Some(seq));
+                    continue;
+                }
+                // Like the worker after an empty sweep: park first, look
+                // second. A condvar may wake spuriously, so park again
+                // until the reply shows; what may never happen is the
+                // timer running out with the reply in the slot.
+                loop {
+                    if bell.nap(Duration::from_secs(2)) == ParkOutcome::TimedOut {
+                        lost = Some(seq);
+                        break;
+                    }
+                    if slot.take(seq).is_some() {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(lost, None, "a reply was slept through in this round");
+        });
+    }
+
+    /// The engine thread's exit — here by `Shutdown` — sets the stopped
+    /// flag and rings every worker, after the last reply was filled.
+    #[test]
+    fn engine_exit_sets_the_stopped_flag_and_rings_every_worker() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let workers: Vec<Arc<Doorbell>> = (0..2).map(|_| Arc::default()).collect();
+        let stop = StopSignal {
+            stopped: Arc::clone(&stopped),
+            workers: workers.clone(),
+        };
+        let cfg = EngineConfig {
+            kind: ViewKind::Sheet,
+            dims: (2, 2),
+            key_space: 1,
+            runtime: Config::default(),
+            repair_cap: 0,
+            repair_backoff: Duration::ZERO,
+            seed: 1,
+        };
+        let (tx, rx) = std::sync::mpsc::sync_channel(4);
+        let (_, _, handle) = Engine::spawn(cfg, rx, Duration::from_secs(5), stop);
+        let slot = Arc::new(ReplySlot::default());
+        let reply = ReplyTo {
+            slot: Arc::clone(&slot),
+            seq: 1,
+            worker: Arc::clone(&workers[0]),
+        };
+        workers.iter().for_each(|bell| bell.clear());
+        tx.send(EngineCmd::Get { query: 0, reply }).unwrap();
+        tx.send(EngineCmd::Shutdown).unwrap();
+        handle.join().unwrap();
+        assert!(stopped.load(Ordering::SeqCst));
+        for bell in &workers {
+            assert_eq!(bell.nap(Duration::from_secs(5)), ParkOutcome::Skipped);
+        }
+        let answered = Reply::Value {
+            degraded: false,
+            value: 0,
+        };
+        assert_eq!(slot.take(1), Some(answered));
+        assert!(tx.send(EngineCmd::Shutdown).is_err(), "mailbox is closed");
+    }
 
     /// The poison-tolerance regression: a panic while holding the cache
     /// lock poisons the mutex; every later degraded read must still get

@@ -14,7 +14,12 @@
 //!   pool of event workers sweeps per-connection state machines with
 //!   non-blocking I/O; frames park in a resumable
 //!   [`proto::FrameDecoder`], so connections scale to thousands while OS
-//!   threads stay `event_workers + 2`.
+//!   threads stay `event_workers + 2`. Workers are *woken*, not timed:
+//!   the engine fills a connection's reply slot and rings its worker
+//!   through the runtime's own eventcount
+//!   ([`dtt_core::eventcount::Waiters`]), `accept` blocks, and only the
+//!   one event std cannot signal — bytes arriving — is found by a
+//!   backoff nap between sweeps.
 //! * **Admission control** ([`admission`]): a semaphore-style gate
 //!   handing out RAII [`admission::Permit`]s (panic-safe — no leaked
 //!   permits) plus a bounded engine mailbox; past either limit the

@@ -115,18 +115,23 @@ impl Request {
 impl Response {
     /// Encodes the response payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(10);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the response payload (no frame header) to `out`: the
+    /// server encodes straight into a connection's write buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Response::Pong => vec![0],
-            Response::Ok { degraded } => vec![1, u8::from(degraded)],
+            Response::Pong => out.push(0),
+            Response::Ok { degraded } => out.extend_from_slice(&[1, u8::from(degraded)]),
             Response::Value { degraded, value } => {
-                let mut out = Vec::with_capacity(10);
-                out.push(2);
-                out.push(u8::from(degraded));
+                out.extend_from_slice(&[2, u8::from(degraded)]);
                 out.extend_from_slice(&value.to_le_bytes());
-                out
             }
-            Response::Shed => vec![3],
-            Response::Err { code } => vec![4, code],
+            Response::Shed => out.push(3),
+            Response::Err { code } => out.extend_from_slice(&[4, code]),
         }
     }
 
@@ -204,6 +209,16 @@ impl FrameDecoder {
     /// a corrupt or hostile frame must not balloon memory, and the
     /// stream is unrecoverable past it.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.next_payload()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`FrameDecoder::next_frame`] without the copy: the payload is
+    /// borrowed from the decoder's buffer until the next call.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::next_frame`].
+    pub fn next_payload(&mut self) -> io::Result<Option<&[u8]>> {
         let avail = &self.buf[self.pos..];
         if avail.len() < 4 {
             return Ok(None);
@@ -219,9 +234,9 @@ impl FrameDecoder {
         if avail.len() < total {
             return Ok(None);
         }
-        let payload = avail[4..total].to_vec();
+        let start = self.pos + 4;
         self.pos += total;
-        Ok(Some(payload))
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Bytes buffered but not yet yielded (partial-frame diagnostics).

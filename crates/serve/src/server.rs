@@ -3,15 +3,29 @@
 //!
 //! ## Connection path
 //!
-//! Connections are **not** threads. The accept loop hands each accepted
-//! socket to one of a small, fixed pool of *event workers* (round-robin);
-//! a worker owns a set of [`crate::conn::Conn`] state machines and sweeps
-//! them with non-blocking reads and writes, sleeping briefly only when no
-//! connection made progress. OS thread count is `event_workers + 2`
-//! (accept + engine) regardless of whether 4 or 10 000 clients are
-//! connected — the PR-9 thread-per-connection path pinned both the
-//! concurrency ceiling and the `JoinHandle` leak to the connection count;
-//! this one pins them to the pool size.
+//! Connections are **not** threads. The accept thread blocks in `accept`
+//! and hands each socket to one of a small, fixed pool of *event workers*
+//! (round-robin); a worker owns a set of [`crate::conn::Conn`] state
+//! machines and sweeps them with non-blocking reads and writes. OS thread
+//! count is `event_workers + 2` (accept + engine) regardless of whether 4
+//! or 10 000 clients are connected — the PR-9 thread-per-connection path
+//! pinned both the concurrency ceiling and the `JoinHandle` leak to the
+//! connection count; this one pins them to the pool size.
+//!
+//! ## Waking, not sweeping
+//!
+//! Everything that can be signalled is: each worker owns a
+//! `Doorbell` (the runtime's own eventcount plus a flag), and the engine
+//! rings it after filling a reply slot, the accept thread after
+//! registering a connection, shutdown and `Drop` after setting `draining`,
+//! the engine's stop signal when the engine is gone. The one event std
+//! cannot signal under `forbid(unsafe)` is *bytes arrived on a socket*, so
+//! a worker whose sweep moved nothing naps on its doorbell and sweeps
+//! again: `NAP_FLOOR` first, doubling per consecutive empty sweep, reset
+//! by any progress, capped at `NAP_CAP_BUSY` while a connection is
+//! mid-exchange and at `NAP_CAP_SILENT` once all are silent, never past
+//! the nearest request deadline or stall deferral, and without a timer at
+//! all for a worker that owns no connection. A ring cuts any nap short.
 //!
 //! ## Request lifecycle
 //!
@@ -33,28 +47,40 @@
 //! every quiescent point, not just on sunny days.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dtt_core::eventcount::Waiters;
 use dtt_core::{Config, FaultPlan, FaultPoint, FaultProbe};
 use dtt_workloads::KeyMap;
 
 use crate::admission::{Gate, ServeStats, ServeStatsSnapshot};
 use crate::conn::{Conn, Polled};
-use crate::engine::{Cache, Engine, EngineCmd, EngineConfig, ViewKind};
+use crate::engine::{Cache, Doorbell, Engine, EngineCmd, EngineConfig, StopSignal, ViewKind};
 
-/// Accept-loop poll period while the listener is idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// First nap after a sweep that moved nothing: a closed-loop client's next
+/// request is ~one loopback round trip away, so look again soon.
+const NAP_FLOOR: Duration = Duration::from_micros(100);
 
-/// Event-worker sleep when a full sweep made no progress: long enough
-/// not to spin a core, short enough to stay well under request
-/// deadlines.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// Nap cap while any connection is mid-exchange: partial writes, stall
+/// deferrals and deadlines are revisited as often as the old fixed sleep
+/// did, and replies do not wait for it at all.
+const NAP_CAP_BUSY: Duration = Duration::from_micros(500);
+
+/// Nap cap once every connection is silent: the worst case for noticing a
+/// request on a quiet connection, traded against 250 sweeps/s of idle cost.
+const NAP_CAP_SILENT: Duration = Duration::from_millis(4);
+
+/// How long shutdown (and `Drop`) wait for their own loopback connect to
+/// unblock `accept` before detaching the accept thread instead of joining
+/// it. A loopback connect is immediate unless the backlog is full — and
+/// then `accept` is not blocked in the first place.
+const SELF_CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Server construction knobs. `Default` gives a loopback server on an
 /// ephemeral port with the spreadsheet view; `dtt-cli serve` maps its
@@ -150,17 +176,26 @@ pub(crate) struct Shared {
     /// degraded keyed reads from the cached shard rows.
     pub(crate) key_map: Option<KeyMap>,
     pub(crate) cmd_tx: SyncSender<EngineCmd>,
+    /// Set by the engine's [`StopSignal`]: no reply slot will be filled
+    /// again, so parked requests answer from last-committed state.
+    pub(crate) engine_stopped: Arc<AtomicBool>,
     pub(crate) draining: AtomicBool,
     pub(crate) active_conns: AtomicUsize,
+    /// Woken by the worker that retires the last connection; shutdown
+    /// parks here instead of polling `active_conns`.
+    pub(crate) drained: Waiters,
     pub(crate) deadline: Duration,
 }
 
-/// A running front-end. Dropping without [`Server::shutdown`] aborts the
-/// accept loop but detaches the engine; call `shutdown` for the graceful
-/// path the tests pin.
+/// A running front-end. [`Server::shutdown`] is the graceful, joining
+/// path the tests pin. Dropping the server instead stops it without
+/// blocking: the accept thread and idle workers exit at once, workers
+/// with connections as soon as those finish their in-flight request, and
+/// the engine tears its runtime down when the last of them is gone.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
+    doorbells: Vec<Arc<Doorbell>>,
     accept_handle: Option<thread::JoinHandle<()>>,
     worker_handles: Vec<thread::JoinHandle<()>>,
     engine_handle: Option<thread::JoinHandle<()>>,
@@ -172,7 +207,14 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+
+        let pool = cfg.event_workers.max(1);
+        let doorbells: Vec<Arc<Doorbell>> = (0..pool).map(|_| Arc::default()).collect();
+        let engine_stopped = Arc::new(AtomicBool::new(false));
+        let stop = StopSignal {
+            stopped: Arc::clone(&engine_stopped),
+            workers: doorbells.clone(),
+        };
 
         let (cmd_tx, cmd_rx) = mpsc::sync_channel(cfg.queue_cap.max(1));
         let engine_cfg = EngineConfig {
@@ -185,7 +227,7 @@ impl Server {
             seed: cfg.serve_faults.as_ref().map_or(1, |p| p.seed),
         };
         let (cache, key_map, engine_handle) =
-            Engine::spawn(engine_cfg, cmd_rx, cfg.teardown_timeout);
+            Engine::spawn(engine_cfg, cmd_rx, cfg.teardown_timeout, stop);
 
         let probe = match &cfg.serve_faults {
             Some(plan) => FaultProbe::from_plan(plan),
@@ -198,21 +240,22 @@ impl Server {
             cache,
             key_map,
             cmd_tx,
+            engine_stopped,
             draining: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
+            drained: Waiters::default(),
             deadline: cfg.deadline,
         });
 
-        let pool = cfg.event_workers.max(1);
         let mut worker_handles = Vec::with_capacity(pool);
         let mut registrations = Vec::with_capacity(pool);
-        for i in 0..pool {
+        for (i, doorbell) in doorbells.iter().enumerate() {
             let (reg_tx, reg_rx) = mpsc::channel::<TcpStream>();
-            registrations.push(reg_tx);
-            let worker_shared = Arc::clone(&shared);
+            registrations.push((reg_tx, Arc::clone(doorbell)));
+            let (doorbell, worker_shared) = (Arc::clone(doorbell), Arc::clone(&shared));
             let handle = thread::Builder::new()
                 .name(format!("dtt-serve-ev{i}"))
-                .spawn(move || event_worker(reg_rx, worker_shared))
+                .spawn(move || event_worker(reg_rx, doorbell, worker_shared))
                 .expect("spawn event worker");
             worker_handles.push(handle);
         }
@@ -226,6 +269,7 @@ impl Server {
         Ok(Server {
             shared,
             local_addr,
+            doorbells,
             accept_handle: Some(accept_handle),
             worker_handles,
             engine_handle: Some(engine_handle),
@@ -274,21 +318,21 @@ impl Server {
     /// join later.
     pub fn shutdown(&mut self, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_handle.take() {
-            // Joining the accept loop drops the registration senders;
-            // each worker exits once its channel disconnects and its
-            // connection set drains.
+        if let Some(handle) = self.stop_accepting() {
             let _ = handle.join();
         }
-        while self.shared.active_conns.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
+        // Each worker exits once it has seen `draining` and its connection
+        // set is empty; the one that retires the last connection wakes us.
+        let active = || self.shared.active_conns.load(Ordering::SeqCst);
+        while active() > 0 {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "connections still active at drain deadline",
                 ));
             }
-            thread::sleep(Duration::from_millis(1));
+            self.shared.drained.park(|| active() == 0, deadline - now);
         }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
@@ -299,85 +343,181 @@ impl Server {
         }
         Ok(())
     }
+
+    /// Sets `draining`, rings every worker and unblocks the accept thread
+    /// with a loopback connection to its own listener (the thread checks
+    /// `draining` whenever `accept` returns). Hands back the accept handle
+    /// if joining it cannot block — `None` when this already ran, or when
+    /// the connect failed and the thread is detached instead: nothing
+    /// else depends on it, the workers exit on `draining` alone.
+    fn stop_accepting(&mut self) -> Option<thread::JoinHandle<()>> {
+        self.shared.draining.store(true, Ordering::SeqCst);
+        for doorbell in &self.doorbells {
+            doorbell.ring();
+        }
+        let handle = self.accept_handle.take()?;
+        let mut addr = self.local_addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let unblocked = TcpStream::connect_timeout(&addr, SELF_CONNECT_TIMEOUT).is_ok();
+        (unblocked || handle.is_finished()).then_some(handle)
+    }
+}
+
+impl Drop for Server {
+    /// Stops the server without blocking (see [`Server`]); after a
+    /// completed [`Server::shutdown`] there is nothing left to stop.
+    fn drop(&mut self) {
+        // Dropping the handle detaches the accept thread: drop never joins.
+        drop(self.stop_accepting());
+    }
 }
 
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
-    registrations: Vec<mpsc::Sender<TcpStream>>,
+    registrations: Vec<(mpsc::Sender<TcpStream>, Arc<Doorbell>)>,
 ) {
     let mut next = 0usize;
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let slot = next % registrations.len();
-                next = next.wrapping_add(1);
-                if registrations[slot].send(stream).is_err() {
-                    // Worker gone (only happens past drain); undo the
-                    // registration and stop accepting.
-                    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => return,
+        let Ok((stream, _)) = accepted else {
+            return;
+        };
+        let (registration, doorbell) = &registrations[next % registrations.len()];
+        next = next.wrapping_add(1);
+        if registration.send(stream).is_err() {
+            // Worker gone (only happens past drain): stop accepting.
+            return;
         }
+        doorbell.ring();
     }
 }
 
-/// One event worker: drains its registration channel, sweeps its
-/// connection state machines, and sleeps briefly only when a full sweep
-/// moved nothing. A panicking connection poll is caught, settled through
-/// [`Conn::abort`] (counters conserved, permit returned by RAII) and the
-/// connection dropped — one poisoned request cannot take down the
-/// worker's other connections.
-fn event_worker(reg_rx: Receiver<TcpStream>, shared: Arc<Shared>) {
+/// What one sweep over a worker's connections found.
+#[derive(Default)]
+struct Sweep {
+    progressed: bool,
+    /// Some connection is mid-exchange (see [`Polled::busy`]).
+    busy: bool,
+    /// The nearest [`Polled::timer`].
+    timer: Option<Instant>,
+}
+
+/// How long a worker may nap after its `empties`-th consecutive empty
+/// sweep (counting from zero) — the ladder in the module docs.
+fn nap_for(empties: u32, conns: usize, sweep: &Sweep, now: Instant) -> Duration {
+    if conns == 0 {
+        // Only a ring (a new connection, shutdown) can give this worker
+        // anything to do.
+        return Duration::MAX;
+    }
+    let cap = if sweep.busy {
+        NAP_CAP_BUSY
+    } else {
+        NAP_CAP_SILENT
+    };
+    let ladder = NAP_FLOOR.saturating_mul(1 << empties.min(16)).min(cap);
+    sweep
+        .timer
+        .map_or(ladder, |due| ladder.min(due.saturating_duration_since(now)))
+}
+
+/// One event worker: registers the connections the accept thread sent it,
+/// sweeps its connection state machines, and naps on its doorbell when a
+/// full sweep moved nothing (see the module docs for the ladder). A
+/// panicking connection poll is caught, settled through [`Conn::abort`]
+/// (counters conserved, permit returned by RAII) and the connection
+/// dropped — one poisoned request cannot take down the worker's other
+/// connections. Exits once `draining` is set and its last connection is
+/// gone.
+fn event_worker(reg_rx: Receiver<TcpStream>, doorbell: Arc<Doorbell>, shared: Arc<Shared>) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut empties = 0u32;
     loop {
-        let mut disconnected = false;
-        loop {
-            match reg_rx.try_recv() {
-                Ok(stream) => match Conn::new(stream) {
-                    Ok(conn) => conns.push(conn),
-                    Err(_) => {
-                        shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    }
-                },
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+        // Cleared before anything is looked at: whatever a later ring
+        // announces is either seen by this sweep or cuts the nap after it.
+        doorbell.clear();
+        let draining = shared.draining.load(Ordering::SeqCst);
+        while let Ok(stream) = reg_rx.try_recv() {
+            if let Ok(conn) = Conn::new(stream, Arc::clone(&doorbell)) {
+                shared.active_conns.fetch_add(1, Ordering::SeqCst);
+                conns.push(conn);
             }
         }
-        let draining = shared.draining.load(Ordering::SeqCst);
-        let mut progressed = false;
-        conns.retain_mut(|conn| {
-            let polled = match catch_unwind(AssertUnwindSafe(|| conn.poll(&shared, draining))) {
-                Ok(polled) => polled,
-                Err(_) => {
-                    conn.abort(&shared);
-                    Polled {
-                        keep: false,
-                        progressed: true,
-                    }
-                }
-            };
-            progressed |= polled.progressed;
-            if !polled.keep {
-                shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-            }
-            polled.keep
-        });
-        if disconnected && conns.is_empty() {
+        let sweep = sweep(&mut conns, &shared, draining);
+        if draining && conns.is_empty() {
             return;
         }
-        if !progressed {
-            thread::sleep(IDLE_SLEEP);
+        if sweep.progressed {
+            empties = 0;
+            continue;
         }
+        doorbell.nap(nap_for(empties, conns.len(), &sweep, Instant::now()));
+        empties = empties.saturating_add(1);
+    }
+}
+
+/// Polls every connection once, dropping the finished ones.
+fn sweep(conns: &mut Vec<Conn>, shared: &Shared, draining: bool) -> Sweep {
+    let mut sweep = Sweep::default();
+    conns.retain_mut(|conn| {
+        let polled = match catch_unwind(AssertUnwindSafe(|| conn.poll(shared, draining))) {
+            Ok(polled) => polled,
+            Err(_) => {
+                conn.abort(shared);
+                Polled::closed(true)
+            }
+        };
+        sweep.progressed |= polled.progressed;
+        sweep.busy |= polled.busy;
+        sweep.timer = sweep.timer.into_iter().chain(polled.timer).min();
+        if !polled.keep && shared.active_conns.fetch_sub(1, Ordering::SeqCst) == 1 {
+            shared.drained.wake_all();
+        }
+        polled.keep
+    });
+    sweep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn found(busy: bool, timer: Option<Instant>) -> Sweep {
+        Sweep {
+            busy,
+            timer,
+            ..Sweep::default()
+        }
+    }
+
+    #[test]
+    fn nap_ladder_doubles_from_the_floor_to_the_cap_that_applies() {
+        let now = Instant::now();
+        let us = |empties, sweep: &Sweep| nap_for(empties, 3, sweep, now).as_micros();
+        let busy: Vec<_> = (0..5).map(|n| us(n, &found(true, None))).collect();
+        assert_eq!(busy, [100, 200, 400, 500, 500]);
+        let silent: Vec<_> = (0..8).map(|n| us(n, &found(false, None))).collect();
+        assert_eq!(silent, [100, 200, 400, 800, 1600, 3200, 4000, 4000]);
+        assert_eq!(us(u32::MAX, &found(false, None)), 4000);
+    }
+
+    #[test]
+    fn nap_never_outlasts_a_connection_timer_or_arms_one_without_connections() {
+        let now = Instant::now();
+        let due_in = |us| Some(now + Duration::from_micros(us));
+        let nap = |sweep: &Sweep| nap_for(2, 3, sweep, now).as_micros();
+        assert_eq!(nap(&found(true, due_in(150))), 150);
+        assert_eq!(nap(&found(true, due_in(9000))), 400);
+        assert_eq!(nap(&found(true, Some(now))), 0, "a due timer: sweep now");
+        assert_eq!(nap_for(0, 0, &found(false, None), now), Duration::MAX);
     }
 }

@@ -227,6 +227,42 @@ fn thread_count() -> usize {
         .expect("Threads: line")
 }
 
+/// `Server` promised an abort-on-drop it did not have: a dropped server
+/// leaked its accept thread, every event worker (each waking 2,000 times
+/// a second, forever), the engine and the engine's runtime worker. Drop
+/// must release all of them without being asked twice — here with a
+/// client still connected to each server, which must see a close.
+#[test]
+fn dropped_server_releases_its_threads() {
+    let baseline_threads = thread_count();
+    let mut orphans = Vec::new();
+    for _ in 0..20 {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+        assert_eq!(client.request(Request::Ping).unwrap(), Response::Pong);
+        orphans.push(client);
+        drop(server);
+    }
+    // Same slack as the churn test for threads of sibling tests; the leak
+    // was five threads per server, a hundred here, and permanent — they
+    // are normally gone within milliseconds.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while thread_count() > baseline_threads + 64 {
+        assert!(
+            Instant::now() < deadline,
+            "20 dropped servers left OS threads behind: {baseline_threads} -> {}",
+            thread_count()
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    for mut client in orphans {
+        client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        let err = client.request(Request::Ping).unwrap_err();
+        assert_ne!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+        assert_ne!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+    }
+}
+
 /// Bug 4: connections are state machines, not threads. A thousand held
 /// connections add zero OS threads; ten thousand churned connections
 /// leave no handles, no threads and no active-connection residue.
