@@ -451,8 +451,9 @@ fn fig12_wallclock(scale: Scale) -> String {
         let value = f();
         (value, start.elapsed().as_secs_f64())
     }
-    let mut table =
-        Table::new("benchmark|baseline ms|dtt ms|dtt 2-worker ms|speedup|parallel speedup");
+    let mut table = Table::new(
+        "benchmark|baseline ms|dtt ms|dtt 2-worker ms|speedup|parallel speedup|skip %|accesses|ns/access",
+    );
     let mut speedups = Vec::new();
     for w in suite(scale) {
         let name = w.name();
@@ -462,13 +463,20 @@ fn fig12_wallclock(scale: Scale) -> String {
         assert_eq!(digest, run.digest, "{name}: dtt digest mismatch");
         assert_eq!(digest, run_par.digest, "{name}: parallel digest mismatch");
         speedups.push(base / dtt);
+        // What the deferred run paid per tracked access, bodies included: a
+        // kernel that loses to its baseline with a high skip rate is losing
+        // on access cost, not on elimination.
+        let c = run.stats.counters();
+        let accesses = c.tracked_loads + c.tracked_stores;
         table.row(&format!(
-            "{name}|{:.1}|{:.1}|{:.1}|{}|{}",
+            "{name}|{:.1}|{:.1}|{:.1}|{}|{}|{}|{accesses}|{:.1}",
             base * 1000.0,
             dtt * 1000.0,
             par * 1000.0,
             fmt_speedup(base / dtt),
             fmt_speedup(base / par),
+            fmt_pct(run.stats.skip_fraction()),
+            dtt * 1e9 / accesses.max(1) as f64,
         ));
     }
     table.summary("geomean", &[(4, fmt_speedup(geomean(&speedups)))]);

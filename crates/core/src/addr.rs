@@ -6,6 +6,12 @@
 //! at a fixed granularity (a word or a cache line); [`Granularity`] models
 //! that choice and is the knob behind the paper's false-triggering ablation
 //! (R-Fig.9 in DESIGN.md).
+//!
+//! Everything here sits on the tracked-access path of generic code that is
+//! instantiated in *downstream* crates, so every public function is
+//! `#[inline]` (DESIGN.md §2); the lint below keeps it that way.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 
@@ -27,11 +33,13 @@ pub struct Addr(u64);
 
 impl Addr {
     /// Creates an address from a raw arena offset.
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         Addr(raw)
     }
 
     /// Returns the raw arena offset.
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -41,18 +49,21 @@ impl Addr {
     /// # Panics
     ///
     /// Panics on overflow of the 64-bit address space.
+    #[inline]
     pub fn offset(self, bytes: u64) -> Self {
         Addr(self.0.checked_add(bytes).expect("address overflow"))
     }
 }
 
 impl fmt::Display for Addr {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "0x{:x}", self.0)
     }
 }
 
 impl From<u64> for Addr {
+    #[inline]
     fn from(raw: u64) -> Self {
         Addr(raw)
     }
@@ -80,6 +91,7 @@ impl AddrRange {
     /// # Panics
     ///
     /// Panics if the range would overflow the address space.
+    #[inline]
     pub fn new(start: Addr, len: u64) -> Self {
         assert!(
             start.raw().checked_add(len).is_some(),
@@ -92,32 +104,38 @@ impl AddrRange {
     }
 
     /// The first address of the range.
+    #[inline]
     pub const fn start(&self) -> Addr {
         Addr(self.start)
     }
 
     /// One past the last address of the range.
+    #[inline]
     pub const fn end(&self) -> Addr {
         Addr(self.start + self.len)
     }
 
     /// Length in bytes.
+    #[inline]
     pub const fn len(&self) -> u64 {
         self.len
     }
 
     /// Whether the range is empty.
+    #[inline]
     pub const fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `addr` falls inside the range.
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         let a = addr.raw();
         a >= self.start && a < self.start + self.len
     }
 
     /// Whether two ranges share at least one byte.
+    #[inline]
     pub fn intersects(&self, other: &AddrRange) -> bool {
         !self.is_empty()
             && !other.is_empty()
@@ -131,6 +149,7 @@ impl AddrRange {
     /// one-byte store observed at cache-line granularity looks like a store
     /// to the whole 64-byte line. Rounding an empty range yields an empty
     /// range.
+    #[inline]
     pub fn round_to(&self, granularity: Granularity) -> AddrRange {
         if self.is_empty() {
             return *self;
@@ -146,6 +165,7 @@ impl AddrRange {
 }
 
 impl fmt::Display for AddrRange {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[0x{:x}, 0x{:x})", self.start, self.start + self.len)
     }
@@ -188,6 +208,7 @@ impl Granularity {
     /// # Panics
     ///
     /// Panics if a [`Granularity::Block`] width is zero or not a power of two.
+    #[inline]
     pub fn width(self) -> u32 {
         match self {
             Granularity::Exact => 1,
@@ -205,6 +226,7 @@ impl Granularity {
 }
 
 impl fmt::Display for Granularity {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Granularity::Exact => write!(f, "exact"),

@@ -192,6 +192,13 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
+    /// Whether this context runs a tthread body (inline or commit replay),
+    /// whose tracked stores feed the early-cutoff counters.
+    #[inline]
+    fn in_body(&self) -> bool {
+        self.depth > 0 && self.cur.is_some()
+    }
+
     /// Records one status-machine lifecycle event (no-op when observability
     /// is off; the guard is a single relaxed load).
     #[inline]
@@ -241,16 +248,32 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     }
 
     /// Loads a tracked scalar.
+    ///
+    /// The locked load is straight-line code in the caller (a counter bump,
+    /// a bounds compare and a word load); the detached arm is out of line.
+    // always: the hot half is a dozen instructions, but LLVM prices the
+    // panic edges of the word lookup and leaves a call per tracked access
+    // in closures that make several.
+    #[inline(always)]
     pub fn get<T: Pod>(&mut self, cell: Tracked<T>) -> T {
-        if let CtxMode::Detached(view) = &mut self.mode {
-            view.delta.tracked_loads += 1;
-            return view.snap.load(cell.addr());
-        }
+        let CtxMode::Locked(state) = &mut self.mode else {
+            return self.get_detached(cell);
+        };
         // Locked mode holds the state lock, so the counter is a plain add on
         // the global stats; only the lock-free Accessor path needs the
         // atomic counter bank.
-        self.locked().stats.tracked_loads += 1;
+        state.stats.tracked_loads += 1;
         self.inner.mem.load(cell.addr())
+    }
+
+    /// [`Ctx::get`] from a detached execution: reads the snapshot.
+    #[inline(never)]
+    fn get_detached<T: Pod>(&mut self, cell: Tracked<T>) -> T {
+        let CtxMode::Detached(view) = &mut self.mode else {
+            unreachable!("locked loads stay in `get`")
+        };
+        view.delta.tracked_loads += 1;
+        view.snap.load(cell.addr())
     }
 
     /// Stores a tracked scalar, firing triggers if the value changed.
@@ -258,51 +281,70 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// From a detached execution the change check runs against the
     /// snapshot, the store is logged, and triggers fire at commit time if
     /// the store still changes live memory.
+    ///
+    /// The locked silent store — the case the runtime exists for — is
+    /// straight-line code in the caller; the detached arm and the changing
+    /// store are out of line.
+    // always: as for `get`.
+    #[inline(always)]
     pub fn set<T: Pod>(&mut self, cell: Tracked<T>, value: T) {
         let detect = self.inner.cfg.suppress_silent_stores;
-        if let CtxMode::Detached(view) = &mut self.mode {
-            let effect = view.snap.store(cell.addr(), value, detect);
-            view.delta.tracked_stores += 1;
-            view.delta.bytes_compared += effect.bytes_compared;
-            if detect && !effect.changed {
-                view.delta.silent_stores += 1;
-                return;
-            }
-            view.delta.changing_stores += 1;
-            let mut buf = [0u8; 16];
-            let enc = &mut buf[..T::SIZE];
-            value.write_le(enc);
-            view.log.push(LoggedStore {
-                range: cell.range(),
-                data: enc.to_vec(),
-                dispatch: true,
-            });
-            return;
-        }
+        let CtxMode::Locked(state) = &mut self.mode else {
+            return self.set_detached(cell, value, detect);
+        };
         let effect = self.inner.mem.store(cell.addr(), value, detect);
-        let in_body = self.depth > 0 && self.cur.is_some();
-        let stats = &mut self.locked().stats;
-        stats.tracked_stores += 1;
-        stats.bytes_compared += effect.bytes_compared;
+        state.stats.tracked_stores += 1;
+        state.stats.bytes_compared += effect.bytes_compared;
+        if !detect || effect.changed {
+            return self.set_changed(cell.range());
+        }
+        state.stats.silent_stores += 1;
+        if self.in_body() {
+            self.body_dispatched += 1;
+        }
+        if self.inner.obs.on() {
+            self.obs_store(EventKind::Store, cell.addr());
+        }
+    }
+
+    /// [`Ctx::set`] from a detached execution: compare against the
+    /// snapshot, count, and log a store that changed it.
+    #[inline(never)]
+    fn set_detached<T: Pod>(&mut self, cell: Tracked<T>, value: T, detect: bool) {
+        let CtxMode::Detached(view) = &mut self.mode else {
+            unreachable!("locked stores stay in `set`")
+        };
+        let effect = view.snap.store(cell.addr(), value, detect);
+        view.delta.tracked_stores += 1;
+        view.delta.bytes_compared += effect.bytes_compared;
         if detect && !effect.changed {
-            stats.silent_stores += 1;
-            if in_body {
-                self.body_dispatched += 1;
-            }
-            if self.inner.obs.on() {
-                self.obs_store(EventKind::Store, cell.addr());
-            }
+            view.delta.silent_stores += 1;
             return;
         }
-        stats.changing_stores += 1;
-        if in_body {
+        view.delta.changing_stores += 1;
+        let mut buf = [0u8; 16];
+        let enc = &mut buf[..T::SIZE];
+        value.write_le(enc);
+        view.log.push(LoggedStore {
+            range: cell.range(),
+            data: enc.to_vec(),
+            dispatch: true,
+        });
+    }
+
+    /// The rest of a locked [`Ctx::set`] whose store changed memory (or ran
+    /// with change detection off): count it and consult the trigger table.
+    #[inline(never)]
+    fn set_changed(&mut self, range: crate::addr::AddrRange) {
+        self.locked().stats.changing_stores += 1;
+        if self.in_body() {
             self.body_dispatched += 1;
             self.body_changed += 1;
         }
         if self.inner.obs.on() {
-            self.obs_store(EventKind::ChangeDetected, cell.addr());
+            self.obs_store(EventKind::ChangeDetected, range.start());
         }
-        self.dispatch(cell.range());
+        self.dispatch(range);
     }
 
     /// Loads element `index` of a tracked array.
@@ -310,6 +352,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    // always: a forwarder; left to LLVM it becomes the out-of-line home of
+    // the always-inlined `get`.
+    #[inline(always)]
     pub fn read<T: Pod>(&mut self, array: TrackedArray<T>, index: usize) -> T {
         self.get(array.at(index))
     }
@@ -320,6 +365,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
+    // always: as for `read`.
+    #[inline(always)]
     pub fn write<T: Pod>(&mut self, array: TrackedArray<T>, index: usize, value: T) {
         self.set(array.at(index), value);
     }
@@ -492,7 +539,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             stats.changing_stores += changed_elems as u64;
             state.bulk_scratch = data;
         }
-        if self.depth > 0 && self.cur.is_some() {
+        if self.in_body() {
             // Early-cutoff accounting: each element counts as one dispatched
             // store op, exactly as element-wise writes would.
             self.body_dispatched += n as u64;

@@ -6,6 +6,13 @@
 //! ([`crate::ctx::Ctx::get`], [`crate::ctx::Ctx::set`], …). They carry no
 //! lifetime: like a hardware address, a handle stays valid for as long as
 //! the runtime that issued it.
+//!
+//! Handle methods are called from generic access code instantiated in
+//! downstream crates; every public function here is `#[inline]` so an
+//! element access compiles to address arithmetic in its caller (DESIGN.md
+//! §2). The lint below keeps it that way.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -20,6 +27,7 @@ pub struct Tracked<T> {
 }
 
 impl<T: Pod> Tracked<T> {
+    #[inline]
     pub(crate) fn new(addr: Addr) -> Self {
         Tracked {
             addr,
@@ -28,6 +36,7 @@ impl<T: Pod> Tracked<T> {
     }
 
     /// The cell's address.
+    #[inline]
     pub fn addr(&self) -> Addr {
         self.addr
     }
@@ -43,12 +52,14 @@ impl<T: Pod> Tracked<T> {
     /// let cell = rt.alloc(5u32).unwrap();
     /// assert_eq!(cell.range().len(), 4);
     /// ```
+    #[inline]
     pub fn range(&self) -> AddrRange {
         AddrRange::new(self.addr, T::SIZE as u64)
     }
 }
 
 impl<T> Clone for Tracked<T> {
+    #[inline]
     fn clone(&self) -> Self {
         *self
     }
@@ -56,6 +67,7 @@ impl<T> Clone for Tracked<T> {
 impl<T> Copy for Tracked<T> {}
 
 impl<T> fmt::Debug for Tracked<T> {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracked")
             .field("addr", &self.addr)
@@ -65,6 +77,7 @@ impl<T> fmt::Debug for Tracked<T> {
 }
 
 impl<T> PartialEq for Tracked<T> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.addr == other.addr
     }
@@ -79,6 +92,7 @@ pub struct TrackedArray<T> {
 }
 
 impl<T: Pod> TrackedArray<T> {
+    #[inline]
     pub(crate) fn new(addr: Addr, len: usize) -> Self {
         TrackedArray {
             addr,
@@ -88,16 +102,19 @@ impl<T: Pod> TrackedArray<T> {
     }
 
     /// Base address of the array.
+    #[inline]
     pub fn addr(&self) -> Addr {
         self.addr
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the array has zero elements.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -107,6 +124,7 @@ impl<T: Pod> TrackedArray<T> {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub fn at(&self, index: usize) -> Tracked<T> {
         assert!(
             index < self.len,
@@ -117,6 +135,7 @@ impl<T: Pod> TrackedArray<T> {
     }
 
     /// The byte range of the whole array.
+    #[inline]
     pub fn range(&self) -> AddrRange {
         AddrRange::new(self.addr, (self.len * T::SIZE) as u64)
     }
@@ -130,6 +149,7 @@ impl<T: Pod> TrackedArray<T> {
     /// # Panics
     ///
     /// Panics if `from > to` or `to > self.len()`.
+    #[inline]
     pub fn slice(&self, from: usize, to: usize) -> TrackedArray<T> {
         assert!(
             from <= to && to <= self.len,
@@ -143,6 +163,7 @@ impl<T: Pod> TrackedArray<T> {
     /// # Panics
     ///
     /// Panics if `from > to` or `to > self.len()`.
+    #[inline]
     pub fn range_of(&self, from: usize, to: usize) -> AddrRange {
         assert!(
             from <= to && to <= self.len,
@@ -156,6 +177,7 @@ impl<T: Pod> TrackedArray<T> {
 }
 
 impl<T> Clone for TrackedArray<T> {
+    #[inline]
     fn clone(&self) -> Self {
         *self
     }
@@ -163,6 +185,7 @@ impl<T> Clone for TrackedArray<T> {
 impl<T> Copy for TrackedArray<T> {}
 
 impl<T> fmt::Debug for TrackedArray<T> {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TrackedArray")
             .field("addr", &self.addr)
@@ -173,6 +196,7 @@ impl<T> fmt::Debug for TrackedArray<T> {
 }
 
 impl<T> PartialEq for TrackedArray<T> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.addr == other.addr && self.len == other.len
     }
@@ -191,6 +215,7 @@ pub struct TrackedMatrix<T> {
 }
 
 impl<T: Pod> TrackedMatrix<T> {
+    #[inline]
     pub(crate) fn new(addr: Addr, rows: usize, cols: usize) -> Self {
         TrackedMatrix {
             addr,
@@ -201,16 +226,19 @@ impl<T: Pod> TrackedMatrix<T> {
     }
 
     /// Base address of the matrix.
+    #[inline]
     pub fn addr(&self) -> Addr {
         self.addr
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -220,6 +248,7 @@ impl<T: Pod> TrackedMatrix<T> {
     /// # Panics
     ///
     /// Panics if `row` or `col` is out of bounds.
+    #[inline]
     pub fn at(&self, row: usize, col: usize) -> Tracked<T> {
         assert!(
             row < self.rows && col < self.cols,
@@ -231,6 +260,7 @@ impl<T: Pod> TrackedMatrix<T> {
     }
 
     /// The whole matrix viewed as a flat array of `rows * cols` elements.
+    #[inline]
     pub fn as_array(&self) -> TrackedArray<T> {
         TrackedArray::new(self.addr, self.rows * self.cols)
     }
@@ -240,6 +270,7 @@ impl<T: Pod> TrackedMatrix<T> {
     /// # Panics
     ///
     /// Panics if `row` is out of bounds.
+    #[inline]
     pub fn row_range(&self, row: usize) -> AddrRange {
         assert!(
             row < self.rows,
@@ -253,12 +284,14 @@ impl<T: Pod> TrackedMatrix<T> {
     }
 
     /// The byte range of the whole matrix.
+    #[inline]
     pub fn range(&self) -> AddrRange {
         AddrRange::new(self.addr, (self.rows * self.cols * T::SIZE) as u64)
     }
 }
 
 impl<T> Clone for TrackedMatrix<T> {
+    #[inline]
     fn clone(&self) -> Self {
         *self
     }
@@ -266,6 +299,7 @@ impl<T> Clone for TrackedMatrix<T> {
 impl<T> Copy for TrackedMatrix<T> {}
 
 impl<T> fmt::Debug for TrackedMatrix<T> {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TrackedMatrix")
             .field("addr", &self.addr)
@@ -277,6 +311,7 @@ impl<T> fmt::Debug for TrackedMatrix<T> {
 }
 
 impl<T> PartialEq for TrackedMatrix<T> {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.addr == other.addr && self.rows == other.rows && self.cols == other.cols
     }

@@ -63,6 +63,7 @@ impl TrackedHeap {
     }
 
     /// Bytes currently allocated.
+    #[inline]
     pub fn len(&self) -> u64 {
         self.mem.len() as u64
     }
@@ -117,6 +118,7 @@ impl TrackedHeap {
     /// # Errors
     ///
     /// Returns [`Error::RegionOutOfBounds`] otherwise.
+    #[inline]
     pub fn check_range(&self, range: AddrRange) -> Result<()> {
         if range.end().raw() <= self.len() {
             Ok(())
@@ -135,6 +137,7 @@ impl TrackedHeap {
     ///
     /// Panics if `range` is out of bounds; handles constructed by this heap
     /// are always in bounds.
+    #[inline]
     pub fn load_bytes(&self, range: AddrRange) -> &[u8] {
         self.check_range(range).expect("load out of bounds");
         &self.mem[range.start().raw() as usize..range.end().raw() as usize]
@@ -150,6 +153,7 @@ impl TrackedHeap {
     /// # Panics
     ///
     /// Panics if `range` is out of bounds or `data.len() != range.len()`.
+    #[inline]
     pub fn store_bytes(
         &mut self,
         range: AddrRange,
@@ -182,6 +186,7 @@ impl TrackedHeap {
     /// # Panics
     ///
     /// Panics if `range` is out of bounds.
+    #[inline]
     pub(crate) fn slice_mut(&mut self, range: AddrRange) -> &mut [u8] {
         self.check_range(range).expect("store out of bounds");
         &mut self.mem[range.start().raw() as usize..range.end().raw() as usize]
@@ -192,6 +197,7 @@ impl TrackedHeap {
     /// # Panics
     ///
     /// Panics if the value extends past the arena.
+    #[inline]
     pub fn load<T: Pod>(&self, addr: Addr) -> T {
         T::read_le(self.load_bytes(AddrRange::new(addr, T::SIZE as u64)))
     }
@@ -201,6 +207,7 @@ impl TrackedHeap {
     /// # Panics
     ///
     /// Panics if the value extends past the arena.
+    #[inline]
     pub fn store<T: Pod>(&mut self, addr: Addr, value: T, detect_change: bool) -> StoreEffect {
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::SIZE];

@@ -62,6 +62,13 @@ pub(crate) fn default_shards() -> usize {
         .next_power_of_two()
 }
 
+/// Whether a `size`-byte value at byte offset `start` lies inside one
+/// 8-byte word, so that one atomic word access covers it.
+#[inline]
+fn word_contained(start: u64, size: usize) -> bool {
+    size <= 8 && (start >> 3) == ((start + size as u64 - 1) >> 3)
+}
+
 /// The sharded arena. See the module docs for the locking protocol.
 pub(crate) struct ShardedMem {
     /// Word storage in fixed-size chunks, initialized by `alloc` as the
@@ -127,6 +134,7 @@ impl ShardedMem {
     }
 
     /// Number of stripe locks.
+    #[inline]
     pub(crate) fn shards(&self) -> usize {
         self.locks.len()
     }
@@ -134,16 +142,19 @@ impl ShardedMem {
     /// The stripe (shard) index an address hashes to — also the index of
     /// the observability event ring store events to that address use, so
     /// threads writing disjoint shards record into disjoint rings.
+    #[inline]
     pub(crate) fn shard_of(&self, addr: Addr) -> usize {
         ((addr.raw() >> STRIPE_SHIFT) & self.mask) as usize
     }
 
     /// Bytes currently allocated.
+    #[inline]
     pub(crate) fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
     }
 
     /// The configured capacity bound in bytes.
+    #[inline]
     pub(crate) fn capacity(&self) -> u64 {
         self.capacity
     }
@@ -183,6 +194,7 @@ impl ShardedMem {
 
     /// Checks that `range` lies inside the allocated arena; same contract as
     /// [`TrackedHeap::check_range`].
+    #[inline]
     pub(crate) fn check_range(&self, range: AddrRange) -> Result<()> {
         let len = self.len();
         if range.end().raw() <= len {
@@ -251,84 +263,108 @@ impl ShardedMem {
         }
     }
 
-    /// Typed store of a [`Pod`] value at `addr`. Values contained in one
-    /// word take a fast path: a single stripe lock and one word
-    /// read-modify-write, no byte loop.
+    /// The scalar bounds test, as one compare in the caller: `addr + size`
+    /// must not overflow and must lie inside the allocated length. A failure
+    /// leaves the straight-line path for [`ShardedMem::access_out_of_bounds`].
+    #[inline]
+    fn check_access(&self, addr: Addr, size: u64, what: &'static str) {
+        match addr.raw().checked_add(size) {
+            Some(end) if end <= self.len() => {}
+            _ => self.access_out_of_bounds(addr, size, what),
+        }
+    }
+
+    /// The failing half of [`ShardedMem::check_access`]: builds the range
+    /// (`AddrRange::new` panics on address-space overflow), then the
+    /// [`Error::RegionOutOfBounds`] and the `what` panic around it. Returns
+    /// only if a concurrent `alloc` grew the arena past the access between
+    /// the two length reads — the access is in bounds by then.
+    #[cold]
+    #[inline(never)]
+    fn access_out_of_bounds(&self, addr: Addr, size: u64, what: &'static str) {
+        self.check_range(AddrRange::new(addr, size)).expect(what);
+    }
+
+    /// Typed store of a [`Pod`] value at `addr`. A value contained in one
+    /// word is one word load and a compare in the caller; only a store that
+    /// changes the word goes on to [`ShardedMem::store_word_locked`].
+    // always: with plain `#[inline]` LLVM keeps one out-of-line copy per `T`
+    // and calls it from every large `Runtime::with` closure.
+    #[inline(always)]
     pub(crate) fn store<T: Pod>(&self, addr: Addr, value: T, detect_change: bool) -> StoreEffect {
         let start = addr.raw();
-        let range = AddrRange::new(addr, T::SIZE as u64);
-        if T::SIZE <= 8 && (start >> 3) == ((start + T::SIZE as u64 - 1) >> 3) {
-            self.check_range(range).expect("store out of bounds");
-            let mut buf = [0u8; 8];
-            value.write_le(&mut buf[..T::SIZE]);
-            let word = self.word(start >> 3);
-            let off = (start & 7) as usize;
-            // Double-checked silent path: a store that leaves the word
-            // unchanged has no visible effect and can linearize at this
-            // lockless load, skipping the stripe lock entirely. Silent
-            // stores are the common case this runtime exists to exploit.
-            let cur = word.load(Ordering::Relaxed);
-            let mut probe = cur.to_le_bytes();
-            probe[off..off + T::SIZE].copy_from_slice(&buf[..T::SIZE]);
-            if u64::from_le_bytes(probe) == cur {
-                return if detect_change {
-                    StoreEffect {
-                        changed: false,
-                        bytes_compared: T::SIZE as u64,
-                    }
-                } else {
-                    StoreEffect {
-                        changed: true,
-                        bytes_compared: 0,
-                    }
-                };
-            }
-            let _g = self.locks[((start >> STRIPE_SHIFT) & self.mask) as usize].lock();
-            let old = word.load(Ordering::Relaxed);
-            let mut bytes = old.to_le_bytes();
-            bytes[off..off + T::SIZE].copy_from_slice(&buf[..T::SIZE]);
-            let new = u64::from_le_bytes(bytes);
-            let changed = new != old;
-            if changed {
-                word.store(new, Ordering::Relaxed);
-            }
-            return if detect_change {
-                StoreEffect {
-                    changed,
-                    bytes_compared: T::SIZE as u64,
-                }
-            } else {
-                StoreEffect {
-                    changed: true,
-                    bytes_compared: 0,
-                }
-            };
-        }
+        self.check_access(addr, T::SIZE as u64, "store out of bounds");
         let mut buf = [0u8; 16];
-        let buf = &mut buf[..T::SIZE];
-        value.write_le(buf);
-        self.store_bytes(range, buf, detect_change)
+        value.write_le(&mut buf[..T::SIZE]);
+        if !word_contained(start, T::SIZE) {
+            let range = AddrRange::new(addr, T::SIZE as u64);
+            return self.store_bytes(range, &buf[..T::SIZE], detect_change);
+        }
+        // The value's bytes as a lane of its word: little-endian byte `i` of
+        // a word is bits `8i..8i+8`.
+        let shift = (start & 7) * 8;
+        let lane = u64::MAX >> (64 - 8 * T::SIZE as u32) << shift;
+        let bits = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")) << shift;
+        // Double-checked silent path: a store that leaves the word
+        // unchanged has no visible effect and can linearize at this
+        // lockless load, skipping the stripe lock entirely. Silent
+        // stores are the common case this runtime exists to exploit.
+        let cur = self.word(start >> 3).load(Ordering::Relaxed);
+        let changed = cur & lane != bits && self.store_word_locked(start, lane, bits);
+        if detect_change {
+            StoreEffect {
+                changed,
+                bytes_compared: T::SIZE as u64,
+            }
+        } else {
+            StoreEffect {
+                changed: true,
+                bytes_compared: 0,
+            }
+        }
+    }
+
+    /// The under-stripe-lock half of a word-contained [`ShardedMem::store`]:
+    /// re-reads the word under the lock (another thread may have stored
+    /// since the caller's lockless probe), splices `bits` into `lane`, and
+    /// reports whether the word changed.
+    #[inline(never)]
+    fn store_word_locked(&self, start: u64, lane: u64, bits: u64) -> bool {
+        let word = self.word(start >> 3);
+        let _g = self.locks[((start >> STRIPE_SHIFT) & self.mask) as usize].lock();
+        let old = word.load(Ordering::Relaxed);
+        let new = (old & !lane) | bits;
+        if new != old {
+            word.store(new, Ordering::Relaxed);
+        }
+        new != old
     }
 
     /// Typed load of a [`Pod`] value at `addr`. Values contained in one
     /// word need no stripe lock: the word load is atomic, so concurrent
     /// read-modify-writes of neighbouring bytes can never tear it.
+    // always: as for `store` — LLVM declines it in the pipeline kernel's
+    // bucket loop, leaving a call per tracked load.
+    #[inline(always)]
     pub(crate) fn load<T: Pod>(&self, addr: Addr) -> T {
-        let range = AddrRange::new(addr, T::SIZE as u64);
-        self.check_range(range).expect("load out of bounds");
+        let start = addr.raw();
+        self.check_access(addr, T::SIZE as u64, "load out of bounds");
+        if word_contained(start, T::SIZE) {
+            let lane = self.word(start >> 3).load(Ordering::Relaxed) >> ((start & 7) * 8);
+            return T::read_le(&lane.to_le_bytes()[..T::SIZE]);
+        }
         let mut buf = [0u8; 16];
         let buf = &mut buf[..T::SIZE];
-        let first = range.start().raw() >> 3;
-        let last = (range.end().raw() - 1) >> 3;
-        if first == last {
-            let bytes = self.word(first).load(Ordering::Relaxed).to_le_bytes();
-            let off = (range.start().raw() & 7) as usize;
-            buf.copy_from_slice(&bytes[off..off + T::SIZE]);
-        } else {
-            let _guards = self.lock_range(range);
-            self.read_words(range, buf);
-        }
+        self.load_straddling(AddrRange::new(addr, T::SIZE as u64), buf);
         T::read_le(buf)
+    }
+
+    /// The multi-word half of [`ShardedMem::load`]: a value that straddles
+    /// words can tear, so it is read under the stripe locks of its range.
+    #[inline(never)]
+    fn load_straddling(&self, range: AddrRange, out: &mut [u8]) {
+        let _guards = self.lock_range(range);
+        self.read_words(range, out);
     }
 
     /// Bulk-loads the bytes of `range` into `out` (cleared first), atomically
@@ -1120,6 +1156,105 @@ mod tests {
                 prop_assert_eq!(&naive.1, &real.1, "run vectors diverge");
                 prop_assert_eq!(&naive.2, &real.2, "final bytes diverge");
             }
+
+            /// The typed scalar path — the lockless word probe, the lane
+            /// splice under the stripe lock and the straddling fallback —
+            /// is observationally identical to [`TrackedHeap`]'s byte-array
+            /// compare: same loaded values, same [`StoreEffect`] per store,
+            /// same final memory, for every type, at aligned, word-straddling
+            /// and stripe-straddling addresses, with detection on and off.
+            #[test]
+            fn scalar_ops_match_heap_reference(
+                shards in (0usize..3).prop_map(|i| [1usize, 4, 16][i]),
+                nops in 1usize..300,
+                detect in any::<bool>(),
+                seed in any::<u64>(),
+            ) {
+                let mut x = seed | 1;
+                let mut step = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let m = ShardedMem::new(1 << 16, shards);
+                let mut h = TrackedHeap::with_capacity(1 << 16);
+                let base = m.alloc(ARENA, 1).unwrap();
+                prop_assert_eq!(h.alloc(ARENA, 1).unwrap(), base);
+                let whole = AddrRange::new(base, ARENA);
+                let initial: Vec<u8> = (0..ARENA).map(|_| step() as u8).collect();
+                m.store_bytes(whole, &initial, false);
+                h.store_bytes(whole, &initial, false);
+                // Address of the previous op: a one-byte store right after
+                // it lands beside a byte that op may just have changed.
+                let mut last = 0u64;
+                for _ in 0..nops {
+                    let (ty, place, kind) = (step() % 8, step() % 5, step() % 4);
+                    let value = (u128::from(step()) << 64 | u128::from(step())).to_le_bytes();
+                    let size = [1u64, 2, 4, 8, 16, 8, 8, 1][ty as usize];
+                    // `k` bytes of the value sit before a boundary.
+                    let k = 1 + step() % (size - 1).max(1);
+                    let off = match place {
+                        0 => step() % (ARENA / size) * size,
+                        1 if size > 1 => 8 * (2 + step() % (ARENA / 8 - 4)) - k,
+                        2 if size > 1 => 64 * (1 + step() % (ARENA / 64 - 1)) - k,
+                        3 => (last + 1).min(ARENA - size),
+                        _ => step() % (ARENA - size + 1),
+                    };
+                    last = off;
+                    let addr = base.offset(off);
+                    match ty {
+                        0 => scalar_op::<u8>(&m, &mut h, addr, kind, &value, detect),
+                        1 => scalar_op::<u16>(&m, &mut h, addr, kind, &value, detect),
+                        2 => scalar_op::<u32>(&m, &mut h, addr, kind, &value, detect),
+                        3 => scalar_op::<u64>(&m, &mut h, addr, kind, &value, detect),
+                        4 => scalar_op::<u128>(&m, &mut h, addr, kind, &value, detect),
+                        5 => scalar_op::<i64>(&m, &mut h, addr, kind, &value, detect),
+                        6 => scalar_op::<f64>(&m, &mut h, addr, kind, &value, detect),
+                        _ => scalar_op::<bool>(&m, &mut h, addr, kind, &value, detect),
+                    }
+                }
+                let mut out = Vec::new();
+                m.load_into(whole, &mut out);
+                prop_assert_eq!(&out[..], h.load_bytes(whole), "final bytes diverge");
+            }
+        }
+
+        /// Bytes under test in `scalar_ops_match_heap_reference`: four
+        /// stripes, small enough that ops keep landing on each other.
+        const ARENA: u64 = 256;
+
+        /// The canonical encoding, so values compare bytewise (`f64` NaNs).
+        fn enc<T: Pod>(v: T) -> Vec<u8> {
+            let mut bytes = vec![0u8; T::SIZE];
+            v.write_le(&mut bytes);
+            bytes
+        }
+
+        /// One typed op against both arenas: a load (`kind` 0), a store of
+        /// the value already there (1, silent) or a store of `value`.
+        fn scalar_op<T: Pod>(
+            m: &ShardedMem,
+            h: &mut TrackedHeap,
+            addr: Addr,
+            kind: u64,
+            value: &[u8; 16],
+            detect: bool,
+        ) {
+            let current: T = h.load(addr);
+            let v = match kind {
+                0 => {
+                    assert_eq!(enc(m.load::<T>(addr)), enc(current), "load at {addr}");
+                    return;
+                }
+                1 => current,
+                _ => T::read_le(&value[..T::SIZE]),
+            };
+            assert_eq!(
+                m.store(addr, v, detect),
+                h.store(addr, v, detect),
+                "store effect at {addr}"
+            );
         }
     }
 }

@@ -3,6 +3,13 @@
 //! The tracked arena is a byte array; typed access goes through [`Pod`],
 //! which defines a fixed-width little-endian encoding. All implementations
 //! are safe code — no transmutes — so the crate stays `unsafe`-free.
+//!
+//! The impls are non-generic leaves called from generic access code that is
+//! instantiated in downstream crates, so both methods of every impl are
+//! `#[inline]`: a typed load must decode in its caller, not behind a
+//! cross-crate call (DESIGN.md §2). The lint below keeps it that way.
+
+#![warn(clippy::missing_inline_in_public_items)]
 
 /// A fixed-size value that can live in tracked memory.
 ///
@@ -47,11 +54,13 @@ macro_rules! impl_pod_int {
         impl Pod for $t {
             const SIZE: usize = std::mem::size_of::<$t>();
 
+            #[inline]
             fn write_le(self, out: &mut [u8]) {
                 assert_eq!(out.len(), Self::SIZE, "encode buffer size mismatch");
                 out.copy_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn read_le(bytes: &[u8]) -> Self {
                 assert_eq!(bytes.len(), Self::SIZE, "decode buffer size mismatch");
                 let mut arr = [0u8; std::mem::size_of::<$t>()];
@@ -67,11 +76,13 @@ impl_pod_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 impl Pod for bool {
     const SIZE: usize = 1;
 
+    #[inline]
     fn write_le(self, out: &mut [u8]) {
         assert_eq!(out.len(), 1, "encode buffer size mismatch");
         out[0] = self as u8;
     }
 
+    #[inline]
     fn read_le(bytes: &[u8]) -> Self {
         assert_eq!(bytes.len(), 1, "decode buffer size mismatch");
         bytes[0] != 0

@@ -328,6 +328,7 @@ impl CounterBank {
     }
 
     /// Accounts one tracked store with the given [`StoreEffect`].
+    #[inline]
     pub(crate) fn on_store(&self, addr_raw: u64, effect: StoreEffect, detect: bool) {
         let key = Self::addr_key(addr_raw);
         self.add(key, Tally::TrackedStores, 1);
@@ -340,6 +341,7 @@ impl CounterBank {
     }
 
     /// Accounts one watched-address filter probe and how deep it went.
+    #[inline]
     pub(crate) fn on_filter(&self, addr_raw: u64, probe: crate::filter::FilterProbe) {
         use crate::filter::FilterProbe;
         let key = Self::addr_key(addr_raw);

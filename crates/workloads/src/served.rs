@@ -51,9 +51,9 @@ pub struct ServedSheet {
     row_sums: TrackedArray<i64>,
     total_cell: TrackedArray<i64>,
     avg_cell: TrackedArray<i64>,
-    row_tts: Vec<TthreadId>,
-    total_tt: TthreadId,
-    avg_tt: TthreadId,
+    /// The chain in topological order (row SUMs, TOTAL, AVG), built once:
+    /// `refresh` runs per served put and must not allocate.
+    order: Vec<TthreadId>,
 }
 
 impl ServedSheet {
@@ -69,7 +69,7 @@ impl ServedSheet {
         let total_cell = rt.alloc_array::<i64>(1).expect("arena sized for view");
         let avg_cell = rt.alloc_array::<i64>(1).expect("arena sized for view");
 
-        let row_tts: Vec<TthreadId> = (0..rows)
+        let mut order: Vec<TthreadId> = (0..rows)
             .map(|r| {
                 let id = rt.register(&format!("row_sum{r}"), move |ctx| {
                     let mut s = 0i64;
@@ -102,6 +102,7 @@ impl ServedSheet {
         rt.watch(avg_tt, total_cell.range())
             .expect("region in arena");
         util::declare_output(&mut rt, avg_tt, avg_cell.range());
+        order.extend([total_tt, avg_tt]);
 
         let mut sheet = ServedSheet {
             rt,
@@ -111,11 +112,9 @@ impl ServedSheet {
             row_sums,
             total_cell,
             avg_cell,
-            row_tts,
-            total_tt,
-            avg_tt,
+            order,
         };
-        for tt in sheet.topo_order() {
+        for &tt in &sheet.order {
             sheet.rt.mark_dirty(tt).expect("registered tthread");
         }
         // A fault plan or an impossible body deadline can wedge even this
@@ -133,19 +132,19 @@ impl ServedSheet {
     /// Applies a batch of `(row, col, value)` stores in one tracked
     /// region; out-of-range coordinates wrap, so any client key is valid.
     pub fn apply(&mut self, writes: &[(usize, usize, i64)]) {
+        self.apply_iter(writes.iter().copied());
+    }
+
+    /// [`ServedSheet::apply`] over any `(row, col, value)` source, so the
+    /// keyed view maps its keys inside the same tracked region instead of
+    /// collecting an intermediate batch.
+    fn apply_iter(&mut self, writes: impl Iterator<Item = (usize, usize, i64)>) {
         let (rows, cols, grid) = (self.rows, self.cols, self.grid);
         self.rt.with(|ctx| {
-            for &(r, c, v) in writes {
+            for (r, c, v) in writes {
                 ctx.set(grid.at(r % rows, c % cols), v);
             }
         });
-    }
-
-    fn topo_order(&self) -> Vec<TthreadId> {
-        let mut order = self.row_tts.clone();
-        order.push(self.total_tt);
-        order.push(self.avg_tt);
-        order
     }
 
     /// Joins the chain in topological order so every commit cascades
@@ -153,8 +152,9 @@ impl ServedSheet {
     /// tthreads) propagate; the caller repairs via
     /// [`ServedSheet::runtime_mut`] and retries.
     pub fn refresh(&mut self) -> dtt_core::Result<()> {
-        for tt in self.topo_order() {
-            self.rt.join(tt)?;
+        let ServedSheet { rt, order, .. } = self;
+        for &tt in order.iter() {
+            rt.join(tt)?;
         }
         Ok(())
     }
@@ -392,14 +392,10 @@ impl ServedKeyed {
     /// region. Keys fold per [`KeyMap`]; every client key is valid.
     pub fn apply(&mut self, writes: &[(u64, i64)]) {
         let map = self.map;
-        let mapped: Vec<(usize, usize, i64)> = writes
-            .iter()
-            .map(|&(k, v)| {
-                let (r, c) = map.slot_of(k);
-                (r, c, v)
-            })
-            .collect();
-        self.sheet.apply(&mapped);
+        self.sheet.apply_iter(writes.iter().map(|&(k, v)| {
+            let (r, c) = map.slot_of(k);
+            (r, c, v)
+        }));
     }
 
     /// Joins the chain in topological order; errors propagate for the
