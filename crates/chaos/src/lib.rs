@@ -476,6 +476,12 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
             c.park_timeouts
         ));
     }
+    if c.park_rescues > c.park_timeouts {
+        return Err(format!(
+            "park_rescues {} exceeds park_timeouts {}: a rescue is a timeout",
+            c.park_rescues, c.park_timeouts
+        ));
+    }
     if cfg.body_deadline.is_none() && c.body_timeouts != 0 {
         return Err(format!(
             "body_timeouts is {} with no deadline configured",

@@ -177,7 +177,7 @@ fn pinned_cascade_drops_hold_invariants() {
 /// The rescue-latency budget, measured directly: with *every* worker wake
 /// dropped (epoch bump included — a true lost wakeup), a triggered
 /// tthread must still execute within two park periods, carried entirely
-/// by the worker's timed-park rescue. The `park_timeouts` counter proves
+/// by the worker's timed-park rescue. The `park_rescues` counter proves
 /// the rescue path (and not a real wake) did the carrying.
 #[test]
 fn dropped_wake_is_rescued_within_two_park_periods() {
@@ -200,38 +200,47 @@ fn dropped_wake_is_rescued_within_two_park_periods() {
     // ticks, the worker has just timed out, found nothing, and is
     // committed to (at most) one more full park period before it scans
     // again. Any trigger landing now must be picked up by that rescue
-    // scan — its wake is guaranteed to be dropped.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let p0 = rt.stats().counters().park_timeouts;
-    while rt.stats().counters().park_timeouts == p0 {
-        assert!(
-            Instant::now() < deadline,
-            "worker never reached a timed park"
-        );
-        std::thread::yield_now();
+    // scan — its wake is guaranteed to be dropped. If the worker was
+    // descheduled between the tick and its next park, the store is found
+    // by that park's first check instead of by its expiry, and no rescue
+    // is counted; the round is then repeated on the next tick.
+    let mut rescued = false;
+    for round in 1..=3u64 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let p0 = rt.stats().counters().park_timeouts;
+        while rt.stats().counters().park_timeouts == p0 {
+            assert!(
+                Instant::now() < deadline,
+                "worker never reached a timed park"
+            );
+            std::thread::yield_now();
+        }
+
+        let t0 = Instant::now();
+        rt.with(|ctx| ctx.write(cells, 0, 7 * round));
+        while rt.stats().counters().worker_executions < round {
+            assert!(
+                t0.elapsed() < PARK_TIMEOUT * 2,
+                "dropped wake was not rescued within two park periods"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(rt.with(|ctx| *ctx.user()), 7 * round);
+        if rt.stats().counters().park_rescues >= 1 {
+            rescued = true;
+            break;
+        }
     }
 
-    let t0 = Instant::now();
-    rt.with(|ctx| ctx.write(cells, 0, 7));
-    while rt.stats().counters().worker_executions == 0 {
-        assert!(
-            t0.elapsed() < PARK_TIMEOUT * 2,
-            "dropped wake was not rescued within two park periods"
-        );
-        std::thread::yield_now();
-    }
-
-    let stats = rt.stats();
-    let c = stats.counters();
     assert!(
-        c.park_timeouts > p0,
-        "rescue must have come from a timed park"
+        rescued,
+        "the expiry that found the dropped wake's work must count as a rescue"
     );
     assert_eq!(
-        c.worker_wakes, 0,
+        rt.stats().counters().worker_wakes,
+        0,
         "every wake was dropped, so none may be counted"
     );
-    assert_eq!(rt.with(|ctx| *ctx.user()), 7);
 }
 
 /// Randomized smoke: a block of derived seeds must all hold the

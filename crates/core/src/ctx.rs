@@ -634,7 +634,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                     self.inner
                         .dispatch
                         .slots
-                        .slot(hit.tthread.index())
+                        .get(hit.tthread.index())
                         .set_rf_if_running();
                     continue;
                 }
@@ -686,7 +686,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// nothing left to do.
     pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
-        let slot = inner.dispatch.slots.slot(id.index());
+        let slot = inner.dispatch.slots.get(id.index());
         self.locked().stats.queue_overflows += 1;
         let capacity = inner.dispatch.pending.capacity() as u64;
         self.obs_status(EventKind::QueueOverflow, id, capacity);
@@ -715,7 +715,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 break;
             };
             let victim = TthreadId::new(vraw);
-            if dispatch.slots.slot(victim.index()).try_claim_queued(vtoken) {
+            if dispatch.slots.get(victim.index()).try_claim_queued(vtoken) {
                 self.locked().stats.backpressure_waits += 1;
                 self.run_inline(victim);
             } else {
@@ -733,7 +733,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
         self.locked().stats.overflow_sheds += 1;
         let capacity = dispatch.pending.capacity() as u64;
-        let _ = dispatch.slots.slot(id.index()).try_defer_queued(token);
+        let _ = dispatch.slots.get(id.index()).try_defer_queued(token);
         self.obs_status(EventKind::OverflowShed, id, capacity);
     }
 
@@ -758,9 +758,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             "{}",
             Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
         );
-        let func = self.inner.tthread_fn(id);
         let inner = self.inner;
-        let slot = inner.dispatch.slots.slot(id.index());
+        let func = inner.tthread_fn(id);
+        let slot = inner.dispatch.slots.get(id.index());
         loop {
             debug_assert_eq!(slot.status(), TthreadStatus::Running);
             let state = self.locked();
@@ -823,6 +823,11 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         // or ExecuteInline during a commit cascade) can complete a tthread
         // the main thread is parked on: broadcast the completion
         // eventcount just like the worker loop does after its own runs.
-        self.inner.wake_joiners();
+        // Without workers nothing can be parked there — only `join` and
+        // `force` park, only on Running or on Queued with a deadline, and
+        // no other thread runs bodies — so the broadcast is skipped.
+        if inner.cfg.workers > 0 {
+            inner.wake_joiners();
+        }
     }
 }

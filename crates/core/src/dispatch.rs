@@ -45,6 +45,32 @@
 //! loads. A load-only absorb has no such edge: the body could read
 //! pre-store data while the trigger was absorbed — a lost update.
 //!
+//! # The skip rule (why a skipping join is a load, not an RMW)
+//!
+//! The converse holds at the consumption point. A join that finds the word
+//! Clean with CJ clear, and the slot's `failed` flag clear, skips on that
+//! one Acquire load ([`Slot::skippable`]) without the state lock:
+//!
+//! * Every write of the word is an RMW, and every transition *into* Clean
+//!   ([`Slot::try_complete`], [`Slot::force_clean`]) is a release. An
+//!   Acquire load that reads it, or any later RMW in its release sequence,
+//!   sees everything the completing thread did first: the execution's
+//!   effects, and for a failure the `failed` flag. So `force_clean` sets
+//!   the flag *before* its RMW publishes the failure, and the joiner reads
+//!   the flag *after* the word: a failed tthread never reads as skippable.
+//!   `clear_poison`/`clear_timeout` recompute the flag under the state
+//!   lock, where every failure is recorded.
+//! * A skip consumes nothing: with CJ clear there is no completion report
+//!   to take, so the RMW the absorb rule needs has nothing to order here.
+//!   A trigger the joiner itself issued happens-before its load, so by
+//!   coherence the load sees that raise or a later word, never the Clean
+//!   word the raise replaced. A trigger from another thread that races the
+//!   load is ordered after it in the word's modification order, and the
+//!   join linearizes before that trigger.
+//!
+//! Any other word (pending, running, CJ set, or failed) takes the locked
+//! join path.
+//!
 //! # Lock order
 //!
 //! state lock → pending-queue mutex / eventcount mutex. The two are leaf
@@ -53,7 +79,7 @@
 //! else is ever acquired under them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -126,13 +152,16 @@ pub(crate) enum RaiseStep {
     Enqueue(u64),
 }
 
-/// One tthread's live dispatch state: the packed status word plus the
-/// per-tthread trigger tally (bumped lock-free on every raise).
+/// One tthread's live dispatch state: the packed status word, the
+/// per-tthread trigger tally (bumped lock-free on every raise), and the
+/// failure flag the skip rule reads beside the word (set while the tthread
+/// is poisoned or timed out).
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct Slot {
     word: AtomicU64,
     pub(crate) triggers: AtomicU64,
+    failed: AtomicBool,
 }
 
 impl Slot {
@@ -159,6 +188,21 @@ impl Slot {
     /// Current status.
     pub(crate) fn status(&self) -> TthreadStatus {
         state_of(self.load())
+    }
+
+    /// Whether a join may skip on this read alone: Clean, no completion to
+    /// report, not failed. See the module-level skip rule for why the word
+    /// is read first and why no RMW is needed.
+    #[inline]
+    pub(crate) fn skippable(&self) -> bool {
+        let word = self.load();
+        word & (STATE_MASK | CJ) == 0 && !self.failed.load(Ordering::Relaxed)
+    }
+
+    /// Recomputes the failure flag once a poisoned or timed-out tthread is
+    /// cleared (called under the state lock, where failures are recorded).
+    pub(crate) fn set_failed(&self, failed: bool) {
+        self.failed.store(failed, Ordering::Relaxed);
     }
 
     /// The raw status word. Because the token bumps on every state-changing
@@ -309,9 +353,11 @@ impl Slot {
         self.rmw(|w| advance(w, TthreadStatus::Triggered, true, true));
     }
 
-    /// Unconditional reset to Clean with both flags cleared (poison,
-    /// timeout: the execution published nothing).
+    /// Publishes a failed execution (poison, timeout: it published
+    /// nothing): sets the failure flag, then resets the word to Clean with
+    /// both flags cleared. The order is the skip rule's.
     pub(crate) fn force_clean(&self) {
+        self.failed.store(true, Ordering::Relaxed);
         self.rmw(|w| advance(w, TthreadStatus::Clean, true, true));
     }
 
@@ -347,21 +393,25 @@ impl Slot {
     }
 }
 
-/// Chunked, growable slot table. Chunks are allocated on demand behind
-/// `OnceLock`s so `register` (which grows the table) never invalidates
-/// references concurrently held by workers — the table itself is
-/// lock-free to read.
+/// Chunked, append-only per-tthread table. Chunks are allocated on demand
+/// behind `OnceLock`s so `register` (which grows the table) never
+/// invalidates references concurrently held by workers — the table itself
+/// is lock-free to read. Holds the dispatch [`Slot`]s and, as
+/// `ChunkTable<OnceLock<_>>`, the registered tthread bodies.
 #[derive(Debug)]
-pub(crate) struct SlotTable {
-    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+pub(crate) struct ChunkTable<T> {
+    chunks: Box<[OnceLock<Box<[T]>>]>,
 }
+
+/// The per-tthread status words.
+pub(crate) type SlotTable = ChunkTable<Slot>;
 
 const CHUNK: usize = 64;
 const MAX_CHUNKS: usize = 1024;
 
-impl SlotTable {
+impl<T: Default> ChunkTable<T> {
     pub(crate) fn new() -> Self {
-        SlotTable {
+        ChunkTable {
             chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
         }
     }
@@ -374,18 +424,18 @@ impl SlotTable {
     pub(crate) fn ensure(&self, index: usize) {
         let chunk = index / CHUNK;
         assert!(chunk < MAX_CHUNKS, "too many tthreads");
-        self.chunks[chunk].get_or_init(|| (0..CHUNK).map(|_| Slot::default()).collect());
+        self.chunks[chunk].get_or_init(|| (0..CHUNK).map(|_| T::default()).collect());
     }
 
-    /// The slot for tthread `index`.
+    /// The entry for tthread `index`.
     ///
     /// # Panics
     ///
-    /// Panics if the index was never registered via [`SlotTable::ensure`].
-    pub(crate) fn slot(&self, index: usize) -> &Slot {
+    /// Panics if the index was never registered via [`ChunkTable::ensure`].
+    pub(crate) fn get(&self, index: usize) -> &T {
         let chunk = self.chunks[index / CHUNK]
             .get()
-            .expect("slot accessed before registration");
+            .expect("entry accessed before registration");
         &chunk[index % CHUNK]
     }
 }
@@ -712,11 +762,33 @@ mod tests {
         for i in 0..(CHUNK * 2 + 3) {
             t.ensure(i);
         }
-        let RaiseStep::Enqueue(_) = t.slot(CHUNK * 2 + 2).raise(false, false) else {
+        let RaiseStep::Enqueue(_) = t.get(CHUNK * 2 + 2).raise(false, false) else {
             panic!()
         };
-        assert_eq!(t.slot(CHUNK * 2 + 2).status(), S::Queued);
-        assert_eq!(t.slot(0).status(), S::Clean);
+        assert_eq!(t.get(CHUNK * 2 + 2).status(), S::Queued);
+        assert_eq!(t.get(0).status(), S::Clean);
+    }
+
+    #[test]
+    fn skippable_is_clean_without_a_report_or_a_failure() {
+        let s = slot();
+        assert!(s.skippable());
+        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
+            panic!()
+        };
+        assert!(!s.skippable(), "queued");
+        assert!(s.try_claim_queued(t));
+        assert!(!s.skippable(), "running");
+        assert!(s.try_complete(Some(true)));
+        assert!(!s.skippable(), "an overlapped completion is owed");
+        assert_eq!(s.take_completed_if_clean(), Some(true));
+        assert!(s.skippable());
+        // A failure reads as not skippable until the flag is recomputed.
+        s.force_clean();
+        assert_eq!(s.status(), S::Clean);
+        assert!(!s.skippable(), "failed");
+        s.set_failed(false);
+        assert!(s.skippable());
     }
 
     #[test]

@@ -101,9 +101,22 @@ impl Waiters {
     /// from a timeout expiry so callers can count rescue wakes
     /// separately.
     pub fn park(&self, work_available: impl Fn() -> bool, timeout: Duration) -> ParkOutcome {
+        self.park_reporting(work_available, timeout).0
+    }
+
+    /// [`Waiters::park`], also reporting whether a timeout was *silent*:
+    /// the epoch had not moved since validation, so no producer woke this
+    /// eventcount, not even late, while the caller slept. The runtime's
+    /// park sites count a silent timeout whose predicate is true on return
+    /// as a rescue: the work arrived and its wake was lost.
+    pub(crate) fn park_reporting(
+        &self,
+        work_available: impl Fn() -> bool,
+        timeout: Duration,
+    ) -> (ParkOutcome, bool) {
         let epoch = self.epoch.load(Ordering::SeqCst);
         if work_available() || self.is_closed() {
-            return ParkOutcome::Skipped;
+            return (ParkOutcome::Skipped, false);
         }
         let mut guard = self.lock.lock();
         // Announce, then validate: a producer either sees the sleeper
@@ -114,14 +127,15 @@ impl Waiters {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         if self.epoch.load(Ordering::SeqCst) != epoch {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return ParkOutcome::Skipped;
+            return (ParkOutcome::Skipped, false);
         }
         let timed_out = self.cv.wait_for(&mut guard, timeout);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         if timed_out {
-            ParkOutcome::TimedOut
+            let silent = self.epoch.load(Ordering::SeqCst) == epoch;
+            (ParkOutcome::TimedOut, silent)
         } else {
-            ParkOutcome::Woken
+            (ParkOutcome::Woken, false)
         }
     }
 }
@@ -154,6 +168,16 @@ mod tests {
             ParkOutcome::TimedOut
         );
         assert!(t0.elapsed() >= Duration::from_millis(4));
+        // Nobody bumped the epoch: the timeout is silent. A skipped park
+        // never is.
+        assert_eq!(
+            w.park_reporting(|| false, Duration::from_millis(1)),
+            (ParkOutcome::TimedOut, true)
+        );
+        assert_eq!(
+            w.park_reporting(|| true, Duration::from_millis(1)),
+            (ParkOutcome::Skipped, false)
+        );
     }
 
     #[test]

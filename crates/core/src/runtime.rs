@@ -6,7 +6,7 @@
 //! example.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,7 @@ use crate::addr::{Addr, AddrRange};
 use crate::config::Config;
 use crate::ctx::{Ctx, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
-use crate::dispatch::{Dispatch, RaiseStep, PARK_TIMEOUT};
+use crate::dispatch::{ChunkTable, Dispatch, RaiseStep, PARK_TIMEOUT};
 use crate::error::{Error, Result};
 use crate::eventcount::{ParkOutcome, Waiters};
 use crate::fault::{FaultLayer, FaultPoint};
@@ -62,11 +62,24 @@ pub enum JoinOutcome {
 /// Maximum bytes the tracked arena may grow to.
 const ARENA_CAPACITY: u64 = 1 << 32;
 
-type TthreadFn<U> = Arc<dyn Fn(&mut Ctx<'_, U>) + Send + Sync>;
+type TthreadFn<U> = Box<dyn Fn(&mut Ctx<'_, U>) + Send + Sync>;
 
 pub(crate) struct TthreadEntry<U> {
     name: String,
     func: TthreadFn<U>,
+}
+
+/// Joins that skipped on the lock-free path. [`Runtime::join`] takes
+/// `&mut self`, so these have one writer and are plain integers, merged
+/// into the counters at [`Runtime::stats`]/[`Runtime::report`] time: the
+/// privatise-then-merge of single-writer counters. Every such join is a
+/// skip, so `total` counts toward both `joins` and `skips`.
+#[derive(Default)]
+struct FastSkips {
+    /// Zeroed by [`Runtime::reset_stats`].
+    total: u64,
+    /// Per tthread, kept across a reset like the rest of the TST entry.
+    per_tthread: Vec<u64>,
 }
 
 /// The genuinely serial part of the runtime, behind the state lock: the
@@ -126,7 +139,9 @@ pub(crate) struct Inner<U> {
     /// words, the bounded pending queue, and the worker and completion
     /// eventcounts.
     pub(crate) dispatch: Dispatch,
-    tthreads: RwLock<Vec<TthreadEntry<U>>>,
+    /// Registered names and bodies, append-only: an execution borrows its
+    /// body from here with no lock and no reference count.
+    tthreads: ChunkTable<OnceLock<TthreadEntry<U>>>,
     shutdown: AtomicBool,
 }
 
@@ -143,15 +158,22 @@ pub(crate) enum Raise {
 }
 
 impl<U> Inner<U> {
-    pub(crate) fn tthread_fn(&self, id: TthreadId) -> TthreadFn<U> {
-        Arc::clone(&self.tthreads.read()[id.index()].func)
+    fn tthread(&self, id: TthreadId) -> &TthreadEntry<U> {
+        self.tthreads
+            .get(id.index())
+            .get()
+            .expect("tthread registered")
+    }
+
+    pub(crate) fn tthread_fn(&self, id: TthreadId) -> &TthreadFn<U> {
+        &self.tthread(id).func
     }
 
     /// Advances `id`'s status machine for one trigger without the state
     /// lock. Counts the per-tthread trigger in its slot and the
     /// dispatch-side machinery in the counter bank.
     pub(crate) fn raise(&self, id: TthreadId) -> Raise {
-        let slot = self.dispatch.slots.slot(id.index());
+        let slot = self.dispatch.slots.get(id.index());
         slot.triggers.fetch_add(1, Ordering::Relaxed);
         match slot.raise(self.cfg.is_deferred(), !self.cfg.coalesce) {
             RaiseStep::Absorbed => {
@@ -218,14 +240,6 @@ impl<U> Inner<U> {
             return;
         }
         self.dispatch.completions.wake_all();
-    }
-
-    /// `state.stats` (the under-lock counters) plus the lock-free bank:
-    /// the exact totals [`Runtime::stats`] and [`Runtime::report`] publish.
-    fn folded_stats(&self, state: &State<U>) -> StatsSnapshot {
-        let mut stats = state.stats.clone();
-        self.counters.fold_into(&mut stats);
-        stats.snapshot()
     }
 
     /// Signals shutdown to the worker pool: sets the sticky flag, then
@@ -302,6 +316,10 @@ impl<U> Inner<U> {
 pub struct Runtime<U> {
     inner: Arc<Inner<U>>,
     pool: WorkerPool<U>,
+    /// Tthreads registered so far: ids below it are this runtime's.
+    /// `register` takes `&mut self`, so the id check needs no lock.
+    registered: usize,
+    fast_skips: FastSkips,
 }
 
 /// Owns the worker threads; dropping it shuts them down and joins them.
@@ -386,7 +404,7 @@ impl<U: Send + 'static> Runtime<U> {
             obs,
             fault,
             dispatch,
-            tthreads: RwLock::new(Vec::new()),
+            tthreads: ChunkTable::new(),
             shutdown: AtomicBool::new(false),
         });
         let exits = Arc::new(Exits::default());
@@ -411,7 +429,21 @@ impl<U: Send + 'static> Runtime<U> {
             handles,
             exits,
         };
-        Runtime { inner, pool }
+        Runtime {
+            inner,
+            pool,
+            registered: 0,
+            fast_skips: FastSkips::default(),
+        }
+    }
+
+    /// Refuses an id this runtime did not issue.
+    fn check(&self, tthread: TthreadId) -> Result<()> {
+        if tthread.index() < self.registered {
+            Ok(())
+        } else {
+            Err(Error::UnknownTthread(tthread))
+        }
     }
 
     /// Allocates a tracked scalar initialized to `init` (without firing
@@ -489,12 +521,18 @@ impl<U: Send + 'static> Runtime<U> {
         let mut state = self.inner.state.lock();
         let id = state.tst.push();
         state.graph.ensure(id.index());
-        // Materialize the slot now so every later access is lock-free.
+        // Materialize the slot and the body now so every later access is
+        // lock-free. The entry is set before any trigger can name `id`.
         self.inner.dispatch.slots.ensure(id.index());
-        self.inner.tthreads.write().push(TthreadEntry {
+        self.inner.tthreads.ensure(id.index());
+        let entry = TthreadEntry {
             name: name.to_owned(),
-            func: Arc::new(body),
-        });
+            func: Box::new(body),
+        };
+        let fresh = self.inner.tthreads.get(id.index()).set(entry).is_ok();
+        assert!(fresh, "tthread ids are issued once");
+        self.registered += 1;
+        self.fast_skips.per_tthread.push(0);
         id
     }
 
@@ -512,10 +550,8 @@ impl<U: Send + 'static> Runtime<U> {
         // The state lock is held across the trigger-table write so watches
         // serialize with in-flight trigger raising (lock order: state lock,
         // then trigger-table lock).
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         self.inner.mem.check_range(range)?;
         // Watch-time cycle check: mirror the region into the declared edge
         // map first and DFS from the reader; reject *before* the trigger
@@ -550,10 +586,8 @@ impl<U: Send + 'static> Runtime<U> {
     /// [`Error::TriggerCycle`] if the declaration would close a
     /// cross-tthread trigger cycle (the declaration is discarded).
     pub fn declare_output(&mut self, tthread: TthreadId, range: AddrRange) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         self.inner.mem.check_range(range)?;
         state.graph.add_output(tthread, range);
         if let Some(path) = state.graph.find_cycle(tthread) {
@@ -571,10 +605,8 @@ impl<U: Send + 'static> Runtime<U> {
     /// Returns [`Error::UnknownTthread`] for a foreign id and
     /// [`Error::NoSuchWatch`] if the exact region was not watched.
     pub fn unwatch(&mut self, tthread: TthreadId, range: AddrRange) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         let mut triggers = self.inner.triggers.write();
         triggers.unwatch(tthread, range)?;
         state.graph.remove_watch(tthread, range);
@@ -639,11 +671,23 @@ impl<U: Send + 'static> Runtime<U> {
     /// [`Error::TthreadTimedOut`] if a previous execution overran the
     /// configured body deadline (see [`Runtime::clear_timeout`]).
     pub fn join(&mut self, tthread: TthreadId) -> Result<JoinOutcome> {
-        let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
+        self.check(tthread)?;
+        // The skip is one load: no state lock and no RMW (the skip rule in
+        // `crate::dispatch`). Every other state takes the locked path.
+        if self.inner.dispatch.slots.get(tthread.index()).skippable() {
+            self.fast_skips.total += 1;
+            self.fast_skips.per_tthread[tthread.index()] += 1;
+            self.obs_join(tthread, JoinOutcome::Skipped);
+            return Ok(JoinOutcome::Skipped);
         }
-        let slot = self.inner.dispatch.slots.slot(tthread.index());
+        self.join_locked(tthread)
+    }
+
+    /// [`Runtime::join`] for every state but a plain skip: the status
+    /// machine under the state lock.
+    fn join_locked(&self, tthread: TthreadId) -> Result<JoinOutcome> {
+        let mut state = self.inner.state.lock();
+        let slot = self.inner.dispatch.slots.get(tthread.index());
         let mut waited = false;
         loop {
             if state.tst.entry(tthread).poisoned {
@@ -739,23 +783,30 @@ impl<U: Send + 'static> Runtime<U> {
     /// park rescues a dropped broadcast ([`FaultPoint::JoinWake`]) within
     /// one park period. The caller thus never blocks while holding the
     /// state lock; it gets the lock back on return.
+    ///
+    /// A silent timeout is a rescue only if the tthread has left Running:
+    /// a retrigger of a running body or a worker's claim of a queued one
+    /// moves the word with no broadcast, and the joiner sleeps on through
+    /// both by design.
     fn park_until_moved<'a>(
         &'a self,
         tthread: TthreadId,
         state: MutexGuard<'a, State<U>>,
     ) -> MutexGuard<'a, State<U>> {
-        let slot = self.inner.dispatch.slots.slot(tthread.index());
+        let slot = self.inner.dispatch.slots.get(tthread.index());
         let observed = slot.word();
         drop(state);
-        let outcome = self
+        let (outcome, silent) = self
             .inner
             .dispatch
             .completions
-            .park(|| slot.word() != observed, PARK_TIMEOUT);
+            .park_reporting(|| slot.word() != observed, PARK_TIMEOUT);
         if outcome == ParkOutcome::TimedOut {
-            self.inner
-                .counters
-                .add(tthread.index(), Tally::ParkTimeouts, 1);
+            let key = tthread.index();
+            self.inner.counters.add(key, Tally::ParkTimeouts, 1);
+            if silent && slot.word() != observed && slot.status() != TthreadStatus::Running {
+                self.inner.counters.add(key, Tally::ParkRescues, 1);
+            }
         }
         self.inner.state.lock()
     }
@@ -818,12 +869,11 @@ impl<U: Send + 'static> Runtime<U> {
     /// Propagates the first error (none are expected for ids issued by this
     /// runtime).
     pub fn join_all(&mut self) -> Result<Vec<(TthreadId, JoinOutcome)>> {
-        let ids: Vec<TthreadId> = {
-            let state = self.inner.state.lock();
-            state.tst.iter().map(|(id, _)| id).collect()
-        };
-        ids.into_iter()
-            .map(|id| self.join(id).map(|o| (id, o)))
+        (0..self.registered)
+            .map(|i| {
+                let id = TthreadId::new(i as u32);
+                self.join(id).map(|o| (id, o))
+            })
             .collect()
     }
 
@@ -835,12 +885,23 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn clear_poison(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         state.tst.entry_mut(tthread).poisoned = false;
+        self.recompute_failed(&state, tthread);
         Ok(())
+    }
+
+    /// Re-derives the slot's failure flag (read by the skip fast path)
+    /// from the TST entry, under the state lock every failure is recorded
+    /// under.
+    fn recompute_failed(&self, state: &State<U>, tthread: TthreadId) {
+        let entry = state.tst.entry(tthread);
+        self.inner
+            .dispatch
+            .slots
+            .get(tthread.index())
+            .set_failed(entry.poisoned || entry.timed_out);
     }
 
     /// Clears the timed-out flag set when a tthread body overran the
@@ -853,11 +914,10 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn clear_timeout(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         state.tst.entry_mut(tthread).timed_out = false;
+        self.recompute_failed(&state, tthread);
         Ok(())
     }
 
@@ -876,11 +936,9 @@ impl<U: Send + 'static> Runtime<U> {
     /// [`Error::TthreadPoisoned`] after a panicked execution and
     /// [`Error::TthreadTimedOut`] after a deadline-flagged one.
     pub fn force(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
-        let slot = self.inner.dispatch.slots.slot(tthread.index());
+        let slot = self.inner.dispatch.slots.get(tthread.index());
         loop {
             // Re-checked after every park, as in `join`: the execution
             // waited on may itself have panicked or overrun its deadline.
@@ -915,27 +973,22 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn mark_dirty(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
         let mut ctx = Ctx::new(&mut state, &self.inner, 0);
         ctx.raise(tthread);
         Ok(())
     }
 
-    /// Current status of `tthread` in the thread status table.
+    /// Current status of `tthread` in the thread status table: one atomic
+    /// load, no lock.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn status(&self, tthread: TthreadId) -> Result<TthreadStatus> {
-        let state = self.inner.state.lock();
-        if !state.tst.contains(tthread) {
-            return Err(Error::UnknownTthread(tthread));
-        }
-        drop(state);
-        Ok(self.inner.dispatch.slots.slot(tthread.index()).status())
+        self.check(tthread)?;
+        Ok(self.inner.dispatch.slots.get(tthread.index()).status())
     }
 
     /// Produces a diagnostic snapshot of the whole runtime: tthread
@@ -944,7 +997,6 @@ impl<U: Send + 'static> Runtime<U> {
     /// counters. See [`crate::report::RuntimeReport`].
     pub fn report(&self) -> crate::report::RuntimeReport {
         let state = self.inner.state.lock();
-        let names = self.inner.tthreads.read();
         let triggers = self.inner.triggers.read();
         let tthreads = state
             .tst
@@ -955,24 +1007,21 @@ impl<U: Send + 'static> Runtime<U> {
                     .filter(|(t, _)| *t == id)
                     .map(|(_, range)| range)
                     .collect();
-                let slot = self.inner.dispatch.slots.slot(id.index());
+                let slot = self.inner.dispatch.slots.get(id.index());
                 crate::report::TthreadReportRow {
-                    name: names
-                        .get(id.index())
-                        .map(|e| e.name.clone())
-                        .unwrap_or_default(),
+                    name: self.inner.tthread(id).name.clone(),
                     status: slot.status(),
                     poisoned: entry.poisoned,
                     timed_out: entry.timed_out,
                     executions: entry.executions,
                     epoch: entry.epoch,
-                    skips: entry.skips,
+                    skips: entry.skips + self.fast_skips.per_tthread[id.index()],
                     triggers: slot.triggers.load(Ordering::Relaxed),
                     watches,
                 }
             })
             .collect();
-        let stats = self.inner.folded_stats(&state);
+        let stats = self.folded_stats(&state);
         let pending = &self.inner.dispatch.pending;
         crate::report::RuntimeReport {
             tthreads,
@@ -988,9 +1037,21 @@ impl<U: Send + 'static> Runtime<U> {
     }
 
     /// Snapshot of the global runtime statistics (the lock-free counter
-    /// bank is folded in, so the snapshot is exact).
+    /// bank and the fast-path skips are folded in, so the snapshot is
+    /// exact).
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.folded_stats(&self.inner.state.lock())
+        self.folded_stats(&self.inner.state.lock())
+    }
+
+    /// `state.stats` (the under-lock counters) plus the lock-free bank and
+    /// the fast-path skips: the exact totals [`Runtime::stats`] and
+    /// [`Runtime::report`] publish.
+    fn folded_stats(&self, state: &State<U>) -> StatsSnapshot {
+        let mut stats = state.stats.clone();
+        self.inner.counters.fold_into(&mut stats);
+        stats.joins += self.fast_skips.total;
+        stats.skips += self.fast_skips.total;
+        stats.snapshot()
     }
 
     /// Zeroes the global statistics (per-tthread counters are kept).
@@ -998,6 +1059,7 @@ impl<U: Send + 'static> Runtime<U> {
         let mut state = self.inner.state.lock();
         state.stats = Counters::new();
         self.inner.counters.reset();
+        self.fast_skips.total = 0;
     }
 
     /// Shuts the workers down and returns the tracked heap and user state.
@@ -1091,7 +1153,9 @@ impl<U: Send + 'static> Runtime<U> {
     }
 
     fn teardown(self, timeout: Option<Duration>) -> Result<(TrackedHeap, U)> {
-        let Runtime { inner, mut pool } = self;
+        let Runtime {
+            inner, mut pool, ..
+        } = self;
         let handles: Vec<_> = pool.handles.drain(..).collect();
         let exits = Arc::clone(&pool.exits);
         drop(pool); // handles drained: only releases the pool's Arc clone
@@ -1114,7 +1178,7 @@ impl<U> std::fmt::Debug for Runtime<U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("workers", &self.pool.handles.len())
-            .field("tthreads", &self.inner.tthreads.read().len())
+            .field("tthreads", &self.registered)
             .finish()
     }
 }
@@ -1131,8 +1195,8 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
         let Some((raw, token)) = dispatch.pending.pop() else {
             // The timed park doubles as the rescue path for a dropped
             // wake (see `FaultPoint::WakeDrop`): even a lost notification
-            // only costs one park period.
-            let outcome = dispatch.waiters.park(
+            // only costs one park period, and is counted as a rescue.
+            let (outcome, silent) = dispatch.waiters.park_reporting(
                 || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
                 PARK_TIMEOUT,
             );
@@ -1141,6 +1205,9 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
             }
             if outcome == ParkOutcome::TimedOut {
                 inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
+                if silent && !dispatch.pending.is_empty() {
+                    inner.counters.add(worker_idx, Tally::ParkRescues, 1);
+                }
             }
             continue;
         };
@@ -1154,14 +1221,14 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
                 continue;
             }
         }
-        let slot = dispatch.slots.slot(id.index());
+        let slot = dispatch.slots.get(id.index());
         if !slot.try_claim_queued(token) {
             // The entry went stale: a join or force claimed the tthread
             // (bumping the token) after this entry was queued.
             inner.counters.add(id.index(), Tally::QueueStaleSkips, 1);
             continue;
         }
-        run_detached(inner, id, &inner.tthread_fn(id));
+        run_detached(inner, id, inner.tthread_fn(id));
         inner.wake_joiners();
     }
 }
@@ -1172,7 +1239,7 @@ fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
 /// lock; a rerun snapshots while still holding the previous commit's
 /// guard.
 fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &TthreadFn<U>) {
-    let slot = inner.dispatch.slots.slot(id.index());
+    let slot = inner.dispatch.slots.get(id.index());
     let mut retries: u32 = 0;
     let mut held = None;
     loop {
@@ -1420,7 +1487,7 @@ fn commit_log<U: Send + 'static>(
 fn poison<U>(state: &mut State<U>, inner: &Inner<U>, id: TthreadId) {
     state.tst.entry_mut(id).poisoned = true;
     state.graph.clear_depth(id);
-    inner.dispatch.slots.slot(id.index()).force_clean();
+    inner.dispatch.slots.get(id.index()).force_clean();
 }
 
 #[cfg(test)]
@@ -2192,6 +2259,20 @@ mod tests {
             elapsed < PARK_TIMEOUT / 2,
             "idle shutdown took {elapsed:?}; it must beat the {PARK_TIMEOUT:?} park period"
         );
+    }
+
+    /// An idle worker's park expires every period with nothing to do: that
+    /// is a timeout, not a rescue. Only an expiry that finds work nobody
+    /// woke the worker for counts in `park_rescues`.
+    #[test]
+    fn idle_park_expiry_is_not_a_rescue() {
+        let rt = Runtime::new(deferred().with_workers(1), ());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rt.stats().counters().park_timeouts < 2 {
+            assert!(Instant::now() < deadline, "the idle worker never timed out");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(rt.stats().counters().park_rescues, 0);
     }
 
     /// One FIFO feeds every worker, whatever the ids: four entries whose

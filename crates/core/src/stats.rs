@@ -91,8 +91,9 @@ pub struct Counters {
     /// was stale (the tthread was stolen by a join/force after enqueue).
     pub queue_stale_skips: u64,
     /// Parks that ended by exhausting the park timeout rather than by a
-    /// wake notification — the rescue path for dropped wakes. Idle workers
-    /// and joiners accrue these at the park-timeout rate while quiescent.
+    /// wake notification. Idle workers accrue these at the park-timeout
+    /// rate while quiescent; the ones that rescued a dropped wake are also
+    /// counted in [`Counters::park_rescues`].
     pub park_timeouts: u64,
     /// Watched-address filter probes (one per changing store that reached
     /// the filter).
@@ -132,6 +133,12 @@ pub struct Counters {
     /// that waited (bounded-exponential step + SplitMix64 jitter) before
     /// re-snapshotting. Always zero with the default `None` backoff.
     pub commit_backoff_waits: u64,
+    /// The [`Counters::park_timeouts`] that were *rescues*: the park
+    /// expired with no wake issued since it validated, yet the worker's
+    /// queue held work, or the joined tthread had left the state the joiner
+    /// waited on. Each is a lost wake carried by the timer. Zero outside
+    /// fault injection.
+    pub park_rescues: u64,
 }
 
 /// Applies a callback macro to the complete counter field list, in
@@ -184,6 +191,7 @@ macro_rules! for_each_counter {
             wave_dedups,
             trigger_cycles_rejected,
             commit_backoff_waits,
+            park_rescues,
         )
     };
 }
@@ -275,6 +283,7 @@ counter_bank! {
     WorkerParks => worker_parks,
     QueueStaleSkips => queue_stale_skips,
     ParkTimeouts => park_timeouts,
+    ParkRescues => park_rescues,
 }
 
 /// One line of the bank. Aligning each to 64 bytes keeps concurrent
@@ -578,7 +587,11 @@ impl fmt::Display for StatsSnapshot {
             c.worker_wakes, c.worker_parks
         )?;
         writeln!(f, "stale queue skips     {:>12}", c.queue_stale_skips)?;
-        writeln!(f, "park timeouts         {:>12}", c.park_timeouts)?;
+        writeln!(
+            f,
+            "park timeouts         {:>12}  (rescues: {})",
+            c.park_timeouts, c.park_rescues
+        )?;
         writeln!(
             f,
             "filter checks         {:>12}  (page hits {}, line hits {})",
@@ -672,6 +685,7 @@ mod tests {
             bank.add(key, Tally::WorkerParks, 1);
             bank.add(key, Tally::QueueStaleSkips, 1);
             bank.add(key, Tally::ParkTimeouts, 1);
+            bank.add(key, Tally::ParkRescues, 1);
         }
 
         let mut c = Counters::new();
@@ -696,6 +710,7 @@ mod tests {
         want.worker_parks = 20;
         want.queue_stale_skips = 20;
         want.park_timeouts = 20;
+        want.park_rescues = 20;
         // Whole-struct equality: no tally folds into a neighbour's field.
         assert_eq!(c, want);
 
@@ -758,7 +773,7 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 40);
+        assert_eq!(fields.len(), 41);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[20], ("bytes_compared", 21));
         assert_eq!(fields[25], ("overflow_sheds", 26));
@@ -774,6 +789,7 @@ mod tests {
         assert_eq!(fields[37], ("wave_dedups", 38));
         assert_eq!(fields[38], ("trigger_cycles_rejected", 39));
         assert_eq!(fields[39], ("commit_backoff_waits", 40));
+        assert_eq!(fields[40], ("park_rescues", 41));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

@@ -15,7 +15,8 @@
 //! the word, drops the state lock, and sleeps until the word changes —
 //! which is exactly "the run I observed ended or was re-raised". What
 //! remains here is the slow bookkeeping only ever touched under the state
-//! lock: poison/timeout fault state and the execution/epoch/skip tallies.
+//! lock: poison/timeout fault state (mirrored into the slot's failure flag
+//! for the lock-free skip) and the execution/epoch/skip tallies.
 
 use std::fmt;
 
@@ -94,7 +95,9 @@ pub struct TstEntry {
     /// all). Detached executions bump it at commit, when their effects
     /// become visible.
     pub epoch: u64,
-    /// Total joins that skipped because the tthread was clean.
+    /// Joins that skipped because the tthread was clean, on the locked
+    /// join path. Skips on the lock-free path are counted by the
+    /// `Runtime` and added in [`crate::runtime::Runtime::report`].
     pub skips: u64,
 }
 

@@ -235,6 +235,8 @@ proptest! {
         // entry can go stale (lose its claim race) at most once.
         prop_assert!(c.worker_wakes <= c.enqueues);
         prop_assert!(c.queue_stale_skips <= c.enqueues);
+        // No fault is injected, so no wake is lost and no timer rescues one.
+        prop_assert_eq!(c.park_rescues, 0);
     }
 
     /// Coarse granularity can only add triggers, never lose one: every
