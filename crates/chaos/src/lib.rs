@@ -8,8 +8,8 @@
 //!   every tthread's cached sum equals the sum recomputed directly from
 //!   tracked memory: executions are exactly-once with respect to the data;
 //! * **counter conservation** — the runtime's counters balance (stores
-//!   split into silent + changing, executions into inline + worker, sheds
-//!   never exceed overflows, no timeout counts without a deadline);
+//!   split into silent + changing, executions into inline + worker, no
+//!   timeout counts without a deadline);
 //! * **no poison without a panic** — a poisoned tthread implies an
 //!   injected body fault (the workload bodies never panic on their own);
 //! * **exact observability accounting** — `issued == delivered + dropped`
@@ -38,7 +38,7 @@ use std::thread;
 use std::time::Duration;
 
 use dtt_core::fault::{FaultPlan, FaultPoint, ALWAYS};
-use dtt_core::{Config, Error, OverflowPolicy, Runtime, StatsSnapshot};
+use dtt_core::{Config, Error, Runtime, StatsSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,8 +64,6 @@ pub struct ChaosConfig {
     pub tthreads: usize,
     /// Tracked stores the driver issues.
     pub ops: usize,
-    /// Queue-overflow policy under test.
-    pub overflow: OverflowPolicy,
     /// Commit→retrigger retry cap.
     pub commit_retry_cap: u32,
     /// Optional per-body deadline.
@@ -96,18 +94,14 @@ impl ChaosConfig {
                 plan = plan.with_rate(point, rate).with_budget(point, budget);
             }
         }
-        let overflow = match rng.gen_range(0..3u32) {
-            0 => OverflowPolicy::ExecuteInline,
-            1 => OverflowPolicy::DeferToJoin,
-            _ => OverflowPolicy::Backpressure,
-        };
+        // Discarded draw (the retired overflow policy) keeps every seed's case.
+        let _ = rng.gen_range(0..3u32);
         ChaosConfig {
             seed,
             workers: rng.gen_range(1..=4usize),
             queue_capacity: rng.gen_range(2..=8usize),
             tthreads: rng.gen_range(2..=5usize),
             ops: rng.gen_range(200..=600usize),
-            overflow,
             commit_retry_cap: rng.gen_range(1..=8u32),
             body_deadline: None,
             plan,
@@ -123,7 +117,6 @@ impl ChaosConfig {
             queue_capacity: 4,
             tthreads: 3,
             ops: 400,
-            overflow: OverflowPolicy::ExecuteInline,
             commit_retry_cap: 8,
             body_deadline: None,
             plan: FaultPlan::new(seed),
@@ -146,12 +139,11 @@ impl ChaosConfig {
             })
             .collect();
         format!(
-            "workers={} queue={} tthreads={} ops={} overflow={:?} retry_cap={} armed=[{}]",
+            "workers={} queue={} tthreads={} ops={} retry_cap={} armed=[{}]",
             self.workers,
             self.queue_capacity,
             self.tthreads,
             self.ops,
-            self.overflow,
             self.commit_retry_cap,
             armed.join(", ")
         )
@@ -179,7 +171,7 @@ impl RunSummary {
         let c = self.stats.counters();
         format!(
             "seed {:>4}: ok | stores {} ({} silent) | exec {} ({} worker) | \
-             retries {} (exhausted {}) | sheds {} | cascades {} ({} cutoff) | \
+             retries {} (exhausted {}) | overflows {} | cascades {} ({} cutoff) | \
              injected {} | repaired {}p/{}t",
             self.seed,
             c.tracked_stores,
@@ -188,7 +180,7 @@ impl RunSummary {
             c.worker_executions,
             c.commit_retries,
             c.commit_retry_exhausted,
-            c.overflow_sheds,
+            c.queue_overflows,
             c.cascades,
             c.cascade_cutoffs,
             self.injections.iter().sum::<u64>(),
@@ -327,7 +319,6 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
     let mut rt_cfg = Config::default()
         .with_workers(cfg.workers)
         .with_queue_capacity(cfg.queue_capacity)
-        .with_overflow(cfg.overflow)
         .with_commit_retry_cap(cfg.commit_retry_cap)
         .with_observability(true)
         .with_fault_plan(cfg.plan.clone());
@@ -462,12 +453,6 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
         return Err(format!(
             "counter conservation violated: executions {} != inline {} + worker {}",
             c.executions, c.inline_executions, c.worker_executions
-        ));
-    }
-    if c.overflow_sheds > c.queue_overflows {
-        return Err(format!(
-            "counter conservation violated: overflow_sheds {} > queue_overflows {}",
-            c.overflow_sheds, c.queue_overflows
         ));
     }
     if cfg.workers == 0 && c.park_timeouts != 0 {

@@ -6,7 +6,7 @@
 //! proceed in parallel, the way the paper's hardware runs the store-side
 //! value compare on every core without serializing the pipeline. Trigger
 //! raises go through the atomic status words; only a raise that *overflows*
-//! the pending queue takes the state lock, to apply the overflow policy.
+//! the pending queue takes the state lock, to run the tthread inline.
 //!
 //! # Locking protocol (per store)
 //!
@@ -14,7 +14,7 @@
 //! 2. silent store → done, no further locks;
 //! 3. trigger-table **read** lock → lookup into reusable scratch → unlock;
 //! 4. no hits → done; otherwise raise the hits on their status words;
-//! 5. queue overflow only: state lock → overflow policy → unlock.
+//! 5. queue overflow only: state lock → inline run → unlock.
 //!
 //! No two of these are ever held across a step boundary, and the state lock
 //! is always the *last* acquired, so accessors cannot deadlock with
@@ -156,7 +156,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
     /// Raise this store's trigger hits entirely through the lock-free
     /// status machine and sharded counters. Only an overflow ticket
     /// (pending queue full, or an injected enqueue fault) drops to the
-    /// state lock, where the configured overflow policy runs.
+    /// state lock, where the tthread runs inline.
     fn raise_hits(&mut self, store_addr: u64) {
         let inner = self.inner;
         let key = CounterBank::addr_key(store_addr);

@@ -5,26 +5,6 @@ use std::time::Duration;
 use crate::addr::Granularity;
 use crate::fault::FaultPlan;
 
-/// What the runtime does when a trigger fires while the thread queue is full.
-///
-/// The HPCA'11 design lets the *triggering* (main) thread execute the tthread
-/// itself when no queue slot is free, so correctness never depends on queue
-/// capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Execute the tthread immediately on the triggering thread (paper behaviour).
-    #[default]
-    ExecuteInline,
-    /// Leave the tthread marked triggered; it runs at the next `join`.
-    DeferToJoin,
-    /// Apply backpressure: the triggering thread drains the oldest pending
-    /// tthreads inline (up to a fixed assist budget of 4 per overflow) to
-    /// free a slot. If the queue is still full afterwards the
-    /// trigger is *shed* — left marked triggered for the next `join` — and
-    /// counted in `overflow_sheds`.
-    Backpressure,
-}
-
 /// Configuration for a [`crate::runtime::Runtime`].
 ///
 /// Construct with [`Config::default`] and adjust with the builder-style
@@ -54,15 +34,15 @@ pub struct Config {
     /// Coalesce triggers: a tthread already pending is not enqueued again.
     /// Disabling this floods the queue under bursty triggers (R-Fig.10).
     pub coalesce: bool,
-    /// Capacity of the pending-tthread queue.
+    /// Capacity of the pending-tthread queue. When it is full the
+    /// triggering thread runs the tthread itself (the HPCA'11 rule), so
+    /// correctness never depends on capacity.
     pub queue_capacity: usize,
     /// Number of worker threads executing tthreads in parallel with the main
     /// thread. `0` selects the *deferred* executor: triggered tthreads run on
     /// the main thread at their `join` point, which is fully deterministic
     /// and captures pure redundancy elimination.
     pub workers: usize,
-    /// Behaviour on queue overflow (parallel executor only).
-    pub overflow: OverflowPolicy,
     /// Record lifecycle events (stores, triggers, bodies, commits, joins)
     /// into the per-shard observability rings (see [`crate::obs`]). Off by
     /// default; when off every instrumentation hook costs one relaxed
@@ -108,7 +88,6 @@ impl Default for Config {
             coalesce: true,
             queue_capacity: 64,
             workers: 0,
-            overflow: OverflowPolicy::default(),
             observability: false,
             fault_plan: None,
             body_deadline: None,
@@ -151,12 +130,6 @@ impl Config {
     /// Sets the number of parallel worker threads (0 = deferred executor).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the queue-overflow policy.
-    pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
         self
     }
 
@@ -226,7 +199,6 @@ mod tests {
             .with_coalescing(false)
             .with_queue_capacity(3)
             .with_workers(4)
-            .with_overflow(OverflowPolicy::DeferToJoin)
             .with_observability(true)
             .with_fault_plan(crate::fault::FaultPlan::new(11))
             .with_body_deadline(Duration::from_millis(250))
@@ -238,7 +210,6 @@ mod tests {
         assert_eq!(cfg.queue_capacity, 3);
         assert_eq!(cfg.workers, 4);
         assert!(!cfg.is_deferred());
-        assert_eq!(cfg.overflow, OverflowPolicy::DeferToJoin);
         assert!(cfg.observability);
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.seed), Some(11));
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));

@@ -34,24 +34,19 @@ use std::cell::OnceCell;
 
 use parking_lot::MutexGuard;
 
-use crate::config::OverflowPolicy;
 use crate::error::Error;
 use crate::handle::{Tracked, TrackedArray};
 use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::{Inner, State};
-use crate::stats::{Counters, Tally};
+use crate::stats::Counters;
 use crate::trigger::TriggerHit;
 use crate::tthread::{TthreadId, TthreadStatus};
 
 /// Maximum depth of tthreads triggering tthreads before
 /// [`Error::CascadeDepthExceeded`] aborts the cascade.
 const MAX_CASCADE_DEPTH: u32 = 64;
-
-/// How many pending tthreads the triggering thread drains inline per
-/// overflow under [`OverflowPolicy::Backpressure`] before shedding.
-const BACKPRESSURE_ASSIST_BUDGET: u32 = 4;
 
 /// One store recorded by a detached execution, replayed at commit.
 pub(crate) struct LoggedStore {
@@ -665,7 +660,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
 
     /// Advance the status machine of `id` for one trigger: the status-word
     /// CAS machine in [`crate::runtime::Inner::raise`], plus — already
-    /// under the state lock — the overflow policy when no queue entry
+    /// under the state lock — the inline overflow run when no queue entry
     /// landed.
     pub(crate) fn raise(&mut self, id: TthreadId) -> RaiseKind {
         match self.inner.raise(id) {
@@ -679,62 +674,18 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     }
 
     /// Raise overflow: the status word already advanced Clean→Queued, but
-    /// no pending-queue entry landed. Applies the overflow policy under the
-    /// state lock (the caller holds it), validating every transition with
-    /// `token` so a concurrent join or force steal wins cleanly — in that
-    /// case their inline run covers this trigger and the policy has
-    /// nothing left to do.
+    /// no pending-queue entry landed, so the triggering thread runs the
+    /// tthread itself (the caller holds the state lock). The claim is
+    /// validated with `token` so a concurrent join or force steal wins
+    /// cleanly — its inline run then covers this trigger.
     pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
-        let slot = inner.dispatch.slots.get(id.index());
         self.locked().stats.queue_overflows += 1;
         let capacity = inner.dispatch.pending.capacity() as u64;
         self.obs_status(EventKind::QueueOverflow, id, capacity);
-        match inner.cfg.overflow {
-            OverflowPolicy::ExecuteInline => {
-                if slot.try_claim_queued(token) {
-                    self.run_inline(id);
-                }
-            }
-            OverflowPolicy::DeferToJoin => {
-                let _ = slot.try_defer_queued(token);
-            }
-            OverflowPolicy::Backpressure => self.backpressure(id, token),
+        if inner.dispatch.slots.get(id.index()).try_claim_queued(token) {
+            self.run_inline(id);
         }
-    }
-
-    /// Queue-overflow backpressure: drain claimed victims inline, retry
-    /// the push with the original token, and shed to Triggered when the
-    /// assist budget runs out. A victim whose entry went stale (stolen by a
-    /// join) costs an assist round but no execution.
-    fn backpressure(&mut self, id: TthreadId, token: u64) {
-        let inner = self.inner;
-        let dispatch = &inner.dispatch;
-        for _ in 0..BACKPRESSURE_ASSIST_BUDGET {
-            let Some((vraw, vtoken)) = dispatch.pending.pop() else {
-                break;
-            };
-            let victim = TthreadId::new(vraw);
-            if dispatch.slots.get(victim.index()).try_claim_queued(vtoken) {
-                self.locked().stats.backpressure_waits += 1;
-                self.run_inline(victim);
-            } else {
-                inner
-                    .counters
-                    .add(victim.index(), Tally::QueueStaleSkips, 1);
-            }
-            if dispatch.pending.push(id.index() as u32, token) {
-                inner.counters.add(id.index(), Tally::Enqueues, 1);
-                let occupancy = dispatch.pending.len() as u64;
-                self.obs_status(EventKind::TriggerEnqueued, id, occupancy);
-                inner.wake_worker(id.index());
-                return;
-            }
-        }
-        self.locked().stats.overflow_sheds += 1;
-        let capacity = dispatch.pending.capacity() as u64;
-        let _ = dispatch.slots.get(id.index()).try_defer_queued(token);
-        self.obs_status(EventKind::OverflowShed, id, capacity);
     }
 
     /// Execute tthread `id` on the current thread, re-running while
@@ -819,10 +770,10 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             // A trigger landed mid-body (RF): absorb it into another run.
             slot.absorb_rf();
         }
-        // An overflow-inline run on a *worker* thread (backpressure assist
-        // or ExecuteInline during a commit cascade) can complete a tthread
-        // the main thread is parked on: broadcast the completion
-        // eventcount just like the worker loop does after its own runs.
+        // An overflow-inline run on a *worker* thread (a commit cascade
+        // that found the queue full) can complete a tthread the main
+        // thread is parked on: broadcast the completion eventcount just
+        // like the worker loop does after its own runs.
         // Without workers nothing can be parked there — only `join` and
         // `force` park, only on Running or on Queued with a deadline, and
         // no other thread runs bodies — so the broadcast is skipped.

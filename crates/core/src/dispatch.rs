@@ -148,7 +148,7 @@ pub(crate) enum RaiseStep {
     /// Clean→Triggered (deferred executor): nothing to enqueue.
     Deferred,
     /// Clean→Queued: the caller must push `(id, token)` onto the pending
-    /// queue (and fall back to its overflow policy if that fails).
+    /// queue (and run the tthread inline if that fails).
     Enqueue(u64),
 }
 
@@ -291,20 +291,6 @@ impl Slot {
                 return false;
             }
             if self.cas(cur, advance(cur, TthreadStatus::Running, clear_rf, false)) {
-                return true;
-            }
-        }
-    }
-
-    /// Overflow `DeferToJoin`: Queued→Triggered iff the token still
-    /// matches (the tthread was not stolen since the failed push).
-    pub(crate) fn try_defer_queued(&self, token: u64) -> bool {
-        loop {
-            let cur = self.load();
-            if state_of(cur) != TthreadStatus::Queued || token_of(cur) != token {
-                return false;
-            }
-            if self.cas(cur, advance(cur, TthreadStatus::Triggered, false, false)) {
                 return true;
             }
         }
@@ -649,18 +635,6 @@ mod tests {
         assert!(!s.try_complete(Some(true)));
         s.absorb_rf();
         assert!(s.try_complete(Some(true)));
-    }
-
-    #[test]
-    fn defer_queued_is_token_guarded() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_defer_queued(t));
-        assert_eq!(s.status(), S::Triggered);
-        // Stale token: no-op.
-        assert!(!s.try_defer_queued(t));
     }
 
     #[test]

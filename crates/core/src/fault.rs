@@ -27,7 +27,7 @@ use std::time::Duration;
 #[repr(u8)]
 pub enum FaultPoint {
     /// A trigger's enqueue is forced to report queue overflow, exercising
-    /// the configured [`crate::config::OverflowPolicy`].
+    /// the inline overflow run on the triggering thread.
     Enqueue = 0,
     /// A worker's dequeue is rejected: the popped tthread is pushed back
     /// and the worker retries, exercising requeue/coalesce paths.

@@ -135,7 +135,7 @@ pub use dispatch::PARK_TIMEOUT;
 
 pub use accessor::Accessor;
 pub use addr::{Addr, AddrRange, Granularity};
-pub use config::{Config, OverflowPolicy};
+pub use config::Config;
 pub use ctx::Ctx;
 pub use error::{Error, Result};
 pub use fault::{FaultPlan, FaultPoint, FaultProbe};

@@ -62,8 +62,8 @@ pub enum EventKind {
     /// The trigger was absorbed by an already-pending instance of the
     /// tthread.
     Coalesced = 4,
-    /// The trigger found the worker queue full and fell back to the
-    /// configured overflow policy. Payload: the queue capacity.
+    /// The trigger found the worker queue full and the triggering thread
+    /// runs the tthread inline. Payload: the queue capacity.
     QueueOverflow = 5,
     /// A tthread body started executing (worker or inline).
     BodyStart = 6,
@@ -91,28 +91,24 @@ pub enum EventKind {
     /// A detached execution exhausted the commit retry cap and was deferred
     /// to its next join. Payload: the configured retry cap.
     RetryExhausted = 14,
-    /// A backpressure-mode trigger exhausted its assist budget and shed the
-    /// enqueue (deferring the tthread to its next join). Payload: the queue
-    /// capacity.
-    OverflowShed = 15,
     /// A changing store was proven unwatched by the two-level address
     /// filter and never consulted the trigger table. Payload: the store's
     /// start address.
-    FilterSkip = 16,
+    FilterSkip = 15,
     /// A tthread's committed (or inline) store raised a *downstream*
     /// tthread — one wave unit of an incremental-graph cascade. Attributed
     /// to the downstream tthread. Payload: the wave depth at the raise
     /// (1 = raised by a tthread the main thread triggered).
-    CascadeFired = 17,
+    CascadeFired = 16,
     /// A cascade-driven recomputation committed fully silently and the
     /// wave stopped there (early cutoff — the transitive skip). Attributed
     /// to the committing tthread. Payload: the wave depth at the cutoff.
-    CascadeCutoff = 18,
+    CascadeCutoff = 17,
 }
 
 impl EventKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [EventKind; 19] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::Store,
         EventKind::ChangeDetected,
         EventKind::TriggerFired,
@@ -128,7 +124,6 @@ impl EventKind {
         EventKind::Skip,
         EventKind::BodyTimeout,
         EventKind::RetryExhausted,
-        EventKind::OverflowShed,
         EventKind::FilterSkip,
         EventKind::CascadeFired,
         EventKind::CascadeCutoff,
@@ -157,7 +152,6 @@ impl EventKind {
             EventKind::Skip => "skip",
             EventKind::BodyTimeout => "body_timeout",
             EventKind::RetryExhausted => "retry_exhausted",
-            EventKind::OverflowShed => "overflow_shed",
             EventKind::FilterSkip => "filter_skip",
             EventKind::CascadeFired => "cascade_fired",
             EventKind::CascadeCutoff => "cascade_cutoff",

@@ -50,7 +50,7 @@ pub enum JoinOutcome {
     /// progress.
     Overlapped,
     /// The tthread was in the triggered state and ran on the calling thread
-    /// at the join point (deferred executor, or `DeferToJoin` overflow).
+    /// at the join point (deferred executor, or commit retry cap reached).
     RanInline,
     /// The tthread was still queued; the calling thread stole it from the
     /// queue and ran it itself.

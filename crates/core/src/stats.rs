@@ -73,13 +73,6 @@ pub struct Counters {
     /// [`crate::config::Config::body_deadline`]; their write logs were
     /// discarded.
     pub body_timeouts: u64,
-    /// Queue overflows where the triggering thread assisted by draining a
-    /// pending tthread inline
-    /// ([`crate::config::OverflowPolicy::Backpressure`]).
-    pub backpressure_waits: u64,
-    /// Backpressure overflows that still found the queue full after the
-    /// assist budget and shed the trigger to the next join.
-    pub overflow_sheds: u64,
     /// Worker wake notifications actually delivered by the dispatch path
     /// (one per enqueued unit with a sleeper present; silent and coalesced
     /// stores never wake anyone).
@@ -175,8 +168,6 @@ macro_rules! for_each_counter {
             commit_retries,
             commit_retry_exhausted,
             body_timeouts,
-            backpressure_waits,
-            overflow_sheds,
             worker_wakes,
             worker_parks,
             queue_stale_skips,
@@ -578,11 +569,6 @@ impl fmt::Display for StatsSnapshot {
         writeln!(f, "body timeouts         {:>12}", c.body_timeouts)?;
         writeln!(
             f,
-            "backpressure / sheds  {:>12} / {}",
-            c.backpressure_waits, c.overflow_sheds
-        )?;
-        writeln!(
-            f,
             "worker wakes / parks  {:>12} / {}",
             c.worker_wakes, c.worker_parks
         )?;
@@ -773,23 +759,22 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 41);
+        assert_eq!(fields.len(), 39);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[20], ("bytes_compared", 21));
-        assert_eq!(fields[25], ("overflow_sheds", 26));
-        assert_eq!(fields[28], ("queue_stale_skips", 29));
-        assert_eq!(fields[29], ("park_timeouts", 30));
-        assert_eq!(fields[30], ("filter_checks", 31));
-        assert_eq!(fields[31], ("filter_page_hits", 32));
-        assert_eq!(fields[32], ("filter_line_hits", 33));
-        assert_eq!(fields[33], ("cascades", 34));
-        assert_eq!(fields[34], ("cascade_enqueues", 35));
-        assert_eq!(fields[35], ("cascade_coalesced", 36));
-        assert_eq!(fields[36], ("cascade_cutoffs", 37));
-        assert_eq!(fields[37], ("wave_dedups", 38));
-        assert_eq!(fields[38], ("trigger_cycles_rejected", 39));
-        assert_eq!(fields[39], ("commit_backoff_waits", 40));
-        assert_eq!(fields[40], ("park_rescues", 41));
+        assert_eq!(fields[26], ("queue_stale_skips", 27));
+        assert_eq!(fields[27], ("park_timeouts", 28));
+        assert_eq!(fields[28], ("filter_checks", 29));
+        assert_eq!(fields[29], ("filter_page_hits", 30));
+        assert_eq!(fields[30], ("filter_line_hits", 31));
+        assert_eq!(fields[31], ("cascades", 32));
+        assert_eq!(fields[32], ("cascade_enqueues", 33));
+        assert_eq!(fields[33], ("cascade_coalesced", 34));
+        assert_eq!(fields[34], ("cascade_cutoffs", 35));
+        assert_eq!(fields[35], ("wave_dedups", 36));
+        assert_eq!(fields[36], ("trigger_cycles_rejected", 37));
+        assert_eq!(fields[37], ("commit_backoff_waits", 38));
+        assert_eq!(fields[38], ("park_rescues", 39));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

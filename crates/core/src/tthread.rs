@@ -53,8 +53,7 @@ pub enum TthreadStatus {
     #[default]
     Clean,
     /// A trigger fired; the computation must run before its next consumption
-    /// (deferred executor, or parallel executor with
-    /// [`crate::config::OverflowPolicy::DeferToJoin`]).
+    /// (deferred executor, or a worker that hit its commit retry cap).
     Triggered,
     /// Enqueued, waiting for a worker.
     Queued,

@@ -156,12 +156,6 @@ fn event_json(event: &ObsEvent) -> Option<String> {
             ts,
             &format!("{{\"retry_cap\":{payload}}}"),
         ),
-        EventKind::OverflowShed => instant(
-            tid,
-            "queue.shed",
-            ts,
-            &format!("{{\"capacity\":{payload}}}"),
-        ),
         EventKind::FilterSkip => {
             instant(tid, "filter.skip", ts, &format!("{{\"addr\":{payload}}}"))
         }
@@ -480,11 +474,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
                 // Failure instants are always attributed to a tthread track;
                 // one on the main track would mean mis-attributed blame.
                 if let Some(name) = event.get("name").and_then(Json::as_str) {
-                    if matches!(
-                        name,
-                        "body.timeout" | "commit.retry_exhausted" | "queue.shed"
-                    ) && tid == 0.0
-                    {
+                    if matches!(name, "body.timeout" | "commit.retry_exhausted") && tid == 0.0 {
                         return Err(format!("event {i}: failure instant {name:?} on main track"));
                     }
                 }
@@ -580,11 +570,10 @@ mod tests {
             events: vec![
                 ev(0, 1_000, EventKind::BodyTimeout, Some(0), 7_000),
                 ev(1, 2_000, EventKind::RetryExhausted, Some(0), 8),
-                ev(2, 3_000, EventKind::OverflowShed, Some(0), 16),
             ],
-            issued: 3,
+            issued: 2,
             dropped: 0,
-            delivered: 3,
+            delivered: 2,
             rings: Vec::new(),
         };
         let text = render(&rec, &["victim".to_string()]);
@@ -594,7 +583,6 @@ mod tests {
         for (name, arg_key, arg_val) in [
             ("body.timeout", "elapsed_ns", 7_000.0),
             ("commit.retry_exhausted", "retry_cap", 8.0),
-            ("queue.shed", "capacity", 16.0),
         ] {
             let e = events
                 .iter()

@@ -43,8 +43,6 @@ pub struct TthreadAgg {
     pub timeouts: u64,
     /// Detached executions that exhausted the commit retry cap.
     pub retry_exhausted: u64,
-    /// Backpressure enqueues shed after the assist budget ran out.
-    pub sheds: u64,
     /// Cascade raises received from upstream tthread commits (incremental
     /// graph wave units targeting this tthread).
     pub cascades: u64,
@@ -192,7 +190,6 @@ impl ObsReport {
             EventKind::Skip => agg.skips += 1,
             EventKind::BodyTimeout => agg.timeouts += 1,
             EventKind::RetryExhausted => agg.retry_exhausted += 1,
-            EventKind::OverflowShed => agg.sheds += 1,
             EventKind::CascadeFired => {
                 agg.cascades += 1;
                 agg.max_wave_depth = agg.max_wave_depth.max(payload);
@@ -258,8 +255,8 @@ impl ObsReport {
 
     /// One-line summary for program output (the `examples/` footer). When
     /// any failure events were recorded (deadline timeouts, exhausted
-    /// commit retries, backpressure sheds), their counts are appended so
-    /// unhealthy runs are visible at a glance.
+    /// commit retries), their counts are appended so unhealthy runs are
+    /// visible at a glance.
     pub fn summary_line(&self) -> String {
         let mut line = format!(
             "obs: {} events ({} dropped) over {:.1} ms | stores {}+{} silent | \
@@ -287,12 +284,11 @@ impl ObsReport {
         }
         let timeouts = self.count(EventKind::BodyTimeout);
         let exhausted = self.count(EventKind::RetryExhausted);
-        let sheds = self.count(EventKind::OverflowShed);
-        if timeouts + exhausted + sheds > 0 {
+        if timeouts + exhausted > 0 {
             use std::fmt::Write as _;
             let _ = write!(
                 line,
-                " | FAULTS: {timeouts} timeouts, {exhausted} retry-exhausted, {sheds} sheds"
+                " | FAULTS: {timeouts} timeouts, {exhausted} retry-exhausted"
             );
         }
         line
@@ -334,7 +330,7 @@ impl ObsReport {
                 t.commit_ns.quantile(0.5),
                 t.joins,
                 t.skips,
-                t.timeouts + t.retry_exhausted + t.sheds
+                t.timeouts + t.retry_exhausted
             );
         }
         let _ = writeln!(out, "\nhot regions (64 B lines, hottest first):");
@@ -492,17 +488,14 @@ mod tests {
             .push(ev(14, 1600, EventKind::BodyTimeout, Some(0), 9000));
         rec.events
             .push(ev(15, 1700, EventKind::RetryExhausted, Some(0), 8));
-        rec.events
-            .push(ev(16, 1800, EventKind::OverflowShed, Some(0), 16));
         let report = ObsReport::from_recording(&rec);
         let t0 = &report.tthreads[0];
         assert_eq!(t0.timeouts, 1);
         assert_eq!(t0.retry_exhausted, 1);
-        assert_eq!(t0.sheds, 1);
         let line = report.summary_line();
         assert!(line.starts_with("obs:"), "summary lost its prefix: {line}");
         assert!(
-            line.contains("FAULTS: 1 timeouts, 1 retry-exhausted, 1 sheds"),
+            line.contains("FAULTS: 1 timeouts, 1 retry-exhausted"),
             "missing fault counts: {line}"
         );
         let top = report.top_report(5);

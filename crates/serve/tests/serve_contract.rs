@@ -105,7 +105,7 @@ fn zero_permit_gate_sheds_explicitly() {
 }
 
 #[test]
-fn injected_accept_overflow_sheds_with_budget() {
+fn injected_accept_overflows_shed_with_budget() {
     let plan = FaultPlan::new(118)
         .with_rate(FaultPoint::AcceptOverflow, ALWAYS)
         .with_budget(FaultPoint::AcceptOverflow, 3);

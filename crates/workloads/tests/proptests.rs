@@ -2,7 +2,7 @@
 //! semantics-preserving under *any* runtime configuration, and kernel
 //! helpers must satisfy their algebraic properties.
 
-use dtt_core::{Config, Granularity, OverflowPolicy};
+use dtt_core::{Config, Granularity};
 use dtt_workloads::bzip2::compress_block;
 use dtt_workloads::gzip::lz77_tokens;
 use dtt_workloads::parser::parse_sentence;
@@ -22,19 +22,14 @@ fn configs() -> impl Strategy<Value = Config> {
         prop::bool::ANY, // suppress silent stores
         prop::bool::ANY, // coalesce
         1usize..8,       // queue capacity
-        prop_oneof![
-            Just(OverflowPolicy::ExecuteInline),
-            Just(OverflowPolicy::DeferToJoin)
-        ],
     )
-        .prop_map(|(workers, g, suppress, coalesce, queue, overflow)| {
+        .prop_map(|(workers, g, suppress, coalesce, queue)| {
             Config::default()
                 .with_workers(workers)
                 .with_granularity(g)
                 .with_silent_store_suppression(suppress)
                 .with_coalescing(coalesce)
                 .with_queue_capacity(queue)
-                .with_overflow(overflow)
         })
 }
 

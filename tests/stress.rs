@@ -1,11 +1,12 @@
 //! Stress tests for the parallel executor: many tthreads, tight queues,
 //! sustained trigger pressure, and concurrent completion tracking.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use dtt_core::tthread::{TthreadId, TthreadStatus};
-use dtt_core::{Config, JoinOutcome, OverflowPolicy, Runtime, Tracked};
+use dtt_core::{Config, JoinOutcome, Runtime, Tracked};
 
 /// Spins until `tthread` is observed `Running` on a worker; panics after a
 /// generous timeout so a regression fails rather than hangs.
@@ -74,14 +75,9 @@ fn worker_body_runs_off_the_state_lock() {
 /// queued behind it so the queue is full. The next first-trigger of
 /// `victim` therefore overflows. Returns `(rt, x, victim, gate)`; storing
 /// to `x` triggers `victim`, which adds `x` into the user state.
-fn runtime_with_full_queue(
-    policy: OverflowPolicy,
-) -> (Runtime<u64>, Tracked<u64>, TthreadId, Arc<Barrier>) {
+fn runtime_with_full_queue() -> (Runtime<u64>, Tracked<u64>, TthreadId, Arc<Barrier>) {
     let gate = Arc::new(Barrier::new(2));
-    let cfg = Config::default()
-        .with_workers(1)
-        .with_queue_capacity(1)
-        .with_overflow(policy);
+    let cfg = Config::default().with_workers(1).with_queue_capacity(1);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
     let f = rt.alloc(0u64).unwrap();
@@ -110,12 +106,12 @@ fn executions_of(rt: &Runtime<u64>, tthread: TthreadId) -> u64 {
     rt.report().tthreads[tthread.index()].executions
 }
 
-/// `ExecuteInline` overflow: a trigger that finds the queue full runs its
-/// tthread on the triggering thread — and that inline run is the *only*
+/// Overflow: a trigger that finds the queue full runs its tthread on the
+/// triggering thread — and that inline run is the *only*
 /// run: no queue entry was left behind for the worker to execute again.
 #[test]
 fn queue_overflow_inline_executes_exactly_once() {
-    let (mut rt, x, victim, gate) = runtime_with_full_queue(OverflowPolicy::ExecuteInline);
+    let (mut rt, x, victim, gate) = runtime_with_full_queue();
     rt.write(x, 2); // queue full -> victim runs inline
     assert_eq!(rt.stats().counters().queue_overflows, 1);
     assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Clean);
@@ -131,21 +127,63 @@ fn queue_overflow_inline_executes_exactly_once() {
     assert_eq!(rt.with(|ctx| *ctx.user()), 2);
 }
 
-/// `DeferToJoin` overflow: the overflowed trigger reverts the tthread to
-/// Triggered (out of the queue), so the next join runs it inline exactly
-/// once.
+/// Overflow on a worker thread: a commit cascade that finds the queue full
+/// runs the downstream tthread inline on the worker, which must then wake
+/// the main thread parked in a join. `A` (x → y) parks on a barrier while
+/// the main thread fills the capacity-1 queue with `filler`; `A`'s commit
+/// then raises `B` (y → user state) with no queue slot free. The joins run
+/// on a helper thread so a lost wake fails the test instead of hanging it,
+/// and a wake rescued by the park timeout shows in `park_rescues`.
 #[test]
-fn queue_overflow_defer_to_join_runs_once_at_join() {
-    let (mut rt, x, victim, gate) = runtime_with_full_queue(OverflowPolicy::DeferToJoin);
-    rt.write(x, 2);
-    assert_eq!(rt.stats().counters().queue_overflows, 1);
-    assert_eq!(rt.status(victim).unwrap(), TthreadStatus::Triggered);
-    assert_eq!(rt.join(victim).unwrap(), JoinOutcome::RanInline);
-    assert_eq!(rt.with(|ctx| *ctx.user()), 2);
+fn overflow_on_a_worker_wakes_the_parked_joiner() {
+    let gate = Arc::new(Barrier::new(2));
+    let cfg = Config::default().with_workers(1).with_queue_capacity(1);
+    let mut rt = Runtime::new(cfg, 0u64);
+    let x = rt.alloc(0u64).unwrap();
+    let y = rt.alloc(0u64).unwrap();
+    let f = rt.alloc(0u64).unwrap();
 
+    let g = Arc::clone(&gate);
+    let a = rt.register("A", move |ctx| {
+        let v = ctx.get(x);
+        g.wait();
+        // Give the joiner time to park on `A` before the commit.
+        thread::sleep(Duration::from_millis(20));
+        ctx.set(y, v * 10);
+    });
+    rt.watch(a, x.range()).unwrap();
+    let b = rt.register("B", move |ctx| {
+        let v = ctx.get(y);
+        *ctx.user_mut() = v + 1;
+    });
+    rt.watch(b, y.range()).unwrap();
+    let filler = rt.register("filler", |_| {});
+    rt.watch(filler, f.range()).unwrap();
+
+    rt.write(x, 4);
+    wait_until_running(&rt, a);
+    rt.write(f, 1); // filler enqueued; queue (capacity 1) now full
+    assert_eq!(rt.status(filler).unwrap(), TthreadStatus::Queued);
     gate.wait();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let joiner = thread::spawn(move || {
+        let outcomes = (rt.join(a), rt.join(b));
+        done_tx.send(()).unwrap();
+        (rt, outcomes)
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a join never returned: the overflow run lost its wake");
+    let (mut rt, (ja, jb)) = joiner.join().unwrap();
+    ja.unwrap();
+    jb.unwrap();
+    assert_eq!(rt.with(|ctx| *ctx.user()), 41);
     rt.join_all().unwrap();
-    assert_eq!(executions_of(&rt, victim), 1);
+    let c = rt.stats().counters().clone();
+    assert_eq!(c.queue_overflows, 1);
+    assert_eq!(executions_of(&rt, b), 1);
+    assert_eq!(c.park_rescues, 0);
 }
 
 /// With coalescing off, a repeat trigger for a Queued tthread folds into
@@ -158,8 +196,7 @@ fn lockfree_rerun_flag_replaces_queue_duplicates() {
     let cfg = Config::default()
         .with_workers(1)
         .with_queue_capacity(1)
-        .with_coalescing(false)
-        .with_overflow(OverflowPolicy::ExecuteInline);
+        .with_coalescing(false);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
 
@@ -299,10 +336,7 @@ fn parallel_executor_sustained_pressure() {
     const OPS: usize = 5_000;
     let per = CELLS / TTHREADS;
 
-    let cfg = Config::default()
-        .with_workers(4)
-        .with_queue_capacity(4)
-        .with_overflow(OverflowPolicy::ExecuteInline);
+    let cfg = Config::default().with_workers(4).with_queue_capacity(4);
     let mut rt = Runtime::new(cfg, vec![0u64; TTHREADS]);
     let cells = rt.alloc_array::<u64>(CELLS).unwrap();
     let tts: Vec<_> = (0..TTHREADS)
