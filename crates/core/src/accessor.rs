@@ -37,7 +37,7 @@
 use crate::handle::{Tracked, TrackedArray};
 use crate::obs::EventKind;
 use crate::pod::Pod;
-use crate::runtime::Inner;
+use crate::runtime::{Inner, Raise};
 use crate::stats::{CounterBank, Tally};
 use crate::trigger::LookupScratch;
 use crate::Ctx;
@@ -106,24 +106,11 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             .counters
             .on_store(cell.addr().raw(), effect, detect);
         if detect && !effect.changed {
-            if self.inner.obs.on() {
-                self.inner.obs.record(
-                    self.inner.mem.shard_of(cell.addr()),
-                    EventKind::Store,
-                    None,
-                    cell.addr().raw(),
-                );
-            }
+            self.inner.obs_store(EventKind::Store, cell.addr(), None);
             return;
         }
-        if self.inner.obs.on() {
-            self.inner.obs.record(
-                self.inner.mem.shard_of(cell.addr()),
-                EventKind::ChangeDetected,
-                None,
-                cell.addr().raw(),
-            );
-        }
+        self.inner
+            .obs_store(EventKind::ChangeDetected, cell.addr(), None);
         // Watched-address filter: for the common unwatched store a single
         // page-bit load proves no watch can match; watched-page traffic
         // still exits at line granularity. Either miss skips the
@@ -131,14 +118,8 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         let probe = self.inner.watch_filter.probe(cell.range());
         self.inner.counters.on_filter(cell.addr().raw(), probe);
         if probe.is_miss() {
-            if self.inner.obs.on() {
-                self.inner.obs.record(
-                    self.inner.mem.shard_of(cell.addr()),
-                    EventKind::FilterSkip,
-                    None,
-                    cell.addr().raw(),
-                );
-            }
+            self.inner
+                .obs_store(EventKind::FilterSkip, cell.addr(), None);
             return;
         }
         // Read guard dropped at the end of the statement, before the state
@@ -161,7 +142,6 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         let inner = self.inner;
         let key = CounterBank::addr_key(store_addr);
         inner.counters.add(key, Tally::TriggeringStores, 1);
-        let obs_on = inner.obs.on();
         let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
         for hit in self.scratch.hits() {
             let key = hit.tthread.index();
@@ -169,17 +149,11 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             if !hit.precise {
                 inner.counters.add(key, Tally::FalseTriggers, 1);
             }
-            if obs_on {
-                inner.obs.record(
-                    inner.obs.status_ring(),
-                    EventKind::TriggerFired,
-                    Some(hit.tthread),
-                    store_addr,
-                );
-            }
-            match inner.raise(hit.tthread) {
-                crate::runtime::Raise::Done { .. } => {}
-                crate::runtime::Raise::Overflow(token) => overflows.push((hit.tthread, token)),
+            inner
+                .obs
+                .event(EventKind::TriggerFired, hit.tthread, store_addr);
+            if let Raise::Overflow(token) = inner.raise(hit.tthread) {
+                overflows.push((hit.tthread, token));
             }
         }
         if !overflows.is_empty() {

@@ -34,19 +34,14 @@ use std::cell::OnceCell;
 
 use parking_lot::MutexGuard;
 
-use crate::error::Error;
 use crate::handle::{Tracked, TrackedArray};
 use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
 use crate::pod::Pod;
-use crate::runtime::{Inner, State};
+use crate::runtime::{Inner, Raise, State};
 use crate::stats::Counters;
 use crate::trigger::TriggerHit;
-use crate::tthread::{TthreadId, TthreadStatus};
-
-/// Maximum depth of tthreads triggering tthreads before
-/// [`Error::CascadeDepthExceeded`] aborts the cascade.
-const MAX_CASCADE_DEPTH: u32 = 64;
+use crate::tthread::TthreadId;
 
 /// One store recorded by a detached execution, replayed at commit.
 pub(crate) struct LoggedStore {
@@ -57,19 +52,6 @@ pub(crate) struct LoggedStore {
     /// Whether the store consults the trigger table at commit
     /// (`false` for [`Ctx::init`]-style writes).
     pub(crate) dispatch: bool,
-}
-
-/// What one raise did to the target's status machine, as far as cascade
-/// accounting cares: did it *activate* a new pending execution (enqueue,
-/// defer, inline overflow run) or *coalesce* into one already pending?
-/// Feeds the wave conservation identity
-/// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum RaiseKind {
-    /// The raise produced (or re-armed) a pending execution.
-    Activated,
-    /// The raise was absorbed by an already-pending or running instance.
-    Coalesced,
 }
 
 /// The privatized view backing a detached execution.
@@ -178,7 +160,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
 
     /// The locked runtime state; trigger dispatch and the status machine
     /// only ever run here.
-    fn locked(&mut self) -> &mut State<U> {
+    pub(crate) fn locked(&mut self) -> &mut State<U> {
         match &mut self.mode {
             CtxMode::Locked(state) => state,
             CtxMode::Detached(_) => {
@@ -192,25 +174,6 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     #[inline]
     fn in_body(&self) -> bool {
         self.depth > 0 && self.cur.is_some()
-    }
-
-    /// Records one status-machine lifecycle event (no-op when observability
-    /// is off; the guard is a single relaxed load).
-    #[inline]
-    fn obs_status(&self, kind: EventKind, id: TthreadId, payload: u64) {
-        if self.inner.obs.on() {
-            self.inner
-                .obs
-                .record(self.inner.obs.status_ring(), kind, Some(id), payload);
-        }
-    }
-
-    /// Records a store event into the ring of the shard `addr` hashes to.
-    #[inline]
-    fn obs_store(&self, kind: EventKind, addr: crate::addr::Addr) {
-        self.inner
-            .obs
-            .record(self.inner.mem.shard_of(addr), kind, None, addr.raw());
     }
 
     /// Shared access to the untracked user state.
@@ -297,9 +260,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         if self.in_body() {
             self.body_dispatched += 1;
         }
-        if self.inner.obs.on() {
-            self.obs_store(EventKind::Store, cell.addr());
-        }
+        self.inner.obs_store(EventKind::Store, cell.addr(), None);
     }
 
     /// [`Ctx::set`] from a detached execution: compare against the
@@ -336,9 +297,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             self.body_dispatched += 1;
             self.body_changed += 1;
         }
-        if self.inner.obs.on() {
-            self.obs_store(EventKind::ChangeDetected, range.start());
-        }
+        self.inner
+            .obs_store(EventKind::ChangeDetected, range.start(), None);
         self.dispatch(range);
     }
 
@@ -544,9 +504,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             let run_range = array.range_of(from + a, from + b);
             // Bulk stores record one change event per changed run (not per
             // element), matching how they dispatch to the trigger table.
-            if self.inner.obs.on() {
-                self.obs_store(EventKind::ChangeDetected, run_range.start());
-            }
+            self.inner
+                .obs_store(EventKind::ChangeDetected, run_range.start(), None);
             self.dispatch(run_range);
         }
     }
@@ -571,9 +530,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             }
         }
         if probe.is_miss() {
-            if self.inner.obs.on() {
-                self.obs_store(EventKind::FilterSkip, store_range.start());
-            }
+            self.inner
+                .obs_store(EventKind::FilterSkip, store_range.start(), None);
             return;
         }
         // Scratch comes from the state-lock pool so the per-store lookup is
@@ -644,16 +602,21 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             if depth > 0 {
                 state.stats.cascade_triggers += 1;
             }
-            self.obs_status(EventKind::TriggerFired, hit.tthread, store_addr);
-            let kind = self.raise(hit.tthread);
+            self.inner
+                .obs
+                .event(EventKind::TriggerFired, hit.tthread, store_addr);
+            let raised = self.raise(hit.tthread);
             if cascade {
                 let state = self.locked();
                 state.stats.cascades += 1;
-                match kind {
-                    RaiseKind::Activated => state.stats.cascade_enqueues += 1,
-                    RaiseKind::Coalesced => state.stats.cascade_coalesced += 1,
+                if matches!(raised, Raise::Coalesced) {
+                    state.stats.cascade_coalesced += 1;
+                } else {
+                    state.stats.cascade_enqueues += 1;
                 }
-                self.obs_status(EventKind::CascadeFired, hit.tthread, u64::from(wave));
+                self.inner
+                    .obs
+                    .event(EventKind::CascadeFired, hit.tthread, u64::from(wave));
             }
         }
     }
@@ -661,15 +624,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// Advance the status machine of `id` for one trigger: the status-word
     /// CAS machine in [`crate::runtime::Inner::raise`], plus — already
     /// under the state lock — the inline overflow run when no queue entry
-    /// landed.
-    pub(crate) fn raise(&mut self, id: TthreadId) -> RaiseKind {
+    /// landed. An overflow run counts as [`Raise::Activated`] in the
+    /// cascade wave identity
+    /// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
+    pub(crate) fn raise(&mut self, id: TthreadId) -> Raise {
         match self.inner.raise(id) {
-            crate::runtime::Raise::Done { coalesced: true } => RaiseKind::Coalesced,
-            crate::runtime::Raise::Done { coalesced: false } => RaiseKind::Activated,
-            crate::runtime::Raise::Overflow(token) => {
+            Raise::Overflow(token) => {
                 self.overflow(id, token);
-                RaiseKind::Activated
+                Raise::Activated
             }
+            raised => raised,
         }
     }
 
@@ -682,103 +646,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let inner = self.inner;
         self.locked().stats.queue_overflows += 1;
         let capacity = inner.dispatch.pending.capacity() as u64;
-        self.obs_status(EventKind::QueueOverflow, id, capacity);
+        inner.obs.event(EventKind::QueueOverflow, id, capacity);
         if inner.dispatch.slots.get(id.index()).try_claim_queued(token) {
             self.run_inline(id);
-        }
-    }
-
-    /// Execute tthread `id` on the current thread, re-running while
-    /// retriggered. The caller must already have moved `id` to Running
-    /// (a claim CAS).
-    ///
-    /// Completes with the CJ flag *preserved* (`try_complete(None)`): an
-    /// overflow-inline run between a worker's commit and the next join
-    /// must not turn a pending `Overlapped` report into a `Skipped` one.
-    /// Join and force clear the flag themselves after their inline runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trigger cascade exceeds [`MAX_CASCADE_DEPTH`]. A panic
-    /// from the tthread body itself is re-raised after the tthread is
-    /// marked poisoned, so the runtime stays usable.
-    pub(crate) fn run_inline(&mut self, id: TthreadId) {
-        let next_depth = self.depth + 1;
-        assert!(
-            next_depth <= MAX_CASCADE_DEPTH,
-            "{}",
-            Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
-        );
-        let inner = self.inner;
-        let func = inner.tthread_fn(id);
-        let slot = inner.dispatch.slots.get(id.index());
-        loop {
-            debug_assert_eq!(slot.status(), TthreadStatus::Running);
-            let state = self.locked();
-            let obs_on = inner.obs.on();
-            let body_t0 = if obs_on {
-                inner
-                    .obs
-                    .record(inner.obs.status_ring(), EventKind::BodyStart, Some(id), 0);
-                inner.obs.now_ns()
-            } else {
-                0
-            };
-            let (outcome, dispatched, changed) = {
-                // One body execution = one wave epoch: its stores raise each
-                // downstream tthread at most once.
-                state.graph.begin_wave();
-                let mut nested = Ctx::new_for(state, inner, next_depth, Some(id));
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| func(&mut nested)));
-                (outcome, nested.body_dispatched, nested.body_changed)
-            };
-            if obs_on {
-                let dur = inner.obs.now_ns().saturating_sub(body_t0);
-                inner
-                    .obs
-                    .record(inner.obs.status_ring(), EventKind::BodyEnd, Some(id), dur);
-            }
-            let state = self.locked();
-            if let Err(payload) = outcome {
-                state.tst.entry_mut(id).poisoned = true;
-                state.graph.clear_depth(id);
-                slot.force_clean();
-                inner.wake_joiners();
-                std::panic::resume_unwind(payload);
-            }
-            state.stats.executions += 1;
-            state.stats.inline_executions += 1;
-            state.tst.entry_mut(id).executions += 1;
-            // Early cutoff: a cascade-raised body whose tracked stores were
-            // all silent stops the wave here. Counted as a terminal wave
-            // unit so `cascades == enqueues + coalesced + cutoffs` holds.
-            let wave = state.graph.wave_depth(id);
-            if wave > 0 {
-                if dispatched > 0 && changed == 0 {
-                    state.stats.cascades += 1;
-                    state.stats.cascade_cutoffs += 1;
-                    self.obs_status(EventKind::CascadeCutoff, id, u64::from(wave));
-                }
-                self.locked().graph.clear_depth(id);
-            }
-            let state = self.locked();
-            if slot.try_complete(None) {
-                state.tst.entry_mut(id).epoch += 1;
-                break;
-            }
-            // A trigger landed mid-body (RF): absorb it into another run.
-            slot.absorb_rf();
-        }
-        // An overflow-inline run on a *worker* thread (a commit cascade
-        // that found the queue full) can complete a tthread the main
-        // thread is parked on: broadcast the completion eventcount just
-        // like the worker loop does after its own runs.
-        // Without workers nothing can be parked there — only `join` and
-        // `force` park, only on Running or on Queued with a deadline, and
-        // no other thread runs bodies — so the broadcast is skipped.
-        if inner.cfg.workers > 0 {
-            inner.wake_joiners();
         }
     }
 }

@@ -19,7 +19,7 @@
 //!   stores land in its trigger regions: later hits are absorbed as
 //!   `wave_dedups` without touching the status machine (beyond setting
 //!   the rerun flag on a mid-commit claimant, which keeps snapshot
-//!   freshness exact — see [`DepGraph::begin_wave`]).
+//!   freshness exact — see `DepGraph::begin_wave`).
 //! * **Cycle detection.** Installing a watch or declaring an output runs
 //!   a DFS over the declared edge map under the state lock; an edge that
 //!   would close a cross-tthread cycle is rejected with
@@ -29,8 +29,9 @@
 //!   bounded by [`crate::config::Config::commit_retry_cap`], which also
 //!   backstops dynamic cycles the declared map cannot see.
 //!
-//! The fourth piece — **early cutoff** — lives in the commit path: a
-//! cascade-driven recomputation whose commit is fully silent (zero
+//! The fourth piece — **early cutoff** — closes each wave epoch when its
+//! execution ends (inline run or commit): a cascade-driven
+//! recomputation whose stores are fully silent (zero
 //! non-silent lines) stops the wave and is counted as a transitive skip
 //! (`cascade_cutoffs`): silent stores raise nothing, so a fully silent
 //! commit has nothing to propagate.

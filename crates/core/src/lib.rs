@@ -100,7 +100,7 @@
 //! | [`ctx`] | the [`Ctx`] store path and status machine |
 //! | [`deadline`] | monotonic body-deadline and commit-backoff arithmetic |
 //! | [`accessor`] | concurrent tracked access off the state lock |
-//! | [`runtime`] | the [`Runtime`] façade and executors |
+//! | [`runtime`] | the [`Runtime`], one file per lifecycle step: set up and trigger (`mod.rs`), run on a worker or inline (`exec.rs`), join (`join.rs`), drain and shut down (`teardown.rs`) |
 //! | [`config`], [`stats`], [`error`] | knobs, counters (under-lock [`stats::Counters`] + the lock-free bank folded into it), errors |
 
 #![forbid(unsafe_code)]

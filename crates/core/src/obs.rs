@@ -7,7 +7,7 @@
 //! measures. This module provides the recording half of that contract:
 //!
 //! * **Disabled-path cost contract.** Every hook compiles down to one
-//!   relaxed atomic load ([`ObsRecorder::on`]) and a predictable branch.
+//!   relaxed atomic load (`ObsRecorder::on`) and a predictable branch.
 //!   No ring memory is even allocated until observability is first
 //!   enabled.
 //! * **Per-shard event rings.** When enabled, events are appended to
@@ -23,9 +23,9 @@
 //!   exactly the counted drops — no silent loss, no duplicates (pinned by
 //!   the overflow stress test below).
 //!
-//! Timestamps are nanoseconds relative to the recorder's creation
-//! ([`ObsRecorder::now_ns`]), taken from the monotonic clock, so events
-//! recorded by different threads merge into one time-ordered stream.
+//! Timestamps are nanoseconds relative to the recorder's creation, taken
+//! from the monotonic clock, so events recorded by different threads merge
+//! into one time-ordered stream.
 //!
 //! The analysis half — aggregation, histograms, Prometheus / Chrome-trace
 //! export — lives in the `dtt-obs` crate, which consumes the
@@ -384,14 +384,45 @@ impl ObsRecorder {
 
     /// Index of the trigger/status-machine ring.
     #[inline]
-    pub(crate) fn status_ring(&self) -> usize {
+    fn status_ring(&self) -> usize {
         self.ring_count - 1
     }
 
     /// Nanoseconds since the recorder's epoch.
     #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Records one status-machine event about `tthread` into the status
+    /// ring, if recording is on: one relaxed load when it is off.
+    #[inline]
+    pub(crate) fn event(&self, kind: EventKind, tthread: TthreadId, payload: u64) {
+        if self.on() {
+            self.record(self.status_ring(), kind, Some(tthread), payload);
+        }
+    }
+
+    /// Runs `f` as a timed span of `tthread` (a body run, a commit): if
+    /// recording is on, `start` is recorded before it with `payload`, and
+    /// `end` after it with the span's duration in nanoseconds.
+    #[inline]
+    pub(crate) fn span<R>(
+        &self,
+        tthread: TthreadId,
+        (start, payload): (EventKind, u64),
+        end: EventKind,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        if !self.on() {
+            return f();
+        }
+        self.record(self.status_ring(), start, Some(tthread), payload);
+        let t0 = self.now_ns();
+        let out = f();
+        let dur = self.now_ns().saturating_sub(t0);
+        self.record(self.status_ring(), end, Some(tthread), dur);
+        out
     }
 
     /// Records one event into `ring`. Callers must have checked

@@ -1,0 +1,389 @@
+//! Running a tthread body: on a worker, detached against a snapshot and
+//! committed under the state lock afterwards, or inline on the calling
+//! thread under the lock. Both executors share the body timing, the
+//! early-cutoff wave close and the poison sequence below.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::thread;
+use std::time::Instant;
+
+use super::{Inner, State, TthreadFn};
+use crate::ctx::{Ctx, LoggedStore};
+use crate::deadline::{backoff_delay, BodyDeadline};
+use crate::dispatch::PARK_TIMEOUT;
+use crate::error::Error;
+use crate::eventcount::ParkOutcome;
+use crate::fault::FaultPoint;
+use crate::obs::EventKind;
+use crate::stats::Tally;
+use crate::tthread::{TthreadId, TthreadStatus};
+
+/// Maximum depth of tthreads triggering tthreads before
+/// [`Error::CascadeDepthExceeded`] aborts the cascade.
+const MAX_CASCADE_DEPTH: u32 = 64;
+
+impl<U> Inner<U> {
+    /// Broadcasts the completion eventcount after a transition out of
+    /// Running, waking joiners parked in `Runtime::join` /
+    /// `Runtime::force`. A broadcast (not a single wake) because the
+    /// eventcount is shared by joins on every tthread; the joiner's
+    /// predicate ("did *my* slot's word move?") filters spurious wakes.
+    /// Subject to the [`FaultPoint::JoinWake`] injection, which drops the
+    /// broadcast entirely; the joiner's timed park bounds the damage to
+    /// one park period.
+    fn wake_joiners(&self) {
+        if self.fault.fire(FaultPoint::JoinWake) {
+            return;
+        }
+        self.dispatch.completions.wake_all();
+    }
+}
+
+/// The worker: pops (id, token) pairs from the pending queue, claims via
+/// the status-word CAS, and only touches the state lock to commit. Idles
+/// on the dispatch eventcount with a timed park.
+pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
+    let dispatch = &inner.dispatch;
+    loop {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Some((raw, token)) = dispatch.pending.pop() else {
+            // The timed park doubles as the rescue path for a dropped
+            // wake (see `FaultPoint::WakeDrop`): even a lost notification
+            // only costs one park period, and is counted as a rescue.
+            let (outcome, silent) = dispatch.waiters.park_reporting(
+                || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
+                PARK_TIMEOUT,
+            );
+            if outcome != ParkOutcome::Skipped {
+                inner.counters.add(worker_idx, Tally::WorkerParks, 1);
+            }
+            if outcome == ParkOutcome::TimedOut {
+                inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
+                if silent && !dispatch.pending.is_empty() {
+                    inner.counters.add(worker_idx, Tally::ParkRescues, 1);
+                }
+            }
+            continue;
+        };
+        let id = TthreadId::new(raw);
+        if inner.fault.fire(FaultPoint::Dequeue) {
+            // Injected dequeue rejection, handled explicitly: requeue and
+            // retry if the queue takes it back, otherwise fall through and
+            // run the entry ourselves — dropping it would strand the
+            // tthread in Queued with no entry anywhere.
+            if dispatch.pending.push(raw, token) {
+                continue;
+            }
+        }
+        let slot = dispatch.slots.get(id.index());
+        if !slot.try_claim_queued(token) {
+            // The entry went stale: a join or force claimed the tthread
+            // (bumping the token) after this entry was queued.
+            inner.counters.add(id.index(), Tally::QueueStaleSkips, 1);
+            continue;
+        }
+        run_detached(inner, id, &inner.tthread(id).func);
+        inner.wake_joiners();
+    }
+}
+
+/// Runs one body execution between its `BodyStart` and `BodyEnd` events,
+/// catching a panic: the part of an execution both executors share.
+fn run_body<U, R>(
+    inner: &Inner<U>,
+    id: TthreadId,
+    body: impl FnOnce() -> R,
+) -> std::thread::Result<R> {
+    let start = (EventKind::BodyStart, 0);
+    inner.obs.span(id, start, EventKind::BodyEnd, || {
+        catch_unwind(AssertUnwindSafe(body))
+    })
+}
+
+/// Executes one claimed tthread *detached*: snapshot, body off the lock,
+/// commit under the lock. The caller must already have moved `id` to
+/// Running (claim CAS). The first snapshot is taken without the state
+/// lock; a rerun snapshots while still holding the previous commit's
+/// guard.
+fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &TthreadFn<U>) {
+    let slot = inner.dispatch.slots.get(id.index());
+    let mut retries: u32 = 0;
+    let mut held = None;
+    loop {
+        debug_assert_eq!(slot.status(), TthreadStatus::Running);
+        // With the guard held the snapshot is serialized with raising.
+        // Without it (first iteration) it is still no older than the
+        // trigger that queued `id`: the claim CAS synchronized with the
+        // raise RMW, which itself followed the triggering store's
+        // stripe-locked publication — and `snapshot()` holds every stripe
+        // lock, making the copy atomic against concurrent accessors.
+        let snap = inner.mem.snapshot();
+        drop(held.take());
+
+        // Injected scheduling delay: the tthread is already Running (a join
+        // waits for it rather than stealing it), so stretching this gap
+        // widens trigger/join races without risking double execution.
+        if inner.fault.fire(FaultPoint::WorkerSchedule) {
+            inner.fault.delay();
+        }
+
+        let deadline = BodyDeadline::starting(inner.cfg.body_deadline, Instant::now());
+        // The body runs entirely off the state lock, against the snapshot;
+        // main-thread `with`/`join` calls proceed concurrently.
+        let mut ctx = Ctx::detached(snap, inner, 1);
+        let outcome = run_body(inner, id, || {
+            if inner.fault.fire(FaultPoint::BodyStart) {
+                // Injected body failure: behave exactly like a panicking
+                // body (the tthread gets poisoned below) without running
+                // the panic hook and spamming stderr.
+                resume_unwind(Box::new("injected body-start fault"));
+            }
+            func(&mut ctx)
+        });
+        // Deadline check covers the body only, before any injected commit
+        // delay; a panic takes precedence over a timeout below. Monotonic
+        // by construction — see `crate::deadline`.
+        let overran = deadline.and_then(|d| d.overrun(Instant::now()));
+        // Injected commit-replay delay: stretches the window between body
+        // end and commit, multiplying commit conflicts and retriggers.
+        // Runs before the relock unless the body already took the user-
+        // state lock, in which case it stretches the critical section —
+        // exactly the slow-commit behaviour worth chaos-testing.
+        if inner.fault.fire(FaultPoint::CommitReplay) {
+            inner.fault.delay();
+        }
+        let (guard, log, delta) = ctx.into_detached_parts();
+        // If the body touched user state it already holds the lock; reuse
+        // that guard so user-state updates and the commit are one critical
+        // section. Every transition *out of* Running below bumps the slot
+        // *word*, which joiners' parks validate before committing to
+        // sleep, so they cannot miss the wakeup (the wake itself is
+        // broadcast by the worker loop after this function returns).
+        let mut state = guard.unwrap_or_else(|| inner.state.lock());
+
+        if outcome.is_err() {
+            // Keep this worker alive for the other tthreads; the next join
+            // reports the failure. Nothing the body stored is published —
+            // a detached execution is atomic.
+            poison(&mut state, inner, id);
+            return;
+        }
+
+        // The access-side counters merge even for a timed-out body: the
+        // loads/stores really happened, against the snapshot.
+        inner.counters.merge_delta(&delta);
+        if let Some(elapsed) = overran {
+            // Deadline overrun: discard the write log — a timed-out body
+            // never commits — and flag the tthread; the next join reports
+            // `TthreadTimedOut`.
+            state.stats.body_timeouts += 1;
+            state.tst.entry_mut(id).timed_out = true;
+            state.graph.clear_depth(id);
+            slot.force_clean();
+            let elapsed = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            inner.obs.event(EventKind::BodyTimeout, id, elapsed);
+            return;
+        }
+
+        // Replay the write log against live memory. A panic can only come
+        // out of a cascaded inline execution (which poisons its own
+        // tthread); treat it like a body panic of `id` so the worker
+        // survives.
+        let start = (EventKind::CommitBegin, log.len() as u64);
+        let committed = inner.obs.span(id, start, EventKind::CommitDone, || {
+            catch_unwind(AssertUnwindSafe(|| commit_log(&mut state, inner, id, &log)))
+        });
+        if committed.is_err() {
+            poison(&mut state, inner, id);
+            return;
+        }
+
+        state.stats.executions += 1;
+        state.stats.worker_executions += 1;
+        state.tst.entry_mut(id).executions += 1;
+        if inner.fault.fire(FaultPoint::Retrigger) {
+            // Injected retrigger: pretend a trigger landed during the body,
+            // driving the bounded retry loop below.
+            slot.set_rf_if_running();
+        }
+        if slot.try_complete(Some(true)) {
+            state.tst.entry_mut(id).epoch += 1;
+            return;
+        }
+        // The rerun flag was set: a trigger landed while the body ran (or
+        // its own commit retriggered it). The snapshot may be stale, so go
+        // around again with a fresh one — but only up to the configured
+        // cap, so adversarial store rates cannot livelock this worker.
+        if retries >= inner.cfg.commit_retry_cap {
+            state.stats.commit_retry_exhausted += 1;
+            slot.complete_to_triggered();
+            let cap = u64::from(inner.cfg.commit_retry_cap);
+            inner.obs.event(EventKind::RetryExhausted, id, cap);
+            return;
+        }
+        retries += 1;
+        state.stats.commit_retries += 1;
+        slot.absorb_rf();
+        if let Some(base) = inner.cfg.commit_backoff {
+            // Back off before re-snapshotting: under a store storm an
+            // immediate rerun mostly re-loses the commit race. The sleep
+            // happens off the state lock; jitter comes from the fault
+            // layer's SplitMix64 stream so chaos replays stay
+            // seed-deterministic.
+            state.stats.commit_backoff_waits += 1;
+            drop(state);
+            thread::sleep(backoff_delay(base, retries, inner.fault.draw()));
+            held = Some(inner.state.lock());
+        } else {
+            held = Some(state);
+        }
+    }
+}
+
+/// Replays a detached execution's write log under the state lock, firing
+/// triggers for the stores that still change live memory.
+fn commit_log<U: Send + 'static>(
+    state: &mut State<U>,
+    inner: &Inner<U>,
+    id: TthreadId,
+    log: &[LoggedStore],
+) {
+    let detect = inner.cfg.suppress_silent_stores;
+    // One commit = one wave epoch: downstream tthreads are raised at most
+    // once per replay no matter how many stores land in their regions.
+    state.graph.begin_wave();
+    let mut dispatched: u64 = 0;
+    let mut changed: u64 = 0;
+    for entry in log {
+        let effect = inner
+            .mem
+            .store_bytes(entry.range, &entry.data, detect && entry.dispatch);
+        if !entry.dispatch {
+            continue;
+        }
+        state.stats.commit_stores += 1;
+        dispatched += 1;
+        let addr = entry.range.start();
+        if effect.changed {
+            changed += 1;
+            inner.obs_store(EventKind::ChangeDetected, addr, Some(id));
+            // Depth 1 with `cur = id`: triggers raised here onto other
+            // tthreads are cascade wave units, same as stores made directly
+            // by an inline body.
+            let mut ctx = Ctx::new_for(state, inner, 1, Some(id));
+            ctx.dispatch(entry.range);
+        } else {
+            state.stats.commit_conflicts += 1;
+            inner.obs.event(EventKind::CommitConflict, id, addr.raw());
+        }
+    }
+    close_wave(state, inner, id, dispatched, changed);
+}
+
+/// Ends `id`'s wave epoch after an execution (inline run or commit) that
+/// dispatched `dispatched` tracked stores, `changed` of them changing.
+///
+/// Early cutoff: a cascade-raised recomputation whose stores were all
+/// silent stops the wave here — the transitive skip. Counted as a terminal
+/// wave unit so `cascades == enqueues + coalesced + cutoffs` holds.
+fn close_wave<U>(
+    state: &mut State<U>,
+    inner: &Inner<U>,
+    id: TthreadId,
+    dispatched: u64,
+    changed: u64,
+) {
+    let wave = state.graph.wave_depth(id);
+    if wave == 0 {
+        return;
+    }
+    if dispatched > 0 && changed == 0 {
+        state.stats.cascades += 1;
+        state.stats.cascade_cutoffs += 1;
+        inner
+            .obs
+            .event(EventKind::CascadeCutoff, id, u64::from(wave));
+    }
+    state.graph.clear_depth(id);
+}
+
+/// Marks `id` poisoned after a panicking execution, leaving the runtime
+/// usable for every other tthread.
+fn poison<U>(state: &mut State<U>, inner: &Inner<U>, id: TthreadId) {
+    state.tst.entry_mut(id).poisoned = true;
+    state.graph.clear_depth(id);
+    inner.dispatch.slots.get(id.index()).force_clean();
+}
+
+impl<U: Send + 'static> Ctx<'_, U> {
+    /// Execute tthread `id` on the current thread, re-running while
+    /// retriggered. The caller must already have moved `id` to Running
+    /// (a claim CAS).
+    ///
+    /// Completes with the CJ flag *preserved* (`try_complete(None)`): an
+    /// overflow-inline run between a worker's commit and the next join
+    /// must not turn a pending `Overlapped` report into a `Skipped` one.
+    /// Join and force clear the flag themselves after their inline runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trigger cascade exceeds [`MAX_CASCADE_DEPTH`]. A panic
+    /// from the tthread body itself is re-raised after the tthread is
+    /// marked poisoned, so the runtime stays usable.
+    pub(crate) fn run_inline(&mut self, id: TthreadId) {
+        let next_depth = self.depth + 1;
+        assert!(
+            next_depth <= MAX_CASCADE_DEPTH,
+            "{}",
+            Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
+        );
+        let inner = self.inner;
+        let func = &inner.tthread(id).func;
+        let slot = inner.dispatch.slots.get(id.index());
+        loop {
+            debug_assert_eq!(slot.status(), TthreadStatus::Running);
+            let state = self.locked();
+            let outcome = run_body(inner, id, || {
+                // One body execution = one wave epoch: its stores raise
+                // each downstream tthread at most once.
+                state.graph.begin_wave();
+                let mut nested = Ctx::new_for(state, inner, next_depth, Some(id));
+                func(&mut nested);
+                (nested.body_dispatched, nested.body_changed)
+            });
+            let state = self.locked();
+            let (dispatched, changed) = match outcome {
+                Ok(counts) => counts,
+                Err(payload) => {
+                    poison(state, inner, id);
+                    inner.wake_joiners();
+                    resume_unwind(payload);
+                }
+            };
+            state.stats.executions += 1;
+            state.stats.inline_executions += 1;
+            state.tst.entry_mut(id).executions += 1;
+            close_wave(state, inner, id, dispatched, changed);
+            if slot.try_complete(None) {
+                state.tst.entry_mut(id).epoch += 1;
+                break;
+            }
+            // A trigger landed mid-body (RF): absorb it into another run.
+            slot.absorb_rf();
+        }
+        // An overflow-inline run on a *worker* thread (a commit cascade
+        // that found the queue full) can complete a tthread the main
+        // thread is parked on: broadcast the completion eventcount just
+        // like the worker loop does after its own runs.
+        // Without workers nothing can be parked there — only `join` and
+        // `force` park, only on Running or on Queued with a deadline and
+        // workers to run it, and no other thread runs bodies — so the
+        // broadcast is skipped.
+        if !inner.deferred() {
+            inner.wake_joiners();
+        }
+    }
+}

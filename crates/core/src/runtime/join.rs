@@ -1,0 +1,330 @@
+//! The consumption point: `join` skips, runs, steals or waits for a
+//! tthread; `force` runs it regardless. Also the status read,
+//! `mark_dirty`, and clearing a poisoned or timed-out tthread.
+
+use parking_lot::MutexGuard;
+
+use super::{Runtime, State};
+use crate::ctx::Ctx;
+use crate::dispatch::PARK_TIMEOUT;
+use crate::error::{Error, Result};
+use crate::eventcount::ParkOutcome;
+use crate::obs::EventKind;
+use crate::stats::Tally;
+use crate::tthread::{TstEntry, TthreadId, TthreadStatus};
+
+/// How a [`Runtime::join`] call was satisfied.
+///
+/// With the parallel executor, worker executions run off the state lock
+/// against a snapshot and *commit* their effects atomically under the
+/// lock; `join` observes a tthread's effects if and only if its commit
+/// happened before the join's status check. See the [`Runtime`] docs for
+/// the full memory-consistency contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinOutcome {
+    /// No trigger fired since the last execution: the computation was
+    /// skipped entirely. This is the paper's redundant-computation
+    /// elimination.
+    Skipped,
+    /// A worker finished (committed) the recomputation before the main
+    /// thread asked for it: the work was fully overlapped with main-thread
+    /// progress.
+    Overlapped,
+    /// The tthread was in the triggered state and ran on the calling thread
+    /// at the join point (deferred executor, or commit retry cap reached).
+    RanInline,
+    /// The tthread was still queued; the calling thread stole it from the
+    /// queue and ran it itself.
+    Stolen,
+    /// The calling thread waited for a running worker to finish.
+    Waited,
+}
+
+/// The error a join or force of a failed tthread reports.
+fn failure<U>(state: &State<U>, tthread: TthreadId) -> Result<()> {
+    let entry = state.tst.entry(tthread);
+    if entry.poisoned {
+        return Err(Error::TthreadPoisoned(tthread));
+    }
+    if entry.timed_out {
+        return Err(Error::TthreadTimedOut(tthread));
+    }
+    Ok(())
+}
+
+impl<U: Send + 'static> Runtime<U> {
+    /// The consumption point: ensures `tthread`'s outputs are up to date.
+    ///
+    /// * never triggered since its last run → **skip** (the elimination of
+    ///   redundant computation);
+    /// * completed on a worker → nothing to do, the work was overlapped;
+    /// * triggered / still queued → run it on the calling thread now;
+    /// * running on a worker → wait for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id,
+    /// [`Error::TthreadPoisoned`] if a previous execution of the tthread
+    /// panicked (see [`Runtime::clear_poison`]) and
+    /// [`Error::TthreadTimedOut`] if a previous execution overran the
+    /// configured body deadline (see [`Runtime::clear_timeout`]).
+    pub fn join(&mut self, tthread: TthreadId) -> Result<JoinOutcome> {
+        self.check(tthread)?;
+        // The skip is one load: no state lock and no RMW (the skip rule in
+        // `crate::dispatch`). Every other state takes the locked path.
+        let outcome = if self.inner.dispatch.slots.get(tthread.index()).skippable() {
+            JoinOutcome::Skipped
+        } else {
+            self.join_locked(tthread)?
+        };
+        if outcome == JoinOutcome::Skipped {
+            self.skips.total += 1;
+            self.skips.per_tthread[tthread.index()] += 1;
+        }
+        self.obs_join(tthread, outcome);
+        Ok(outcome)
+    }
+
+    /// [`Runtime::join`] for every state but a plain skip: the status
+    /// machine under the state lock. A skip found here is counted by the
+    /// caller with the lock-free ones.
+    fn join_locked(&self, tthread: TthreadId) -> Result<JoinOutcome> {
+        let mut state = self.inner.state.lock();
+        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let mut waited = false;
+        loop {
+            failure(&state, tthread)?;
+            let status = slot.status();
+            match status {
+                TthreadStatus::Clean => {
+                    // Consume the completed-since-join bit atomically with
+                    // the Clean check; a concurrent trigger moving the
+                    // state first just sends us around the loop.
+                    let Some(overlapped) = slot.take_completed_if_clean() else {
+                        continue;
+                    };
+                    let outcome = if waited {
+                        state.stats.waited_joins += 1;
+                        JoinOutcome::Waited
+                    } else if overlapped {
+                        JoinOutcome::Overlapped
+                    } else {
+                        return Ok(JoinOutcome::Skipped);
+                    };
+                    state.stats.joins += 1;
+                    return Ok(outcome);
+                }
+                // Only the detached (worker) executor can enforce the body
+                // deadline — an inline run writes straight to live memory,
+                // so there is no write log to discard on overrun. With a
+                // deadline configured and workers running, never steal a
+                // queued execution: wait for a worker to run it under the
+                // deadline. The park validates the slot word, which the
+                // worker's claim bumps. A drained runtime has no worker
+                // left to wait for, so it steals like the deferred executor.
+                TthreadStatus::Queued
+                    if self.inner.cfg.body_deadline.is_some() && !self.inner.deferred() =>
+                {
+                    waited = true;
+                    state = self.park_until_moved(tthread, state);
+                }
+                // Run it here. A Queued steal's claim bumps the token, which
+                // invalidates the queue entry in place, so no queue scan is
+                // needed — the worker that eventually pops it skips it as
+                // stale. The claim coalesces duplicate triggers into this
+                // one inline run, so the rerun flag clears.
+                TthreadStatus::Triggered | TthreadStatus::Queued => {
+                    if !self.run_here(&mut state, tthread, status) {
+                        continue;
+                    }
+                    state.stats.joins += 1;
+                    return Ok(if status == TthreadStatus::Triggered {
+                        JoinOutcome::RanInline
+                    } else {
+                        JoinOutcome::Stolen
+                    });
+                }
+                TthreadStatus::Running => {
+                    waited = true;
+                    state = self.park_until_moved(tthread, state);
+                }
+            }
+        }
+    }
+
+    /// Claims `tthread` out of `from` into Running and runs it on the
+    /// calling thread, then clears its completion report: the inline tail
+    /// of join and force. `false` if the claim lost to a concurrent
+    /// transition.
+    fn run_here(&self, state: &mut State<U>, tthread: TthreadId, from: TthreadStatus) -> bool {
+        let slot = self.inner.dispatch.slots.get(tthread.index());
+        if !slot.try_claim_from(from, true) {
+            return false;
+        }
+        Ctx::new(state, &self.inner, 0).run_inline(tthread);
+        slot.clear_completed();
+        true
+    }
+
+    /// Waits for `tthread`'s status word to move: releases the state lock
+    /// entirely and parks on the completion eventcount, keyed to the word.
+    /// The token bumps on every state-changing transition, so the word is
+    /// a generation counter: if the execution finishes (or even finishes
+    /// and retriggers) between the read here and the sleep commit, the
+    /// word has moved and the park is skipped. Workers broadcast the
+    /// eventcount after every transition out of Running, and the timed
+    /// park rescues a dropped broadcast ([`crate::FaultPoint::JoinWake`])
+    /// within one park period. The caller thus never blocks while holding
+    /// the state lock; it gets the lock back on return.
+    ///
+    /// A silent timeout is a rescue only if the tthread has left Running:
+    /// a retrigger of a running body or a worker's claim of a queued one
+    /// moves the word with no broadcast, and the joiner sleeps on through
+    /// both by design.
+    fn park_until_moved<'a>(
+        &'a self,
+        tthread: TthreadId,
+        state: MutexGuard<'a, State<U>>,
+    ) -> MutexGuard<'a, State<U>> {
+        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let observed = slot.word();
+        drop(state);
+        let (outcome, silent) = self
+            .inner
+            .dispatch
+            .completions
+            .park_reporting(|| slot.word() != observed, PARK_TIMEOUT);
+        if outcome == ParkOutcome::TimedOut {
+            let key = tthread.index();
+            self.inner.counters.add(key, Tally::ParkTimeouts, 1);
+            if silent && slot.word() != observed && slot.status() != TthreadStatus::Running {
+                self.inner.counters.add(key, Tally::ParkRescues, 1);
+            }
+        }
+        self.inner.state.lock()
+    }
+
+    /// Records a join outcome into the status-machine ring.
+    fn obs_join(&self, tthread: TthreadId, outcome: JoinOutcome) {
+        let (kind, payload) = match outcome {
+            JoinOutcome::Skipped => (EventKind::Skip, 0),
+            JoinOutcome::Overlapped => (EventKind::Join, 1),
+            JoinOutcome::RanInline => (EventKind::Join, 2),
+            JoinOutcome::Stolen => (EventKind::Join, 3),
+            JoinOutcome::Waited => (EventKind::Join, 4),
+        };
+        self.inner.obs.event(kind, tthread, payload);
+    }
+
+    /// Joins every registered tthread, in id order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error (none are expected for ids issued by this
+    /// runtime).
+    pub fn join_all(&mut self) -> Result<Vec<(TthreadId, JoinOutcome)>> {
+        (0..self.registered)
+            .map(|i| {
+                let id = TthreadId::new(i as u32);
+                self.join(id).map(|o| (id, o))
+            })
+            .collect()
+    }
+
+    /// Runs `tthread` on the calling thread right now, regardless of its
+    /// trigger state (waits first if a worker is mid-execution).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id,
+    /// [`Error::TthreadPoisoned`] after a panicked execution and
+    /// [`Error::TthreadTimedOut`] after a deadline-flagged one.
+    pub fn force(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
+        let mut state = self.inner.state.lock();
+        let slot = self.inner.dispatch.slots.get(tthread.index());
+        loop {
+            // Re-checked after every park, as in `join`: the execution
+            // waited on may itself have panicked or overrun its deadline.
+            failure(&state, tthread)?;
+            match slot.status() {
+                TthreadStatus::Running => state = self.park_until_moved(tthread, state),
+                // Claim whatever state the tthread is in; a stale queue
+                // entry (if any) dies with the token bump.
+                status => {
+                    if self.run_here(&mut state, tthread, status) {
+                        return Ok(());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Raises a trigger for `tthread` as if a watched value had changed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id.
+    pub fn mark_dirty(&mut self, tthread: TthreadId) -> Result<()> {
+        self.check(tthread)?;
+        let mut state = self.inner.state.lock();
+        Ctx::new(&mut state, &self.inner, 0).raise(tthread);
+        Ok(())
+    }
+
+    /// Current status of `tthread` in the thread status table: one atomic
+    /// load, no lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id.
+    pub fn status(&self, tthread: TthreadId) -> Result<TthreadStatus> {
+        self.check(tthread)?;
+        Ok(self.inner.dispatch.slots.get(tthread.index()).status())
+    }
+
+    /// Clears the poisoned flag set when a tthread body panicked, making
+    /// joins on it possible again. The tthread is left clean; call
+    /// [`Runtime::force`] afterwards if its outputs must be rebuilt.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id.
+    pub fn clear_poison(&mut self, tthread: TthreadId) -> Result<()> {
+        self.clear_failure(tthread, |entry| entry.poisoned = false)
+    }
+
+    /// Clears the timed-out flag set when a tthread body overran the
+    /// configured deadline, making joins on it possible again. The tthread
+    /// is left clean with its *pre-timeout* outputs (the overrunning
+    /// execution's write log was discarded); call [`Runtime::force`]
+    /// afterwards if its outputs must be rebuilt from current inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownTthread`] for a foreign id.
+    pub fn clear_timeout(&mut self, tthread: TthreadId) -> Result<()> {
+        self.clear_failure(tthread, |entry| entry.timed_out = false)
+    }
+
+    /// Clears one failure flag, then re-derives the slot's failure flag
+    /// (read by the skip fast path) from the TST entry, under the state
+    /// lock every failure is recorded under.
+    fn clear_failure(
+        &mut self,
+        tthread: TthreadId,
+        clear: impl FnOnce(&mut TstEntry),
+    ) -> Result<()> {
+        self.check(tthread)?;
+        let mut state = self.inner.state.lock();
+        let entry = state.tst.entry_mut(tthread);
+        clear(entry);
+        let failed = entry.poisoned || entry.timed_out;
+        self.inner
+            .dispatch
+            .slots
+            .get(tthread.index())
+            .set_failed(failed);
+        Ok(())
+    }
+}

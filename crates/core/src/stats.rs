@@ -39,12 +39,9 @@ pub struct Counters {
     pub executions: u64,
     /// Executions performed inline on the triggering/main thread.
     pub inline_executions: u64,
-    /// Executions performed by worker threads.
+    /// Executions performed by worker threads, each detached: off the
+    /// state lock, against a snapshot, committed afterwards.
     pub worker_executions: u64,
-    /// Worker executions that ran detached (off the state lock, against a
-    /// snapshot). Every worker execution does, so this always equals
-    /// [`Counters::worker_executions`].
-    pub detached_executions: u64,
     /// Stores replayed from detached write logs at commit time.
     pub commit_stores: u64,
     /// Replayed stores found silent at commit — another thread had already
@@ -156,7 +153,6 @@ macro_rules! for_each_counter {
             executions,
             inline_executions,
             worker_executions,
-            detached_executions,
             commit_stores,
             commit_conflicts,
             skips,
@@ -542,8 +538,8 @@ impl fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "executions            {:>12}  (inline {}, worker {}, detached {})",
-            c.executions, c.inline_executions, c.worker_executions, c.detached_executions
+            "executions            {:>12}  (inline {}, worker {})",
+            c.executions, c.inline_executions, c.worker_executions
         )?;
         writeln!(
             f,
@@ -759,22 +755,24 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 39);
+        assert_eq!(fields.len(), 38);
         assert_eq!(fields[0], ("tracked_stores", 1));
-        assert_eq!(fields[20], ("bytes_compared", 21));
-        assert_eq!(fields[26], ("queue_stale_skips", 27));
-        assert_eq!(fields[27], ("park_timeouts", 28));
-        assert_eq!(fields[28], ("filter_checks", 29));
-        assert_eq!(fields[29], ("filter_page_hits", 30));
-        assert_eq!(fields[30], ("filter_line_hits", 31));
-        assert_eq!(fields[31], ("cascades", 32));
-        assert_eq!(fields[32], ("cascade_enqueues", 33));
-        assert_eq!(fields[33], ("cascade_coalesced", 34));
-        assert_eq!(fields[34], ("cascade_cutoffs", 35));
-        assert_eq!(fields[35], ("wave_dedups", 36));
-        assert_eq!(fields[36], ("trigger_cycles_rejected", 37));
-        assert_eq!(fields[37], ("commit_backoff_waits", 38));
-        assert_eq!(fields[38], ("park_rescues", 39));
+        assert_eq!(fields[11], ("worker_executions", 12));
+        assert_eq!(fields[12], ("commit_stores", 13));
+        assert_eq!(fields[19], ("bytes_compared", 20));
+        assert_eq!(fields[25], ("queue_stale_skips", 26));
+        assert_eq!(fields[26], ("park_timeouts", 27));
+        assert_eq!(fields[27], ("filter_checks", 28));
+        assert_eq!(fields[28], ("filter_page_hits", 29));
+        assert_eq!(fields[29], ("filter_line_hits", 30));
+        assert_eq!(fields[30], ("cascades", 31));
+        assert_eq!(fields[31], ("cascade_enqueues", 32));
+        assert_eq!(fields[32], ("cascade_coalesced", 33));
+        assert_eq!(fields[33], ("cascade_cutoffs", 34));
+        assert_eq!(fields[34], ("wave_dedups", 35));
+        assert_eq!(fields[35], ("trigger_cycles_rejected", 36));
+        assert_eq!(fields[36], ("commit_backoff_waits", 37));
+        assert_eq!(fields[37], ("park_rescues", 38));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

@@ -8,7 +8,7 @@
 //!
 //! Since the dispatch path moved off the state lock, the *live* part of the
 //! TST entry — status, retrigger flag, completed-since-join flag, trigger
-//! count — is a packed atomic word in [`crate::dispatch::SlotTable`], CAS'd
+//! count — is a packed atomic word in the dispatch layer's slot table, CAS'd
 //! by raisers and claimers without the state lock. Because every transition
 //! bumps the word's token bits, the raw word doubles as a *generation
 //! counter*: a lock-free `join` that finds a tthread `Running` snapshots
@@ -16,7 +16,8 @@
 //! which is exactly "the run I observed ended or was re-raised". What
 //! remains here is the slow bookkeeping only ever touched under the state
 //! lock: poison/timeout fault state (mirrored into the slot's failure flag
-//! for the lock-free skip) and the execution/epoch/skip tallies.
+//! for the lock-free skip) and the execution/epoch tallies. Join skips are
+//! tallied by the [`crate::runtime::Runtime`] itself.
 
 use std::fmt;
 
@@ -75,8 +76,8 @@ impl fmt::Display for TthreadStatus {
 
 /// Per-tthread bookkeeping entry: the slow half of the TST, only read or
 /// written under the state lock. The live status machine (state, retrigger,
-/// completed-since-join, trigger count) lives in the lock-free
-/// [`crate::dispatch::SlotTable`].
+/// completed-since-join, trigger count) lives in the lock-free dispatch
+/// slot table.
 #[derive(Debug, Clone, Default)]
 pub struct TstEntry {
     /// Set when the tthread's body panicked: its outputs are suspect and
@@ -94,10 +95,6 @@ pub struct TstEntry {
     /// all). Detached executions bump it at commit, when their effects
     /// become visible.
     pub epoch: u64,
-    /// Joins that skipped because the tthread was clean, on the locked
-    /// join path. Skips on the lock-free path are counted by the
-    /// `Runtime` and added in [`crate::runtime::Runtime::report`].
-    pub skips: u64,
 }
 
 /// The thread status table: one [`TstEntry`] per registered tthread.

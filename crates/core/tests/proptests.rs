@@ -201,7 +201,6 @@ proptest! {
         let c = snap.counters();
         prop_assert_eq!(c.executions, c.inline_executions + c.worker_executions);
         prop_assert_eq!(c.tracked_stores, c.silent_stores + c.changing_stores);
-        prop_assert_eq!(c.detached_executions, c.worker_executions);
         let per_tthread: u64 = rt.report().tthreads.iter().map(|t| t.executions).sum();
         prop_assert_eq!(per_tthread, c.executions);
         // Dispatch-path conservation: with workers, every fired trigger is

@@ -232,7 +232,7 @@ fn through_detached_body(ops: &[Op]) -> Observed {
     let c = rt.stats();
     assert_eq!(
         (
-            c.counters().detached_executions,
+            c.counters().worker_executions,
             c.counters().inline_executions
         ),
         (1, 0),

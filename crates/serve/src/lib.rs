@@ -25,7 +25,7 @@
 //!   permits) plus a bounded engine mailbox; past either limit the
 //!   client gets an explicit [`proto::Response::Shed`], never unbounded
 //!   buffering.
-//! * **Deadlines + bounded retry** ([`server`], [`engine`]): each
+//! * **Deadlines + bounded retry** ([`server`], `engine`): each
 //!   admitted request waits at most `deadline` for the engine; the
 //!   engine layers bounded repair retries with exponential backoff
 //!   ([`dtt_core::deadline::backoff_delay`]) on top of the runtime's

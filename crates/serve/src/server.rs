@@ -5,7 +5,7 @@
 //!
 //! Connections are **not** threads. The accept thread blocks in `accept`
 //! and hands each socket to one of a small, fixed pool of *event workers*
-//! (round-robin); a worker owns a set of [`crate::conn::Conn`] state
+//! (round-robin); a worker owns a set of `conn::Conn` state
 //! machines and sweeps them with non-blocking reads and writes. OS thread
 //! count is `event_workers + 2` (accept + engine) regardless of whether 4
 //! or 10 000 clients are connected — the PR-9 thread-per-connection path
@@ -43,7 +43,7 @@
 //! `accepts == responses + sheds + dropped_conns` asserted by the
 //! contract tests, the chaos harness and the bench bin. A request parked
 //! mid-lifecycle when its connection dies (or its handler panics) is
-//! settled by [`crate::conn::Conn::abort`], so the identity holds at
+//! settled by `conn::Conn::abort`, so the identity holds at
 //! every quiescent point, not just on sunny days.
 
 use std::io;

@@ -277,7 +277,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Strategy for `Vec`s with a length drawn from a range; see [`vec`].
+    /// Strategy for `Vec`s with a length drawn from a range; see [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
