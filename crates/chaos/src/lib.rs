@@ -7,6 +7,11 @@
 //! * **value conservation** — after joins (with poison/timeout repair),
 //!   every tthread's cached sum equals the sum recomputed directly from
 //!   tracked memory: executions are exactly-once with respect to the data;
+//! * **changed-set coverage** — a `mirror` tthread that copies only the
+//!   ranges its `ctx.triggers()` names equals the cells at quiesce, with
+//!   no `mark_dirty` or `force` to help it: every changing store reached a
+//!   run of it, and a run that panicked or overran gave its ranges back as
+//!   `All`;
 //! * **counter conservation** — the runtime's counters balance (stores
 //!   split into silent + changing, executions into inline + worker, no
 //!   timeout counts without a deadline);
@@ -38,7 +43,7 @@ use std::thread;
 use std::time::Duration;
 
 use dtt_core::fault::{FaultPlan, FaultPoint, ALWAYS};
-use dtt_core::{Config, Error, Runtime, StatsSnapshot};
+use dtt_core::{Config, Ctx, Error, Runtime, StatsSnapshot, Triggers};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -355,6 +360,31 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
         slices.push(cells);
         ids.push(id);
     }
+    // The mirror copies only what its triggers say changed, so a range
+    // the changed set lost would leave it stale for good.
+    let mirror = rt
+        .alloc_array::<u64>(cfg.tthreads * SLICE)
+        .map_err(|e| format!("alloc failed: {e}"))?;
+    let watched = slices.clone();
+    let mirror_id = rt.register("mirror", move |ctx| {
+        let copy = |ctx: &mut Ctx<'_, Vec<u64>>, g: usize, i: usize| {
+            let v = ctx.read(watched[g], i);
+            ctx.write(mirror, g * SLICE + i, v);
+        };
+        for (g, &cells) in watched.iter().enumerate() {
+            match ctx.triggers() {
+                Triggers::All => (0..SLICE).for_each(|i| copy(ctx, g, i)),
+                Triggers::Ranges(changed) => changed
+                    .iter()
+                    .flat_map(|range| cells.index_span(range))
+                    .for_each(|i| copy(ctx, g, i)),
+            }
+        }
+    });
+    for cells in &slices {
+        rt.watch(mirror_id, cells.range())
+            .map_err(|e| format!("watch failed: {e}"))?;
+    }
     let total_slot = cfg.tthreads;
     let total_n = cfg.tthreads;
     let total_id = rt.register("total", move |ctx| {
@@ -392,11 +422,38 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
         }
     }
 
-    // Quiesce: every sum tthread joined (repairing injected
-    // poison/timeouts), then the cascade-stage total. The explicit
-    // mark-dirty is the documented convergence path when an armed
-    // [`FaultPoint::CascadeDrop`] swallowed the raise that would have
-    // made the final join run it.
+    // Quiesce the mirror first, with neither `mark_dirty` nor `force`
+    // (both hand it `All`): each round makes one final changing store
+    // (values are below 4, so `^ 4` always changes) and joins. A failure
+    // is cleared and answered with another round, so only the rule that a
+    // discarded run's ranges come back as `All` can heal it.
+    let last = slices[0];
+    for round in 0.. {
+        if round == MAX_REPAIRS {
+            return Err(format!("mirror unrepairable after {MAX_REPAIRS} attempts"));
+        }
+        rt.with(|ctx| {
+            let v = ctx.read(last, 0);
+            ctx.write(last, 0, v ^ 4);
+        });
+        match rt.join(mirror_id) {
+            Ok(_) => break,
+            Err(Error::TthreadPoisoned(_)) => {
+                poison_repairs += 1;
+                rt.clear_poison(mirror_id).map_err(|e| e.to_string())?;
+            }
+            Err(Error::TthreadTimedOut(_)) => {
+                timeout_repairs += 1;
+                rt.clear_timeout(mirror_id).map_err(|e| e.to_string())?;
+            }
+            Err(e) => return Err(format!("join(mirror) failed: {e}")),
+        }
+    }
+    // Then every sum tthread joined (repairing injected poison/timeouts),
+    // then the cascade-stage total. The explicit mark-dirty is the
+    // documented convergence path when an armed
+    // [`FaultPoint::CascadeDrop`] swallowed the raise that would have made
+    // the final join run it.
     for &id in &ids {
         repair_join(&mut rt, id, &mut poison_repairs, &mut timeout_repairs)?;
     }
@@ -436,6 +493,18 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
                 "cascade value conservation violated: cached total {actual} != tracked total {expected}"
             ));
         }
+    }
+
+    // Invariant: changed-set coverage.
+    let (cells, mirrored) = rt.with(|ctx| {
+        let cells: Vec<u64> = slices.iter().flat_map(|&c| ctx.read_all(c)).collect();
+        (cells, ctx.read_all(mirror))
+    });
+    if let Some(i) = (0..cells.len()).find(|&i| cells[i] != mirrored[i]) {
+        return Err(format!(
+            "changed-set coverage violated: mirror[{i}] = {} but the cell holds {}",
+            mirrored[i], cells[i]
+        ));
     }
 
     let injections = rt.fault_injections();

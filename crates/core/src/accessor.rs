@@ -34,6 +34,7 @@
 //! every changing store to a watched range raises its hits before `set`
 //! returns.
 
+use crate::addr::AddrRange;
 use crate::handle::{Tracked, TrackedArray};
 use crate::obs::EventKind;
 use crate::pod::Pod;
@@ -130,21 +131,24 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
             .read()
             .lookup_with(cell.range(), &mut self.scratch);
         if !self.scratch.hits().is_empty() {
-            self.raise_hits(cell.addr().raw());
+            self.raise_hits(cell.range());
         }
     }
 
     /// Raise this store's trigger hits entirely through the lock-free
-    /// status machine and sharded counters. Only an overflow ticket
+    /// status machine and sharded counters, each after pushing the store's
+    /// range into the tthread's changed set. Only an overflow ticket
     /// (pending queue full, or an injected enqueue fault) drops to the
     /// state lock, where the tthread runs inline.
-    fn raise_hits(&mut self, store_addr: u64) {
+    fn raise_hits(&mut self, store_range: AddrRange) {
         let inner = self.inner;
+        let store_addr = store_range.start().raw();
         let key = CounterBank::addr_key(store_addr);
         inner.counters.add(key, Tally::TriggeringStores, 1);
         let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
         for hit in self.scratch.hits() {
             let key = hit.tthread.index();
+            inner.dispatch.slots.get(key).changed.push(store_range);
             inner.counters.add(key, Tally::TriggersFired, 1);
             if !hit.precise {
                 inner.counters.add(key, Tally::FalseTriggers, 1);

@@ -34,6 +34,8 @@ use std::cell::OnceCell;
 
 use parking_lot::MutexGuard;
 
+use crate::addr::AddrRange;
+use crate::changed::Triggers;
 use crate::handle::{Tracked, TrackedArray};
 use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
@@ -46,7 +48,7 @@ use crate::tthread::TthreadId;
 /// One store recorded by a detached execution, replayed at commit.
 pub(crate) struct LoggedStore {
     /// Byte range the store covers.
-    pub(crate) range: crate::addr::AddrRange,
+    pub(crate) range: AddrRange,
     /// The bytes written.
     pub(crate) data: Vec<u8>,
     /// Whether the store consults the trigger table at commit
@@ -96,6 +98,9 @@ pub struct Ctx<'a, U> {
     /// How many of those actually changed memory. A cascade-raised body
     /// with `body_dispatched > 0 && body_changed == 0` stops the wave.
     pub(crate) body_changed: u64,
+    /// The changed set this body run took ([`Ctx::triggers`]); `All`
+    /// outside a body.
+    pub(crate) triggers: Triggers,
 }
 
 impl<'a, U: Send + 'static> Ctx<'a, U> {
@@ -119,11 +124,18 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             cur,
             body_dispatched: 0,
             body_changed: 0,
+            triggers: Triggers::All,
         }
     }
 
-    /// Creates a detached context over a snapshot of tracked memory.
-    pub(crate) fn detached(snap: TrackedHeap, inner: &'a Inner<U>, depth: u32) -> Self {
+    /// Creates a detached context over a snapshot of tracked memory, for a
+    /// body run that took `triggers`.
+    pub(crate) fn detached(
+        snap: TrackedHeap,
+        inner: &'a Inner<U>,
+        depth: u32,
+        triggers: Triggers,
+    ) -> Self {
         Ctx {
             mode: CtxMode::Detached(Box::new(DetachedView {
                 snap,
@@ -136,6 +148,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             cur: None,
             body_dispatched: 0,
             body_changed: 0,
+            triggers,
         }
     }
 
@@ -203,6 +216,49 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 &mut view.guard.get_mut().expect("guard initialized above").user
             }
         }
+    }
+
+    /// What changed since this body run started: the byte ranges of the
+    /// changing stores that triggered it, coalesced, or [`Triggers::All`]
+    /// when the runtime cannot say (see [`Triggers`] for when). A body can
+    /// recompute only the elements those ranges touch
+    /// ([`TrackedArray::index_span`]) and keep the rest of its output. A
+    /// main-thread [`crate::runtime::Runtime::with`] region sees `All`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dtt_core::{Config, Runtime, Triggers};
+    ///
+    /// let mut rt = Runtime::new(Config::default(), ());
+    /// let xs = rt.alloc_array::<i64>(1024).unwrap();
+    /// let doubled = rt.alloc_array::<i64>(1024).unwrap();
+    /// let double = rt.register("double", move |ctx| {
+    ///     let mut one = |ctx: &mut dtt_core::Ctx<'_, ()>, i| {
+    ///         let x = ctx.read(xs, i);
+    ///         ctx.write(doubled, i, 2 * x);
+    ///     };
+    ///     match ctx.triggers() {
+    ///         Triggers::All => (0..xs.len()).for_each(|i| one(ctx, i)),
+    ///         Triggers::Ranges(changed) => {
+    ///             for range in changed.iter() {
+    ///                 xs.index_span(range).for_each(|i| one(ctx, i));
+    ///             }
+    ///         }
+    ///     }
+    /// });
+    /// rt.watch(double, xs.range()).unwrap();
+    /// rt.force(double).unwrap(); // a forced run sees `All`
+    ///
+    /// rt.reset_stats();
+    /// rt.with(|ctx| ctx.write(xs, 700, 21));
+    /// rt.join(double).unwrap();
+    /// // One element changed, so the run read one element, not 1024.
+    /// assert_eq!(rt.stats().counters().tracked_loads, 1);
+    /// assert_eq!(rt.with(|ctx| ctx.read(doubled, 700)), 42);
+    /// ```
+    pub fn triggers(&self) -> Triggers {
+        self.triggers
     }
 
     /// Loads a tracked scalar.
@@ -291,7 +347,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// The rest of a locked [`Ctx::set`] whose store changed memory (or ran
     /// with change detection off): count it and consult the trigger table.
     #[inline(never)]
-    fn set_changed(&mut self, range: crate::addr::AddrRange) {
+    fn set_changed(&mut self, range: AddrRange) {
         self.locked().stats.changing_stores += 1;
         if self.in_body() {
             self.body_dispatched += 1;
@@ -513,7 +569,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// Route every store through the trigger table and raise matched
     /// tthreads. Only ever runs locked (the commit path calls this for
     /// replayed detached stores).
-    pub(crate) fn dispatch(&mut self, store_range: crate::addr::AddrRange) {
+    pub(crate) fn dispatch(&mut self, store_range: AddrRange) {
         // Watched-address filter: most changing stores touch pages no watch
         // covers; proving that from one page-bit load (or a line-bit load
         // on a watched page) skips the trigger-table read lock and the
@@ -546,21 +602,27 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             .triggers
             .read()
             .lookup_with(store_range, &mut scratch);
-        self.raise_hits(&scratch.hits, store_range.start().raw());
+        self.raise_hits(&scratch.hits, store_range);
         self.locked().scratch.push(scratch);
     }
 
-    /// Raise the matched tthreads of one triggering store (whose start
-    /// address is `store_addr`, recorded with each fired trigger). Runs
-    /// locked.
-    pub(crate) fn raise_hits(&mut self, hits: &[TriggerHit], store_addr: u64) {
+    /// Raise the matched tthreads of one triggering store over
+    /// `store_range` (its start address is recorded with each fired
+    /// trigger). Runs locked.
+    pub(crate) fn raise_hits(&mut self, hits: &[TriggerHit], store_range: AddrRange) {
         if hits.is_empty() {
             return;
         }
         let depth = self.depth;
         let cur = self.cur;
+        let store_addr = store_range.start().raw();
         self.locked().stats.triggering_stores += 1;
         for hit in hits {
+            // Push before any exit and before the status-word RMW, so a
+            // deduped or dropped raise still leaves its range for the next
+            // run (the protocol in `crate::changed`).
+            let slot = self.inner.dispatch.slots.get(hit.tthread.index());
+            slot.changed.push(store_range);
             // One wave unit of the incremental graph: a store made *by* a
             // tthread (inline body or commit replay) raising a *different*
             // tthread. Self-retriggers stay plain triggers.
@@ -584,11 +646,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                     // lock the bytes of this epoch's stores are already
                     // live, so the rerun reads fresh data.)
                     state.stats.wave_dedups += 1;
-                    self.inner
-                        .dispatch
-                        .slots
-                        .get(hit.tthread.index())
-                        .set_rf_if_running();
+                    slot.set_rf_if_running();
                     continue;
                 }
                 wave = state.graph.wave_depth(writer) + 1;

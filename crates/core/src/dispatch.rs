@@ -85,6 +85,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::changed::ChangedSet;
 use crate::eventcount::Waiters;
 use crate::tthread::TthreadStatus;
 
@@ -153,16 +154,23 @@ pub(crate) enum RaiseStep {
 }
 
 /// One tthread's live dispatch state: the packed status word, the
-/// per-tthread trigger tally (bumped lock-free on every raise), and the
+/// per-tthread trigger tally (bumped lock-free on every raise), the
 /// failure flag the skip rule reads beside the word (set while the tthread
-/// is poisoned or timed out).
+/// is poisoned or timed out), and the changed set its raises push into
+/// (see [`crate::changed`]), all on one cache line.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct Slot {
     word: AtomicU64,
     pub(crate) triggers: AtomicU64,
     failed: AtomicBool,
+    pub(crate) changed: ChangedSet,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Slot>() == 64,
+    "a slot is one cache line"
+);
 
 impl Slot {
     #[inline]

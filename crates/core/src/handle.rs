@@ -174,6 +174,33 @@ impl<T: Pod> TrackedArray<T> {
             ((to - from) * T::SIZE) as u64,
         )
     }
+
+    /// The indices of the elements that share at least one byte with
+    /// `range`: where a changed range ([`crate::ctx::Ctx::triggers`])
+    /// lands in this array. Empty if the range misses the array.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dtt_core::{Addr, AddrRange, Config, Runtime};
+    /// let mut rt = Runtime::new(Config::default(), ());
+    /// let xs = rt.alloc_array::<u32>(8).unwrap();
+    /// let base = xs.addr().raw();
+    /// // Bytes 6..9 of the array touch elements 1 and 2.
+    /// assert_eq!(xs.index_span(AddrRange::new(Addr::new(base + 6), 3)), 1..3);
+    /// assert!(xs.index_span(AddrRange::new(Addr::new(base + 32), 4)).is_empty());
+    /// ```
+    #[inline]
+    pub fn index_span(&self, range: AddrRange) -> std::ops::Range<usize> {
+        let base = self.addr.raw();
+        let lo = range.start().raw().max(base);
+        let hi = range.end().raw().min(self.range().end().raw());
+        if lo >= hi {
+            return 0..0;
+        }
+        let size = T::SIZE as u64;
+        ((lo - base) / size) as usize..(hi - base).div_ceil(size) as usize
+    }
 }
 
 impl<T> Clone for TrackedArray<T> {
@@ -346,6 +373,17 @@ mod tests {
         assert_eq!(r.len(), 24);
         assert_eq!(a.range_of(0, 8), a.range());
         assert!(a.range_of(3, 3).is_empty());
+    }
+
+    #[test]
+    fn index_span_maps_partial_overlaps_outward() {
+        let xs: TrackedArray<u64> = TrackedArray::new(Addr::new(64), 4);
+        let r = |start, len| AddrRange::new(Addr::new(start), len);
+        assert_eq!(xs.index_span(r(0, 1000)), 0..4);
+        assert_eq!(xs.index_span(r(71, 2)), 0..2);
+        assert_eq!(xs.index_span(r(88, 8)), 3..4);
+        assert_eq!(xs.index_span(r(96, 8)), 0..0);
+        assert_eq!(xs.index_span(r(0, 64)), 0..0);
     }
 
     #[test]

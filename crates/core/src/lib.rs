@@ -93,6 +93,7 @@
 //! | [`trigger`] | the store-address → tthread trigger table |
 //! | [`tthread`] | tthread ids and the thread status table |
 //! | `dispatch` | the lock-free status word and the bounded pending FIFO |
+//! | [`changed`] | the per-tthread changed set a body reads as [`Triggers`] |
 //! | [`eventcount`] | the one park/wake primitive: workers, joiners, the shutdown join and `dtt-serve`'s event workers wait on it |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
@@ -108,6 +109,7 @@
 
 pub mod accessor;
 pub mod addr;
+pub mod changed;
 pub mod config;
 pub mod ctx;
 pub mod deadline;
@@ -135,6 +137,7 @@ pub use dispatch::PARK_TIMEOUT;
 
 pub use accessor::Accessor;
 pub use addr::{Addr, AddrRange, Granularity};
+pub use changed::{ChangedRanges, Triggers};
 pub use config::Config;
 pub use ctx::Ctx;
 pub use error::{Error, Result};

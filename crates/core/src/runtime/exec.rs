@@ -114,6 +114,9 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
     let mut held = None;
     loop {
         debug_assert_eq!(slot.status(), TthreadStatus::Running);
+        // Take the changed set after the claim (or RF absorb) and before
+        // the snapshot: every range it holds is in the snapshot.
+        let triggers = slot.changed.take();
         // With the guard held the snapshot is serialized with raising.
         // Without it (first iteration) it is still no older than the
         // trigger that queued `id`: the claim CAS synchronized with the
@@ -133,7 +136,7 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
         let deadline = BodyDeadline::starting(inner.cfg.body_deadline, Instant::now());
         // The body runs entirely off the state lock, against the snapshot;
         // main-thread `with`/`join` calls proceed concurrently.
-        let mut ctx = Ctx::detached(snap, inner, 1);
+        let mut ctx = Ctx::detached(snap, inner, 1, triggers);
         let outcome = run_body(inner, id, || {
             if inner.fault.fire(FaultPoint::BodyStart) {
                 // Injected body failure: behave exactly like a panicking
@@ -178,10 +181,12 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
         if let Some(elapsed) = overran {
             // Deadline overrun: discard the write log — a timed-out body
             // never commits — and flag the tthread; the next join reports
-            // `TthreadTimedOut`.
+            // `TthreadTimedOut`. The taken set went with the log, so the
+            // next run recomputes everything.
             state.stats.body_timeouts += 1;
             state.tst.entry_mut(id).timed_out = true;
             state.graph.clear_depth(id);
+            slot.changed.set_all();
             slot.force_clean();
             let elapsed = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
             inner.obs.event(EventKind::BodyTimeout, id, elapsed);
@@ -311,11 +316,14 @@ fn close_wave<U>(
 }
 
 /// Marks `id` poisoned after a panicking execution, leaving the runtime
-/// usable for every other tthread.
+/// usable for every other tthread. The run's taken changed set is lost
+/// with it, so the next run recomputes everything.
 fn poison<U>(state: &mut State<U>, inner: &Inner<U>, id: TthreadId) {
     state.tst.entry_mut(id).poisoned = true;
     state.graph.clear_depth(id);
-    inner.dispatch.slots.get(id.index()).force_clean();
+    let slot = inner.dispatch.slots.get(id.index());
+    slot.changed.set_all();
+    slot.force_clean();
 }
 
 impl<U: Send + 'static> Ctx<'_, U> {
@@ -345,12 +353,15 @@ impl<U: Send + 'static> Ctx<'_, U> {
         let slot = inner.dispatch.slots.get(id.index());
         loop {
             debug_assert_eq!(slot.status(), TthreadStatus::Running);
+            // After the claim (or RF absorb), before the body's first read.
+            let triggers = slot.changed.take();
             let state = self.locked();
             let outcome = run_body(inner, id, || {
                 // One body execution = one wave epoch: its stores raise
                 // each downstream tthread at most once.
                 state.graph.begin_wave();
                 let mut nested = Ctx::new_for(state, inner, next_depth, Some(id));
+                nested.triggers = triggers;
                 func(&mut nested);
                 (nested.body_dispatched, nested.body_changed)
             });

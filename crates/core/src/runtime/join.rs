@@ -232,7 +232,8 @@ impl<U: Send + 'static> Runtime<U> {
     }
 
     /// Runs `tthread` on the calling thread right now, regardless of its
-    /// trigger state (waits first if a worker is mid-execution).
+    /// trigger state (waits first if a worker is mid-execution). The run
+    /// sees [`crate::Triggers::All`].
     ///
     /// # Errors
     ///
@@ -250,8 +251,11 @@ impl<U: Send + 'static> Runtime<U> {
             match slot.status() {
                 TthreadStatus::Running => state = self.park_until_moved(tthread, state),
                 // Claim whatever state the tthread is in; a stale queue
-                // entry (if any) dies with the token bump.
+                // entry (if any) dies with the token bump. `all` is set
+                // before each claim attempt: a worker whose claim wins
+                // takes it, and the next attempt sets it again.
                 status => {
+                    slot.changed.set_all();
                     if self.run_here(&mut state, tthread, status) {
                         return Ok(());
                     }
@@ -261,6 +265,7 @@ impl<U: Send + 'static> Runtime<U> {
     }
 
     /// Raises a trigger for `tthread` as if a watched value had changed.
+    /// Its next run sees [`crate::Triggers::All`].
     ///
     /// # Errors
     ///
@@ -268,6 +273,12 @@ impl<U: Send + 'static> Runtime<U> {
     pub fn mark_dirty(&mut self, tthread: TthreadId) -> Result<()> {
         self.check(tthread)?;
         let mut state = self.inner.state.lock();
+        self.inner
+            .dispatch
+            .slots
+            .get(tthread.index())
+            .changed
+            .set_all();
         Ctx::new(&mut state, &self.inner, 0).raise(tthread);
         Ok(())
     }

@@ -422,7 +422,9 @@ impl<U: Send + 'static> Runtime<U> {
         state.graph.ensure(id.index());
         // Materialize the slot and the body now so every later access is
         // lock-free. The entry is set before any trigger can name `id`.
+        // Nothing ran yet, so the first run sees everything as changed.
         self.inner.dispatch.slots.ensure(id.index());
+        self.inner.dispatch.slots.get(id.index()).changed.set_all();
         self.inner.tthreads.ensure(id.index());
         let entry = TthreadEntry {
             name: name.to_owned(),

@@ -13,7 +13,7 @@
 //! maximum alone (a depth-2 cutoff at PEAK), and repeated samples are
 //! silent at the source.
 
-use dtt_core::{Config, Runtime};
+use dtt_core::{Config, Ctx, Runtime, TrackedArray, Triggers, TthreadId};
 use dtt_trace::{NoProbe, Probe, Trace, TraceBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +29,89 @@ const PEAK_BASE: u64 = 0x4000_0000;
 /// Valid sample range; stores outside it saturate at the clamp stage.
 const LO: i64 = 0;
 const HI: i64 = 99;
+
+/// The CLAMP → BUCKET → PEAK tthreads over one input array, shared by
+/// [`Pipeline`] and [`crate::ServedPipeline`].
+pub(crate) struct Stages {
+    /// CLAMP, BUCKET and PEAK, in topological order.
+    pub(crate) tthreads: [TthreadId; 3],
+    /// The one-element output of PEAK.
+    pub(crate) peak_cell: TrackedArray<i64>,
+}
+
+/// Allocates the stage outputs after `input` and registers the three
+/// stages with their watches and outputs, without running them.
+///
+/// CLAMP and BUCKET recompute only what their triggers say changed: CLAMP
+/// one element per changed sample, BUCKET the buckets those samples fall
+/// in. On [`Triggers::All`] they rerun in full, as the baseline does after
+/// every store.
+pub(crate) fn register_stages(
+    rt: &mut Runtime<()>,
+    input: TrackedArray<i64>,
+    buckets: usize,
+) -> Stages {
+    let (n, b) = (input.len(), buckets);
+    let clamped = rt.alloc_array::<i64>(n).expect("arena sized for workload");
+    let sums = rt.alloc_array::<i64>(b).expect("arena sized for workload");
+    let peak_cell = rt.alloc_array::<i64>(1).expect("arena sized for workload");
+
+    let clamp_tt = rt.register("clamp", move |ctx| {
+        let clamp = |ctx: &mut Ctx<'_, ()>, i| {
+            let raw = ctx.read(input, i);
+            ctx.write(clamped, i, raw.clamp(LO, HI));
+        };
+        match ctx.triggers() {
+            Triggers::All => (0..n).for_each(|i| clamp(ctx, i)),
+            Triggers::Ranges(changed) => changed
+                .iter()
+                .flat_map(|range| input.index_span(range))
+                .for_each(|i| clamp(ctx, i)),
+        }
+    });
+    rt.watch(clamp_tt, input.range()).expect("region in arena");
+    util::declare_output(rt, clamp_tt, clamped.range());
+
+    let bucket_tt = rt.register("bucket", move |ctx| match ctx.triggers() {
+        Triggers::All => {
+            let mut acc = vec![0i64; b];
+            for i in 0..n {
+                acc[i % b] += ctx.read(clamped, i);
+            }
+            for (j, &s) in acc.iter().enumerate() {
+                ctx.write(sums, j, s);
+            }
+        }
+        Triggers::Ranges(changed) => {
+            let mut dirty = vec![false; b];
+            for i in changed.iter().flat_map(|range| clamped.index_span(range)) {
+                dirty[i % b] = true;
+            }
+            for j in (0..b).filter(|&j| dirty[j]) {
+                let s = (j..n).step_by(b).map(|i| ctx.read(clamped, i)).sum();
+                ctx.write(sums, j, s);
+            }
+        }
+    });
+    rt.watch(bucket_tt, clamped.range())
+        .expect("region in arena");
+    util::declare_output(rt, bucket_tt, sums.range());
+
+    let peak_tt = rt.register("peak", move |ctx| {
+        let mut peak = i64::MIN;
+        for j in 0..b {
+            peak = peak.max(ctx.read(sums, j));
+        }
+        ctx.write(peak_cell, 0, peak);
+    });
+    rt.watch(peak_tt, sums.range()).expect("region in arena");
+    util::declare_output(rt, peak_tt, peak_cell.range());
+
+    Stages {
+        tthreads: [clamp_tt, bucket_tt, peak_tt],
+        peak_cell,
+    }
+}
 
 /// The pipeline workload instance: initial samples plus store schedule.
 #[derive(Debug, Clone)]
@@ -182,53 +265,21 @@ impl Workload for Pipeline {
     }
 
     fn run_dtt(&self, cfg: Config) -> DttRun {
-        let (n, b) = (self.samples, self.buckets);
-        let buckets = self.buckets;
         let mut rt = Runtime::new(cfg, ());
-        let input = rt.alloc_array::<i64>(n).expect("arena sized for workload");
-        let clamped = rt.alloc_array::<i64>(n).expect("arena sized for workload");
-        let sums = rt.alloc_array::<i64>(b).expect("arena sized for workload");
-        let peak_cell = rt.alloc_array::<i64>(1).expect("arena sized for workload");
-
+        let input = rt
+            .alloc_array::<i64>(self.samples)
+            .expect("arena sized for workload");
         rt.with(|ctx| {
             for (i, &v) in self.input0.iter().enumerate() {
                 ctx.write(input, i, v);
             }
         });
+        let Stages {
+            tthreads,
+            peak_cell,
+        } = register_stages(&mut rt, input, self.buckets);
 
-        let clamp_tt = rt.register("clamp", move |ctx| {
-            for i in 0..n {
-                let raw = ctx.read(input, i);
-                ctx.write(clamped, i, raw.clamp(LO, HI));
-            }
-        });
-        rt.watch(clamp_tt, input.range()).expect("region in arena");
-        util::declare_output(&mut rt, clamp_tt, clamped.range());
-
-        let bucket_tt = rt.register("bucket", move |ctx| {
-            let mut acc = vec![0i64; b];
-            for i in 0..n {
-                acc[i % buckets] += ctx.read(clamped, i);
-            }
-            for (j, &s) in acc.iter().enumerate() {
-                ctx.write(sums, j, s);
-            }
-        });
-        rt.watch(bucket_tt, clamped.range())
-            .expect("region in arena");
-        util::declare_output(&mut rt, bucket_tt, sums.range());
-
-        let peak_tt = rt.register("peak", move |ctx| {
-            let mut peak = i64::MIN;
-            for j in 0..b {
-                peak = peak.max(ctx.read(sums, j));
-            }
-            ctx.write(peak_cell, 0, peak);
-        });
-        rt.watch(peak_tt, sums.range()).expect("region in arena");
-        util::declare_output(&mut rt, peak_tt, peak_cell.range());
-
-        for tt in [clamp_tt, bucket_tt, peak_tt] {
+        for tt in tthreads {
             rt.mark_dirty(tt).expect("registered tthread");
             util::must_join(&mut rt, tt);
         }
@@ -236,9 +287,9 @@ impl Workload for Pipeline {
         let mut digest = Digest::new();
         for &(idx, v) in &self.stores {
             rt.with(|ctx| ctx.write(input, idx, v));
-            util::must_join(&mut rt, clamp_tt);
-            util::must_join(&mut rt, bucket_tt);
-            util::must_join(&mut rt, peak_tt);
+            for tt in tthreads {
+                util::must_join(&mut rt, tt);
+            }
             digest.push_u64(rt.with(|ctx| ctx.read(peak_cell, 0)) as u64);
         }
         util::dtt_run_report(&rt, digest.finish())

@@ -26,11 +26,8 @@
 
 use dtt_core::{Config, Runtime, TrackedArray, TrackedMatrix, TthreadId};
 
+use crate::pipeline::{register_stages, Stages};
 use crate::util;
-
-/// Valid sample range for [`ServedPipeline`]; mirrors the batch kernel.
-const LO: i64 = 0;
-const HI: i64 = 99;
 
 /// A read of the sheet's derived cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,70 +199,37 @@ pub struct PipelineView {
 }
 
 /// The long-lived pipeline view: tracked raw samples whose CLAMP →
-/// BUCKET → PEAK stages are maintained by cascading tthreads.
+/// BUCKET → PEAK stages are maintained by cascading tthreads (the batch
+/// [`crate::Pipeline`]'s stages, recomputing only what changed).
 pub struct ServedPipeline {
     rt: Runtime<()>,
     samples: usize,
     input: TrackedArray<i64>,
     peak_cell: TrackedArray<i64>,
-    clamp_tt: TthreadId,
-    bucket_tt: TthreadId,
-    peak_tt: TthreadId,
+    /// CLAMP, BUCKET and PEAK, in topological order.
+    tthreads: [TthreadId; 3],
 }
 
 impl ServedPipeline {
     /// Builds the view: allocates `samples` zeroed inputs, registers the
     /// CLAMP → BUCKET → PEAK chain and runs the initial recomputation.
     pub fn build(cfg: Config, samples: usize, buckets: usize) -> Self {
-        let (n, b) = (samples, buckets);
         let mut rt = Runtime::new(cfg, ());
-        let input = rt.alloc_array::<i64>(n).expect("arena sized for view");
-        let clamped = rt.alloc_array::<i64>(n).expect("arena sized for view");
-        let sums = rt.alloc_array::<i64>(b).expect("arena sized for view");
-        let peak_cell = rt.alloc_array::<i64>(1).expect("arena sized for view");
-
-        let clamp_tt = rt.register("clamp", move |ctx| {
-            for i in 0..n {
-                let raw = ctx.read(input, i);
-                ctx.write(clamped, i, raw.clamp(LO, HI));
-            }
-        });
-        rt.watch(clamp_tt, input.range()).expect("region in arena");
-        util::declare_output(&mut rt, clamp_tt, clamped.range());
-
-        let bucket_tt = rt.register("bucket", move |ctx| {
-            let mut acc = vec![0i64; b];
-            for i in 0..n {
-                acc[i % b] += ctx.read(clamped, i);
-            }
-            for (j, &s) in acc.iter().enumerate() {
-                ctx.write(sums, j, s);
-            }
-        });
-        rt.watch(bucket_tt, clamped.range())
-            .expect("region in arena");
-        util::declare_output(&mut rt, bucket_tt, sums.range());
-
-        let peak_tt = rt.register("peak", move |ctx| {
-            let mut peak = i64::MIN;
-            for j in 0..b {
-                peak = peak.max(ctx.read(sums, j));
-            }
-            ctx.write(peak_cell, 0, peak);
-        });
-        rt.watch(peak_tt, sums.range()).expect("region in arena");
-        util::declare_output(&mut rt, peak_tt, peak_cell.range());
-
+        let input = rt
+            .alloc_array::<i64>(samples)
+            .expect("arena sized for view");
+        let Stages {
+            tthreads,
+            peak_cell,
+        } = register_stages(&mut rt, input, buckets);
         let mut pipe = ServedPipeline {
             rt,
             samples,
             input,
             peak_cell,
-            clamp_tt,
-            bucket_tt,
-            peak_tt,
+            tthreads,
         };
-        for tt in [pipe.clamp_tt, pipe.bucket_tt, pipe.peak_tt] {
+        for tt in tthreads {
             pipe.rt.mark_dirty(tt).expect("registered tthread");
         }
         // Tolerate a wedged initial refresh (see [`ServedSheet::build`]).
@@ -292,7 +256,7 @@ impl ServedPipeline {
     /// Joins the chain in topological order; errors propagate for the
     /// caller to repair (see [`ServedSheet::refresh`]).
     pub fn refresh(&mut self) -> dtt_core::Result<()> {
-        for tt in [self.clamp_tt, self.bucket_tt, self.peak_tt] {
+        for tt in self.tthreads {
             self.rt.join(tt)?;
         }
         Ok(())

@@ -10,15 +10,23 @@
 //!
 //! * inputs are drawn from a seeded deterministic generator (seeded from the
 //!   test name), so runs are reproducible without a persistence file;
-//! * failing cases are **not shrunk** — the panic message carries the case
-//!   number and the test rerun reproduces it exactly;
+//! * shrinking is minimal and greedy: a failing input is replaced by the
+//!   first simpler candidate that still fails ([`Strategy::shrink`]: `Vec`s
+//!   are halved and lose single elements, integers bisect toward their
+//!   range's lower bound, `true` becomes `false`, tuples shrink one
+//!   component at a time), until no candidate fails. `prop_map`,
+//!   `prop_oneof!`, `Just` and `any::<T>()` values do not shrink. The
+//!   panic reports the smallest failing input and the case's seed;
+//!   [`TestRng::from_seed`] regenerates the original;
 //! * `prop_assert*` is plain `assert*` (no rejection bookkeeping).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Deterministic SplitMix64 generator driving all strategies.
 #[derive(Debug, Clone)]
@@ -37,6 +45,12 @@ impl TestRng {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         TestRng { state: h }
+    }
+
+    /// Recreates the generator a case started from, given the seed a
+    /// failure report printed.
+    pub fn from_seed(seed: u64) -> Self {
+        TestRng { state: seed }
     }
 
     /// Produces the next 64 random bits.
@@ -87,6 +101,13 @@ pub trait Strategy {
     /// Draws one value.
     fn generate(&self, rng: &mut TestRng) -> Self::Value;
 
+    /// Simpler values to try in place of a failing `value`, most
+    /// aggressive first; empty when it cannot shrink. Every candidate is
+    /// one this strategy could have generated.
+    fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+        Vec::new()
+    }
+
     /// Maps generated values through `f`.
     fn prop_map<O, F>(self, f: F) -> Map<Self, F>
     where
@@ -113,12 +134,18 @@ impl<S: Strategy + ?Sized> Strategy for Box<S> {
     fn generate(&self, rng: &mut TestRng) -> Self::Value {
         (**self).generate(rng)
     }
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        (**self).shrink(value)
+    }
 }
 
 impl<S: Strategy + ?Sized> Strategy for &S {
     type Value = S::Value;
     fn generate(&self, rng: &mut TestRng) -> Self::Value {
         (**self).generate(rng)
+    }
+    fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        (**self).shrink(value)
     }
 }
 
@@ -151,6 +178,18 @@ where
     }
 }
 
+/// Bisection toward `lo`: `v - d` for `d = v - lo, (v - lo) / 2, …, 1`,
+/// so the first candidate is `lo` itself and the last `v - 1`.
+fn bisect_toward(lo: i128, v: i128) -> Vec<i128> {
+    let mut out = Vec::new();
+    let mut d = v - lo;
+    while d > 0 {
+        out.push(v - d);
+        d /= 2;
+    }
+    out
+}
+
 macro_rules! int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -160,6 +199,12 @@ macro_rules! int_range_strategy {
                 let span = (self.end as i128 - self.start as i128) as u128;
                 let v = (rng.next_u64() as u128) % span;
                 (self.start as i128 + v as i128) as $t
+            }
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                bisect_toward(self.start as i128, *value as i128)
+                    .into_iter()
+                    .map(|v| v as $t)
+                    .collect()
             }
         }
         impl Strategy for RangeInclusive<$t> {
@@ -171,6 +216,12 @@ macro_rules! int_range_strategy {
                 let v = (rng.next_u64() as u128) % span;
                 (lo as i128 + v as i128) as $t
             }
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                bisect_toward(*self.start() as i128, *value as i128)
+                    .into_iter()
+                    .map(|v| v as $t)
+                    .collect()
+            }
         }
     )*};
 }
@@ -178,26 +229,41 @@ macro_rules! int_range_strategy {
 int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 macro_rules! tuple_strategy {
-    ($($name:ident),+) => {
-        impl<$($name: Strategy),+> Strategy for ($($name,)+) {
+    ($($name:ident $idx:tt),+) => {
+        impl<$($name: Strategy),+> Strategy for ($($name,)+)
+        where
+            $($name::Value: Clone,)+
+        {
             type Value = ($($name::Value,)+);
             #[allow(non_snake_case)]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($name,)+) = self;
                 ($($name.generate(rng),)+)
             }
+            /// One component at a time, in order, the others held.
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut out = Vec::new();
+                $(
+                    for candidate in self.$idx.shrink(&value.$idx) {
+                        let mut v = value.clone();
+                        v.$idx = candidate;
+                        out.push(v);
+                    }
+                )+
+                out
+            }
         }
     };
 }
 
-tuple_strategy!(A);
-tuple_strategy!(A, B);
-tuple_strategy!(A, B, C);
-tuple_strategy!(A, B, C, D);
-tuple_strategy!(A, B, C, D, E);
-tuple_strategy!(A, B, C, D, E, F);
-tuple_strategy!(A, B, C, D, E, F, G);
-tuple_strategy!(A, B, C, D, E, F, G, H);
+tuple_strategy!(A 0);
+tuple_strategy!(A 0, B 1);
+tuple_strategy!(A 0, B 1, C 2);
+tuple_strategy!(A 0, B 1, C 2, D 3);
+tuple_strategy!(A 0, B 1, C 2, D 3, E 4);
+tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5);
+tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5, G 6);
+tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
 
 /// Weighted union of type-erased strategies; built by [`prop_oneof!`].
 pub struct Union<T> {
@@ -289,12 +355,44 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    impl<S: Strategy> Strategy for VecStrategy<S> {
+    impl<S: Strategy> Strategy for VecStrategy<S>
+    where
+        S::Value: Clone,
+    {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.len.end - self.len.start).max(1) as u64;
             let n = self.len.start + rng.below(span) as usize;
             (0..n).map(|_| self.element.generate(rng)).collect()
+        }
+        /// The front and back halves (never below the minimum length),
+        /// then each single-element removal, then each element shrunk in
+        /// place.
+        fn shrink(&self, value: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
+            let (len, min) = (value.len(), self.len.start);
+            let mut out = Vec::new();
+            let half = (len / 2).max(min);
+            if half < len {
+                out.push(value[..half].to_vec());
+                if half > 0 {
+                    out.push(value[len - half..].to_vec());
+                }
+            }
+            if len > min && len > 1 {
+                for i in 0..len {
+                    let mut v = value.clone();
+                    v.remove(i);
+                    out.push(v);
+                }
+            }
+            for (i, element) in value.iter().enumerate() {
+                for candidate in self.element.shrink(element) {
+                    let mut v = value.clone();
+                    v[i] = candidate;
+                    out.push(v);
+                }
+            }
+            out
         }
     }
 }
@@ -315,6 +413,110 @@ pub mod bool {
         fn generate(&self, rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
         }
+        fn shrink(&self, value: &bool) -> Vec<bool> {
+            if *value {
+                vec![false]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+}
+
+/// Test runs one shrink may spend before it reports what it has.
+const MAX_SHRINK_RUNS: u32 = 4096;
+
+/// The smallest failing input a run of [`find_failure`] found.
+#[derive(Debug, Clone)]
+pub struct Failure<T> {
+    /// The failing case, counted from 1.
+    pub case: u32,
+    /// The generator state the case started from:
+    /// `strategy.generate(&mut TestRng::from_seed(seed))` regenerates the
+    /// original input.
+    pub seed: u64,
+    /// The smallest input that still fails.
+    pub minimal: T,
+    /// The panic message of `minimal`'s run.
+    pub message: String,
+    /// Shrink steps taken from the original input to `minimal`.
+    pub steps: u32,
+}
+
+/// Runs `test` once, returning its panic message if it panicked.
+fn failure_of<T>(test: &impl Fn(T), value: T) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(|| test(value))).err()?;
+    Some(match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("(non-string panic payload)".to_owned(), |s| (*s).to_owned()),
+    })
+}
+
+/// Runs `config.cases` cases of `test` over inputs drawn from `strategy`
+/// (the stream seeded from `name`). On the first failing case, shrinks
+/// its input greedily — the first candidate of [`Strategy::shrink`] that
+/// still fails replaces it — until no candidate fails, and returns it.
+pub fn find_failure<S>(
+    name: &str,
+    config: &ProptestConfig,
+    strategy: &S,
+    test: &impl Fn(S::Value),
+) -> Option<Failure<S::Value>>
+where
+    S: Strategy,
+    S::Value: Clone,
+{
+    let mut rng = TestRng::from_name(name);
+    for case in 1..=config.cases {
+        let seed = rng.state;
+        let value = strategy.generate(&mut rng);
+        let Some(mut message) = failure_of(test, value.clone()) else {
+            continue;
+        };
+        let (mut minimal, mut steps, mut runs) = (value, 0, 0);
+        'shrink: loop {
+            for candidate in strategy.shrink(&minimal) {
+                if runs == MAX_SHRINK_RUNS {
+                    break 'shrink;
+                }
+                runs += 1;
+                if let Some(m) = failure_of(test, candidate.clone()) {
+                    (minimal, message, steps) = (candidate, m, steps + 1);
+                    continue 'shrink;
+                }
+            }
+            break;
+        }
+        return Some(Failure {
+            case,
+            seed,
+            minimal,
+            message,
+            steps,
+        });
+    }
+    None
+}
+
+/// The body of every [`proptest!`] test: [`find_failure`], then a panic
+/// naming the smallest failing input and its case's seed.
+///
+/// # Panics
+///
+/// Panics if any case fails.
+pub fn run<S>(name: &str, config: &ProptestConfig, strategy: &S, test: impl Fn(S::Value))
+where
+    S: Strategy,
+    S::Value: Clone + Debug,
+{
+    if let Some(f) = find_failure(name, config, strategy, &test) {
+        panic!(
+            "proptest {name}: case {}/{} failed (seed {:#x}); minimal input after {} \
+             shrink steps: {:?}\n{}",
+            f.case, config.cases, f.seed, f.steps, f.minimal, f.message
+        );
     }
 }
 
@@ -378,23 +580,14 @@ macro_rules! __proptest_tests {
         $(#[$meta])*
         fn $name() {
             let config: $crate::ProptestConfig = $config;
-            let mut rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
-            for case in 0..config.cases {
-                let run = || {
-                    $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
-                    $body
-                };
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-                if let Err(payload) = outcome {
-                    eprintln!(
-                        "proptest case {}/{} of {} failed (deterministic seed; rerun reproduces it)",
-                        case + 1,
-                        config.cases,
-                        stringify!($name),
-                    );
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            $crate::run(
+                concat!(module_path!(), "::", stringify!($name)),
+                &config,
+                &($($strategy,)+),
+                |($($arg,)+)| {
+                    $body;
+                },
+            );
         }
     )*};
 }
@@ -429,6 +622,52 @@ mod tests {
             let v = s.generate(&mut rng);
             assert!((3..7).contains(&v.len()));
         }
+    }
+
+    #[test]
+    fn integers_bisect_toward_their_lower_bound() {
+        assert_eq!((3u32..100).shrink(&40), vec![3, 22, 31, 36, 38, 39]);
+        assert_eq!((-5i64..=5).shrink(&-5), Vec::<i64>::new());
+    }
+
+    /// A planted bug: the "checked" sum mishandles an element of 100 or
+    /// more, but only once the tolerance `k` reaches 7. Random cases find
+    /// it with long vectors and large values; shrinking must walk it down
+    /// to exactly `([100], 7)`, and the reported seed must replay the
+    /// original failing case.
+    #[test]
+    fn shrinking_reaches_the_minimal_planted_bug() {
+        let planted = |(xs, k): (Vec<u32>, u8)| {
+            let broken = xs.iter().any(|&x| x >= 100) && k >= 7;
+            assert!(!broken, "planted bug: {xs:?} with k = {k}");
+        };
+        let strategy = (prop::collection::vec(0u32..1_000, 0..40), 0u8..50);
+        let config = ProptestConfig::with_cases(64);
+        let failure = crate::find_failure("planted", &config, &strategy, &planted)
+            .expect("64 cases find the planted bug");
+        assert_eq!(failure.minimal, (vec![100], 7));
+        assert!(failure.steps > 0);
+        assert!(failure.message.contains("planted bug: [100] with k = 7"));
+        let original = strategy.generate(&mut crate::TestRng::from_seed(failure.seed));
+        let replayed = std::panic::catch_unwind(|| planted(original));
+        assert!(replayed.is_err(), "the seed regenerates a failing input");
+    }
+
+    #[test]
+    fn a_failing_property_panics_with_the_minimal_input_and_seed() {
+        let outcome = std::panic::catch_unwind(|| {
+            crate::run(
+                "report",
+                &ProptestConfig::with_cases(32),
+                &(0u64..1_000,),
+                |(x,)| assert!(x < 10),
+            )
+        });
+        let payload = outcome.expect_err("x < 10 fails on some case");
+        let text = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(text.contains("minimal input after"), "{text}");
+        assert!(text.contains("(10,)"), "{text}");
+        assert!(text.contains("seed 0x"), "{text}");
     }
 
     proptest! {
