@@ -518,10 +518,10 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
             c.tracked_stores, c.silent_stores, c.changing_stores
         ));
     }
-    if c.executions != c.inline_executions + c.worker_executions {
+    if c.executions != c.inline_executions + c.worker_executions + c.helped_executions {
         return Err(format!(
-            "counter conservation violated: executions {} != inline {} + worker {}",
-            c.executions, c.inline_executions, c.worker_executions
+            "counter conservation violated: executions {} != inline {} + worker {} + helped {}",
+            c.executions, c.inline_executions, c.worker_executions, c.helped_executions
         ));
     }
     if cfg.workers == 0 && c.park_timeouts != 0 {

@@ -1,7 +1,8 @@
-//! Running a tthread body: on a worker, detached against a snapshot and
-//! committed under the state lock afterwards, or inline on the calling
-//! thread under the lock. Both executors share the body timing, the
-//! early-cutoff wave close and the poison sequence below.
+//! Running a tthread body: detached against a snapshot and committed under
+//! the state lock afterwards (on a worker, or on a joiner that helps while
+//! it waits), or inline on the calling thread under the lock. Both
+//! executors share the body timing, the early-cutoff wave close and the
+//! poison sequence below.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -40,53 +41,81 @@ impl<U> Inner<U> {
     }
 }
 
-/// The worker: pops (id, token) pairs from the pending queue, claims via
-/// the status-word CAS, and only touches the state lock to commit. Idles
-/// on the dispatch eventcount with a timed park.
-pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
-    let dispatch = &inner.dispatch;
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+/// Who runs a queued execution: a pool worker, or a thread that would
+/// otherwise park in a join or force. The run is the same; only the
+/// execution counter it lands in differs.
+#[derive(Clone, Copy)]
+pub(super) enum Runner {
+    Worker,
+    Helper,
+}
+
+impl<U: Send + 'static> Inner<U> {
+    /// Runs one queued execution: pops an (id, token) pair from the
+    /// pending queue, claims it via the status-word CAS, runs it detached
+    /// and wakes the joiners. The one copy of "run a queued execution",
+    /// shared by the worker loop and a waiting joiner. Takes no lock but
+    /// the leaf pending mutex until the commit, which takes the state lock
+    /// as any detached run does; the caller must hold neither.
+    ///
+    /// `false` when the queue was empty or the entry was requeued: there
+    /// is nothing for the caller to run right now, and it may park.
+    pub(super) fn run_queued(&self, runner: Runner) -> bool {
+        let dispatch = &self.dispatch;
         let Some((raw, token)) = dispatch.pending.pop() else {
-            // The timed park doubles as the rescue path for a dropped
-            // wake (see `FaultPoint::WakeDrop`): even a lost notification
-            // only costs one park period, and is counted as a rescue.
-            let (outcome, silent) = dispatch.waiters.park_reporting(
-                || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
-                PARK_TIMEOUT,
-            );
-            if outcome != ParkOutcome::Skipped {
-                inner.counters.add(worker_idx, Tally::WorkerParks, 1);
-            }
-            if outcome == ParkOutcome::TimedOut {
-                inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
-                if silent && !dispatch.pending.is_empty() {
-                    inner.counters.add(worker_idx, Tally::ParkRescues, 1);
-                }
-            }
-            continue;
+            return false;
         };
         let id = TthreadId::new(raw);
-        if inner.fault.fire(FaultPoint::Dequeue) {
-            // Injected dequeue rejection, handled explicitly: requeue and
-            // retry if the queue takes it back, otherwise fall through and
-            // run the entry ourselves — dropping it would strand the
-            // tthread in Queued with no entry anywhere.
+        if self.fault.fire(FaultPoint::Dequeue) {
+            // Injected dequeue rejection, handled explicitly: requeue if
+            // the queue takes it back, otherwise fall through and run the
+            // entry ourselves — dropping it would strand the tthread in
+            // Queued with no entry anywhere.
             if dispatch.pending.push(raw, token) {
-                continue;
+                return false;
             }
         }
         let slot = dispatch.slots.get(id.index());
         if !slot.try_claim_queued(token) {
             // The entry went stale: a join or force claimed the tthread
             // (bumping the token) after this entry was queued.
-            inner.counters.add(id.index(), Tally::QueueStaleSkips, 1);
+            self.counters.add(id.index(), Tally::QueueStaleSkips, 1);
+            return true;
+        }
+        run_detached(self, id, &self.tthread(id).func, runner);
+        self.wake_joiners();
+        true
+    }
+}
+
+/// The worker: runs queued executions, and only touches the state lock to
+/// commit. Idles on the dispatch eventcount with a timed park.
+pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
+    let dispatch = &inner.dispatch;
+    loop {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if inner.run_queued(Runner::Worker) {
             continue;
         }
-        run_detached(inner, id, &inner.tthread(id).func);
-        inner.wake_joiners();
+        // The timed park doubles as the rescue path for a dropped wake
+        // (see `FaultPoint::WakeDrop`): even a lost notification only
+        // costs one park period, and is counted as a rescue. A requeued
+        // entry leaves the queue non-empty, so the park is skipped.
+        let (outcome, silent) = dispatch.waiters.park_reporting(
+            || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
+            PARK_TIMEOUT,
+        );
+        if outcome != ParkOutcome::Skipped {
+            inner.counters.add(worker_idx, Tally::WorkerParks, 1);
+        }
+        if outcome == ParkOutcome::TimedOut {
+            inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
+            if silent && !dispatch.pending.is_empty() {
+                inner.counters.add(worker_idx, Tally::ParkRescues, 1);
+            }
+        }
     }
 }
 
@@ -108,7 +137,12 @@ fn run_body<U, R>(
 /// Running (claim CAS). The first snapshot is taken without the state
 /// lock; a rerun snapshots while still holding the previous commit's
 /// guard.
-fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &TthreadFn<U>) {
+fn run_detached<U: Send + 'static>(
+    inner: &Inner<U>,
+    id: TthreadId,
+    func: &TthreadFn<U>,
+    runner: Runner,
+) {
     let slot = inner.dispatch.slots.get(id.index());
     let mut retries: u32 = 0;
     let mut held = None;
@@ -164,7 +198,7 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
         // section. Every transition *out of* Running below bumps the slot
         // *word*, which joiners' parks validate before committing to
         // sleep, so they cannot miss the wakeup (the wake itself is
-        // broadcast by the worker loop after this function returns).
+        // broadcast by `run_queued` after this function returns).
         let mut state = guard.unwrap_or_else(|| inner.state.lock());
 
         if outcome.is_err() {
@@ -207,7 +241,10 @@ fn run_detached<U: Send + 'static>(inner: &Inner<U>, id: TthreadId, func: &Tthre
         }
 
         state.stats.executions += 1;
-        state.stats.worker_executions += 1;
+        match runner {
+            Runner::Worker => state.stats.worker_executions += 1,
+            Runner::Helper => state.stats.helped_executions += 1,
+        }
         state.tst.entry_mut(id).executions += 1;
         if inner.fault.fire(FaultPoint::Retrigger) {
             // Injected retrigger: pretend a trigger landed during the body,
@@ -385,10 +422,10 @@ impl<U: Send + 'static> Ctx<'_, U> {
             // A trigger landed mid-body (RF): absorb it into another run.
             slot.absorb_rf();
         }
-        // An overflow-inline run on a *worker* thread (a commit cascade
-        // that found the queue full) can complete a tthread the main
-        // thread is parked on: broadcast the completion eventcount just
-        // like the worker loop does after its own runs.
+        // An overflow-inline run on a worker or a helping joiner (a commit
+        // cascade that found the queue full) can complete a tthread the
+        // main thread is parked on: broadcast the completion eventcount
+        // just like `run_queued` does after its own runs.
         // Without workers nothing can be parked there — only `join` and
         // `force` park, only on Running or on Queued with a deadline and
         // workers to run it, and no other thread runs bodies — so the

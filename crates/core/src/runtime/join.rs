@@ -4,6 +4,7 @@
 
 use parking_lot::MutexGuard;
 
+use super::exec::Runner;
 use super::{Runtime, State};
 use crate::ctx::Ctx;
 use crate::dispatch::PARK_TIMEOUT;
@@ -36,7 +37,9 @@ pub enum JoinOutcome {
     /// The tthread was still queued; the calling thread stole it from the
     /// queue and ran it itself.
     Stolen,
-    /// The calling thread waited for a running worker to finish.
+    /// The calling thread waited for a running worker to finish. While it
+    /// waited it may have run other tthreads' queued bodies itself,
+    /// detached, as a worker would (see [`Runtime::join`]).
     Waited,
 }
 
@@ -60,6 +63,15 @@ impl<U: Send + 'static> Runtime<U> {
     /// * completed on a worker → nothing to do, the work was overlapped;
     /// * triggered / still queued → run it on the calling thread now;
     /// * running on a worker → wait for it.
+    ///
+    /// While it waits, the calling thread does not just sleep: as long as
+    /// the pending queue holds work it runs *other* tthreads' queued
+    /// bodies itself, one at a time and exactly as a worker does —
+    /// detached against a snapshot, off the state lock, committed
+    /// afterwards, under the body deadline if one is configured — and
+    /// re-checks `tthread` after each. It parks only once the queue is
+    /// empty. A tthread run this way reports [`JoinOutcome::Overlapped`]
+    /// at its own next join, as after a worker's run.
     ///
     /// # Errors
     ///
@@ -118,10 +130,12 @@ impl<U: Send + 'static> Runtime<U> {
                 // deadline — an inline run writes straight to live memory,
                 // so there is no write log to discard on overrun. With a
                 // deadline configured and workers running, never steal a
-                // queued execution: wait for a worker to run it under the
-                // deadline. The park validates the slot word, which the
-                // worker's claim bumps. A drained runtime has no worker
-                // left to wait for, so it steals like the deferred executor.
+                // queued execution inline: wait for a detached run under the
+                // deadline — a worker's, or this thread's own while it helps
+                // (which may pop this very entry). The park validates the
+                // slot word, which the claim bumps. A drained runtime has no
+                // worker left to wait for, so it steals like the deferred
+                // executor.
                 TthreadStatus::Queued
                     if self.inner.cfg.body_deadline.is_some() && !self.inner.deferred() =>
                 {
@@ -166,16 +180,22 @@ impl<U: Send + 'static> Runtime<U> {
         true
     }
 
-    /// Waits for `tthread`'s status word to move: releases the state lock
-    /// entirely and parks on the completion eventcount, keyed to the word.
-    /// The token bumps on every state-changing transition, so the word is
-    /// a generation counter: if the execution finishes (or even finishes
-    /// and retriggers) between the read here and the sleep commit, the
-    /// word has moved and the park is skipped. Workers broadcast the
-    /// eventcount after every transition out of Running, and the timed
-    /// park rescues a dropped broadcast ([`crate::FaultPoint::JoinWake`])
-    /// within one park period. The caller thus never blocks while holding
-    /// the state lock; it gets the lock back on return.
+    /// Waits for `tthread`'s status word to move, doing queued work
+    /// meanwhile: releases the state lock entirely, then either runs one
+    /// queued execution exactly as a worker does (detached, see
+    /// `Inner::run_queued`) or, with the queue empty, parks. At most one
+    /// execution per call, so the caller re-checks its tthread after every
+    /// helped body.
+    ///
+    /// The park is on the completion eventcount, keyed to the word. The
+    /// token bumps on every state-changing transition, so the word is a
+    /// generation counter: if the execution finishes (or even finishes and
+    /// retriggers) between the read here and the sleep commit, the word has
+    /// moved and the park is skipped. Every detached run broadcasts the
+    /// eventcount after its transition out of Running, and the timed park
+    /// rescues a dropped broadcast ([`crate::FaultPoint::JoinWake`]) within
+    /// one park period. The caller thus never blocks or runs a body while
+    /// holding the state lock; it gets the lock back on return.
     ///
     /// A silent timeout is a rescue only if the tthread has left Running:
     /// a retrigger of a running body or a worker's claim of a queued one
@@ -189,6 +209,9 @@ impl<U: Send + 'static> Runtime<U> {
         let slot = self.inner.dispatch.slots.get(tthread.index());
         let observed = slot.word();
         drop(state);
+        if self.inner.run_queued(Runner::Helper) {
+            return self.inner.state.lock();
+        }
         let (outcome, silent) = self
             .inner
             .dispatch
@@ -232,8 +255,9 @@ impl<U: Send + 'static> Runtime<U> {
     }
 
     /// Runs `tthread` on the calling thread right now, regardless of its
-    /// trigger state (waits first if a worker is mid-execution). The run
-    /// sees [`crate::Triggers::All`].
+    /// trigger state (waits first if a worker is mid-execution, running
+    /// other tthreads' queued bodies meanwhile as [`Runtime::join`] does).
+    /// The run sees [`crate::Triggers::All`].
     ///
     /// # Errors
     ///

@@ -129,6 +129,12 @@ pub struct Counters {
     /// waited on. Each is a lost wake carried by the timer. Zero outside
     /// fault injection.
     pub park_rescues: u64,
+    /// Queued executions run by a thread waiting in `join` or `force`
+    /// instead of parking: detached exactly like a worker's run, but
+    /// counted apart from [`Counters::worker_executions`]. Conserved as
+    /// `executions == inline_executions + worker_executions +
+    /// helped_executions`.
+    pub helped_executions: u64,
 }
 
 /// Applies a callback macro to the complete counter field list, in
@@ -179,6 +185,7 @@ macro_rules! for_each_counter {
             trigger_cycles_rejected,
             commit_backoff_waits,
             park_rescues,
+            helped_executions,
         )
     };
 }
@@ -538,8 +545,8 @@ impl fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "executions            {:>12}  (inline {}, worker {})",
-            c.executions, c.inline_executions, c.worker_executions
+            "executions            {:>12}  (inline {}, worker {}, helped {})",
+            c.executions, c.inline_executions, c.worker_executions, c.helped_executions
         )?;
         writeln!(
             f,
@@ -755,7 +762,7 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 38);
+        assert_eq!(fields.len(), 39);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[11], ("worker_executions", 12));
         assert_eq!(fields[12], ("commit_stores", 13));
@@ -773,6 +780,7 @@ mod tests {
         assert_eq!(fields[35], ("trigger_cycles_rejected", 36));
         assert_eq!(fields[36], ("commit_backoff_waits", 37));
         assert_eq!(fields[37], ("park_rescues", 38));
+        assert_eq!(fields[38], ("helped_executions", 39));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

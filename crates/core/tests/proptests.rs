@@ -143,10 +143,10 @@ proptest! {
     }
 
     /// Counter conservation across random schedules, executors and configs:
-    /// every execution is attributed to exactly one site (inline or worker),
-    /// every tracked store is classified (silent or changing) — including
-    /// stores replayed from detached write logs — and per-tthread execution
-    /// counts sum to the global count.
+    /// every execution is attributed to exactly one site (inline, worker or
+    /// helping joiner), every tracked store is classified (silent or
+    /// changing) — including stores replayed from detached write logs — and
+    /// per-tthread execution counts sum to the global count.
     #[test]
     fn counters_stay_conserved(
         workers in 0usize..3,
@@ -199,7 +199,10 @@ proptest! {
 
         let snap = rt.stats();
         let c = snap.counters();
-        prop_assert_eq!(c.executions, c.inline_executions + c.worker_executions);
+        prop_assert_eq!(
+            c.executions,
+            c.inline_executions + c.worker_executions + c.helped_executions
+        );
         prop_assert_eq!(c.tracked_stores, c.silent_stores + c.changing_stores);
         let per_tthread: u64 = rt.report().tthreads.iter().map(|t| t.executions).sum();
         prop_assert_eq!(per_tthread, c.executions);

@@ -129,11 +129,13 @@ fn queue_overflow_inline_executes_exactly_once() {
 
 /// Overflow on a worker thread: a commit cascade that finds the queue full
 /// runs the downstream tthread inline on the worker, which must then wake
-/// the main thread parked in a join. `A` (x → y) parks on a barrier while
-/// the main thread fills the capacity-1 queue with `filler`; `A`'s commit
-/// then raises `B` (y → user state) with no queue slot free. The joins run
-/// on a helper thread so a lost wake fails the test instead of hanging it,
-/// and a wake rescued by the park timeout shows in `park_rescues`.
+/// the main thread parked in a join. `A` (x → y, z) parks on a barrier
+/// while the joiner parks on it with the queue empty — so it has nothing
+/// to help with and sleeps. `A`'s commit then raises `B` (y → user state),
+/// which takes the capacity-1 queue's only slot, and `C` (z → w), which
+/// overflows and runs inline on the worker. The joins run on a helper
+/// thread so a lost wake fails the test instead of hanging it, and a wake
+/// rescued by the park timeout shows in `park_rescues`.
 #[test]
 fn overflow_on_a_worker_wakes_the_parked_joiner() {
     let gate = Arc::new(Barrier::new(2));
@@ -141,7 +143,8 @@ fn overflow_on_a_worker_wakes_the_parked_joiner() {
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
     let y = rt.alloc(0u64).unwrap();
-    let f = rt.alloc(0u64).unwrap();
+    let z = rt.alloc(0u64).unwrap();
+    let w = rt.alloc(0u64).unwrap();
 
     let g = Arc::clone(&gate);
     let a = rt.register("A", move |ctx| {
@@ -150,6 +153,7 @@ fn overflow_on_a_worker_wakes_the_parked_joiner() {
         // Give the joiner time to park on `A` before the commit.
         thread::sleep(Duration::from_millis(20));
         ctx.set(y, v * 10);
+        ctx.set(z, v + 1);
     });
     rt.watch(a, x.range()).unwrap();
     let b = rt.register("B", move |ctx| {
@@ -157,33 +161,37 @@ fn overflow_on_a_worker_wakes_the_parked_joiner() {
         *ctx.user_mut() = v + 1;
     });
     rt.watch(b, y.range()).unwrap();
-    let filler = rt.register("filler", |_| {});
-    rt.watch(filler, f.range()).unwrap();
+    let c = rt.register("C", move |ctx| {
+        let v = ctx.get(z);
+        ctx.set(w, v * 2);
+    });
+    rt.watch(c, z.range()).unwrap();
 
     rt.write(x, 4);
     wait_until_running(&rt, a);
-    rt.write(f, 1); // filler enqueued; queue (capacity 1) now full
-    assert_eq!(rt.status(filler).unwrap(), TthreadStatus::Queued);
     gate.wait();
 
     let (done_tx, done_rx) = mpsc::channel();
     let joiner = thread::spawn(move || {
-        let outcomes = (rt.join(a), rt.join(b));
+        let outcomes = (rt.join(a), rt.join(b), rt.join(c));
         done_tx.send(()).unwrap();
         (rt, outcomes)
     });
     done_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("a join never returned: the overflow run lost its wake");
-    let (mut rt, (ja, jb)) = joiner.join().unwrap();
+    let (mut rt, (ja, jb, jc)) = joiner.join().unwrap();
     ja.unwrap();
     jb.unwrap();
+    jc.unwrap();
     assert_eq!(rt.with(|ctx| *ctx.user()), 41);
+    assert_eq!(rt.read(w), 10);
     rt.join_all().unwrap();
-    let c = rt.stats().counters().clone();
-    assert_eq!(c.queue_overflows, 1);
+    let counters = rt.stats().counters().clone();
+    assert_eq!(counters.queue_overflows, 1);
     assert_eq!(executions_of(&rt, b), 1);
-    assert_eq!(c.park_rescues, 0);
+    assert_eq!(executions_of(&rt, c), 1);
+    assert_eq!(counters.park_rescues, 0);
 }
 
 /// With coalescing off, a repeat trigger for a Queued tthread folds into
@@ -320,9 +328,10 @@ fn worker_executor_converges_and_runs_detached() {
         assert_eq!(rt.with(|ctx| *ctx.user()), expect);
     }
     let c = rt.stats();
+    let c = c.counters();
     assert_eq!(
-        c.counters().executions,
-        c.counters().worker_executions + c.counters().inline_executions
+        c.executions,
+        c.worker_executions + c.inline_executions + c.helped_executions
     );
 }
 
