@@ -176,7 +176,7 @@ impl RunSummary {
         let c = self.stats.counters();
         format!(
             "seed {:>4}: ok | stores {} ({} silent) | exec {} ({} worker) | \
-             retries {} (exhausted {}) | overflows {} | cascades {} ({} cutoff) | \
+             retries {} (exhausted {}) | restarts {} | overflows {} | cascades {} ({} cutoff) | \
              injected {} | repaired {}p/{}t",
             self.seed,
             c.tracked_stores,
@@ -185,6 +185,7 @@ impl RunSummary {
             c.worker_executions,
             c.commit_retries,
             c.commit_retry_exhausted,
+            c.view_restarts,
             c.queue_overflows,
             c.cascades,
             c.cascade_cutoffs,
@@ -528,6 +529,12 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
         return Err(format!(
             "park_timeouts is {} with no workers configured",
             c.park_timeouts
+        ));
+    }
+    if cfg.workers == 0 && c.view_restarts != 0 {
+        return Err(format!(
+            "view_restarts is {} with no workers configured: no body ran detached",
+            c.view_restarts
         ));
     }
     if c.park_rescues > c.park_timeouts {

@@ -14,7 +14,8 @@
 //!   `crate::dispatch`). A claim that synchronizes with that RMW therefore
 //!   also happens-after the push.
 //! * **Take after the claim.** A body run takes (swaps out) the set after
-//!   its claim CAS and before its snapshot or first read, on every go-around.
+//!   its claim CAS and before its view starts or its first read, on every
+//!   go-around.
 //!   A push the take misses raced the claim, so its raise RMW lands after
 //!   it: the run is Running, the raise sets RF, and the rerun takes the
 //!   range. A range is therefore seen by the first run that starts after

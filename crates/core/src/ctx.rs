@@ -20,15 +20,19 @@
 //!   state lock. Main-thread regions, joins, the deferred executor and
 //!   inline overflow executions all run locked; stores dispatch triggers
 //!   immediately.
-//! * **Detached** — used by worker threads. The body runs against a
-//!   *privatized* snapshot of tracked memory taken atomically (the
-//!   privatization pattern of Balaji et al.): loads read the snapshot,
-//!   stores apply to the snapshot and append to a write log. No triggers
-//!   fire during the body; the worker takes the state lock afterwards and
-//!   *commits* the log — replaying the stores against live memory and
-//!   dispatching triggers for the ones that still change it. Accessing the
-//!   untracked user state from a detached body acquires the state lock (it
-//!   cannot be snapshotted) and holds it through commit.
+//! * **Detached** — used by worker threads and helping joiners. The body
+//!   runs against a view (`view.rs`): a *privatized* copy of only the
+//!   stripes it touches, each copied on first touch and checked against the
+//!   view's start, so its reads form one consistent cut of tracked memory
+//!   (the privatization pattern of Balaji et al., applied to what the body
+//!   reads). Stores apply to the view and append to a write log. A stripe
+//!   that changed after the view started restarts the body, which has
+//!   published nothing. No triggers fire during the body; the worker takes
+//!   the state lock afterwards and *commits* the log — replaying the stores
+//!   against live memory and dispatching triggers for the ones that still
+//!   change it. Accessing the untracked user state from a detached body
+//!   acquires the state lock (it cannot be copied) and holds it through
+//!   commit.
 
 use std::cell::OnceCell;
 
@@ -37,13 +41,13 @@ use parking_lot::MutexGuard;
 use crate::addr::AddrRange;
 use crate::changed::Triggers;
 use crate::handle::{Tracked, TrackedArray};
-use crate::heap::TrackedHeap;
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::{Inner, Raise, State};
 use crate::stats::Counters;
 use crate::trigger::TriggerHit;
 use crate::tthread::TthreadId;
+use crate::view::View;
 
 /// One store recorded by a detached execution, replayed at commit.
 pub(crate) struct LoggedStore {
@@ -58,8 +62,8 @@ pub(crate) struct LoggedStore {
 
 /// The privatized view backing a detached execution.
 pub(crate) struct DetachedView<'a, U> {
-    /// Snapshot of tracked memory taken at execution start.
-    snap: TrackedHeap,
+    /// The stripes of tracked memory the body touched, as of its start.
+    view: View,
     /// Stores performed by the body, in program order.
     log: Vec<LoggedStore>,
     /// Memory-access counters accumulated off the lock, merged at commit.
@@ -69,10 +73,32 @@ pub(crate) struct DetachedView<'a, U> {
     guard: OnceCell<MutexGuard<'a, State<U>>>,
 }
 
+impl<'a, U> DetachedView<'a, U> {
+    /// The state-lock guard for the body's first user-state access,
+    /// re-checking the stripes read so far (see [`View::lock_user`]).
+    fn lock_user(&self, inner: &'a Inner<U>) -> MutexGuard<'a, State<U>> {
+        self.view.lock_user(&inner.mem, || inner.state.lock())
+    }
+}
+
+/// What a detached execution leaves for its commit
+/// ([`Ctx::into_detached_parts`]).
+pub(crate) struct DetachedParts<'a, U> {
+    /// The state-lock guard, if the body took it for user state.
+    pub(crate) guard: Option<MutexGuard<'a, State<U>>>,
+    /// The body's stores, in program order.
+    pub(crate) log: Vec<LoggedStore>,
+    /// The access counters accumulated off the lock.
+    pub(crate) delta: Counters,
+    /// Whether the view found a stripe changed after its start: the body
+    /// must run again and the log is void.
+    pub(crate) restarted: bool,
+}
+
 enum CtxMode<'a, U> {
     Locked(&'a mut State<U>),
-    // Boxed: the view embeds a whole TrackedHeap, which would otherwise
-    // bloat every locked context.
+    // Boxed: the counter delta alone is some 300 bytes, which would
+    // otherwise bloat every locked context.
     Detached(Box<DetachedView<'a, U>>),
 }
 
@@ -80,7 +106,7 @@ enum CtxMode<'a, U> {
 /// tthread bodies.
 ///
 /// A `Ctx` borrows the runtime's state lock (or, for a worker running
-/// detached, a snapshot of tracked memory), so it cannot be stored; it
+/// detached, a view of tracked memory), so it cannot be stored; it
 /// lives only for the duration of a [`crate::runtime::Runtime::with`] call
 /// or a tthread execution.
 pub struct Ctx<'a, U> {
@@ -128,17 +154,17 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Creates a detached context over a snapshot of tracked memory, for a
+    /// Creates a detached context over a view of tracked memory, for a
     /// body run that took `triggers`.
     pub(crate) fn detached(
-        snap: TrackedHeap,
+        view: View,
         inner: &'a Inner<U>,
         depth: u32,
         triggers: Triggers,
     ) -> Self {
         Ctx {
             mode: CtxMode::Detached(Box::new(DetachedView {
-                snap,
+                view,
                 log: Vec::new(),
                 delta: Counters::new(),
                 guard: OnceCell::new(),
@@ -153,19 +179,23 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     }
 
     /// Tears a detached context apart for commit: the state-lock guard if
-    /// the body acquired one (for user-state access), the write log, and
-    /// the off-lock counter delta.
+    /// the body acquired one (for user-state access), the write log, the
+    /// off-lock counter delta, and whether the view asked for a restart
+    /// (the log is then void).
     ///
     /// # Panics
     ///
     /// Panics on a locked context.
-    pub(crate) fn into_detached_parts(
-        self,
-    ) -> (Option<MutexGuard<'a, State<U>>>, Vec<LoggedStore>, Counters) {
+    pub(crate) fn into_detached_parts(self) -> DetachedParts<'a, U> {
         match self.mode {
             CtxMode::Detached(view) => {
                 let view = *view;
-                (view.guard.into_inner(), view.log, view.delta)
+                DetachedParts {
+                    restarted: view.view.restarted(),
+                    guard: view.guard.into_inner(),
+                    log: view.log,
+                    delta: view.delta,
+                }
             }
             CtxMode::Locked(_) => unreachable!("only detached contexts are committed"),
         }
@@ -192,13 +222,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// Shared access to the untracked user state.
     ///
     /// From a detached worker execution this acquires the runtime's state
-    /// lock on first access (user state cannot be snapshotted) and holds it
-    /// until the execution commits; see the module docs.
+    /// lock on first access (user state cannot be copied) and holds it
+    /// until the execution commits. Taking it first re-checks every tracked
+    /// byte the body has read so far, and restarts the body if one changed
+    /// since its start — before any user state is handed out. From then on
+    /// the body reads tracked memory as an inline body under the lock
+    /// would: live, plus its own writes; see the module docs.
     pub fn user(&self) -> &U {
-        let inner = self.inner;
         match &self.mode {
             CtxMode::Locked(state) => &state.user,
-            CtxMode::Detached(view) => &view.guard.get_or_init(|| inner.state.lock()).user,
+            CtxMode::Detached(view) => &view.guard.get_or_init(|| view.lock_user(self.inner)).user,
         }
     }
 
@@ -212,7 +245,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         match &mut self.mode {
             CtxMode::Locked(state) => &mut state.user,
             CtxMode::Detached(view) => {
-                view.guard.get_or_init(|| inner.state.lock());
+                view.guard.get_or_init(|| view.lock_user(inner));
                 &mut view.guard.get_mut().expect("guard initialized above").user
             }
         }
@@ -280,20 +313,20 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         self.inner.mem.load(cell.addr())
     }
 
-    /// [`Ctx::get`] from a detached execution: reads the snapshot.
+    /// [`Ctx::get`] from a detached execution: reads the view.
     #[inline(never)]
     fn get_detached<T: Pod>(&mut self, cell: Tracked<T>) -> T {
         let CtxMode::Detached(view) = &mut self.mode else {
             unreachable!("locked loads stay in `get`")
         };
         view.delta.tracked_loads += 1;
-        view.snap.load(cell.addr())
+        view.view.load(&self.inner.mem, cell.addr())
     }
 
     /// Stores a tracked scalar, firing triggers if the value changed.
     ///
     /// From a detached execution the change check runs against the
-    /// snapshot, the store is logged, and triggers fire at commit time if
+    /// view, the store is logged, and triggers fire at commit time if
     /// the store still changes live memory.
     ///
     /// The locked silent store — the case the runtime exists for — is
@@ -320,13 +353,13 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     }
 
     /// [`Ctx::set`] from a detached execution: compare against the
-    /// snapshot, count, and log a store that changed it.
+    /// view, count, and log a store that changed it.
     #[inline(never)]
     fn set_detached<T: Pod>(&mut self, cell: Tracked<T>, value: T, detect: bool) {
         let CtxMode::Detached(view) = &mut self.mode else {
             unreachable!("locked stores stay in `set`")
         };
-        let effect = view.snap.store(cell.addr(), value, detect);
+        let effect = view.view.store(&self.inner.mem, cell.addr(), value, detect);
         view.delta.tracked_stores += 1;
         view.delta.bytes_compared += effect.bytes_compared;
         if detect && !effect.changed {
@@ -388,7 +421,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// counted as a tracked store, and never fires a trigger.
     pub fn init<T: Pod>(&mut self, cell: Tracked<T>, value: T) {
         if let CtxMode::Detached(view) = &mut self.mode {
-            view.snap.store(cell.addr(), value, false);
+            view.view.store(&self.inner.mem, cell.addr(), value, false);
             let mut buf = [0u8; 16];
             let enc = &mut buf[..T::SIZE];
             value.write_le(enc);
@@ -439,10 +472,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let range = array.range_of(from, to);
         out.reserve(to - from);
         if let CtxMode::Detached(view) = &mut self.mode {
-            let bytes = view.snap.load_bytes(range);
-            for chunk in bytes.chunks_exact(T::SIZE) {
-                out.push(T::read_le(chunk));
-            }
+            view.view.load_elems(&self.inner.mem, range, out);
             view.delta.tracked_loads += (to - from) as u64;
             return;
         }
@@ -474,50 +504,30 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let detect = self.inner.cfg.suppress_silent_stores;
         let range = array.range_of(from, from + n);
         if let CtxMode::Detached(view) = &mut self.mode {
-            // Phase 1: compare + copy per element against the snapshot,
-            // collecting runs of changed elements.
-            let mut runs: Vec<(usize, usize)> = Vec::new();
-            {
-                let slice = view.snap.slice_mut(range);
-                let mut buf = [0u8; 16];
-                let mut run_start: Option<usize> = None;
-                for (k, v) in values.iter().enumerate() {
-                    let enc = &mut buf[..T::SIZE];
-                    v.write_le(enc);
-                    let dst = &mut slice[k * T::SIZE..(k + 1) * T::SIZE];
-                    let changed = !detect || dst != &*enc;
-                    if changed {
-                        dst.copy_from_slice(enc);
-                        if run_start.is_none() {
-                            run_start = Some(k);
-                        }
-                    } else if let Some(start) = run_start.take() {
-                        runs.push((start, k));
-                    }
-                }
-                if let Some(start) = run_start {
-                    runs.push((start, n));
-                }
+            // Compare and copy against the view, whose stripes for the
+            // whole range are copied in at once, then log one store per
+            // changed run.
+            let mut data = Vec::with_capacity(n * T::SIZE);
+            let mut buf = [0u8; 16];
+            for v in values {
+                let enc = &mut buf[..T::SIZE];
+                v.write_le(enc);
+                data.extend_from_slice(enc);
             }
-            // Phase 2: stats, and one logged store per changed run.
-            let changed_elems: usize = runs.iter().map(|(a, b)| b - a).sum();
+            let mut runs: Vec<(usize, usize)> = Vec::new();
+            let changed_elems =
+                view.view
+                    .store_elems(&self.inner.mem, range, &data, T::SIZE, detect, &mut runs);
             view.delta.tracked_stores += n as u64;
             if detect {
                 view.delta.bytes_compared += (n * T::SIZE) as u64;
                 view.delta.silent_stores += (n - changed_elems) as u64;
             }
             view.delta.changing_stores += changed_elems as u64;
-            let mut buf = [0u8; 16];
             for (a, b) in runs {
-                let mut data = Vec::with_capacity((b - a) * T::SIZE);
-                for v in &values[a..b] {
-                    let enc = &mut buf[..T::SIZE];
-                    v.write_le(enc);
-                    data.extend_from_slice(enc);
-                }
                 view.log.push(LoggedStore {
                     range: array.range_of(from + a, from + b),
-                    data,
+                    data: data[a * T::SIZE..b * T::SIZE].to_vec(),
                     dispatch: true,
                 });
             }
@@ -640,7 +650,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 if state.graph.raised_this_epoch(hit.tthread) {
                     // Already raised by this commit/body: dedupe per wave
                     // epoch, not per store. Setting RF covers the one race
-                    // this could hide — a claimant that snapshotted before
+                    // this could hide — a claimant whose view started before
                     // our earlier raise is forced to re-run, so it cannot
                     // complete against pre-wave inputs. (Under the state
                     // lock the bytes of this epoch's stores are already

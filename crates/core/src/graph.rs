@@ -18,8 +18,8 @@
 //!   raised at most once per epoch, no matter how many of the commit's
 //!   stores land in its trigger regions: later hits are absorbed as
 //!   `wave_dedups` without touching the status machine (beyond setting
-//!   the rerun flag on a mid-commit claimant, which keeps snapshot
-//!   freshness exact — see `DepGraph::begin_wave`).
+//!   the rerun flag on a mid-commit claimant, which keeps view freshness
+//!   exact — see `DepGraph::begin_wave`).
 //! * **Cycle detection.** Installing a watch or declaring an output runs
 //!   a DFS over the declared edge map under the state lock; an edge that
 //!   would close a cross-tthread cycle is rejected with

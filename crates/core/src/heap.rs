@@ -56,8 +56,8 @@ impl TrackedHeap {
     }
 
     /// Creates a heap directly from its byte contents (used by
-    /// [`crate::mem::ShardedMem::snapshot`] to materialize a point-in-time
-    /// copy of the sharded arena).
+    /// [`crate::mem::ShardedMem::into_heap`] to hand back the sharded
+    /// arena's contents at teardown).
     pub(crate) fn from_bytes(mem: Vec<u8>, capacity: u64) -> Self {
         TrackedHeap { mem, capacity }
     }
@@ -179,17 +179,6 @@ impl TrackedHeap {
                 bytes_compared: 0,
             }
         }
-    }
-
-    /// Mutable access to the raw bytes of `range`, for the bulk store path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    #[inline]
-    pub(crate) fn slice_mut(&mut self, range: AddrRange) -> &mut [u8] {
-        self.check_range(range).expect("store out of bounds");
-        &mut self.mem[range.start().raw() as usize..range.end().raw() as usize]
     }
 
     /// Typed load of a [`Pod`] value at `addr`.

@@ -75,9 +75,10 @@
 //!   coalescing queue drained by OS worker threads, modelling the spare
 //!   hardware contexts of the HPCA'11 design; the queue-overflow fallback
 //!   executes on the triggering thread, as in the paper. Worker bodies run
-//!   *detached* — input snapshot taken atomically, body executed off the
-//!   runtime lock, stores committed (with change re-detection) under the
-//!   lock afterwards — so they genuinely overlap the main thread; see the
+//!   *detached* — against a view of the stripes they touch, copied on first
+//!   touch as one consistent cut, body executed off the runtime lock,
+//!   stores committed (with change re-detection) under the lock afterwards
+//!   — so they genuinely overlap the main thread; see the
 //!   [`Runtime`] memory-consistency notes.
 //!
 //! ## Crate map
@@ -86,8 +87,9 @@
 //! |---|---|
 //! | [`addr`] | addresses, ranges, trigger [`Granularity`] |
 //! | [`pod`] | byte encoding of tracked values |
-//! | [`heap`] | the single-threaded arena (detached-execution snapshots) |
-//! | `mem` | the sharded concurrent arena behind every tracked access |
+//! | [`heap`] | the single-threaded arena: the teardown copy [`Runtime::into_state`] returns, and the reference model the sharded arena is tested against |
+//! | `mem` | the sharded concurrent arena behind every tracked access, with per-stripe versions when workers run |
+//! | `view` | the copy-on-first-touch view a detached body reads: only the stripes it touches, one consistent cut |
 //! | `filter` | the two-level page → line watched-address filter |
 //! | [`handle`] | typed [`Tracked`]/[`TrackedArray`] handles |
 //! | [`trigger`] | the store-address → tthread trigger table |
@@ -129,6 +131,7 @@ pub mod runtime;
 pub mod stats;
 pub mod trigger;
 pub mod tthread;
+pub(crate) mod view;
 
 /// The worker/joiner timed-park period. Exposed (hidden) for the chaos
 /// and bench harnesses, which budget rescue-wake latencies against it.

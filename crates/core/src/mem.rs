@@ -28,6 +28,15 @@
 //!   lock-free chunk lookup: growth never moves existing words and the hot
 //!   path never touches an arena-wide lock. `shards = 1` degenerates to a
 //!   single stripe lock covering all of memory.
+//! * **Versions** — a *versioned* arena (a runtime with workers, whose
+//!   detached bodies read through [`crate::view::View`]) keeps one version
+//!   word per stripe, in its chunk's allocation after the words, plus one
+//!   arena-wide `epoch` clock. A store that changes a stripe loads `epoch` under the stripe
+//!   lock it already holds and stamps `epoch + 1` into the stripe's
+//!   version; a view start bumps `epoch`. No read-modify-write is added to
+//!   the store path, and silent stores and loads do not touch either word.
+//!   An unversioned arena allocates no versions and skips the stamp on one
+//!   branch.
 //!
 //! Lock ordering: the runtime's state lock, when held, is always acquired
 //! *before* stripe locks, and stripe locks are never held while acquiring
@@ -43,9 +52,16 @@ use crate::addr::{Addr, AddrRange};
 use crate::error::{Error, Result};
 use crate::heap::{StoreEffect, TrackedHeap};
 use crate::pod::Pod;
+use crate::view::Line;
 
 /// Bytes per lock stripe (one cache line).
 const STRIPE_SHIFT: u32 = 6;
+
+/// Bytes per stripe.
+pub(crate) const STRIPE_BYTES: usize = 1 << STRIPE_SHIFT;
+
+/// Words per stripe.
+const STRIPE_WORDS: usize = STRIPE_BYTES / 8;
 
 /// Words per storage chunk (2^16 words = 512 KiB of tracked memory).
 const CHUNK_WORDS_SHIFT: u32 = 16;
@@ -69,12 +85,63 @@ fn word_contained(start: u64, size: usize) -> bool {
     size <= 8 && (start >> 3) == ((start + size as u64 - 1) >> 3)
 }
 
+/// The stripe holding byte address `addr`.
+#[inline]
+pub(crate) fn stripe_of(addr: u64) -> u64 {
+    addr >> STRIPE_SHIFT
+}
+
+/// The stamp one locked store writes into the version of every stripe it
+/// changes: the view clock plus one, loaded at the first changed word, so
+/// a silent store never reads the clock. Stamps of one stripe never go
+/// down: each store loads the clock after the previous store to that
+/// stripe released its lock.
+struct Stamp<'a> {
+    /// The arena, or `None` when it keeps no versions: then a mark is one
+    /// predictable branch.
+    mem: Option<&'a ShardedMem>,
+    value: u64,
+    /// The stripe stamped last, so a run of changed words in one stripe
+    /// stamps it once.
+    stripe: u64,
+}
+
+impl Stamp<'_> {
+    /// Records that word `w` changed.
+    #[inline]
+    fn mark(&mut self, w: u64) {
+        let Some(mem) = self.mem else {
+            return;
+        };
+        let stripe = w / STRIPE_WORDS as u64;
+        if self.value != 0 && stripe == self.stripe {
+            return;
+        }
+        // Relaxed, both: the stripe lock the caller holds orders this
+        // stamp before any view's read of it, and whether the clock load
+        // came before a view's bump is decided by the clock's own
+        // modification order (see `crate::view`).
+        if self.value == 0 {
+            self.value = mem.epoch.load(Ordering::Relaxed) + 1;
+        }
+        self.stripe = stripe;
+        mem.version(stripe).store(self.value, Ordering::Relaxed);
+    }
+}
+
 /// The sharded arena. See the module docs for the locking protocol.
 pub(crate) struct ShardedMem {
     /// Word storage in fixed-size chunks, initialized by `alloc` as the
     /// arena grows; accesses reach a word through a lock-free
-    /// `OnceLock::get`, and existing words never move.
+    /// `OnceLock::get`, and existing words never move. In a versioned
+    /// arena a chunk's [`ShardedMem::chunk_words`] words are followed by
+    /// one version word per stripe (see the module docs).
     chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    /// Whether chunks carry stripe versions.
+    versioned: bool,
+    /// The view clock: bumped by [`ShardedMem::begin_view`], read by every
+    /// store that changes a stripe of a versioned arena.
+    epoch: AtomicU64,
     /// Bytes currently allocated (monotonically increasing).
     len: AtomicU64,
     /// Capacity bound in bytes.
@@ -108,12 +175,15 @@ enum StripeGuards<'a> {
 
 impl ShardedMem {
     /// Creates an empty arena bounded at `capacity` bytes with `shards`
-    /// stripe locks (rounded up to a power of two, minimum 1).
-    pub(crate) fn new(capacity: u64, shards: usize) -> Self {
+    /// stripe locks (rounded up to a power of two, minimum 1). A
+    /// `versioned` arena stamps stripe versions for views.
+    pub(crate) fn new(capacity: u64, shards: usize, versioned: bool) -> Self {
         let shards = shards.max(1).next_power_of_two();
         let nchunks = capacity.div_ceil(8).div_ceil(CHUNK_WORDS) as usize;
         ShardedMem {
             chunks: (0..nchunks).map(|_| OnceLock::new()).collect(),
+            versioned,
+            epoch: AtomicU64::new(0),
             len: AtomicU64::new(0),
             capacity,
             alloc_lock: Mutex::new(()),
@@ -131,6 +201,25 @@ impl ShardedMem {
             .get()
             .expect("access to unallocated arena chunk");
         &chunk[(w & (CHUNK_WORDS - 1)) as usize]
+    }
+
+    /// The words of chunk `ci`, not counting its versions: the last chunk
+    /// of the arena may be partial.
+    #[inline]
+    fn chunk_words(&self, ci: u64) -> usize {
+        (self.capacity.div_ceil(8) - ci * CHUNK_WORDS).min(CHUNK_WORDS) as usize
+    }
+
+    /// The version word of `stripe`, in a versioned arena.
+    #[inline]
+    fn version(&self, stripe: u64) -> &AtomicU64 {
+        debug_assert!(self.versioned, "an unversioned arena keeps no versions");
+        let w = stripe * STRIPE_WORDS as u64;
+        let ci = w >> CHUNK_WORDS_SHIFT;
+        let chunk = self.chunks[ci as usize]
+            .get()
+            .expect("access to unallocated arena chunk");
+        &chunk[self.chunk_words(ci) + (w & (CHUNK_WORDS - 1)) as usize / STRIPE_WORDS]
     }
 
     /// Number of stripe locks.
@@ -181,11 +270,15 @@ impl ShardedMem {
         }
         // Materialize every chunk covering the new length (the last chunk of
         // the arena may be partial).
-        let cap_words = self.capacity.div_ceil(8);
         for ci in 0..end.div_ceil(8).div_ceil(CHUNK_WORDS) {
             self.chunks[ci as usize].get_or_init(|| {
-                let size = (cap_words - ci * CHUNK_WORDS).min(CHUNK_WORDS) as usize;
-                (0..size).map(|_| AtomicU64::new(0)).collect()
+                let words = self.chunk_words(ci);
+                let versions = if self.versioned {
+                    words.div_ceil(STRIPE_WORDS)
+                } else {
+                    0
+                };
+                (0..words + versions).map(|_| AtomicU64::new(0)).collect()
             });
         }
         self.len.store(end, Ordering::Release);
@@ -232,12 +325,6 @@ impl ShardedMem {
         StripeGuards::Many(idxs.into_iter().map(|i| self.locks[i].lock()).collect())
     }
 
-    /// Acquires every stripe lock, for atomic whole-memory operations
-    /// (detached-execution snapshots).
-    fn lock_all(&self) -> Vec<MutexGuard<'_, ()>> {
-        self.locks.iter().map(|l| l.lock()).collect()
-    }
-
     /// Writes `data` at `range`, comparing against the old contents when
     /// `detect_change` is set; same contract as [`TrackedHeap::store_bytes`].
     pub(crate) fn store_bytes(
@@ -267,7 +354,7 @@ impl ShardedMem {
     /// must not overflow and must lie inside the allocated length. A failure
     /// leaves the straight-line path for [`ShardedMem::access_out_of_bounds`].
     #[inline]
-    fn check_access(&self, addr: Addr, size: u64, what: &'static str) {
+    pub(crate) fn check_access(&self, addr: Addr, size: u64, what: &'static str) {
         match addr.raw().checked_add(size) {
             Some(end) if end <= self.len() => {}
             _ => self.access_out_of_bounds(addr, size, what),
@@ -336,8 +423,19 @@ impl ShardedMem {
         let new = (old & !lane) | bits;
         if new != old {
             word.store(new, Ordering::Relaxed);
+            self.stamp().mark(start >> 3);
         }
         new != old
+    }
+
+    /// A fresh [`Stamp`] for one locked store.
+    #[inline]
+    fn stamp(&self) -> Stamp<'_> {
+        Stamp {
+            mem: self.versioned.then_some(self),
+            value: 0,
+            stripe: 0,
+        }
     }
 
     /// Typed load of a [`Pod`] value at `addr`. Values contained in one
@@ -453,6 +551,7 @@ impl ShardedMem {
         }
         let n = data.len() / elem_size;
         let _guards = self.lock_range(range);
+        let mut stamp = self.stamp();
         struct RunState {
             changed_elems: usize,
             run_start: Option<usize>,
@@ -502,10 +601,12 @@ impl ShardedMem {
                             u64::from_le_bytes(s[k..k + 8].try_into().expect("8 bytes"))
                         };
                         if !detect_change {
-                            for (word, ed) in words.iter().zip(src.chunks_exact(8)) {
+                            for (l, (word, ed)) in words.iter().zip(src.chunks_exact(8)).enumerate()
+                            {
                                 let new = le64(ed, 0);
                                 if new != word.load(Ordering::Relaxed) {
                                     word.store(new, Ordering::Relaxed);
+                                    stamp.mark((pos >> 3) + l as u64);
                                 }
                             }
                             st.changed_elems += span * per;
@@ -557,6 +658,7 @@ impl ShardedMem {
                                     let xor = new ^ word.load(Ordering::Relaxed);
                                     if xor != 0 {
                                         word.store(new, Ordering::Relaxed);
+                                        stamp.mark((pos >> 3) + (i + l) as u64);
                                     }
                                     for e in 0..per {
                                         let changed = (xor >> (e * ebits)) & emask != 0;
@@ -585,6 +687,7 @@ impl ShardedMem {
                                         break;
                                     }
                                     word.store(new, Ordering::Relaxed);
+                                    stamp.mark((pos >> 3) + i as u64);
                                     // Element change bits via xor/shift:
                                     // `elem_size` is a runtime value, so a
                                     // byte-slice compare would be a memcmp
@@ -618,6 +721,7 @@ impl ShardedMem {
                     let new = u64::from_le_bytes(bytes);
                     if new != old {
                         word.store(new, Ordering::Relaxed);
+                        stamp.mark(pos >> 3);
                     }
                     let cnt = nb / elem_size;
                     let base = o / elem_size;
@@ -682,6 +786,7 @@ impl ShardedMem {
                     let xor = new ^ old;
                     if xor != 0 {
                         word.store(new, Ordering::Relaxed);
+                        stamp.mark(pos >> 3);
                     }
                     let mut b = 0usize;
                     while b < nb {
@@ -717,11 +822,96 @@ impl ShardedMem {
         st.changed_elems
     }
 
-    /// Copies the whole arena into a [`TrackedHeap`], taking every stripe
-    /// lock so the copy is atomic with respect to concurrent stores. This is
-    /// the snapshot a detached tthread execution runs against.
-    pub(crate) fn snapshot(&self) -> TrackedHeap {
-        let _all = self.lock_all();
+    /// Starts a view: bumps the view clock and returns the new value. A
+    /// store whose in-lock clock load came before this bump stamps at most
+    /// the returned value; every later one stamps more.
+    pub(crate) fn begin_view(&self) -> u64 {
+        debug_assert!(self.versioned, "a view needs a versioned arena");
+        // Relaxed: the view takes each stripe lock after this bump in
+        // program order, which is all the view rule needs of it.
+        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Copies stripes `first..=last` under one [`ShardedMem::lock_range`]
+    /// acquisition, handing each one's bytes and version to `each`. The
+    /// caller has bounds-checked an access inside the run, so every stripe
+    /// lies in an allocated chunk; bytes past a partial last chunk read as
+    /// zero.
+    pub(crate) fn copy_stripes(
+        &self,
+        first: u64,
+        last: u64,
+        mut each: impl FnMut(u64, &[u8; STRIPE_BYTES], u64),
+    ) {
+        let span = (last - first + 1) << STRIPE_SHIFT;
+        let _guards = self.lock_range(AddrRange::new(Addr::new(first << STRIPE_SHIFT), span));
+        for stripe in first..=last {
+            let mut bytes = [0u8; STRIPE_BYTES];
+            for (out, word) in bytes.chunks_exact_mut(8).zip(self.stripe_words(stripe)) {
+                out.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+            }
+            each(stripe, &bytes, self.version_of(stripe));
+        }
+    }
+
+    /// Whether every copied stripe in `lines` is still current in the bytes
+    /// its view read: unchanged since clock value `start` by its version,
+    /// or else still holding its copied bytes wherever the read set says.
+    /// All their locks are held at once, so `true` means the bytes read
+    /// are all current at one instant.
+    pub(crate) fn stripes_current<'v>(
+        &self,
+        start: u64,
+        lines: impl Iterator<Item = (u64, &'v Line)> + Clone,
+    ) -> bool {
+        let mut idxs: Vec<usize> = lines
+            .clone()
+            .map(|(stripe, _)| (stripe & self.mask) as usize)
+            .collect();
+        idxs.sort_unstable();
+        idxs.dedup();
+        let _guards: Vec<_> = idxs.into_iter().map(|i| self.locks[i].lock()).collect();
+        lines.into_iter().all(|(stripe, line)| {
+            if self.version_of(stripe) <= start {
+                return true;
+            }
+            self.stripe_words(stripe)
+                .iter()
+                .enumerate()
+                .all(|(w, word)| {
+                    let live = word.load(Ordering::Relaxed).to_le_bytes();
+                    let read = (line.read >> (8 * w)) as u8;
+                    (0..8).all(|b| read & (1 << b) == 0 || live[b] == line.orig[8 * w + b])
+                })
+        })
+    }
+
+    /// The words of `stripe` (fewer at the end of a partial last chunk).
+    fn stripe_words(&self, stripe: u64) -> &[AtomicU64] {
+        let (chunk, idx) = self.chunk_of(stripe * STRIPE_WORDS as u64);
+        &chunk[idx..chunk.len().min(idx + STRIPE_WORDS)]
+    }
+
+    /// The version of `stripe` (0 in an unversioned arena). The caller
+    /// holds the stripe's lock.
+    fn version_of(&self, stripe: u64) -> u64 {
+        if self.versioned {
+            self.version(stripe).load(Ordering::Relaxed)
+        } else {
+            0
+        }
+    }
+
+    /// The version of `stripe`, read under its lock.
+    #[cfg(test)]
+    fn stripe_version(&self, stripe: u64) -> u64 {
+        let _g = self.locks[(stripe & self.mask) as usize].lock();
+        self.version_of(stripe)
+    }
+
+    /// Copies the arena into a [`TrackedHeap`] at teardown. Owning the
+    /// arena means no store can race the copy, so it takes no lock.
+    pub(crate) fn into_heap(self) -> TrackedHeap {
         let len = self.len.load(Ordering::Relaxed) as usize;
         let mut bytes = vec![0u8; len];
         for (i, chunk) in bytes.chunks_mut(8).enumerate() {
@@ -731,13 +921,18 @@ impl ShardedMem {
         TrackedHeap::from_bytes(bytes, self.capacity)
     }
 
-    /// The chunk containing word `w` and the index of `w` within it.
+    /// The words of the chunk containing word `w`, and the index of `w`
+    /// within them.
     #[inline]
     fn chunk_of(&self, w: u64) -> (&[AtomicU64], usize) {
-        let chunk = self.chunks[(w >> CHUNK_WORDS_SHIFT) as usize]
+        let ci = w >> CHUNK_WORDS_SHIFT;
+        let chunk = self.chunks[ci as usize]
             .get()
             .expect("access to unallocated arena chunk");
-        (chunk, (w & (CHUNK_WORDS - 1)) as usize)
+        (
+            &chunk[..self.chunk_words(ci)],
+            (w & (CHUNK_WORDS - 1)) as usize,
+        )
     }
 
     /// Reads `range` into `out`. Caller holds the stripe locks covering
@@ -776,6 +971,7 @@ impl ShardedMem {
     /// covering `range`.
     fn write_words(&self, range: AddrRange, data: &[u8]) -> bool {
         let mut changed = false;
+        let mut stamp = self.stamp();
         let mut pos = range.start().raw();
         let end = range.end().raw();
         let mut o = 0usize;
@@ -788,6 +984,7 @@ impl ShardedMem {
                     if new != word.load(Ordering::Relaxed) {
                         changed = true;
                         word.store(new, Ordering::Relaxed);
+                        stamp.mark(pos >> 3);
                     }
                     pos += 8;
                     o += 8;
@@ -801,6 +998,7 @@ impl ShardedMem {
                     if new != old {
                         changed = true;
                         word.store(new, Ordering::Relaxed);
+                        stamp.mark(pos >> 3);
                     }
                     pos += n as u64;
                     o += n;
@@ -817,15 +1015,15 @@ mod tests {
     use super::*;
 
     fn mem(shards: usize) -> ShardedMem {
-        ShardedMem::new(4096, shards)
+        ShardedMem::new(4096, shards, false)
     }
 
     #[test]
     fn shard_count_is_normalized() {
-        assert_eq!(ShardedMem::new(64, 0).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 1).shards(), 1);
-        assert_eq!(ShardedMem::new(64, 3).shards(), 4);
-        assert_eq!(ShardedMem::new(64, 8).shards(), 8);
+        assert_eq!(ShardedMem::new(64, 0, false).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 1, false).shards(), 1);
+        assert_eq!(ShardedMem::new(64, 3, false).shards(), 4);
+        assert_eq!(ShardedMem::new(64, 8, false).shards(), 8);
     }
 
     #[test]
@@ -838,7 +1036,7 @@ mod tests {
             assert_eq!(b.raw() % 8, 0);
             assert!(b.raw() >= 3);
             // Mirror of TrackedHeap::alloc's padding-aware error report.
-            let m2 = ShardedMem::new(16, shards);
+            let m2 = ShardedMem::new(16, shards, false);
             m2.alloc(3, 1).unwrap();
             match m2.alloc(16, 8).unwrap_err() {
                 Error::ArenaExhausted {
@@ -940,15 +1138,103 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_copies_exact_bytes() {
-        let m = mem(4);
-        let a = m.alloc(100, 1).unwrap();
-        let data: Vec<u8> = (0..100).map(|i| (i * 7) as u8).collect();
-        m.store_bytes(AddrRange::new(a, 100), &data, false);
-        let heap = m.snapshot();
-        assert_eq!(heap.len(), 100);
-        assert_eq!(heap.capacity(), 4096);
-        assert_eq!(heap.load_bytes(AddrRange::new(a, 100)), &data[..]);
+    fn teardown_copy_is_exact() {
+        for versioned in [false, true] {
+            let m = ShardedMem::new(4096, 4, versioned);
+            let a = m.alloc(100, 1).unwrap();
+            let data: Vec<u8> = (0..100).map(|i| (i * 7) as u8).collect();
+            m.store_bytes(AddrRange::new(a, 100), &data, false);
+            let heap = m.into_heap();
+            assert_eq!(heap.len(), 100);
+            assert_eq!(heap.capacity(), 4096);
+            assert_eq!(heap.load_bytes(AddrRange::new(a, 100)), &data[..]);
+        }
+    }
+
+    #[test]
+    fn stores_stamp_only_the_stripes_they_change() {
+        let m = ShardedMem::new(4096, 4, true);
+        let a = m.alloc(256, 64).unwrap();
+        let stripe = |k: u64| stripe_of(a.raw()) + k;
+        let start = m.begin_view();
+        // A bulk store over four stripes that changes only the third.
+        let mut data = vec![0u8; 256];
+        data[130] = 1;
+        let mut runs = Vec::new();
+        m.store_elems(AddrRange::new(a, 256), &data, 1, true, &mut runs);
+        let versions: Vec<u64> = (0..4).map(|k| m.stripe_version(stripe(k))).collect();
+        assert_eq!(versions, vec![0, 0, start + 1, 0]);
+        // Silent stores, scalar and bulk, leave every version alone.
+        m.store(a.offset(130), 1u8, true);
+        m.store_bytes(AddrRange::new(a, 256), &data, true);
+        assert_eq!(m.stripe_version(stripe(2)), start + 1);
+        // A changing scalar and a changing byte-range store stamp the
+        // clock as it reads now.
+        let later = m.begin_view();
+        m.store(a.offset(8), 5u64, true);
+        m.store_bytes(AddrRange::new(a.offset(200), 2), &[9, 9], true);
+        assert_eq!(m.stripe_version(stripe(0)), later + 1);
+        assert_eq!(m.stripe_version(stripe(3)), later + 1);
+        // An unversioned arena stamps nothing.
+        let u = ShardedMem::new(4096, 4, false);
+        let b = u.alloc(64, 64).unwrap();
+        u.store(b, 1u64, true);
+        assert_eq!(u.stripe_version(stripe_of(b.raw())), 0);
+    }
+
+    /// A writer stores program-ordered sequence numbers across many
+    /// stripes while readers take views: every view's reads must form a
+    /// downward-closed cut. Cell `k` holds the last sequence number `s`
+    /// with `s % CELLS == k`, so a cut whose newest number is `top` must
+    /// see every cell at exactly its last number up to `top`.
+    #[test]
+    fn views_read_downward_closed_cuts() {
+        use crate::view::View;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+
+        const CELLS: u64 = 64;
+        let m = ShardedMem::new(1 << 16, 8, true);
+        // One u64 per stripe, so every cell has its own version.
+        let base = m.alloc(CELLS * 64, 64).unwrap();
+        let cell = |k: u64| base.offset(k * 64);
+        let done = AtomicBool::new(false);
+        let mut cuts = 0u32;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for seq in 1..=200_000u64 {
+                    m.store(cell(seq % CELLS), seq, true);
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            while !done.load(Ordering::Relaxed) {
+                let mut view = View::start(&m);
+                // Read the cells in a scattered order, so a cut is checked
+                // across stripes the writer touches at different times.
+                let read = catch_unwind(AssertUnwindSafe(|| {
+                    (0..CELLS)
+                        .map(|i| {
+                            let k = (i * 37) % CELLS;
+                            (k, view.load::<u64>(&m, cell(k)))
+                        })
+                        .collect::<Vec<_>>()
+                }));
+                let Ok(seen) = read else {
+                    assert!(view.restarted(), "only a restart unwinds a view");
+                    continue;
+                };
+                // A downward-closed cut of a program-ordered stream is a
+                // prefix `1..=top`: cell `k` then holds the last number up
+                // to `top` that lands on it (0 if none has yet).
+                let top = seen.iter().map(|&(_, v)| v).max().unwrap();
+                for &(k, v) in &seen {
+                    let want = if top >= k { top - (top - k) % CELLS } else { 0 };
+                    assert_eq!(v, want, "cell {k} in a cut that saw {top}");
+                }
+                cuts += 1;
+            }
+        });
+        assert!(cuts > 0, "no view completed");
     }
 
     #[test]
@@ -961,7 +1247,7 @@ mod tests {
     #[test]
     fn concurrent_disjoint_stores_are_exact() {
         use std::sync::Arc;
-        let m = Arc::new(ShardedMem::new(1 << 20, 8));
+        let m = Arc::new(ShardedMem::new(1 << 20, 8, false));
         let a = m.alloc(8 * 1024, 8).unwrap();
         let threads = 4;
         let per = 1024 / threads;
@@ -991,7 +1277,7 @@ mod tests {
         use std::sync::Arc;
         // Every thread writes its own byte inside ONE word; the stripe lock
         // must make the read-modify-writes exclusive.
-        let m = Arc::new(ShardedMem::new(64, 4));
+        let m = Arc::new(ShardedMem::new(64, 4, false));
         let a = m.alloc(8, 8).unwrap();
         std::thread::scope(|s| {
             for t in 0..8usize {
@@ -1009,8 +1295,9 @@ mod tests {
         }
     }
 
-    /// Runs one `store_elems` against a prepared arena and returns
-    /// `(changed_elems, runs, final bytes)`.
+    /// Runs one `store_elems` against a prepared versioned arena and
+    /// returns `(changed_elems, runs, final bytes)`, after checking that it
+    /// stamped exactly the stripes whose bytes it changed.
     fn run_store_elems(
         initial: &[u8],
         start: u64,
@@ -1018,14 +1305,28 @@ mod tests {
         elem_size: usize,
         detect: bool,
     ) -> (usize, Vec<(usize, usize)>, Vec<u8>) {
-        let m = ShardedMem::new(1 << 16, 4);
+        let m = ShardedMem::new(1 << 16, 4, true);
         let base = m.alloc(initial.len() as u64, 1).unwrap();
-        m.store_bytes(AddrRange::new(base, initial.len() as u64), initial, false);
+        let whole = AddrRange::new(base, initial.len() as u64);
+        m.store_bytes(whole, initial, false);
+        let stamp = m.begin_view() + 1;
         let range = AddrRange::new(base.offset(start), data.len() as u64);
         let mut runs = Vec::new();
         let changed = m.store_elems(range, data, elem_size, detect, &mut runs);
         let mut out = Vec::new();
-        m.load_into(AddrRange::new(base, initial.len() as u64), &mut out);
+        m.load_into(whole, &mut out);
+        let stripes = stripe_of(base.raw())..=stripe_of(whole.end().raw() - 1);
+        let stamped: Vec<u64> = stripes
+            .clone()
+            .filter(|&s| m.stripe_version(s) == stamp)
+            .collect();
+        let moved: Vec<u64> = stripes
+            .filter(|&s| {
+                (0..initial.len())
+                    .any(|i| stripe_of(base.raw() + i as u64) == s && out[i] != initial[i])
+            })
+            .collect();
+        assert_eq!(stamped, moved, "stamped stripes differ from changed ones");
         (changed, runs, out)
     }
 
@@ -1044,7 +1345,7 @@ mod tests {
         assert_eq!(runs, vec![(2, 3), (5, 6)]);
         assert_eq!(&out[1..1 + data.len()], &data[..]);
         // A second identical store is fully silent.
-        let m = ShardedMem::new(1 << 16, 4);
+        let m = ShardedMem::new(1 << 16, 4, false);
         let b = m.alloc(256, 1).unwrap();
         let r = AddrRange::new(b.offset(1), data.len() as u64);
         let mut runs = Vec::new();
@@ -1177,7 +1478,7 @@ mod tests {
                     x ^= x << 17;
                     x
                 };
-                let m = ShardedMem::new(1 << 16, shards);
+                let m = ShardedMem::new(1 << 16, shards, false);
                 let mut h = TrackedHeap::with_capacity(1 << 16);
                 let base = m.alloc(ARENA, 1).unwrap();
                 prop_assert_eq!(h.alloc(ARENA, 1).unwrap(), base);

@@ -1,4 +1,4 @@
-//! Running a tthread body: detached against a snapshot and committed under
+//! Running a tthread body: detached against a view and committed under
 //! the state lock afterwards (on a worker, or on a joiner that helps while
 //! it waits), or inline on the calling thread under the lock. Both
 //! executors share the body timing, the early-cutoff wave close and the
@@ -10,7 +10,7 @@ use std::thread;
 use std::time::Instant;
 
 use super::{Inner, State, TthreadFn};
-use crate::ctx::{Ctx, LoggedStore};
+use crate::ctx::{Ctx, DetachedParts, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
 use crate::dispatch::PARK_TIMEOUT;
 use crate::error::Error;
@@ -19,6 +19,7 @@ use crate::fault::FaultPoint;
 use crate::obs::EventKind;
 use crate::stats::Tally;
 use crate::tthread::{TthreadId, TthreadStatus};
+use crate::view::View;
 
 /// Maximum depth of tthreads triggering tthreads before
 /// [`Error::CascadeDepthExceeded`] aborts the cascade.
@@ -132,11 +133,11 @@ fn run_body<U, R>(
     })
 }
 
-/// Executes one claimed tthread *detached*: snapshot, body off the lock,
-/// commit under the lock. The caller must already have moved `id` to
-/// Running (claim CAS). The first snapshot is taken without the state
-/// lock; a rerun snapshots while still holding the previous commit's
-/// guard.
+/// Executes one claimed tthread *detached*: a view of tracked memory, the
+/// body off the lock, commit under the lock. The caller must already have
+/// moved `id` to Running (claim CAS). The first view starts without the
+/// state lock; a rerun starts its view while still holding the previous
+/// commit's guard.
 fn run_detached<U: Send + 'static>(
     inner: &Inner<U>,
     id: TthreadId,
@@ -145,45 +146,70 @@ fn run_detached<U: Send + 'static>(
 ) {
     let slot = inner.dispatch.slots.get(id.index());
     let mut retries: u32 = 0;
+    let mut restarts: u32 = 0;
     let mut held = None;
     loop {
         debug_assert_eq!(slot.status(), TthreadStatus::Running);
         // Take the changed set after the claim (or RF absorb) and before
-        // the snapshot: every range it holds is in the snapshot.
+        // the view starts: every range it holds is in the view.
         let triggers = slot.changed.take();
-        // With the guard held the snapshot is serialized with raising.
-        // Without it (first iteration) it is still no older than the
-        // trigger that queued `id`: the claim CAS synchronized with the
-        // raise RMW, which itself followed the triggering store's
-        // stripe-locked publication — and `snapshot()` holds every stripe
-        // lock, making the copy atomic against concurrent accessors.
-        let snap = inner.mem.snapshot();
-        drop(held.take());
+        let (outcome, overran, parts) = loop {
+            // With the guard held the view start is serialized with
+            // raising. Without it (first iteration) it still follows the
+            // trigger that queued `id`: the claim CAS synchronized with the
+            // raise RMW, which itself followed the triggering store's
+            // stripe-locked publication, so that store loaded the view
+            // clock before this bump (see `crate::view`).
+            let view = View::start(&inner.mem);
+            drop(held.take());
 
-        // Injected scheduling delay: the tthread is already Running (a join
-        // waits for it rather than stealing it), so stretching this gap
-        // widens trigger/join races without risking double execution.
-        if inner.fault.fire(FaultPoint::WorkerSchedule) {
-            inner.fault.delay();
-        }
-
-        let deadline = BodyDeadline::starting(inner.cfg.body_deadline, Instant::now());
-        // The body runs entirely off the state lock, against the snapshot;
-        // main-thread `with`/`join` calls proceed concurrently.
-        let mut ctx = Ctx::detached(snap, inner, 1, triggers);
-        let outcome = run_body(inner, id, || {
-            if inner.fault.fire(FaultPoint::BodyStart) {
-                // Injected body failure: behave exactly like a panicking
-                // body (the tthread gets poisoned below) without running
-                // the panic hook and spamming stderr.
-                resume_unwind(Box::new("injected body-start fault"));
+            // Injected scheduling delay: the tthread is already Running (a
+            // join waits for it rather than stealing it), so stretching this
+            // gap widens trigger/join races without risking double
+            // execution.
+            if inner.fault.fire(FaultPoint::WorkerSchedule) {
+                inner.fault.delay();
             }
-            func(&mut ctx)
-        });
-        // Deadline check covers the body only, before any injected commit
-        // delay; a panic takes precedence over a timeout below. Monotonic
-        // by construction — see `crate::deadline`.
-        let overran = deadline.and_then(|d| d.overrun(Instant::now()));
+
+            let deadline = BodyDeadline::starting(inner.cfg.body_deadline, Instant::now());
+            // The body runs entirely off the state lock, against the view;
+            // main-thread `with`/`join` calls proceed concurrently.
+            let mut ctx = Ctx::detached(view, inner, 1, triggers);
+            let outcome = run_body(inner, id, || {
+                if inner.fault.fire(FaultPoint::BodyStart) {
+                    // Injected body failure: behave exactly like a
+                    // panicking body (the tthread gets poisoned below)
+                    // without running the panic hook and spamming stderr.
+                    resume_unwind(Box::new("injected body-start fault"));
+                }
+                func(&mut ctx)
+            });
+            // Deadline check covers the body only, before any injected
+            // commit delay; a panic takes precedence over a timeout below.
+            // Monotonic by construction — see `crate::deadline`.
+            let overran = deadline.and_then(|d| d.overrun(Instant::now()));
+            let parts = ctx.into_detached_parts();
+            if !parts.restarted {
+                break (outcome, overran, parts);
+            }
+            // A stripe the body read changed after its view started. The
+            // flag, not the unwind, decides: a body that caught the unwind
+            // (or panicked after it) restarts all the same. Nothing was
+            // published; the loads and stores still happened, against the
+            // view. Run again with the same taken set, up to the cap.
+            drop(parts.guard);
+            inner.counters.merge_delta(&parts.delta);
+            inner.counters.add(id.index(), Tally::ViewRestarts, 1);
+            if restarts >= inner.cfg.commit_retry_cap {
+                // As at an exhausted commit retry: defer to the next join,
+                // which recomputes everything (the taken set is lost).
+                let _state = inner.state.lock();
+                slot.changed.set_all();
+                slot.complete_to_triggered();
+                return;
+            }
+            restarts += 1;
+        };
         // Injected commit-replay delay: stretches the window between body
         // end and commit, multiplying commit conflicts and retriggers.
         // Runs before the relock unless the body already took the user-
@@ -192,7 +218,9 @@ fn run_detached<U: Send + 'static>(
         if inner.fault.fire(FaultPoint::CommitReplay) {
             inner.fault.delay();
         }
-        let (guard, log, delta) = ctx.into_detached_parts();
+        let DetachedParts {
+            guard, log, delta, ..
+        } = parts;
         // If the body touched user state it already holds the lock; reuse
         // that guard so user-state updates and the commit are one critical
         // section. Every transition *out of* Running below bumps the slot
@@ -210,7 +238,7 @@ fn run_detached<U: Send + 'static>(
         }
 
         // The access-side counters merge even for a timed-out body: the
-        // loads/stores really happened, against the snapshot.
+        // loads/stores really happened, against the view.
         inner.counters.merge_delta(&delta);
         if let Some(elapsed) = overran {
             // Deadline overrun: discard the write log — a timed-out body
@@ -256,7 +284,7 @@ fn run_detached<U: Send + 'static>(
             return;
         }
         // The rerun flag was set: a trigger landed while the body ran (or
-        // its own commit retriggered it). The snapshot may be stale, so go
+        // its own commit retriggered it). The view may be stale, so go
         // around again with a fresh one — but only up to the configured
         // cap, so adversarial store rates cannot livelock this worker.
         if retries >= inner.cfg.commit_retry_cap {
@@ -270,7 +298,7 @@ fn run_detached<U: Send + 'static>(
         state.stats.commit_retries += 1;
         slot.absorb_rf();
         if let Some(base) = inner.cfg.commit_backoff {
-            // Back off before re-snapshotting: under a store storm an
+            // Back off before the next view: under a store storm an
             // immediate rerun mostly re-loses the commit race. The sleep
             // happens off the state lock; jitter comes from the fault
             // layer's SplitMix64 stream so chaos replays stay

@@ -17,8 +17,8 @@ use crate::tthread::{TstEntry, TthreadId, TthreadStatus};
 /// How a [`Runtime::join`] call was satisfied.
 ///
 /// With the parallel executor, worker executions run off the state lock
-/// against a snapshot and *commit* their effects atomically under the
-/// lock; `join` observes a tthread's effects if and only if its commit
+/// against a view of tracked memory and *commit* their effects atomically
+/// under the lock; `join` observes a tthread's effects if and only if its commit
 /// happened before the join's status check. See the [`Runtime`] docs for
 /// the full memory-consistency contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,9 +67,9 @@ impl<U: Send + 'static> Runtime<U> {
     /// While it waits, the calling thread does not just sleep: as long as
     /// the pending queue holds work it runs *other* tthreads' queued
     /// bodies itself, one at a time and exactly as a worker does —
-    /// detached against a snapshot, off the state lock, committed
-    /// afterwards, under the body deadline if one is configured — and
-    /// re-checks `tthread` after each. It parks only once the queue is
+    /// detached against a view of tracked memory, off the state lock,
+    /// committed afterwards, under the body deadline if one is configured —
+    /// and re-checks `tthread` after each. It parks only once the queue is
     /// empty. A tthread run this way reports [`JoinOutcome::Overlapped`]
     /// at its own next join, as after a worker's run.
     ///

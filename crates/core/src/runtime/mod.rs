@@ -251,9 +251,13 @@ impl<U> Inner<U> {
 ///
 /// With `cfg.workers > 0`, a tthread body running on a worker:
 ///
-/// * observes a **snapshot** of tracked memory taken atomically when its
-///   execution starts, plus its own writes — never a concurrent
-///   main-thread store tearing through its reads;
+/// * observes **one consistent cut** of tracked memory as of its start
+///   (or, once it takes user state, as of that instant), plus its own
+///   writes — never a concurrent main-thread store tearing through its
+///   reads. Only the stripes it touches are copied, each on
+///   first touch; reading one that changed after the start restarts the
+///   body, which has published nothing, with the same taken changed set
+///   (bounded by `commit_retry_cap`, past which its join runs it);
 /// * publishes its tracked stores **atomically at commit**, after the body
 ///   returns: the worker reacquires the state lock, replays the body's
 ///   write log against live memory, and fires triggers for the stores that
@@ -262,8 +266,12 @@ impl<U> Inner<U> {
 /// * sees the **live, shared** user state `U` through
 ///   [`Ctx::user`]/[`Ctx::user_mut`] — first access acquires the state
 ///   lock and holds it until the commit, so user-state updates serialize
-///   with main-thread regions;
-/// * is **re-executed** (with a fresh snapshot) if a trigger landed on it
+///   with main-thread regions. That first access re-checks the stripes
+///   read so far (restarting before user state is handed out if a byte
+///   it read went stale), which moves the body's cut to that instant; from
+///   then on it reads live memory plus its own writes, as an inline body
+///   would;
+/// * is **re-executed** (with a fresh view) if a trigger landed on it
 ///   while it ran, so a committed execution always reflects inputs no
 ///   older than its last trigger;
 /// * publishes **nothing** if it panics: the tthread is poisoned and the
@@ -298,7 +306,13 @@ impl<U: Send + 'static> Runtime<U> {
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
         };
-        let mem = ShardedMem::new(ARENA_CAPACITY, crate::mem::default_shards());
+        // Only workers (and the joiners that help beside them) run bodies
+        // detached, so only their arena stamps stripe versions for views.
+        let mem = ShardedMem::new(
+            ARENA_CAPACITY,
+            crate::mem::default_shards(),
+            cfg.workers > 0,
+        );
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
         let watch_filter = WatchFilter::new(ARENA_CAPACITY);
         let counters = CounterBank::new(mem.shards());

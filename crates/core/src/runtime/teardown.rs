@@ -186,8 +186,7 @@ impl<U: Send + 'static> Runtime<U> {
             // that finished their loop but have not fully exited yet.
             active: Arc::strong_count(&arc).saturating_sub(1),
         })?;
-        let heap = inner.mem.snapshot();
         let state = inner.state.into_inner();
-        Ok((heap, state.user))
+        Ok((inner.mem.into_heap(), state.user))
     }
 }

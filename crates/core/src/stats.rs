@@ -40,7 +40,7 @@ pub struct Counters {
     /// Executions performed inline on the triggering/main thread.
     pub inline_executions: u64,
     /// Executions performed by worker threads, each detached: off the
-    /// state lock, against a snapshot, committed afterwards.
+    /// state lock, against a view of tracked memory, committed afterwards.
     pub worker_executions: u64,
     /// Stores replayed from detached write logs at commit time.
     pub commit_stores: u64,
@@ -121,7 +121,7 @@ pub struct Counters {
     /// Backoff sleeps taken between detached commit retries when
     /// [`crate::config::Config::commit_backoff`] is set: one per retry
     /// that waited (bounded-exponential step + SplitMix64 jitter) before
-    /// re-snapshotting. Always zero with the default `None` backoff.
+    /// starting the next view. Always zero with the default `None` backoff.
     pub commit_backoff_waits: u64,
     /// The [`Counters::park_timeouts`] that were *rescues*: the park
     /// expired with no wake issued since it validated, yet the worker's
@@ -135,6 +135,11 @@ pub struct Counters {
     /// `executions == inline_executions + worker_executions +
     /// helped_executions`.
     pub helped_executions: u64,
+    /// Detached body runs abandoned because a stripe they read changed
+    /// after their view started (see [`crate::ctx`]): a backstop the
+    /// consistent cut costs, counted like the commit retries. Zero without
+    /// workers.
+    pub view_restarts: u64,
 }
 
 /// Applies a callback macro to the complete counter field list, in
@@ -186,6 +191,7 @@ macro_rules! for_each_counter {
             commit_backoff_waits,
             park_rescues,
             helped_executions,
+            view_restarts,
         )
     };
 }
@@ -278,6 +284,7 @@ counter_bank! {
     QueueStaleSkips => queue_stale_skips,
     ParkTimeouts => park_timeouts,
     ParkRescues => park_rescues,
+    ViewRestarts => view_restarts,
 }
 
 /// One line of the bank. Aligning each to 64 bytes keeps concurrent
@@ -569,6 +576,7 @@ impl fmt::Display for StatsSnapshot {
             "commit retries        {:>12}  (exhausted: {}, backoff waits: {})",
             c.commit_retries, c.commit_retry_exhausted, c.commit_backoff_waits
         )?;
+        writeln!(f, "view restarts         {:>12}", c.view_restarts)?;
         writeln!(f, "body timeouts         {:>12}", c.body_timeouts)?;
         writeln!(
             f,
@@ -675,6 +683,7 @@ mod tests {
             bank.add(key, Tally::QueueStaleSkips, 1);
             bank.add(key, Tally::ParkTimeouts, 1);
             bank.add(key, Tally::ParkRescues, 1);
+            bank.add(key, Tally::ViewRestarts, 1);
         }
 
         let mut c = Counters::new();
@@ -700,6 +709,7 @@ mod tests {
         want.queue_stale_skips = 20;
         want.park_timeouts = 20;
         want.park_rescues = 20;
+        want.view_restarts = 20;
         // Whole-struct equality: no tally folds into a neighbour's field.
         assert_eq!(c, want);
 
@@ -762,7 +772,7 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 39);
+        assert_eq!(fields.len(), 40);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[11], ("worker_executions", 12));
         assert_eq!(fields[12], ("commit_stores", 13));
@@ -781,6 +791,7 @@ mod tests {
         assert_eq!(fields[36], ("commit_backoff_waits", 37));
         assert_eq!(fields[37], ("park_rescues", 38));
         assert_eq!(fields[38], ("helped_executions", 39));
+        assert_eq!(fields[39], ("view_restarts", 40));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }
