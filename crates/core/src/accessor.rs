@@ -34,12 +34,14 @@
 //! every changing store to a watched range raises its hits before `set`
 //! returns.
 
+use std::sync::Arc;
+
 use crate::addr::AddrRange;
 use crate::handle::{Tracked, TrackedArray};
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::{Inner, Raise};
-use crate::stats::{CounterBank, Tally};
+use crate::stats::{CounterLine, Tally};
 use crate::trigger::LookupScratch;
 use crate::Ctx;
 
@@ -47,7 +49,8 @@ use crate::Ctx;
 ///
 /// Create one per thread with [`crate::runtime::Runtime::accessor`]; the
 /// accessor owns reusable trigger-lookup scratch, so its store path is
-/// allocation-free after warmup.
+/// allocation-free after warmup, and a counter line of its own, handed on,
+/// counts kept, to a later accessor once it drops.
 ///
 /// # Examples
 ///
@@ -73,6 +76,13 @@ use crate::Ctx;
 pub struct Accessor<'rt, U> {
     inner: &'rt Inner<U>,
     scratch: LookupScratch,
+    line: Arc<CounterLine>,
+}
+
+impl<U> Drop for Accessor<'_, U> {
+    fn drop(&mut self) {
+        self.inner.counters.release(Arc::clone(&self.line));
+    }
 }
 
 impl<U> std::fmt::Debug for Accessor<'_, U> {
@@ -86,13 +96,13 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         Accessor {
             inner,
             scratch: LookupScratch::new(),
+            line: inner.counters.acquire(),
         }
     }
 
     /// Loads a tracked scalar without taking the state lock.
     pub fn get<T: Pod>(&mut self, cell: Tracked<T>) -> T {
-        let key = CounterBank::addr_key(cell.addr().raw());
-        self.inner.counters.add(key, Tally::TrackedLoads, 1);
+        self.line.bump(Tally::tracked_loads, 1);
         self.inner.mem.load(cell.addr())
     }
 
@@ -103,9 +113,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
     pub fn set<T: Pod>(&mut self, cell: Tracked<T>, value: T) {
         let detect = self.inner.cfg.suppress_silent_stores;
         let effect = self.inner.mem.store(cell.addr(), value, detect);
-        self.inner
-            .counters
-            .on_store(cell.addr().raw(), effect, detect);
+        self.line.on_store(effect, detect);
         if detect && !effect.changed {
             self.inner.obs_store(EventKind::Store, cell.addr(), None);
             return;
@@ -117,7 +125,7 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         // still exits at line granularity. Either miss skips the
         // trigger-table read lock.
         let probe = self.inner.watch_filter.probe(cell.range());
-        self.inner.counters.on_filter(cell.addr().raw(), probe);
+        self.line.on_filter(probe);
         if probe.is_miss() {
             self.inner
                 .obs_store(EventKind::FilterSkip, cell.addr(), None);
@@ -136,27 +144,27 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
     }
 
     /// Raise this store's trigger hits entirely through the lock-free
-    /// status machine and sharded counters, each after pushing the store's
-    /// range into the tthread's changed set. Only an overflow ticket
-    /// (pending queue full, or an injected enqueue fault) drops to the
-    /// state lock, where the tthread runs inline.
+    /// status machine, each after pushing the store's range into the
+    /// tthread's changed set. Only an overflow ticket (pending queue full,
+    /// or an injected enqueue fault) drops to the state lock, where the
+    /// tthread runs inline.
     fn raise_hits(&mut self, store_range: AddrRange) {
         let inner = self.inner;
+        let line = &*self.line;
         let store_addr = store_range.start().raw();
-        let key = CounterBank::addr_key(store_addr);
-        inner.counters.add(key, Tally::TriggeringStores, 1);
+        line.bump(Tally::triggering_stores, 1);
         let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
         for hit in self.scratch.hits() {
             let key = hit.tthread.index();
             inner.dispatch.slots.get(key).changed.push(store_range);
-            inner.counters.add(key, Tally::TriggersFired, 1);
+            line.bump(Tally::triggers_fired, 1);
             if !hit.precise {
-                inner.counters.add(key, Tally::FalseTriggers, 1);
+                line.bump(Tally::false_triggers, 1);
             }
             inner
                 .obs
                 .event(EventKind::TriggerFired, hit.tthread, store_addr);
-            if let Raise::Overflow(token) = inner.raise(hit.tthread) {
+            if let Raise::Overflow(token) = inner.raise(hit.tthread, line) {
                 overflows.push((hit.tthread, token));
             }
         }

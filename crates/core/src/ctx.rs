@@ -44,7 +44,7 @@ use crate::handle::{Tracked, TrackedArray};
 use crate::obs::EventKind;
 use crate::pod::Pod;
 use crate::runtime::{Inner, Raise, State};
-use crate::stats::Counters;
+use crate::stats::{CounterLine, Tally};
 use crate::trigger::TriggerHit;
 use crate::tthread::TthreadId;
 use crate::view::View;
@@ -60,17 +60,20 @@ pub(crate) struct LoggedStore {
     pub(crate) dispatch: bool,
 }
 
-/// The privatized view backing a detached execution.
+/// The privatized view backing a detached execution, and what it leaves
+/// for the commit ([`Ctx::into_detached`]).
 pub(crate) struct DetachedView<'a, U> {
     /// The stripes of tracked memory the body touched, as of its start.
-    view: View,
+    /// If it found one changed since, the body must run again and the log
+    /// is void.
+    pub(crate) view: View,
     /// Stores performed by the body, in program order.
-    log: Vec<LoggedStore>,
-    /// Memory-access counters accumulated off the lock, merged at commit.
-    delta: Counters,
+    pub(crate) log: Vec<LoggedStore>,
+    /// The counter line of the thread running the body.
+    line: &'a CounterLine,
     /// Lazily acquired state lock for user-state access; once taken it is
     /// held until commit, which reuses it instead of relocking.
-    guard: OnceCell<MutexGuard<'a, State<U>>>,
+    pub(crate) guard: OnceCell<MutexGuard<'a, State<U>>>,
 }
 
 impl<'a, U> DetachedView<'a, U> {
@@ -79,27 +82,24 @@ impl<'a, U> DetachedView<'a, U> {
     fn lock_user(&self, inner: &'a Inner<U>) -> MutexGuard<'a, State<U>> {
         self.view.lock_user(&inner.mem, || inner.state.lock())
     }
-}
 
-/// What a detached execution leaves for its commit
-/// ([`Ctx::into_detached_parts`]).
-pub(crate) struct DetachedParts<'a, U> {
-    /// The state-lock guard, if the body took it for user state.
-    pub(crate) guard: Option<MutexGuard<'a, State<U>>>,
-    /// The body's stores, in program order.
-    pub(crate) log: Vec<LoggedStore>,
-    /// The access counters accumulated off the lock.
-    pub(crate) delta: Counters,
-    /// Whether the view found a stripe changed after its start: the body
-    /// must run again and the log is void.
-    pub(crate) restarted: bool,
+    /// Logs a scalar store for replay at commit.
+    fn log<T: Pod>(&mut self, cell: Tracked<T>, value: T, dispatch: bool) {
+        let mut buf = [0u8; 16];
+        let enc = &mut buf[..T::SIZE];
+        value.write_le(enc);
+        let (range, data) = (cell.range(), enc.to_vec());
+        self.log.push(LoggedStore {
+            range,
+            data,
+            dispatch,
+        });
+    }
 }
 
 enum CtxMode<'a, U> {
     Locked(&'a mut State<U>),
-    // Boxed: the counter delta alone is some 300 bytes, which would
-    // otherwise bloat every locked context.
-    Detached(Box<DetachedView<'a, U>>),
+    Detached(DetachedView<'a, U>),
 }
 
 /// Mutable view of the runtime state handed to main-thread regions and
@@ -155,20 +155,21 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     }
 
     /// Creates a detached context over a view of tracked memory, for a
-    /// body run that took `triggers`.
+    /// body run that took `triggers`, counting on `line`.
     pub(crate) fn detached(
         view: View,
         inner: &'a Inner<U>,
         depth: u32,
         triggers: Triggers,
+        line: &'a CounterLine,
     ) -> Self {
         Ctx {
-            mode: CtxMode::Detached(Box::new(DetachedView {
+            mode: CtxMode::Detached(DetachedView {
                 view,
                 log: Vec::new(),
-                delta: Counters::new(),
+                line,
                 guard: OnceCell::new(),
-            })),
+            }),
             inner,
             depth,
             cur: None,
@@ -178,25 +179,14 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Tears a detached context apart for commit: the state-lock guard if
-    /// the body acquired one (for user-state access), the write log, the
-    /// off-lock counter delta, and whether the view asked for a restart
-    /// (the log is then void).
+    /// Hands a detached context's view over to its commit.
     ///
     /// # Panics
     ///
     /// Panics on a locked context.
-    pub(crate) fn into_detached_parts(self) -> DetachedParts<'a, U> {
+    pub(crate) fn into_detached(self) -> DetachedView<'a, U> {
         match self.mode {
-            CtxMode::Detached(view) => {
-                let view = *view;
-                DetachedParts {
-                    restarted: view.view.restarted(),
-                    guard: view.guard.into_inner(),
-                    log: view.log,
-                    delta: view.delta,
-                }
-            }
+            CtxMode::Detached(view) => view,
             CtxMode::Locked(_) => unreachable!("only detached contexts are committed"),
         }
     }
@@ -306,10 +296,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let CtxMode::Locked(state) = &mut self.mode else {
             return self.get_detached(cell);
         };
-        // Locked mode holds the state lock, so the counter is a plain add on
-        // the global stats; only the lock-free Accessor path needs the
-        // atomic counter bank.
-        state.stats.tracked_loads += 1;
+        state.lock_line.bump(Tally::tracked_loads, 1);
         self.inner.mem.load(cell.addr())
     }
 
@@ -319,7 +306,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let CtxMode::Detached(view) = &mut self.mode else {
             unreachable!("locked loads stay in `get`")
         };
-        view.delta.tracked_loads += 1;
+        view.line.bump(Tally::tracked_loads, 1);
         view.view.load(&self.inner.mem, cell.addr())
     }
 
@@ -340,12 +327,10 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             return self.set_detached(cell, value, detect);
         };
         let effect = self.inner.mem.store(cell.addr(), value, detect);
-        state.stats.tracked_stores += 1;
-        state.stats.bytes_compared += effect.bytes_compared;
+        state.lock_line.on_store(effect, detect);
         if !detect || effect.changed {
             return self.set_changed(cell.range());
         }
-        state.stats.silent_stores += 1;
         if self.in_body() {
             self.body_dispatched += 1;
         }
@@ -360,28 +345,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             unreachable!("locked stores stay in `set`")
         };
         let effect = view.view.store(&self.inner.mem, cell.addr(), value, detect);
-        view.delta.tracked_stores += 1;
-        view.delta.bytes_compared += effect.bytes_compared;
-        if detect && !effect.changed {
-            view.delta.silent_stores += 1;
-            return;
+        view.line.on_store(effect, detect);
+        if !detect || effect.changed {
+            view.log(cell, value, true);
         }
-        view.delta.changing_stores += 1;
-        let mut buf = [0u8; 16];
-        let enc = &mut buf[..T::SIZE];
-        value.write_le(enc);
-        view.log.push(LoggedStore {
-            range: cell.range(),
-            data: enc.to_vec(),
-            dispatch: true,
-        });
     }
 
     /// The rest of a locked [`Ctx::set`] whose store changed memory (or ran
-    /// with change detection off): count it and consult the trigger table.
+    /// with change detection off): consult the trigger table.
     #[inline(never)]
     fn set_changed(&mut self, range: AddrRange) {
-        self.locked().stats.changing_stores += 1;
         if self.in_body() {
             self.body_dispatched += 1;
             self.body_changed += 1;
@@ -422,15 +395,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     pub fn init<T: Pod>(&mut self, cell: Tracked<T>, value: T) {
         if let CtxMode::Detached(view) = &mut self.mode {
             view.view.store(&self.inner.mem, cell.addr(), value, false);
-            let mut buf = [0u8; 16];
-            let enc = &mut buf[..T::SIZE];
-            value.write_le(enc);
-            view.log.push(LoggedStore {
-                range: cell.range(),
-                data: enc.to_vec(),
-                dispatch: false,
-            });
-            return;
+            return view.log(cell, value, false);
         }
         self.inner.mem.store(cell.addr(), value, false);
     }
@@ -469,15 +434,14 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         if from == to {
             return;
         }
-        let range = array.range_of(from, to);
-        out.reserve(to - from);
+        let (range, n) = (array.range_of(from, to), to - from);
+        out.reserve(n);
         if let CtxMode::Detached(view) = &mut self.mode {
             view.view.load_elems(&self.inner.mem, range, out);
-            view.delta.tracked_loads += (to - from) as u64;
-            return;
+            return view.line.bump(Tally::tracked_loads, n as u64);
         }
         self.inner.mem.load_elems(range, out);
-        self.locked().stats.tracked_loads += (to - from) as u64;
+        self.locked().lock_line.bump(Tally::tracked_loads, n as u64);
     }
 
     /// Bulk-loads the whole array; see [`Ctx::read_slice_into`].
@@ -518,12 +482,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             let changed_elems =
                 view.view
                     .store_elems(&self.inner.mem, range, &data, T::SIZE, detect, &mut runs);
-            view.delta.tracked_stores += n as u64;
-            if detect {
-                view.delta.bytes_compared += (n * T::SIZE) as u64;
-                view.delta.silent_stores += (n - changed_elems) as u64;
-            }
-            view.delta.changing_stores += changed_elems as u64;
+            view.line.on_stores(n, changed_elems, T::SIZE, detect);
             for (a, b) in runs {
                 view.log.push(LoggedStore {
                     range: array.range_of(from + a, from + b),
@@ -549,17 +508,9 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             .inner
             .mem
             .store_elems(range, &data, T::SIZE, detect, &mut runs);
-        {
-            let state = self.locked();
-            let stats = &mut state.stats;
-            stats.tracked_stores += n as u64;
-            if detect {
-                stats.bytes_compared += (n * T::SIZE) as u64;
-                stats.silent_stores += (n - changed_elems) as u64;
-            }
-            stats.changing_stores += changed_elems as u64;
-            state.bulk_scratch = data;
-        }
+        let state = self.locked();
+        state.lock_line.on_stores(n, changed_elems, T::SIZE, detect);
+        state.bulk_scratch = data;
         if self.in_body() {
             // Early-cutoff accounting: each element counts as one dispatched
             // store op, exactly as element-wise writes would.
@@ -585,16 +536,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         // on a watched page) skips the trigger-table read lock and the
         // bucket walk entirely.
         let probe = self.inner.watch_filter.probe(store_range);
-        {
-            let stats = &mut self.locked().stats;
-            stats.filter_checks += 1;
-            if !matches!(probe, crate::filter::FilterProbe::MissPage) {
-                stats.filter_page_hits += 1;
-            }
-            if matches!(probe, crate::filter::FilterProbe::Hit) {
-                stats.filter_line_hits += 1;
-            }
-        }
+        self.locked().lock_line.on_filter(probe);
         if probe.is_miss() {
             self.inner
                 .obs_store(EventKind::FilterSkip, store_range.start(), None);
@@ -626,7 +568,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         let depth = self.depth;
         let cur = self.cur;
         let store_addr = store_range.start().raw();
-        self.locked().stats.triggering_stores += 1;
+        self.locked().lock_line.bump(Tally::triggering_stores, 1);
         for hit in hits {
             // Push before any exit and before the status-word RMW, so a
             // deduped or dropped raise still leaves its range for the next
@@ -655,32 +597,32 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                     // complete against pre-wave inputs. (Under the state
                     // lock the bytes of this epoch's stores are already
                     // live, so the rerun reads fresh data.)
-                    state.stats.wave_dedups += 1;
+                    state.lock_line.bump(Tally::wave_dedups, 1);
                     slot.set_rf_if_running();
                     continue;
                 }
                 wave = state.graph.wave_depth(writer) + 1;
                 state.graph.mark_raised(hit.tthread, wave);
             }
-            let state = self.locked();
-            state.stats.triggers_fired += 1;
+            let line = &self.locked().lock_line;
+            line.bump(Tally::triggers_fired, 1);
             if !hit.precise {
-                state.stats.false_triggers += 1;
+                line.bump(Tally::false_triggers, 1);
             }
             if depth > 0 {
-                state.stats.cascade_triggers += 1;
+                line.bump(Tally::cascade_triggers, 1);
             }
             self.inner
                 .obs
                 .event(EventKind::TriggerFired, hit.tthread, store_addr);
             let raised = self.raise(hit.tthread);
             if cascade {
-                let state = self.locked();
-                state.stats.cascades += 1;
+                let line = &self.locked().lock_line;
+                line.bump(Tally::cascades, 1);
                 if matches!(raised, Raise::Coalesced) {
-                    state.stats.cascade_coalesced += 1;
+                    line.bump(Tally::cascade_coalesced, 1);
                 } else {
-                    state.stats.cascade_enqueues += 1;
+                    line.bump(Tally::cascade_enqueues, 1);
                 }
                 self.inner
                     .obs
@@ -696,7 +638,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// cascade wave identity
     /// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
     pub(crate) fn raise(&mut self, id: TthreadId) -> Raise {
-        match self.inner.raise(id) {
+        let inner = self.inner;
+        match inner.raise(id, &self.locked().lock_line) {
             Raise::Overflow(token) => {
                 self.overflow(id, token);
                 Raise::Activated
@@ -712,7 +655,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// cleanly — its inline run then covers this trigger.
     pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
-        self.locked().stats.queue_overflows += 1;
+        self.locked().lock_line.bump(Tally::queue_overflows, 1);
         let capacity = inner.dispatch.pending.capacity() as u64;
         inner.obs.event(EventKind::QueueOverflow, id, capacity);
         if inner.dispatch.slots.get(id.index()).try_claim_queued(token) {

@@ -104,7 +104,7 @@
 //! | [`deadline`] | monotonic body-deadline and commit-backoff arithmetic |
 //! | [`accessor`] | concurrent tracked access off the state lock |
 //! | [`runtime`] | the [`Runtime`], one file per lifecycle step: set up and trigger (`mod.rs`), run on a worker or inline (`exec.rs`), join (`join.rs`), drain and shut down (`teardown.rs`) |
-//! | [`config`], [`stats`], [`error`] | knobs, counters (under-lock [`stats::Counters`] + the lock-free bank folded into it), errors |
+//! | [`config`], [`stats`], [`error`] | knobs, counters (one single-writer line per writer, folded into [`stats::Counters`]), errors |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,14 +10,14 @@ use std::thread;
 use std::time::Instant;
 
 use super::{Inner, State, TthreadFn};
-use crate::ctx::{Ctx, DetachedParts, LoggedStore};
+use crate::ctx::{Ctx, DetachedView, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
 use crate::dispatch::PARK_TIMEOUT;
 use crate::error::Error;
 use crate::eventcount::ParkOutcome;
 use crate::fault::FaultPoint;
 use crate::obs::EventKind;
-use crate::stats::Tally;
+use crate::stats::{CounterLine, Tally};
 use crate::tthread::{TthreadId, TthreadStatus};
 use crate::view::View;
 
@@ -42,26 +42,19 @@ impl<U> Inner<U> {
     }
 }
 
-/// Who runs a queued execution: a pool worker, or a thread that would
-/// otherwise park in a join or force. The run is the same; only the
-/// execution counter it lands in differs.
-#[derive(Clone, Copy)]
-pub(super) enum Runner {
-    Worker,
-    Helper,
-}
-
 impl<U: Send + 'static> Inner<U> {
     /// Runs one queued execution: pops an (id, token) pair from the
     /// pending queue, claims it via the status-word CAS, runs it detached
     /// and wakes the joiners. The one copy of "run a queued execution",
     /// shared by the worker loop and a waiting joiner. Takes no lock but
     /// the leaf pending mutex until the commit, which takes the state lock
-    /// as any detached run does; the caller must hold neither.
+    /// as any detached run does; the caller must hold neither. The two
+    /// differ only in the counter `line` they own and the counter `ran` a
+    /// committed run lands in (`worker_executions`, `helped_executions`).
     ///
     /// `false` when the queue was empty or the entry was requeued: there
     /// is nothing for the caller to run right now, and it may park.
-    pub(super) fn run_queued(&self, runner: Runner) -> bool {
+    pub(super) fn run_queued(&self, line: &CounterLine, ran: Tally) -> bool {
         let dispatch = &self.dispatch;
         let Some((raw, token)) = dispatch.pending.pop() else {
             return false;
@@ -80,10 +73,10 @@ impl<U: Send + 'static> Inner<U> {
         if !slot.try_claim_queued(token) {
             // The entry went stale: a join or force claimed the tthread
             // (bumping the token) after this entry was queued.
-            self.counters.add(id.index(), Tally::QueueStaleSkips, 1);
+            line.bump(Tally::queue_stale_skips, 1);
             return true;
         }
-        run_detached(self, id, &self.tthread(id).func, runner);
+        run_detached(self, id, &self.tthread(id).func, line, ran);
         self.wake_joiners();
         true
     }
@@ -93,11 +86,12 @@ impl<U: Send + 'static> Inner<U> {
 /// commit. Idles on the dispatch eventcount with a timed park.
 pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
     let dispatch = &inner.dispatch;
+    let line = &inner.counters.workers[worker_idx];
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if inner.run_queued(Runner::Worker) {
+        if inner.run_queued(line, Tally::worker_executions) {
             continue;
         }
         // The timed park doubles as the rescue path for a dropped wake
@@ -109,12 +103,12 @@ pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize
             PARK_TIMEOUT,
         );
         if outcome != ParkOutcome::Skipped {
-            inner.counters.add(worker_idx, Tally::WorkerParks, 1);
+            line.bump(Tally::worker_parks, 1);
         }
         if outcome == ParkOutcome::TimedOut {
-            inner.counters.add(worker_idx, Tally::ParkTimeouts, 1);
+            line.bump(Tally::park_timeouts, 1);
             if silent && !dispatch.pending.is_empty() {
-                inner.counters.add(worker_idx, Tally::ParkRescues, 1);
+                line.bump(Tally::park_rescues, 1);
             }
         }
     }
@@ -137,12 +131,14 @@ fn run_body<U, R>(
 /// body off the lock, commit under the lock. The caller must already have
 /// moved `id` to Running (claim CAS). The first view starts without the
 /// state lock; a rerun starts its view while still holding the previous
-/// commit's guard.
+/// commit's guard. The body's accesses and restarts count on the runner's
+/// `line` as they happen, whatever the run's end.
 fn run_detached<U: Send + 'static>(
     inner: &Inner<U>,
     id: TthreadId,
     func: &TthreadFn<U>,
-    runner: Runner,
+    line: &CounterLine,
+    ran: Tally,
 ) {
     let slot = inner.dispatch.slots.get(id.index());
     let mut retries: u32 = 0;
@@ -174,7 +170,7 @@ fn run_detached<U: Send + 'static>(
             let deadline = BodyDeadline::starting(inner.cfg.body_deadline, Instant::now());
             // The body runs entirely off the state lock, against the view;
             // main-thread `with`/`join` calls proceed concurrently.
-            let mut ctx = Ctx::detached(view, inner, 1, triggers);
+            let mut ctx = Ctx::detached(view, inner, 1, triggers, line);
             let outcome = run_body(inner, id, || {
                 if inner.fault.fire(FaultPoint::BodyStart) {
                     // Injected body failure: behave exactly like a
@@ -188,18 +184,16 @@ fn run_detached<U: Send + 'static>(
             // commit delay; a panic takes precedence over a timeout below.
             // Monotonic by construction — see `crate::deadline`.
             let overran = deadline.and_then(|d| d.overrun(Instant::now()));
-            let parts = ctx.into_detached_parts();
-            if !parts.restarted {
+            let parts = ctx.into_detached();
+            if !parts.view.restarted() {
                 break (outcome, overran, parts);
             }
             // A stripe the body read changed after its view started. The
             // flag, not the unwind, decides: a body that caught the unwind
             // (or panicked after it) restarts all the same. Nothing was
-            // published; the loads and stores still happened, against the
-            // view. Run again with the same taken set, up to the cap.
+            // published. Run again with the same taken set, up to the cap.
             drop(parts.guard);
-            inner.counters.merge_delta(&parts.delta);
-            inner.counters.add(id.index(), Tally::ViewRestarts, 1);
+            line.bump(Tally::view_restarts, 1);
             if restarts >= inner.cfg.commit_retry_cap {
                 // As at an exhausted commit retry: defer to the next join,
                 // which recomputes everything (the taken set is lost).
@@ -218,16 +212,14 @@ fn run_detached<U: Send + 'static>(
         if inner.fault.fire(FaultPoint::CommitReplay) {
             inner.fault.delay();
         }
-        let DetachedParts {
-            guard, log, delta, ..
-        } = parts;
+        let DetachedView { guard, log, .. } = parts;
         // If the body touched user state it already holds the lock; reuse
         // that guard so user-state updates and the commit are one critical
         // section. Every transition *out of* Running below bumps the slot
         // *word*, which joiners' parks validate before committing to
         // sleep, so they cannot miss the wakeup (the wake itself is
         // broadcast by `run_queued` after this function returns).
-        let mut state = guard.unwrap_or_else(|| inner.state.lock());
+        let mut state = guard.into_inner().unwrap_or_else(|| inner.state.lock());
 
         if outcome.is_err() {
             // Keep this worker alive for the other tthreads; the next join
@@ -237,15 +229,12 @@ fn run_detached<U: Send + 'static>(
             return;
         }
 
-        // The access-side counters merge even for a timed-out body: the
-        // loads/stores really happened, against the view.
-        inner.counters.merge_delta(&delta);
         if let Some(elapsed) = overran {
             // Deadline overrun: discard the write log — a timed-out body
             // never commits — and flag the tthread; the next join reports
             // `TthreadTimedOut`. The taken set went with the log, so the
             // next run recomputes everything.
-            state.stats.body_timeouts += 1;
+            state.lock_line.bump(Tally::body_timeouts, 1);
             state.tst.entry_mut(id).timed_out = true;
             state.graph.clear_depth(id);
             slot.changed.set_all();
@@ -268,11 +257,8 @@ fn run_detached<U: Send + 'static>(
             return;
         }
 
-        state.stats.executions += 1;
-        match runner {
-            Runner::Worker => state.stats.worker_executions += 1,
-            Runner::Helper => state.stats.helped_executions += 1,
-        }
+        state.lock_line.bump(Tally::executions, 1);
+        state.lock_line.bump(ran, 1);
         state.tst.entry_mut(id).executions += 1;
         if inner.fault.fire(FaultPoint::Retrigger) {
             // Injected retrigger: pretend a trigger landed during the body,
@@ -288,14 +274,14 @@ fn run_detached<U: Send + 'static>(
         // around again with a fresh one — but only up to the configured
         // cap, so adversarial store rates cannot livelock this worker.
         if retries >= inner.cfg.commit_retry_cap {
-            state.stats.commit_retry_exhausted += 1;
+            state.lock_line.bump(Tally::commit_retry_exhausted, 1);
             slot.complete_to_triggered();
             let cap = u64::from(inner.cfg.commit_retry_cap);
             inner.obs.event(EventKind::RetryExhausted, id, cap);
             return;
         }
         retries += 1;
-        state.stats.commit_retries += 1;
+        state.lock_line.bump(Tally::commit_retries, 1);
         slot.absorb_rf();
         if let Some(base) = inner.cfg.commit_backoff {
             // Back off before the next view: under a store storm an
@@ -303,7 +289,7 @@ fn run_detached<U: Send + 'static>(
             // happens off the state lock; jitter comes from the fault
             // layer's SplitMix64 stream so chaos replays stay
             // seed-deterministic.
-            state.stats.commit_backoff_waits += 1;
+            state.lock_line.bump(Tally::commit_backoff_waits, 1);
             drop(state);
             thread::sleep(backoff_delay(base, retries, inner.fault.draw()));
             held = Some(inner.state.lock());
@@ -334,7 +320,7 @@ fn commit_log<U: Send + 'static>(
         if !entry.dispatch {
             continue;
         }
-        state.stats.commit_stores += 1;
+        state.lock_line.bump(Tally::commit_stores, 1);
         dispatched += 1;
         let addr = entry.range.start();
         if effect.changed {
@@ -346,7 +332,7 @@ fn commit_log<U: Send + 'static>(
             let mut ctx = Ctx::new_for(state, inner, 1, Some(id));
             ctx.dispatch(entry.range);
         } else {
-            state.stats.commit_conflicts += 1;
+            state.lock_line.bump(Tally::commit_conflicts, 1);
             inner.obs.event(EventKind::CommitConflict, id, addr.raw());
         }
     }
@@ -371,8 +357,8 @@ fn close_wave<U>(
         return;
     }
     if dispatched > 0 && changed == 0 {
-        state.stats.cascades += 1;
-        state.stats.cascade_cutoffs += 1;
+        state.lock_line.bump(Tally::cascades, 1);
+        state.lock_line.bump(Tally::cascade_cutoffs, 1);
         inner
             .obs
             .event(EventKind::CascadeCutoff, id, u64::from(wave));
@@ -439,8 +425,8 @@ impl<U: Send + 'static> Ctx<'_, U> {
                     resume_unwind(payload);
                 }
             };
-            state.stats.executions += 1;
-            state.stats.inline_executions += 1;
+            state.lock_line.bump(Tally::executions, 1);
+            state.lock_line.bump(Tally::inline_executions, 1);
             state.tst.entry_mut(id).executions += 1;
             close_wave(state, inner, id, dispatched, changed);
             if slot.try_complete(None) {

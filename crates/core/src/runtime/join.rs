@@ -4,7 +4,6 @@
 
 use parking_lot::MutexGuard;
 
-use super::exec::Runner;
 use super::{Runtime, State};
 use crate::ctx::Ctx;
 use crate::dispatch::PARK_TIMEOUT;
@@ -90,16 +89,19 @@ impl<U: Send + 'static> Runtime<U> {
             self.join_locked(tthread)?
         };
         if outcome == JoinOutcome::Skipped {
-            self.skips.total += 1;
-            self.skips.per_tthread[tthread.index()] += 1;
+            let owner = &self.inner.counters.owner;
+            owner.bump(Tally::joins, 1);
+            owner.bump(Tally::skips, 1);
+            self.skips[tthread.index()] += 1;
         }
         self.obs_join(tthread, outcome);
         Ok(outcome)
     }
 
     /// [`Runtime::join`] for every state but a plain skip: the status
-    /// machine under the state lock. A skip found here is counted by the
-    /// caller with the lock-free ones.
+    /// machine under the state lock, counting on the lock line. A skip
+    /// found here is counted by the caller on the owner line, with the
+    /// lock-free ones.
     fn join_locked(&self, tthread: TthreadId) -> Result<JoinOutcome> {
         let mut state = self.inner.state.lock();
         let slot = self.inner.dispatch.slots.get(tthread.index());
@@ -116,14 +118,14 @@ impl<U: Send + 'static> Runtime<U> {
                         continue;
                     };
                     let outcome = if waited {
-                        state.stats.waited_joins += 1;
+                        state.lock_line.bump(Tally::waited_joins, 1);
                         JoinOutcome::Waited
                     } else if overlapped {
                         JoinOutcome::Overlapped
                     } else {
                         return Ok(JoinOutcome::Skipped);
                     };
-                    state.stats.joins += 1;
+                    state.lock_line.bump(Tally::joins, 1);
                     return Ok(outcome);
                 }
                 // Only the detached (worker) executor can enforce the body
@@ -151,7 +153,7 @@ impl<U: Send + 'static> Runtime<U> {
                     if !self.run_here(&mut state, tthread, status) {
                         continue;
                     }
-                    state.stats.joins += 1;
+                    state.lock_line.bump(Tally::joins, 1);
                     return Ok(if status == TthreadStatus::Triggered {
                         JoinOutcome::RanInline
                     } else {
@@ -209,7 +211,10 @@ impl<U: Send + 'static> Runtime<U> {
         let slot = self.inner.dispatch.slots.get(tthread.index());
         let observed = slot.word();
         drop(state);
-        if self.inner.run_queued(Runner::Helper) {
+        // Only `join` and `force` wait, and both take `&mut self`: this
+        // thread owns the owner line.
+        let owner = &self.inner.counters.owner;
+        if self.inner.run_queued(owner, Tally::helped_executions) {
             return self.inner.state.lock();
         }
         let (outcome, silent) = self
@@ -218,10 +223,9 @@ impl<U: Send + 'static> Runtime<U> {
             .completions
             .park_reporting(|| slot.word() != observed, PARK_TIMEOUT);
         if outcome == ParkOutcome::TimedOut {
-            let key = tthread.index();
-            self.inner.counters.add(key, Tally::ParkTimeouts, 1);
+            owner.bump(Tally::park_timeouts, 1);
             if silent && slot.word() != observed && slot.status() != TthreadStatus::Running {
-                self.inner.counters.add(key, Tally::ParkRescues, 1);
+                owner.bump(Tally::park_rescues, 1);
             }
         }
         self.inner.state.lock()

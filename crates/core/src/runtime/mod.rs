@@ -32,7 +32,7 @@ use crate::handle::{Tracked, TrackedArray, TrackedMatrix};
 use crate::mem::ShardedMem;
 use crate::obs::{EventKind, ObsRecorder, ObsRecording, OBS_RING_CAPACITY};
 use crate::pod::Pod;
-use crate::stats::{CounterBank, Counters, StatsSnapshot, Tally};
+use crate::stats::{CounterLine, CounterLines, Counters, StatsSnapshot, Tally};
 use crate::trigger::{LookupScratch, TriggerTable};
 use crate::tthread::{StatusTable, TthreadId};
 
@@ -55,22 +55,11 @@ pub(crate) struct TthreadEntry<U> {
     func: TthreadFn<U>,
 }
 
-/// Every join that skipped. [`Runtime::join`] takes `&mut self`, so these
-/// have one writer and are plain integers, merged into the counters at
-/// [`Runtime::stats`]/[`Runtime::report`] time: the privatise-then-merge of
-/// single-writer counters. `total` counts toward both `joins` and `skips`.
-#[derive(Default)]
-struct Skips {
-    /// Zeroed by [`Runtime::reset_stats`].
-    total: u64,
-    /// Per tthread, kept across a reset like the rest of the TST entry.
-    per_tthread: Vec<u64>,
-}
-
 /// The genuinely serial part of the runtime, behind the state lock: the
-/// tthread status table, user state, and the state-machine counters.
+/// tthread status table, user state, and the lock line — the counter line
+/// of whoever holds the lock.
 ///
-/// Tracked memory, the trigger table, and the lock-free counter bank live
+/// Tracked memory, the trigger table, and the other counter lines live
 /// *outside* this lock so tracked loads and stores scale across threads,
 /// and the status machine is lock-free with the pending queue behind its
 /// own leaf mutex; only commits, inline runs and overflow handling come
@@ -78,7 +67,8 @@ struct Skips {
 pub struct State<U> {
     pub(crate) user: U,
     pub(crate) tst: StatusTable,
-    pub(crate) stats: Counters,
+    /// Everything counted under the lock, which makes its writers one.
+    pub(crate) lock_line: CounterLine,
     /// Pool of reusable trigger-lookup scratch buffers for lock-holding
     /// dispatch paths (main-thread stores, commits, cascades).
     pub(crate) scratch: Vec<LookupScratch>,
@@ -110,9 +100,8 @@ pub(crate) struct Inner<U> {
     /// rebuild); may over-approximate, never under-approximates an active
     /// watch.
     pub(crate) watch_filter: WatchFilter,
-    /// Every counter bumped without the state lock (accessor stores, raises,
-    /// the worker loop), folded with `State::stats` on demand.
-    pub(crate) counters: CounterBank,
+    /// The counter lines written without the state lock.
+    pub(crate) counters: CounterLines,
     /// Lifecycle event recorder (see [`crate::obs`]). Every hook checks
     /// `obs.on()` — one relaxed load — before doing any observability work.
     pub(crate) obs: ObsRecorder,
@@ -168,13 +157,14 @@ impl<U> Inner<U> {
 
     /// Advances `id`'s status machine for one trigger without the state
     /// lock. Counts the per-tthread trigger in its slot and the
-    /// dispatch-side machinery in the counter bank.
-    pub(crate) fn raise(&self, id: TthreadId) -> Raise {
+    /// dispatch-side machinery on the caller's `line`: the lock line from
+    /// a locked context, an accessor's own line from an accessor.
+    pub(crate) fn raise(&self, id: TthreadId, line: &CounterLine) -> Raise {
         let slot = self.dispatch.slots.get(id.index());
         slot.triggers.fetch_add(1, Ordering::Relaxed);
         match slot.raise(self.deferred(), !self.cfg.coalesce) {
             RaiseStep::Absorbed => {
-                self.counters.add(id.index(), Tally::CoalescedTriggers, 1);
+                line.bump(Tally::coalesced_triggers, 1);
                 self.obs.event(EventKind::Coalesced, id, 0);
                 Raise::Coalesced
             }
@@ -188,7 +178,7 @@ impl<U> Inner<U> {
                 {
                     return Raise::Overflow(token);
                 }
-                self.counters.add(id.index(), Tally::Enqueues, 1);
+                line.bump(Tally::enqueues, 1);
                 if self.obs.on() {
                     let occupancy = self.dispatch.pending.len() as u64;
                     self.obs.event(EventKind::TriggerEnqueued, id, occupancy);
@@ -197,7 +187,7 @@ impl<U> Inner<U> {
                 // An injected wake drop loses the epoch bump too; the
                 // workers' timed park bounds the damage to one period.
                 if !self.fault.fire(FaultPoint::WakeDrop) && self.dispatch.waiters.wake_one() {
-                    self.counters.add(id.index(), Tally::WorkerWakes, 1);
+                    line.bump(Tally::worker_wakes, 1);
                 }
                 Raise::Activated
             }
@@ -287,7 +277,10 @@ pub struct Runtime<U> {
     /// Tthreads registered so far: ids below it are this runtime's.
     /// `register` takes `&mut self`, so the id check needs no lock.
     registered: usize,
-    skips: Skips,
+    /// Skipping joins per tthread, kept across a reset like the TST entry.
+    skips: Vec<u64>,
+    /// The fold at the last [`Runtime::reset_stats`].
+    baseline: Counters,
 }
 
 impl<U: Send + 'static> Runtime<U> {
@@ -301,7 +294,7 @@ impl<U: Send + 'static> Runtime<U> {
         let state = State {
             user,
             tst: StatusTable::new(),
-            stats: Counters::new(),
+            lock_line: CounterLine::default(),
             scratch: Vec::new(),
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
@@ -315,7 +308,9 @@ impl<U: Send + 'static> Runtime<U> {
         );
         let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
         let watch_filter = WatchFilter::new(ARENA_CAPACITY);
-        let counters = CounterBank::new(mem.shards());
+        let counters = CounterLines::new(cfg.workers);
+        // Nothing is counted yet: the first baseline is the empty fold.
+        let baseline = counters.fold(&state.lock_line);
         // One ring per memory shard (store events hash by address) plus one
         // for the trigger/status machine.
         let obs = ObsRecorder::new(mem.shards(), OBS_RING_CAPACITY);
@@ -346,7 +341,8 @@ impl<U: Send + 'static> Runtime<U> {
             pool: WorkerPool::start(&inner, workers),
             inner,
             registered: 0,
-            skips: Skips::default(),
+            skips: Vec::new(),
+            baseline,
         }
     }
 
@@ -447,7 +443,7 @@ impl<U: Send + 'static> Runtime<U> {
         let fresh = self.inner.tthreads.get(id.index()).set(entry).is_ok();
         assert!(fresh, "tthread ids are issued once");
         self.registered += 1;
-        self.skips.per_tthread.push(0);
+        self.skips.push(0);
         id
     }
 
@@ -475,7 +471,7 @@ impl<U: Send + 'static> Runtime<U> {
         state.graph.add_watch(tthread, range);
         if let Some(path) = state.graph.find_cycle(tthread) {
             state.graph.remove_watch(tthread, range);
-            state.stats.trigger_cycles_rejected += 1;
+            state.lock_line.bump(Tally::trigger_cycles_rejected, 1);
             return Err(Error::TriggerCycle { path });
         }
         self.inner.triggers.write().watch(tthread, range);
@@ -507,7 +503,7 @@ impl<U: Send + 'static> Runtime<U> {
         state.graph.add_output(tthread, range);
         if let Some(path) = state.graph.find_cycle(tthread) {
             state.graph.remove_output(tthread, range);
-            state.stats.trigger_cycles_rejected += 1;
+            state.lock_line.bump(Tally::trigger_cycles_rejected, 1);
             return Err(Error::TriggerCycle { path });
         }
         Ok(())
@@ -619,7 +615,7 @@ impl<U: Send + 'static> Runtime<U> {
                     timed_out: entry.timed_out,
                     executions: entry.executions,
                     epoch: entry.epoch,
-                    skips: self.skips.per_tthread[id.index()],
+                    skips: self.skips[id.index()],
                     triggers: slot.triggers.load(Ordering::Relaxed),
                     watches,
                 }
@@ -640,29 +636,25 @@ impl<U: Send + 'static> Runtime<U> {
         }
     }
 
-    /// Snapshot of the global runtime statistics (the lock-free counter
-    /// bank and the join skips are folded in, so the snapshot is exact).
+    /// Snapshot of the global runtime statistics since the last
+    /// [`Runtime::reset_stats`]: every counter line folded, the lock line
+    /// under the state lock, so identities among its counts always hold.
     pub fn stats(&self) -> StatsSnapshot {
         self.folded_stats(&self.inner.state.lock())
     }
 
-    /// `state.stats` (the under-lock counters) plus the lock-free bank and
-    /// the join skips: the exact totals [`Runtime::stats`] and
-    /// [`Runtime::report`] publish.
+    /// Every counter line, the lock line read under `state`, less the
+    /// baseline.
     fn folded_stats(&self, state: &State<U>) -> StatsSnapshot {
-        let mut stats = state.stats.clone();
-        self.inner.counters.fold_into(&mut stats);
-        stats.joins += self.skips.total;
-        stats.skips += self.skips.total;
-        stats.snapshot()
+        let folded = self.inner.counters.fold(&state.lock_line);
+        folded.since(&self.baseline).snapshot()
     }
 
-    /// Zeroes the global statistics (per-tthread counters are kept).
+    /// Zeroes the global statistics (per-tthread counters are kept) by
+    /// recording the current fold as the baseline later folds subtract.
     pub fn reset_stats(&mut self) {
-        let mut state = self.inner.state.lock();
-        state.stats = Counters::new();
-        self.inner.counters.reset();
-        self.skips.total = 0;
+        let state = self.inner.state.lock();
+        self.baseline = self.inner.counters.fold(&state.lock_line);
     }
 }
 

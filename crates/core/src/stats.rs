@@ -4,13 +4,25 @@
 //! benchmark harness reads a [`StatsSnapshot`] to build the paper's
 //! per-benchmark characteristics table (R-Tab.2) and the silent-store /
 //! false-trigger ablations.
+//!
+//! Each count goes to a `CounterLine` with exactly one writer — the lock
+//! line (whoever holds the state lock), the owner line (the `&mut Runtime`
+//! holder), one per worker, one per live `Accessor` — as a plain load and
+//! store, no read-modify-write. `stats()` folds the lines into
+//! [`Counters`]; a reset records the fold as the baseline later folds
+//! subtract, so no thread writes a line it does not own.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use parking_lot::Mutex;
+
+use crate::filter::FilterProbe;
 use crate::heap::StoreEffect;
 
-/// Mutable counters held inside the runtime's state lock.
+/// The runtime's counters, as [`crate::runtime::Runtime::stats`] folds them
+/// from its counter lines (see the module docs).
 ///
 /// Use [`Counters::snapshot`] to obtain an immutable copy for reporting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -142,16 +154,16 @@ pub struct Counters {
     pub view_restarts: u64,
 }
 
-/// Applies a callback macro to the complete counter field list, in
-/// declaration order. This is the *single source of truth* shared by every
-/// serialization path — [`Counters::fields`] (which also drives the
-/// Prometheus exporter in `dtt-obs`), [`StatsSnapshot::to_json`] and
-/// [`StatsSnapshot::from_json`] — so adding a counter to [`Counters`] only
-/// requires extending this list once.
+/// Hands the complete counter field list, in declaration order, to the
+/// macro `$cb`. This is the *single source of truth* for the counter lines'
+/// word layout ([`Tally`]), their fold, and every serialization path —
+/// [`Counters::fields`] (which also drives the Prometheus exporter in
+/// `dtt-obs`), [`StatsSnapshot::to_json`] and [`StatsSnapshot::from_json`]
+/// — so adding a counter to [`Counters`] only requires extending this list
+/// once.
 macro_rules! for_each_counter {
-    ($cb:ident!($($extra:tt)*)) => {
-        $cb!(
-            $($extra)*
+    ($cb:ident) => {
+        $cb! {
             tracked_stores,
             silent_stores,
             changing_stores,
@@ -192,7 +204,7 @@ macro_rules! for_each_counter {
             park_rescues,
             helped_executions,
             view_restarts,
-        )
+        }
     };
 }
 
@@ -206,181 +218,162 @@ impl Counters {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot { c: self.clone() }
     }
-
-    /// Every counter as a `(name, value)` pair, in declaration order. The
-    /// names are the field identifiers (`tracked_stores`, ...), stable for
-    /// external consumers; the list is generated from the same macro as the
-    /// JSON path, so the serializations cannot drift apart.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        macro_rules! emit {
-            ($self:ident, $($f:ident),+ $(,)?) => {
-                vec![$((stringify!($f), $self.$f)),+]
-            };
-        }
-        for_each_counter!(emit!(self,))
-    }
-
-    /// Sets the counter named `name` to `value`; returns `false` (leaving
-    /// the counters untouched) for an unknown name.
-    pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-        macro_rules! emit {
-            ($self:ident, $name:ident, $value:ident, $($f:ident),+ $(,)?) => {
-                match $name {
-                    $(stringify!($f) => {
-                        $self.$f = $value;
-                        true
-                    })+
-                    _ => false,
-                }
-            };
-        }
-        for_each_counter!(emit!(self, name, value,))
-    }
 }
 
-/// Generates [`Tally`] — the names of the counters bumped *outside* the
-/// state lock — and [`CounterBank::fold_into`] from one list, the way
-/// [`for_each_counter!`] generates the serializers. The access-side names
-/// come first so the eight words a tracked load/store touches share one
-/// cache line of a [`BankLine`]; the dispatch-side names follow on the
-/// next two.
-macro_rules! counter_bank {
-    ($($tally:ident => $field:ident),+ $(,)?) => {
-        /// One counter of the [`CounterBank`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub(crate) enum Tally {
-            $($tally),+
+/// Generates everything that walks the counter list, from
+/// [`for_each_counter!`].
+macro_rules! counter_impls {
+    ($($f:ident),+ $(,)?) => {
+        /// A counter's word in a [`CounterLine`], named after its field.
+        #[allow(non_camel_case_types)]
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum Tally { $($f),+ }
+
+        const TALLIES: usize = [$(Tally::$f),+].len();
+
+        impl Counters {
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order. The names are the field identifiers
+            /// (`tracked_stores`, ...), stable for external consumers; the
+            /// list is generated from the same macro as the JSON path, so
+            /// the serializations cannot drift apart.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($f), self.$f)),+]
+            }
+
+            /// Sets the counter named `name` to `value`; returns `false`
+            /// (leaving the counters untouched) for an unknown name.
+            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
+                match name {
+                    $(stringify!($f) => self.$f = value,)+
+                    _ => return false,
+                }
+                true
+            }
+
+            /// The counts accrued since `baseline`, an earlier fold.
+            pub(crate) fn since(&self, baseline: &Counters) -> Counters {
+                Counters { $($f: self.$f - baseline.$f),+ }
+            }
         }
 
-        const TALLIES: usize = [$(Tally::$tally),+].len();
-
-        impl CounterBank {
-            /// Adds every line's tallies into `c` (adds, never overwrites).
-            pub(crate) fn fold_into(&self, c: &mut Counters) {
-                for line in self.lines.iter() {
-                    $(c.$field += line.0[Tally::$tally as usize].load(Ordering::Relaxed);)+
-                }
+        impl CounterLine {
+            fn add_to(&self, c: &mut Counters) {
+                $(c.$f += self.0[Tally::$f as usize].load(Ordering::Relaxed);)+
             }
         }
     };
 }
 
-counter_bank! {
-    TrackedStores => tracked_stores,
-    SilentStores => silent_stores,
-    ChangingStores => changing_stores,
-    TrackedLoads => tracked_loads,
-    BytesCompared => bytes_compared,
-    FilterChecks => filter_checks,
-    FilterPageHits => filter_page_hits,
-    FilterLineHits => filter_line_hits,
-    TriggeringStores => triggering_stores,
-    TriggersFired => triggers_fired,
-    FalseTriggers => false_triggers,
-    CoalescedTriggers => coalesced_triggers,
-    Enqueues => enqueues,
-    WorkerWakes => worker_wakes,
-    WorkerParks => worker_parks,
-    QueueStaleSkips => queue_stale_skips,
-    ParkTimeouts => park_timeouts,
-    ParkRescues => park_rescues,
-    ViewRestarts => view_restarts,
-}
+for_each_counter!(counter_impls);
 
-/// One line of the bank. Aligning each to 64 bytes keeps concurrent
-/// threads on different lines from false-sharing the counter words.
+/// Every counter as one word, with exactly one writing thread, so a bump
+/// is a `Relaxed` load and store with no read-modify-write. A fold reads
+/// the words `Relaxed`; each only grows. 64-byte aligned, so no two
+/// writers share a cache line.
 #[derive(Debug)]
 #[repr(align(64))]
-struct BankLine([AtomicU64; TALLIES]);
+pub(crate) struct CounterLine([AtomicU64; TALLIES]);
 
-/// The lock-free counter bank: every counter the [`crate::accessor`] store
-/// path, the status-machine raise and the worker loop bump without the
-/// state lock, as key-hashed lines of atomic words. (The same events on
-/// the lock-holding `Ctx` path bump `State::stats` as plain integers.)
-/// [`CounterBank::fold_into`] sums the lines back into a [`Counters`] at
-/// snapshot time, so `StatsSnapshot` stays exact. All updates are
-/// `Relaxed`: the counters are monotone sums with no ordering relationship
-/// to the data they describe, and folding happens at a quiescent point (no
-/// tthread bodies in flight that the caller cares about).
-#[derive(Debug)]
-pub(crate) struct CounterBank {
-    lines: Box<[BankLine]>,
-    mask: usize,
+impl Default for CounterLine {
+    fn default() -> Self {
+        CounterLine(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
 }
 
-impl CounterBank {
-    /// Creates a bank with one line per memory shard (`shards` is rounded
-    /// up to a power of two, minimum 1, to match the address hash).
-    pub(crate) fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        CounterBank {
-            lines: (0..n)
-                .map(|_| BankLine(std::array::from_fn(|_| AtomicU64::new(0))))
-                .collect(),
-            mask: n - 1,
-        }
+impl CounterLine {
+    /// Adds `n` to counter `which`. Only the line's writer may call this.
+    #[inline(always)]
+    pub(crate) fn bump(&self, which: Tally, n: u64) {
+        let word = &self.0[which as usize];
+        word.store(word.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
-    /// The line key for a tracked address: the same 64-byte stripe hash as
-    /// the memory shards, so a thread working a disjoint address partition
-    /// also gets (mostly) private counters.
-    #[inline]
-    pub(crate) fn addr_key(addr_raw: u64) -> usize {
-        (addr_raw >> 6) as usize
-    }
-
-    /// Adds `n` to counter `which` on the line `key` hashes to. Callers
-    /// key by address stripe, tthread index or worker index — anything
-    /// that spreads concurrent threads over different lines.
-    #[inline]
-    pub(crate) fn add(&self, key: usize, which: Tally, n: u64) {
-        self.lines[key & self.mask].0[which as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Accounts one tracked store with the given [`StoreEffect`].
-    #[inline]
-    pub(crate) fn on_store(&self, addr_raw: u64, effect: StoreEffect, detect: bool) {
-        let key = Self::addr_key(addr_raw);
-        self.add(key, Tally::TrackedStores, 1);
-        self.add(key, Tally::BytesCompared, effect.bytes_compared);
+    /// Accounts one tracked store with the given [`StoreEffect`]; without
+    /// change detection every store counts as changing.
+    #[inline(always)]
+    pub(crate) fn on_store(&self, effect: StoreEffect, detect: bool) {
+        self.bump(Tally::tracked_stores, 1);
+        self.bump(Tally::bytes_compared, effect.bytes_compared);
         if detect && !effect.changed {
-            self.add(key, Tally::SilentStores, 1);
+            self.bump(Tally::silent_stores, 1);
         } else {
-            self.add(key, Tally::ChangingStores, 1);
+            self.bump(Tally::changing_stores, 1);
         }
+    }
+
+    /// Accounts a bulk store of `stores` elements of `size` bytes,
+    /// `changed` of which changed memory.
+    pub(crate) fn on_stores(&self, stores: usize, changed: usize, size: usize, detect: bool) {
+        self.bump(Tally::tracked_stores, stores as u64);
+        if detect {
+            self.bump(Tally::bytes_compared, (stores * size) as u64);
+            self.bump(Tally::silent_stores, (stores - changed) as u64);
+        }
+        self.bump(Tally::changing_stores, changed as u64);
     }
 
     /// Accounts one watched-address filter probe and how deep it went.
     #[inline]
-    pub(crate) fn on_filter(&self, addr_raw: u64, probe: crate::filter::FilterProbe) {
-        use crate::filter::FilterProbe;
-        let key = Self::addr_key(addr_raw);
-        self.add(key, Tally::FilterChecks, 1);
+    pub(crate) fn on_filter(&self, probe: FilterProbe) {
+        self.bump(Tally::filter_checks, 1);
         if !matches!(probe, FilterProbe::MissPage) {
-            self.add(key, Tally::FilterPageHits, 1);
+            self.bump(Tally::filter_page_hits, 1);
         }
         if matches!(probe, FilterProbe::Hit) {
-            self.add(key, Tally::FilterLineHits, 1);
+            self.bump(Tally::filter_line_hits, 1);
+        }
+    }
+}
+
+/// The counter lines outside the state lock (the lock line lives in the
+/// locked state).
+#[derive(Debug)]
+pub(crate) struct CounterLines {
+    /// Written by the thread holding `&mut Runtime`.
+    pub(crate) owner: CounterLine,
+    /// One per worker thread, by worker index.
+    pub(crate) workers: Box<[CounterLine]>,
+    /// Every line an `Accessor` ever held, and the free ones. The mutex
+    /// orders a line's last bump by one accessor before the next's first.
+    accessors: Mutex<(Lines, Lines)>,
+}
+
+type Lines = Vec<Arc<CounterLine>>;
+
+impl CounterLines {
+    pub(crate) fn new(workers: usize) -> Self {
+        CounterLines {
+            owner: CounterLine::default(),
+            workers: (0..workers).map(|_| CounterLine::default()).collect(),
+            accessors: Mutex::default(),
         }
     }
 
-    /// Folds the access-side counters a detached execution accumulated
-    /// against its snapshot into line 0. Only the access-side counters are
-    /// merged: trigger/queue/execution accounting for detached bodies
-    /// happens at commit, under the lock.
-    pub(crate) fn merge_delta(&self, delta: &Counters) {
-        self.add(0, Tally::TrackedLoads, delta.tracked_loads);
-        self.add(0, Tally::TrackedStores, delta.tracked_stores);
-        self.add(0, Tally::SilentStores, delta.silent_stores);
-        self.add(0, Tally::ChangingStores, delta.changing_stores);
-        self.add(0, Tally::BytesCompared, delta.bytes_compared);
+    /// A free line for a new accessor, or a fresh one.
+    pub(crate) fn acquire(&self) -> Arc<CounterLine> {
+        let (all, free) = &mut *self.accessors.lock();
+        free.pop().unwrap_or_else(|| {
+            all.push(Arc::default());
+            Arc::clone(&all[all.len() - 1])
+        })
     }
 
-    /// Zeroes every counter.
-    pub(crate) fn reset(&self) {
-        for word in self.lines.iter().flat_map(|line| &line.0) {
-            word.store(0, Ordering::Relaxed);
-        }
+    /// Hands back an accessor's line, counts kept.
+    pub(crate) fn release(&self, line: Arc<CounterLine>) {
+        let (_, free) = &mut *self.accessors.lock();
+        free.push(line);
+    }
+
+    /// `lock_line`, read under the state lock, plus every line here.
+    pub(crate) fn fold(&self, lock_line: &CounterLine) -> Counters {
+        let mut c = Counters::default();
+        lock_line.add_to(&mut c);
+        self.owner.add_to(&mut c);
+        self.workers.iter().for_each(|line| line.add_to(&mut c));
+        let (all, _) = &*self.accessors.lock();
+        all.iter().for_each(|line| line.add_to(&mut c));
+        c
     }
 }
 
@@ -640,107 +633,117 @@ mod tests {
         assert!((s.triggers_per_kilo_store() - 20.0).abs() < 1e-12);
     }
 
+    /// Counters with the named fields set, every other one zero.
+    fn counts(fields: &[(&str, u64)]) -> Counters {
+        let mut c = Counters::new();
+        for &(name, value) in fields {
+            assert!(c.set_field(name, value), "unknown field {name}");
+        }
+        c
+    }
+
     #[test]
-    fn counter_bank_folds_exactly_and_resets() {
-        let bank = CounterBank::new(8);
-        // Spread updates across distinct stripes (and thus lines).
-        for stripe in 0..32u64 {
-            let addr = stripe * 64;
-            bank.on_store(
-                addr,
+    fn counter_lines_fold_exactly_and_reset_to_a_baseline() {
+        use crate::filter::FilterProbe::{Hit, MissLine, MissPage};
+        let lines = CounterLines::new(2);
+        let lock_line = CounterLine::default();
+        // Spread updates across the lock, owner and worker lines.
+        for i in 0..32u64 {
+            let line = [
+                &lock_line,
+                &lines.owner,
+                &lines.workers[0],
+                &lines.workers[1],
+            ];
+            let line = line[i as usize % 4];
+            let (changed, bytes_compared) = (i % 2 == 0, 4);
+            line.on_store(
                 StoreEffect {
-                    changed: stripe % 2 == 0,
-                    bytes_compared: 4,
+                    changed,
+                    bytes_compared,
                 },
                 true,
             );
-            bank.add(CounterBank::addr_key(addr), Tally::TrackedLoads, 3);
-            bank.on_filter(
-                addr,
-                match stripe % 3 {
-                    0 => crate::filter::FilterProbe::MissPage,
-                    1 => crate::filter::FilterProbe::MissLine,
-                    _ => crate::filter::FilterProbe::Hit,
-                },
-            );
+            line.bump(Tally::tracked_loads, 3);
+            line.on_filter([MissPage, MissLine, Hit][i as usize % 3]);
         }
-        let mut delta = Counters::new();
-        delta.tracked_loads = 5;
-        delta.tracked_stores = 2;
-        delta.silent_stores = 1;
-        delta.changing_stores = 1;
-        delta.bytes_compared = 16;
-        bank.merge_delta(&delta);
-        // Dispatch-side tallies, keyed by tthread / worker index.
-        for key in 0..20 {
-            bank.add(key, Tally::TriggeringStores, 1);
-            bank.add(key, Tally::TriggersFired, 2);
-            bank.add(key, Tally::FalseTriggers, 1);
-            bank.add(key, Tally::CoalescedTriggers, 1);
-            bank.add(key, Tally::Enqueues, 1);
-            bank.add(key, Tally::WorkerWakes, 1);
-            bank.add(key, Tally::WorkerParks, 1);
-            bank.add(key, Tally::QueueStaleSkips, 1);
-            bank.add(key, Tally::ParkTimeouts, 1);
-            bank.add(key, Tally::ParkRescues, 1);
-            bank.add(key, Tally::ViewRestarts, 1);
-        }
-
-        let mut c = Counters::new();
-        c.tracked_stores = 1000; // folding adds, never overwrites
-        bank.fold_into(&mut c);
-        let mut want = Counters::new();
-        want.tracked_stores = 1000 + 32 + 2;
-        want.silent_stores = 16 + 1;
-        want.changing_stores = 16 + 1;
-        want.tracked_loads = 32 * 3 + 5;
-        want.bytes_compared = 32 * 4 + 16;
-        // Stripes 0..32 cycle MissPage/MissLine/Hit: 11 + 11 + 10.
-        want.filter_checks = 32;
-        want.filter_page_hits = 11 + 10;
-        want.filter_line_hits = 10;
-        want.triggering_stores = 20;
-        want.triggers_fired = 40;
-        want.false_triggers = 20;
-        want.coalesced_triggers = 20;
-        want.enqueues = 20;
-        want.worker_wakes = 20;
-        want.worker_parks = 20;
-        want.queue_stale_skips = 20;
-        want.park_timeouts = 20;
-        want.park_rescues = 20;
-        want.view_restarts = 20;
+        // A bulk store on an accessor's line (8 elements, 3 changed), and
+        // a second accessor's line, released before the fold: its counts
+        // stay.
+        let acc = lines.acquire();
+        acc.on_stores(8, 3, 2, true);
+        let other = lines.acquire();
+        other.bump(Tally::triggers_fired, 40);
+        other.bump(Tally::view_restarts, 20);
+        lines.release(other);
         // Whole-struct equality: no tally folds into a neighbour's field.
-        assert_eq!(c, want);
+        // i = 0..32 cycles MissPage/MissLine/Hit: 11 + 11 + 10.
+        assert_eq!(
+            lines.fold(&lock_line).since(&Counters::new()),
+            counts(&[
+                ("tracked_stores", 32 + 8),
+                ("silent_stores", 16 + 5),
+                ("changing_stores", 16 + 3),
+                ("tracked_loads", 32 * 3),
+                ("bytes_compared", 32 * 4 + 8 * 2),
+                ("filter_checks", 32),
+                ("filter_page_hits", 11 + 10),
+                ("filter_line_hits", 10),
+                ("triggers_fired", 40),
+                ("view_restarts", 20),
+            ])
+        );
 
-        bank.reset();
-        let mut z = Counters::new();
-        bank.fold_into(&mut z);
-        assert_eq!(z, Counters::new());
+        // The released line is the next accessor's, counts kept; a reset
+        // is a baseline, and only what comes after it counts.
+        let reused = lines.acquire();
+        let baseline = lines.fold(&lock_line);
+        reused.bump(Tally::triggers_fired, 5);
+        acc.bump(Tally::tracked_loads, 1);
+        lines.workers[1].bump(Tally::park_timeouts, 1);
+        let want = [
+            ("triggers_fired", 5),
+            ("tracked_loads", 1),
+            ("park_timeouts", 1),
+        ];
+        assert_eq!(lines.fold(&lock_line).since(&baseline), counts(&want));
+        assert_eq!(lines.accessors.lock().0.len(), 2, "the line was reused");
     }
 
     #[test]
-    fn access_side_tallies_share_the_first_cache_line() {
-        assert_eq!(Tally::FilterLineHits as usize, 7);
-        assert_eq!(std::mem::align_of::<BankLine>(), 64);
+    fn writer_lines_never_share_a_cache_line() {
+        assert_eq!(std::mem::align_of::<CounterLine>(), 64);
+        assert_eq!(std::mem::size_of::<CounterLine>() % 64, 0);
+        let lines = CounterLines::new(3);
+        let (a, b) = (lines.acquire(), lines.acquire());
+        let mut starts: Vec<usize> = [&lines.owner, &*a, &*b]
+            .into_iter()
+            .chain(lines.workers.iter())
+            .map(|line| line as *const CounterLine as usize)
+            .collect();
+        starts.sort_unstable();
+        assert!(starts.iter().all(|s| s % 64 == 0), "{starts:x?}");
+        let size = std::mem::size_of::<CounterLine>();
+        assert!(
+            starts.windows(2).all(|w| w[1] - w[0] >= size),
+            "{starts:x?}"
+        );
     }
 
     #[test]
-    fn counter_bank_store_without_detection_counts_changing() {
-        let bank = CounterBank::new(1);
-        bank.on_store(
-            0,
+    fn line_store_without_detection_counts_changing() {
+        let line = CounterLine::default();
+        let (changed, bytes_compared) = (false, 0);
+        line.on_store(
             StoreEffect {
-                changed: true,
-                bytes_compared: 0,
+                changed,
+                bytes_compared,
             },
             false,
         );
-        let mut c = Counters::new();
-        bank.fold_into(&mut c);
-        assert_eq!(c.changing_stores, 1);
-        assert_eq!(c.silent_stores, 0);
-        assert_eq!(c.bytes_compared, 0);
+        line.on_stores(4, 4, 8, false);
+        let c = CounterLines::new(0).fold(&line).since(&Counters::new());
+        assert_eq!(c, counts(&[("tracked_stores", 5), ("changing_stores", 5)]));
     }
 
     #[test]

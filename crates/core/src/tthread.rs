@@ -17,7 +17,7 @@
 //! remains here is the slow bookkeeping only ever touched under the state
 //! lock: poison/timeout fault state (mirrored into the slot's failure flag
 //! for the lock-free skip) and the execution/epoch tallies. Join skips are
-//! tallied by the [`crate::runtime::Runtime`] itself.
+//! tallied by the [`crate::runtime::Runtime`] itself, per tthread.
 
 use std::fmt;
 

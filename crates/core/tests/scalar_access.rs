@@ -2,15 +2,19 @@
 //! [`Ctx`] inside `Runtime::with`, an [`Accessor`], and a detached [`Ctx`]
 //! inside a worker-run body — must be one behaviour: the same op stream
 //! leaves the same memory, returns the same loaded values and counts the
-//! same accesses. The second half pins the panic messages of the bounds
-//! checks on that path, through the public API, from a downstream crate.
+//! same accesses, even from a body that fails, and the counts fold exactly
+//! while accessors come and go. The last part pins the panic messages of
+//! the bounds checks on that path, through the public API, downstream.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use dtt_core::addr::Addr;
 use dtt_core::pod::Pod;
-use dtt_core::{Accessor, Config, Ctx, Runtime, Tracked, TrackedArray};
+use dtt_core::{Accessor, Config, Ctx, Error, Runtime, Tracked, TrackedArray, PARK_TIMEOUT};
 
 /// Elements per typed array.
 const N: usize = 24;
@@ -212,32 +216,44 @@ fn through_accessor(ops: &[Op]) -> Observed {
     observe(&mut rt, &a, digest)
 }
 
-fn through_detached_body(ops: &[Op]) -> Observed {
-    let mut rt = Runtime::new(Config::default().with_workers(1), ());
+/// Replays the stream in a tthread body, failing it afterwards if `fail`.
+/// With a worker the body meets the main thread first, so the join cannot
+/// steal it onto the locked path: it runs detached. With none it runs
+/// inline at the join. A failed body's accesses count even detached,
+/// where it publishes nothing.
+fn through_body(ops: &[Op], workers: usize, fail: bool) -> Observed {
+    let mut rt = Runtime::new(Config::default().with_workers(workers), ());
     let a = Arrays::alloc(&mut rt);
     let started = Arc::new(Barrier::new(2));
     let digest = Arc::new(AtomicU64::new(0));
     let (body_ops, body_started, body_digest) =
         (ops.to_vec(), Arc::clone(&started), Arc::clone(&digest));
     let tt = rt.register("replay", move |ctx| {
-        // Meet the main thread first: it must not `join` (and steal the
-        // body onto the locked path) before the worker has claimed it.
-        body_started.wait();
+        if workers > 0 {
+            body_started.wait();
+        }
         body_digest.store(replay(ctx, &a, &body_ops), Ordering::SeqCst);
+        if fail {
+            resume_unwind(Box::new("replayed, then failed"));
+        }
     });
     rt.watch(tt, a.trigger.range()).unwrap();
     rt.write(a.trigger, 1);
-    started.wait();
-    rt.join(tt).unwrap();
-    let c = rt.stats();
-    assert_eq!(
-        (
-            c.counters().worker_executions,
-            c.counters().inline_executions
-        ),
-        (1, 0),
-        "the body must have run detached on the worker"
-    );
+    if workers > 0 {
+        started.wait();
+    }
+    let joined = catch_unwind(AssertUnwindSafe(|| rt.join(tt)));
+    let c = rt.stats().counters().clone();
+    if fail {
+        // An inline failure unwinds out of the join; the join reports a
+        // detached one. Neither counts as an execution.
+        assert_eq!(joined.is_err(), workers == 0);
+        assert!(joined.map_or(true, |j| matches!(j, Err(Error::TthreadPoisoned(_)))));
+        assert_eq!(c.executions, 0);
+    } else {
+        let ran = (c.worker_executions, c.inline_executions);
+        assert_eq!(ran, (1, 0), "the body must have run detached on the worker");
+    }
     observe(&mut rt, &a, digest.load(Ordering::SeqCst))
 }
 
@@ -248,8 +264,72 @@ fn one_op_stream_three_front_ends_one_behaviour() {
         let locked = through_locked_ctx(&ops);
         assert!(locked.counters[2] > 100 && locked.counters[3] > 100);
         assert_eq!(through_accessor(&ops), locked, "accessor, seed {seed}");
-        assert_eq!(through_detached_body(&ops), locked, "detached, seed {seed}");
+        assert_eq!(through_body(&ops, 1, false), locked, "detached {seed}");
+        for w in [0, 1] {
+            let failed = through_body(&ops, w, true).counters;
+            assert_eq!(failed, locked.counters, "failed, {w} workers, {seed}");
+        }
     }
+}
+
+/// Accessor threads and the stores each makes per phase.
+const THREADS: usize = 4;
+const PER_THREAD: usize = 2_000;
+
+/// One phase: `THREADS` threads store `PER_THREAD` times each through a
+/// fresh accessor every 100 stores, while this thread polls `stats()`.
+/// Every poll is behind the next and the final count, which is exact.
+fn accessor_phase(rt: &Runtime<()>, xs: TrackedArray<u64>, phase: &str) {
+    let polled = thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                s.spawn(move || {
+                    for _ in 0..PER_THREAD / 100 {
+                        let mut acc = rt.accessor();
+                        (0..100).for_each(|i| acc.write(xs, t * 64 + i % 64, i as u64));
+                    }
+                })
+            })
+            .collect();
+        let mut polled = Vec::new();
+        while !threads.iter().all(|t| t.is_finished()) {
+            polled.push(rt.stats().counters().tracked_stores);
+        }
+        polled
+    });
+    let fin = rt.stats().counters().tracked_stores;
+    assert_eq!(fin, (THREADS * PER_THREAD) as u64, "{phase}: final count");
+    assert!(polled.windows(2).all(|w| w[0] <= w[1]), "{phase}");
+    assert!(polled.iter().all(|&p| p <= fin), "{phase}");
+}
+
+/// The counter-line registry under concurrency: lines are handed out and
+/// back while `stats()` folds them, and a reset is a baseline that idle
+/// workers, bumping their own lines throughout, cannot undo.
+#[test]
+fn accessor_lines_fold_exactly_while_they_come_and_go() {
+    const WORKERS: u64 = 2;
+    let mut rt = Runtime::new(Config::default().with_workers(WORKERS as usize), ());
+    let xs = rt.alloc_array::<u64>(THREADS * 64).unwrap();
+    accessor_phase(&rt, xs, "first phase");
+    // Let the idle workers time out of a few parks, so their lines hold
+    // counts the reset must leave behind.
+    while rt.stats().counters().park_timeouts < 2 * WORKERS {
+        thread::sleep(Duration::from_millis(5));
+    }
+    let reset_at = Instant::now();
+    rt.reset_stats();
+    assert_eq!(rt.stats().counters().tracked_stores, 0);
+    accessor_phase(&rt, xs, "second phase");
+    // Only parks that ended since the reset count: each lasts a full park
+    // period, so a worker ends at most one more than fit.
+    let timeouts = rt.stats().counters().park_timeouts;
+    let periods = (reset_at.elapsed().as_micros() / PARK_TIMEOUT.as_micros()) as u64;
+    let bound = WORKERS * (periods + 1);
+    assert!(
+        timeouts <= bound,
+        "{timeouts} park timeouts since the reset; {bound} fit"
+    );
 }
 
 /// A small runtime and an element handle issued by a larger one: in bounds
