@@ -155,16 +155,8 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
         line.bump(Tally::triggering_stores, 1);
         let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
         for hit in self.scratch.hits() {
-            let key = hit.tthread.index();
-            inner.dispatch.slots.get(key).changed.push(store_range);
-            line.bump(Tally::triggers_fired, 1);
-            if !hit.precise {
-                line.bump(Tally::false_triggers, 1);
-            }
-            inner
-                .obs
-                .event(EventKind::TriggerFired, hit.tthread, store_addr);
-            if let Raise::Overflow(token) = inner.raise(hit.tthread, line) {
+            inner.tthread(hit.tthread).slot.changed.push(store_range);
+            if let Raise::Overflow(token) = inner.fire(hit, store_addr, line) {
                 overflows.push((hit.tthread, token));
             }
         }

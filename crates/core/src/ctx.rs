@@ -565,6 +565,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         if hits.is_empty() {
             return;
         }
+        let inner = self.inner;
         let depth = self.depth;
         let cur = self.cur;
         let store_addr = store_range.start().raw();
@@ -573,7 +574,7 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             // Push before any exit and before the status-word RMW, so a
             // deduped or dropped raise still leaves its range for the next
             // run (the protocol in `crate::changed`).
-            let slot = self.inner.dispatch.slots.get(hit.tthread.index());
+            let slot = &inner.tthread(hit.tthread).slot;
             slot.changed.push(store_range);
             // One wave unit of the incremental graph: a store made *by* a
             // tthread (inline body or commit replay) raising a *different*
@@ -605,17 +606,17 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
                 state.graph.mark_raised(hit.tthread, wave);
             }
             let line = &self.locked().lock_line;
-            line.bump(Tally::triggers_fired, 1);
-            if !hit.precise {
-                line.bump(Tally::false_triggers, 1);
-            }
             if depth > 0 {
                 line.bump(Tally::cascade_triggers, 1);
             }
-            self.inner
-                .obs
-                .event(EventKind::TriggerFired, hit.tthread, store_addr);
-            let raised = self.raise(hit.tthread);
+            // Already under the state lock: an overflow runs here.
+            let raised = match inner.fire(hit, store_addr, line) {
+                Raise::Overflow(token) => {
+                    self.overflow(hit.tthread, token);
+                    Raise::Activated
+                }
+                raised => raised,
+            };
             if cascade {
                 let line = &self.locked().lock_line;
                 line.bump(Tally::cascades, 1);
@@ -631,34 +632,19 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Advance the status machine of `id` for one trigger: the status-word
-    /// CAS machine in [`crate::runtime::Inner::raise`], plus — already
-    /// under the state lock — the inline overflow run when no queue entry
-    /// landed. An overflow run counts as [`Raise::Activated`] in the
-    /// cascade wave identity
-    /// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
-    pub(crate) fn raise(&mut self, id: TthreadId) -> Raise {
-        let inner = self.inner;
-        match inner.raise(id, &self.locked().lock_line) {
-            Raise::Overflow(token) => {
-                self.overflow(id, token);
-                Raise::Activated
-            }
-            raised => raised,
-        }
-    }
-
     /// Raise overflow: the status word already advanced Clean→Queued, but
     /// no pending-queue entry landed, so the triggering thread runs the
     /// tthread itself (the caller holds the state lock). The claim is
     /// validated with `token` so a concurrent join or force steal wins
-    /// cleanly — its inline run then covers this trigger.
+    /// cleanly — its inline run then covers this trigger. An overflow run
+    /// counts as [`Raise::Activated`] in the cascade wave identity
+    /// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
     pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
         let inner = self.inner;
         self.locked().lock_line.bump(Tally::queue_overflows, 1);
-        let capacity = inner.dispatch.pending.capacity() as u64;
+        let capacity = inner.pending.capacity() as u64;
         inner.obs.event(EventKind::QueueOverflow, id, capacity);
-        if inner.dispatch.slots.get(id.index()).try_claim_queued(token) {
+        if inner.tthread(id).slot.try_claim_queued(token) {
             self.run_inline(id);
         }
     }

@@ -5,9 +5,10 @@
 //! state transitions; the software runtime originally serialized every one
 //! of them — trigger raise, enqueue, dequeue, join-steal, status read — on
 //! the global state lock. This module is the software analogue of the
-//! hardware TST entry: one packed atomic **status word** per tthread,
-//! advanced by compare-and-swap, so the trigger→enqueue→dispatch fast path
-//! never touches the state lock.
+//! hardware TST entry's status: one packed atomic **status word** in each
+//! tthread's slot (its entry is in [`crate::tthread`]), advanced by
+//! compare-and-swap, so the trigger→enqueue→dispatch fast path never
+//! touches the state lock.
 //!
 //! # Status-word layout
 //!
@@ -48,18 +49,18 @@
 //! # The skip rule (why a skipping join is a load, not an RMW)
 //!
 //! The converse holds at the consumption point. A join that finds the word
-//! Clean with CJ clear, and the slot's `failed` flag clear, skips on that
+//! Clean with CJ clear, and the slot's failure bits clear, skips on that
 //! one Acquire load ([`Slot::skippable`]) without the state lock:
 //!
 //! * Every write of the word is an RMW, and every transition *into* Clean
 //!   ([`Slot::try_complete`], [`Slot::force_clean`]) is a release. An
 //!   Acquire load that reads it, or any later RMW in its release sequence,
 //!   sees everything the completing thread did first: the execution's
-//!   effects, and for a failure the `failed` flag. So `force_clean` sets
-//!   the flag *before* its RMW publishes the failure, and the joiner reads
-//!   the flag *after* the word: a failed tthread never reads as skippable.
-//!   `clear_poison`/`clear_timeout` recompute the flag under the state
-//!   lock, where every failure is recorded.
+//!   effects, and for a failure its bit. So `force_clean` sets the bit
+//!   *before* its RMW publishes the failure, and the joiner reads the bits
+//!   *after* the word: a failed tthread never reads as skippable. The bits
+//!   are the only record of a failure: `clear_poison` and `clear_timeout`
+//!   each clear their own bit under the state lock.
 //! * A skip consumes nothing: with CJ clear there is no completion report
 //!   to take, so the RMW the absorb rule needs has nothing to order here.
 //!   A trigger the joiner itself issued happens-before its load, so by
@@ -79,14 +80,12 @@
 //! else is ever acquired under them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::changed::ChangedSet;
-use crate::eventcount::Waiters;
 use crate::tthread::TthreadStatus;
 
 const STATE_MASK: u64 = 0b11;
@@ -94,6 +93,11 @@ const RF: u64 = 1 << 2;
 const CJ: u64 = 1 << 3;
 const TOKEN_SHIFT: u32 = 4;
 const TOKEN_ONE: u64 = 1 << TOKEN_SHIFT;
+
+/// Failure bits: a body panicked, or overran the deadline (its write log
+/// discarded). Each stays set until `clear_poison` / `clear_timeout`.
+pub(crate) const POISONED: u8 = 1;
+pub(crate) const TIMED_OUT: u8 = 1 << 1;
 
 /// How long a worker's timed park lasts: long enough to be irrelevant for
 /// throughput, short enough that an injected lost wakeup
@@ -155,15 +159,15 @@ pub(crate) enum RaiseStep {
 
 /// One tthread's live dispatch state: the packed status word, the
 /// per-tthread trigger tally (bumped lock-free on every raise), the
-/// failure flag the skip rule reads beside the word (set while the tthread
-/// is poisoned or timed out), and the changed set its raises push into
-/// (see [`crate::changed`]), all on one cache line.
+/// failure bits the skip rule reads beside the word ([`POISONED`],
+/// [`TIMED_OUT`]), and the changed set its raises push into (see
+/// [`crate::changed`]), all on one cache line.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct Slot {
     word: AtomicU64,
     pub(crate) triggers: AtomicU64,
-    failed: AtomicBool,
+    failed: AtomicU8,
     pub(crate) changed: ChangedSet,
 }
 
@@ -204,13 +208,19 @@ impl Slot {
     #[inline]
     pub(crate) fn skippable(&self) -> bool {
         let word = self.load();
-        word & (STATE_MASK | CJ) == 0 && !self.failed.load(Ordering::Relaxed)
+        word & (STATE_MASK | CJ) == 0 && self.failure() == 0
     }
 
-    /// Recomputes the failure flag once a poisoned or timed-out tthread is
-    /// cleared (called under the state lock, where failures are recorded).
-    pub(crate) fn set_failed(&self, failed: bool) {
-        self.failed.store(failed, Ordering::Relaxed);
+    /// The failure bits: [`POISONED`], [`TIMED_OUT`], both, or 0. Written
+    /// only under the state lock.
+    #[inline]
+    pub(crate) fn failure(&self) -> u8 {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// Clears one failure bit (under the state lock).
+    pub(crate) fn clear_failure(&self, bit: u8) {
+        self.failed.fetch_and(!bit, Ordering::Relaxed);
     }
 
     /// The raw status word. Because the token bumps on every state-changing
@@ -348,10 +358,11 @@ impl Slot {
     }
 
     /// Publishes a failed execution (poison, timeout: it published
-    /// nothing): sets the failure flag, then resets the word to Clean with
-    /// both flags cleared. The order is the skip rule's.
-    pub(crate) fn force_clean(&self) {
-        self.failed.store(true, Ordering::Relaxed);
+    /// nothing) under the state lock: sets its failure `bit`, then resets
+    /// the word to Clean with both flags cleared. The order is the skip
+    /// rule's.
+    pub(crate) fn force_clean(&self, bit: u8) {
+        self.failed.fetch_or(bit, Ordering::Relaxed);
         self.rmw(|w| advance(w, TthreadStatus::Clean, true, true));
     }
 
@@ -384,53 +395,6 @@ impl Slot {
     /// force clear it after an inline run).
     pub(crate) fn clear_completed(&self) {
         self.rmw(|w| w & !CJ);
-    }
-}
-
-/// Chunked, append-only per-tthread table. Chunks are allocated on demand
-/// behind `OnceLock`s so `register` (which grows the table) never
-/// invalidates references concurrently held by workers — the table itself
-/// is lock-free to read. Holds the dispatch [`Slot`]s and, as
-/// `ChunkTable<OnceLock<_>>`, the registered tthread bodies.
-#[derive(Debug)]
-pub(crate) struct ChunkTable<T> {
-    chunks: Box<[OnceLock<Box<[T]>>]>,
-}
-
-/// The per-tthread status words.
-pub(crate) type SlotTable = ChunkTable<Slot>;
-
-const CHUNK: usize = 64;
-const MAX_CHUNKS: usize = 1024;
-
-impl<T: Default> ChunkTable<T> {
-    pub(crate) fn new() -> Self {
-        ChunkTable {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Ensures the chunk covering `index` exists (called at registration).
-    ///
-    /// # Panics
-    ///
-    /// Panics past `CHUNK * MAX_CHUNKS` tthreads.
-    pub(crate) fn ensure(&self, index: usize) {
-        let chunk = index / CHUNK;
-        assert!(chunk < MAX_CHUNKS, "too many tthreads");
-        self.chunks[chunk].get_or_init(|| (0..CHUNK).map(|_| T::default()).collect());
-    }
-
-    /// The entry for tthread `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index was never registered via [`ChunkTable::ensure`].
-    pub(crate) fn get(&self, index: usize) -> &T {
-        let chunk = self.chunks[index / CHUNK]
-            .get()
-            .expect("entry accessed before registration");
-        &chunk[index % CHUNK]
     }
 }
 
@@ -526,36 +490,10 @@ impl PendingQueue {
     }
 }
 
-/// Everything the lock-free dispatch path owns, grouped in
-/// [`crate::runtime::Inner`].
-#[derive(Debug)]
-pub(crate) struct Dispatch {
-    pub(crate) slots: SlotTable,
-    pub(crate) pending: PendingQueue,
-    pub(crate) waiters: Waiters,
-    /// The completion eventcount joins park on: workers (and
-    /// inline completions) broadcast here after any transition out of
-    /// Running, and a joiner validates "the status word moved" before
-    /// committing to sleep — the join-side analogue of the worker
-    /// eventcount, with the slot token as the generation counter.
-    pub(crate) completions: Waiters,
-}
-
-impl Dispatch {
-    pub(crate) fn new(queue_capacity: usize) -> Self {
-        Dispatch {
-            slots: SlotTable::new(),
-            pending: PendingQueue::new(queue_capacity),
-            waiters: Waiters::default(),
-            completions: Waiters::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tthread::TthreadStatus as S;
+    use crate::tthread::{ChunkTable, Tthread, TthreadId, TthreadStatus as S, CHUNK};
 
     fn slot() -> Slot {
         Slot::default()
@@ -691,7 +629,7 @@ mod tests {
         };
         assert!(s.try_claim_queued(t));
         assert_eq!(s.raise(false, false), RaiseStep::Absorbed); // RF
-        s.force_clean();
+        s.force_clean(POISONED);
         assert_eq!(s.status(), S::Clean);
         assert!(!s.completed_since_join());
         // RF was discarded: completion state machine is reusable.
@@ -740,15 +678,17 @@ mod tests {
 
     #[test]
     fn slot_table_grows_in_chunks() {
-        let t = SlotTable::new();
+        let t = ChunkTable::<Tthread<()>>::new();
+        let id = |i: usize| TthreadId::new(i as u32);
         for i in 0..(CHUNK * 2 + 3) {
-            t.ensure(i);
+            t.ensure(id(i));
         }
-        let RaiseStep::Enqueue(_) = t.get(CHUNK * 2 + 2).raise(false, false) else {
+        let last = &t.get(id(CHUNK * 2 + 2)).slot;
+        let RaiseStep::Enqueue(_) = last.raise(false, false) else {
             panic!()
         };
-        assert_eq!(t.get(CHUNK * 2 + 2).status(), S::Queued);
-        assert_eq!(t.get(0).status(), S::Clean);
+        assert_eq!(last.status(), S::Queued);
+        assert_eq!(t.get(id(0)).slot.status(), S::Clean);
     }
 
     #[test]
@@ -765,11 +705,14 @@ mod tests {
         assert!(!s.skippable(), "an overlapped completion is owed");
         assert_eq!(s.take_completed_if_clean(), Some(true));
         assert!(s.skippable());
-        // A failure reads as not skippable until the flag is recomputed.
-        s.force_clean();
+        // A failure reads as not skippable until its last bit is cleared.
+        s.force_clean(POISONED);
+        s.force_clean(TIMED_OUT);
         assert_eq!(s.status(), S::Clean);
-        assert!(!s.skippable(), "failed");
-        s.set_failed(false);
+        assert!(!s.skippable(), "poisoned and timed out");
+        s.clear_failure(POISONED);
+        assert!(!s.skippable(), "timed out");
+        s.clear_failure(TIMED_OUT);
         assert!(s.skippable());
     }
 

@@ -93,7 +93,7 @@
 //! | `filter` | the two-level page → line watched-address filter |
 //! | [`handle`] | typed [`Tracked`]/[`TrackedArray`] handles |
 //! | [`trigger`] | the store-address → tthread trigger table |
-//! | [`tthread`] | tthread ids and the thread status table |
+//! | [`tthread`] | tthread ids and the thread status table: one entry per tthread (slot, body, tallies) |
 //! | `dispatch` | the lock-free status word and the bounded pending FIFO |
 //! | [`changed`] | the per-tthread changed set a body reads as [`Triggers`] |
 //! | [`eventcount`] | the one park/wake primitive: workers, joiners, the shutdown join and `dtt-serve`'s event workers wait on it |

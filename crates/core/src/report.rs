@@ -1,7 +1,7 @@
 //! Human-readable runtime diagnostics.
 //!
 //! [`crate::runtime::Runtime::report`] produces a structured snapshot of
-//! the whole runtime — tthreads with their TST state, watched regions,
+//! the whole runtime — tthreads with their TST entries, watched regions,
 //! queue occupancy, arena usage and the counter block — for debugging DTT
 //! programs ("why did this tthread not fire?").
 
@@ -26,7 +26,9 @@ pub struct TthreadReportRow {
     pub timed_out: bool,
     /// Executions so far.
     pub executions: u64,
-    /// Completed-execution epoch (see [`crate::tthread::TstEntry::epoch`]).
+    /// Completed-execution epoch: bumped once each time an execution leaves
+    /// Running for Clean with its outputs published (a retrigger loop of
+    /// several body runs advances it once, a failed run not at all).
     pub epoch: u64,
     /// Skipped joins so far.
     pub skips: u64,

@@ -9,10 +9,10 @@ use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Instant;
 
-use super::{Inner, State, TthreadFn};
+use super::{Inner, State};
 use crate::ctx::{Ctx, DetachedView, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
-use crate::dispatch::PARK_TIMEOUT;
+use crate::dispatch::{PARK_TIMEOUT, POISONED, TIMED_OUT};
 use crate::error::Error;
 use crate::eventcount::ParkOutcome;
 use crate::fault::FaultPoint;
@@ -38,7 +38,7 @@ impl<U> Inner<U> {
         if self.fault.fire(FaultPoint::JoinWake) {
             return;
         }
-        self.dispatch.completions.wake_all();
+        self.completions.wake_all();
     }
 }
 
@@ -55,8 +55,7 @@ impl<U: Send + 'static> Inner<U> {
     /// `false` when the queue was empty or the entry was requeued: there
     /// is nothing for the caller to run right now, and it may park.
     pub(super) fn run_queued(&self, line: &CounterLine, ran: Tally) -> bool {
-        let dispatch = &self.dispatch;
-        let Some((raw, token)) = dispatch.pending.pop() else {
+        let Some((raw, token)) = self.pending.pop() else {
             return false;
         };
         let id = TthreadId::new(raw);
@@ -65,18 +64,17 @@ impl<U: Send + 'static> Inner<U> {
             // the queue takes it back, otherwise fall through and run the
             // entry ourselves — dropping it would strand the tthread in
             // Queued with no entry anywhere.
-            if dispatch.pending.push(raw, token) {
+            if self.pending.push(raw, token) {
                 return false;
             }
         }
-        let slot = dispatch.slots.get(id.index());
-        if !slot.try_claim_queued(token) {
+        if !self.tthread(id).slot.try_claim_queued(token) {
             // The entry went stale: a join or force claimed the tthread
             // (bumping the token) after this entry was queued.
             line.bump(Tally::queue_stale_skips, 1);
             return true;
         }
-        run_detached(self, id, &self.tthread(id).func, line, ran);
+        run_detached(self, id, line, ran);
         self.wake_joiners();
         true
     }
@@ -85,7 +83,6 @@ impl<U: Send + 'static> Inner<U> {
 /// The worker: runs queued executions, and only touches the state lock to
 /// commit. Idles on the dispatch eventcount with a timed park.
 pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
-    let dispatch = &inner.dispatch;
     let line = &inner.counters.workers[worker_idx];
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
@@ -98,8 +95,8 @@ pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize
         // (see `FaultPoint::WakeDrop`): even a lost notification only
         // costs one park period, and is counted as a rescue. A requeued
         // entry leaves the queue non-empty, so the park is skipped.
-        let (outcome, silent) = dispatch.waiters.park_reporting(
-            || !dispatch.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
+        let (outcome, silent) = inner.waiters.park_reporting(
+            || !inner.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
             PARK_TIMEOUT,
         );
         if outcome != ParkOutcome::Skipped {
@@ -107,7 +104,7 @@ pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize
         }
         if outcome == ParkOutcome::TimedOut {
             line.bump(Tally::park_timeouts, 1);
-            if silent && !dispatch.pending.is_empty() {
+            if silent && !inner.pending.is_empty() {
                 line.bump(Tally::park_rescues, 1);
             }
         }
@@ -136,11 +133,11 @@ fn run_body<U, R>(
 fn run_detached<U: Send + 'static>(
     inner: &Inner<U>,
     id: TthreadId,
-    func: &TthreadFn<U>,
     line: &CounterLine,
     ran: Tally,
 ) {
-    let slot = inner.dispatch.slots.get(id.index());
+    let tthread = inner.tthread(id);
+    let slot = &tthread.slot;
     let mut retries: u32 = 0;
     let mut restarts: u32 = 0;
     let mut held = None;
@@ -178,7 +175,7 @@ fn run_detached<U: Send + 'static>(
                     // without running the panic hook and spamming stderr.
                     resume_unwind(Box::new("injected body-start fault"));
                 }
-                func(&mut ctx)
+                tthread.body()(&mut ctx)
             });
             // Deadline check covers the body only, before any injected
             // commit delay; a panic takes precedence over a timeout below.
@@ -235,10 +232,9 @@ fn run_detached<U: Send + 'static>(
             // `TthreadTimedOut`. The taken set went with the log, so the
             // next run recomputes everything.
             state.lock_line.bump(Tally::body_timeouts, 1);
-            state.tst.entry_mut(id).timed_out = true;
             state.graph.clear_depth(id);
             slot.changed.set_all();
-            slot.force_clean();
+            slot.force_clean(TIMED_OUT);
             let elapsed = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
             inner.obs.event(EventKind::BodyTimeout, id, elapsed);
             return;
@@ -259,14 +255,14 @@ fn run_detached<U: Send + 'static>(
 
         state.lock_line.bump(Tally::executions, 1);
         state.lock_line.bump(ran, 1);
-        state.tst.entry_mut(id).executions += 1;
+        tthread.executions.bump();
         if inner.fault.fire(FaultPoint::Retrigger) {
             // Injected retrigger: pretend a trigger landed during the body,
             // driving the bounded retry loop below.
             slot.set_rf_if_running();
         }
         if slot.try_complete(Some(true)) {
-            state.tst.entry_mut(id).epoch += 1;
+            tthread.epoch.bump();
             return;
         }
         // The rerun flag was set: a trigger landed while the body ran (or
@@ -370,11 +366,10 @@ fn close_wave<U>(
 /// usable for every other tthread. The run's taken changed set is lost
 /// with it, so the next run recomputes everything.
 fn poison<U>(state: &mut State<U>, inner: &Inner<U>, id: TthreadId) {
-    state.tst.entry_mut(id).poisoned = true;
     state.graph.clear_depth(id);
-    let slot = inner.dispatch.slots.get(id.index());
+    let slot = &inner.tthread(id).slot;
     slot.changed.set_all();
-    slot.force_clean();
+    slot.force_clean(POISONED);
 }
 
 impl<U: Send + 'static> Ctx<'_, U> {
@@ -400,8 +395,8 @@ impl<U: Send + 'static> Ctx<'_, U> {
             Error::CascadeDepthExceeded(MAX_CASCADE_DEPTH)
         );
         let inner = self.inner;
-        let func = &inner.tthread(id).func;
-        let slot = inner.dispatch.slots.get(id.index());
+        let tthread = inner.tthread(id);
+        let slot = &tthread.slot;
         loop {
             debug_assert_eq!(slot.status(), TthreadStatus::Running);
             // After the claim (or RF absorb), before the body's first read.
@@ -413,7 +408,7 @@ impl<U: Send + 'static> Ctx<'_, U> {
                 state.graph.begin_wave();
                 let mut nested = Ctx::new_for(state, inner, next_depth, Some(id));
                 nested.triggers = triggers;
-                func(&mut nested);
+                tthread.body()(&mut nested);
                 (nested.body_dispatched, nested.body_changed)
             });
             let state = self.locked();
@@ -427,10 +422,10 @@ impl<U: Send + 'static> Ctx<'_, U> {
             };
             state.lock_line.bump(Tally::executions, 1);
             state.lock_line.bump(Tally::inline_executions, 1);
-            state.tst.entry_mut(id).executions += 1;
+            tthread.executions.bump();
             close_wave(state, inner, id, dispatched, changed);
             if slot.try_complete(None) {
-                state.tst.entry_mut(id).epoch += 1;
+                tthread.epoch.bump();
                 break;
             }
             // A trigger landed mid-body (RF): absorb it into another run.

@@ -4,14 +4,14 @@
 
 use parking_lot::MutexGuard;
 
-use super::{Runtime, State};
+use super::{Raise, Runtime, State};
 use crate::ctx::Ctx;
-use crate::dispatch::PARK_TIMEOUT;
+use crate::dispatch::{Slot, PARK_TIMEOUT, POISONED, TIMED_OUT};
 use crate::error::{Error, Result};
 use crate::eventcount::ParkOutcome;
 use crate::obs::EventKind;
 use crate::stats::Tally;
-use crate::tthread::{TstEntry, TthreadId, TthreadStatus};
+use crate::tthread::{TthreadId, TthreadStatus};
 
 /// How a [`Runtime::join`] call was satisfied.
 ///
@@ -42,13 +42,14 @@ pub enum JoinOutcome {
     Waited,
 }
 
-/// The error a join or force of a failed tthread reports.
-fn failure<U>(state: &State<U>, tthread: TthreadId) -> Result<()> {
-    let entry = state.tst.entry(tthread);
-    if entry.poisoned {
+/// The error a join or force of a failed tthread reports, read from its
+/// slot's failure bits: poison first.
+fn failure(slot: &Slot, tthread: TthreadId) -> Result<()> {
+    let bits = slot.failure();
+    if bits & POISONED != 0 {
         return Err(Error::TthreadPoisoned(tthread));
     }
-    if entry.timed_out {
+    if bits & TIMED_OUT != 0 {
         return Err(Error::TthreadTimedOut(tthread));
     }
     Ok(())
@@ -83,7 +84,8 @@ impl<U: Send + 'static> Runtime<U> {
         self.check(tthread)?;
         // The skip is one load: no state lock and no RMW (the skip rule in
         // `crate::dispatch`). Every other state takes the locked path.
-        let outcome = if self.inner.dispatch.slots.get(tthread.index()).skippable() {
+        let record = self.inner.tthread(tthread);
+        let outcome = if record.slot.skippable() {
             JoinOutcome::Skipped
         } else {
             self.join_locked(tthread)?
@@ -92,7 +94,7 @@ impl<U: Send + 'static> Runtime<U> {
             let owner = &self.inner.counters.owner;
             owner.bump(Tally::joins, 1);
             owner.bump(Tally::skips, 1);
-            self.skips[tthread.index()] += 1;
+            record.skips.bump();
         }
         self.obs_join(tthread, outcome);
         Ok(outcome)
@@ -104,10 +106,10 @@ impl<U: Send + 'static> Runtime<U> {
     /// lock-free ones.
     fn join_locked(&self, tthread: TthreadId) -> Result<JoinOutcome> {
         let mut state = self.inner.state.lock();
-        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let slot = &self.inner.tthread(tthread).slot;
         let mut waited = false;
         loop {
-            failure(&state, tthread)?;
+            failure(slot, tthread)?;
             let status = slot.status();
             match status {
                 TthreadStatus::Clean => {
@@ -173,7 +175,7 @@ impl<U: Send + 'static> Runtime<U> {
     /// of join and force. `false` if the claim lost to a concurrent
     /// transition.
     fn run_here(&self, state: &mut State<U>, tthread: TthreadId, from: TthreadStatus) -> bool {
-        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let slot = &self.inner.tthread(tthread).slot;
         if !slot.try_claim_from(from, true) {
             return false;
         }
@@ -208,7 +210,7 @@ impl<U: Send + 'static> Runtime<U> {
         tthread: TthreadId,
         state: MutexGuard<'a, State<U>>,
     ) -> MutexGuard<'a, State<U>> {
-        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let slot = &self.inner.tthread(tthread).slot;
         let observed = slot.word();
         drop(state);
         // Only `join` and `force` wait, and both take `&mut self`: this
@@ -219,7 +221,6 @@ impl<U: Send + 'static> Runtime<U> {
         }
         let (outcome, silent) = self
             .inner
-            .dispatch
             .completions
             .park_reporting(|| slot.word() != observed, PARK_TIMEOUT);
         if outcome == ParkOutcome::TimedOut {
@@ -271,11 +272,11 @@ impl<U: Send + 'static> Runtime<U> {
     pub fn force(&mut self, tthread: TthreadId) -> Result<()> {
         self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        let slot = self.inner.dispatch.slots.get(tthread.index());
+        let slot = &self.inner.tthread(tthread).slot;
         loop {
             // Re-checked after every park, as in `join`: the execution
             // waited on may itself have panicked or overrun its deadline.
-            failure(&state, tthread)?;
+            failure(slot, tthread)?;
             match slot.status() {
                 TthreadStatus::Running => state = self.park_until_moved(tthread, state),
                 // Claim whatever state the tthread is in; a stale queue
@@ -301,13 +302,10 @@ impl<U: Send + 'static> Runtime<U> {
     pub fn mark_dirty(&mut self, tthread: TthreadId) -> Result<()> {
         self.check(tthread)?;
         let mut state = self.inner.state.lock();
-        self.inner
-            .dispatch
-            .slots
-            .get(tthread.index())
-            .changed
-            .set_all();
-        Ctx::new(&mut state, &self.inner, 0).raise(tthread);
+        self.inner.tthread(tthread).slot.changed.set_all();
+        if let Raise::Overflow(token) = self.inner.raise(tthread, &state.lock_line) {
+            Ctx::new(&mut state, &self.inner, 0).overflow(tthread, token);
+        }
         Ok(())
     }
 
@@ -319,7 +317,7 @@ impl<U: Send + 'static> Runtime<U> {
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn status(&self, tthread: TthreadId) -> Result<TthreadStatus> {
         self.check(tthread)?;
-        Ok(self.inner.dispatch.slots.get(tthread.index()).status())
+        Ok(self.inner.tthread(tthread).slot.status())
     }
 
     /// Clears the poisoned flag set when a tthread body panicked, making
@@ -330,7 +328,7 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn clear_poison(&mut self, tthread: TthreadId) -> Result<()> {
-        self.clear_failure(tthread, |entry| entry.poisoned = false)
+        self.clear_failure(tthread, POISONED)
     }
 
     /// Clears the timed-out flag set when a tthread body overran the
@@ -343,27 +341,15 @@ impl<U: Send + 'static> Runtime<U> {
     ///
     /// Returns [`Error::UnknownTthread`] for a foreign id.
     pub fn clear_timeout(&mut self, tthread: TthreadId) -> Result<()> {
-        self.clear_failure(tthread, |entry| entry.timed_out = false)
+        self.clear_failure(tthread, TIMED_OUT)
     }
 
-    /// Clears one failure flag, then re-derives the slot's failure flag
-    /// (read by the skip fast path) from the TST entry, under the state
-    /// lock every failure is recorded under.
-    fn clear_failure(
-        &mut self,
-        tthread: TthreadId,
-        clear: impl FnOnce(&mut TstEntry),
-    ) -> Result<()> {
+    /// Clears one failure bit of the slot, under the state lock every
+    /// failure is recorded under.
+    fn clear_failure(&mut self, tthread: TthreadId, bit: u8) -> Result<()> {
         self.check(tthread)?;
-        let mut state = self.inner.state.lock();
-        let entry = state.tst.entry_mut(tthread);
-        clear(entry);
-        let failed = entry.poisoned || entry.timed_out;
-        self.inner
-            .dispatch
-            .slots
-            .get(tthread.index())
-            .set_failed(failed);
+        let _state = self.inner.state.lock();
+        self.inner.tthread(tthread).slot.clear_failure(bit);
         Ok(())
     }
 }

@@ -1,9 +1,9 @@
 //! The data-triggered-threads runtime.
 //!
 //! [`Runtime`] owns the tracked arena, the trigger table, the thread status
-//! table, the pending queue and (optionally) a pool of worker threads. See
-//! the crate-level documentation for the programming model and a complete
-//! example.
+//! table (one entry per tthread, see [`crate::tthread`]), the pending queue
+//! and (optionally) a pool of worker threads. See the crate-level
+//! documentation for the programming model and a complete example.
 //!
 //! The code follows one tthread's lifecycle, one step per file:
 //!
@@ -15,7 +15,7 @@
 //! | `teardown.rs` | the worker pool, drain, shutdown and `into_state` |
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -23,8 +23,9 @@ use crate::accessor::Accessor;
 use crate::addr::{Addr, AddrRange};
 use crate::config::Config;
 use crate::ctx::Ctx;
-use crate::dispatch::{ChunkTable, Dispatch, RaiseStep};
+use crate::dispatch::{PendingQueue, RaiseStep, POISONED, TIMED_OUT};
 use crate::error::{Error, Result};
+use crate::eventcount::Waiters;
 use crate::fault::{FaultLayer, FaultPoint};
 use crate::filter::WatchFilter;
 use crate::graph::DepGraph;
@@ -33,8 +34,8 @@ use crate::mem::ShardedMem;
 use crate::obs::{EventKind, ObsRecorder, ObsRecording, OBS_RING_CAPACITY};
 use crate::pod::Pod;
 use crate::stats::{CounterLine, CounterLines, Counters, StatsSnapshot, Tally};
-use crate::trigger::{LookupScratch, TriggerTable};
-use crate::tthread::{StatusTable, TthreadId};
+use crate::trigger::{LookupScratch, TriggerHit, TriggerTable};
+use crate::tthread::{ChunkTable, Tthread, TthreadId};
 
 mod exec;
 mod join;
@@ -48,16 +49,9 @@ use teardown::WorkerPool;
 /// Maximum bytes the tracked arena may grow to.
 const ARENA_CAPACITY: u64 = 1 << 32;
 
-type TthreadFn<U> = Box<dyn Fn(&mut Ctx<'_, U>) + Send + Sync>;
-
-pub(crate) struct TthreadEntry<U> {
-    name: String,
-    func: TthreadFn<U>,
-}
-
-/// The genuinely serial part of the runtime, behind the state lock: the
-/// tthread status table, user state, and the lock line — the counter line
-/// of whoever holds the lock.
+/// The genuinely serial part of the runtime, behind the state lock: user
+/// state, the dependency graph, and the lock line — the counter line of
+/// whoever holds the lock.
 ///
 /// Tracked memory, the trigger table, and the other counter lines live
 /// *outside* this lock so tracked loads and stores scale across threads,
@@ -66,7 +60,6 @@ pub(crate) struct TthreadEntry<U> {
 /// back here.
 pub struct State<U> {
     pub(crate) user: U,
-    pub(crate) tst: StatusTable,
     /// Everything counted under the lock, which makes its writers one.
     pub(crate) lock_line: CounterLine,
     /// Pool of reusable trigger-lookup scratch buffers for lock-holding
@@ -109,13 +102,20 @@ pub(crate) struct Inner<U> {
     /// probe checks `fault.fire()` — one relaxed load when no plan is
     /// installed. Shared with the obs recorder for the ring-publish probe.
     pub(crate) fault: Arc<FaultLayer>,
-    /// The lock-free dispatch half of the TST: per-tthread atomic status
-    /// words, the bounded pending queue, and the worker and completion
-    /// eventcounts.
-    pub(crate) dispatch: Dispatch,
-    /// Registered names and bodies, append-only: an execution borrows its
-    /// body from here with no lock and no reference count.
-    tthreads: ChunkTable<OnceLock<TthreadEntry<U>>>,
+    /// The bounded pending queue of triggered tthreads.
+    pub(crate) pending: PendingQueue,
+    /// The eventcount idle workers park on; a raise that enqueues wakes one.
+    pub(crate) waiters: Waiters,
+    /// The completion eventcount joins park on: workers (and
+    /// inline completions) broadcast here after any transition out of
+    /// Running, and a joiner validates "the status word moved" before
+    /// committing to sleep — the join-side analogue of the worker
+    /// eventcount, with the slot token as the generation counter.
+    pub(crate) completions: Waiters,
+    /// The thread status table: one entry per registered tthread, holding
+    /// its dispatch slot, body and tallies. Append-only, so an execution
+    /// borrows its entry with no lock and no reference count.
+    tthreads: ChunkTable<Tthread<U>>,
     /// Set while no worker pops the pending queue: from construction when
     /// there are no workers, and from the moment shutdown is signalled.
     /// Workers exit on it; raises read it to pick the deferred executor,
@@ -138,12 +138,9 @@ pub(crate) enum Raise {
 }
 
 impl<U> Inner<U> {
-    /// The registered name and body of `id`.
-    fn tthread(&self, id: TthreadId) -> &TthreadEntry<U> {
-        self.tthreads
-            .get(id.index())
-            .get()
-            .expect("tthread registered")
+    /// `id`'s entry in the thread status table.
+    pub(crate) fn tthread(&self, id: TthreadId) -> &Tthread<U> {
+        self.tthreads.get(id)
     }
 
     /// Whether triggered tthreads wait for their joins: no worker pops the
@@ -160,7 +157,7 @@ impl<U> Inner<U> {
     /// dispatch-side machinery on the caller's `line`: the lock line from
     /// a locked context, an accessor's own line from an accessor.
     pub(crate) fn raise(&self, id: TthreadId, line: &CounterLine) -> Raise {
-        let slot = self.dispatch.slots.get(id.index());
+        let slot = &self.tthread(id).slot;
         slot.triggers.fetch_add(1, Ordering::Relaxed);
         match slot.raise(self.deferred(), !self.cfg.coalesce) {
             RaiseStep::Absorbed => {
@@ -174,24 +171,38 @@ impl<U> Inner<U> {
                 // consuming a slot, driving the overflow path on an
                 // otherwise-healthy queue.
                 if self.fault.fire(FaultPoint::Enqueue)
-                    || !self.dispatch.pending.push(id.index() as u32, token)
+                    || !self.pending.push(id.index() as u32, token)
                 {
                     return Raise::Overflow(token);
                 }
                 line.bump(Tally::enqueues, 1);
                 if self.obs.on() {
-                    let occupancy = self.dispatch.pending.len() as u64;
+                    let occupancy = self.pending.len() as u64;
                     self.obs.event(EventKind::TriggerEnqueued, id, occupancy);
                 }
                 // Wake one parked worker: any of them can pop the entry.
                 // An injected wake drop loses the epoch bump too; the
                 // workers' timed park bounds the damage to one period.
-                if !self.fault.fire(FaultPoint::WakeDrop) && self.dispatch.waiters.wake_one() {
+                if !self.fault.fire(FaultPoint::WakeDrop) && self.waiters.wake_one() {
                     line.bump(Tally::worker_wakes, 1);
                 }
                 Raise::Activated
             }
         }
+    }
+
+    /// Fires one trigger hit of the store at `store_addr`: counts it on the
+    /// caller's `line` (as false too if imprecise), records it, and raises
+    /// its tthread ([`Inner::raise`]). The caller pushes the store's range
+    /// into the tthread's changed set first, and settles an overflow.
+    pub(crate) fn fire(&self, hit: &TriggerHit, store_addr: u64, line: &CounterLine) -> Raise {
+        line.bump(Tally::triggers_fired, 1);
+        if !hit.precise {
+            line.bump(Tally::false_triggers, 1);
+        }
+        self.obs
+            .event(EventKind::TriggerFired, hit.tthread, store_addr);
+        self.raise(hit.tthread, line)
     }
 
     /// Records a store event into the ring of the shard `addr` hashes to,
@@ -274,11 +285,10 @@ impl<U> Inner<U> {
 pub struct Runtime<U> {
     inner: Arc<Inner<U>>,
     pool: WorkerPool<U>,
-    /// Tthreads registered so far: ids below it are this runtime's.
-    /// `register` takes `&mut self`, so the id check needs no lock.
+    /// Tthreads registered so far: ids below it are this runtime's, and
+    /// the next id is this. `register` takes `&mut self`, so issuing and
+    /// checking ids needs no lock.
     registered: usize,
-    /// Skipping joins per tthread, kept across a reset like the TST entry.
-    skips: Vec<u64>,
     /// The fold at the last [`Runtime::reset_stats`].
     baseline: Counters,
 }
@@ -293,7 +303,6 @@ impl<U: Send + 'static> Runtime<U> {
     pub fn new(cfg: Config, user: U) -> Self {
         let state = State {
             user,
-            tst: StatusTable::new(),
             lock_line: CounterLine::default(),
             scratch: Vec::new(),
             bulk_scratch: Vec::new(),
@@ -323,7 +332,7 @@ impl<U: Send + 'static> Runtime<U> {
         });
         obs.attach_fault(Arc::clone(&fault));
         let workers = cfg.workers;
-        let dispatch = Dispatch::new(cfg.queue_capacity);
+        let pending = PendingQueue::new(cfg.queue_capacity);
         let inner = Arc::new(Inner {
             cfg,
             state: Mutex::new(state),
@@ -333,7 +342,9 @@ impl<U: Send + 'static> Runtime<U> {
             counters,
             obs,
             fault,
-            dispatch,
+            pending,
+            waiters: Waiters::default(),
+            completions: Waiters::default(),
             tthreads: ChunkTable::new(),
             shutdown: AtomicBool::new(workers == 0),
         });
@@ -341,7 +352,6 @@ impl<U: Send + 'static> Runtime<U> {
             pool: WorkerPool::start(&inner, workers),
             inner,
             registered: 0,
-            skips: Vec::new(),
             baseline,
         }
     }
@@ -427,23 +437,13 @@ impl<U: Send + 'static> Runtime<U> {
     where
         F: Fn(&mut Ctx<'_, U>) + Send + Sync + 'static,
     {
-        let mut state = self.inner.state.lock();
-        let id = state.tst.push();
-        state.graph.ensure(id.index());
-        // Materialize the slot and the body now so every later access is
-        // lock-free. The entry is set before any trigger can name `id`.
-        // Nothing ran yet, so the first run sees everything as changed.
-        self.inner.dispatch.slots.ensure(id.index());
-        self.inner.dispatch.slots.get(id.index()).changed.set_all();
-        self.inner.tthreads.ensure(id.index());
-        let entry = TthreadEntry {
-            name: name.to_owned(),
-            func: Box::new(body),
-        };
-        let fresh = self.inner.tthreads.get(id.index()).set(entry).is_ok();
-        assert!(fresh, "tthread ids are issued once");
+        let id = TthreadId::new(u32::try_from(self.registered).expect("too many tthreads"));
+        // Fill the entry now, before any trigger can name `id`, so every
+        // later access is lock-free.
+        self.inner.tthreads.ensure(id);
+        self.inner.tthread(id).init(name, Box::new(body));
+        self.inner.state.lock().graph.ensure(id.index());
         self.registered += 1;
-        self.skips.push(0);
         id
     }
 
@@ -598,31 +598,31 @@ impl<U: Send + 'static> Runtime<U> {
     pub fn report(&self) -> crate::report::RuntimeReport {
         let state = self.inner.state.lock();
         let triggers = self.inner.triggers.read();
-        let tthreads = state
-            .tst
-            .iter()
-            .map(|(id, entry)| {
+        let tthreads = (0..self.registered)
+            .map(|i| {
+                let id = TthreadId::new(i as u32);
                 let watches = triggers
                     .iter()
                     .filter(|(t, _)| *t == id)
                     .map(|(_, range)| range)
                     .collect();
-                let slot = self.inner.dispatch.slots.get(id.index());
+                let tthread = self.inner.tthread(id);
+                let slot = &tthread.slot;
                 crate::report::TthreadReportRow {
-                    name: self.inner.tthread(id).name.clone(),
+                    name: tthread.name().to_owned(),
                     status: slot.status(),
-                    poisoned: entry.poisoned,
-                    timed_out: entry.timed_out,
-                    executions: entry.executions,
-                    epoch: entry.epoch,
-                    skips: self.skips[id.index()],
+                    poisoned: slot.failure() & POISONED != 0,
+                    timed_out: slot.failure() & TIMED_OUT != 0,
+                    executions: tthread.executions.get(),
+                    epoch: tthread.epoch.get(),
+                    skips: tthread.skips.get(),
                     triggers: slot.triggers.load(Ordering::Relaxed),
                     watches,
                 }
             })
             .collect();
         let stats = self.folded_stats(&state);
-        let pending = &self.inner.dispatch.pending;
+        let pending = &self.inner.pending;
         crate::report::RuntimeReport {
             tthreads,
             edges: state.graph.edges(),

@@ -97,10 +97,9 @@ impl<U> WorkerPool<U> {
             return Ok(());
         }
         let handles = std::mem::take(&mut self.handles);
-        let dispatch = &self.inner.dispatch;
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        dispatch.waiters.close();
-        dispatch.completions.close();
+        self.inner.waiters.close();
+        self.inner.completions.close();
         if let Some(timeout) = timeout {
             let deadline = Instant::now() + timeout;
             let exited = || self.exits.count.load(Ordering::SeqCst);

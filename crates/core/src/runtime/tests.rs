@@ -517,6 +517,48 @@ fn body_deadline_discards_the_write_log() {
     assert!(report.timed_out().is_empty());
 }
 
+/// A tthread can be timed out and poisoned at once: each clear lifts one
+/// failure, poison is reported first, and only clearing both lets the
+/// join skip again.
+#[test]
+fn poison_and_timeout_are_held_at_once_and_cleared_one_at_a_time() {
+    let cfg = deferred()
+        .with_workers(1)
+        .with_body_deadline(Duration::from_millis(5));
+    let mut rt = Runtime::new(cfg, ());
+    let x = rt.alloc(0u32).unwrap();
+    // The first run overruns the deadline, the second panics.
+    let tt = rt.register("overrun-then-panic", move |ctx| {
+        assert_eq!(ctx.get(x), 1, "tthread bug");
+        thread::sleep(Duration::from_millis(50));
+    });
+    rt.watch(tt, x.range()).unwrap();
+    let flags = |rt: &Runtime<()>| {
+        let row = &rt.report().tthreads[tt.index()];
+        (row.poisoned, row.timed_out)
+    };
+    // Nothing joins until the worker has flagged each run, so both run
+    // detached under the deadline.
+    let wait_for = |rt: &Runtime<()>, want: (bool, bool)| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while flags(rt) != want {
+            assert!(Instant::now() < deadline, "flags never read {want:?}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+    rt.write(x, 1);
+    wait_for(&rt, (false, true));
+    rt.write(x, 2);
+    wait_for(&rt, (true, true));
+    assert!(matches!(rt.join(tt), Err(Error::TthreadPoisoned(id)) if id == tt));
+    rt.clear_poison(tt).unwrap();
+    assert_eq!(flags(&rt), (false, true));
+    assert!(matches!(rt.join(tt), Err(Error::TthreadTimedOut(id)) if id == tt));
+    rt.clear_timeout(tt).unwrap();
+    assert_eq!(flags(&rt), (false, false));
+    assert_eq!(rt.join(tt).unwrap(), JoinOutcome::Skipped);
+}
+
 #[test]
 fn injected_retrigger_hits_the_retry_cap() {
     use crate::fault::{FaultPlan, ALWAYS};
@@ -795,7 +837,7 @@ fn join_parks_on_completions_without_the_state_lock() {
                     Instant::now() < deadline,
                     "joiner never parked lock-free on the completion eventcount"
                 );
-                if inner.dispatch.completions.sleeping() > 0 {
+                if inner.completions.sleeping() > 0 {
                     if let Some(guard) = inner.state.try_lock() {
                         drop(guard);
                         break;
@@ -841,7 +883,7 @@ fn force_reports_a_tthread_poisoned_while_it_waited() {
             // Let the body panic only once `force` is asleep on the
             // completion eventcount, past its entry checks.
             let deadline = Instant::now() + Duration::from_secs(10);
-            while inner.dispatch.completions.sleeping() == 0 {
+            while inner.completions.sleeping() == 0 {
                 assert!(Instant::now() < deadline, "force never parked");
                 thread::sleep(Duration::from_micros(100));
             }
@@ -863,7 +905,7 @@ fn idle_runtime_shutdown_beats_the_park_timeout() {
     let rt = Runtime::new(cfg, ());
     // Let every worker reach its parked steady state.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while rt.inner.dispatch.waiters.sleeping() < 4 {
+    while rt.inner.waiters.sleeping() < 4 {
         assert!(Instant::now() < deadline, "workers never parked");
         thread::sleep(Duration::from_millis(1));
     }

@@ -2,24 +2,22 @@
 //!
 //! The HPCA'11 hardware keeps a small *thread status table* recording, for
 //! every registered tthread, whether its attached computation is up to date.
-//! [`StatusTable`] is that structure. The main thread's `tstatus` check at a
-//! consumption point is [`crate::runtime::Runtime::join`], which consults
-//! this table to decide skip / run / wait.
-//!
-//! Since the dispatch path moved off the state lock, the *live* part of the
-//! TST entry — status, retrigger flag, completed-since-join flag, trigger
-//! count — is a packed atomic word in the dispatch layer's slot table, CAS'd
-//! by raisers and claimers without the state lock. Because every transition
-//! bumps the word's token bits, the raw word doubles as a *generation
-//! counter*: a lock-free `join` that finds a tthread `Running` snapshots
-//! the word, drops the state lock, and sleeps until the word changes —
-//! which is exactly "the run I observed ended or was re-raised". What
-//! remains here is the slow bookkeeping only ever touched under the state
-//! lock: poison/timeout fault state (mirrored into the slot's failure flag
-//! for the lock-free skip) and the execution/epoch tallies. Join skips are
-//! tallied by the [`crate::runtime::Runtime`] itself, per tthread.
+//! Here it is one append-only table with one entry per registered tthread,
+//! indexed by its [`TthreadId`]. The entry holds the dispatch slot (the
+//! status word raisers and claimers advance by compare-and-swap without the
+//! state lock, the trigger tally, the poison and timeout bits and the
+//! changed set, on one cache line), the name and body, set once at
+//! registration, and the execution, epoch and skip tallies. The main
+//! thread's `tstatus` check at a consumption point is
+//! [`crate::runtime::Runtime::join`]: one load of the slot decides skip,
+//! run or wait.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use crate::ctx::Ctx;
+use crate::dispatch::Slot;
 
 /// Identifier of a registered data-triggered thread.
 ///
@@ -74,135 +72,182 @@ impl fmt::Display for TthreadStatus {
     }
 }
 
-/// Per-tthread bookkeeping entry: the slow half of the TST, only read or
-/// written under the state lock. The live status machine (state, retrigger,
-/// completed-since-join, trigger count) lives in the lock-free dispatch
-/// slot table.
-#[derive(Debug, Clone, Default)]
-pub struct TstEntry {
-    /// Set when the tthread's body panicked: its outputs are suspect and
-    /// joins fail until [`crate::runtime::Runtime::clear_poison`] is called.
-    pub poisoned: bool,
-    /// Set when the tthread's body overran the configured deadline: its
-    /// write log was discarded, so its outputs are stale and joins fail
-    /// until [`crate::runtime::Runtime::clear_timeout`] is called.
-    pub timed_out: bool,
-    /// Total times this tthread has executed.
-    pub executions: u64,
-    /// Completed-execution epoch: bumped once each time the tthread leaves
-    /// `Running` for `Clean` with its outputs published (a retrigger loop
-    /// of several body runs advances the epoch once; a poisoned run not at
-    /// all). Detached executions bump it at commit, when their effects
-    /// become visible.
-    pub epoch: u64,
+/// A registered tthread's body.
+pub(crate) type TthreadFn<U> = Box<dyn Fn(&mut Ctx<'_, U>) + Send + Sync>;
+
+/// A tally with one writer, named where it is declared: a bump is a
+/// `Relaxed` load and store, as `CounterLine::bump` does.
+#[derive(Default)]
+pub(crate) struct Count(AtomicU64);
+
+impl Count {
+    #[inline]
+    pub(crate) fn bump(&self) {
+        let n = self.0.load(Ordering::Relaxed);
+        self.0.store(n + 1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
-/// The thread status table: one [`TstEntry`] per registered tthread.
-#[derive(Debug, Clone, Default)]
-pub struct StatusTable {
-    entries: Vec<TstEntry>,
+/// One tthread's TST entry. The slot is 64-byte aligned and 64 bytes long,
+/// so nothing else shares the line every raise and claim writes.
+pub(crate) struct Tthread<U> {
+    /// Status word, trigger tally, poison and timeout bits, changed set.
+    pub(crate) slot: Slot,
+    /// Body runs so far. Written under the state lock.
+    pub(crate) executions: Count,
+    /// Completed-execution epoch: one per return to Clean with outputs
+    /// published (at commit for a detached run; a retrigger loop counts
+    /// once). Written under the state lock.
+    pub(crate) epoch: Count,
+    /// Skipping joins so far. Written by the `&mut Runtime` holder.
+    pub(crate) skips: Count,
+    /// Name and body, set once at registration.
+    entry: OnceLock<(String, TthreadFn<U>)>,
 }
 
-impl StatusTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
+impl<U> Default for Tthread<U> {
+    fn default() -> Self {
+        Tthread {
+            slot: Slot::default(),
+            executions: Count::default(),
+            epoch: Count::default(),
+            skips: Count::default(),
+            entry: OnceLock::new(),
+        }
+    }
+}
+
+impl<U> Tthread<U> {
+    /// Fills a fresh entry at registration, before any trigger can name
+    /// it. Nothing ran yet, so the first run sees everything as changed.
+    pub(crate) fn init(&self, name: &str, body: TthreadFn<U>) {
+        self.slot.changed.set_all();
+        let fresh = self.entry.set((name.to_owned(), body)).is_ok();
+        assert!(fresh, "tthread ids are issued once");
     }
 
-    /// Adds an entry for a newly registered tthread and returns its id.
-    pub fn push(&mut self) -> TthreadId {
-        let id = TthreadId(u32::try_from(self.entries.len()).expect("too many tthreads"));
-        self.entries.push(TstEntry::default());
-        id
+    fn entry(&self) -> &(String, TthreadFn<U>) {
+        self.entry.get().expect("tthread registered")
     }
 
-    /// Number of registered tthreads.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// The registered name.
+    pub(crate) fn name(&self) -> &str {
+        &self.entry().0
     }
 
-    /// Whether no tthreads are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The registered body.
+    pub(crate) fn body(&self) -> &TthreadFn<U> {
+        &self.entry().1
+    }
+}
+
+/// The thread status table: chunked and append-only, one entry per
+/// issued [`TthreadId`]. Chunks are allocated on demand behind
+/// `OnceLock`s, so `register` (which grows the table) never moves an
+/// entry workers may hold, and reads take no lock.
+pub(crate) struct ChunkTable<T> {
+    chunks: Box<[OnceLock<Box<[T]>>]>,
+}
+
+pub(crate) const CHUNK: usize = 64;
+const MAX_CHUNKS: usize = 1024;
+
+impl<T: Default> ChunkTable<T> {
+    pub(crate) fn new() -> Self {
+        ChunkTable {
+            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+        }
     }
 
-    /// Whether `id` was issued by this table.
-    pub fn contains(&self, id: TthreadId) -> bool {
-        id.index() < self.entries.len()
-    }
-
-    /// Shared access to an entry.
+    /// Ensures the chunk covering `id` exists (called at registration).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is unknown; the runtime validates ids at its public
-    /// boundary.
-    pub fn entry(&self, id: TthreadId) -> &TstEntry {
-        &self.entries[id.index()]
+    /// Panics past `CHUNK * MAX_CHUNKS` tthreads.
+    pub(crate) fn ensure(&self, id: TthreadId) {
+        let chunk = id.index() / CHUNK;
+        assert!(chunk < MAX_CHUNKS, "too many tthreads");
+        self.chunks[chunk].get_or_init(|| (0..CHUNK).map(|_| T::default()).collect());
     }
 
-    /// Mutable access to an entry.
+    /// The entry for `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is unknown.
-    pub fn entry_mut(&mut self, id: TthreadId) -> &mut TstEntry {
-        &mut self.entries[id.index()]
-    }
-
-    /// Iterates over `(id, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (TthreadId, &TstEntry)> {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (TthreadId(i as u32), e))
+    /// Panics if `id`'s chunk was never created by [`ChunkTable::ensure`].
+    pub(crate) fn get(&self, id: TthreadId) -> &T {
+        let chunk = self.chunks[id.index() / CHUNK]
+            .get()
+            .expect("entry accessed before registration");
+        &chunk[id.index() % CHUNK]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{POISONED, TIMED_OUT};
+    use crate::{Config, Error, Runtime};
 
     #[test]
     fn ids_are_dense_and_ordered() {
-        let mut t = StatusTable::new();
-        assert!(t.is_empty());
-        let a = t.push();
-        let b = t.push();
+        let mut rt = Runtime::new(Config::default(), ());
+        let a = rt.register("a", |_| {});
+        let b = rt.register("b", |_| {});
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
         assert!(a < b);
-        assert_eq!(t.len(), 2);
-        assert!(t.contains(a));
-        assert!(!t.contains(TthreadId::new(2)));
+        assert_eq!(rt.report().tthreads.len(), 2);
+        assert!(rt.status(a).is_ok());
+        let foreign = TthreadId::new(2);
+        assert!(matches!(rt.status(foreign), Err(Error::UnknownTthread(id)) if id == foreign));
+    }
+
+    fn tallies(t: &Tthread<()>) -> [u64; 4] {
+        let triggers = t.slot.triggers.load(Ordering::Relaxed);
+        [t.executions.get(), t.epoch.get(), t.skips.get(), triggers]
     }
 
     #[test]
     fn entries_start_clean() {
-        let mut t = StatusTable::new();
-        let id = t.push();
-        assert!(!t.entry(id).poisoned);
-        assert!(!t.entry(id).timed_out);
-        assert_eq!(t.entry(id).executions, 0);
-        assert_eq!(t.entry(id).epoch, 0);
+        let t = Tthread::<()>::default();
+        assert_eq!(t.slot.status(), TthreadStatus::Clean);
+        assert_eq!(t.slot.failure(), 0);
+        assert!(t.slot.skippable());
+        assert_eq!(tallies(&t), [0; 4]);
+        t.init("t", Box::new(|_| {}));
+        assert_eq!(t.name(), "t");
     }
 
     #[test]
     fn entry_mutation_is_visible() {
-        let mut t = StatusTable::new();
-        let id = t.push();
-        t.entry_mut(id).executions += 1;
-        t.entry_mut(id).poisoned = true;
-        assert_eq!(t.entry(id).executions, 1);
-        assert!(t.entry(id).poisoned);
+        let t = Tthread::<()>::default();
+        t.executions.bump();
+        t.executions.bump();
+        t.skips.bump();
+        assert_eq!(tallies(&t), [2, 0, 1, 0]);
+        t.slot.force_clean(POISONED);
+        t.slot.force_clean(TIMED_OUT);
+        assert_eq!(t.slot.failure(), POISONED | TIMED_OUT);
+        t.slot.clear_failure(POISONED);
+        assert_eq!(t.slot.failure(), TIMED_OUT);
     }
 
     #[test]
     fn iter_yields_all_entries() {
-        let mut t = StatusTable::new();
-        let ids: Vec<_> = (0..5).map(|_| t.push()).collect();
-        let seen: Vec<_> = t.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, seen);
+        // Past one chunk, every id reads back its own entry.
+        let table = ChunkTable::<Tthread<()>>::new();
+        let mut ids = (0..CHUNK as u32 + 3).map(TthreadId::new);
+        for id in ids.clone() {
+            table.ensure(id);
+            table.get(id).init(&id.to_string(), Box::new(|_| {}));
+        }
+        assert!(ids.all(|id| table.get(id).name() == id.to_string()));
     }
 
     #[test]
