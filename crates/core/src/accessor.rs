@@ -145,26 +145,26 @@ impl<'rt, U: Send + 'static> Accessor<'rt, U> {
 
     /// Raise this store's trigger hits entirely through the lock-free
     /// status machine, each after pushing the store's range into the
-    /// tthread's changed set. Only an overflow ticket (pending queue full,
-    /// or an injected enqueue fault) drops to the state lock, where the
-    /// tthread runs inline.
+    /// tthread's changed set. Only an overflow (pending queue full, or an
+    /// injected enqueue fault) drops to the state lock, where the tthread,
+    /// already claimed Running by its raise, runs inline.
     fn raise_hits(&mut self, store_range: AddrRange) {
         let inner = self.inner;
         let line = &*self.line;
         let store_addr = store_range.start().raw();
         line.bump(Tally::triggering_stores, 1);
-        let mut overflows: Vec<(crate::tthread::TthreadId, u64)> = Vec::new();
+        let mut overflows: Vec<crate::tthread::TthreadId> = Vec::new();
         for hit in self.scratch.hits() {
             inner.tthread(hit.tthread).slot.changed.push(store_range);
-            if let Raise::Overflow(token) = inner.fire(hit, store_addr, line) {
-                overflows.push((hit.tthread, token));
+            if let Raise::Overflow = inner.fire(hit, store_addr, line) {
+                overflows.push(hit.tthread);
             }
         }
         if !overflows.is_empty() {
             let mut state = inner.state.lock();
             let mut ctx = Ctx::new(&mut state, inner, 0);
-            for (id, token) in overflows {
-                ctx.overflow(id, token);
+            for id in overflows {
+                ctx.overflow(id);
             }
         }
     }

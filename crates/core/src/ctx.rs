@@ -611,8 +611,8 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             }
             // Already under the state lock: an overflow runs here.
             let raised = match inner.fire(hit, store_addr, line) {
-                Raise::Overflow(token) => {
-                    self.overflow(hit.tthread, token);
+                Raise::Overflow => {
+                    self.overflow(hit.tthread);
                     Raise::Activated
                 }
                 raised => raised,
@@ -632,20 +632,16 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
         }
     }
 
-    /// Raise overflow: the status word already advanced Clean→Queued, but
-    /// no pending-queue entry landed, so the triggering thread runs the
-    /// tthread itself (the caller holds the state lock). The claim is
-    /// validated with `token` so a concurrent join or force steal wins
-    /// cleanly — its inline run then covers this trigger. An overflow run
-    /// counts as [`Raise::Activated`] in the cascade wave identity
+    /// Raise overflow: the queue was full, so the raise moved the tthread
+    /// Clean→Running itself and the triggering thread runs it here (the
+    /// caller holds the state lock). An overflow run counts as
+    /// [`Raise::Activated`] in the cascade wave identity
     /// `cascades == cascade_enqueues + cascade_coalesced + cascade_cutoffs`.
-    pub(crate) fn overflow(&mut self, id: TthreadId, token: u64) {
+    pub(crate) fn overflow(&mut self, id: TthreadId) {
         let inner = self.inner;
         self.locked().lock_line.bump(Tally::queue_overflows, 1);
         let capacity = inner.pending.capacity() as u64;
         inner.obs.event(EventKind::QueueOverflow, id, capacity);
-        if inner.tthread(id).slot.try_claim_queued(token) {
-            self.run_inline(id);
-        }
+        self.run_inline(id);
     }
 }

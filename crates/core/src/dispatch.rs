@@ -1,5 +1,5 @@
 //! Lock-free trigger dispatch: the atomic tthread status machine and the
-//! bounded pending queue, parked on two [`crate::eventcount::Waiters`].
+//! bounded pending queue of tthread ids.
 //!
 //! The HPCA'11 hardware updates its thread status table with single-cycle
 //! state transitions; the software runtime originally serialized every one
@@ -27,13 +27,16 @@
 //! * **CJ** (completed-since-join): an execution committed off the main
 //!   thread since the last join — lets the join report `Overlapped`
 //!   instead of `Skipped`.
-//! * **token** (60 bits): bumped on every *state-changing* transition. A
-//!   queue entry carries the token observed when its tthread went Queued;
-//!   a worker claims the entry with a CAS conditioned on that exact token,
-//!   so an entry whose tthread was stolen by a join (or force) in the
-//!   meantime fails validation and is lazily discarded — stale entries
-//!   need no queue scan at steal time. The token also prevents ABA on
-//!   every other transition.
+//! * **token** (60 bits): bumped on every *state-changing* transition, so
+//!   the word is a generation counter — a joiner parks on "the word moved"
+//!   — and no transition suffers ABA.
+//!
+//! # The tthread is the queue entry
+//!
+//! A tthread's id is in the [`PendingQueue`] exactly while its word reads
+//! Queued: a raise's Clean→Queued, a pop and a join's or force's steal
+//! (Queued→Running) each happen under the queue's mutex with their push or
+//! removal. So every queued id is claimable and a steal leaves nothing.
 //!
 //! # The absorb rule (why coalescing is an RMW, not a load)
 //!
@@ -125,11 +128,6 @@ fn state_bits(status: TthreadStatus) -> u64 {
     }
 }
 
-#[inline]
-fn token_of(word: u64) -> u64 {
-    word >> TOKEN_SHIFT
-}
-
 /// A state-changing transition: new state, flags optionally cleared,
 /// token bumped.
 #[inline]
@@ -152,9 +150,11 @@ pub(crate) enum RaiseStep {
     Absorbed,
     /// Clean→Triggered (deferred executor): nothing to enqueue.
     Deferred,
-    /// Clean→Queued: the caller must push `(id, token)` onto the pending
-    /// queue (and run the tthread inline if that fails).
-    Enqueue(u64),
+    /// Clean→Queued: the tthread's id is in the pending queue.
+    Enqueued,
+    /// Clean→Running: the queue was full, so the caller owns the claim and
+    /// runs the tthread inline.
+    Overflow,
 }
 
 /// One tthread's live dispatch state: the packed status word, the
@@ -241,9 +241,17 @@ impl Slot {
 
     /// Advance the status machine for one trigger. `mark_rerun_if_queued`
     /// implements the no-coalescing semantics: a duplicate trigger of a
-    /// queued tthread sets RF so the claimed execution runs again, instead
-    /// of occupying a second queue slot.
-    pub(crate) fn raise(&self, deferred: bool, mark_rerun_if_queued: bool) -> RaiseStep {
+    /// queued tthread sets RF so the claimed execution runs again. A Clean
+    /// tthread goes Triggered without a queue (`pending` is `None`), else
+    /// Queued with `id` pushed, or Running for the caller when the queue is
+    /// full or `refuse` (an injected overflow) says so.
+    pub(crate) fn raise(
+        &self,
+        mark_rerun_if_queued: bool,
+        pending: Option<&PendingQueue>,
+        id: u32,
+        mut refuse: impl FnMut() -> bool,
+    ) -> RaiseStep {
         loop {
             let cur = self.load();
             match state_of(cur) {
@@ -265,43 +273,34 @@ impl Slot {
                     }
                 }
                 TthreadStatus::Clean => {
-                    let target = if deferred {
-                        TthreadStatus::Triggered
-                    } else {
-                        TthreadStatus::Queued
+                    let Some(queue) = pending else {
+                        if self.cas(cur, advance(cur, TthreadStatus::Triggered, false, false)) {
+                            return RaiseStep::Deferred;
+                        }
+                        continue;
                     };
-                    let new = advance(cur, target, false, false);
-                    if self.cas(cur, new) {
-                        return if deferred {
-                            RaiseStep::Deferred
-                        } else {
-                            RaiseStep::Enqueue(token_of(new))
-                        };
+                    let refused = refuse();
+                    let mut ids = queue.ids.lock();
+                    if refused || ids.len() == queue.capacity {
+                        drop(ids);
+                        if self.cas(cur, advance(cur, TthreadStatus::Running, false, false)) {
+                            return RaiseStep::Overflow;
+                        }
+                    } else if self.cas(cur, advance(cur, TthreadStatus::Queued, false, false)) {
+                        ids.push_back(id);
+                        queue.publish(&ids);
+                        return RaiseStep::Enqueued;
                     }
                 }
             }
         }
     }
 
-    /// Worker-side claim of a popped queue entry: Queued→Running iff the
-    /// token still matches — a join/force stole the tthread otherwise and
-    /// the entry is stale. RF is preserved (it is the no-coalescing rerun
-    /// marker; with coalescing on it is never set while Queued).
-    pub(crate) fn try_claim_queued(&self, token: u64) -> bool {
-        loop {
-            let cur = self.load();
-            if state_of(cur) != TthreadStatus::Queued || token_of(cur) != token {
-                return false;
-            }
-            if self.cas(cur, advance(cur, TthreadStatus::Running, false, false)) {
-                return true;
-            }
-        }
-    }
-
-    /// Claim into Running iff currently in `from` (join steal, overflow
-    /// fallback, force). `clear_rf` absorbs a pending rerun marker into
-    /// the claimed execution.
+    /// Claim into Running iff currently in `from` (a Triggered run at a
+    /// join, a force, and under the queue's mutex a pop or a steal).
+    /// `clear_rf` absorbs a pending rerun marker into the claimed
+    /// execution; a pop keeps it (it is the no-coalescing rerun marker,
+    /// never set while Queued with coalescing on).
     pub(crate) fn try_claim_from(&self, from: TthreadStatus, clear_rf: bool) -> bool {
         loop {
             let cur = self.load();
@@ -398,21 +397,15 @@ impl Slot {
     }
 }
 
-/// The bounded pending queue: `(tthread index, token)` entries in one
-/// FIFO, the software analogue of the paper's thread queue in front of the
-/// status table. The deque length under the lock *is* the capacity check,
-/// so capacity is exact under any number of concurrent pushers. `len`
-/// mirrors the deque length and `high` its maximum, both written only
-/// under the lock — the watermark never counts an entry that was not in
-/// the deque — so the park predicate and the occupancy reads need no lock.
-///
-/// Queue position carries no ordering obligation: the status machine
-/// admits at most one live entry per tthread (duplicate triggers absorb
-/// into RF) and a stale duplicate fails its token validation at claim
-/// time — FIFO-per-tthread rests on the ABA tokens.
+/// The bounded pending queue: the ids of the Queued tthreads in one FIFO,
+/// the software analogue of the paper's thread queue in front of the
+/// status table. The deque length under the lock *is* the number of
+/// pending tthreads, so the capacity check is exact under any number of
+/// raisers. `len` mirrors it and `high` its maximum, both written under
+/// the lock, so the emptiness hint and occupancy reads need no lock.
 #[derive(Debug)]
 pub(crate) struct PendingQueue {
-    entries: Mutex<VecDeque<(u32, u64)>>,
+    ids: Mutex<VecDeque<u32>>,
     len: AtomicUsize,
     high: AtomicUsize,
     capacity: usize,
@@ -427,54 +420,57 @@ impl PendingQueue {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be nonzero");
         PendingQueue {
-            entries: Mutex::new(VecDeque::new()),
+            ids: Mutex::new(VecDeque::new()),
             len: AtomicUsize::new(0),
             high: AtomicUsize::new(0),
             capacity,
         }
     }
 
-    /// Attempts to enqueue `(id, token)`; `false` means the queue was at
-    /// capacity and the caller applies its overflow policy. Coalescing
-    /// happens in the status word before this is called, so every push is
-    /// a distinct pending execution.
-    pub(crate) fn push(&self, id: u32, token: u64) -> bool {
-        let mut entries = self.entries.lock();
-        if entries.len() == self.capacity {
-            return false;
+    /// Mirrors the deque length into `len` and `high`, under the lock.
+    /// SeqCst: a raise's push is one side of the searcher handshake (see
+    /// `Inner::wake_worker`).
+    fn publish(&self, ids: &VecDeque<u32>) {
+        self.len.store(ids.len(), Ordering::SeqCst);
+        if ids.len() > self.high.load(Ordering::Relaxed) {
+            self.high.store(ids.len(), Ordering::Relaxed);
         }
-        entries.push_back((id, token));
-        // `len` is an occupancy hint — the deque itself is only read under
-        // the lock — so it needs no ordering of its own: a parker learns of
-        // this push through the eventcount's SeqCst epoch bump that follows
-        // it (`Waiters::wake_one`), or through the eventcount mutex if it
-        // was already asleep, and either edge carries this store with it.
-        // Release/Acquire (not SeqCst) keeps a full fence out of the
-        // critical section. `high` is only written here, under the lock.
-        self.len.store(entries.len(), Ordering::Release);
-        if entries.len() > self.high.load(Ordering::Relaxed) {
-            self.high.store(entries.len(), Ordering::Relaxed);
-        }
-        true
     }
 
-    /// Pops the oldest entry.
-    pub(crate) fn pop(&self) -> Option<(u32, u64)> {
+    /// Claims the oldest pending tthread: pops its id and moves its word
+    /// Queued→Running, both under the lock. `slot` maps an id to its slot.
+    pub(crate) fn claim<'a>(&self, slot: impl Fn(u32) -> &'a Slot) -> Option<u32> {
         if self.is_empty() {
             return None;
         }
-        let mut entries = self.entries.lock();
-        let entry = entries.pop_front()?;
-        self.len.store(entries.len(), Ordering::Release);
-        Some(entry)
+        let mut ids = self.ids.lock();
+        let id = ids.pop_front()?;
+        self.publish(&ids);
+        let claimed = slot(id).try_claim_from(TthreadStatus::Queued, false);
+        assert!(claimed, "a queued id names a Queued tthread");
+        Some(id)
     }
 
-    /// Entries currently queued (including not-yet-skipped stale ones).
+    /// A join's or force's steal: moves `slot` Queued→Running and removes
+    /// its `id`, both under the lock (a scan of at most `capacity` ids).
+    /// `false` if the word was not Queued — a worker claimed it first.
+    pub(crate) fn steal(&self, slot: &Slot, id: u32) -> bool {
+        let mut ids = self.ids.lock();
+        if !slot.try_claim_from(TthreadStatus::Queued, true) {
+            return false;
+        }
+        let at = ids.iter().position(|&queued| queued == id);
+        ids.remove(at.expect("a Queued tthread's id is queued"));
+        self.publish(&ids);
+        true
+    }
+
+    /// Tthreads currently pending.
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.len.load(Ordering::SeqCst)
     }
 
-    /// Whether the queue is empty.
+    /// Whether no tthread is pending.
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -499,6 +495,16 @@ mod tests {
         Slot::default()
     }
 
+    /// One raise of `s` as tthread 0 against `q`, coalescing on.
+    fn raise(s: &Slot, q: &PendingQueue) -> RaiseStep {
+        s.raise(false, Some(q), 0, || false)
+    }
+
+    /// Pops `q`, whose ids all name `s`.
+    fn claim(s: &Slot, q: &PendingQueue) -> bool {
+        q.claim(|_| s).is_some()
+    }
+
     #[test]
     fn word_starts_clean() {
         let s = slot();
@@ -508,35 +514,36 @@ mod tests {
 
     #[test]
     fn raise_from_clean_enqueues_with_fresh_token() {
-        let s = slot();
-        let RaiseStep::Enqueue(t1) = s.raise(false, false) else {
-            panic!("expected enqueue");
-        };
-        assert_eq!(s.status(), S::Queued);
-        // A second raise absorbs; the token must NOT move, or the queue
-        // entry would go permanently stale and strand the tthread.
-        assert_eq!(s.raise(false, false), RaiseStep::Absorbed);
-        assert!(s.try_claim_queued(t1), "absorb must not invalidate token");
-        assert_eq!(s.status(), S::Running);
+        let (s, q) = (slot(), PendingQueue::new(4));
+        let clean = s.word();
+        assert_eq!(raise(&s, &q), RaiseStep::Enqueued);
+        assert_eq!((s.status(), q.len()), (S::Queued, 1));
+        assert_ne!(s.word() & !STATE_MASK, clean & !STATE_MASK, "token bumped");
+        // A second raise absorbs: the tthread is pending at most once.
+        assert_eq!(raise(&s, &q), RaiseStep::Absorbed);
+        assert_eq!(q.len(), 1);
+        assert!(claim(&s, &q));
+        assert_eq!((s.status(), q.len()), (S::Running, 0));
+        assert!(!claim(&s, &q), "the queue held one entry");
     }
 
     #[test]
     fn deferred_raise_goes_triggered_without_queueing() {
         let s = slot();
-        assert_eq!(s.raise(true, false), RaiseStep::Deferred);
+        let deferred = |s: &Slot| s.raise(false, None, 0, || unreachable!("no queue"));
+        assert_eq!(deferred(&s), RaiseStep::Deferred);
         assert_eq!(s.status(), S::Triggered);
-        assert_eq!(s.raise(true, false), RaiseStep::Absorbed);
+        assert_eq!(deferred(&s), RaiseStep::Absorbed);
         assert_eq!(s.status(), S::Triggered);
     }
 
     #[test]
     fn raise_while_running_sets_retrigger() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t));
-        assert_eq!(s.raise(false, false), RaiseStep::Absorbed);
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
+        assert_eq!(raise(&s, &q), RaiseStep::Absorbed);
+        assert!(q.is_empty(), "a running tthread is not queued");
         // RF set: completion must fail and leave the word Running.
         assert!(!s.try_complete(Some(true)));
         assert_eq!(s.status(), S::Running);
@@ -548,36 +555,60 @@ mod tests {
 
     #[test]
     fn steal_invalidates_the_queue_entry() {
-        // The deterministic steal race: raise queues (id, t); a join
-        // steals via try_claim_from; the worker's later claim with t must
-        // fail — the entry is stale, not a double execution.
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_from(S::Queued, false));
-        assert!(!s.try_claim_queued(t), "stale entry must not claim");
+        // The steal race, both ways. A join steals first: its id leaves the
+        // queue with the claim, so no worker pops it afterwards.
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(q.steal(&s, 0));
+        assert_eq!((s.status(), q.len()), (S::Running, 0));
+        assert!(!claim(&s, &q));
         assert!(s.try_complete(Some(false)));
-        assert_eq!(s.status(), S::Clean);
-        // And the other direction: the worker claims first, the join's
-        // conditional claim from Queued fails and re-examines.
-        let RaiseStep::Enqueue(t2) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t2));
-        assert!(!s.try_claim_from(S::Queued, false));
+        // The worker claims first: the steal fails and the join
+        // re-examines the word.
+        raise(&s, &q);
+        assert!(claim(&s, &q));
+        assert!(!q.steal(&s, 0));
+        assert_eq!(s.status(), S::Running);
+    }
+
+    #[test]
+    fn a_steal_removes_only_its_own_id() {
+        let slots: Vec<Slot> = (0..3).map(|_| slot()).collect();
+        let q = PendingQueue::new(4);
+        for (i, s) in slots.iter().enumerate() {
+            assert_eq!(
+                s.raise(false, Some(&q), i as u32, || false),
+                RaiseStep::Enqueued
+            );
+        }
+        assert!(q.steal(&slots[1], 1));
+        let popped: Vec<u32> = std::iter::from_fn(|| q.claim(|i| &slots[i as usize])).collect();
+        assert_eq!(popped, [0, 2]);
+    }
+
+    #[test]
+    fn a_full_queue_hands_the_claim_to_the_raiser() {
+        let (a, b) = (slot(), slot());
+        let q = PendingQueue::new(1);
+        assert_eq!(a.raise(false, Some(&q), 0, || false), RaiseStep::Enqueued);
+        assert_eq!(b.raise(false, Some(&q), 1, || false), RaiseStep::Overflow);
+        assert_eq!((b.status(), q.len()), (S::Running, 1));
+        // An injected refusal overflows a queue with room, too.
+        assert!(claim(&a, &q));
+        assert!(a.try_complete(Some(true)));
+        assert_eq!(a.raise(false, Some(&q), 0, || true), RaiseStep::Overflow);
+        assert_eq!((a.status(), q.len()), (S::Running, 0));
     }
 
     #[test]
     fn no_coalescing_marks_rerun_instead_of_requeueing() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, true) else {
-            panic!()
-        };
+        let (s, q) = (slot(), PendingQueue::new(4));
+        assert_eq!(s.raise(true, Some(&q), 0, || false), RaiseStep::Enqueued);
         // Duplicate trigger while queued: RF marks the rerun.
-        assert_eq!(s.raise(false, true), RaiseStep::Absorbed);
-        // The claim preserves RF, so the execution runs twice.
-        assert!(s.try_claim_queued(t));
+        assert_eq!(s.raise(true, Some(&q), 0, || false), RaiseStep::Absorbed);
+        assert_eq!(q.len(), 1);
+        // The pop preserves RF, so the execution runs twice.
+        assert!(claim(&s, &q));
         assert!(!s.try_complete(Some(true)));
         s.absorb_rf();
         assert!(s.try_complete(Some(true)));
@@ -585,17 +616,13 @@ mod tests {
 
     #[test]
     fn completed_flag_is_consumed_by_join() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t));
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
         assert!(s.try_complete(Some(true)));
         assert_eq!(s.take_completed_if_clean(), Some(true));
         assert_eq!(s.take_completed_if_clean(), Some(false));
-        let RaiseStep::Enqueue(_) = s.raise(false, false) else {
-            panic!()
-        };
+        assert_eq!(raise(&s, &q), RaiseStep::Enqueued);
         assert_eq!(s.take_completed_if_clean(), None);
     }
 
@@ -605,17 +632,13 @@ mod tests {
         // trigger fires and an inline run (overflow/force) completes with
         // `None`. That run must not destroy the pending CJ — the join still
         // owes the program an `Overlapped` outcome.
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t));
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
         assert!(s.try_complete(Some(true)));
         assert!(s.completed_since_join());
-        let RaiseStep::Enqueue(t2) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t2));
+        raise(&s, &q);
+        assert!(q.steal(&s, 0));
         assert!(s.try_complete(None));
         assert!(s.completed_since_join(), "None must preserve CJ");
         assert_eq!(s.take_completed_if_clean(), Some(true));
@@ -623,49 +646,42 @@ mod tests {
 
     #[test]
     fn force_clean_resets_flags() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t));
-        assert_eq!(s.raise(false, false), RaiseStep::Absorbed); // RF
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
+        assert_eq!(raise(&s, &q), RaiseStep::Absorbed); // RF
         s.force_clean(POISONED);
         assert_eq!(s.status(), S::Clean);
         assert!(!s.completed_since_join());
         // RF was discarded: completion state machine is reusable.
-        let RaiseStep::Enqueue(t2) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t2));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
         assert!(s.try_complete(Some(false)));
     }
 
     #[test]
     fn exhausted_completion_defers_to_join() {
-        let s = slot();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
-        assert!(s.try_claim_queued(t));
-        assert_eq!(s.raise(false, false), RaiseStep::Absorbed);
+        let (s, q) = (slot(), PendingQueue::new(4));
+        raise(&s, &q);
+        assert!(claim(&s, &q));
+        assert_eq!(raise(&s, &q), RaiseStep::Absorbed);
         assert!(!s.try_complete(Some(true)));
         s.complete_to_triggered();
         assert_eq!(s.status(), S::Triggered);
         assert!(!s.completed_since_join());
+        assert!(q.is_empty());
     }
 
     #[test]
     fn word_changes_on_every_state_transition() {
         // The generation-counter property the lock-free join parks on: any
         // transition out of an observed state changes the raw word.
-        let s = slot();
+        let (s, q) = (slot(), PendingQueue::new(4));
         let observed = s.word();
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
+        raise(&s, &q);
         assert_ne!(s.word(), observed);
         let observed = s.word();
-        assert!(s.try_claim_queued(t));
+        assert!(claim(&s, &q));
         assert_ne!(s.word(), observed);
         let observed = s.word();
         assert!(s.try_complete(Some(true)));
@@ -684,22 +700,18 @@ mod tests {
             t.ensure(id(i));
         }
         let last = &t.get(id(CHUNK * 2 + 2)).slot;
-        let RaiseStep::Enqueue(_) = last.raise(false, false) else {
-            panic!()
-        };
+        assert_eq!(raise(last, &PendingQueue::new(1)), RaiseStep::Enqueued);
         assert_eq!(last.status(), S::Queued);
         assert_eq!(t.get(id(0)).slot.status(), S::Clean);
     }
 
     #[test]
     fn skippable_is_clean_without_a_report_or_a_failure() {
-        let s = slot();
+        let (s, q) = (slot(), PendingQueue::new(4));
         assert!(s.skippable());
-        let RaiseStep::Enqueue(t) = s.raise(false, false) else {
-            panic!()
-        };
+        raise(&s, &q);
         assert!(!s.skippable(), "queued");
-        assert!(s.try_claim_queued(t));
+        assert!(claim(&s, &q));
         assert!(!s.skippable(), "running");
         assert!(s.try_complete(Some(true)));
         assert!(!s.skippable(), "an overlapped completion is owed");
@@ -718,68 +730,86 @@ mod tests {
 
     #[test]
     fn pending_queue_is_fifo_with_a_watermark() {
+        let slots: Vec<Slot> = (0..4).map(|_| slot()).collect();
         let q = PendingQueue::new(4);
-        for t in 1..=3u64 {
-            assert!(q.push(5, t));
+        let raise_id = |i: u32| slots[i as usize].raise(false, Some(&q), i, || false);
+        for i in 0..3 {
+            assert_eq!(raise_id(i), RaiseStep::Enqueued);
         }
         assert_eq!(q.high_watermark(), 3);
-        assert_eq!(q.pop(), Some((5, 1)));
-        assert!(q.push(7, 4));
+        let pop = || q.claim(|i| &slots[i as usize]);
+        assert_eq!(pop(), Some(0));
+        assert_eq!(raise_id(3), RaiseStep::Enqueued);
         assert_eq!(q.high_watermark(), 3, "3 → 2 → 3: never more than 3");
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(drained, vec![(5, 2), (5, 3), (7, 4)]);
+        let drained: Vec<_> = std::iter::from_fn(pop).collect();
+        assert_eq!(drained, vec![1, 2, 3]);
         assert!(q.is_empty());
         assert_eq!(q.high_watermark(), 3);
     }
 
-    /// Runs two pushers, 64 attempts each, against `q`; `drain` runs on
-    /// the test thread until both are done. Returns how many pushes landed.
-    fn race_two_pushers(q: &PendingQueue, mut drain: impl FnMut()) -> usize {
+    /// Runs two raisers, 64 distinct tthreads each, against `q`; `drain`
+    /// runs on the test thread until both are done. Returns how many
+    /// raises queued (the rest overflowed).
+    fn race_two_raisers(q: &PendingQueue, slots: &[Slot], mut drain: impl FnMut()) -> usize {
         let start = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
-            let pushers: Vec<_> = (0..2u32)
-                .map(|p| {
+            let raisers: Vec<_> = (0..2u32)
+                .map(|r| {
                     let start = &start;
                     s.spawn(move || {
                         start.wait();
-                        (0..64u64).filter(|&t| q.push(p, t)).count()
+                        (64 * r..64 * (r + 1))
+                            .filter(|&i| {
+                                let step = slots[i as usize].raise(false, Some(q), i, || false);
+                                step == RaiseStep::Enqueued
+                            })
+                            .count()
                     })
                 })
                 .collect();
             start.wait();
-            while pushers.iter().any(|h| !h.is_finished()) {
+            while raisers.iter().any(|h| !h.is_finished()) {
                 drain();
             }
-            pushers.into_iter().map(|h| h.join().unwrap()).sum()
+            raisers.into_iter().map(|h| h.join().unwrap()).sum()
         })
+    }
+
+    fn slots(n: usize) -> Vec<Slot> {
+        (0..n).map(|_| slot()).collect()
     }
 
     #[test]
     fn pending_queue_capacity_and_watermark_are_exact_under_concurrent_pushers() {
-        // 128 racing pushes at 5 slots: exactly 5 land.
-        let q = PendingQueue::new(5);
-        assert_eq!(race_two_pushers(&q, || assert!(q.len() <= 5)), 5);
+        // 128 racing raises at 5 slots: exactly 5 queue, 123 overflow into
+        // Running.
+        let (q, s) = (PendingQueue::new(5), slots(128));
+        assert_eq!(race_two_raisers(&q, &s, || assert!(q.len() <= 5)), 5);
         assert_eq!(q.len(), 5);
         assert_eq!(q.high_watermark(), 5);
-        // With room to spare every push lands, and the watermark — taken
-        // under the queue lock, not from a reservation counter that also
-        // counts pushers yet to insert — is the deque's own maximum: with
-        // no popper, the number of entries that landed.
-        let q = PendingQueue::new(256);
-        assert_eq!(race_two_pushers(&q, || {}), 128);
+        let running = s.iter().filter(|s| s.status() == S::Running).count();
+        assert_eq!(running, 123);
+        // With room to spare every raise queues, and the watermark is the
+        // deque's own maximum: with no popper, the number that queued.
+        let (q, s) = (PendingQueue::new(256), slots(128));
+        assert_eq!(race_two_raisers(&q, &s, || {}), 128);
         assert_eq!(q.high_watermark(), 128);
     }
 
     #[test]
     fn pending_queue_len_mirror_matches_the_deque_after_mixed_traffic() {
-        let q = PendingQueue::new(8);
+        let (q, s) = (PendingQueue::new(8), slots(128));
         let mut popped = 0;
-        let pushed = race_two_pushers(&q, || popped += usize::from(q.pop().is_some()));
-        assert_eq!(q.len(), pushed - popped);
-        assert_eq!(q.entries.lock().len(), q.len());
+        let queued = race_two_raisers(&q, &s, || {
+            popped += usize::from(q.claim(|i| &s[i as usize]).is_some());
+        });
+        assert_eq!(q.len(), queued - popped);
+        assert_eq!(q.ids.lock().len(), q.len());
+        let words = s.iter().filter(|s| s.status() == S::Queued).count();
+        assert_eq!(words, q.len(), "an id is queued iff its word is Queued");
         assert!((q.len()..=8).contains(&q.high_watermark()));
-        while q.pop().is_some() {}
-        assert_eq!(q.entries.lock().len(), 0);
+        while q.claim(|i| &s[i as usize]).is_some() {}
         assert!(q.is_empty());
+        assert!(s.iter().all(|s| s.status() != S::Queued));
     }
 }

@@ -29,8 +29,8 @@ pub enum FaultPoint {
     /// A trigger's enqueue is forced to report queue overflow, exercising
     /// the inline overflow run on the triggering thread.
     Enqueue = 0,
-    /// A worker's dequeue is rejected: the popped tthread is pushed back
-    /// and the worker retries, exercising requeue/coalesce paths.
+    /// A worker's or helping joiner's claim is rejected: the tthread stays
+    /// queued and the claimer retries, exercising the searcher hand-off.
     Dequeue = 1,
     /// The tthread body is replaced by a synthetic panic, exercising
     /// poisoning without unwinding through user code.

@@ -1,6 +1,7 @@
 //! Running a tthread body: detached against a view and committed under
 //! the state lock afterwards (on a worker, or on a joiner that helps while
-//! it waits), or inline on the calling thread under the lock. Both
+//! it waits), or inline on the calling thread under the lock; and the
+//! worker loop that searches for, claims and parks between them. Both
 //! executors share the body timing, the early-cutoff wave close and the
 //! poison sequence below.
 
@@ -43,60 +44,128 @@ impl<U> Inner<U> {
 }
 
 impl<U: Send + 'static> Inner<U> {
-    /// Runs one queued execution: pops an (id, token) pair from the
-    /// pending queue, claims it via the status-word CAS, runs it detached
-    /// and wakes the joiners. The one copy of "run a queued execution",
-    /// shared by the worker loop and a waiting joiner. Takes no lock but
-    /// the leaf pending mutex until the commit, which takes the state lock
+    /// Claims the oldest queued tthread (Queued→Running), unless an
+    /// injected dequeue fault rejects this attempt and leaves it queued.
+    fn claim_queued(&self) -> Option<TthreadId> {
+        if self.pending.is_empty() || self.fault.fire(FaultPoint::Dequeue) {
+            return None;
+        }
+        let slot = |raw| &self.tthread(TthreadId::new(raw)).slot;
+        self.pending.claim(slot).map(TthreadId::new)
+    }
+
+    /// Runs a claimed tthread detached and wakes the joiners: the one copy
+    /// of "run a queued execution", shared by the worker loop and a waiting
+    /// joiner. Takes no lock until the commit, which takes the state lock
     /// as any detached run does; the caller must hold neither. The two
     /// differ only in the counter `line` they own and the counter `ran` a
     /// committed run lands in (`worker_executions`, `helped_executions`).
-    ///
-    /// `false` when the queue was empty or the entry was requeued: there
-    /// is nothing for the caller to run right now, and it may park.
-    pub(super) fn run_queued(&self, line: &CounterLine, ran: Tally) -> bool {
-        let Some((raw, token)) = self.pending.pop() else {
-            return false;
-        };
-        let id = TthreadId::new(raw);
-        if self.fault.fire(FaultPoint::Dequeue) {
-            // Injected dequeue rejection, handled explicitly: requeue if
-            // the queue takes it back, otherwise fall through and run the
-            // entry ourselves — dropping it would strand the tthread in
-            // Queued with no entry anywhere.
-            if self.pending.push(raw, token) {
-                return false;
-            }
-        }
-        if !self.tthread(id).slot.try_claim_queued(token) {
-            // The entry went stale: a join or force claimed the tthread
-            // (bumping the token) after this entry was queued.
-            line.bump(Tally::queue_stale_skips, 1);
-            return true;
-        }
+    fn run_claimed(&self, id: TthreadId, line: &CounterLine, ran: Tally) {
         run_detached(self, id, line, ran);
         self.wake_joiners();
+    }
+
+    /// A waiting joiner's turn as a searcher: claims one queued tthread
+    /// and runs it as a worker would. `false` when there was nothing to
+    /// claim, and the joiner may wait.
+    pub(super) fn help(&self, line: &CounterLine) -> bool {
+        self.start_searching();
+        let claimed = self.claim_queued();
+        self.stop_searching(line);
+        let Some(id) = claimed else {
+            return false;
+        };
+        self.run_claimed(id, line, Tally::helped_executions);
         true
+    }
+
+    /// Spins until work is queued, shutdown is signalled, or the clock
+    /// passes `deadline` (an [`Inner::now`]); `true` unless the deadline
+    /// came first.
+    fn search_until(&self, deadline: u64) -> bool {
+        loop {
+            if !self.pending.is_empty() || self.shutdown.load(Ordering::Relaxed) {
+                return true;
+            }
+            if self.now() >= deadline {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
     }
 }
 
+/// Whether the host has more than one CPU online, read once per process,
+/// by the first worker or waiting joiner: spinning waits on another
+/// thread's progress, which on one CPU it only delays. The online list,
+/// not this thread's affinity: a program may pin the thread that builds a
+/// runtime (and so its workers) to one CPU while its main thread runs on
+/// another. Where the list cannot be read, the affinity-aware count
+/// decides.
+pub(super) fn host_has_cpus_to_spare() -> bool {
+    static SPARE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *SPARE.get_or_init(
+        || match std::fs::read_to_string("/sys/devices/system/cpu/online") {
+            // One CPU lists as a lone number (`0`); more as a range or a list.
+            Ok(list) => list.contains(['-', ',']),
+            Err(_) => thread::available_parallelism().is_ok_and(|n| n.get() > 1),
+        },
+    )
+}
+
+/// How long, in [`Inner::now`] units, a thread out of work spins before it
+/// parks: about one wake-up. An idle worker spins only when its previous
+/// idle gap ended inside the window, and a joiner only while its tthread
+/// runs, so a short gap costs no wake and a long one one window at most.
+pub(super) const WINDOW_NS: u64 = 20_000;
+
 /// The worker: runs queued executions, and only touches the state lock to
-/// commit. Idles on the dispatch eventcount with a timed park.
+/// commit. Out of work it is a searcher: it spins through the search
+/// window if its previous idle gap ended inside it, then leaves the
+/// searchers and parks on the dispatch eventcount with a timed park.
 pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
     let line = &inner.counters.workers[worker_idx];
+    let spins = host_has_cpus_to_spare();
+    // The current idle gap: when it began, and when the wake this worker
+    // took over was issued (the moment work arrived, not when the worker
+    // got up). Whether the last gap ended inside the window decides
+    // whether the next one is spun through.
+    let mut idle_since = None;
+    let mut woken_at = None;
+    let mut short_gaps = false;
+    let mut searching = false;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if inner.run_queued(line, Tally::worker_executions) {
+        if let Some(id) = inner.claim_queued() {
+            if searching {
+                inner.stop_searching(line);
+                searching = false;
+            }
+            if let Some(since) = idle_since.take() {
+                let ended = woken_at.take().unwrap_or_else(|| inner.now());
+                short_gaps = spins && ended.saturating_sub(since) <= WINDOW_NS;
+            }
+            inner.run_claimed(id, line, Tally::worker_executions);
             continue;
         }
+        if !searching {
+            inner.start_searching();
+            searching = true;
+        }
+        let since = *idle_since.get_or_insert_with(|| inner.now());
+        if short_gaps && inner.search_until(since + WINDOW_NS) {
+            continue;
+        }
+        inner.stop_searching(line);
         // The timed park doubles as the rescue path for a dropped wake
         // (see `FaultPoint::WakeDrop`): even a lost notification only
-        // costs one park period, and is counted as a rescue. A requeued
-        // entry leaves the queue non-empty, so the park is skipped.
+        // costs one park period, and is counted as a rescue. No worker
+        // sleeps while a wake token is pending: the raise that set it
+        // bumped the epoch after, so the parker sees one or the other.
         let (outcome, silent) = inner.waiters.park_reporting(
-            || !inner.pending.is_empty() || inner.shutdown.load(Ordering::SeqCst),
+            || inner.wake_pending() || inner.shutdown.load(Ordering::SeqCst),
             PARK_TIMEOUT,
         );
         if outcome != ParkOutcome::Skipped {
@@ -104,10 +173,12 @@ pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize
         }
         if outcome == ParkOutcome::TimedOut {
             line.bump(Tally::park_timeouts, 1);
-            if silent && !inner.pending.is_empty() {
+            if silent && inner.unattended() {
                 line.bump(Tally::park_rescues, 1);
             }
         }
+        woken_at = inner.search_after_park();
+        searching = true;
     }
 }
 
@@ -215,7 +286,7 @@ fn run_detached<U: Send + 'static>(
         // section. Every transition *out of* Running below bumps the slot
         // *word*, which joiners' parks validate before committing to
         // sleep, so they cannot miss the wakeup (the wake itself is
-        // broadcast by `run_queued` after this function returns).
+        // broadcast by `run_claimed` after this function returns).
         let mut state = guard.into_inner().unwrap_or_else(|| inner.state.lock());
 
         if outcome.is_err() {
@@ -434,7 +505,7 @@ impl<U: Send + 'static> Ctx<'_, U> {
         // An overflow-inline run on a worker or a helping joiner (a commit
         // cascade that found the queue full) can complete a tthread the
         // main thread is parked on: broadcast the completion eventcount
-        // just like `run_queued` does after its own runs.
+        // just like `run_claimed` does after its own runs.
         // Without workers nothing can be parked there — only `join` and
         // `force` park, only on Running or on Queued with a deadline and
         // workers to run it, and no other thread runs bodies — so the

@@ -4,6 +4,7 @@
 
 use parking_lot::MutexGuard;
 
+use super::exec::{host_has_cpus_to_spare, WINDOW_NS};
 use super::{Raise, Runtime, State};
 use crate::ctx::Ctx;
 use crate::dispatch::{Slot, PARK_TIMEOUT, POISONED, TIMED_OUT};
@@ -146,11 +147,10 @@ impl<U: Send + 'static> Runtime<U> {
                     waited = true;
                     state = self.park_until_moved(tthread, state);
                 }
-                // Run it here. A Queued steal's claim bumps the token, which
-                // invalidates the queue entry in place, so no queue scan is
-                // needed — the worker that eventually pops it skips it as
-                // stale. The claim coalesces duplicate triggers into this
-                // one inline run, so the rerun flag clears.
+                // Run it here. A Queued steal takes the tthread's id out of
+                // the queue with its claim, so no worker wakes to it. The
+                // claim coalesces duplicate triggers into this one inline
+                // run, so the rerun flag clears.
                 TthreadStatus::Triggered | TthreadStatus::Queued => {
                     if !self.run_here(&mut state, tthread, status) {
                         continue;
@@ -176,7 +176,12 @@ impl<U: Send + 'static> Runtime<U> {
     /// transition.
     fn run_here(&self, state: &mut State<U>, tthread: TthreadId, from: TthreadStatus) -> bool {
         let slot = &self.inner.tthread(tthread).slot;
-        if !slot.try_claim_from(from, true) {
+        let claimed = if from == TthreadStatus::Queued {
+            self.inner.pending.steal(slot, tthread.index() as u32)
+        } else {
+            slot.try_claim_from(from, true)
+        };
+        if !claimed {
             return false;
         }
         Ctx::new(state, &self.inner, 0).run_inline(tthread);
@@ -187,9 +192,14 @@ impl<U: Send + 'static> Runtime<U> {
     /// Waits for `tthread`'s status word to move, doing queued work
     /// meanwhile: releases the state lock entirely, then either runs one
     /// queued execution exactly as a worker does (detached, see
-    /// `Inner::run_queued`) or, with the queue empty, parks. At most one
+    /// `Inner::help`) or, with the queue empty, waits. At most one
     /// execution per call, so the caller re-checks its tthread after every
     /// helped body.
+    ///
+    /// The wait first spins for the search window while the tthread runs
+    /// and the queue stays empty: a body about to finish costs no park and
+    /// no wake. It returns early only if the word moved or work was
+    /// queued, re-checked after the spin; otherwise it parks.
     ///
     /// The park is on the completion eventcount, keyed to the word. The
     /// token bumps on every state-changing transition, so the word is a
@@ -210,17 +220,26 @@ impl<U: Send + 'static> Runtime<U> {
         tthread: TthreadId,
         state: MutexGuard<'a, State<U>>,
     ) -> MutexGuard<'a, State<U>> {
-        let slot = &self.inner.tthread(tthread).slot;
+        let inner = &self.inner;
+        let slot = &inner.tthread(tthread).slot;
         let observed = slot.word();
         drop(state);
         // Only `join` and `force` wait, and both take `&mut self`: this
         // thread owns the owner line.
-        let owner = &self.inner.counters.owner;
-        if self.inner.run_queued(owner, Tally::helped_executions) {
-            return self.inner.state.lock();
+        let owner = &inner.counters.owner;
+        if inner.help(owner) {
+            return inner.state.lock();
         }
-        let (outcome, silent) = self
-            .inner
+        if slot.status() == TthreadStatus::Running && host_has_cpus_to_spare() {
+            let deadline = inner.now() + WINDOW_NS;
+            while slot.word() == observed && inner.pending.is_empty() && inner.now() < deadline {
+                std::hint::spin_loop();
+            }
+            if slot.word() != observed || !inner.pending.is_empty() {
+                return inner.state.lock();
+            }
+        }
+        let (outcome, silent) = inner
             .completions
             .park_reporting(|| slot.word() != observed, PARK_TIMEOUT);
         if outcome == ParkOutcome::TimedOut {
@@ -229,7 +248,7 @@ impl<U: Send + 'static> Runtime<U> {
                 owner.bump(Tally::park_rescues, 1);
             }
         }
-        self.inner.state.lock()
+        inner.state.lock()
     }
 
     /// Records a join outcome into the status-machine ring.
@@ -279,9 +298,9 @@ impl<U: Send + 'static> Runtime<U> {
             failure(slot, tthread)?;
             match slot.status() {
                 TthreadStatus::Running => state = self.park_until_moved(tthread, state),
-                // Claim whatever state the tthread is in; a stale queue
-                // entry (if any) dies with the token bump. `all` is set
-                // before each claim attempt: a worker whose claim wins
+                // Claim whatever state the tthread is in; a Queued one is
+                // stolen, its id leaving the queue with the claim. `all` is
+                // set before each claim attempt: a worker whose claim wins
                 // takes it, and the next attempt sets it again.
                 status => {
                     slot.changed.set_all();
@@ -303,8 +322,8 @@ impl<U: Send + 'static> Runtime<U> {
         self.check(tthread)?;
         let mut state = self.inner.state.lock();
         self.inner.tthread(tthread).slot.changed.set_all();
-        if let Raise::Overflow(token) = self.inner.raise(tthread, &state.lock_line) {
-            Ctx::new(&mut state, &self.inner, 0).overflow(tthread, token);
+        if let Raise::Overflow = self.inner.raise(tthread, &state.lock_line) {
+            Ctx::new(&mut state, &self.inner, 0).overflow(tthread);
         }
         Ok(())
     }

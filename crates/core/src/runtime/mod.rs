@@ -9,13 +9,14 @@
 //!
 //! | file | step |
 //! |---|---|
-//! | `mod.rs` | construction, allocation, registration and watches, `with`/accessor regions, the trigger raise, report and stats |
+//! | `mod.rs` | construction, allocation, registration and watches, `with`/accessor regions, the trigger raise and the searcher count, report and stats |
 //! | `exec.rs` | running a body: the worker loop, the detached run and its commit, the inline run, poisoning |
 //! | `join.rs` | the consumption point: join (skip, steal, wait), force, status, `mark_dirty`, clearing failures |
 //! | `teardown.rs` | the worker pool, drain, shutdown and `into_state` |
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -104,8 +105,21 @@ pub(crate) struct Inner<U> {
     pub(crate) fault: Arc<FaultLayer>,
     /// The bounded pending queue of triggered tthreads.
     pub(crate) pending: PendingQueue,
-    /// The eventcount idle workers park on; a raise that enqueues wakes one.
+    /// The eventcount idle workers park on; a raise that finds nobody
+    /// searching wakes one.
     pub(crate) waiters: Waiters,
+    /// Searchers: workers out of work and not parked, a joiner trying the
+    /// queue before it waits, and a pending `wake_token`. A raise that
+    /// finds one wakes nobody; the last searcher to leave re-checks the
+    /// queue ([`Inner::stop_searching`]).
+    searching: AtomicUsize,
+    /// A wake issued to the worker eventcount that no worker has taken up
+    /// yet: 0, or 1 + its [`Inner::now`]. It is counted in `searching`; the
+    /// next worker to return from a park takes it over, and no worker
+    /// sleeps while it is set.
+    wake_token: AtomicU64,
+    /// The origin of [`Inner::now`].
+    clock: Instant,
     /// The completion eventcount joins park on: workers (and
     /// inline completions) broadcast here after any transition out of
     /// Running, and a joiner validates "the status word moved" before
@@ -131,10 +145,10 @@ pub(crate) enum Raise {
     /// A new pending execution: queued for a worker, or marked Triggered
     /// for the next join.
     Activated,
-    /// The tthread advanced Clean→Queued but no queue entry landed
-    /// (injected or real overflow). The caller runs it inline under the
-    /// state lock, validating its claim with `token`.
-    Overflow(u64),
+    /// The queue was full (or an injected overflow refused the entry), so
+    /// the tthread went Clean→Running for the caller, who runs it inline
+    /// under the state lock.
+    Overflow,
 }
 
 impl<U> Inner<U> {
@@ -159,36 +173,102 @@ impl<U> Inner<U> {
     pub(crate) fn raise(&self, id: TthreadId, line: &CounterLine) -> Raise {
         let slot = &self.tthread(id).slot;
         slot.triggers.fetch_add(1, Ordering::Relaxed);
-        match slot.raise(self.deferred(), !self.cfg.coalesce) {
+        let pending = (!self.deferred()).then_some(&self.pending);
+        // Injected saturation: report the queue full without consuming a
+        // slot, driving the overflow path on an otherwise-healthy queue.
+        let refuse = || self.fault.fire(FaultPoint::Enqueue);
+        match slot.raise(!self.cfg.coalesce, pending, id.index() as u32, refuse) {
             RaiseStep::Absorbed => {
                 line.bump(Tally::coalesced_triggers, 1);
                 self.obs.event(EventKind::Coalesced, id, 0);
                 Raise::Coalesced
             }
             RaiseStep::Deferred => Raise::Activated,
-            RaiseStep::Enqueue(token) => {
-                // Injected saturation: report the queue full without
-                // consuming a slot, driving the overflow path on an
-                // otherwise-healthy queue.
-                if self.fault.fire(FaultPoint::Enqueue)
-                    || !self.pending.push(id.index() as u32, token)
-                {
-                    return Raise::Overflow(token);
-                }
+            RaiseStep::Overflow => Raise::Overflow,
+            RaiseStep::Enqueued => {
                 line.bump(Tally::enqueues, 1);
                 if self.obs.on() {
                     let occupancy = self.pending.len() as u64;
                     self.obs.event(EventKind::TriggerEnqueued, id, occupancy);
                 }
-                // Wake one parked worker: any of them can pop the entry.
-                // An injected wake drop loses the epoch bump too; the
-                // workers' timed park bounds the damage to one period.
-                if !self.fault.fire(FaultPoint::WakeDrop) && self.waiters.wake_one() {
-                    line.bump(Tally::worker_wakes, 1);
-                }
+                self.wake_worker(line);
                 Raise::Activated
             }
         }
+    }
+
+    /// Nanoseconds since the runtime started: the search window's clock.
+    fn now(&self) -> u64 {
+        u64::try_from(self.clock.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Wakes one parked worker for queued work, unless a searcher will
+    /// find it. The count goes 0→1 for the woken worker before the wake,
+    /// so the rest of a burst wakes nobody; the worker takes the count
+    /// over with `wake_token`. Called after a raise's push, and by the last
+    /// searcher to leave while work is queued. Counts on the caller's
+    /// `line`.
+    fn wake_worker(&self, line: &CounterLine) {
+        // SeqCst: the searcher handshake. A raise publishes its push, then
+        // reads the count; a searcher leaves the count, then reads the
+        // queue. One of the two sees the other.
+        if self.searching.load(Ordering::SeqCst) != 0
+            || self
+                .searching
+                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                .is_err()
+        {
+            return;
+        }
+        self.wake_token.store(self.now() + 1, Ordering::SeqCst);
+        // An injected wake drop loses the epoch bump too: a worker already
+        // asleep takes the token over at its timeout, so the timed park
+        // bounds the damage to one period.
+        if !self.fault.fire(FaultPoint::WakeDrop) && self.waiters.wake_one() {
+            line.bump(Tally::worker_wakes, 1);
+        }
+    }
+
+    /// Counts the caller as a searcher.
+    fn start_searching(&self) {
+        self.searching.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Leaves the searcher count. The last searcher to leave re-checks the
+    /// queue and, if work is still there, wakes a worker for it: a raise
+    /// that saw this searcher woke nobody, and a searcher that claimed one
+    /// tthread of a burst hands the rest on.
+    fn stop_searching(&self, line: &CounterLine) {
+        if self.searching.fetch_sub(1, Ordering::SeqCst) == 1 && !self.pending.is_empty() {
+            self.wake_worker(line);
+        }
+    }
+
+    /// Counts a worker back from a park as a searcher: it takes over the
+    /// pending wake token, already counted, or adds itself. Returns the
+    /// [`Inner::now`] at which the taken token was issued.
+    fn search_after_park(&self) -> Option<u64> {
+        match self.wake_token.swap(0, Ordering::SeqCst) {
+            0 => {
+                self.start_searching();
+                None
+            }
+            stamp => Some(stamp - 1),
+        }
+    }
+
+    /// Whether a wake token is pending: a worker about to sleep takes it
+    /// over instead.
+    fn wake_pending(&self) -> bool {
+        self.wake_token.load(Ordering::SeqCst) != 0
+    }
+
+    /// Whether queued work has no searcher but, at most, a pending wake
+    /// token: what a parked worker's silent timeout finds after a lost
+    /// wake.
+    fn unattended(&self) -> bool {
+        let token = usize::from(self.wake_pending());
+        !self.pending.is_empty() && self.searching.load(Ordering::SeqCst) <= token
     }
 
     /// Fires one trigger hit of the store at `store_addr`: counts it on the
@@ -345,6 +425,9 @@ impl<U: Send + 'static> Runtime<U> {
             pending,
             waiters: Waiters::default(),
             completions: Waiters::default(),
+            searching: AtomicUsize::new(0),
+            wake_token: AtomicU64::new(0),
+            clock: Instant::now(),
             tthreads: ChunkTable::new(),
             shutdown: AtomicBool::new(workers == 0),
         });

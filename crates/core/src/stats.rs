@@ -89,9 +89,6 @@ pub struct Counters {
     /// Times a worker found no pending work and parked on the dispatch
     /// eventcount.
     pub worker_parks: u64,
-    /// Pending-queue entries discarded at claim time because their token
-    /// was stale (the tthread was stolen by a join/force after enqueue).
-    pub queue_stale_skips: u64,
     /// Parks that ended by exhausting the park timeout rather than by a
     /// wake notification. Idle workers accrue these at the park-timeout
     /// rate while quiescent; the ones that rescued a dropped wake are also
@@ -189,7 +186,6 @@ macro_rules! for_each_counter {
             body_timeouts,
             worker_wakes,
             worker_parks,
-            queue_stale_skips,
             park_timeouts,
             filter_checks,
             filter_page_hits,
@@ -576,7 +572,6 @@ impl fmt::Display for StatsSnapshot {
             "worker wakes / parks  {:>12} / {}",
             c.worker_wakes, c.worker_parks
         )?;
-        writeln!(f, "stale queue skips     {:>12}", c.queue_stale_skips)?;
         writeln!(
             f,
             "park timeouts         {:>12}  (rescues: {})",
@@ -775,26 +770,26 @@ mod tests {
             assert!(c.set_field(name, (i + 1) as u64), "unknown field {name}");
         }
         let fields = c.fields();
-        assert_eq!(fields.len(), 40);
+        assert_eq!(fields.len(), 39);
         assert_eq!(fields[0], ("tracked_stores", 1));
         assert_eq!(fields[11], ("worker_executions", 12));
         assert_eq!(fields[12], ("commit_stores", 13));
         assert_eq!(fields[19], ("bytes_compared", 20));
-        assert_eq!(fields[25], ("queue_stale_skips", 26));
-        assert_eq!(fields[26], ("park_timeouts", 27));
-        assert_eq!(fields[27], ("filter_checks", 28));
-        assert_eq!(fields[28], ("filter_page_hits", 29));
-        assert_eq!(fields[29], ("filter_line_hits", 30));
-        assert_eq!(fields[30], ("cascades", 31));
-        assert_eq!(fields[31], ("cascade_enqueues", 32));
-        assert_eq!(fields[32], ("cascade_coalesced", 33));
-        assert_eq!(fields[33], ("cascade_cutoffs", 34));
-        assert_eq!(fields[34], ("wave_dedups", 35));
-        assert_eq!(fields[35], ("trigger_cycles_rejected", 36));
-        assert_eq!(fields[36], ("commit_backoff_waits", 37));
-        assert_eq!(fields[37], ("park_rescues", 38));
-        assert_eq!(fields[38], ("helped_executions", 39));
-        assert_eq!(fields[39], ("view_restarts", 40));
+        assert_eq!(fields[24], ("worker_parks", 25));
+        assert_eq!(fields[25], ("park_timeouts", 26));
+        assert_eq!(fields[26], ("filter_checks", 27));
+        assert_eq!(fields[27], ("filter_page_hits", 28));
+        assert_eq!(fields[28], ("filter_line_hits", 29));
+        assert_eq!(fields[29], ("cascades", 30));
+        assert_eq!(fields[30], ("cascade_enqueues", 31));
+        assert_eq!(fields[31], ("cascade_coalesced", 32));
+        assert_eq!(fields[32], ("cascade_cutoffs", 33));
+        assert_eq!(fields[33], ("wave_dedups", 34));
+        assert_eq!(fields[34], ("trigger_cycles_rejected", 35));
+        assert_eq!(fields[35], ("commit_backoff_waits", 36));
+        assert_eq!(fields[36], ("park_rescues", 37));
+        assert_eq!(fields[37], ("helped_executions", 38));
+        assert_eq!(fields[38], ("view_restarts", 39));
         for (i, (_, v)) in fields.iter().enumerate() {
             assert_eq!(*v, (i + 1) as u64);
         }

@@ -12,6 +12,16 @@
 //! * (e) random fires and joins over 64 tthreads at two workers leave the
 //!   memory a deferred run leaves, with every counter conserved.
 //!
+//! The tthread is the queue entry, and a burst wakes one worker:
+//!
+//! * (f) a join that steals a Queued tthread takes its id out of the
+//!   queue;
+//! * (g) so raise → join cycles never fill a small queue with leftovers;
+//! * (h) eight raises in one `with` wake a parked worker once;
+//! * (i) a join that waits longer than the search window parks;
+//! * (j) raises timed around the end of the worker's search window are
+//!   never left for a park timeout to find.
+//!
 //! Scenes (a)–(d) pin the single worker inside a `target` body that waits
 //! for a latch only the `helped` body opens: unless the joiner runs
 //! `helped`, nothing does, and the test fails after [`BOUND`] instead of
@@ -365,9 +375,194 @@ fn helping_joins_leave_the_deferred_result() {
             "seed {seed}"
         );
         assert!(c.worker_wakes <= c.enqueues, "seed {seed}");
-        assert!(c.queue_stale_skips <= c.enqueues, "seed {seed}");
+        assert_eq!(
+            rt.report().queue_len,
+            0,
+            "seed {seed}: an id outlived its tthread's wait"
+        );
         assert_eq!(c.park_rescues, 0, "seed {seed}");
         helped += c.helped_executions;
     }
     assert!(helped > 0, "no join ever helped: the stress did not stress");
+}
+
+/// A runtime whose one worker is held inside a `blocker` tthread.
+struct Held {
+    rt: Runtime<()>,
+    /// Releases the blocker.
+    latch: Arc<Latch>,
+    blocker: TthreadId,
+    /// Tthread `tts[i]` watches `cells[i]`.
+    cells: TrackedArray<u64>,
+    tts: Vec<TthreadId>,
+}
+
+/// One worker held inside `blocker` until the latch opens, and `n` more
+/// tthreads, each watching its own cell.
+fn held_worker(cfg: Config, n: usize) -> Held {
+    let mut rt = Runtime::new(cfg.with_workers(1), ());
+    let latch = Arc::new(Latch::default());
+    let gate = Arc::clone(&latch);
+    let blocker = rt.register("blocker", move |_| assert!(gate.wait(), "never released"));
+    let cells = rt.alloc_array::<u64>(n).unwrap();
+    let tts = (0..n)
+        .map(|i| {
+            let tt = rt.register(&format!("t{i}"), |_| {});
+            rt.watch(tt, cells.range_of(i, i + 1)).unwrap();
+            tt
+        })
+        .collect();
+    rt.mark_dirty(blocker).unwrap();
+    wait_until("the worker claims the blocker", || {
+        rt.status(blocker).unwrap() == TthreadStatus::Running
+    });
+    Held {
+        rt,
+        latch,
+        blocker,
+        cells,
+        tts,
+    }
+}
+
+/// (f) A join that steals a Queued tthread leaves nothing in the queue:
+/// the id leaves with the claim, so no worker wakes to it later.
+#[test]
+fn a_stolen_tthread_leaves_the_queue() {
+    let Held {
+        mut rt,
+        latch,
+        cells,
+        tts,
+        ..
+    } = held_worker(Config::default(), 1);
+    rt.with(|ctx| ctx.write(cells, 0, 1));
+    assert_eq!(rt.report().queue_len, 1);
+    assert_eq!(rt.join(tts[0]).unwrap(), JoinOutcome::Stolen);
+    assert_eq!(rt.report().queue_len, 0, "the steal left its id queued");
+    latch.open();
+    rt.join_all().unwrap();
+    assert_eq!(rt.report().queue_len, 0);
+}
+
+/// (g) With room for two, three raise → join cycles of one tthread never
+/// overflow: each steal frees the slot its raise took, so every join
+/// steals and nothing runs inside `with`.
+#[test]
+fn raise_join_cycles_never_fill_a_small_queue() {
+    let Held {
+        mut rt,
+        latch,
+        cells,
+        tts,
+        ..
+    } = held_worker(Config::default().with_queue_capacity(2), 1);
+    for v in 1..=3 {
+        rt.with(|ctx| ctx.write(cells, 0, v));
+        assert_eq!(rt.join(tts[0]).unwrap(), JoinOutcome::Stolen, "cycle {v}");
+    }
+    let c = rt.stats().counters().clone();
+    assert_eq!(c.queue_overflows, 0);
+    assert_eq!(c.inline_executions, 3);
+    latch.open();
+    rt.join_all().unwrap();
+}
+
+/// (h) Eight raises in one `with` against one parked worker wake it once:
+/// the first wake counts the worker as a searcher, so the rest of the
+/// burst wakes nobody. The first body it claims holds it until after the
+/// `with`, so it cannot park and be woken again in between.
+#[test]
+fn a_burst_wakes_one_parked_worker() {
+    const BURST: usize = 8;
+    let mut rt = Runtime::new(Config::default().with_workers(1), ());
+    let latch = Arc::new(Latch::default());
+    let cells = rt.alloc_array::<u64>(BURST).unwrap();
+    let tts: Vec<TthreadId> = (0..BURST)
+        .map(|i| {
+            let gate = Arc::clone(&latch);
+            let tt = rt.register(&format!("t{i}"), move |_| assert!(gate.wait()));
+            rt.watch(tt, cells.range_of(i, i + 1)).unwrap();
+            tt
+        })
+        .collect();
+    // An idle worker parks at once, and one whose park has just timed out
+    // is back asleep within microseconds, long before the next timeout.
+    wait_until("the worker parks", || {
+        rt.stats().counters().worker_parks > 0
+    });
+    thread::sleep(Duration::from_millis(5));
+    rt.reset_stats();
+    rt.with(|ctx| (0..BURST).for_each(|i| ctx.write(cells, i, 1)));
+    latch.open();
+    for &tt in &tts {
+        rt.join(tt).unwrap();
+    }
+    let c = rt.stats().counters().clone();
+    assert_eq!(c.enqueues, BURST as u64);
+    assert!(
+        c.worker_wakes <= 1,
+        "{} wakes for one burst",
+        c.worker_wakes
+    );
+    assert_eq!(c.park_rescues, 0);
+}
+
+/// (i) A join whose tthread runs far longer than the search window parks
+/// instead of spinning through the wait: its timed park runs out at least
+/// once while the body is held.
+#[test]
+fn a_long_wait_parks_the_joiner() {
+    let Held {
+        mut rt,
+        latch,
+        blocker,
+        ..
+    } = held_worker(Config::default(), 0);
+    let opener = thread::spawn(move || {
+        thread::sleep(Duration::from_millis(150));
+        latch.open();
+    });
+    rt.reset_stats();
+    assert_eq!(rt.join(blocker).unwrap(), JoinOutcome::Waited);
+    opener.join().unwrap();
+    let c = rt.stats().counters().clone();
+    assert!(c.park_timeouts >= 1, "the joiner never parked");
+    assert_eq!(c.park_rescues, 0);
+}
+
+/// (j) A raise that lands while the worker searches wakes nobody, so the
+/// searcher must see it before it parks. The raises here come a varying
+/// few microseconds after the previous run ended, around the end of the
+/// worker's search window, and nothing joins them: a raise the searcher
+/// missed would sit until the worker's park timed out, counted as a
+/// rescue.
+#[test]
+fn raises_around_the_search_window_are_never_stranded() {
+    let mut rt = Runtime::new(Config::default().with_workers(1), ());
+    let x = rt.alloc(0u64).unwrap();
+    let tt = rt.register("t", |_| {});
+    rt.watch(tt, x.range()).unwrap();
+    let spin_for = |ns: u64| {
+        let until = Instant::now() + Duration::from_nanos(ns);
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+    };
+    for i in 0..4000u64 {
+        // Even rounds keep the worker's gaps short, so it searches; odd
+        // rounds sweep 16–24 us past the end of the previous run.
+        spin_for(if i % 2 == 0 {
+            2_000
+        } else {
+            16_000 + (i * 397) % 8_000
+        });
+        rt.write(x, i + 1);
+        wait_until("the run completes", || {
+            rt.status(tt).unwrap() == TthreadStatus::Clean
+        });
+    }
+    let c = rt.stats().counters().clone();
+    assert_eq!(c.park_rescues, 0, "a raise waited for a park timeout");
+    assert!(c.worker_executions > 0);
 }

@@ -233,10 +233,15 @@ proptest! {
             c.cascades,
             c.cascade_enqueues + c.cascade_coalesced + c.cascade_cutoffs
         );
-        // Wake discipline: at most one wake per enqueued unit, and a queue
-        // entry can go stale (lose its claim race) at most once.
+        // Wake discipline: at most one wake per enqueued unit.
         prop_assert!(c.worker_wakes <= c.enqueues);
-        prop_assert!(c.queue_stale_skips <= c.enqueues);
+        // A tthread is queued only while pending, so nothing is left in
+        // the queue once every tthread is joined, and a queue with room
+        // for every tthread never overflows.
+        prop_assert_eq!(rt.report().queue_len, 0);
+        if cap >= 3 {
+            prop_assert_eq!(c.queue_overflows, 0);
+        }
         // No fault is injected, so no wake is lost and no timer rescues one.
         prop_assert_eq!(c.park_rescues, 0);
     }

@@ -306,9 +306,9 @@ fn run_deferred(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation 
 
 /// Same idea with a real worker — but the worker spends the whole schedule
 /// pinned inside a barrier-parked tthread, so the Queued arcs (enqueue,
-/// coalesce/rerun-flag absorb, join steal, stale queue entries) are
-/// exercised deterministically from the main thread alone. The queue is
-/// big enough that the stale entries steals leave behind never fill it.
+/// coalesce/rerun-flag absorb, join steal) are exercised deterministically
+/// from the main thread alone. The queue has room for every tthread, so no
+/// raise overflows.
 fn run_pinned_worker(schedule: &[DispatchOp], coalesce: bool) -> DispatchObservation {
     let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
     let cfg = Config::default()
@@ -392,7 +392,7 @@ proptest! {
         }
     }
 
-    /// The Queued arcs (enqueue, absorb, steal, stale entries) with a real
+    /// The Queued arcs (enqueue, absorb, steal) with a real
     /// — but pinned — worker, against the same model.
     #[test]
     fn pinned_worker_dispatch_matches_sequential_model(schedule in dispatch_ops()) {
