@@ -34,9 +34,8 @@
 //!   `mark_dirty`, `force`, and a run whose taken set is thrown away
 //!   (poison, deadline overrun).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
 use crate::addr::{Addr, AddrRange};
+use crate::sync::{AtomicBool, AtomicU64, Ordering};
 
 /// Ranges one changed set holds before it saturates to [`Triggers::All`].
 pub const CHANGED_CAPACITY: usize = 4;

@@ -83,12 +83,10 @@
 //! else is ever acquired under them.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::changed::ChangedSet;
+use crate::sync::{AtomicU64, AtomicU8, AtomicUsize, Mutex, Ordering};
 use crate::tthread::TthreadStatus;
 
 const STATE_MASK: u64 = 0b11;

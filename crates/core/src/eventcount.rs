@@ -9,10 +9,9 @@
 //! shutdown join) and `dtt-serve` (event workers napping between sweeps,
 //! woken by engine replies and new connections).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 /// How one [`Waiters::park`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

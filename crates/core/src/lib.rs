@@ -97,6 +97,7 @@
 //! | `dispatch` | the lock-free status word and the bounded pending FIFO |
 //! | [`changed`] | the per-tthread changed set a body reads as [`Triggers`] |
 //! | [`eventcount`] | the one park/wake primitive: workers, joiners, the shutdown join and `dtt-serve`'s event workers wait on it |
+//! | `sync` | the atomics and locks of `dispatch`, [`changed`] and [`eventcount`], model-checked in unit tests |
 //! | [`obs`] | lock-free lifecycle event rings (observability) |
 //! | [`fault`] | seeded deterministic fault injection ([`FaultPlan`]) |
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
@@ -129,6 +130,7 @@ pub mod pod;
 pub mod report;
 pub mod runtime;
 pub mod stats;
+pub(crate) mod sync;
 pub mod trigger;
 pub mod tthread;
 pub(crate) mod view;

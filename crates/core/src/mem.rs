@@ -67,15 +67,37 @@ const STRIPE_WORDS: usize = STRIPE_BYTES / 8;
 const CHUNK_WORDS_SHIFT: u32 = 16;
 const CHUNK_WORDS: u64 = 1 << CHUNK_WORDS_SHIFT;
 
-/// How many stripe locks a runtime's arena gets: the host's parallelism,
+/// How many stripe locks a runtime's arena gets: the host's CPUs,
 /// oversubscribed 4× so disjoint working sets rarely collide, clamped to
 /// `[1, 256]` and rounded up to a power of two.
 pub(crate) fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get() * 4)
-        .unwrap_or(16)
-        .clamp(1, 256)
-        .next_power_of_two()
+    (host_cpus() * 4).clamp(1, 256).next_power_of_two()
+}
+
+/// The host's online CPUs, read once per process. The online list, not
+/// the calling thread's affinity: a program may pin the thread that builds
+/// a runtime (and so its workers) to one CPU while its main thread runs on
+/// another. Where the list cannot be read, the affinity-aware count
+/// decides.
+pub(crate) fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| {
+        let list = std::fs::read_to_string("/sys/devices/system/cpu/online");
+        list.ok()
+            .and_then(|list| cpus_in_list(&list))
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// The number of CPUs in a kernel CPU list (`0`, `0-3`, `0,2-3`); `None`
+/// if it does not parse.
+fn cpus_in_list(list: &str) -> Option<usize> {
+    let span = |part: &str| {
+        let (lo, hi) = part.split_once('-').unwrap_or((part, part));
+        let (lo, hi) = (lo.parse::<usize>().ok()?, hi.parse::<usize>().ok()?);
+        hi.checked_sub(lo).map(|n| n + 1)
+    };
+    list.trim().split(',').map(span).sum()
 }
 
 /// Whether a `size`-byte value at byte offset `start` lies inside one
@@ -1016,6 +1038,17 @@ mod tests {
 
     fn mem(shards: usize) -> ShardedMem {
         ShardedMem::new(4096, shards, false)
+    }
+
+    #[test]
+    fn cpu_lists_count_their_cpus() {
+        assert_eq!(cpus_in_list("0\n"), Some(1));
+        assert_eq!(cpus_in_list("0-1\n"), Some(2));
+        assert_eq!(cpus_in_list("0,2-3"), Some(3));
+        for garbage in ["", "x", "0-", "3-1", "0,,1"] {
+            assert_eq!(cpus_in_list(garbage), None, "{garbage:?}");
+        }
+        assert!(host_cpus() >= 1);
     }
 
     #[test]

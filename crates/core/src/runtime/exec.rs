@@ -17,6 +17,7 @@ use crate::dispatch::{PARK_TIMEOUT, POISONED, TIMED_OUT};
 use crate::error::Error;
 use crate::eventcount::ParkOutcome;
 use crate::fault::FaultPoint;
+use crate::mem::host_cpus;
 use crate::obs::EventKind;
 use crate::stats::{CounterLine, Tally};
 use crate::tthread::{TthreadId, TthreadStatus};
@@ -79,12 +80,13 @@ impl<U: Send + 'static> Inner<U> {
         true
     }
 
-    /// Spins until work is queued, shutdown is signalled, or the clock
-    /// passes `deadline` (an [`Inner::now`]); `true` unless the deadline
-    /// came first.
-    fn search_until(&self, deadline: u64) -> bool {
+    /// Spins until `done` or the clock passes `deadline` (an
+    /// [`Inner::now`]); `true` unless the deadline came first. Spinning
+    /// waits on another thread's progress, which on one CPU it only
+    /// delays, so callers spin only when [`host_cpus`] is above one.
+    pub(super) fn spin_until(&self, deadline: u64, done: impl Fn() -> bool) -> bool {
         loop {
-            if !self.pending.is_empty() || self.shutdown.load(Ordering::Relaxed) {
+            if done() {
                 return true;
             }
             if self.now() >= deadline {
@@ -93,24 +95,6 @@ impl<U: Send + 'static> Inner<U> {
             std::hint::spin_loop();
         }
     }
-}
-
-/// Whether the host has more than one CPU online, read once per process,
-/// by the first worker or waiting joiner: spinning waits on another
-/// thread's progress, which on one CPU it only delays. The online list,
-/// not this thread's affinity: a program may pin the thread that builds a
-/// runtime (and so its workers) to one CPU while its main thread runs on
-/// another. Where the list cannot be read, the affinity-aware count
-/// decides.
-pub(super) fn host_has_cpus_to_spare() -> bool {
-    static SPARE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SPARE.get_or_init(
-        || match std::fs::read_to_string("/sys/devices/system/cpu/online") {
-            // One CPU lists as a lone number (`0`); more as a range or a list.
-            Ok(list) => list.contains(['-', ',']),
-            Err(_) => thread::available_parallelism().is_ok_and(|n| n.get() > 1),
-        },
-    )
 }
 
 /// How long, in [`Inner::now`] units, a thread out of work spins before it
@@ -125,7 +109,7 @@ pub(super) const WINDOW_NS: u64 = 20_000;
 /// searchers and parks on the dispatch eventcount with a timed park.
 pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize) {
     let line = &inner.counters.workers[worker_idx];
-    let spins = host_has_cpus_to_spare();
+    let spins = host_cpus() > 1;
     // The current idle gap: when it began, and when the wake this worker
     // took over was issued (the moment work arrived, not when the worker
     // got up). Whether the last gap ended inside the window decides
@@ -155,7 +139,8 @@ pub(super) fn worker_loop<U: Send + 'static>(inner: &Inner<U>, worker_idx: usize
             searching = true;
         }
         let since = *idle_since.get_or_insert_with(|| inner.now());
-        if short_gaps && inner.search_until(since + WINDOW_NS) {
+        let searched = || !inner.pending.is_empty() || inner.shutdown.load(Ordering::Relaxed);
+        if short_gaps && inner.spin_until(since + WINDOW_NS, searched) {
             continue;
         }
         inner.stop_searching(line);

@@ -4,12 +4,13 @@
 
 use parking_lot::MutexGuard;
 
-use super::exec::{host_has_cpus_to_spare, WINDOW_NS};
+use super::exec::WINDOW_NS;
 use super::{Raise, Runtime, State};
 use crate::ctx::Ctx;
 use crate::dispatch::{Slot, PARK_TIMEOUT, POISONED, TIMED_OUT};
 use crate::error::{Error, Result};
 use crate::eventcount::ParkOutcome;
+use crate::mem::host_cpus;
 use crate::obs::EventKind;
 use crate::stats::Tally;
 use crate::tthread::{TthreadId, TthreadStatus};
@@ -230,14 +231,12 @@ impl<U: Send + 'static> Runtime<U> {
         if inner.help(owner) {
             return inner.state.lock();
         }
-        if slot.status() == TthreadStatus::Running && host_has_cpus_to_spare() {
-            let deadline = inner.now() + WINDOW_NS;
-            while slot.word() == observed && inner.pending.is_empty() && inner.now() < deadline {
-                std::hint::spin_loop();
-            }
-            if slot.word() != observed || !inner.pending.is_empty() {
-                return inner.state.lock();
-            }
+        let moved = || slot.word() != observed || !inner.pending.is_empty();
+        if slot.status() == TthreadStatus::Running
+            && host_cpus() > 1
+            && (inner.spin_until(inner.now() + WINDOW_NS, moved) || moved())
+        {
+            return inner.state.lock();
         }
         let (outcome, silent) = inner
             .completions
