@@ -13,8 +13,8 @@
 //!   run of it, and a run that panicked or overran gave its ranges back as
 //!   `All`;
 //! * **counter conservation** — the runtime's counters balance (stores
-//!   split into silent + changing, executions into inline + worker, no
-//!   timeout counts without a deadline);
+//!   split into silent + changing, executions into inline + worker +
+//!   helped, no timeout counts without a deadline);
 //! * **no poison without a panic** — a poisoned tthread implies an
 //!   injected body fault (the workload bodies never panic on their own);
 //! * **exact observability accounting** — `issued == delivered + dropped`
@@ -69,8 +69,6 @@ pub struct ChaosConfig {
     pub tthreads: usize,
     /// Tracked stores the driver issues.
     pub ops: usize,
-    /// Commit→retrigger retry cap.
-    pub commit_retry_cap: u32,
     /// Optional per-body deadline.
     pub body_deadline: Option<Duration>,
     /// The fault schedule.
@@ -107,7 +105,6 @@ impl ChaosConfig {
             queue_capacity: rng.gen_range(2..=8usize),
             tthreads: rng.gen_range(2..=5usize),
             ops: rng.gen_range(200..=600usize),
-            commit_retry_cap: rng.gen_range(1..=8u32),
             body_deadline: None,
             plan,
             watchdog: Duration::from_secs(30),
@@ -122,7 +119,6 @@ impl ChaosConfig {
             queue_capacity: 4,
             tthreads: 3,
             ops: 400,
-            commit_retry_cap: 8,
             body_deadline: None,
             plan: FaultPlan::new(seed),
             watchdog: Duration::from_secs(30),
@@ -144,12 +140,11 @@ impl ChaosConfig {
             })
             .collect();
         format!(
-            "workers={} queue={} tthreads={} ops={} retry_cap={} armed=[{}]",
+            "workers={} queue={} tthreads={} ops={} armed=[{}]",
             self.workers,
             self.queue_capacity,
             self.tthreads,
             self.ops,
-            self.commit_retry_cap,
             armed.join(", ")
         )
     }
@@ -325,7 +320,6 @@ fn run_inner(cfg: &ChaosConfig) -> Result<RunSummary, String> {
     let mut rt_cfg = Config::default()
         .with_workers(cfg.workers)
         .with_queue_capacity(cfg.queue_capacity)
-        .with_commit_retry_cap(cfg.commit_retry_cap)
         .with_observability(true)
         .with_fault_plan(cfg.plan.clone());
     if let Some(deadline) = cfg.body_deadline {
@@ -639,10 +633,6 @@ pub fn pinned_point_case(point: FaultPoint, seed: u64) -> ChaosConfig {
         .with_rate(point, ALWAYS)
         .with_budget(point, 6)
         .with_delay_us(20);
-    if point == FaultPoint::Retrigger {
-        // Keep the retry loop visibly bounded.
-        cfg.commit_retry_cap = 3;
-    }
     cfg
 }
 

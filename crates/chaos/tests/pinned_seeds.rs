@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use dtt_chaos::{pinned_point_case, run_config, run_many, ChaosConfig};
 use dtt_core::fault::{FaultPlan, FaultPoint, ALWAYS, UNLIMITED};
+use dtt_core::COMMIT_RETRY_CAP;
 
 /// Runs a pinned single-point case and asserts the point actually fired.
 fn check_point(point: FaultPoint, seed: u64) {
@@ -83,12 +84,11 @@ fn pinned_worker_schedule_faults_hold_invariants() {
 /// *every* commit, with no fire budget. Before the retry cap existed, the
 /// worker's commit→retrigger loop ("go around again") would spin forever
 /// and this test would die on the watchdog. With the cap, every execution
-/// defers to its join after `commit_retry_cap` retries and the run
+/// defers to its join after `COMMIT_RETRY_CAP` retries and the run
 /// completes with exhaustions counted.
 #[test]
 fn unbounded_forced_retriggers_cannot_livelock_a_worker() {
     let mut cfg = ChaosConfig::baseline(108);
-    cfg.commit_retry_cap = 3;
     cfg.watchdog = Duration::from_secs(20);
     cfg.plan = FaultPlan::new(108)
         .with_rate(FaultPoint::Retrigger, ALWAYS)
@@ -99,7 +99,7 @@ fn unbounded_forced_retriggers_cannot_livelock_a_worker() {
         c.commit_retry_exhausted >= 1,
         "an always-on retrigger fault must exhaust the retry cap at least once"
     );
-    assert!(c.commit_retries >= c.commit_retry_exhausted * 3);
+    assert!(c.commit_retries >= c.commit_retry_exhausted * u64::from(COMMIT_RETRY_CAP));
 }
 
 /// Graceful shutdown stays graceful when workers are slowed by injected

@@ -5,6 +5,13 @@ use std::time::Duration;
 use crate::addr::Granularity;
 use crate::fault::FaultPlan;
 
+/// Maximum times a worker re-runs a tthread's body because a trigger
+/// landed during the previous run (the commit→retrigger loop), and
+/// maximum view restarts of one execution. Past it the tthread is
+/// deferred to its next `join`, so adversarial stores cannot livelock a
+/// worker. Counted in `commit_retries` / `commit_retry_exhausted`.
+pub const COMMIT_RETRY_CAP: u32 = 8;
+
 /// Configuration for a [`crate::runtime::Runtime`].
 ///
 /// Construct with [`Config::default`] and adjust with the builder-style
@@ -62,12 +69,6 @@ pub struct Config {
     /// next `join` returns [`crate::error::Error::TthreadTimedOut`].
     /// `None` (the default) disables the deadline.
     pub body_deadline: Option<Duration>,
-    /// Maximum times a worker re-runs a tthread's body because a trigger
-    /// landed during the previous run (the commit→retrigger loop). When
-    /// the cap is hit the tthread is deferred to its next `join` instead,
-    /// so adversarial stores cannot livelock a worker. Counted in
-    /// `commit_retries` / `commit_retry_exhausted`.
-    pub commit_retry_cap: u32,
     /// Base delay for bounded exponential backoff between commit retries
     /// (worker executor only). `None` (the default) re-runs the
     /// body immediately, the historical behaviour; `Some(base)` sleeps
@@ -91,7 +92,6 @@ impl Default for Config {
             observability: false,
             fault_plan: None,
             body_deadline: None,
-            commit_retry_cap: 8,
             commit_backoff: None,
         }
     }
@@ -151,13 +151,6 @@ impl Config {
         self
     }
 
-    /// Sets the commit→retrigger retry cap (`0` defers on the first
-    /// post-commit retrigger).
-    pub fn with_commit_retry_cap(mut self, cap: u32) -> Self {
-        self.commit_retry_cap = cap;
-        self
-    }
-
     /// Sets the base delay for bounded exponential backoff between commit
     /// retries (worker executor only; `None` by default — immediate
     /// re-execution).
@@ -187,7 +180,6 @@ mod tests {
         assert!(!cfg.observability);
         assert_eq!(cfg.fault_plan, None);
         assert_eq!(cfg.body_deadline, None);
-        assert_eq!(cfg.commit_retry_cap, 8);
         assert_eq!(cfg.commit_backoff, None);
     }
 
@@ -202,7 +194,6 @@ mod tests {
             .with_observability(true)
             .with_fault_plan(crate::fault::FaultPlan::new(11))
             .with_body_deadline(Duration::from_millis(250))
-            .with_commit_retry_cap(3)
             .with_commit_backoff(Duration::from_micros(50));
         assert_eq!(cfg.granularity, Granularity::Line);
         assert!(!cfg.suppress_silent_stores);
@@ -213,7 +204,6 @@ mod tests {
         assert!(cfg.observability);
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.seed), Some(11));
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));
-        assert_eq!(cfg.commit_retry_cap, 3);
         assert_eq!(cfg.commit_backoff, Some(Duration::from_micros(50)));
     }
 

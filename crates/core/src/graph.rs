@@ -26,7 +26,7 @@
 //!   [`crate::error::Error::TriggerCycle`] instead of being allowed to
 //!   livelock the wave. Self-loops (a tthread watching its own output)
 //!   are *not* rejected: that is the established self-retrigger pattern,
-//!   bounded by [`crate::config::Config::commit_retry_cap`], which also
+//!   bounded by [`crate::config::COMMIT_RETRY_CAP`], which also
 //!   backstops dynamic cycles the declared map cannot see.
 //!
 //! The fourth piece — **early cutoff** — closes each wave epoch when its

@@ -143,7 +143,7 @@ pub use dispatch::PARK_TIMEOUT;
 pub use accessor::Accessor;
 pub use addr::{Addr, AddrRange, Granularity};
 pub use changed::{ChangedRanges, Triggers};
-pub use config::Config;
+pub use config::{Config, COMMIT_RETRY_CAP};
 pub use ctx::Ctx;
 pub use error::{Error, Result};
 pub use fault::{FaultPlan, FaultPoint, FaultProbe};

@@ -11,6 +11,7 @@ use std::thread;
 use std::time::Instant;
 
 use super::{Inner, State};
+use crate::config::COMMIT_RETRY_CAP;
 use crate::ctx::{Ctx, DetachedView, LoggedStore};
 use crate::deadline::{backoff_delay, BodyDeadline};
 use crate::dispatch::{PARK_TIMEOUT, POISONED, TIMED_OUT};
@@ -247,7 +248,7 @@ fn run_detached<U: Send + 'static>(
             // published. Run again with the same taken set, up to the cap.
             drop(parts.guard);
             line.bump(Tally::view_restarts, 1);
-            if restarts >= inner.cfg.commit_retry_cap {
+            if restarts >= COMMIT_RETRY_CAP {
                 // As at an exhausted commit retry: defer to the next join,
                 // which recomputes everything (the taken set is lost).
                 let _state = inner.state.lock();
@@ -323,12 +324,12 @@ fn run_detached<U: Send + 'static>(
         }
         // The rerun flag was set: a trigger landed while the body ran (or
         // its own commit retriggered it). The view may be stale, so go
-        // around again with a fresh one — but only up to the configured
-        // cap, so adversarial store rates cannot livelock this worker.
-        if retries >= inner.cfg.commit_retry_cap {
+        // around again with a fresh one — but only up to the cap, so
+        // adversarial store rates cannot livelock this worker.
+        if retries >= COMMIT_RETRY_CAP {
             state.lock_line.bump(Tally::commit_retry_exhausted, 1);
             slot.complete_to_triggered();
-            let cap = u64::from(inner.cfg.commit_retry_cap);
+            let cap = u64::from(COMMIT_RETRY_CAP);
             inner.obs.event(EventKind::RetryExhausted, id, cap);
             return;
         }

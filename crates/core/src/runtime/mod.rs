@@ -338,7 +338,7 @@ impl<U> Inner<U> {
 ///   reads. Only the stripes it touches are copied, each on
 ///   first touch; reading one that changed after the start restarts the
 ///   body, which has published nothing, with the same taken changed set
-///   (bounded by `commit_retry_cap`, past which its join runs it);
+///   (bounded by `COMMIT_RETRY_CAP`, past which its join runs it);
 /// * publishes its tracked stores **atomically at commit**, after the body
 ///   returns: the worker reacquires the state lock, replays the body's
 ///   write log against live memory, and fires triggers for the stores that

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use super::{JoinOutcome, Runtime};
 use crate::addr::{AddrRange, Granularity};
-use crate::config::Config;
+use crate::config::{Config, COMMIT_RETRY_CAP};
 use crate::error::Error;
 use crate::fault::FaultPoint;
 use crate::tthread::{TthreadId, TthreadStatus};
@@ -563,10 +563,7 @@ fn poison_and_timeout_are_held_at_once_and_cleared_one_at_a_time() {
 fn injected_retrigger_hits_the_retry_cap() {
     use crate::fault::{FaultPlan, ALWAYS};
     let plan = FaultPlan::new(7).with_rate(FaultPoint::Retrigger, ALWAYS);
-    let cfg = deferred()
-        .with_workers(1)
-        .with_commit_retry_cap(4)
-        .with_fault_plan(plan);
+    let cfg = deferred().with_workers(1).with_fault_plan(plan);
     let mut rt = Runtime::new(cfg, 0u64);
     let x = rt.alloc(0u64).unwrap();
     let tt = rt.register("copy", move |ctx| {
@@ -585,13 +582,13 @@ fn injected_retrigger_hits_the_retry_cap() {
     }
     let stats = rt.stats();
     assert_eq!(stats.counters().commit_retry_exhausted, 1);
-    assert_eq!(stats.counters().commit_retries, 4);
+    assert_eq!(stats.counters().commit_retries, u64::from(COMMIT_RETRY_CAP));
     // The exhausted tthread was deferred, not wedged: join finishes it
     // inline (the inline path has no retrigger probe).
     rt.join(tt).unwrap();
     assert_eq!(rt.with(|ctx| *ctx.user()), 5);
     let fired = rt.fault_injections();
-    assert!(fired[FaultPoint::Retrigger as usize] >= 5);
+    assert!(fired[FaultPoint::Retrigger as usize] > u64::from(COMMIT_RETRY_CAP));
 }
 
 #[test]
@@ -600,7 +597,6 @@ fn commit_backoff_waits_between_retries() {
     let plan = FaultPlan::new(7).with_rate(FaultPoint::Retrigger, ALWAYS);
     let cfg = deferred()
         .with_workers(1)
-        .with_commit_retry_cap(4)
         .with_commit_backoff(Duration::from_micros(50))
         .with_fault_plan(plan);
     let mut rt = Runtime::new(cfg, 0u64);
@@ -619,9 +615,12 @@ fn commit_backoff_waits_between_retries() {
     }
     let stats = rt.stats();
     assert_eq!(stats.counters().commit_retry_exhausted, 1);
-    assert_eq!(stats.counters().commit_retries, 4);
+    assert_eq!(stats.counters().commit_retries, u64::from(COMMIT_RETRY_CAP));
     // Every retry waited: the backoff branch ran once per retry.
-    assert_eq!(stats.counters().commit_backoff_waits, 4);
+    assert_eq!(
+        stats.counters().commit_backoff_waits,
+        u64::from(COMMIT_RETRY_CAP)
+    );
     // Backoff delays the rerun; it must not change the outcome.
     rt.join(tt).unwrap();
     assert_eq!(rt.with(|ctx| *ctx.user()), 5);

@@ -75,7 +75,7 @@ pub struct Counters {
     /// Extra body re-runs because a trigger landed during the previous run
     /// (the commit→retrigger loop going around again).
     pub commit_retries: u64,
-    /// Times the retry loop hit [`crate::config::Config::commit_retry_cap`]
+    /// Times the retry loop hit [`crate::config::COMMIT_RETRY_CAP`]
     /// and deferred the tthread to its next join instead.
     pub commit_retry_exhausted: u64,
     /// Tthread bodies that overran

@@ -28,7 +28,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dtt_core::{Config, JoinOutcome, Runtime, TrackedArray, Triggers, TthreadId, TthreadStatus};
+use dtt_core::{
+    Config, JoinOutcome, Runtime, TrackedArray, Triggers, TthreadId, TthreadStatus,
+    COMMIT_RETRY_CAP,
+};
 
 /// How long any wait in this file may take before the test fails instead
 /// of hanging.
@@ -176,12 +179,12 @@ fn a_body_never_sees_a_later_store_without_an_earlier_one() {
 }
 
 /// (b) Every run reads A, pauses while the main thread moves A and B, and
-/// then reads B: each restarts. Past `commit_retry_cap` restarts the
+/// then reads B: each restarts. Past `COMMIT_RETRY_CAP` restarts the
 /// tthread is left Triggered; the join runs it inline, over everything.
 #[test]
 fn at_the_restart_cap_the_join_runs_the_tthread() {
-    const CAP: u32 = 2;
-    let mut s = scene(Config::default().with_commit_retry_cap(CAP), ());
+    const CAP: u32 = COMMIT_RETRY_CAP;
+    let mut s = scene(Config::default(), ());
     let (hs, gate) = handshake();
     let pauses = Arc::new(AtomicUsize::new(0));
     let saw_all = Arc::new(AtomicBool::new(false));

@@ -5,7 +5,7 @@
 //! commit-retry cap the backstop), and statically declared cycles must be
 //! rejected at watch time with the offending path.
 
-use dtt_core::{Config, Error, Runtime};
+use dtt_core::{Config, Error, Runtime, COMMIT_RETRY_CAP};
 
 /// The baseline tthread-triggers-tthread regression: one store, one wave,
 /// each stage executing exactly once — under both executors.
@@ -80,10 +80,7 @@ fn converging_dynamic_cycle_terminates() {
 /// cap is exhausted mid-chain.
 #[test]
 fn retry_cap_bounds_self_retrigger_without_losing_the_cascade() {
-    let mut rt = Runtime::new(
-        Config::default().with_commit_retry_cap(2).with_workers(1),
-        0u64,
-    );
+    let mut rt = Runtime::new(Config::default().with_workers(1), 0u64);
     let x = rt.alloc_array::<u64>(1).unwrap();
     let out = rt.alloc_array::<u64>(1).unwrap();
     let count = rt.register("countdown", move |ctx| {
@@ -99,7 +96,8 @@ fn retry_cap_bounds_self_retrigger_without_losing_the_cascade() {
     });
     rt.watch(sink, out.range()).unwrap();
 
-    rt.with(|ctx| ctx.write(x, 0, 9));
+    // More self-retriggers than the cap allows, so the worker exhausts it.
+    rt.with(|ctx| ctx.write(x, 0, u64::from(COMMIT_RETRY_CAP) + 7));
     // Let the worker hit the cap (the joins below run the rest inline,
     // and the inline path absorbs reruns without the retry accounting).
     for _ in 0..2000 {

@@ -300,10 +300,44 @@ fn pipeline(workers: usize) -> (Runtime<()>, Pipeline, Vec<TthreadId>) {
     (rt, p, tts)
 }
 
+/// Holds every worker inside its own blocker tthread, queues the one
+/// tthread that releases them, and joins a blocker. No worker is free to
+/// run the release, so the waiting join must help with it.
+fn help_by_construction(rt: &mut Runtime<()>, workers: usize) {
+    let latch = Arc::new(Latch::default());
+    // Cell `w` triggers blocker `w`; the last cell triggers the release.
+    let gates = rt.alloc_array::<u64>(workers + 1).unwrap();
+    let blockers: Vec<TthreadId> = (0..workers)
+        .map(|w| {
+            let gate = Arc::clone(&latch);
+            let tt = rt.register(&format!("blocker{w}"), move |_| {
+                assert!(gate.wait(), "never released")
+            });
+            rt.watch(tt, gates.range_of(w, w + 1)).unwrap();
+            rt.write(gates.at(w), 1);
+            tt
+        })
+        .collect();
+    wait_until("every worker holds a blocker", || {
+        blockers
+            .iter()
+            .all(|&b| rt.status(b).unwrap() == TthreadStatus::Running)
+    });
+    let release = rt.register("release", move |_| latch.open());
+    rt.watch(release, gates.range_of(workers, workers + 1))
+        .unwrap();
+    rt.write(gates.at(workers), 1);
+    assert_eq!(rt.join(blockers[0]).unwrap(), JoinOutcome::Waited);
+}
+
 /// Runs `seed`'s schedule of fires and joins, joins everything, and
-/// returns the final memory of all three arrays with the runtime.
+/// returns the final memory of all three arrays with the runtime. With
+/// workers, the schedule starts with [`help_by_construction`].
 fn run_schedule(workers: usize, seed: u64) -> (Vec<u64>, Runtime<()>) {
     let (mut rt, p, tts) = pipeline(workers);
+    if workers > 0 {
+        help_by_construction(&mut rt, workers);
+    }
     let mut state = seed | 1;
     let mut rnd = move || {
         state ^= state << 13;
@@ -338,8 +372,9 @@ fn run_schedule(workers: usize, seed: u64) -> (Vec<u64>, Runtime<()>) {
 }
 
 /// (e) Twenty seeds of random fires and joins at two workers: joins that
-/// wait help, and the final memory equals the deferred executor's for the
-/// same schedule, with every conservation identity intact.
+/// wait help (each run starts with one that must), and the final memory
+/// equals the deferred executor's for the same schedule, with every
+/// conservation identity intact.
 #[test]
 fn helping_joins_leave_the_deferred_result() {
     let mut helped = 0;

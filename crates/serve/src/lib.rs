@@ -29,7 +29,7 @@
 //!   admitted request waits at most `deadline` for the engine; the
 //!   engine layers bounded repair retries with exponential backoff
 //!   ([`dtt_core::deadline::backoff_delay`]) on top of the runtime's
-//!   `commit_retry_cap`.
+//!   `COMMIT_RETRY_CAP`.
 //! * **Keyed store** ([`ViewKind::Keyed`]): `Put {key}` /
 //!   `GetKey {key}` address a logical key space folded onto the sheet
 //!   grid; shard-row aggregates are tthread-maintained, so a million
