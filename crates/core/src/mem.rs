@@ -358,7 +358,8 @@ impl ShardedMem {
         self.check_range(range).expect("store out of bounds");
         assert_eq!(data.len() as u64, range.len(), "store size mismatch");
         let _guards = self.lock_range(range);
-        let changed = self.write_words(range, data);
+        let mut changed = false;
+        self.store_walk(range.start().raw(), data, |_, _| changed = true);
         if detect_change {
             StoreEffect {
                 changed,
@@ -487,22 +488,6 @@ impl ShardedMem {
         self.read_words(range, out);
     }
 
-    /// Bulk-loads the bytes of `range` into `out` (cleared first), atomically
-    /// with respect to concurrent stores into the range. The runtime's typed
-    /// bulk reads go through [`ShardedMem::load_elems`]; this byte-level
-    /// variant backs the unit tests.
-    #[cfg(test)]
-    pub(crate) fn load_into(&self, range: AddrRange, out: &mut Vec<u8>) {
-        self.check_range(range).expect("load out of bounds");
-        out.clear();
-        out.resize(range.len() as usize, 0);
-        if range.is_empty() {
-            return;
-        }
-        let _guards = self.lock_range(range);
-        self.read_words(range, out);
-    }
-
     /// Bulk-loads the `T`-typed elements of `range` into `out` (appended;
     /// callers clear first), atomically with respect to concurrent stores
     /// into the range. Word-aligned u64-sized elements decode straight from
@@ -551,11 +536,12 @@ impl ShardedMem {
         }
     }
 
-    /// Bulk store with per-element change detection: writes `data`
-    /// (`elem_size`-byte elements) at `range` under one stripe-lock
+    /// Bulk store with per-element change detection: writes the whole
+    /// `elem_size`-byte elements of `data` at `range` under one stripe-lock
     /// acquisition, records runs of *changed* element indices into `runs`
-    /// (cleared first), and returns the number of changed elements. With
-    /// `detect_change` off every element counts as changed, matching
+    /// (cleared first), and returns the number of changed elements. Bytes
+    /// past the last whole element are not written. With `detect_change`
+    /// off every element counts as changed, matching
     /// [`TrackedHeap::store_bytes`] semantics.
     pub(crate) fn store_elems(
         &self,
@@ -568,280 +554,21 @@ impl ShardedMem {
         runs.clear();
         self.check_range(range).expect("store out of bounds");
         assert_eq!(data.len() as u64, range.len(), "store size mismatch");
-        if data.is_empty() {
+        let n = data.len() / elem_size;
+        if n == 0 {
             return 0;
         }
-        let n = data.len() / elem_size;
+        let data = &data[..n * elem_size];
         let _guards = self.lock_range(range);
-        let mut stamp = self.stamp();
-        struct RunState {
-            changed_elems: usize,
-            run_start: Option<usize>,
+        let start = range.start().raw();
+        if !detect_change {
+            self.store_walk(start, data, |_, _| {});
+            runs.push((0, n));
+            return n;
         }
-        impl RunState {
-            #[inline]
-            fn mark(&mut self, k: usize, changed: bool, runs: &mut Vec<(usize, usize)>) {
-                if changed {
-                    self.changed_elems += 1;
-                    if self.run_start.is_none() {
-                        self.run_start = Some(k);
-                    }
-                } else if let Some(start) = self.run_start.take() {
-                    runs.push((start, k));
-                }
-            }
-        }
-        let mut st = RunState {
-            changed_elems: 0,
-            run_start: None,
-        };
-        if elem_size <= 8
-            && 8 % elem_size == 0
-            && range.start().raw().is_multiple_of(elem_size as u64)
-        {
-            // Element boundaries coincide with word-segment boundaries
-            // (`elem_size` divides 8 and the range starts elem-aligned), so
-            // each word is one load/compare/store covering whole elements:
-            // the per-element change bits fall out of comparing the old and
-            // new word bytes. Chunk lookup is hoisted out of the word loop.
-            let mut pos = range.start().raw();
-            let end = range.end().raw();
-            let mut o = 0usize;
-            while pos < end {
-                let (chunk, mut idx) = self.chunk_of(pos >> 3);
-                while pos < end && idx < chunk.len() {
-                    if pos & 7 == 0 && end - pos >= 8 {
-                        // Whole aligned words: fixed-size decode, one
-                        // compare per word, per-element work only on the
-                        // words that actually changed.
-                        let span = (((end - pos) >> 3) as usize).min(chunk.len() - idx);
-                        let per = 8 / elem_size;
-                        let base = o / elem_size;
-                        let words = &chunk[idx..idx + span];
-                        let src = &data[o..o + span * 8];
-                        let le64 = |s: &[u8], k: usize| {
-                            u64::from_le_bytes(s[k..k + 8].try_into().expect("8 bytes"))
-                        };
-                        if !detect_change {
-                            for (l, (word, ed)) in words.iter().zip(src.chunks_exact(8)).enumerate()
-                            {
-                                let new = le64(ed, 0);
-                                if new != word.load(Ordering::Relaxed) {
-                                    word.store(new, Ordering::Relaxed);
-                                    stamp.mark((pos >> 3) + l as u64);
-                                }
-                            }
-                            st.changed_elems += span * per;
-                            if st.run_start.is_none() {
-                                st.run_start = Some(base);
-                            }
-                        } else {
-                            let mut i = 0usize;
-                            // Vectorized line loop: eight words (one
-                            // 64-byte line) per step, branch-free over
-                            // the lane bodies — the xor lanes OR-reduce
-                            // to one per-line change word, so a silent
-                            // line costs eight loads and one compare,
-                            // with no per-word branching for the
-                            // autovectorizer to trip on. Per-element
-                            // work happens only on changed lines.
-                            let ebits = elem_size * 8;
-                            let emask = if elem_size == 8 {
-                                u64::MAX
-                            } else {
-                                (1u64 << ebits) - 1
-                            };
-                            while i + 8 <= span {
-                                // Fixed-size views: the `[u8; 64]` line
-                                // and `&words[i..i + 8]` window make
-                                // every lane index in-bounds by
-                                // construction, so the reduce below is
-                                // eight load/xor pairs and one test.
-                                let s: &[u8; 64] =
-                                    src[i * 8..i * 8 + 64].try_into().expect("64-byte line");
-                                let w = &words[i..i + 8];
-                                let mut diff = 0u64;
-                                for (l, word) in w.iter().enumerate() {
-                                    diff |= le64(s, l * 8) ^ word.load(Ordering::Relaxed);
-                                }
-                                if diff == 0 {
-                                    // Silent line: every element it
-                                    // covers is unchanged.
-                                    if let Some(start) = st.run_start.take() {
-                                        runs.push((start, base + i * per));
-                                    }
-                                    i += 8;
-                                    continue;
-                                }
-                                // Changed line (the rare case): redo the
-                                // per-lane xor to place the change bits.
-                                for (l, word) in w.iter().enumerate() {
-                                    let new = le64(s, l * 8);
-                                    let xor = new ^ word.load(Ordering::Relaxed);
-                                    if xor != 0 {
-                                        word.store(new, Ordering::Relaxed);
-                                        stamp.mark((pos >> 3) + (i + l) as u64);
-                                    }
-                                    for e in 0..per {
-                                        let changed = (xor >> (e * ebits)) & emask != 0;
-                                        st.mark(base + (i + l) * per + e, changed, runs);
-                                    }
-                                }
-                                i += 8;
-                            }
-                            while i < span {
-                                // Word-at-a-time walk over the sub-line
-                                // tail: one silent word, or a run of
-                                // changing words consumed without
-                                // re-probing.
-                                loop {
-                                    let word = &words[i];
-                                    let ed = &src[i * 8..(i + 1) * 8];
-                                    let new = le64(ed, 0);
-                                    let old = word.load(Ordering::Relaxed);
-                                    if new == old {
-                                        // Silent word: every element it
-                                        // covers is unchanged.
-                                        if let Some(start) = st.run_start.take() {
-                                            runs.push((start, base + i * per));
-                                        }
-                                        i += 1;
-                                        break;
-                                    }
-                                    word.store(new, Ordering::Relaxed);
-                                    stamp.mark((pos >> 3) + i as u64);
-                                    // Element change bits via xor/shift:
-                                    // `elem_size` is a runtime value, so a
-                                    // byte-slice compare would be a memcmp
-                                    // call per word.
-                                    let xor = new ^ old;
-                                    for e in 0..per {
-                                        let changed = (xor >> (e * ebits)) & emask != 0;
-                                        st.mark(base + i * per + e, changed, runs);
-                                    }
-                                    i += 1;
-                                    if i >= span {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        pos += (span * 8) as u64;
-                        o += span * 8;
-                        idx += span;
-                        continue;
-                    }
-                    // Partial head or tail word: splice into the existing
-                    // word bytes.
-                    let word = &chunk[idx];
-                    let off = (pos & 7) as usize;
-                    let nb = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let oldb = old.to_le_bytes();
-                    let mut bytes = oldb;
-                    bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
-                    let new = u64::from_le_bytes(bytes);
-                    if new != old {
-                        word.store(new, Ordering::Relaxed);
-                        stamp.mark(pos >> 3);
-                    }
-                    let cnt = nb / elem_size;
-                    let base = o / elem_size;
-                    if new == old && detect_change {
-                        if let Some(start) = st.run_start.take() {
-                            runs.push((start, base));
-                        }
-                    } else if !detect_change {
-                        st.changed_elems += cnt;
-                        if st.run_start.is_none() {
-                            st.run_start = Some(base);
-                        }
-                    } else {
-                        let xor = new ^ old;
-                        let ebits = elem_size * 8;
-                        let emask = if elem_size == 8 {
-                            u64::MAX
-                        } else {
-                            (1u64 << ebits) - 1
-                        };
-                        for e in 0..cnt {
-                            let s = off + e * elem_size;
-                            let changed = (xor >> (s * 8)) & emask != 0;
-                            st.mark(base + e, changed, runs);
-                        }
-                    }
-                    pos += nb as u64;
-                    o += nb;
-                    idx += 1;
-                }
-            }
-        } else {
-            // Odd element sizes (3/12/16 bytes, ...) or an elem-unaligned
-            // start: elements straddle word boundaries, so walk the words
-            // once — one load/compare/store per word, like the fast path —
-            // instead of a `write_words` call per element. A rolling
-            // element cursor turns each word's xor into per-element change
-            // bits even when one element spans several words. Trailing
-            // bytes beyond the last whole element are left unwritten, as
-            // before.
-            let start = range.start().raw();
-            let end = start + (n * elem_size) as u64;
-            let mut pos = start;
-            let mut o = 0usize;
-            let mut k = 0usize;
-            let mut elem_left = elem_size;
-            let mut elem_changed = false;
-            while pos < end {
-                let (chunk, mut idx) = self.chunk_of(pos >> 3);
-                while pos < end && idx < chunk.len() {
-                    let word = &chunk[idx];
-                    let off = (pos & 7) as usize;
-                    let nb = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let new = if nb == 8 {
-                        u64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"))
-                    } else {
-                        let mut bytes = old.to_le_bytes();
-                        bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
-                        u64::from_le_bytes(bytes)
-                    };
-                    let xor = new ^ old;
-                    if xor != 0 {
-                        word.store(new, Ordering::Relaxed);
-                        stamp.mark(pos >> 3);
-                    }
-                    let mut b = 0usize;
-                    while b < nb {
-                        let take = elem_left.min(nb - b);
-                        if xor != 0 {
-                            let mask = if take >= 8 {
-                                u64::MAX
-                            } else {
-                                ((1u64 << (take * 8)) - 1) << ((off + b) * 8)
-                            };
-                            if xor & mask != 0 {
-                                elem_changed = true;
-                            }
-                        }
-                        b += take;
-                        elem_left -= take;
-                        if elem_left == 0 {
-                            st.mark(k, elem_changed || !detect_change, runs);
-                            k += 1;
-                            elem_left = elem_size;
-                            elem_changed = false;
-                        }
-                    }
-                    pos += nb as u64;
-                    o += nb;
-                    idx += 1;
-                }
-            }
-        }
-        if let Some(start) = st.run_start {
-            runs.push((start, n));
-        }
-        st.changed_elems
+        let mut changed = ChangedRuns::new(elem_size, runs);
+        self.store_walk(start, data, |o, diff| changed.add(o, diff));
+        changed.finish()
     }
 
     /// Starts a view: bumps the view clock and returns the new value. A
@@ -987,48 +714,148 @@ impl ShardedMem {
         }
     }
 
-    /// Writes `data` at `range` word by word, returning whether any byte
-    /// actually changed. Unchanged words are not stored, so the compare
-    /// doubles as silent-store detection. Caller holds the stripe locks
-    /// covering `range`.
-    fn write_words(&self, range: AddrRange, data: &[u8]) -> bool {
-        let mut changed = false;
+    /// The one store walk: writes `data` at byte address `start`, storing
+    /// and stamping only the words that change, and hands each changed word
+    /// to `changed` as `(o, diff)`: byte `i` of `diff` is nonzero iff byte
+    /// `o + i` of `data` changed. Caller holds the stripe locks covering the
+    /// range.
+    fn store_walk(&self, start: u64, data: &[u8], mut changed: impl FnMut(usize, u64)) {
+        let le64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8 bytes"));
         let mut stamp = self.stamp();
-        let mut pos = range.start().raw();
-        let end = range.end().raw();
         let mut o = 0usize;
-        while pos < end {
-            let (chunk, mut idx) = self.chunk_of(pos >> 3);
-            while pos < end && idx < chunk.len() {
-                let word = &chunk[idx];
-                if pos & 7 == 0 && end - pos >= 8 {
-                    let new = u64::from_le_bytes(data[o..o + 8].try_into().expect("8 bytes"));
-                    if new != word.load(Ordering::Relaxed) {
-                        changed = true;
-                        word.store(new, Ordering::Relaxed);
-                        stamp.mark(pos >> 3);
-                    }
-                    pos += 8;
-                    o += 8;
-                } else {
-                    let off = (pos & 7) as usize;
-                    let n = ((8 - off) as u64).min(end - pos) as usize;
-                    let old = word.load(Ordering::Relaxed);
-                    let mut bytes = old.to_le_bytes();
-                    bytes[off..off + n].copy_from_slice(&data[o..o + n]);
-                    let new = u64::from_le_bytes(bytes);
-                    if new != old {
-                        changed = true;
-                        word.store(new, Ordering::Relaxed);
-                        stamp.mark(pos >> 3);
-                    }
-                    pos += n as u64;
-                    o += n;
+        while o < data.len() {
+            let pos = start + o as u64;
+            let (chunk, idx) = self.chunk_of(pos >> 3);
+            let off = (pos & 7) as usize;
+            if off != 0 || data.len() - o < 8 {
+                // Partial head or tail word: splice into the existing word
+                // bytes.
+                let nb = (8 - off).min(data.len() - o);
+                let old = chunk[idx].load(Ordering::Relaxed);
+                let mut bytes = old.to_le_bytes();
+                bytes[off..off + nb].copy_from_slice(&data[o..o + nb]);
+                let new = u64::from_le_bytes(bytes);
+                if new != old {
+                    chunk[idx].store(new, Ordering::Relaxed);
+                    stamp.mark(pos >> 3);
+                    changed(o, (new ^ old) >> (8 * off));
                 }
-                idx += 1;
+                o += nb;
+                continue;
             }
+            // Whole aligned words, to the end of the chunk or of the data:
+            // the chunk lookup and the span are hoisted out of the word loop.
+            let span = ((data.len() - o) / 8).min(chunk.len() - idx);
+            let words = &chunk[idx..idx + span];
+            let src = &data[o..o + 8 * span];
+            let mut put = |i: usize, new: u64| {
+                let old = words[i].load(Ordering::Relaxed);
+                if new != old {
+                    words[i].store(new, Ordering::Relaxed);
+                    stamp.mark((pos >> 3) + i as u64);
+                    changed(o + 8 * i, new ^ old);
+                }
+            };
+            // Vectorized line loop: eight words (one 64-byte line) per step,
+            // branch-free over the lane bodies — the xor lanes OR-reduce to
+            // one per-line change word, so a silent line costs eight loads
+            // and one compare, with no per-word branching for the
+            // autovectorizer to trip on. The fixed-size `[u8; 64]` line and
+            // 8-word window make every lane index in-bounds by construction.
+            let lines = span / 8;
+            for l in 0..lines {
+                let line: &[u8; 64] = src[64 * l..64 * l + 64].try_into().expect("64-byte line");
+                let window = &words[8 * l..8 * l + 8];
+                let mut diff = 0u64;
+                for (k, word) in window.iter().enumerate() {
+                    diff |= le64(&line[8 * k..8 * k + 8]) ^ word.load(Ordering::Relaxed);
+                }
+                if diff != 0 {
+                    // Changed line (the rare case): redo it word by word.
+                    for k in 0..8 {
+                        put(8 * l + k, le64(&line[8 * k..8 * k + 8]));
+                    }
+                }
+            }
+            // The sub-line tail, a word at a time.
+            for i in 8 * lines..span {
+                put(i, le64(&src[8 * i..8 * i + 8]));
+            }
+            o += 8 * span;
         }
-        changed
+    }
+}
+
+/// Maximal runs of changed element indices, built from a bulk store's
+/// changed bytes in increasing order: eight at a time as
+/// [`ShardedMem::store_walk`] hands them over, or one at a time from
+/// [`crate::view::View::store_elems`]. Both bulk stores build their runs
+/// with it.
+pub(crate) struct ChangedRuns<'a> {
+    runs: &'a mut Vec<(usize, usize)>,
+    elem_size: usize,
+    /// The open run `start..end` of changed elements, empty before the
+    /// first change.
+    start: usize,
+    end: usize,
+    /// Elements in the closed runs.
+    changed: usize,
+}
+
+impl<'a> ChangedRuns<'a> {
+    /// A builder appending to `runs`.
+    pub(crate) fn new(elem_size: usize, runs: &'a mut Vec<(usize, usize)>) -> Self {
+        ChangedRuns {
+            runs,
+            elem_size,
+            start: 0,
+            end: 0,
+            changed: 0,
+        }
+    }
+
+    /// Adds the changed bytes among the (up to) eight at data offset `o`:
+    /// byte `i` of `diff` is nonzero iff byte `o + i` changed. Offsets never
+    /// go down from one call to the next.
+    #[inline]
+    pub(crate) fn add(&mut self, o: usize, mut diff: u64) {
+        while diff != 0 {
+            let p = o + (diff.trailing_zeros() / 8) as usize;
+            let next = self.end * self.elem_size;
+            if p >= next {
+                // A byte of an element not yet marked: the open run's next
+                // one (a dense change needs no division), or one past a gap.
+                let k = if p - next < self.elem_size {
+                    self.end
+                } else {
+                    p / self.elem_size
+                };
+                if k > self.end {
+                    self.close();
+                    self.start = k;
+                }
+                self.end = k + 1;
+            }
+            // The rest of element `end - 1` is marked: skip its bytes.
+            let past = self.end * self.elem_size - o;
+            if past >= 8 {
+                return;
+            }
+            diff &= u64::MAX << (8 * past);
+        }
+    }
+
+    /// Closes the open run and returns the number of changed elements.
+    pub(crate) fn finish(mut self) -> usize {
+        self.close();
+        self.changed
+    }
+
+    fn close(&mut self) {
+        if self.end > self.start {
+            self.runs.push((self.start, self.end));
+            self.changed += self.end - self.start;
+        }
     }
 }
 
@@ -1038,6 +865,13 @@ mod tests {
 
     fn mem(shards: usize) -> ShardedMem {
         ShardedMem::new(4096, shards, false)
+    }
+
+    /// The bytes of `range`, read through the typed bulk load.
+    fn bytes(m: &ShardedMem, range: AddrRange) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.load_elems::<u8>(range, &mut out);
+        out
     }
 
     #[test]
@@ -1114,12 +948,9 @@ mod tests {
         let r = AddrRange::new(a.offset(61), 10);
         let data: Vec<u8> = (1..=10).collect();
         assert!(m.store_bytes(r, &data, true).changed);
-        let mut out = Vec::new();
-        m.load_into(r, &mut out);
-        assert_eq!(out, data);
+        assert_eq!(bytes(&m, r), data);
         // Neighbouring bytes are untouched.
-        let mut whole = Vec::new();
-        m.load_into(AddrRange::new(a, 256), &mut whole);
+        let whole = bytes(&m, AddrRange::new(a, 256));
         assert_eq!(whole[60], 0);
         assert_eq!(whole[71], 0);
         assert_eq!(&whole[61..71], &data[..]);
@@ -1232,14 +1063,27 @@ mod tests {
         let base = m.alloc(CELLS * 64, 64).unwrap();
         let cell = |k: u64| base.offset(k * 64);
         let done = AtomicBool::new(false);
+        // Set once a reader completed a cut, or its check failed.
+        let cut = AtomicBool::new(false);
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
         let mut cuts = 0u32;
         std::thread::scope(|s| {
+            // The writer stores on past its 200 000 until a view completed,
+            // so `cuts > 0` does not depend on how the two threads run.
             s.spawn(|| {
-                for seq in 1..=200_000u64 {
+                let mut seq = 0u64;
+                while seq < 200_000 || !cut.load(Ordering::Relaxed) {
+                    seq += 1;
                     m.store(cell(seq % CELLS), seq, true);
                 }
                 done.store(true, Ordering::Relaxed);
             });
+            let _failed = SetOnDrop(&cut);
             while !done.load(Ordering::Relaxed) {
                 let mut view = View::start(&m);
                 // Read the cells in a scattered order, so a cut is checked
@@ -1265,6 +1109,7 @@ mod tests {
                     assert_eq!(v, want, "cell {k} in a cut that saw {top}");
                 }
                 cuts += 1;
+                cut.store(true, Ordering::Relaxed);
             }
         });
         assert!(cuts > 0, "no view completed");
@@ -1322,23 +1167,25 @@ mod tests {
             }
         });
         for t in 0..8usize {
-            let mut out = Vec::new();
-            m.load_into(AddrRange::new(a.offset(t as u64), 1), &mut out);
+            let out = bytes(&m, AddrRange::new(a.offset(t as u64), 1));
             assert_eq!(out, vec![(t + 1) as u8]);
         }
     }
 
-    /// Runs one `store_elems` against a prepared versioned arena and
-    /// returns `(changed_elems, runs, final bytes)`, after checking that it
-    /// stamped exactly the stripes whose bytes it changed.
+    /// Runs one `store_elems` against a prepared versioned arena, whose
+    /// `initial` bytes start `pad` bytes in, and returns `(changed_elems,
+    /// runs, final bytes)`, after checking that it stamped exactly the
+    /// stripes whose bytes it changed.
     fn run_store_elems(
         initial: &[u8],
+        pad: u64,
         start: u64,
         data: &[u8],
         elem_size: usize,
         detect: bool,
     ) -> (usize, Vec<(usize, usize)>, Vec<u8>) {
-        let m = ShardedMem::new(1 << 16, 4, true);
+        let m = ShardedMem::new((pad + initial.len() as u64).max(1 << 16), 4, true);
+        m.alloc(pad, 1).unwrap();
         let base = m.alloc(initial.len() as u64, 1).unwrap();
         let whole = AddrRange::new(base, initial.len() as u64);
         m.store_bytes(whole, initial, false);
@@ -1346,8 +1193,7 @@ mod tests {
         let range = AddrRange::new(base.offset(start), data.len() as u64);
         let mut runs = Vec::new();
         let changed = m.store_elems(range, data, elem_size, detect, &mut runs);
-        let mut out = Vec::new();
-        m.load_into(whole, &mut out);
+        let out = bytes(&m, whole);
         let stripes = stripe_of(base.raw())..=stripe_of(whole.end().raw() - 1);
         let stamped: Vec<u64> = stripes
             .clone()
@@ -1365,15 +1211,15 @@ mod tests {
 
     #[test]
     fn odd_elem_sizes_and_unaligned_starts_report_exact_runs() {
-        // The seed's fallback issued one `write_words` call per element;
-        // the batched word walk must report the same per-element runs.
+        // Elements that straddle words must get the same per-element runs
+        // as word-aligned ones.
         // 3-byte elements starting at an odd offset: element 2 straddles a
         // word boundary.
         let initial = vec![0u8; 256];
         let mut data = vec![0u8; 7 * 3];
         data[3 * 2 + 1] = 0xaa; // element 2
         data[3 * 5] = 0xbb; // element 5
-        let (changed, runs, out) = run_store_elems(&initial, 1, &data, 3, true);
+        let (changed, runs, out) = run_store_elems(&initial, 0, 1, &data, 3, true);
         assert_eq!(changed, 2);
         assert_eq!(runs, vec![(2, 3), (5, 6)]);
         assert_eq!(&out[1..1 + data.len()], &data[..]);
@@ -1390,13 +1236,13 @@ mod tests {
             let mut data = vec![0u8; esize * nelem];
             data[esize + 7] = 1; // element 1, second word
             data[esize * (nelem - 1)] = 2; // last element
-            let (changed, runs, out) = run_store_elems(&[0u8; 256], 4, &data, esize, true);
+            let (changed, runs, out) = run_store_elems(&[0u8; 256], 0, 4, &data, esize, true);
             assert_eq!(changed, 2, "esize {esize}");
             assert_eq!(runs, vec![(1, 2), (nelem - 1, nelem)]);
             assert_eq!(&out[4..4 + data.len()], &data[..]);
         }
         // detect=false marks everything changed but still writes exactly.
-        let (changed, runs, _) = run_store_elems(&[1u8; 64], 1, &[1u8; 9], 3, false);
+        let (changed, runs, _) = run_store_elems(&[1u8; 64], 0, 1, &[1u8; 9], 3, false);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
     }
@@ -1405,11 +1251,19 @@ mod tests {
     fn fallback_ignores_partial_tail_element() {
         // 11 bytes of 3-byte elements: the trailing 2 bytes belong to no
         // whole element and must not be written (seed behaviour).
-        let (changed, runs, out) = run_store_elems(&[0u8; 64], 0, &[9u8; 11], 3, true);
+        let (changed, runs, out) = run_store_elems(&[0u8; 64], 0, 0, &[9u8; 11], 3, true);
         assert_eq!(changed, 3);
         assert_eq!(runs, vec![(0, 3)]);
         assert_eq!(&out[..9], &[9u8; 9]);
         assert_eq!(&out[9..11], &[0, 0], "partial tail element was written");
+        // So at every size, word-aligned ones included.
+        for esize in [2usize, 4, 7, 8, 16] {
+            let len = 3 * esize - 1;
+            let (changed, runs, out) =
+                run_store_elems(&[0u8; 64], 0, 0, &vec![9u8; len], esize, true);
+            assert_eq!((changed, runs), (2, vec![(0, 2)]), "esize {esize}");
+            assert!(out[2 * esize..].iter().all(|&b| b == 0), "esize {esize}");
+        }
     }
 
     mod naive_reference_equivalence {
@@ -1446,21 +1300,30 @@ mod tests {
         }
 
         proptest! {
-            /// The lane loop, its word-walk tail and the odd-size fallback
-            /// are observationally identical to the per-element byte
-            /// compare: same changed-element count, same `runs` vector,
-            /// same final memory, across elem sizes, alignments and silent
-            /// fractions.
+            /// The store walk — its line loop, sub-line tail and partial
+            /// words — and the run builder are observationally identical to
+            /// the per-element byte compare: same changed-element count,
+            /// same `runs` vector, same final memory, across elem sizes,
+            /// alignments, silent fractions and, with `cross`, a window
+            /// across the first chunk boundary.
             #[test]
             fn store_elems_matches_naive_reference(
-                elem_size in (0usize..8).prop_map(|i| [1usize, 2, 3, 4, 5, 8, 12, 16][i]),
+                elem_size in (0usize..10).prop_map(|i| [1usize, 2, 3, 4, 5, 7, 8, 12, 16, 24][i]),
                 nelem in 1usize..400,
                 start in 0u64..24,
                 detect in any::<bool>(),
                 seed in any::<u64>(),
                 silent_num in 0u64..=16,
+                cross in any::<bool>(),
             ) {
                 let len = elem_size * nelem;
+                // Crossing: the window's byte `seed % len` is the first of
+                // the arena's second chunk.
+                let pad = if cross {
+                    CHUNK_WORDS * 8 - start - seed % len as u64
+                } else {
+                    0
+                };
                 let arena = (start as usize + len + 16).max(64);
                 // Deterministic xorshift data; `silent_num/16` of the
                 // elements rewrite the initial contents unchanged.
@@ -1485,7 +1348,7 @@ mod tests {
                     }
                 }
                 let naive = naive_store_elems(&initial, start as usize, &data, elem_size, detect);
-                let real = run_store_elems(&initial, start, &data, elem_size, detect);
+                let real = run_store_elems(&initial, pad, start, &data, elem_size, detect);
                 prop_assert_eq!(naive.0, real.0, "changed-element counts diverge");
                 prop_assert_eq!(&naive.1, &real.1, "run vectors diverge");
                 prop_assert_eq!(&naive.2, &real.2, "final bytes diverge");
@@ -1548,8 +1411,7 @@ mod tests {
                         _ => scalar_op::<bool>(&m, &mut h, addr, kind, &value, detect),
                     }
                 }
-                let mut out = Vec::new();
-                m.load_into(whole, &mut out);
+                let out = bytes(&m, whole);
                 prop_assert_eq!(&out[..], h.load_bytes(whole), "final bytes diverge");
             }
         }

@@ -67,7 +67,7 @@ use std::panic::resume_unwind;
 
 use crate::addr::{Addr, AddrRange};
 use crate::heap::StoreEffect;
-use crate::mem::{stripe_of, ShardedMem, STRIPE_BYTES};
+use crate::mem::{stripe_of, ChangedRuns, ShardedMem, STRIPE_BYTES};
 use crate::pod::Pod;
 
 /// The unwind payload of a restart. Private, so no body can match it.
@@ -408,9 +408,10 @@ impl View {
         }
     }
 
-    /// Bulk-stores `data`, `elem_size`-byte elements, at `range` in the
-    /// view; same contract as [`ShardedMem::store_elems`]: appends each
-    /// run of changed elements to `runs` and returns how many changed.
+    /// Bulk-stores the whole `elem_size`-byte elements of `data` at `range`
+    /// in the view; same contract as [`ShardedMem::store_elems`], with the
+    /// same run builder: appends each run of changed elements to `runs` and
+    /// returns how many changed.
     pub(crate) fn store_elems(
         &mut self,
         mem: &ShardedMem,
@@ -423,32 +424,29 @@ impl View {
         mem.check_range(range).expect("store out of bounds");
         assert_eq!(data.len() as u64, range.len(), "store size mismatch");
         let n = data.len() / elem_size;
-        let mut old = std::mem::take(&mut self.scratch);
-        old.resize(data.len(), 0);
-        self.segments(mem, range, detect_change, |seg, o| {
-            old[o..o + seg.len()].copy_from_slice(seg);
-            seg.copy_from_slice(&data[o..o + seg.len()]);
-        });
+        if n == 0 {
+            return 0;
+        }
+        let data = &data[..n * elem_size];
         let first = runs.len();
-        let mut run_start = None;
-        for (k, (was, new)) in old
-            .chunks_exact(elem_size)
-            .zip(data.chunks_exact(elem_size))
-            .enumerate()
-        {
-            if !detect_change || was != new {
-                run_start.get_or_insert(k);
-            } else if let Some(start) = run_start.take() {
-                runs.push((start, k));
+        let mut builder = ChangedRuns::new(elem_size, runs);
+        let range = AddrRange::new(range.start(), data.len() as u64);
+        self.segments(mem, range, detect_change, |seg, o| {
+            let src = &data[o..o + seg.len()];
+            if detect_change {
+                for (j, (was, new)) in seg.iter().zip(src).enumerate() {
+                    builder.add(o + j, u64::from(was ^ new));
+                }
             }
-        }
-        if let Some(start) = run_start {
-            runs.push((start, n));
-        }
-        self.scratch = old;
-        let mut changed = 0;
+            seg.copy_from_slice(src);
+        });
+        let changed = if detect_change {
+            builder.finish()
+        } else {
+            runs.push((0, n));
+            n
+        };
         for &(a, b) in &runs[first..] {
-            changed += b - a;
             self.mark_written(AddrRange::new(
                 range.start().offset((a * elem_size) as u64),
                 ((b - a) * elem_size) as u64,
@@ -554,7 +552,7 @@ mod tests {
             x
         };
         for _ in 0..200 {
-            let elem = [1, 2, 4, 8, 16][(rnd() % 5) as usize];
+            let elem = [1, 2, 3, 4, 7, 8, 16, 24][(rnd() % 8) as usize];
             let n = 1 + (rnd() % 40) as usize;
             let at = (rnd() % 3) * elem as u64;
             let detect = rnd() % 4 != 0;
