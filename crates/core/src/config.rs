@@ -158,12 +158,6 @@ impl Config {
         self.commit_backoff = Some(base);
         self
     }
-
-    /// Whether this configuration selects the deferred (single-threaded)
-    /// executor.
-    pub fn is_deferred(&self) -> bool {
-        self.workers == 0
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +167,7 @@ mod tests {
     #[test]
     fn default_is_deferred_and_precise() {
         let cfg = Config::default();
-        assert!(cfg.is_deferred());
+        assert_eq!(cfg.workers, 0);
         assert_eq!(cfg.granularity, Granularity::Exact);
         assert!(cfg.suppress_silent_stores);
         assert!(cfg.coalesce);
@@ -200,7 +194,6 @@ mod tests {
         assert!(!cfg.coalesce);
         assert_eq!(cfg.queue_capacity, 3);
         assert_eq!(cfg.workers, 4);
-        assert!(!cfg.is_deferred());
         assert!(cfg.observability);
         assert_eq!(cfg.fault_plan.as_ref().map(|p| p.seed), Some(11));
         assert_eq!(cfg.body_deadline, Some(Duration::from_millis(250)));

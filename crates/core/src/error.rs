@@ -27,8 +27,6 @@ pub enum Error {
         /// Bytes remaining under the capacity limit.
         available: u64,
     },
-    /// `unwatch` named a region that was never watched by that tthread.
-    NoSuchWatch(TthreadId),
     /// A cascade of tthreads triggering tthreads exceeded the maximum depth.
     CascadeDepthExceeded(u32),
     /// The tthread's body panicked during a previous execution; its outputs
@@ -69,9 +67,6 @@ impl fmt::Display for Error {
                 f,
                 "allocation of {requested} bytes exceeds remaining arena capacity of {available} bytes"
             ),
-            Error::NoSuchWatch(id) => {
-                write!(f, "tthread {id} has no watch on the given region")
-            }
             Error::CascadeDepthExceeded(depth) => {
                 write!(f, "tthread cascade exceeded maximum depth {depth}")
             }
@@ -121,7 +116,6 @@ mod tests {
                 requested: 100,
                 available: 10,
             },
-            Error::NoSuchWatch(TthreadId::new(0)),
             Error::CascadeDepthExceeded(32),
             Error::TthreadPoisoned(TthreadId::new(1)),
             Error::TthreadTimedOut(TthreadId::new(2)),

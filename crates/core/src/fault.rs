@@ -238,12 +238,17 @@ impl FaultPlan {
     }
 }
 
-/// The runtime-internal fault engine: the armed plan plus atomic draw and
-/// fired-counter state. Shared (`Arc`) between the runtime core and the
-/// observability recorder so the [`FaultPoint::ObsPublish`] probe can
-/// live inside the ring publish path.
+/// The fault engine: the armed plan plus atomic draw and fired-counter
+/// state. The runtime holds one (`Arc`), shared with the observability
+/// recorder so the [`FaultPoint::ObsPublish`] probe can live inside the
+/// ring publish path; the serve front-end holds its own for its
+/// request-lifecycle points ([`FaultPoint::ConnDrop`],
+/// [`FaultPoint::ClientStall`], [`FaultPoint::AcceptOverflow`]). The
+/// disarmed path is a single relaxed atomic load, draws are
+/// SplitMix64-deterministic from the plan's seed, and budgets are enforced
+/// exactly under concurrency.
 #[derive(Debug)]
-pub(crate) struct FaultLayer {
+pub struct FaultProbe {
     /// Probe gate: the only state touched when no plan is installed.
     armed: AtomicBool,
     rates: [u16; FaultPoint::COUNT],
@@ -255,10 +260,10 @@ pub(crate) struct FaultLayer {
     fired: [AtomicU64; FaultPoint::COUNT],
 }
 
-impl FaultLayer {
-    /// A permanently-disarmed layer (no plan installed).
-    pub(crate) fn disarmed() -> Self {
-        FaultLayer {
+impl FaultProbe {
+    /// A permanently-disarmed probe (no plan installed).
+    pub fn disarmed() -> Self {
+        FaultProbe {
             armed: AtomicBool::new(false),
             rates: [0; FaultPoint::COUNT],
             budgets: [UNLIMITED; FaultPoint::COUNT],
@@ -268,9 +273,9 @@ impl FaultLayer {
         }
     }
 
-    /// Arms a layer from a plan.
-    pub(crate) fn from_plan(plan: &FaultPlan) -> Self {
-        FaultLayer {
+    /// Arms a probe from a plan.
+    pub fn from_plan(plan: &FaultPlan) -> Self {
+        FaultProbe {
             armed: AtomicBool::new(plan.rates.iter().any(|&r| r > 0)),
             rates: plan.rates,
             budgets: plan.budgets,
@@ -285,7 +290,7 @@ impl FaultLayer {
     /// The disabled path is a single relaxed load, mirroring
     /// `ObsRecorder::on`.
     #[inline(always)]
-    pub(crate) fn fire(&self, point: FaultPoint) -> bool {
+    pub fn fire(&self, point: FaultPoint) -> bool {
         if !self.armed.load(Ordering::Relaxed) {
             return false;
         }
@@ -317,19 +322,26 @@ impl FaultLayer {
     }
 
     /// Sleeps for the plan's injected delay (delay-type points call this
-    /// after a successful [`FaultLayer::fire`], off every lock).
-    pub(crate) fn delay(&self) {
+    /// after a successful [`FaultProbe::fire`], off every lock).
+    pub fn delay(&self) {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
     }
 
+    /// The plan's injected delay, for callers that must not block in
+    /// place — an event-loop worker defers the faulted connection until
+    /// this much time has passed instead of sleeping on it.
+    pub fn delay_duration(&self) -> Duration {
+        self.delay
+    }
+
     /// Per-point fired counts, indexed by discriminant.
-    pub(crate) fn counts(&self) -> [u64; FaultPoint::COUNT] {
+    pub fn counts(&self) -> [u64; FaultPoint::COUNT] {
         std::array::from_fn(|i| self.fired[i].load(Ordering::Relaxed))
     }
 
-    /// One draw from the layer's SplitMix64 stream, for callers that need
+    /// One draw from the probe's SplitMix64 stream, for callers that need
     /// deterministic jitter sharing the plan's seed (the commit-backoff
     /// path). Advances the same stream the fire probes consume.
     pub(crate) fn draw(&self) -> u64 {
@@ -345,59 +357,6 @@ impl FaultLayer {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-}
-
-/// A standalone, seeded fault probe for layers *outside* the runtime core
-/// that share the [`FaultPlan`]/[`FaultPoint`] machinery — the serve
-/// front-end probes its request-lifecycle points
-/// ([`FaultPoint::ConnDrop`], [`FaultPoint::ClientStall`],
-/// [`FaultPoint::AcceptOverflow`]) through one of these. Same semantics as
-/// the runtime-internal engine: the disarmed path is a single relaxed
-/// atomic load, draws are SplitMix64-deterministic from the plan's seed,
-/// and budgets are enforced exactly under concurrency.
-#[derive(Debug)]
-pub struct FaultProbe {
-    layer: FaultLayer,
-}
-
-impl FaultProbe {
-    /// A permanently-disarmed probe (no plan installed).
-    pub fn disarmed() -> Self {
-        FaultProbe {
-            layer: FaultLayer::disarmed(),
-        }
-    }
-
-    /// Arms a probe from a plan.
-    pub fn from_plan(plan: &FaultPlan) -> Self {
-        FaultProbe {
-            layer: FaultLayer::from_plan(plan),
-        }
-    }
-
-    /// Probes an injection point. Returns `true` when the fault fires.
-    #[inline]
-    pub fn fire(&self, point: FaultPoint) -> bool {
-        self.layer.fire(point)
-    }
-
-    /// Sleeps for the plan's injected delay (call after a successful
-    /// [`FaultProbe::fire`] on a delay-type point, off every lock).
-    pub fn delay(&self) {
-        self.layer.delay()
-    }
-
-    /// The plan's injected delay, for callers that must not block in
-    /// place — an event-loop worker defers the faulted connection until
-    /// this much time has passed instead of sleeping on it.
-    pub fn delay_duration(&self) -> Duration {
-        self.layer.delay
-    }
-
-    /// Per-point fired counts, indexed by discriminant.
-    pub fn counts(&self) -> [u64; FaultPoint::COUNT] {
-        self.layer.counts()
     }
 }
 
@@ -425,23 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_shares_layer_semantics() {
-        let probe = FaultProbe::disarmed();
-        assert!(!probe.fire(FaultPoint::ConnDrop));
-        assert_eq!(probe.counts(), [0; FaultPoint::COUNT]);
-
-        let plan = FaultPlan::new(9)
-            .with_rate(FaultPoint::AcceptOverflow, ALWAYS)
-            .with_budget(FaultPoint::AcceptOverflow, 2);
-        let probe = FaultProbe::from_plan(&plan);
-        let fired = (0..10)
-            .filter(|_| probe.fire(FaultPoint::AcceptOverflow))
-            .count();
-        assert_eq!(fired, 2);
-        assert!(!probe.fire(FaultPoint::ClientStall));
-    }
-
-    #[test]
     fn plan_builders_apply() {
         let plan = FaultPlan::new(7)
             .with_rate(FaultPoint::Enqueue, 123)
@@ -463,7 +405,7 @@ mod tests {
 
     #[test]
     fn disarmed_layer_never_fires() {
-        let layer = FaultLayer::disarmed();
+        let layer = FaultProbe::disarmed();
         for p in FaultPoint::ALL {
             assert!(!layer.fire(p));
         }
@@ -472,7 +414,7 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_stays_disarmed() {
-        let layer = FaultLayer::from_plan(&FaultPlan::new(1));
+        let layer = FaultProbe::from_plan(&FaultPlan::new(1));
         assert!(!layer.armed.load(Ordering::Relaxed));
         assert!(!layer.fire(FaultPoint::Enqueue));
     }
@@ -480,7 +422,7 @@ mod tests {
     #[test]
     fn always_rate_fires_every_probe() {
         let plan = FaultPlan::new(3).with_rate(FaultPoint::BodyStart, ALWAYS);
-        let layer = FaultLayer::from_plan(&plan);
+        let layer = FaultProbe::from_plan(&plan);
         for _ in 0..10 {
             assert!(layer.fire(FaultPoint::BodyStart));
         }
@@ -493,7 +435,7 @@ mod tests {
         let plan = FaultPlan::new(3)
             .with_rate(FaultPoint::Dequeue, ALWAYS)
             .with_budget(FaultPoint::Dequeue, 3);
-        let layer = FaultLayer::from_plan(&plan);
+        let layer = FaultProbe::from_plan(&plan);
         let fired = (0..100).filter(|_| layer.fire(FaultPoint::Dequeue)).count();
         assert_eq!(fired, 3);
         assert_eq!(layer.counts()[FaultPoint::Dequeue as usize], 3);
@@ -502,8 +444,8 @@ mod tests {
     #[test]
     fn draws_are_seed_deterministic() {
         let plan = FaultPlan::new(0xDEAD_BEEF).with_rate(FaultPoint::Enqueue, 32768);
-        let a = FaultLayer::from_plan(&plan);
-        let b = FaultLayer::from_plan(&plan);
+        let a = FaultProbe::from_plan(&plan);
+        let b = FaultProbe::from_plan(&plan);
         let seq_a: Vec<bool> = (0..64).map(|_| a.fire(FaultPoint::Enqueue)).collect();
         let seq_b: Vec<bool> = (0..64).map(|_| b.fire(FaultPoint::Enqueue)).collect();
         assert_eq!(seq_a, seq_b);
@@ -516,7 +458,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mk = |seed| {
             let layer =
-                FaultLayer::from_plan(&FaultPlan::new(seed).with_rate(FaultPoint::Enqueue, 32768));
+                FaultProbe::from_plan(&FaultPlan::new(seed).with_rate(FaultPoint::Enqueue, 32768));
             (0..64)
                 .map(|_| layer.fire(FaultPoint::Enqueue))
                 .collect::<Vec<_>>()

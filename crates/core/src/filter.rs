@@ -31,17 +31,15 @@
 //! outward by `width − 1` bytes. If the rounded ranges share a byte, that
 //! byte lies within `width − 1` bytes of the raw store, so the padded watch
 //! cover overlaps the raw store and shares one of its lines. Probe hits are
-//! allowed to be spurious (the table settles precision); the proptests
-//! below pin the no-false-negative direction, including after `unwatch`
-//! rebuilds.
+//! allowed to be spurious (the table settles precision); the proptest
+//! below pins the no-false-negative direction.
 //!
-//! Mutators (`watch`/`rebuild`) are serialized by the runtime's state lock;
-//! probes run lock-free and concurrently. Watch-side stores publish line
-//! bits *before* page bits (both `Release`), and probes load page bits with
-//! `Acquire` before descending, so a probe that sees a page bit always
-//! finds the line word it covers. `rebuild` recomputes only the removed
-//! watch's span and writes each line word to exactly the remaining
-//! coverage, so surviving watches are never transiently unprotected.
+//! Bits are only ever set: watches are never removed, so the one mutator
+//! ([`WatchFilter::watch`], serialized by the runtime's state lock) ORs in
+//! line bits *before* page bits (both `Release`), and probes, which run
+//! lock-free and concurrently, load page bits with `Acquire` before
+//! descending. A probe that sees a page bit therefore always finds the
+//! line word it covers, and a bit once seen stays set.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -189,53 +187,6 @@ impl WatchFilter {
         }
     }
 
-    /// Recomputes the filter over the span a removed watch on `removed`
-    /// covered, from the `remaining` active watch ranges. Bits outside the
-    /// removed span are untouched; within it, each line word is written to
-    /// exactly the remaining coverage (line bits before page-bit clears,
-    /// so surviving watches are never transiently unfiltered). Caller
-    /// serializes with other mutators.
-    pub(crate) fn rebuild(
-        &self,
-        removed: AddrRange,
-        granularity: Granularity,
-        remaining: &[AddrRange],
-    ) {
-        let Some((first, last)) = self.padded_span(removed, granularity) else {
-            return;
-        };
-        let spans: Vec<(u64, u64)> = remaining
-            .iter()
-            .filter_map(|r| self.padded_span(*r, granularity))
-            .collect();
-        for p in (first >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
-            let page_first = p << PAGE_SHIFT;
-            let page_last = page_first + PAGE_BYTES - 1;
-            let mut desired = 0u64;
-            for &(s0, s1) in &spans {
-                if s0 <= page_last && s1 >= page_first {
-                    desired |= line_mask_within_page(s0, s1, p);
-                }
-            }
-            let bit = 1u64 << (p & 63);
-            let word = &self.pages[(p >> 6) as usize];
-            if desired != 0 {
-                // Shrink (or keep) the line cover while the page bit stays
-                // set; probes racing this see a superset of the remaining
-                // watches at every instant.
-                self.line_word(p).store(desired, Ordering::Release);
-                word.fetch_or(bit, Ordering::Release);
-            } else {
-                // Nothing left on this page: hide it at level 1 first, then
-                // clear the line word for the next watch to start clean.
-                word.fetch_and(!bit, Ordering::Release);
-                if let Some(lw) = self.line_word_opt(p) {
-                    lw.store(0, Ordering::Release);
-                }
-            }
-        }
-    }
-
     /// Store-side membership probe over the *raw* store range. A miss
     /// proves the trigger table holds no watch whose rounded range can
     /// intersect the store's rounded range; a hit sends the caller to the
@@ -357,33 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_clears_removed_and_keeps_remaining() {
-        let f = WatchFilter::new(1 << 30);
-        let a = r(0, 64); // page 0
-        let b = r(64 * PAGE_BYTES, 64); // page 64 (the old filter's alias)
-        f.watch(a, Granularity::Exact);
-        f.watch(b, Granularity::Exact);
-        f.rebuild(a, Granularity::Exact, &[b]);
-        assert_eq!(f.probe(r(0, 8)), FilterProbe::MissPage, "removed watch");
-        assert_eq!(f.probe(r(64 * PAGE_BYTES, 8)), FilterProbe::Hit);
-        // Removing the survivor too empties the filter.
-        f.rebuild(b, Granularity::Exact, &[]);
-        assert_eq!(f.probe(r(64 * PAGE_BYTES, 8)), FilterProbe::MissPage);
-    }
-
-    #[test]
-    fn rebuild_keeps_same_page_survivors_at_line_level() {
-        let f = WatchFilter::new(1 << 20);
-        let a = r(0, 64); // page 0 line 0
-        let b = r(40 * 64, 64); // page 0 line 40
-        f.watch(a, Granularity::Exact);
-        f.watch(b, Granularity::Exact);
-        f.rebuild(a, Granularity::Exact, &[b]);
-        assert_eq!(f.probe(r(0, 8)), FilterProbe::MissLine);
-        assert_eq!(f.probe(r(40 * 64, 8)), FilterProbe::Hit);
-    }
-
-    #[test]
     fn empty_and_out_of_cover_ranges() {
         let f = WatchFilter::new(PAGE_BYTES);
         assert_eq!(f.probe(r(100, 0)), FilterProbe::MissPage);
@@ -428,13 +352,12 @@ mod tests {
     proptest! {
         /// Filter consistency: whenever the trigger table would match a
         /// store, the filter probe hits — no false negatives at either
-        /// level — and this survives unwatching an arbitrary prefix.
+        /// level.
         #[test]
         fn probe_never_misses_a_table_match(
             g in granularities(),
             watches in proptest::collection::vec(ranges(), 1..8),
             stores in proptest::collection::vec(ranges(), 1..32),
-            unwatch_n in 0usize..8,
         ) {
             let mut table = TriggerTable::new(g);
             let filter = WatchFilter::new(PROP_ARENA);
@@ -447,22 +370,6 @@ mod tests {
                     prop_assert_eq!(
                         filter.probe(*s), FilterProbe::Hit,
                         "false negative for store {} against {:?} at {}", s, watches, g
-                    );
-                }
-            }
-            // Unwatch a prefix, rebuilding the filter span per removal the
-            // way Runtime::unwatch does, and re-check the invariant.
-            let n = unwatch_n.min(watches.len());
-            for (i, w) in watches.iter().take(n).enumerate() {
-                table.unwatch(TthreadId::new(i as u32), *w).unwrap();
-                let remaining: Vec<AddrRange> = table.iter().map(|(_, r)| r).collect();
-                filter.rebuild(*w, g, &remaining);
-            }
-            for s in &stores {
-                if !table.lookup(*s).is_empty() {
-                    prop_assert_eq!(
-                        filter.probe(*s), FilterProbe::Hit,
-                        "false negative after unwatch for store {}", s
                     );
                 }
             }

@@ -135,6 +135,11 @@ impl DepGraph {
         self.watches[id.index()].push(range);
     }
 
+    /// `id`'s installed watch regions, in installation order.
+    pub(crate) fn watches(&self, id: TthreadId) -> &[AddrRange] {
+        &self.watches[id.index()]
+    }
+
     /// Removes one mirrored watch (the first region equal to `range`).
     pub(crate) fn remove_watch(&mut self, id: TthreadId, range: AddrRange) {
         self.ensure(id.index());

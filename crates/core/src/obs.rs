@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::fault::{FaultLayer, FaultPoint};
+use crate::fault::{FaultPoint, FaultProbe};
 use crate::tthread::TthreadId;
 
 /// Sentinel for events not attributed to any tthread (raw store events).
@@ -337,7 +337,7 @@ pub(crate) struct ObsRecorder {
     /// Fault-injection layer, attached by the runtime at construction. An
     /// [`FaultPoint::ObsPublish`] fault drops the event *before* its
     /// sequence number is issued, so accounting stays balanced.
-    fault: OnceLock<std::sync::Arc<FaultLayer>>,
+    fault: OnceLock<std::sync::Arc<FaultProbe>>,
 }
 
 impl ObsRecorder {
@@ -359,7 +359,7 @@ impl ObsRecorder {
     /// Attaches the runtime's fault-injection layer. Idempotent: only the
     /// first attachment sticks (tests construct bare recorders with no
     /// layer at all, which behaves as permanently disarmed).
-    pub(crate) fn attach_fault(&self, layer: std::sync::Arc<FaultLayer>) {
+    pub(crate) fn attach_fault(&self, layer: std::sync::Arc<FaultProbe>) {
         let _ = self.fault.set(layer);
     }
 

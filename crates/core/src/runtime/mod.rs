@@ -27,7 +27,7 @@ use crate::ctx::Ctx;
 use crate::dispatch::{PendingQueue, RaiseStep, POISONED, TIMED_OUT};
 use crate::error::{Error, Result};
 use crate::eventcount::Waiters;
-use crate::fault::{FaultLayer, FaultPoint};
+use crate::fault::{FaultPoint, FaultProbe};
 use crate::filter::WatchFilter;
 use crate::graph::DepGraph;
 use crate::handle::{Tracked, TrackedArray, TrackedMatrix};
@@ -82,17 +82,16 @@ pub(crate) struct Inner<U> {
     pub(crate) state: Mutex<State<U>>,
     /// Sharded tracked memory: loads/stores never take the state lock.
     pub(crate) mem: ShardedMem,
-    /// Read-mostly trigger table: stores take the read lock for lookup,
-    /// `watch`/`unwatch` take the write lock. Lock order: state lock (if
+    /// Read-mostly, append-only trigger table: stores take the read lock
+    /// for lookup, `watch` takes the write lock. Lock order: state lock (if
     /// held) strictly before this lock; never acquire the state lock while
     /// holding this one.
     pub(crate) triggers: RwLock<TriggerTable>,
     /// Lock-free two-level watched-address filter (page bitmap sized to
     /// the arena, per-page 64-byte-line bits — see [`crate::filter`]).
     /// Stores whose probe misses skip the trigger-table read lock
-    /// entirely. Maintained by `watch` (or-in) and `unwatch` (span
-    /// rebuild); may over-approximate, never under-approximates an active
-    /// watch.
+    /// entirely. Bits are only ORed in, by `watch`; may over-approximate,
+    /// never under-approximates a watch.
     pub(crate) watch_filter: WatchFilter,
     /// The counter lines written without the state lock.
     pub(crate) counters: CounterLines,
@@ -102,7 +101,7 @@ pub(crate) struct Inner<U> {
     /// Deterministic fault engine (see [`crate::fault`]). Every injection
     /// probe checks `fault.fire()` — one relaxed load when no plan is
     /// installed. Shared with the obs recorder for the ring-publish probe.
-    pub(crate) fault: Arc<FaultLayer>,
+    pub(crate) fault: Arc<FaultProbe>,
     /// The bounded pending queue of triggered tthreads.
     pub(crate) pending: PendingQueue,
     /// The eventcount idle workers park on; a raise that finds nobody
@@ -407,8 +406,8 @@ impl<U: Send + 'static> Runtime<U> {
             obs.set_enabled(true);
         }
         let fault = Arc::new(match &cfg.fault_plan {
-            Some(plan) => FaultLayer::from_plan(plan),
-            None => FaultLayer::disarmed(),
+            Some(plan) => FaultProbe::from_plan(plan),
+            None => FaultProbe::disarmed(),
         });
         obs.attach_fault(Arc::clone(&fault));
         let workers = cfg.workers;
@@ -592,29 +591,6 @@ impl<U: Send + 'static> Runtime<U> {
         Ok(())
     }
 
-    /// Detaches a previously attached trigger region.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTthread`] for a foreign id and
-    /// [`Error::NoSuchWatch`] if the exact region was not watched.
-    pub fn unwatch(&mut self, tthread: TthreadId, range: AddrRange) -> Result<()> {
-        self.check(tthread)?;
-        let mut state = self.inner.state.lock();
-        let mut triggers = self.inner.triggers.write();
-        triggers.unwatch(tthread, range)?;
-        state.graph.remove_watch(tthread, range);
-        // Rebuild only the removed watch's filter span from the surviving
-        // ranges; the state lock serializes this with other mutators while
-        // probes keep running lock-free.
-        let remaining: Vec<AddrRange> = triggers.iter().map(|(_, r)| r).collect();
-        drop(triggers);
-        self.inner
-            .watch_filter
-            .rebuild(range, self.inner.cfg.granularity, &remaining);
-        Ok(())
-    }
-
     /// Runs a main-thread region with access to tracked memory and user
     /// state.
     ///
@@ -680,15 +656,10 @@ impl<U: Send + 'static> Runtime<U> {
     /// counters. See [`crate::report::RuntimeReport`].
     pub fn report(&self) -> crate::report::RuntimeReport {
         let state = self.inner.state.lock();
-        let triggers = self.inner.triggers.read();
         let tthreads = (0..self.registered)
             .map(|i| {
                 let id = TthreadId::new(i as u32);
-                let watches = triggers
-                    .iter()
-                    .filter(|(t, _)| *t == id)
-                    .map(|(_, range)| range)
-                    .collect();
+                let watches = state.graph.watches(id).to_vec();
                 let tthread = self.inner.tthread(id);
                 let slot = &tthread.slot;
                 crate::report::TthreadReportRow {

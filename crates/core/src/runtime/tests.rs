@@ -167,25 +167,6 @@ fn read_all_matches_written_values() {
 }
 
 #[test]
-fn unwatch_detaches_trigger_region() {
-    let mut rt = Runtime::new(deferred(), ());
-    let xs = rt.alloc_array::<u32>(4).unwrap();
-    let tt = rt.register("t", |_| {});
-    rt.watch(tt, xs.range_of(0, 2)).unwrap();
-    rt.watch(tt, xs.range_of(2, 4)).unwrap();
-    rt.unwatch(tt, xs.range_of(0, 2)).unwrap();
-    rt.with(|ctx| ctx.write(xs, 0, 9));
-    assert_eq!(rt.status(tt).unwrap(), TthreadStatus::Clean);
-    rt.with(|ctx| ctx.write(xs, 3, 9));
-    assert_eq!(rt.status(tt).unwrap(), TthreadStatus::Triggered);
-    // Unwatching the same region twice fails.
-    assert!(matches!(
-        rt.unwatch(tt, xs.range_of(0, 2)),
-        Err(Error::NoSuchWatch(_))
-    ));
-}
-
-#[test]
 fn foreign_id_is_rejected() {
     let mut rt = Runtime::new(deferred(), ());
     let bogus = TthreadId::new(42);
@@ -1010,35 +991,6 @@ fn store_sixty_four_pages_from_a_watch_misses_in_one_load() {
     assert_eq!(c.filter_checks, 1);
     assert_eq!(c.filter_page_hits, 0);
     assert_eq!(rt.status(tt).unwrap(), TthreadStatus::Clean);
-}
-
-/// Two watches on pages 0 and 64 — the pair that collapsed onto one
-/// bit in the wrapped filter. Unwatching one must not strip filter
-/// coverage from the other, and must genuinely clear its own page.
-#[test]
-fn unwatch_of_mod64_twin_page_keeps_the_other_watched() {
-    let mut rt = Runtime::new(deferred(), ());
-    let xs = rt.alloc_array::<u8>(65 * 4096).unwrap();
-    let t0 = rt.register("page0", |_| {});
-    let t64 = rt.register("page64", |_| {});
-    rt.watch(t0, xs.range_of(0, 64)).unwrap();
-    rt.watch(t64, xs.range_of(64 * 4096, 64 * 4096 + 64))
-        .unwrap();
-    rt.unwatch(t64, xs.range_of(64 * 4096, 64 * 4096 + 64))
-        .unwrap();
-
-    // The survivor still triggers.
-    rt.write(xs.at(0), 9u8);
-    assert_eq!(rt.status(t0).unwrap(), TthreadStatus::Triggered);
-
-    // The unwatched twin page is fully cleared: one-load exit again.
-    rt.join(t0).unwrap();
-    rt.reset_stats();
-    rt.write(xs.at(64 * 4096), 9u8);
-    let c = rt.stats().counters().clone();
-    assert_eq!(c.filter_checks, 1);
-    assert_eq!(c.filter_page_hits, 0, "stale bit survived the unwatch");
-    assert_eq!(rt.status(t64).unwrap(), TthreadStatus::Clean);
 }
 
 /// Within a watched page the second filter level discriminates

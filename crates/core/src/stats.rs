@@ -155,8 +155,7 @@ pub struct Counters {
 /// macro `$cb`. This is the *single source of truth* for the counter lines'
 /// word layout ([`Tally`]), their fold, and every serialization path —
 /// [`Counters::fields`] (which also drives the Prometheus exporter in
-/// `dtt-obs`), [`StatsSnapshot::to_json`] and [`StatsSnapshot::from_json`]
-/// — so adding a counter to [`Counters`] only requires extending this list
+/// `dtt-obs`) and [`StatsSnapshot::to_json`] — so adding a counter to [`Counters`] only requires extending this list
 /// once.
 macro_rules! for_each_counter {
     ($cb:ident) => {
@@ -402,11 +401,6 @@ impl StatsSnapshot {
         ratio(self.c.silent_stores, self.c.tracked_stores)
     }
 
-    /// Fraction of trigger matches that were false triggers.
-    pub fn false_trigger_fraction(&self) -> f64 {
-        ratio(self.c.false_triggers, self.c.triggers_fired)
-    }
-
     /// Fraction of `join` points at which the computation was skipped
     /// entirely — the paper's redundant-computation elimination rate.
     ///
@@ -433,8 +427,7 @@ impl StatsSnapshot {
 
     /// Serializes the snapshot as a flat, single-line JSON object whose
     /// keys are the counter field names, in declaration order. This is the
-    /// one JSON shape shared by `dtt obs metrics` and the exporters; it
-    /// round-trips exactly through [`StatsSnapshot::from_json`].
+    /// one JSON shape shared by `dtt obs metrics` and the exporters.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.c.fields().into_iter().enumerate() {
@@ -448,63 +441,6 @@ impl StatsSnapshot {
         }
         out.push('}');
         out
-    }
-
-    /// Parses a snapshot from the JSON shape produced by
-    /// [`StatsSnapshot::to_json`]: one flat object of unsigned-integer
-    /// counter fields (whitespace tolerated, any key order, missing keys
-    /// default to zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed token, unknown key, or
-    /// non-integer value.
-    pub fn from_json(text: &str) -> Result<StatsSnapshot, String> {
-        let mut c = Counters::new();
-        let mut rest = text.trim_start();
-        rest = rest
-            .strip_prefix('{')
-            .ok_or_else(|| "expected '{' at start of stats object".to_string())?;
-        loop {
-            rest = rest.trim_start();
-            if let Some(tail) = rest.strip_prefix('}') {
-                if !tail.trim().is_empty() {
-                    return Err("trailing data after stats object".to_string());
-                }
-                return Ok(StatsSnapshot { c });
-            }
-            rest = rest
-                .strip_prefix('"')
-                .ok_or_else(|| "expected '\"' starting a field name".to_string())?;
-            let end = rest
-                .find('"')
-                .ok_or_else(|| "unterminated field name".to_string())?;
-            let (name, tail) = rest.split_at(end);
-            rest = tail[1..].trim_start();
-            rest = rest
-                .strip_prefix(':')
-                .ok_or_else(|| format!("expected ':' after field {name:?}"))?;
-            rest = rest.trim_start();
-            let digits = rest.len()
-                - rest
-                    .trim_start_matches(|ch: char| ch.is_ascii_digit())
-                    .len();
-            if digits == 0 {
-                return Err(format!("expected an unsigned integer for field {name:?}"));
-            }
-            let value: u64 = rest[..digits]
-                .parse()
-                .map_err(|e| format!("field {name:?}: {e}"))?;
-            if !c.set_field(name, value) {
-                return Err(format!("unknown counter field {name:?}"));
-            }
-            rest = rest[digits..].trim_start();
-            if let Some(tail) = rest.strip_prefix(',') {
-                rest = tail;
-            } else if !rest.starts_with('}') {
-                return Err(format!("expected ',' or '}}' after field {name:?}"));
-            }
-        }
     }
 }
 
@@ -603,7 +539,6 @@ mod tests {
     fn ratios_handle_zero_denominators() {
         let snap = Counters::new().snapshot();
         assert_eq!(snap.silent_store_fraction(), 0.0);
-        assert_eq!(snap.false_trigger_fraction(), 0.0);
         assert_eq!(snap.skip_fraction(), 0.0);
         assert_eq!(snap.triggers_per_kilo_store(), 0.0);
     }
@@ -614,8 +549,6 @@ mod tests {
         c.tracked_stores = 1000;
         c.silent_stores = 780;
         c.triggering_stores = 20;
-        c.triggers_fired = 40;
-        c.false_triggers = 10;
         c.skips = 75;
         c.joins = 100;
         // Executions beyond the join points (cascades, retriggers) must not
@@ -623,7 +556,6 @@ mod tests {
         c.executions = 400;
         let s = c.snapshot();
         assert!((s.silent_store_fraction() - 0.78).abs() < 1e-12);
-        assert!((s.false_trigger_fraction() - 0.25).abs() < 1e-12);
         assert!((s.skip_fraction() - 0.75).abs() < 1e-12);
         assert!((s.triggers_per_kilo_store() - 20.0).abs() < 1e-12);
     }
@@ -794,45 +726,6 @@ mod tests {
             assert_eq!(*v, (i + 1) as u64);
         }
         assert!(!c.set_field("not_a_counter", 7));
-    }
-
-    #[test]
-    fn json_round_trips_exactly() {
-        let mut c = Counters::new();
-        for (i, (name, _)) in c.clone().fields().into_iter().enumerate() {
-            c.set_field(name, (i as u64 + 1) * 1_000_003);
-        }
-        let snap = c.snapshot();
-        let json = snap.to_json();
-        let back = StatsSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-        // Whitespace and key order don't matter; missing keys default to 0.
-        let sparse = StatsSnapshot::from_json("{ \"joins\" : 7, \"skips\": 3 }").unwrap();
-        assert_eq!(sparse.counters().joins, 7);
-        assert_eq!(sparse.counters().skips, 3);
-        assert_eq!(sparse.counters().tracked_stores, 0);
-        let empty = StatsSnapshot::from_json("{}").unwrap();
-        assert_eq!(empty, Counters::new().snapshot());
-    }
-
-    #[test]
-    fn json_rejects_malformed_input() {
-        for bad in [
-            "",
-            "[]",
-            "{\"joins\":}",
-            "{\"joins\":-1}",
-            "{\"joins\":1.5}",
-            "{\"unknown_counter\":1}",
-            "{\"joins\":1",
-            "{\"joins\":1}x",
-            "{joins:1}",
-        ] {
-            assert!(
-                StatsSnapshot::from_json(bad).is_err(),
-                "accepted malformed input {bad:?}"
-            );
-        }
     }
 
     #[test]

@@ -5,19 +5,16 @@
 //! store consults only the regions near it, keeping tracked stores O(1) in
 //! the common case.
 //!
-//! The table is *read-mostly*: [`TriggerTable::lookup_with`] runs on every
-//! tracked store (under a read lock in the runtime) and is allocation-free —
-//! callers supply a reusable [`LookupScratch`] whose generation-stamped
-//! seen-marks replace the per-store dedup set. Mutation
-//! ([`TriggerTable::watch`]/[`TriggerTable::unwatch`]) recycles region slots
-//! through a free list and prunes bucket entries eagerly, so
-//! watch/unwatch-churning workloads stay bounded in both memory and lookup
-//! cost.
+//! The table is *read-mostly* and append-only: a tthread's regions are
+//! attached when it is set up ([`TriggerTable::watch`]) and stay for the
+//! runtime's life. [`TriggerTable::lookup_with`] runs on every tracked store
+//! (under a read lock in the runtime) and is allocation-free — callers
+//! supply a reusable [`LookupScratch`] whose generation-stamped seen-marks
+//! replace the per-store dedup set.
 
 use std::collections::HashMap;
 
 use crate::addr::{AddrRange, Granularity};
-use crate::error::{Error, Result};
 use crate::tthread::TthreadId;
 
 const BUCKET_SHIFT: u32 = 8; // 256-byte buckets
@@ -38,7 +35,6 @@ struct Region {
     range: AddrRange,
     rounded: AddrRange,
     tthread: TthreadId,
-    active: bool,
 }
 
 /// Reusable per-caller lookup state, making the per-store trigger lookup
@@ -98,9 +94,6 @@ pub struct TriggerTable {
     granularity: Granularity,
     regions: Vec<Region>,
     buckets: HashMap<u64, Vec<u32>>,
-    /// Region slots freed by `unwatch`, reused by the next `watch`.
-    free: Vec<u32>,
-    active_regions: usize,
 }
 
 impl TriggerTable {
@@ -110,8 +103,6 @@ impl TriggerTable {
             granularity,
             regions: Vec::new(),
             buckets: HashMap::new(),
-            free: Vec::new(),
-            active_regions: 0,
         }
     }
 
@@ -120,27 +111,14 @@ impl TriggerTable {
         self.granularity
     }
 
-    /// Number of active watched regions.
+    /// Number of watched regions.
     pub fn len(&self) -> usize {
-        self.active_regions
+        self.regions.len()
     }
 
     /// Whether no regions are watched.
     pub fn is_empty(&self) -> bool {
-        self.active_regions == 0
-    }
-
-    /// Number of region slots allocated (active plus free-listed). Bounded
-    /// by the peak number of *simultaneously* active watches, not by the
-    /// total watch/unwatch churn — a diagnostic for leak regressions.
-    pub fn region_slots(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Total bucket-vector entries currently indexed — like
-    /// [`TriggerTable::region_slots`], a churn-leak diagnostic.
-    pub fn bucket_entries(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.regions.is_empty()
     }
 
     /// Watches `range` on behalf of `tthread`.
@@ -149,59 +127,15 @@ impl TriggerTable {
     /// ever match it).
     pub fn watch(&mut self, tthread: TthreadId, range: AddrRange) {
         let rounded = range.round_to(self.granularity);
-        let region = Region {
+        let idx = self.regions.len() as u32;
+        self.regions.push(Region {
             range,
             rounded,
             tthread,
-            active: true,
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.regions[idx as usize] = region;
-                idx
-            }
-            None => {
-                let idx = self.regions.len() as u32;
-                self.regions.push(region);
-                idx
-            }
-        };
-        self.active_regions += 1;
+        });
         for b in bucket_span(rounded) {
             self.buckets.entry(b).or_default().push(idx);
         }
-    }
-
-    /// Removes the watch `tthread` holds on exactly `range`, recycling its
-    /// region slot and pruning its bucket entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchWatch`] if no active watch matches both the
-    /// tthread and the precise range.
-    pub fn unwatch(&mut self, tthread: TthreadId, range: AddrRange) -> Result<()> {
-        let found = self
-            .regions
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, r)| r.active && r.tthread == tthread && r.range == range)
-            .map(|(i, r)| (i as u32, r.rounded));
-        let Some((idx, rounded)) = found else {
-            return Err(Error::NoSuchWatch(tthread));
-        };
-        self.regions[idx as usize].active = false;
-        self.active_regions -= 1;
-        for b in bucket_span(rounded) {
-            if let Some(ids) = self.buckets.get_mut(&b) {
-                ids.retain(|&i| i != idx);
-                if ids.is_empty() {
-                    self.buckets.remove(&b);
-                }
-            }
-        }
-        self.free.push(idx);
-        Ok(())
     }
 
     /// Returns the tthreads fired by a store to `store_range`, deduplicated
@@ -246,7 +180,7 @@ impl TriggerTable {
                 }
                 *mark = generation;
                 let region = &self.regions[idx as usize];
-                if !region.active || !region.rounded.intersects(&rounded) {
+                if !region.rounded.intersects(&rounded) {
                     continue;
                 }
                 let precise = region.range.intersects(&store_range);
@@ -263,14 +197,6 @@ impl TriggerTable {
                 }
             }
         }
-    }
-
-    /// Iterates over active `(tthread, range)` watches.
-    pub fn iter(&self) -> impl Iterator<Item = (TthreadId, AddrRange)> + '_ {
-        self.regions
-            .iter()
-            .filter(|r| r.active)
-            .map(|r| (r.tthread, r.range))
     }
 }
 
@@ -356,23 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn unwatch_removes_only_exact_watch() {
-        let mut t = TriggerTable::new(Granularity::Exact);
-        let tt = TthreadId::new(0);
-        t.watch(tt, r(0, 16));
-        t.watch(tt, r(32, 16));
-        assert_eq!(t.len(), 2);
-        t.unwatch(tt, r(0, 16)).unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(t.lookup(r(4, 4)).is_empty());
-        assert_eq!(t.lookup(r(36, 4)).len(), 1);
-        assert!(matches!(
-            t.unwatch(tt, r(0, 16)),
-            Err(Error::NoSuchWatch(_))
-        ));
-    }
-
-    #[test]
     fn large_region_spanning_buckets() {
         let mut t = TriggerTable::new(Granularity::Exact);
         let tt = TthreadId::new(0);
@@ -418,65 +327,6 @@ mod tests {
             }]
         );
         assert!(t.lookup(r(16, 1)).is_empty());
-    }
-
-    #[test]
-    fn iter_lists_active_watches() {
-        let mut t = TriggerTable::new(Granularity::Exact);
-        let tt = TthreadId::new(0);
-        t.watch(tt, r(0, 4));
-        t.watch(tt, r(8, 4));
-        t.unwatch(tt, r(0, 4)).unwrap();
-        let watches: Vec<_> = t.iter().collect();
-        assert_eq!(watches, vec![(tt, r(8, 4))]);
-    }
-
-    #[test]
-    fn churn_keeps_regions_and_buckets_bounded() {
-        // Regression for the unwatch leak: watch/unwatch cycles used to grow
-        // `regions` and the bucket vectors without bound.
-        let mut t = TriggerTable::new(Granularity::Exact);
-        let tt = TthreadId::new(0);
-        for i in 0..10_000u64 {
-            // Two overlapping multi-bucket regions alive at a time, walking
-            // through the address space.
-            let base = (i % 64) * 128;
-            t.watch(tt, r(base, 600));
-            t.watch(tt, r(base + 64, 600));
-            t.unwatch(tt, r(base, 600)).unwrap();
-            t.unwatch(tt, r(base + 64, 600)).unwrap();
-        }
-        assert_eq!(t.len(), 0);
-        // Peak concurrency was 2, so at most 2 slots exist and no bucket
-        // entries survive.
-        assert!(t.region_slots() <= 2, "slots leaked: {}", t.region_slots());
-        assert_eq!(t.bucket_entries(), 0);
-        // Lookups over the churned space see nothing.
-        assert!(t.lookup(r(0, 8192)).is_empty());
-        // The table still works after churn.
-        t.watch(tt, r(40, 8));
-        assert_eq!(t.lookup(r(40, 4)).len(), 1);
-    }
-
-    #[test]
-    fn reused_slot_does_not_resurrect_old_buckets() {
-        let mut t = TriggerTable::new(Granularity::Exact);
-        let a = TthreadId::new(0);
-        let b = TthreadId::new(1);
-        // Region spanning buckets 0..=3.
-        t.watch(a, r(0, 1024));
-        t.unwatch(a, r(0, 1024)).unwrap();
-        // Reuses the freed slot, but only for bucket 8.
-        t.watch(b, r(2048, 16));
-        assert!(t.lookup(r(512, 8)).is_empty());
-        assert_eq!(
-            t.lookup(r(2048, 8)),
-            vec![TriggerHit {
-                tthread: b,
-                precise: true
-            }]
-        );
-        assert_eq!(t.region_slots(), 1);
     }
 
     #[test]

@@ -209,10 +209,6 @@ fn skips_fold_into_stats_and_report() {
             Err(Error::UnknownTthread(_))
         ));
         assert!(matches!(
-            rt.unwatch(foreign, x.range()),
-            Err(Error::UnknownTthread(_))
-        ));
-        assert!(matches!(
             rt.declare_output(foreign, y.range()),
             Err(Error::UnknownTthread(_))
         ));

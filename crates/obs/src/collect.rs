@@ -63,16 +63,6 @@ impl TthreadAgg {
             self.coalesced as f64 / raised as f64
         }
     }
-
-    /// Fraction of commits that hit at least one conflict (conflicts per
-    /// commit; can exceed 1.0 when a single commit conflicts repeatedly).
-    pub fn conflict_rate(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.conflicts as f64 / self.commits as f64
-        }
-    }
 }
 
 /// Store/trigger heat of one 64-byte tracked-memory region.
@@ -437,7 +427,6 @@ mod tests {
         assert_eq!(t0.joins, 1);
         assert_eq!(t0.skips, 1);
         assert!((t0.coalesce_ratio() - 0.5).abs() < 1e-12);
-        assert!((t0.conflict_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -32,16 +32,6 @@ pub struct TthreadRedundancy {
 }
 
 impl TthreadRedundancy {
-    /// Fraction of instances that were redundant.
-    pub fn instance_fraction(&self) -> f64 {
-        fraction(self.redundant_instances, self.instances)
-    }
-
-    /// Fraction of region instructions that were redundant.
-    pub fn instruction_fraction(&self) -> f64 {
-        fraction(self.redundant_instructions, self.instructions)
-    }
-
     /// Fraction of watched stores that were silent.
     pub fn silent_fraction(&self) -> f64 {
         fraction(self.silent_watched_stores, self.watched_stores)
@@ -252,7 +242,6 @@ mod tests {
         let tr = b.finish().unwrap();
         let p = RedundancyProfiler::profile(&tr);
         assert_eq!(p.tthreads[0].redundant_instances, 0);
-        assert_eq!(p.tthreads[0].instance_fraction(), 0.0);
     }
 
     #[test]

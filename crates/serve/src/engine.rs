@@ -337,17 +337,18 @@ impl View {
         let _ = rt.mark_dirty(id);
     }
 
-    fn teardown(self, timeout: Duration) {
+    fn teardown(self) {
         let mut rt = match self {
             View::Sheet(s) => s.into_runtime(),
             View::Pipeline(p) => p.into_runtime(),
             View::Keyed(k) => k.into_runtime(),
         };
         // Drain first (idempotent with any earlier defensive drain), then
-        // the consuming shutdown. A straggler past the deadline is
-        // detached, not waited on forever.
-        let _ = rt.drain(timeout);
-        let _ = rt.shutdown(timeout);
+        // the consuming shutdown, each within 10 s. A straggler past the
+        // deadline is detached, not waited on forever.
+        const TIMEOUT: Duration = Duration::from_secs(10);
+        let _ = rt.drain(TIMEOUT);
+        let _ = rt.shutdown(TIMEOUT);
     }
 }
 
@@ -381,12 +382,10 @@ impl Engine {
     /// view's key map (handlers need it to pick a cached row for
     /// degraded keyed reads) and the join handle. Commands arrive on
     /// `rx`; the thread exits on [`EngineCmd::Shutdown`] or when every
-    /// sender is gone, fires `stop`, and tears the runtime down within
-    /// `teardown_timeout`.
+    /// sender is gone, fires `stop`, and tears the runtime down.
     pub(crate) fn spawn(
         cfg: EngineConfig,
         rx: Receiver<EngineCmd>,
-        teardown_timeout: Duration,
         stop: StopSignal,
     ) -> (Cache, Option<KeyMap>, thread::JoinHandle<()>) {
         let mut engine = Engine {
@@ -408,12 +407,12 @@ impl Engine {
         let cache = Arc::clone(&engine.cache);
         let handle = thread::Builder::new()
             .name("dtt-serve-engine".into())
-            .spawn(move || engine.run(rx, teardown_timeout, stop))
+            .spawn(move || engine.run(rx, stop))
             .expect("spawn engine thread");
         (cache, key_map, handle)
     }
 
-    fn run(mut self, rx: Receiver<EngineCmd>, teardown_timeout: Duration, stop: StopSignal) {
+    fn run(mut self, rx: Receiver<EngineCmd>, stop: StopSignal) {
         let key_map = self.view.key_map();
         // The staging buffers outlive the iteration: a batch allocates
         // nothing once they have grown to the batch cap.
@@ -499,7 +498,7 @@ impl Engine {
         // after: a request parked behind the stop resolves now.
         drop(rx);
         drop(stop);
-        self.view.teardown(teardown_timeout);
+        self.view.teardown();
     }
 
     /// Refreshes the view, repairing wedged tthreads with bounded retries
@@ -652,7 +651,7 @@ mod tests {
             seed: 1,
         };
         let (tx, rx) = std::sync::mpsc::sync_channel(4);
-        let (_, _, handle) = Engine::spawn(cfg, rx, Duration::from_secs(5), stop);
+        let (_, _, handle) = Engine::spawn(cfg, rx, stop);
         let slot = Arc::new(ReplySlot::default());
         let reply = ReplyTo {
             slot: Arc::clone(&slot),

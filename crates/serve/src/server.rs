@@ -109,9 +109,6 @@ pub struct ServeConfig {
     /// Logical key space for [`ViewKind::Keyed`]: `Put`/`GetKey` keys are
     /// folded from this space onto the `dims` grid.
     pub key_space: u64,
-    /// Fault plan installed into the *runtime* (core points: body
-    /// panics, retriggers, ...), for wedge scenarios.
-    pub runtime_faults: Option<FaultPlan>,
     /// Fault plan armed into the *serve* probe (conn-drop, client-stall,
     /// accept-overflow).
     pub serve_faults: Option<FaultPlan>,
@@ -123,8 +120,6 @@ pub struct ServeConfig {
     pub repair_cap: u32,
     /// Base backoff between repair attempts.
     pub repair_backoff: Duration,
-    /// Timeout for the engine's runtime teardown at shutdown.
-    pub teardown_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -139,13 +134,11 @@ impl Default for ServeConfig {
             view: ViewKind::Sheet,
             dims: (16, 32),
             key_space: 1 << 20,
-            runtime_faults: None,
             serve_faults: None,
             commit_backoff: Some(Duration::from_micros(50)),
             body_deadline: None,
             repair_cap: 3,
             repair_backoff: Duration::from_millis(1),
-            teardown_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -158,9 +151,6 @@ impl ServeConfig {
         }
         if let Some(limit) = self.body_deadline {
             cfg = cfg.with_body_deadline(limit);
-        }
-        if let Some(plan) = &self.runtime_faults {
-            cfg = cfg.with_fault_plan(plan.clone());
         }
         cfg
     }
@@ -226,8 +216,7 @@ impl Server {
             repair_backoff: cfg.repair_backoff,
             seed: cfg.serve_faults.as_ref().map_or(1, |p| p.seed),
         };
-        let (cache, key_map, engine_handle) =
-            Engine::spawn(engine_cfg, cmd_rx, cfg.teardown_timeout, stop);
+        let (cache, key_map, engine_handle) = Engine::spawn(engine_cfg, cmd_rx, stop);
 
         let probe = match &cfg.serve_faults {
             Some(plan) => FaultProbe::from_plan(plan),

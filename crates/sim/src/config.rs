@@ -116,12 +116,6 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style setter for `trigger_check_overhead`.
-    pub fn with_trigger_check_overhead(mut self, cycles: u64) -> Self {
-        self.trigger_check_overhead = cycles;
-        self
-    }
-
     /// Builder-style setter for `private_l1`.
     pub fn with_private_l1(mut self, private: bool) -> Self {
         self.private_l1 = private;
@@ -210,14 +204,12 @@ mod tests {
             .with_spawn_overhead(500)
             .with_queue_capacity(2)
             .with_granularity_bytes(64)
-            .with_silent_store_suppression(false)
-            .with_trigger_check_overhead(1);
+            .with_silent_store_suppression(false);
         assert_eq!(cfg.contexts, 4);
         assert_eq!(cfg.spawn_overhead, 500);
         assert_eq!(cfg.queue_capacity, 2);
         assert_eq!(cfg.granularity_bytes, 64);
         assert!(!cfg.suppress_silent_stores);
-        assert_eq!(cfg.trigger_check_overhead, 1);
         cfg.validate();
     }
 

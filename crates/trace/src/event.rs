@@ -73,11 +73,6 @@ impl Event {
             Event::RegionBegin { .. } | Event::RegionEnd { .. } | Event::Join { .. } => 0,
         }
     }
-
-    /// Whether this is a memory access.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Event::Load { .. } | Event::Store { .. })
-    }
 }
 
 impl fmt::Display for Event {
@@ -155,26 +150,6 @@ mod tests {
         );
         assert_eq!(Event::RegionBegin { tthread: 0 }.instructions(), 0);
         assert_eq!(Event::Join { tthread: 0 }.instructions(), 0);
-    }
-
-    #[test]
-    fn memory_classification() {
-        assert!(Event::Load {
-            site: 0,
-            addr: 0,
-            size: 4,
-            value: 0
-        }
-        .is_memory());
-        assert!(Event::Store {
-            site: 0,
-            addr: 0,
-            size: 4,
-            value: 0
-        }
-        .is_memory());
-        assert!(!Event::Compute(1).is_memory());
-        assert!(!Event::RegionEnd { tthread: 0 }.is_memory());
     }
 
     #[test]

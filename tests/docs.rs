@@ -1,9 +1,11 @@
 //! The documents cite each other: code, CHANGES.md and the docs name
 //! EXPERIMENTS.md sections by their experiment id (`R-Fig.12`,
 //! `R-model-check`) and DESIGN.md sections by number (`DESIGN.md §9`).
-//! These tests keep every such citation resolving, and keep DESIGN.md and
-//! EXPERIMENTS.md inside their size budgets, so that growing either is a
-//! red test rather than a review note.
+//! DESIGN.md also names source files and items in them
+//! (`filter.rs::WatchFilter`). These tests keep every such citation
+//! resolving, and keep DESIGN.md and EXPERIMENTS.md inside their size
+//! budgets, so that growing either or deleting cited code is a red test
+//! rather than a review note.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -147,6 +149,79 @@ fn design_sections(line: &str, in_design: bool) -> Vec<u32> {
         }
     }
     found
+}
+
+/// The source citations in `line`: each backtick span that is a path
+/// ending in `.rs`, alone or followed by `::Name`, as `(path, name)`.
+fn source_citations(line: &str) -> Vec<(&str, Option<&str>)> {
+    let path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    line.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter_map(|span| {
+            let (path, name) = match span.split_once("::") {
+                Some((path, name)) => (path, Some(name)),
+                None => (span, None),
+            };
+            let is_path = path.ends_with(".rs") && path.len() > 3 && path.chars().all(path_char);
+            (is_path && name.is_none_or(ident)).then_some((path, name))
+        })
+        .collect()
+}
+
+/// Whether `source` declares `name` as a `fn`, `struct`, `enum`, `trait`,
+/// `const`, `type` or `mod`.
+fn declares(source: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    ["fn", "struct", "enum", "trait", "const", "type", "mod"]
+        .iter()
+        .any(|kw| {
+            let decl = format!("{kw} {name}");
+            source.match_indices(&decl).any(|(at, _)| {
+                let before = source[..at].chars().next_back();
+                let after = source[at + decl.len()..].chars().next();
+                !before.is_some_and(ident) && !after.is_some_and(ident)
+            })
+        })
+}
+
+#[test]
+fn every_cited_source_file_and_item_exists() {
+    assert_eq!(
+        source_citations("see `mem.rs::store_walk`, `tests/a.rs`, `x.rs::A::b`, `Ctx::set`"),
+        [("mem.rs", Some("store_walk")), ("tests/a.rs", None)]
+    );
+    assert!(declares("pub(crate) fn store_walk<'a>(", "store_walk"));
+    assert!(!declares("fn store_walker()", "store_walk"));
+    let sources: Vec<(String, String)> = citing_files()
+        .into_iter()
+        .filter(|(shown, _)| shown.ends_with(".rs"))
+        .collect();
+    let mut missing = Vec::new();
+    for (n, line) in read("DESIGN.md").lines().enumerate() {
+        for (path, name) in source_citations(line) {
+            let files: Vec<&String> = sources
+                .iter()
+                .filter(|(shown, _)| shown == path || shown.ends_with(&format!("/{path}")))
+                .map(|(_, text)| text)
+                .collect();
+            let cited = match name {
+                Some(name) => format!("{path}::{name}"),
+                None => path.to_string(),
+            };
+            if files.is_empty() {
+                missing.push(format!("DESIGN.md:{}: {cited} (no such file)", n + 1));
+            } else if name.is_some_and(|name| !files.iter().any(|text| declares(text, name))) {
+                missing.push(format!("DESIGN.md:{}: {cited} (not declared there)", n + 1));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md cites source that does not exist:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]
