@@ -114,7 +114,7 @@ pub struct Ctx<'a, U> {
     pub(crate) inner: &'a Inner<U>,
     pub(crate) depth: u32,
     /// The tthread whose body or commit this context serves (`None` for
-    /// main-thread regions and accessor overflow handling). A raise from a
+    /// main-thread regions and accessor calls). A raise from a
     /// `cur`-carrying context onto a *different* tthread is one wave unit
     /// of the incremental computation graph (see [`crate::graph`]).
     pub(crate) cur: Option<TthreadId>,
@@ -531,29 +531,21 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
     /// tthreads. Only ever runs locked (the commit path calls this for
     /// replayed detached stores).
     pub(crate) fn dispatch(&mut self, store_range: AddrRange) {
+        let state = self.locked();
         // Watched-address filter: most changing stores touch pages no watch
         // covers; proving that from one page-bit load (or a line-bit load
-        // on a watched page) skips the trigger-table read lock and the
-        // bucket walk entirely.
-        let probe = self.inner.watch_filter.probe(store_range);
-        self.locked().lock_line.on_filter(probe);
+        // on a watched page) skips the bucket walk entirely.
+        let probe = state.watch_filter.probe(store_range);
+        state.lock_line.on_filter(probe);
         if probe.is_miss() {
-            self.inner
-                .obs_store(EventKind::FilterSkip, store_range.start(), None);
-            return;
+            let start = store_range.start();
+            return self.inner.obs_store(EventKind::FilterSkip, start, None);
         }
         // Scratch comes from the state-lock pool so the per-store lookup is
-        // allocation-free after warmup; nested cascades simply pop another
-        // buffer (or default-construct on first use).
-        let mut scratch = self.locked().scratch.pop().unwrap_or_default();
-        // The trigger-table read guard is dropped at the end of this
-        // statement, *before* raising: an inline overflow execution under a
-        // raised trigger can store (and look up) again, and a recursive
-        // read of a std RwLock while a writer waits can deadlock.
-        self.inner
-            .triggers
-            .read()
-            .lookup_with(store_range, &mut scratch);
+        // allocation-free after warmup; an inline overflow run below can
+        // dispatch again and pops another buffer (or default-constructs).
+        let mut scratch = state.scratch.pop().unwrap_or_default();
+        state.triggers.lookup_with(store_range, &mut scratch);
         self.raise_hits(&scratch.hits, store_range);
         self.locked().scratch.push(scratch);
     }
@@ -609,8 +601,15 @@ impl<'a, U: Send + 'static> Ctx<'a, U> {
             if depth > 0 {
                 line.bump(Tally::cascade_triggers, 1);
             }
+            line.bump(Tally::triggers_fired, 1);
+            if !hit.precise {
+                line.bump(Tally::false_triggers, 1);
+            }
+            inner
+                .obs
+                .event(EventKind::TriggerFired, hit.tthread, store_addr);
             // Already under the state lock: an overflow runs here.
-            let raised = match inner.fire(hit, store_addr, line) {
+            let raised = match inner.raise(hit.tthread, line) {
                 Raise::Overflow => {
                     self.overflow(hit.tthread);
                     Raise::Activated

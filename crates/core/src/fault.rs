@@ -146,11 +146,6 @@ impl FaultPoint {
             FaultPoint::AcceptOverflow => "accept-overflow",
         }
     }
-
-    /// Parses a name produced by [`FaultPoint::name`].
-    pub fn from_name(name: &str) -> Option<FaultPoint> {
-        Self::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 /// Fire probability meaning "always fire" (subject to the budget).
@@ -369,11 +364,12 @@ mod tests {
         for (i, p) in FaultPoint::ALL.into_iter().enumerate() {
             assert_eq!(p as usize, i);
             assert_eq!(FaultPoint::from_u8(p as u8), Some(p));
-            assert_eq!(FaultPoint::from_name(p.name()), Some(p));
             assert!(!p.name().is_empty());
+            for q in &FaultPoint::ALL[..i] {
+                assert_ne!(q.name(), p.name(), "two points share a name");
+            }
         }
         assert_eq!(FaultPoint::from_u8(FaultPoint::COUNT as u8), None);
-        assert_eq!(FaultPoint::from_name("frobnicate"), None);
     }
 
     #[test]

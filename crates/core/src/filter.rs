@@ -1,14 +1,14 @@
-//! The hierarchical lock-free watched-address filter.
+//! The hierarchical watched-address filter.
 //!
 //! Every changing tracked store must answer "could any watch match this
-//! range?" before touching the trigger table. The table lookup takes a read
-//! lock and walks address buckets; the filter answers the common *no* from
-//! one or two atomic loads instead.
+//! range?" before touching the trigger table. The table lookup walks
+//! address buckets; the filter answers the common *no* from one or two
+//! word loads instead.
 //!
 //! # Structure
 //!
-//! Two bitmap levels, both plain [`AtomicU64`] words sized to the arena —
-//! no wrapping, so distinct pages never alias:
+//! Two bitmap levels, both plain `u64` words sized to the arena — no
+//! wrapping, so distinct pages never alias:
 //!
 //! * **Level 1 — pages.** One bit per 4 KiB page, allocated eagerly (the
 //!   default 4 GiB arena needs 128 KiB of zeroed words). A store whose
@@ -16,10 +16,10 @@
 //!   overwhelmingly common single-page store, exactly one load.
 //! * **Level 2 — lines.** One word per watched page holding one bit per
 //!   64-byte line (64 lines × 64 B = 4 KiB). Line words live in lazily
-//!   initialized chunks, so a huge arena with a handful of watches only
+//!   allocated chunks, so a huge arena with a handful of watches only
 //!   materializes the chunks those watches touch. A store that lands on a
 //!   watched page but misses every watched *line* exits here, still
-//!   without the table's read lock.
+//!   without a table lookup.
 //!
 //! # Correctness contract
 //!
@@ -34,15 +34,9 @@
 //! allowed to be spurious (the table settles precision); the proptest
 //! below pins the no-false-negative direction.
 //!
-//! Bits are only ever set: watches are never removed, so the one mutator
-//! ([`WatchFilter::watch`], serialized by the runtime's state lock) ORs in
-//! line bits *before* page bits (both `Release`), and probes, which run
-//! lock-free and concurrently, load page bits with `Acquire` before
-//! descending. A probe that sees a page bit therefore always finds the
-//! line word it covers, and a bit once seen stays set.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+//! The filter lives in the runtime's locked state beside the trigger
+//! table: `watch` sets bits and every probe reads them under the state
+//! lock. Watches are never removed, so bits are only ever set.
 
 use crate::addr::{AddrRange, Granularity};
 
@@ -53,7 +47,7 @@ const PAGE_BYTES: u64 = 1 << PAGE_SHIFT;
 /// Bytes per level-2 line (matches the memory stripe and obs region size).
 const LINE_SHIFT: u32 = 6;
 
-/// Pages per lazily initialized line-word chunk (8192 pages = 64 KiB of
+/// Pages per lazily allocated line-word chunk (8192 pages = 64 KiB of
 /// line words covering 32 MiB of arena).
 const LINE_CHUNK_SHIFT: u32 = 13;
 const LINE_CHUNK_PAGES: u64 = 1 << LINE_CHUNK_SHIFT;
@@ -65,7 +59,7 @@ pub(crate) enum FilterProbe {
     /// load total for a single-page store).
     MissPage,
     /// A page bit was set but no watched line overlaps the store: exits at
-    /// level 2, still without the trigger-table read lock.
+    /// level 2, still without a trigger-table lookup.
     MissLine,
     /// A watched line overlaps the store; the caller must consult the
     /// trigger table (which may still find no precise hit).
@@ -84,10 +78,10 @@ impl FilterProbe {
 #[derive(Debug)]
 pub(crate) struct WatchFilter {
     /// Level 1: bit `p & 63` of word `p >> 6` covers page `p`.
-    pages: Box<[AtomicU64]>,
-    /// Level 2: one line-bit word per page, in lazily initialized chunks of
+    pages: Box<[u64]>,
+    /// Level 2: one line-bit word per page, in lazily allocated chunks of
     /// [`LINE_CHUNK_PAGES`] pages.
-    lines: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    lines: Vec<Option<Box<[u64]>>>,
     /// Pages covered by the arena capacity.
     npages: u64,
 }
@@ -123,27 +117,26 @@ impl WatchFilter {
         let page_words = npages.div_ceil(64) as usize;
         let line_chunks = npages.div_ceil(LINE_CHUNK_PAGES) as usize;
         WatchFilter {
-            pages: (0..page_words).map(|_| AtomicU64::new(0)).collect(),
-            lines: (0..line_chunks).map(|_| OnceLock::new()).collect(),
+            pages: vec![0; page_words].into_boxed_slice(),
+            lines: vec![None; line_chunks],
             npages,
         }
     }
 
     /// The line-bit word of `page`, materializing its chunk.
-    fn line_word(&self, page: u64) -> &AtomicU64 {
-        let chunk = self.lines[(page >> LINE_CHUNK_SHIFT) as usize].get_or_init(|| {
-            let pages_in_chunk =
-                (self.npages - (page & !(LINE_CHUNK_PAGES - 1))).min(LINE_CHUNK_PAGES) as usize;
-            (0..pages_in_chunk).map(|_| AtomicU64::new(0)).collect()
-        });
-        &chunk[(page & (LINE_CHUNK_PAGES - 1)) as usize]
+    fn line_word(&mut self, page: u64) -> &mut u64 {
+        let pages_in_chunk =
+            (self.npages - (page & !(LINE_CHUNK_PAGES - 1))).min(LINE_CHUNK_PAGES) as usize;
+        let chunk = self.lines[(page >> LINE_CHUNK_SHIFT) as usize]
+            .get_or_insert_with(|| vec![0; pages_in_chunk].into_boxed_slice());
+        &mut chunk[(page & (LINE_CHUNK_PAGES - 1)) as usize]
     }
 
     /// The line-bit word of `page` if its chunk exists.
     #[inline]
-    fn line_word_opt(&self, page: u64) -> Option<&AtomicU64> {
-        let chunk = self.lines[(page >> LINE_CHUNK_SHIFT) as usize].get()?;
-        Some(&chunk[(page & (LINE_CHUNK_PAGES - 1)) as usize])
+    fn line_word_opt(&self, page: u64) -> Option<u64> {
+        let chunk = self.lines[(page >> LINE_CHUNK_SHIFT) as usize].as_ref()?;
+        Some(chunk[(page & (LINE_CHUNK_PAGES - 1)) as usize])
     }
 
     /// The filter cover of a watch on `range` at `granularity`, as an
@@ -166,24 +159,19 @@ impl WatchFilter {
     }
 
     /// Sets the filter bits covering a watch on `range` at `granularity`.
-    /// Caller serializes with other mutators (the runtime's state lock).
-    pub(crate) fn watch(&self, range: AddrRange, granularity: Granularity) {
+    pub(crate) fn watch(&mut self, range: AddrRange, granularity: Granularity) {
         let Some((first, last)) = self.padded_span(range, granularity) else {
             return;
         };
         let p0 = first >> PAGE_SHIFT;
         let p1 = last >> PAGE_SHIFT;
-        // Line bits first, page bits second (both Release): a probe whose
-        // Acquire page load sees the bit is guaranteed to find the line
-        // word populated.
         for p in p0..=p1 {
-            self.line_word(p)
-                .fetch_or(line_mask_within_page(first, last, p), Ordering::Release);
+            *self.line_word(p) |= line_mask_within_page(first, last, p);
         }
         for w in (p0 >> 6)..=(p1 >> 6) {
             let lo = if w == p0 >> 6 { (p0 & 63) as u32 } else { 0 };
             let hi = if w == p1 >> 6 { (p1 & 63) as u32 } else { 63 };
-            self.pages[w as usize].fetch_or(bit_span(lo, hi), Ordering::Release);
+            self.pages[w as usize] |= bit_span(lo, hi);
         }
     }
 
@@ -208,27 +196,27 @@ impl WatchFilter {
         if p0 == p1 {
             // The common case — a store inside one page: a single page-bit
             // load decides the unwatched-traffic exit.
-            if self.pages[(p0 >> 6) as usize].load(Ordering::Acquire) & (1u64 << (p0 & 63)) == 0 {
+            if self.pages[(p0 >> 6) as usize] & (1u64 << (p0 & 63)) == 0 {
                 return FilterProbe::MissPage;
             }
             let Some(lw) = self.line_word_opt(p0) else {
                 return FilterProbe::Hit;
             };
-            if lw.load(Ordering::Acquire) & line_mask_within_page(first, last, p0) == 0 {
+            if lw & line_mask_within_page(first, last, p0) == 0 {
                 return FilterProbe::MissLine;
             }
             return FilterProbe::Hit;
         }
         let mut descended = false;
         for p in p0..=p1 {
-            if self.pages[(p >> 6) as usize].load(Ordering::Acquire) & (1u64 << (p & 63)) == 0 {
+            if self.pages[(p >> 6) as usize] & (1u64 << (p & 63)) == 0 {
                 continue;
             }
             descended = true;
             let Some(lw) = self.line_word_opt(p) else {
                 return FilterProbe::Hit;
             };
-            if lw.load(Ordering::Acquire) & line_mask_within_page(first, last, p) != 0 {
+            if lw & line_mask_within_page(first, last, p) != 0 {
                 return FilterProbe::Hit;
             }
         }
@@ -244,7 +232,7 @@ impl WatchFilter {
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::trigger::TriggerTable;
+    use crate::trigger::{LookupScratch, TriggerTable};
     use crate::tthread::TthreadId;
     use proptest::prelude::*;
 
@@ -257,7 +245,7 @@ mod tests {
         // The seed's single-word filter wrapped page indices mod 64, so a
         // watch on page 0 slow-pathed every store to pages 64, 128, ...;
         // the sized bitmap keeps them apart.
-        let f = WatchFilter::new(1 << 30);
+        let mut f = WatchFilter::new(1 << 30);
         f.watch(r(0, 64), Granularity::Exact);
         assert_eq!(f.probe(r(16, 8)), FilterProbe::Hit);
         for aliased_page in [64u64, 128, 192, 1024] {
@@ -272,7 +260,7 @@ mod tests {
 
     #[test]
     fn line_level_separates_traffic_within_a_watched_page() {
-        let f = WatchFilter::new(1 << 20);
+        let mut f = WatchFilter::new(1 << 20);
         // Watch line 0 of page 3.
         f.watch(r(3 * PAGE_BYTES, 64), Granularity::Exact);
         // Same page, line 32: descends to level 2 and misses there.
@@ -292,7 +280,7 @@ mod tests {
         // table even when it's far outside the raw watch range; the filter
         // cover must span the whole rounded watch or it would under-filter.
         let g = Granularity::Block(256);
-        let f = WatchFilter::new(1 << 20);
+        let mut f = WatchFilter::new(1 << 20);
         let watch = r(4200, 64); // rounds to [4096, 4352)
         f.watch(watch, g);
         // 104 bytes before the raw watch, same 256-byte block.
@@ -309,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_and_out_of_cover_ranges() {
-        let f = WatchFilter::new(PAGE_BYTES);
+        let mut f = WatchFilter::new(PAGE_BYTES);
         assert_eq!(f.probe(r(100, 0)), FilterProbe::MissPage);
         // Beyond the filter's coverage: defensive over-approximation.
         assert_eq!(f.probe(r(PAGE_BYTES * 2, 8)), FilterProbe::Hit);
@@ -321,7 +309,7 @@ mod tests {
 
     #[test]
     fn multi_page_store_descends_only_on_watched_pages() {
-        let f = WatchFilter::new(1 << 20);
+        let mut f = WatchFilter::new(1 << 20);
         f.watch(r(5 * PAGE_BYTES + 100, 8), Granularity::Exact);
         // A store spanning pages 4..=6 must hit via page 5.
         assert_eq!(
@@ -360,13 +348,15 @@ mod tests {
             stores in proptest::collection::vec(ranges(), 1..32),
         ) {
             let mut table = TriggerTable::new(g);
-            let filter = WatchFilter::new(PROP_ARENA);
+            let mut filter = WatchFilter::new(PROP_ARENA);
             for (i, w) in watches.iter().enumerate() {
                 table.watch(TthreadId::new(i as u32), *w);
                 filter.watch(*w, g);
             }
+            let mut scratch = LookupScratch::new();
             for s in &stores {
-                if !table.lookup(*s).is_empty() {
+                table.lookup_with(*s, &mut scratch);
+                if !scratch.hits().is_empty() {
                     prop_assert_eq!(
                         filter.probe(*s), FilterProbe::Hit,
                         "false negative for store {} against {:?} at {}", s, watches, g

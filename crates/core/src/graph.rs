@@ -140,13 +140,10 @@ impl DepGraph {
         &self.watches[id.index()]
     }
 
-    /// Removes one mirrored watch (the first region equal to `range`).
-    pub(crate) fn remove_watch(&mut self, id: TthreadId, range: AddrRange) {
-        self.ensure(id.index());
-        let regions = &mut self.watches[id.index()];
-        if let Some(pos) = regions.iter().position(|r| *r == range) {
-            regions.swap_remove(pos);
-        }
+    /// Undoes the `add_watch(id, range)` just made (a rejected edge).
+    pub(crate) fn pop_watch(&mut self, id: TthreadId, range: AddrRange) {
+        let popped = self.watches[id.index()].pop();
+        debug_assert_eq!(popped, Some(range), "not the watch just added");
     }
 
     /// Records a declared output region (writer side of the edge map).
@@ -155,12 +152,10 @@ impl DepGraph {
         self.outputs[id.index()].push(range);
     }
 
-    /// Removes one declared output (undo for a rejected edge).
-    pub(crate) fn remove_output(&mut self, id: TthreadId, range: AddrRange) {
-        let regions = &mut self.outputs[id.index()];
-        if let Some(pos) = regions.iter().position(|r| *r == range) {
-            regions.swap_remove(pos);
-        }
+    /// Undoes the `add_output(id, range)` just made (a rejected edge).
+    pub(crate) fn pop_output(&mut self, id: TthreadId, range: AddrRange) {
+        let popped = self.outputs[id.index()].pop();
+        debug_assert_eq!(popped, Some(range), "not the output just added");
     }
 
     fn overlaps(&self, a: &AddrRange, b: &AddrRange) -> bool {
@@ -307,8 +302,8 @@ mod tests {
         let cycle = g.find_cycle(TthreadId::new(0)).expect("cycle exists");
         let ids: Vec<u32> = cycle.iter().map(|id| id.index() as u32).collect();
         assert_eq!(ids, vec![0, 1, 2, 0]);
-        // Removing any edge endpoint breaks it.
-        g.remove_watch(TthreadId::new(2), range(16, 8));
+        // Undoing any edge endpoint breaks it.
+        g.pop_watch(TthreadId::new(2), range(16, 8));
         assert!(g.find_cycle(TthreadId::new(0)).is_none());
     }
 
@@ -356,7 +351,7 @@ mod tests {
         g.add_output(TthreadId::new(0), range(0, 8));
         g.add_watch(TthreadId::new(1), range(0, 8));
         assert_eq!(g.edges().len(), 1);
-        g.remove_output(TthreadId::new(0), range(0, 8));
+        g.pop_output(TthreadId::new(0), range(0, 8));
         assert!(g.edges().is_empty());
     }
 }

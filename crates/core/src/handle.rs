@@ -143,7 +143,7 @@ impl<T: Pod> TrackedArray<T> {
     /// A sub-array handle over elements `[from, to)` of this array.
     ///
     /// Useful for partitioning one array into disjoint per-thread chunks
-    /// (e.g. one [`crate::accessor::Accessor`] per worker writing its own
+    /// (e.g. one [`crate::accessor::Accessor`] per thread writing its own
     /// slice); the sub-array addresses the same tracked memory.
     ///
     /// # Panics

@@ -103,7 +103,7 @@
 //! | [`graph`] | the incremental computation graph (edge map, wave dedup, cycle check) |
 //! | [`ctx`] | the [`Ctx`] store path and status machine |
 //! | [`deadline`] | monotonic body-deadline and commit-backoff arithmetic |
-//! | [`accessor`] | concurrent tracked access off the state lock |
+//! | [`accessor`] | tracked access through `&Runtime`, each call under the state lock |
 //! | [`runtime`] | the [`Runtime`], one file per lifecycle step: set up and trigger (`mod.rs`), run on a worker or inline (`exec.rs`), join (`join.rs`), drain and shut down (`teardown.rs`) |
 //! | [`config`], [`stats`], [`error`] | knobs, counters (one single-writer line per writer, folded into [`stats::Counters`]), errors |
 

@@ -1,11 +1,10 @@
-//! Sharded tracked memory: the concurrent store/load hot path.
+//! Sharded tracked memory: the store/load hot path.
 //!
 //! [`ShardedMem`] plays the same role as [`crate::heap::TrackedHeap`] — a
 //! growable, bounds-checked arena with change-detecting stores — but is
-//! accessed through `&self` from many threads at once. The paper's hardware
-//! performs the value compare on *every* store without serializing the
-//! pipeline; the software analogue is that tracked loads and stores must not
-//! take the runtime's global state lock.
+//! accessed through `&self` from many threads at once: the state-lock
+//! holder, the one writer, loads and stores, while detached bodies' views
+//! copy and re-check stripes beside it.
 //!
 //! # Design
 //!
@@ -19,9 +18,9 @@
 //! * **Striped locks** — the address space is divided into 64-byte
 //!   *stripes*; stripe `s` hashes to lock `s % shards` (shards is a power of
 //!   two). A store locks the stripes its range covers, in ascending lock
-//!   order, so stores to different stripes proceed in parallel while stores
-//!   to the same stripe — including the compare half of silent-store
-//!   detection — are atomic.
+//!   order, so a store — including the compare half of silent-store
+//!   detection — is atomic against a view's copy of the same stripe, and
+//!   views copying different stripes do not contend.
 //! * **Growth** — words live in fixed-size chunks initialized lazily by
 //!   [`ShardedMem::alloc`] ([`OnceLock`] per chunk, `alloc` itself behind a
 //!   dedicated mutex), so the access path reaches any allocated word with a
@@ -40,8 +39,9 @@
 //!
 //! Lock ordering: the runtime's state lock, when held, is always acquired
 //! *before* stripe locks, and stripe locks are never held while acquiring
-//! the state lock — see `crates/core/src/accessor.rs` for the access-side
-//! protocol.
+//! the state lock. Every tracked store holds the state lock (allocation
+//! initializes bytes no handle names yet); the stripe locks order stores
+//! against the views of detached bodies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::accessor::Accessor;
 use crate::addr::{Addr, AddrRange};
@@ -35,7 +35,7 @@ use crate::mem::ShardedMem;
 use crate::obs::{EventKind, ObsRecorder, ObsRecording, OBS_RING_CAPACITY};
 use crate::pod::Pod;
 use crate::stats::{CounterLine, CounterLines, Counters, StatsSnapshot, Tally};
-use crate::trigger::{LookupScratch, TriggerHit, TriggerTable};
+use crate::trigger::{LookupScratch, TriggerTable};
 use crate::tthread::{ChunkTable, Tthread, TthreadId};
 
 mod exec;
@@ -50,19 +50,25 @@ use teardown::WorkerPool;
 /// Maximum bytes the tracked arena may grow to.
 const ARENA_CAPACITY: u64 = 1 << 32;
 
-/// The genuinely serial part of the runtime, behind the state lock: user
-/// state, the dependency graph, and the lock line — the counter line of
-/// whoever holds the lock.
+/// The serial part of the runtime, behind the state lock: user state, the
+/// trigger index (table and filter), the dependency graph, and the lock
+/// line — the counter line of whoever holds the lock.
 ///
-/// Tracked memory, the trigger table, and the other counter lines live
-/// *outside* this lock so tracked loads and stores scale across threads,
-/// and the status machine is lock-free with the pending queue behind its
-/// own leaf mutex; only commits, inline runs and overflow handling come
-/// back here.
+/// Every tracked store (a `with` region, an [`Accessor`], an inline body,
+/// a commit) runs under this lock, so its holder is the one writer of
+/// tracked memory and of the trigger index. Tracked memory itself lives
+/// outside, where detached bodies' views read it; the status machine is
+/// lock-free with the pending queue behind its own leaf mutex.
 pub struct State<U> {
     pub(crate) user: U,
     /// Everything counted under the lock, which makes its writers one.
     pub(crate) lock_line: CounterLine,
+    /// The append-only watched-region index every changing store consults
+    /// after the filter; `watch` appends to it.
+    pub(crate) triggers: TriggerTable,
+    /// The two-level watched-address filter (see [`crate::filter`]):
+    /// stores whose probe misses skip the table. `watch` sets its bits.
+    pub(crate) watch_filter: WatchFilter,
     /// Pool of reusable trigger-lookup scratch buffers for lock-holding
     /// dispatch paths (main-thread stores, commits, cascades).
     pub(crate) scratch: Vec<LookupScratch>,
@@ -80,19 +86,9 @@ pub struct State<U> {
 pub(crate) struct Inner<U> {
     pub(crate) cfg: Config,
     pub(crate) state: Mutex<State<U>>,
-    /// Sharded tracked memory: loads/stores never take the state lock.
+    /// Sharded tracked memory, written under the state lock and read by
+    /// detached bodies' views under its stripe locks.
     pub(crate) mem: ShardedMem,
-    /// Read-mostly, append-only trigger table: stores take the read lock
-    /// for lookup, `watch` takes the write lock. Lock order: state lock (if
-    /// held) strictly before this lock; never acquire the state lock while
-    /// holding this one.
-    pub(crate) triggers: RwLock<TriggerTable>,
-    /// Lock-free two-level watched-address filter (page bitmap sized to
-    /// the arena, per-page 64-byte-line bits — see [`crate::filter`]).
-    /// Stores whose probe misses skip the trigger-table read lock
-    /// entirely. Bits are only ORed in, by `watch`; may over-approximate,
-    /// never under-approximates a watch.
-    pub(crate) watch_filter: WatchFilter,
     /// The counter lines written without the state lock.
     pub(crate) counters: CounterLines,
     /// Lifecycle event recorder (see [`crate::obs`]). Every hook checks
@@ -165,10 +161,9 @@ impl<U> Inner<U> {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Advances `id`'s status machine for one trigger without the state
-    /// lock. Counts the per-tthread trigger in its slot and the
-    /// dispatch-side machinery on the caller's `line`: the lock line from
-    /// a locked context, an accessor's own line from an accessor.
+    /// Advances `id`'s status machine for one trigger on its lock-free
+    /// status word. Counts the per-tthread trigger in its slot and the
+    /// dispatch-side machinery on the caller's `line`.
     pub(crate) fn raise(&self, id: TthreadId, line: &CounterLine) -> Raise {
         let slot = &self.tthread(id).slot;
         slot.triggers.fetch_add(1, Ordering::Relaxed);
@@ -270,20 +265,6 @@ impl<U> Inner<U> {
         !self.pending.is_empty() && self.searching.load(Ordering::SeqCst) <= token
     }
 
-    /// Fires one trigger hit of the store at `store_addr`: counts it on the
-    /// caller's `line` (as false too if imprecise), records it, and raises
-    /// its tthread ([`Inner::raise`]). The caller pushes the store's range
-    /// into the tthread's changed set first, and settles an overflow.
-    pub(crate) fn fire(&self, hit: &TriggerHit, store_addr: u64, line: &CounterLine) -> Raise {
-        line.bump(Tally::triggers_fired, 1);
-        if !hit.precise {
-            line.bump(Tally::false_triggers, 1);
-        }
-        self.obs
-            .event(EventKind::TriggerFired, hit.tthread, store_addr);
-        self.raise(hit.tthread, line)
-    }
-
     /// Records a store event into the ring of the shard `addr` hashes to,
     /// if recording is on: one relaxed load when it is off.
     #[inline(always)]
@@ -383,6 +364,8 @@ impl<U: Send + 'static> Runtime<U> {
         let state = State {
             user,
             lock_line: CounterLine::default(),
+            triggers: TriggerTable::new(cfg.granularity),
+            watch_filter: WatchFilter::new(ARENA_CAPACITY),
             scratch: Vec::new(),
             bulk_scratch: Vec::new(),
             graph: DepGraph::new(cfg.granularity),
@@ -394,8 +377,6 @@ impl<U: Send + 'static> Runtime<U> {
             crate::mem::default_shards(),
             cfg.workers > 0,
         );
-        let triggers = RwLock::new(TriggerTable::new(cfg.granularity));
-        let watch_filter = WatchFilter::new(ARENA_CAPACITY);
         let counters = CounterLines::new(cfg.workers);
         // Nothing is counted yet: the first baseline is the empty fold.
         let baseline = counters.fold(&state.lock_line);
@@ -416,8 +397,6 @@ impl<U: Send + 'static> Runtime<U> {
             cfg,
             state: Mutex::new(state),
             mem,
-            triggers,
-            watch_filter,
             counters,
             obs,
             fault,
@@ -540,9 +519,6 @@ impl<U: Send + 'static> Runtime<U> {
     /// regions declared via [`Runtime::declare_output`], would close a
     /// cross-tthread trigger cycle (the watch is not installed).
     pub fn watch(&mut self, tthread: TthreadId, range: AddrRange) -> Result<()> {
-        // The state lock is held across the trigger-table write so watches
-        // serialize with in-flight trigger raising (lock order: state lock,
-        // then trigger-table lock).
         self.check(tthread)?;
         let mut state = self.inner.state.lock();
         self.inner.mem.check_range(range)?;
@@ -552,14 +528,12 @@ impl<U: Send + 'static> Runtime<U> {
         // trace. Self-loops are exempt (see [`crate::graph`]).
         state.graph.add_watch(tthread, range);
         if let Some(path) = state.graph.find_cycle(tthread) {
-            state.graph.remove_watch(tthread, range);
+            state.graph.pop_watch(tthread, range);
             state.lock_line.bump(Tally::trigger_cycles_rejected, 1);
             return Err(Error::TriggerCycle { path });
         }
-        self.inner.triggers.write().watch(tthread, range);
-        self.inner
-            .watch_filter
-            .watch(range, self.inner.cfg.granularity);
+        state.triggers.watch(tthread, range);
+        state.watch_filter.watch(range, self.inner.cfg.granularity);
         Ok(())
     }
 
@@ -584,7 +558,7 @@ impl<U: Send + 'static> Runtime<U> {
         self.inner.mem.check_range(range)?;
         state.graph.add_output(tthread, range);
         if let Some(path) = state.graph.find_cycle(tthread) {
-            state.graph.remove_output(tthread, range);
+            state.graph.pop_output(tthread, range);
             state.lock_line.bump(Tally::trigger_cycles_rejected, 1);
             return Err(Error::TriggerCycle { path });
         }
@@ -613,14 +587,9 @@ impl<U: Send + 'static> Runtime<U> {
         self.with(|ctx| ctx.set(cell, value));
     }
 
-    /// Creates a concurrent [`Accessor`] over tracked memory.
-    ///
-    /// Unlike [`Runtime::with`], an accessor never holds the global state
-    /// lock on the load/store fast path: it goes straight at the sharded
-    /// arena, so accessors on different threads (and on different address
-    /// shards) proceed in parallel. Create one accessor per thread — the
-    /// accessor carries reusable lookup scratch and is not itself shareable.
-    /// See [`Accessor`] for the memory-ordering contract.
+    /// Creates an [`Accessor`]: tracked loads and stores through `&self`,
+    /// each under the state lock as in [`Runtime::with`], so threads that
+    /// share the runtime can store without `&mut` access to it.
     pub fn accessor(&self) -> Accessor<'_, U> {
         Accessor::new(&self.inner)
     }

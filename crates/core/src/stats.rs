@@ -7,16 +7,13 @@
 //!
 //! Each count goes to a `CounterLine` with exactly one writer — the lock
 //! line (whoever holds the state lock), the owner line (the `&mut Runtime`
-//! holder), one per worker, one per live `Accessor` — as a plain load and
-//! store, no read-modify-write. `stats()` folds the lines into
+//! holder), one per worker — as a plain load and store, no
+//! read-modify-write. `stats()` folds the lines into
 //! [`Counters`]; a reset records the fold as the baseline later folds
 //! subtract, so no thread writes a line it does not own.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::filter::FilterProbe;
 use crate::heap::StoreEffect;
@@ -329,35 +326,14 @@ pub(crate) struct CounterLines {
     pub(crate) owner: CounterLine,
     /// One per worker thread, by worker index.
     pub(crate) workers: Box<[CounterLine]>,
-    /// Every line an `Accessor` ever held, and the free ones. The mutex
-    /// orders a line's last bump by one accessor before the next's first.
-    accessors: Mutex<(Lines, Lines)>,
 }
-
-type Lines = Vec<Arc<CounterLine>>;
 
 impl CounterLines {
     pub(crate) fn new(workers: usize) -> Self {
         CounterLines {
             owner: CounterLine::default(),
             workers: (0..workers).map(|_| CounterLine::default()).collect(),
-            accessors: Mutex::default(),
         }
-    }
-
-    /// A free line for a new accessor, or a fresh one.
-    pub(crate) fn acquire(&self) -> Arc<CounterLine> {
-        let (all, free) = &mut *self.accessors.lock();
-        free.pop().unwrap_or_else(|| {
-            all.push(Arc::default());
-            Arc::clone(&all[all.len() - 1])
-        })
-    }
-
-    /// Hands back an accessor's line, counts kept.
-    pub(crate) fn release(&self, line: Arc<CounterLine>) {
-        let (_, free) = &mut *self.accessors.lock();
-        free.push(line);
     }
 
     /// `lock_line`, read under the state lock, plus every line here.
@@ -366,8 +342,6 @@ impl CounterLines {
         lock_line.add_to(&mut c);
         self.owner.add_to(&mut c);
         self.workers.iter().for_each(|line| line.add_to(&mut c));
-        let (all, _) = &*self.accessors.lock();
-        all.iter().for_each(|line| line.add_to(&mut c));
         c
     }
 }
@@ -572,9 +546,9 @@ mod tests {
     #[test]
     fn counter_lines_fold_exactly_and_reset_to_a_baseline() {
         use crate::filter::FilterProbe::{Hit, MissLine, MissPage};
-        let lines = CounterLines::new(2);
+        let lines = CounterLines::new(4);
         let lock_line = CounterLine::default();
-        // Spread updates across the lock, owner and worker lines.
+        // Spread updates across the lock, owner and first two worker lines.
         for i in 0..32u64 {
             let line = [
                 &lock_line,
@@ -594,15 +568,12 @@ mod tests {
             line.bump(Tally::tracked_loads, 3);
             line.on_filter([MissPage, MissLine, Hit][i as usize % 3]);
         }
-        // A bulk store on an accessor's line (8 elements, 3 changed), and
-        // a second accessor's line, released before the fold: its counts
-        // stay.
-        let acc = lines.acquire();
-        acc.on_stores(8, 3, 2, true);
-        let other = lines.acquire();
+        // A bulk store on a third worker's line (8 elements, 3 changed), and
+        // a fourth worker's counts.
+        let (bulk, other) = (&lines.workers[2], &lines.workers[3]);
+        bulk.on_stores(8, 3, 2, true);
         other.bump(Tally::triggers_fired, 40);
         other.bump(Tally::view_restarts, 20);
-        lines.release(other);
         // Whole-struct equality: no tally folds into a neighbour's field.
         // i = 0..32 cycles MissPage/MissLine/Hit: 11 + 11 + 10.
         assert_eq!(
@@ -621,12 +592,10 @@ mod tests {
             ])
         );
 
-        // The released line is the next accessor's, counts kept; a reset
-        // is a baseline, and only what comes after it counts.
-        let reused = lines.acquire();
+        // A reset is a baseline, and only what comes after it counts.
         let baseline = lines.fold(&lock_line);
-        reused.bump(Tally::triggers_fired, 5);
-        acc.bump(Tally::tracked_loads, 1);
+        other.bump(Tally::triggers_fired, 5);
+        bulk.bump(Tally::tracked_loads, 1);
         lines.workers[1].bump(Tally::park_timeouts, 1);
         let want = [
             ("triggers_fired", 5),
@@ -634,17 +603,14 @@ mod tests {
             ("park_timeouts", 1),
         ];
         assert_eq!(lines.fold(&lock_line).since(&baseline), counts(&want));
-        assert_eq!(lines.accessors.lock().0.len(), 2, "the line was reused");
     }
 
     #[test]
     fn writer_lines_never_share_a_cache_line() {
         assert_eq!(std::mem::align_of::<CounterLine>(), 64);
         assert_eq!(std::mem::size_of::<CounterLine>() % 64, 0);
-        let lines = CounterLines::new(3);
-        let (a, b) = (lines.acquire(), lines.acquire());
-        let mut starts: Vec<usize> = [&lines.owner, &*a, &*b]
-            .into_iter()
+        let lines = CounterLines::new(5);
+        let mut starts: Vec<usize> = std::iter::once(&lines.owner)
             .chain(lines.workers.iter())
             .map(|line| line as *const CounterLine as usize)
             .collect();

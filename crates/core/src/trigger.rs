@@ -5,12 +5,12 @@
 //! store consults only the regions near it, keeping tracked stores O(1) in
 //! the common case.
 //!
-//! The table is *read-mostly* and append-only: a tthread's regions are
-//! attached when it is set up ([`TriggerTable::watch`]) and stay for the
-//! runtime's life. [`TriggerTable::lookup_with`] runs on every tracked store
-//! (under a read lock in the runtime) and is allocation-free — callers
-//! supply a reusable [`LookupScratch`] whose generation-stamped seen-marks
-//! replace the per-store dedup set.
+//! The table is append-only: a tthread's regions are attached when it is
+//! set up ([`TriggerTable::watch`]) and stay for the runtime's life. The
+//! runtime keeps it in its locked state, so `watch` and every store's
+//! [`TriggerTable::lookup_with`] run under the state lock. The lookup is
+//! allocation-free — callers supply a reusable [`LookupScratch`] whose
+//! generation-stamped seen-marks replace the per-store dedup set.
 
 use std::collections::HashMap;
 
@@ -106,21 +106,6 @@ impl TriggerTable {
         }
     }
 
-    /// The observation granularity.
-    pub fn granularity(&self) -> Granularity {
-        self.granularity
-    }
-
-    /// Number of watched regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether no regions are watched.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
     /// Watches `range` on behalf of `tthread`.
     ///
     /// Watching an empty range is a no-op that still succeeds (nothing can
@@ -138,20 +123,10 @@ impl TriggerTable {
         }
     }
 
-    /// Returns the tthreads fired by a store to `store_range`, deduplicated
-    /// by tthread. A hit is `precise` if any of the tthread's matched
-    /// regions precisely overlaps the store.
-    ///
-    /// Convenience wrapper that allocates; the per-store path uses
-    /// [`TriggerTable::lookup_with`] with reused scratch instead.
-    pub fn lookup(&self, store_range: AddrRange) -> Vec<TriggerHit> {
-        let mut scratch = LookupScratch::new();
-        self.lookup_with(store_range, &mut scratch);
-        scratch.hits
-    }
-
-    /// Allocation-free lookup: leaves the matches in `scratch.hits()`
-    /// (cleared first). Semantically identical to [`TriggerTable::lookup`].
+    /// Leaves in `scratch.hits()` (cleared first) the tthreads fired by a
+    /// store to `store_range`, deduplicated by tthread. A hit is `precise`
+    /// if any of the tthread's matched regions precisely overlaps the
+    /// store. Allocation-free once `scratch` has grown to the table.
     pub fn lookup_with(&self, store_range: AddrRange, scratch: &mut LookupScratch) {
         scratch.hits.clear();
         let rounded = store_range.round_to(self.granularity);
@@ -219,12 +194,19 @@ mod tests {
         AddrRange::new(Addr::new(start), len)
     }
 
+    /// The hits of one lookup through fresh scratch.
+    fn fired(t: &TriggerTable, store: AddrRange) -> Vec<TriggerHit> {
+        let mut scratch = LookupScratch::new();
+        t.lookup_with(store, &mut scratch);
+        scratch.hits
+    }
+
     #[test]
     fn store_inside_watch_fires_precisely() {
         let mut t = TriggerTable::new(Granularity::Exact);
         let tt = TthreadId::new(0);
         t.watch(tt, r(100, 50));
-        let hits = t.lookup(r(120, 4));
+        let hits = fired(&t, r(120, 4));
         assert_eq!(
             hits,
             vec![TriggerHit {
@@ -238,8 +220,8 @@ mod tests {
     fn store_outside_watch_misses() {
         let mut t = TriggerTable::new(Granularity::Exact);
         t.watch(TthreadId::new(0), r(100, 50));
-        assert!(t.lookup(r(150, 4)).is_empty());
-        assert!(t.lookup(r(96, 4)).is_empty());
+        assert!(fired(&t, r(150, 4)).is_empty());
+        assert!(fired(&t, r(96, 4)).is_empty());
     }
 
     #[test]
@@ -248,7 +230,7 @@ mod tests {
         let tt = TthreadId::new(3);
         t.watch(tt, r(0, 8));
         // Store to bytes 32..36: same 64-byte line, no precise overlap.
-        let hits = t.lookup(r(32, 4));
+        let hits = fired(&t, r(32, 4));
         assert_eq!(
             hits,
             vec![TriggerHit {
@@ -257,7 +239,7 @@ mod tests {
             }]
         );
         // Store in the next line: no hit at all.
-        assert!(t.lookup(r(64, 4)).is_empty());
+        assert!(fired(&t, r(64, 4)).is_empty());
     }
 
     #[test]
@@ -266,7 +248,7 @@ mod tests {
         let tt = TthreadId::new(1);
         t.watch(tt, r(0, 16));
         t.watch(tt, r(8, 16));
-        let hits = t.lookup(r(8, 8));
+        let hits = fired(&t, r(8, 8));
         assert_eq!(hits.len(), 1);
         assert!(hits[0].precise);
     }
@@ -276,7 +258,7 @@ mod tests {
         let mut t = TriggerTable::new(Granularity::Exact);
         t.watch(TthreadId::new(0), r(0, 16));
         t.watch(TthreadId::new(1), r(8, 16));
-        let mut hits = t.lookup(r(8, 4));
+        let mut hits = fired(&t, r(8, 4));
         hits.sort_by_key(|h| h.tthread);
         assert_eq!(hits.len(), 2);
     }
@@ -286,9 +268,9 @@ mod tests {
         let mut t = TriggerTable::new(Granularity::Exact);
         let tt = TthreadId::new(0);
         t.watch(tt, r(0, 10_000));
-        assert_eq!(t.lookup(r(9_999, 1)).len(), 1);
-        assert_eq!(t.lookup(r(512, 8)).len(), 1);
-        assert!(t.lookup(r(10_000, 1)).is_empty());
+        assert_eq!(fired(&t, r(9_999, 1)).len(), 1);
+        assert_eq!(fired(&t, r(512, 8)).len(), 1);
+        assert!(fired(&t, r(10_000, 1)).is_empty());
     }
 
     #[test]
@@ -296,21 +278,21 @@ mod tests {
         let mut t = TriggerTable::new(Granularity::Exact);
         t.watch(TthreadId::new(0), r(100, 8));
         // Store 96..104 straddles the start of the region.
-        assert_eq!(t.lookup(r(96, 8)).len(), 1);
+        assert_eq!(fired(&t, r(96, 8)).len(), 1);
     }
 
     #[test]
     fn empty_watch_never_fires() {
         let mut t = TriggerTable::new(Granularity::Line);
         t.watch(TthreadId::new(0), r(100, 0));
-        assert!(t.lookup(r(100, 4)).is_empty());
+        assert!(fired(&t, r(100, 4)).is_empty());
     }
 
     #[test]
     fn empty_store_never_fires() {
         let mut t = TriggerTable::new(Granularity::Line);
         t.watch(TthreadId::new(0), r(100, 8));
-        assert!(t.lookup(r(100, 0)).is_empty());
+        assert!(fired(&t, r(100, 0)).is_empty());
     }
 
     #[test]
@@ -318,7 +300,7 @@ mod tests {
         let mut t = TriggerTable::new(Granularity::Word);
         let tt = TthreadId::new(0);
         t.watch(tt, r(8, 4)); // watches word [8,16)
-        let hits = t.lookup(r(13, 1)); // same word, outside precise range
+        let hits = fired(&t, r(13, 1)); // same word, outside precise range
         assert_eq!(
             hits,
             vec![TriggerHit {
@@ -326,7 +308,7 @@ mod tests {
                 precise: false
             }]
         );
-        assert!(t.lookup(r(16, 1)).is_empty());
+        assert!(fired(&t, r(16, 1)).is_empty());
     }
 
     #[test]
@@ -340,7 +322,7 @@ mod tests {
             for len in [1u64, 8, 100, 700] {
                 let store = r(start, len);
                 t.lookup_with(store, &mut scratch);
-                let mut fresh = t.lookup(store);
+                let mut fresh = fired(&t, store);
                 let mut reused = scratch.hits().to_vec();
                 fresh.sort_by_key(|h| h.tthread);
                 reused.sort_by_key(|h| h.tthread);

@@ -50,10 +50,9 @@
 //! instant.
 //!
 //! From then on the body reads as an inline body under the same lock
-//! would: live memory, plus its own writes. Under the state lock only
-//! [`crate::Accessor`] stores can still land, and an inline body sees
-//! those too. So a read that touches no stripe the body wrote goes to live
-//! memory, uncopied — a body that takes the lock first pays for no copy at
+//! would: live memory, plus its own writes. Every tracked store holds the
+//! state lock, so none lands until the commit. So a read that touches no
+//! stripe the body wrote goes to live memory, uncopied — a body that takes the lock first pays for no copy at
 //! all — and an access to a stripe the view holds first refreshes, under
 //! the stripes' locks, every byte of it the body did not write. A copied
 //! byte the body did not write is never read stale: a stripe that passed
@@ -524,8 +523,7 @@ mod tests {
         assert!(!view.restarted());
         assert_eq!(view.load::<u64>(&m, a.offset(8)), 5);
         assert_eq!(view.load::<u64>(&m, a.offset(64)), 6);
-        // Stores that land under the lock (an `Accessor`'s) are seen too,
-        // except where the body wrote.
+        // The rest of the stripe reads live, except where the body wrote.
         m.store(a.offset(16), 7u64, true);
         m.store(a.offset(24), 8u64, true);
         let mut out = Vec::new();

@@ -3,8 +3,8 @@
 //! * (a) a body that recomputes only its triggers' ranges and one that
 //!   rescans everything leave identical memory over random store
 //!   schedules, at 0, 1 and 2 workers;
-//! * (b) racing an accessor's pushes against a worker's takes, every
-//!   changed range is handed to exactly one run, and overflow gives `All`;
+//! * (b) racing main-thread pushes against a worker's takes, every changed
+//!   range is handed to exactly one run, and overflow gives `All`;
 //! * (c) the first run after `register`, `mark_dirty`, `force`, a panic and
 //!   a deadline overrun sees `All`.
 
@@ -250,9 +250,10 @@ fn runs(seen: &Mutex<Vec<Triggers>>) -> Vec<Triggers> {
     std::mem::take(&mut *seen.lock().unwrap())
 }
 
-/// (b) An accessor thread pushes while the worker takes. Every changing
-/// store writes a different element, two apart so no two ranges merge;
-/// each must reach exactly one run's ranges, unless a run saw `All`.
+/// (b) The main thread pushes, one `with` region per store, while the
+/// worker takes. Every changing store writes a different element, two
+/// apart so no two ranges merge; each must reach exactly one run's
+/// ranges, unless a run saw `All`.
 #[test]
 fn every_pushed_range_is_taken_exactly_once() {
     const STORES: usize = 32;
@@ -261,15 +262,9 @@ fn every_pushed_range_is_taken_exactly_once() {
         rt.force(id).unwrap(); // consume register's All before the race
         runs(&seen);
 
-        std::thread::scope(|s| {
-            let rt = &rt;
-            s.spawn(move || {
-                let mut acc = rt.accessor();
-                for k in 0..STORES {
-                    acc.write(xs, 2 * k, k as u64 + 1);
-                }
-            });
-        });
+        for k in 0..STORES {
+            rt.with(|ctx| ctx.write(xs, 2 * k, k as u64 + 1));
+        }
         rt.join(id).unwrap();
 
         let mut hits = [0u32; STORES];

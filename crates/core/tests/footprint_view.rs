@@ -11,8 +11,8 @@
 //! * (c) a body that catches the restart's unwind still restarts, and its
 //!   aborted run publishes nothing;
 //! * (d) a user-state body restarts before it is handed user state if a
-//!   stripe it read went stale, and once it holds the state lock it sees an
-//!   `Accessor` store as an inline body would;
+//!   stripe it read went stale, and once it holds the state lock it reads
+//!   live memory as an inline body would;
 //! * (e) twenty seeds at two workers, bodies reading unwatched memory the
 //!   main thread stores to, leave the memory a deferred run leaves.
 //!
@@ -284,13 +284,10 @@ fn a_body_that_catches_the_unwind_still_restarts() {
 /// run. A store beside A in its stripe, to bytes the body did not read,
 /// does not restart it; once it holds the state lock the body reads that
 /// store, and a later one to a stripe it never touched, both new — as an
-/// inline body under the lock would. A second body takes the state lock first and
-/// then reads a stripe an `Accessor` stored to after its view started: it
-/// sees the store, as an inline body under the lock would, and does not
-/// restart.
+/// inline body under the lock would.
 #[test]
 fn user_state_is_handed_out_only_to_a_valid_view() {
-    let mut s = scene(Config::default(), (0u64, 0u64));
+    let mut s = scene(Config::default(), 0u64);
     let (hs, gate) = handshake();
     let paused = Arc::new(AtomicBool::new(false));
     let (data, out) = (s.data, s.out);
@@ -300,7 +297,7 @@ fn user_state_is_handed_out_only_to_a_valid_view() {
         if !once.swap(true, Ordering::SeqCst) {
             hs.pause();
         }
-        ctx.user_mut().0 += 1;
+        *ctx.user_mut() += 1;
         ctx.write(out, A, a);
         let beside = ctx.read(data, A + 1);
         ctx.write(out, A + 1, beside);
@@ -316,7 +313,7 @@ fn user_state_is_handed_out_only_to_a_valid_view() {
         JoinOutcome::Overlapped | JoinOutcome::Waited
     ));
     assert_eq!(
-        s.rt.with(|ctx| ctx.user().0),
+        s.rt.with(|ctx| *ctx.user()),
         1,
         "a stale run touched user state"
     );
@@ -344,36 +341,13 @@ fn user_state_is_handed_out_only_to_a_valid_view() {
         s.rt.join(counted).unwrap(),
         JoinOutcome::Overlapped | JoinOutcome::Waited
     ));
-    assert_eq!(s.rt.with(|ctx| ctx.user().0), 2);
+    assert_eq!(s.rt.with(|ctx| *ctx.user()), 2);
     assert_eq!(s.rt.stats().counters().view_restarts, 0);
     assert_eq!(
         (s.rt.read(s.out.at(A + 1)), s.rt.read(s.out.at(B))),
         (6, 6),
         "the body read a stale copy beside a live read"
     );
-
-    let (hs, gate) = handshake();
-    let trigger2 = s.rt.alloc(0u64).unwrap();
-    let c_cell = s.data.at(2 * LINE);
-    let locked = s.rt.register("locked", move |ctx| {
-        ctx.user_mut().1 = u64::MAX;
-        hs.pause();
-        let c = ctx.get(c_cell);
-        ctx.user_mut().1 = c;
-    });
-    s.rt.watch(locked, trigger2.range()).unwrap();
-    s.rt.reset_stats();
-    s.rt.write(trigger2, 1);
-    {
-        let mut acc = s.rt.accessor();
-        gate.between(|| acc.set(c_cell, 77));
-    }
-    assert!(matches!(
-        s.rt.join(locked).unwrap(),
-        JoinOutcome::Overlapped | JoinOutcome::Waited
-    ));
-    assert_eq!(s.rt.with(|ctx| ctx.user().1), 77);
-    assert_eq!(s.rt.stats().counters().view_restarts, 0);
 }
 
 /// Tthreads and unwatched pairs in (e).

@@ -3,8 +3,9 @@
 //! inside a worker-run body — must be one behaviour: the same op stream
 //! leaves the same memory, returns the same loaded values and counts the
 //! same accesses, even from a body that fails, and the counts fold exactly
-//! while accessors come and go. The last part pins the panic messages of
-//! the bounds checks on that path, through the public API, downstream.
+//! while accessor threads store and idle workers count. The last part pins
+//! the panic messages of the bounds checks on that path, through the
+//! public API, downstream.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,9 +304,10 @@ fn accessor_phase(rt: &Runtime<()>, xs: TrackedArray<u64>, phase: &str) {
     assert!(polled.iter().all(|&p| p <= fin), "{phase}");
 }
 
-/// The counter-line registry under concurrency: lines are handed out and
-/// back while `stats()` folds them, and a reset is a baseline that idle
-/// workers, bumping their own lines throughout, cannot undo.
+/// Counter lines under concurrency: accessor threads count on the lock line
+/// while `stats()` folds it with the owner and worker lines, and a reset is
+/// a baseline that idle workers, bumping their own lines throughout, cannot
+/// undo.
 #[test]
 fn accessor_lines_fold_exactly_while_they_come_and_go() {
     const WORKERS: u64 = 2;

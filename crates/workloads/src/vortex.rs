@@ -100,11 +100,6 @@ impl Vortex {
         self.objects
     }
 
-    /// Transactions processed.
-    pub fn transactions(&self) -> usize {
-        self.txns.len()
-    }
-
     fn kernel<P: Probe>(&self, p: &mut P, tts: &[u32]) -> u64 {
         let mut fields = self.fields0.clone();
         let mut indexes: Vec<Vec<u64>> = vec![vec![0; BUCKETS]; FIELDS];

@@ -8,8 +8,7 @@
 //! * locks are **non-poisoning** — a panic while holding a guard does not
 //!   wedge later lockers (we recover the inner guard from the std poison
 //!   error);
-//! * [`Mutex::lock`], [`RwLock::read`] and [`RwLock::write`] return guards
-//!   directly, not `Result`s;
+//! * [`Mutex::lock`] returns its guard directly, not a `Result`;
 //! * [`Condvar::wait`] takes `&mut MutexGuard` instead of consuming the
 //!   guard.
 //!
@@ -141,82 +140,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s non-poisoning interface.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a lock owning `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
-    }
-}
-
-/// RAII guard returned by [`RwLock::read`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII guard returned by [`RwLock::write`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,14 +151,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
-        assert_eq!(l.into_inner(), vec![1, 2]);
     }
 
     #[test]

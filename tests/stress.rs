@@ -449,9 +449,10 @@ fn runtime_is_sync() {
     assert_sync::<Runtime<Vec<u64>>>();
 }
 
-/// Concurrent accessors on disjoint slices of one array: every store lands,
-/// the access-side counters are exact, and a store into a watched cell
-/// raises its trigger even when issued off the main thread.
+/// Accessors on four threads, storing to disjoint slices of one array
+/// under the state lock in turn: every store lands, the access-side
+/// counters are exact, and a store into a watched cell raises its trigger
+/// even when issued off the main thread.
 #[test]
 fn concurrent_accessors_disjoint_stores_are_exact() {
     const THREADS: usize = 4;
